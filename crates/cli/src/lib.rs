@@ -33,10 +33,17 @@
 //!   intensity runs naive and defended over the same trace and spike,
 //!   and the report compares goodput, p99 latency, shed fractions and
 //!   the recovery time back to 95% of baseline goodput (JSON report +
+//!   CSV figure);
+//! * `durability` — sweep correlated burst size × replica `k` ×
+//!   placement × repair pace: one whole failure domain crashes, and the
+//!   report compares objects lost, the at-risk window and the mean time
+//!   to repair, blind + reactive vs spread + proactive (JSON report +
 //!   CSV figure).
 //!
 //! Flags are `--key value` pairs; parsing is hand-rolled (the workspace
-//! deliberately keeps its dependency set small — see DESIGN.md).
+//! deliberately keeps its dependency set small — see DESIGN.md). Each
+//! subcommand declares the flags it accepts in the `dispatch` table, and
+//! any other flag is a usage error before any work starts.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,10 +57,11 @@ use std::sync::Arc;
 use webcache_sim::sweep::{gain_curve, sweep};
 use webcache_sim::throughput::measure_throughput;
 use webcache_sim::{
-    latency_gain_percent, run_adversary, run_chaos, run_churn, run_durability, run_experiment,
-    run_experiment_recorded, run_overload, AdversaryConfig, ChaosConfig, ChurnConfig, ClockMode,
-    DurabilityConfig, EventLogRecorder, ExperimentConfig, FaultAction, FaultPlan, HitClass,
-    NetworkModel, OverloadConfig, SchemeKind, SimError, StatsRecorder,
+    adversary, durability, latency_gain_percent, overload, run_adversary, run_chaos, run_churn,
+    run_durability, run_experiment, run_experiment_recorded, run_overload, AdversaryConfig,
+    ChaosConfig, ChurnConfig, ClockMode, DurabilityConfig, EventLogRecorder, ExperimentConfig,
+    FaultAction, FaultPlan, HitClass, NetworkModel, OverloadConfig, ScenarioReport, SchemeKind,
+    SimError, StatsRecorder,
 };
 use webcache_workload::{
     Diurnal, FlashCrowd, ProWGen, ProWGenConfig, Trace, TraceStats, UcbLike, UcbLikeConfig,
@@ -185,6 +193,38 @@ impl Command {
             .get(key)
             .map(String::as_str)
             .ok_or_else(|| UsageError(format!("--{key} is required")))
+    }
+
+    /// Comma-separated list option (`--fracs 0.1,0.3`), `default` when
+    /// absent; `what` names an element in the error message.
+    fn list<T: FromStr>(&self, key: &str, what: &str, default: Vec<T>) -> Result<Vec<T>, CliError> {
+        let Some(list) = self.options.get(key) else {
+            return Ok(default);
+        };
+        list.split(',')
+            .map(|t| t.trim().parse().map_err(|_| CliError::Other(format!("bad {what} '{t}'"))))
+            .collect()
+    }
+
+    /// Rejects any option outside `accepted` (space-separated groups): a
+    /// typo must not silently run the defaults.
+    fn reject_unknown(&self, accepted: &[&str]) -> Result<(), UsageError> {
+        let accepted: Vec<&str> = accepted.iter().flat_map(|g| g.split_whitespace()).collect();
+        let mut unknown: Vec<&str> =
+            self.options.keys().map(String::as_str).filter(|k| !accepted.contains(k)).collect();
+        if unknown.is_empty() {
+            return Ok(());
+        }
+        unknown.sort_unstable();
+        let hint = match accepted.as_slice() {
+            [] => "it takes no options".to_string(),
+            flags => format!("accepted: --{}", flags.join(" --")),
+        };
+        Err(UsageError(format!(
+            "unknown option --{} for '{}' ({hint})",
+            unknown.join(", --"),
+            self.name
+        )))
     }
 }
 
@@ -346,24 +386,95 @@ fn named_io(path: &str, e: std::io::Error) -> CliError {
     CliError::Sim(SimError::Io(std::io::Error::new(e.kind(), format!("{path}: {e}"))))
 }
 
-/// Executes a parsed command, returning the text to print.
-pub fn execute(cmd: &Command) -> Result<String, CliError> {
-    match cmd.name.as_str() {
-        "gen" => cmd_gen(cmd),
-        "stats" => cmd_stats(cmd),
-        "run" => cmd_run(cmd),
-        "explain" => cmd_explain(cmd),
-        "sweep" => cmd_sweep(cmd),
-        "throughput" => cmd_throughput(cmd),
-        "churn" => cmd_churn(cmd),
-        "chaos" => cmd_chaos(cmd),
-        "adversary" => cmd_adversary(cmd),
-        "overload" => cmd_overload(cmd),
-        "durability" => cmd_durability(cmd),
-        other => {
-            Err(CliError::Usage(UsageError(format!("unknown subcommand '{other}'\n\n{USAGE}"))))
+// Flag groups shared between subcommands, space-separated like the
+// per-subcommand lists in `dispatch`.
+/// The latency ratios ([`net_from`]).
+const NET_FLAGS: &str = "ts-tc ts-tl tp2p-tl";
+/// `run` and `explain` ([`config_from`]).
+const EXPERIMENT_FLAGS: &str = "cache-frac clients clock";
+/// `churn` and the scenario sweeps ([`churn_base_from`]); `--replication`
+/// and the ratio flags are listed per subcommand.
+const CHURN_BASE_FLAGS: &str = "requests objects clients proxy-cap node-cap trace-seed clock";
+/// The scenario sweeps' outputs ([`cmd_scenario`]).
+const EMIT_FLAGS: &str = "json report-out csv-out";
+
+type Handler = fn(&Command) -> Result<String, CliError>;
+
+/// The whole dispatch table: each subcommand's accepted flags and its
+/// handler. A scenario sweep is one row — its own flags, its config
+/// reader and its terminal table.
+fn dispatch(name: &str) -> Option<(&'static [&'static str], Handler)> {
+    Some(match name {
+        "gen" => (
+            &["out model requests objects alpha one-timers stack clients seed fresh \
+               flash-at flash-span flash-intensity diurnal-period diurnal-amplitude scan-fraction"],
+            cmd_gen,
+        ),
+        "stats" => (&[], cmd_stats),
+        "run" => (&["scheme stats-out", EXPERIMENT_FLAGS, NET_FLAGS], cmd_run),
+        "explain" => {
+            (&["scheme stats-out events-out events", EXPERIMENT_FLAGS, NET_FLAGS], cmd_explain)
         }
-    }
+        "sweep" => (&["schemes fracs clients", NET_FLAGS], cmd_sweep),
+        "throughput" => (
+            &[
+                "schemes cache-frac requests objects clients proxies repeats threads clock out",
+                NET_FLAGS,
+            ],
+            cmd_throughput,
+        ),
+        "churn" => (
+            &[
+                "plan crashes loss seed replication audit-rate strikes report-out",
+                CHURN_BASE_FLAGS,
+                NET_FLAGS,
+            ],
+            cmd_churn,
+        ),
+        "chaos" => (
+            &[
+                "plans seed requests objects clients proxy-cap node-cap replication max-events \
+                 sabotage partition-prob adversary-prob audit-rate flash-prob burst-prob clock \
+                 json report-out repro-out",
+                NET_FLAGS,
+            ],
+            cmd_chaos,
+        ),
+        "adversary" => (
+            &[
+                "fracs audit-rates forge-rate strikes seed replication",
+                CHURN_BASE_FLAGS,
+                NET_FLAGS,
+                EMIT_FLAGS,
+            ],
+            |cmd| cmd_scenario(cmd, adversary_from, adversary::table),
+        ),
+        "overload" => (
+            &[
+                "intensities spike-at spike-span breaker budget shed-high shed-low seed replication",
+                CHURN_BASE_FLAGS,
+                EMIT_FLAGS,
+            ],
+            |cmd| cmd_scenario(cmd, overload_from, overload::table),
+        ),
+        // No --replication: k is a swept axis here (--ks).
+        "durability" => {
+            (&["bursts ks burst-at repair seed", CHURN_BASE_FLAGS, EMIT_FLAGS], |cmd| {
+                cmd_scenario(cmd, durability_from, durability::table)
+            })
+        }
+        _ => return None,
+    })
+}
+
+/// Executes a parsed command, returning the text to print. A flag the
+/// subcommand does not declare is a usage error before any work starts.
+pub fn execute(cmd: &Command) -> Result<String, CliError> {
+    let Some((flags, run)) = dispatch(&cmd.name) else {
+        return Err(UsageError(format!("unknown subcommand '{}'\n\n{USAGE}", cmd.name)).into());
+    };
+    cmd.reject_unknown(flags)?;
+    run(cmd)
 }
 
 fn cmd_gen(cmd: &Command) -> Result<String, CliError> {
@@ -609,11 +720,7 @@ fn cmd_sweep(cmd: &Command) -> Result<String, CliError> {
         .split(',')
         .map(|t| t.parse())
         .collect::<Result<_, SimError>>()?;
-    let fracs: Vec<f64> = cmd
-        .opt("fracs", "0.1,0.3,0.5,0.7,0.9".to_string())?
-        .split(',')
-        .map(|f| f.trim().parse::<f64>().map_err(|_| format!("bad fraction '{f}'")))
-        .collect::<Result<_, String>>()?;
+    let fracs: Vec<f64> = cmd.list("fracs", "fraction", vec![0.1, 0.3, 0.5, 0.7, 0.9])?;
     let mut base = ExperimentConfig::new(SchemeKind::Nc, fracs[0]);
     base.num_proxies = traces.len();
     base.clients_per_cluster = cmd.opt("clients", 100)?;
@@ -705,6 +812,26 @@ fn cmd_throughput(cmd: &Command) -> Result<String, CliError> {
     Ok(out)
 }
 
+/// Reads the flags `churn` and the scenario sweeps share over `base`
+/// (the subcommand's own defaults). The latency model and the clock are
+/// replaced only when their flags are given: `overload` and `durability`
+/// default to the event clock on a scaled-down model.
+fn churn_base_from(cmd: &Command, base: ChurnConfig) -> Result<ChurnConfig, CliError> {
+    let ratios_given = NET_FLAGS.split_whitespace().any(|flag| cmd.options.contains_key(flag));
+    Ok(ChurnConfig {
+        requests: cmd.opt("requests", base.requests)?,
+        distinct_objects: cmd.opt("objects", base.distinct_objects)?,
+        clients_per_cluster: cmd.opt("clients", base.clients_per_cluster)?,
+        proxy_capacity: cmd.opt("proxy-cap", base.proxy_capacity)?,
+        client_cache_capacity: cmd.opt("node-cap", base.client_cache_capacity)?,
+        replication: cmd.opt("replication", base.replication)?,
+        trace_seed: cmd.opt("trace-seed", base.trace_seed)?,
+        net: if ratios_given { net_from(cmd)? } else { base.net },
+        clock: if cmd.options.contains_key("clock") { clock_from(cmd)? } else { base.clock },
+        ..base
+    })
+}
+
 /// Runs a deterministic fault drill (`webcache churn`): a synthetic
 /// Hier-GD run under a [`FaultPlan`], reported against its fault-free
 /// twin. The plan comes from `--plan SPEC` (the `crash@N,...` grammar) or
@@ -712,20 +839,11 @@ fn cmd_throughput(cmd: &Command) -> Result<String, CliError> {
 /// through the run, `--loss F` adds message loss, `--seed N` seeds target
 /// selection and the loss stream.
 fn cmd_churn(cmd: &Command) -> Result<String, CliError> {
-    let defaults = ChurnConfig::default();
+    let base = churn_base_from(cmd, ChurnConfig::default())?;
     let mut cfg = ChurnConfig {
-        requests: cmd.opt("requests", defaults.requests)?,
-        distinct_objects: cmd.opt("objects", defaults.distinct_objects)?,
-        clients_per_cluster: cmd.opt("clients", defaults.clients_per_cluster)?,
-        proxy_capacity: cmd.opt("proxy-cap", defaults.proxy_capacity)?,
-        client_cache_capacity: cmd.opt("node-cap", defaults.client_cache_capacity)?,
-        replication: cmd.opt("replication", defaults.replication)?,
-        trace_seed: cmd.opt("trace-seed", defaults.trace_seed)?,
-        net: net_from(cmd)?,
-        clock: clock_from(cmd)?,
-        audit_rate: cmd.opt("audit-rate", defaults.audit_rate)?,
-        audit_strikes: cmd.opt("strikes", defaults.audit_strikes)?,
-        ..defaults
+        audit_rate: cmd.opt("audit-rate", base.audit_rate)?,
+        audit_strikes: cmd.opt("strikes", base.audit_strikes)?,
+        ..base
     };
     cfg.plan = match cmd.options.get("plan") {
         Some(spec) => spec.parse()?,
@@ -827,205 +945,81 @@ fn cmd_chaos(cmd: &Command) -> Result<String, CliError> {
     }
 }
 
-/// Runs the adversary sweep (`webcache adversary`): a grid of attacker
-/// fraction × audit rate over the same trace and attack schedule, so the
-/// report isolates what the spot-check receipt-audit defense buys. The
-/// JSON report feeds `FIGURE_adversary.json`; the CSV is the figure data.
-fn cmd_adversary(cmd: &Command) -> Result<String, CliError> {
-    let defaults = AdversaryConfig::default();
-    let fracs: Vec<f64> = cmd
-        .opt("fracs", "0.05,0.1,0.2".to_string())?
-        .split(',')
-        .map(|f| f.trim().parse::<f64>().map_err(|_| format!("bad fraction '{f}'")))
-        .collect::<Result<_, String>>()?;
-    let rates: Vec<f64> = cmd
-        .opt("audit-rates", "0,0.25".to_string())?
-        .split(',')
-        .map(|r| r.trim().parse::<f64>().map_err(|_| format!("bad audit rate '{r}'")))
-        .collect::<Result<_, String>>()?;
-    let base = defaults.base;
-    let cfg = AdversaryConfig {
-        base: ChurnConfig {
-            requests: cmd.opt("requests", base.requests)?,
-            distinct_objects: cmd.opt("objects", base.distinct_objects)?,
-            clients_per_cluster: cmd.opt("clients", base.clients_per_cluster)?,
-            proxy_capacity: cmd.opt("proxy-cap", base.proxy_capacity)?,
-            client_cache_capacity: cmd.opt("node-cap", base.client_cache_capacity)?,
-            replication: cmd.opt("replication", base.replication)?,
-            trace_seed: cmd.opt("trace-seed", base.trace_seed)?,
-            net: net_from(cmd)?,
-            clock: clock_from(cmd)?,
-            ..base
-        },
-        attacker_fracs: fracs,
-        audit_rates: rates,
-        forge_rate: cmd.opt("forge-rate", defaults.forge_rate)?,
-        strikes: cmd.opt("strikes", defaults.strikes)?,
-        seed: cmd.opt("seed", defaults.seed)?,
-    };
+/// Runs one scenario sweep (`webcache adversary|overload|durability`):
+/// `run` reads the scenario's flags over its committed-figure defaults
+/// and drives the sweep, `table` renders the terminal summary. `--json
+/// true` prints the JSON report instead; `--report-out` / `--csv-out`
+/// write the `FIGURE_*.json` / `FIGURE_*.csv` artifacts.
+fn cmd_scenario(
+    cmd: &Command,
+    run: fn(&Command) -> Result<ScenarioReport, CliError>,
+    table: fn(&ScenarioReport) -> String,
+) -> Result<String, CliError> {
     let json = cmd.opt("json", false)?;
-    let report = run_adversary(&cfg)?;
-    let mut out = String::new();
-    if json {
-        out.push_str(&report.to_json());
-    } else {
-        let _ = writeln!(
-            out,
-            "adversary sweep: {} requests, {} client machines, forge rate {}, {} strikes\n",
-            report.requests, report.cluster, report.forge_rate, report.strikes
-        );
-        out.push_str(&report.to_table());
-    }
-    if let Some(path) = cmd.options.get("report-out") {
-        std::fs::write(path, report.to_json()).map_err(|e| named_io(path, e))?;
-        if !json {
-            let _ = writeln!(out, "wrote {path}");
-        }
-    }
-    if let Some(path) = cmd.options.get("csv-out") {
-        std::fs::write(path, report.to_csv()).map_err(|e| named_io(path, e))?;
-        if !json {
-            let _ = writeln!(out, "wrote {path}");
+    let report = run(cmd)?;
+    let mut out = if json { report.to_json() } else { table(&report) };
+    for flag in ["report-out", "csv-out"] {
+        if let Some(path) = cmd.options.get(flag) {
+            let body = if flag == "csv-out" { report.to_csv() } else { report.to_json() };
+            std::fs::write(path, body).map_err(|e| named_io(path, e))?;
+            // In --json mode stdout is the report document itself.
+            if !json {
+                let _ = writeln!(out, "wrote {path}");
+            }
         }
     }
     Ok(out)
 }
 
-/// Runs the overload sweep (`webcache overload`): flash-crowd intensity
-/// × defense config over the same trace and spike, so each naive/
-/// defended pair differs only in the defense stack. The JSON report
-/// feeds `FIGURE_overload.json`; the CSV is the figure data. Unlike the
-/// other subcommands the default clock is `event` (the analytic clock
-/// has no queue to overload) with the latency model pre-scaled for
-/// service headroom; `--clock compat` still works and stays bit-stable.
-fn cmd_overload(cmd: &Command) -> Result<String, CliError> {
-    let defaults = OverloadConfig::default();
-    let intensities: Vec<u16> = cmd
-        .opt("intensities", "4,8,16".to_string())?
-        .split(',')
-        .map(|t| t.trim().parse::<u16>().map_err(|_| format!("bad intensity '{t}'")))
-        .collect::<Result<_, String>>()?;
-    let base = defaults.base;
-    let clock = match cmd.options.get("clock") {
-        None => base.clock,
-        Some(v) => v.parse().map_err(|e| CliError::Usage(UsageError(format!("--clock: {e}"))))?,
-    };
-    let cfg = OverloadConfig {
-        base: ChurnConfig {
-            requests: cmd.opt("requests", base.requests)?,
-            distinct_objects: cmd.opt("objects", base.distinct_objects)?,
-            clients_per_cluster: cmd.opt("clients", base.clients_per_cluster)?,
-            proxy_capacity: cmd.opt("proxy-cap", base.proxy_capacity)?,
-            client_cache_capacity: cmd.opt("node-cap", base.client_cache_capacity)?,
-            replication: cmd.opt("replication", base.replication)?,
-            trace_seed: cmd.opt("trace-seed", base.trace_seed)?,
-            clock,
-            ..base
-        },
-        intensities,
-        spike_at: cmd.opt("spike-at", defaults.spike_at)?,
-        spike_span: cmd.opt("spike-span", defaults.spike_span)?,
-        breaker: cmd.opt("breaker", defaults.breaker)?,
-        budget: cmd.opt("budget", defaults.budget)?,
-        shed_high: cmd.opt("shed-high", defaults.shed_high)?,
-        shed_low: cmd.opt("shed-low", defaults.shed_low)?,
-        seed: cmd.opt("seed", defaults.seed)?,
-    };
-    let json = cmd.opt("json", false)?;
-    let report = run_overload(&cfg)?;
-    let mut out = String::new();
-    if json {
-        out.push_str(&report.to_json());
-    } else {
-        let _ = writeln!(
-            out,
-            "overload sweep: {} requests, {} client machines, spike at {} for {} requests\n",
-            report.requests, report.cluster, report.spike_at, report.spike_span
-        );
-        out.push_str(&report.to_table());
-    }
-    if let Some(path) = cmd.options.get("report-out") {
-        std::fs::write(path, report.to_json()).map_err(|e| named_io(path, e))?;
-        if !json {
-            let _ = writeln!(out, "wrote {path}");
-        }
-    }
-    if let Some(path) = cmd.options.get("csv-out") {
-        std::fs::write(path, report.to_csv()).map_err(|e| named_io(path, e))?;
-        if !json {
-            let _ = writeln!(out, "wrote {path}");
-        }
-    }
-    Ok(out)
+/// `webcache adversary`: attacker fraction × audit rate over the same
+/// trace and attack schedule, so the report isolates what the spot-check
+/// receipt-audit defense buys.
+fn adversary_from(cmd: &Command) -> Result<ScenarioReport, CliError> {
+    let d = AdversaryConfig::default();
+    Ok(run_adversary(&AdversaryConfig {
+        base: churn_base_from(cmd, d.base)?,
+        attacker_fracs: cmd.list("fracs", "fraction", d.attacker_fracs)?,
+        audit_rates: cmd.list("audit-rates", "audit rate", d.audit_rates)?,
+        forge_rate: cmd.opt("forge-rate", d.forge_rate)?,
+        strikes: cmd.opt("strikes", d.strikes)?,
+        seed: cmd.opt("seed", d.seed)?,
+    })?)
 }
 
-/// Runs the durability sweep (`webcache durability`): correlated burst
-/// size × replica k × placement × repair pace over the same trace and
-/// failure schedule, so each naive/defended pair differs only in the
-/// defenses. The JSON report feeds `FIGURE_durability.json`; the CSV is
-/// the figure data. Like `overload`, the default clock is `event` so
-/// the repair scan budget is priced as real proxy work; `--clock
-/// compat` still works and stays bit-stable.
-fn cmd_durability(cmd: &Command) -> Result<String, CliError> {
-    let defaults = DurabilityConfig::default();
-    let bursts: Vec<u32> = cmd
-        .opt("bursts", "4,8,16".to_string())?
-        .split(',')
-        .map(|t| t.trim().parse::<u32>().map_err(|_| format!("bad burst '{t}'")))
-        .collect::<Result<_, String>>()?;
-    let ks: Vec<usize> = cmd
-        .opt("ks", "2,3".to_string())?
-        .split(',')
-        .map(|t| t.trim().parse::<usize>().map_err(|_| format!("bad replication '{t}'")))
-        .collect::<Result<_, String>>()?;
-    let base = defaults.base;
-    let clock = match cmd.options.get("clock") {
-        None => base.clock,
-        Some(v) => v.parse().map_err(|e| CliError::Usage(UsageError(format!("--clock: {e}"))))?,
-    };
-    let cfg = DurabilityConfig {
-        base: ChurnConfig {
-            requests: cmd.opt("requests", base.requests)?,
-            distinct_objects: cmd.opt("objects", base.distinct_objects)?,
-            clients_per_cluster: cmd.opt("clients", base.clients_per_cluster)?,
-            proxy_capacity: cmd.opt("proxy-cap", base.proxy_capacity)?,
-            client_cache_capacity: cmd.opt("node-cap", base.client_cache_capacity)?,
-            trace_seed: cmd.opt("trace-seed", base.trace_seed)?,
-            clock,
-            ..base
-        },
-        bursts,
-        ks,
-        burst_at: cmd.opt("burst-at", defaults.burst_at)?,
-        repair: cmd.opt("repair", defaults.repair)?,
-        seed: cmd.opt("seed", defaults.seed)?,
-    };
-    let json = cmd.opt("json", false)?;
-    let report = run_durability(&cfg)?;
-    let mut out = String::new();
-    if json {
-        out.push_str(&report.to_json());
-    } else {
-        let _ = writeln!(
-            out,
-            "durability sweep: {} requests, {} client machines, domain failure at {}\n",
-            report.requests, report.cluster, report.burst_at
-        );
-        out.push_str(&report.to_table());
-    }
-    if let Some(path) = cmd.options.get("report-out") {
-        std::fs::write(path, report.to_json()).map_err(|e| named_io(path, e))?;
-        if !json {
-            let _ = writeln!(out, "wrote {path}");
-        }
-    }
-    if let Some(path) = cmd.options.get("csv-out") {
-        std::fs::write(path, report.to_csv()).map_err(|e| named_io(path, e))?;
-        if !json {
-            let _ = writeln!(out, "wrote {path}");
-        }
-    }
-    Ok(out)
+/// `webcache overload`: flash-crowd intensity × defense config over the
+/// same trace and spike. Unlike the other subcommands the default clock
+/// is `event` (the analytic clock has no queue to overload) with the
+/// latency model pre-scaled for service headroom; `--clock compat` still
+/// works and stays bit-stable.
+fn overload_from(cmd: &Command) -> Result<ScenarioReport, CliError> {
+    let d = OverloadConfig::default();
+    Ok(run_overload(&OverloadConfig {
+        base: churn_base_from(cmd, d.base)?,
+        intensities: cmd.list("intensities", "intensity", d.intensities)?,
+        spike_at: cmd.opt("spike-at", d.spike_at)?,
+        spike_span: cmd.opt("spike-span", d.spike_span)?,
+        breaker: cmd.opt("breaker", d.breaker)?,
+        budget: cmd.opt("budget", d.budget)?,
+        shed_high: cmd.opt("shed-high", d.shed_high)?,
+        shed_low: cmd.opt("shed-low", d.shed_low)?,
+        seed: cmd.opt("seed", d.seed)?,
+    })?)
+}
+
+/// `webcache durability`: correlated burst size × replica k × placement
+/// × repair pace over the same trace and failure schedule. Like
+/// `overload`, the default clock is `event` so the repair scan budget is
+/// priced as real proxy work.
+fn durability_from(cmd: &Command) -> Result<ScenarioReport, CliError> {
+    let d = DurabilityConfig::default();
+    Ok(run_durability(&DurabilityConfig {
+        base: churn_base_from(cmd, d.base)?,
+        bursts: cmd.list("bursts", "burst", d.bursts)?,
+        ks: cmd.list("ks", "replication", d.ks)?,
+        burst_at: cmd.opt("burst-at", d.burst_at)?,
+        repair: cmd.opt("repair", d.repair)?,
+        seed: cmd.opt("seed", d.seed)?,
+    })?)
 }
 
 #[cfg(test)]
@@ -1554,6 +1548,49 @@ mod tests {
         assert_eq!(execute(&bad).unwrap_err().exit_code(), 2);
         let bad = Command::parse(&argv(&["durability", "--ks", "1"])).unwrap();
         assert_eq!(execute(&bad).unwrap_err().exit_code(), 2);
+    }
+
+    #[test]
+    fn unknown_flags_are_usage_errors_naming_the_flag() {
+        for (args, flag) in [
+            // A typo must not silently run the default ten crashes.
+            (&["churn", "--crahes", "3", "--requests", "4000"][..], "--crahes"),
+            (&["overload", "--intensites", "8"][..], "--intensites"),
+            // overload runs on its own pre-scaled latency model.
+            (&["overload", "--ts-tc", "5"][..], "--ts-tc"),
+            // k is a swept axis (--ks) in the durability sweep.
+            (&["durability", "--replication", "3"][..], "--replication"),
+            (&["stats", "--verbose", "1", "t.bin"][..], "--verbose"),
+        ] {
+            let err = execute(&Command::parse(&argv(args)).unwrap()).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{args:?}: {err:?}");
+            assert_eq!(err.exit_code(), 2, "{args:?}");
+            let msg = err.to_string();
+            assert!(msg.contains(&format!("unknown option {flag} for '{}'", args[0])), "{msg}");
+        }
+        // Several typos are all named, in a stable order.
+        let cmd = Command::parse(&argv(&["adversary", "--zeta", "1", "--alpha", "2"])).unwrap();
+        let msg = execute(&cmd).unwrap_err().to_string();
+        assert!(msg.contains("unknown option --alpha, --zeta for 'adversary'"), "{msg}");
+        assert!(msg.contains("--fracs") && msg.contains("--csv-out"), "{msg}");
+    }
+
+    #[test]
+    fn every_documented_flag_is_accepted() {
+        // One USAGE block per subcommand; prose inside a block only ever
+        // mentions that subcommand's own flags.
+        for block in USAGE.split("\n  webcache ").skip(1) {
+            let name = block.split_whitespace().next().unwrap();
+            let (flags, _) = dispatch(name).unwrap_or_else(|| panic!("no dispatch row: {name}"));
+            let options = block
+                .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .filter_map(|word| word.strip_prefix("--"))
+                .filter(|flag| !flag.is_empty())
+                .map(|flag| (flag.to_string(), String::new()))
+                .collect();
+            let cmd = Command { name: name.to_string(), options, positional: Vec::new() };
+            assert_eq!(cmd.reject_unknown(flags), Ok(()), "USAGE documents a rejected flag");
+        }
     }
 
     #[test]

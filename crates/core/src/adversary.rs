@@ -13,20 +13,20 @@
 //! [`run_adversary`] drives one fault-free baseline plus one run per
 //! (attacker fraction, audit rate) cell — same trace, same topology,
 //! same attack schedule per fraction, so defended and undefended cells
-//! differ **only** in the defense. The [`AdversaryReport`] carries hit
+//! differ **only** in the defense. The [`ScenarioReport`] carries hit
 //! ratio, availability, mean latency and diversion rate per cell, each
 //! cell's degradation against the baseline, and a per-fraction defense
 //! factor (undefended ÷ defended hit-ratio degradation). Everything is
 //! seeded and renders to bit-stable JSON/CSV (the adversary golden test
-//! pins both clock modes).
+//! pins both clock modes; [`gate`] is the committed figure's threshold).
 
-use crate::clock::ClockMode;
 use crate::error::SimError;
-use crate::fault::{drive, ChurnConfig, DriveOutcome, FaultAction, FaultPlan};
+use crate::fault::{ChurnConfig, DriveOutcome, FaultAction, FaultPlan};
 use crate::net::HitClass;
+use crate::scenario::Field::{F, S, U};
+use crate::scenario::{axis, Row, ScenarioReport, Twin};
 use std::fmt::Write as _;
 use webcache_primitives::seed::derive;
-use webcache_workload::{ProWGen, ProWGenConfig};
 
 /// Configuration of one adversary sweep.
 #[derive(Clone, Debug)]
@@ -74,8 +74,10 @@ impl AdversaryConfig {
     /// Validates ranges.
     pub fn validate(&self) -> Result<(), SimError> {
         self.base.validate()?;
-        if self.attacker_fracs.is_empty() {
-            return Err(SimError::InvalidConfig("attacker_fracs must be non-empty".into()));
+        if !self.attacker_fracs.iter().any(|f| *f > 0.0) {
+            return Err(SimError::InvalidConfig(
+                "attacker_fracs needs at least one fraction above 0 (0 is the baseline)".into(),
+            ));
         }
         for f in &self.attacker_fracs {
             if !(0.0..1.0).contains(f) {
@@ -126,84 +128,6 @@ impl AdversaryConfig {
     }
 }
 
-/// What one (attacker fraction, audit rate) cell measured.
-#[derive(Clone, Debug, PartialEq)]
-pub struct AdversaryCell {
-    /// Fraction of the cluster scheduled to turn forger.
-    pub attacker_frac: f64,
-    /// Spot-check probability per store receipt (0 = undefended).
-    pub audit_rate: f64,
-    /// Machines actually converted (live targets existed).
-    pub attackers: u64,
-    /// Requests served from any cache, in percent of all requests.
-    pub hit_ratio_percent: f64,
-    /// Served / issued, in percent.
-    pub availability_percent: f64,
-    /// Mean end-to-end latency in milli-units.
-    pub avg_latency_milli: u64,
-    /// Destages diverted to a leaf-set neighbor, in percent of all
-    /// destages (forger quarantines shrink the usable leaf sets).
-    pub diverted_destage_percent: f64,
-    /// Routed lookups whose object was gone — directory poison lands
-    /// here as stale lookups.
-    pub stale_lookups: u64,
-    /// Possession challenges issued.
-    pub audits_challenged: u64,
-    /// Challenges the audited node failed.
-    pub audits_failed: u64,
-    /// Forged receipts exposed (directory entries purged).
-    pub forged_receipts: u64,
-    /// Nodes quarantined.
-    pub quarantines: u64,
-    /// Baseline hit ratio minus this cell's, in percentage points.
-    pub hit_degradation_pts: f64,
-    /// Latency inflation over the baseline, in percent.
-    pub latency_delta_percent: f64,
-    /// Diversion-rate shift against the baseline, in percentage points.
-    pub diversion_delta_pts: f64,
-}
-
-/// Per-fraction defense summary: undefended vs best-defended cell.
-#[derive(Clone, Debug, PartialEq)]
-pub struct DefenseRow {
-    /// The attacker fraction both cells ran.
-    pub attacker_frac: f64,
-    /// Hit-ratio degradation with audits off, in points.
-    pub undefended_degradation_pts: f64,
-    /// Hit-ratio degradation at the highest swept audit rate, in points.
-    pub defended_degradation_pts: f64,
-    /// Undefended ÷ defended degradation (the acceptance gate wants
-    /// ≥ 2 at 10% forgers). Defended degradations below 0.01 points are
-    /// clamped to 0.01 so the ratio stays finite.
-    pub factor: f64,
-}
-
-/// Everything an adversary sweep measured.
-#[derive(Clone, Debug, PartialEq)]
-pub struct AdversaryReport {
-    /// Requests per run.
-    pub requests: u64,
-    /// Overlay size.
-    pub cluster: u64,
-    /// Per-opportunity forge probability of each attacker.
-    pub forge_rate: f64,
-    /// Strike limit of the defense.
-    pub strikes: u32,
-    /// Clock mode every run used.
-    pub clock: ClockMode,
-    /// Master seed of the attack schedule.
-    pub seed: u64,
-    /// Fault-free baseline hit ratio, in percent.
-    pub baseline_hit_ratio_percent: f64,
-    /// Baseline mean latency in milli-units.
-    pub baseline_avg_latency_milli: u64,
-    /// One row per (fraction, audit rate), fractions outer, rates inner.
-    pub cells: Vec<AdversaryCell>,
-    /// One row per swept fraction, when both an undefended and a
-    /// defended cell exist for it.
-    pub defense: Vec<DefenseRow>,
-}
-
 fn hit_ratio_percent(out: &DriveOutcome) -> f64 {
     if out.metrics.requests == 0 {
         return 0.0;
@@ -219,244 +143,155 @@ fn diverted_percent(out: &DriveOutcome) -> f64 {
     out.snapshot.diverted_destages as f64 / out.snapshot.destages as f64 * 100.0
 }
 
-/// Runs the sweep: one fault-free baseline, then one drive per cell.
-pub fn run_adversary(cfg: &AdversaryConfig) -> Result<AdversaryReport, SimError> {
+/// Runs the sweep: one fault-free baseline, then one drive per cell
+/// (fractions outer, rates inner). The summary (`defense`) carries one
+/// row per fraction when both an undefended and a defended cell ran.
+pub fn run_adversary(cfg: &AdversaryConfig) -> Result<ScenarioReport, SimError> {
     cfg.validate()?;
-    let trace = ProWGen::new(ProWGenConfig {
-        requests: cfg.base.requests,
-        distinct_objects: cfg.base.distinct_objects,
-        num_clients: cfg.base.trace_clients.max(1) as u32,
-        seed: cfg.base.trace_seed,
-        ..ProWGenConfig::default()
-    })
-    .generate();
-
-    let cell_cfg = |plan: FaultPlan, audit_rate: f64| ChurnConfig {
-        plan,
-        audit_rate,
-        audit_strikes: cfg.strikes,
-        ..cfg.base.clone()
-    };
-
-    // The baseline is adversary-free, so the audit rate is irrelevant to
-    // it (audits only ever chase receipts in adversarial runs): one
+    // The baseline is adversary-free, so the audit knobs are irrelevant
+    // to it (audits only ever chase receipts in adversarial runs): one
     // drive serves as the yardstick for every cell.
-    let (baseline, _) = drive(&cell_cfg(FaultPlan::none(), 0.0), &trace, &FaultPlan::none())?;
-    let base_hit = hit_ratio_percent(&baseline);
-    let base_latency = (baseline.metrics.avg_latency() * 1000.0).round() as u64;
-    let base_diverted = diverted_percent(&baseline);
+    let twin = Twin::new(&cfg.base)?;
+    let base_hit = hit_ratio_percent(&twin.baseline);
+    let base_latency = twin.baseline.avg_latency_milli();
+    let base_diverted = diverted_percent(&twin.baseline);
+    let issued = cfg.base.requests as u64;
 
-    let mut fracs: Vec<f64> = cfg.attacker_fracs.iter().copied().filter(|f| *f > 0.0).collect();
-    fracs.sort_by(|a, b| a.partial_cmp(b).expect("fractions are finite"));
-    fracs.dedup();
-    let mut rates = cfg.audit_rates.clone();
-    rates.sort_by(|a, b| a.partial_cmp(b).expect("rates are finite"));
-    rates.dedup();
-
+    let rates = axis(&cfg.audit_rates);
     let mut cells = Vec::new();
-    let mut defense = Vec::new();
-    for frac in &fracs {
-        let plan = cfg.plan_for(*frac);
-        for rate in &rates {
-            let churn = cell_cfg(plan.clone(), *rate);
-            let (out, _) = drive(&churn, &trace, &plan)?;
+    let mut summary = Vec::new();
+    for frac in axis(&cfg.attacker_fracs).into_iter().filter(|f| *f > 0.0) {
+        let plan = cfg.plan_for(frac);
+        for &rate in &rates {
+            let churn =
+                ChurnConfig { audit_rate: rate, audit_strikes: cfg.strikes, ..cfg.base.clone() };
+            let (out, _) = twin.drive(&churn, &plan)?;
             let hit = hit_ratio_percent(&out);
-            let latency = (out.metrics.avg_latency() * 1000.0).round() as u64;
-            let issued = cfg.base.requests as u64;
-            cells.push(AdversaryCell {
-                attacker_frac: *frac,
-                audit_rate: *rate,
-                attackers: out.forges,
-                hit_ratio_percent: hit,
-                availability_percent: if issued == 0 {
-                    100.0
-                } else {
-                    out.metrics.requests as f64 / issued as f64 * 100.0
-                },
-                avg_latency_milli: latency,
-                diverted_destage_percent: diverted_percent(&out),
-                stale_lookups: out.snapshot.stale_lookups,
-                audits_challenged: out.snapshot.audits_challenged,
-                audits_failed: out.snapshot.audits_failed,
-                forged_receipts: out.snapshot.forged_receipts,
-                quarantines: out.snapshot.quarantines,
-                hit_degradation_pts: base_hit - hit,
-                latency_delta_percent: if base_latency == 0 {
-                    0.0
-                } else {
-                    (latency as f64 / base_latency as f64 - 1.0) * 100.0
-                },
-                diversion_delta_pts: diverted_percent(&out) - base_diverted,
-            });
+            let latency = out.avg_latency_milli();
+            let diverted = diverted_percent(&out);
+            let latency_delta = if base_latency == 0 {
+                0.0
+            } else {
+                (latency as f64 / base_latency as f64 - 1.0) * 100.0
+            };
+            cells.push(Row(vec![
+                ("attacker_frac", F(frac)),
+                ("audit_rate", F(rate)),
+                // Machines actually converted (live targets existed).
+                ("attackers", U(out.forges)),
+                ("hit_ratio_percent", F(hit)),
+                ("availability_percent", F(out.metrics.requests as f64 / issued as f64 * 100.0)),
+                ("avg_latency_milli", U(latency)),
+                // Forger quarantines shrink the usable leaf sets.
+                ("diverted_destage_percent", F(diverted)),
+                // Directory poison lands here: routed lookups whose object was gone.
+                ("stale_lookups", U(out.snapshot.stale_lookups)),
+                ("audits_challenged", U(out.snapshot.audits_challenged)),
+                ("audits_failed", U(out.snapshot.audits_failed)),
+                ("forged_receipts", U(out.snapshot.forged_receipts)),
+                ("quarantines", U(out.snapshot.quarantines)),
+                ("hit_degradation_pts", F(base_hit - hit)),
+                ("latency_delta_percent", F(latency_delta)),
+                ("diversion_delta_pts", F(diverted - base_diverted)),
+            ]));
         }
-        let row_of = |rate: f64| {
-            cells
-                .iter()
-                .rev()
-                .find(|c| c.attacker_frac == *frac && c.audit_rate == rate)
-                .map(|c| c.hit_degradation_pts)
-        };
-        if let (Some(undefended), Some(&best_rate)) =
-            (row_of(0.0), rates.iter().rfind(|r| **r > 0.0))
-        {
-            let defended = row_of(best_rate).expect("cell just pushed");
-            defense.push(DefenseRow {
-                attacker_frac: *frac,
-                undefended_degradation_pts: undefended,
-                defended_degradation_pts: defended,
-                factor: undefended.max(0.0) / defended.max(0.01),
-            });
+        // Undefended (rate 0, first on the sorted axis) vs the highest
+        // swept audit rate (last).
+        let (first, last) = (&cells[cells.len() - rates.len()], &cells[cells.len() - 1]);
+        if first.f("audit_rate") == 0.0 && last.f("audit_rate") > 0.0 {
+            let undefended = first.f("hit_degradation_pts");
+            let defended = last.f("hit_degradation_pts");
+            summary.push(Row(vec![
+                ("attacker_frac", F(frac)),
+                ("undefended_degradation_pts", F(undefended)),
+                ("defended_degradation_pts", F(defended)),
+                // Defended degradations below 0.01 points are clamped to
+                // 0.01 so the ratio stays finite.
+                ("factor", F(undefended.max(0.0) / defended.max(0.01))),
+            ]));
         }
     }
 
-    Ok(AdversaryReport {
-        requests: cfg.base.requests as u64,
-        cluster: cfg.base.clients_per_cluster as u64,
-        forge_rate: cfg.forge_rate,
-        strikes: cfg.strikes,
-        clock: cfg.base.clock,
-        seed: cfg.seed,
-        baseline_hit_ratio_percent: base_hit,
-        baseline_avg_latency_milli: base_latency,
+    Ok(ScenarioReport {
+        header: Row(vec![
+            ("requests", U(issued)),
+            ("cluster", U(cfg.base.clients_per_cluster as u64)),
+            ("forge_rate", F(cfg.forge_rate)),
+            ("strikes", U(u64::from(cfg.strikes))),
+            ("clock", S(cfg.base.clock.label())),
+            ("seed", U(cfg.seed)),
+            ("baseline_hit_ratio_percent", F(base_hit)),
+            ("baseline_avg_latency_milli", U(base_latency)),
+        ]),
         cells,
-        defense,
+        summary_key: "defense",
+        summary,
+        csv_omit: &[],
     })
 }
 
-impl AdversaryReport {
-    /// Renders the report as a JSON document with a fixed field order
-    /// (hand-rolled: the offline build has no serde_json). Bit-stable
-    /// for a fixed config — the adversary golden test diffs it.
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        let _ = writeln!(s, "  \"requests\": {},", self.requests);
-        let _ = writeln!(s, "  \"cluster\": {},", self.cluster);
-        let _ = writeln!(s, "  \"forge_rate\": {:.4},", self.forge_rate);
-        let _ = writeln!(s, "  \"strikes\": {},", self.strikes);
-        let _ = writeln!(s, "  \"clock\": \"{}\",", self.clock.label());
-        let _ = writeln!(s, "  \"seed\": {},", self.seed);
-        let _ = writeln!(
-            s,
-            "  \"baseline_hit_ratio_percent\": {:.4},",
-            self.baseline_hit_ratio_percent
-        );
-        let _ =
-            writeln!(s, "  \"baseline_avg_latency_milli\": {},", self.baseline_avg_latency_milli);
-        s.push_str("  \"cells\": [\n");
-        for (i, c) in self.cells.iter().enumerate() {
-            let _ = write!(
-                s,
-                "    {{\"attacker_frac\": {:.4}, \"audit_rate\": {:.4}, \"attackers\": {}, \
-                 \"hit_ratio_percent\": {:.4}, \"availability_percent\": {:.4}, \
-                 \"avg_latency_milli\": {}, \"diverted_destage_percent\": {:.4}, \
-                 \"stale_lookups\": {}, \"audits_challenged\": {}, \"audits_failed\": {}, \
-                 \"forged_receipts\": {}, \"quarantines\": {}, \"hit_degradation_pts\": {:.4}, \
-                 \"latency_delta_percent\": {:.4}, \"diversion_delta_pts\": {:.4}}}",
-                c.attacker_frac,
-                c.audit_rate,
-                c.attackers,
-                c.hit_ratio_percent,
-                c.availability_percent,
-                c.avg_latency_milli,
-                c.diverted_destage_percent,
-                c.stale_lookups,
-                c.audits_challenged,
-                c.audits_failed,
-                c.forged_receipts,
-                c.quarantines,
-                c.hit_degradation_pts,
-                c.latency_delta_percent,
-                c.diversion_delta_pts,
-            );
-            s.push_str(if i + 1 < self.cells.len() { ",\n" } else { "\n" });
-        }
-        s.push_str("  ],\n");
-        s.push_str("  \"defense\": [\n");
-        for (i, d) in self.defense.iter().enumerate() {
-            let _ = write!(
-                s,
-                "    {{\"attacker_frac\": {:.4}, \"undefended_degradation_pts\": {:.4}, \
-                 \"defended_degradation_pts\": {:.4}, \"factor\": {:.4}}}",
-                d.attacker_frac, d.undefended_degradation_pts, d.defended_degradation_pts, d.factor,
-            );
-            s.push_str(if i + 1 < self.defense.len() { ",\n" } else { "\n" });
-        }
-        s.push_str("  ]\n}\n");
-        s
+/// The committed-figure gate: at 10% forgers the audit defense must cut
+/// the hit-ratio degradation at least 2x.
+pub fn gate(report: &ScenarioReport) -> Result<(), String> {
+    let row = report
+        .summary
+        .iter()
+        .find(|d| d.f("attacker_frac") == 0.1)
+        .ok_or("no defense row at 10% forgers")?;
+    if row.f("factor") < 2.0 {
+        return Err(format!("defense factor {:.4} at 10% forgers is below 2x", row.f("factor")));
     }
+    Ok(())
+}
 
-    /// Renders the per-cell rows as CSV (the committed figure format).
-    pub fn to_csv(&self) -> String {
-        let mut s = String::from(
-            "attacker_frac,audit_rate,attackers,hit_ratio_percent,availability_percent,\
-             avg_latency_milli,diverted_destage_percent,stale_lookups,audits_challenged,\
-             audits_failed,forged_receipts,quarantines,hit_degradation_pts,\
-             latency_delta_percent,diversion_delta_pts\n",
-        );
-        for c in &self.cells {
-            let _ = writeln!(
-                s,
-                "{:.4},{:.4},{},{:.4},{:.4},{},{:.4},{},{},{},{},{},{:.4},{:.4},{:.4}",
-                c.attacker_frac,
-                c.audit_rate,
-                c.attackers,
-                c.hit_ratio_percent,
-                c.availability_percent,
-                c.avg_latency_milli,
-                c.diverted_destage_percent,
-                c.stale_lookups,
-                c.audits_challenged,
-                c.audits_failed,
-                c.forged_receipts,
-                c.quarantines,
-                c.hit_degradation_pts,
-                c.latency_delta_percent,
-                c.diversion_delta_pts,
-            );
-        }
-        s
-    }
-
-    /// Renders an aligned text summary for terminals.
-    pub fn to_table(&self) -> String {
-        let mut s = String::new();
+/// Renders an aligned text summary for terminals.
+pub fn table(report: &ScenarioReport) -> String {
+    let h = &report.header;
+    let mut s = String::new();
+    let _ = writeln!(
+        s,
+        "adversary sweep: {} requests, {} client machines, forge rate {}, {} strikes\n",
+        h.u("requests"),
+        h.u("cluster"),
+        h.f("forge_rate"),
+        h.u("strikes")
+    );
+    let _ = writeln!(
+        s,
+        "baseline: hit ratio {:.2}%, avg latency {:.3}",
+        h.f("baseline_hit_ratio_percent"),
+        h.u("baseline_avg_latency_milli") as f64 / 1000.0
+    );
+    let _ = writeln!(
+        s,
+        "{:>9} {:>6} {:>9} {:>9} {:>9} {:>7} {:>7} {:>6}",
+        "forgers", "audit", "hit%", "deg.pts", "latency", "audits", "caught", "quar"
+    );
+    for c in &report.cells {
         let _ = writeln!(
             s,
-            "baseline: hit ratio {:.2}%, avg latency {:.3}",
-            self.baseline_hit_ratio_percent,
-            self.baseline_avg_latency_milli as f64 / 1000.0
+            "{:>8.0}% {:>6.2} {:>9.2} {:>9.2} {:>9.3} {:>7} {:>7} {:>6}",
+            c.f("attacker_frac") * 100.0,
+            c.f("audit_rate"),
+            c.f("hit_ratio_percent"),
+            c.f("hit_degradation_pts"),
+            c.u("avg_latency_milli") as f64 / 1000.0,
+            c.u("audits_challenged"),
+            c.u("forged_receipts"),
+            c.u("quarantines"),
         );
+    }
+    for d in &report.summary {
         let _ = writeln!(
             s,
-            "{:>9} {:>6} {:>9} {:>9} {:>9} {:>7} {:>7} {:>6}",
-            "forgers", "audit", "hit%", "deg.pts", "latency", "audits", "caught", "quar"
+            "defense at {:>2.0}% forgers: {:.2} pts undefended vs {:.2} defended ({:.1}x)",
+            d.f("attacker_frac") * 100.0,
+            d.f("undefended_degradation_pts"),
+            d.f("defended_degradation_pts"),
+            d.f("factor"),
         );
-        for c in &self.cells {
-            let _ = writeln!(
-                s,
-                "{:>8.0}% {:>6.2} {:>9.2} {:>9.2} {:>9.3} {:>7} {:>7} {:>6}",
-                c.attacker_frac * 100.0,
-                c.audit_rate,
-                c.hit_ratio_percent,
-                c.hit_degradation_pts,
-                c.avg_latency_milli as f64 / 1000.0,
-                c.audits_challenged,
-                c.forged_receipts,
-                c.quarantines,
-            );
-        }
-        for d in &self.defense {
-            let _ = writeln!(
-                s,
-                "defense at {:>2.0}% forgers: {:.2} pts undefended vs {:.2} defended ({:.1}x)",
-                d.attacker_frac * 100.0,
-                d.undefended_degradation_pts,
-                d.defended_degradation_pts,
-                d.factor,
-            );
-        }
-        s
     }
+    s
 }
 
 #[cfg(test)]
@@ -489,9 +324,9 @@ mod tests {
         assert_eq!(a.to_json(), b.to_json());
         // Zero fractions fold into the baseline: one fraction × two rates.
         assert_eq!(a.cells.len(), 2);
-        assert_eq!(a.defense.len(), 1);
+        assert_eq!(a.summary.len(), 1);
         for c in &a.cells {
-            assert!((c.availability_percent - 100.0).abs() < 1e-9, "cascade always serves");
+            assert!((c.f("availability_percent") - 100.0).abs() < 1e-9, "cascade always serves");
         }
     }
 
@@ -500,17 +335,17 @@ mod tests {
         let report = run_adversary(&quick_cfg()).expect("sweep runs");
         let undefended = &report.cells[0];
         let defended = &report.cells[1];
-        assert_eq!(undefended.audit_rate, 0.0);
-        assert_eq!(undefended.audits_challenged, 0);
-        assert_eq!(undefended.quarantines, 0);
-        assert!(defended.audits_challenged > 0, "audits must fire at rate 1");
-        assert!(defended.forged_receipts > 0, "a persistent forger must be caught");
-        assert!(defended.quarantines > 0, "a caught forger must be quarantined");
+        assert_eq!(undefended.f("audit_rate"), 0.0);
+        assert_eq!(undefended.u("audits_challenged"), 0);
+        assert_eq!(undefended.u("quarantines"), 0);
+        assert!(defended.u("audits_challenged") > 0, "audits must fire at rate 1");
+        assert!(defended.u("forged_receipts") > 0, "a persistent forger must be caught");
+        assert!(defended.u("quarantines") > 0, "a caught forger must be quarantined");
         assert!(
-            defended.hit_degradation_pts <= undefended.hit_degradation_pts,
+            defended.f("hit_degradation_pts") <= undefended.f("hit_degradation_pts"),
             "the defense must not make the attack better: {:.3} vs {:.3}",
-            defended.hit_degradation_pts,
-            undefended.hit_degradation_pts
+            defended.f("hit_degradation_pts"),
+            undefended.f("hit_degradation_pts")
         );
     }
 
@@ -524,13 +359,16 @@ mod tests {
         let csv = report.to_csv();
         assert!(csv.starts_with("attacker_frac,audit_rate,"));
         assert_eq!(csv.lines().count(), 1 + report.cells.len());
-        assert!(report.to_table().contains("defense at"));
+        assert!(table(&report).contains("defense at"));
     }
 
     #[test]
     fn bad_configs_are_rejected() {
         let mut cfg = quick_cfg();
         cfg.attacker_fracs = vec![];
+        assert!(run_adversary(&cfg).is_err());
+        let mut cfg = quick_cfg();
+        cfg.attacker_fracs = vec![0.0]; // the baseline alone is not a sweep
         assert!(run_adversary(&cfg).is_err());
         let mut cfg = quick_cfg();
         cfg.attacker_fracs = vec![1.0];

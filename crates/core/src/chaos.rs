@@ -75,7 +75,7 @@ use crate::fault::{drive, ChurnConfig, FaultAction, FaultPlan, OVERLOAD_WINDOW};
 use crate::net::NetworkModel;
 use std::fmt::Write as _;
 use webcache_primitives::seed::{derive_indexed, SeedStream};
-use webcache_workload::{ProWGen, ProWGenConfig, Trace};
+use webcache_workload::Trace;
 
 /// Configuration of one chaos exploration.
 #[derive(Clone, Debug)]
@@ -920,14 +920,7 @@ pub fn shrink(
 /// replayable spec.
 pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, SimError> {
     cfg.validate()?;
-    let trace = ProWGen::new(ProWGenConfig {
-        requests: cfg.requests,
-        distinct_objects: cfg.distinct_objects,
-        num_clients: cfg.trace_clients.max(1) as u32,
-        seed: derive_indexed(cfg.seed, "chaos-trace", 0),
-        ..ProWGenConfig::default()
-    })
-    .generate();
+    let trace = cfg.churn(&FaultPlan::none()).trace();
 
     let mut report =
         ChaosReport { plans: cfg.plans as u64, seed: cfg.seed, passed: 0, failures: Vec::new() };
@@ -1148,14 +1141,7 @@ mod tests {
         let cfg = ChaosConfig { sabotage: true, ..quick_cfg() };
         let report = run_chaos(&cfg).expect("chaos runs");
         let failure = report.failures.first().expect("sabotage produced a failure");
-        let trace = ProWGen::new(ProWGenConfig {
-            requests: cfg.requests,
-            distinct_objects: cfg.distinct_objects,
-            num_clients: cfg.trace_clients.max(1) as u32,
-            seed: derive_indexed(cfg.seed, "chaos-trace", 0),
-            ..ProWGenConfig::default()
-        })
-        .generate();
+        let trace = cfg.churn(&FaultPlan::none()).trace();
         let shrunk: FaultPlan = failure.shrunk_spec.parse().expect("spec parses");
         let replayed = run_oracles(&cfg, &shrunk, &trace).expect("replay runs");
         assert_eq!(replayed, failure.shrunk_violations, "replay must be deterministic");
@@ -1209,14 +1195,7 @@ mod regressions {
     #[test]
     fn depart_handoff_eviction_of_diverted_object() {
         let cfg = ChaosConfig::default();
-        let trace = ProWGen::new(ProWGenConfig {
-            requests: cfg.requests,
-            distinct_objects: cfg.distinct_objects,
-            num_clients: cfg.trace_clients.max(1) as u32,
-            seed: derive_indexed(cfg.seed, "chaos-trace", 0),
-            ..ProWGenConfig::default()
-        })
-        .generate();
+        let trace = cfg.churn(&FaultPlan::none()).trace();
         let plan = FaultPlan::from_str(concat!(
             "depart@765,rejoin@984,slow@1080,crash@1484,depart@2096,",
             "mloss=0.28660599939080533,window=2160,seed=6367027891551064294",
@@ -1242,14 +1221,7 @@ mod regressions {
             clients_per_cluster: 12,
             ..ChaosConfig::default()
         };
-        let trace = ProWGen::new(ProWGenConfig {
-            requests: cfg.requests,
-            distinct_objects: cfg.distinct_objects,
-            num_clients: cfg.trace_clients.max(1) as u32,
-            seed: derive_indexed(cfg.seed, "chaos-trace", 0),
-            ..ProWGenConfig::default()
-        })
-        .generate();
+        let trace = cfg.churn(&FaultPlan::none()).trace();
         let plan = FaultPlan::from_str(
             "garble@48:0.988,crash@85,partition@274{17|83},window=338,seed=8897274319915659806",
         )

@@ -25,11 +25,12 @@
 //! Proactive repair bounds the *vulnerability window*: the at-risk
 //! gauge (objects below their replication floor) is driven back to
 //! zero by the paced scanner instead of waiting for a fetch to trip
-//! over each stale entry. The [`DurabilityReport`] carries objects
+//! over each stale entry. The [`ScenarioReport`] carries objects
 //! lost, the at-risk window area (gauge summed over rounds), the mean
-//! time-to-repair, and a per-(burst, k) [`DurabilityRow`] comparing
-//! the naive and defended cells — the committed-figure gate wants the
-//! naive cell to lose ≥ 10× more objects. A fault-free baseline run
+//! time-to-repair, and a per-(burst, k) summary row comparing the
+//! naive and defended cells — [`gate`], the committed figure's
+//! threshold, wants the naive cell to lose ≥ 10× more objects at its
+//! worst burst and the defended cell to lose none. A fault-free baseline run
 //! anchors the latency reference and demonstrates conservation
 //! (nothing is ever lost without a fault). Everything is seeded and
 //! renders to bit-stable JSON/CSV (the durability golden test pins
@@ -37,11 +38,13 @@
 
 use crate::clock::ClockMode;
 use crate::error::SimError;
-use crate::fault::{drive, ChurnConfig, FaultAction, FaultPlan};
+use crate::fault::{ChurnConfig, FaultAction, FaultPlan};
 use crate::net::NetworkModel;
+use crate::scenario::Field::{B, F, S, U};
+use crate::scenario::{axis, Row, ScenarioReport, Twin};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use webcache_primitives::seed::derive;
-use webcache_workload::{ProWGen, ProWGenConfig};
 
 /// Configuration of one durability sweep.
 #[derive(Clone, Debug)]
@@ -163,332 +166,177 @@ impl DurabilityConfig {
     }
 }
 
-/// What one (burst, k, placement, repair) cell measured.
-#[derive(Clone, Debug, PartialEq)]
-pub struct DurabilityCell {
-    /// Expected machines taken by the correlated failure.
-    pub burst: u32,
-    /// Replication factor the cell ran.
-    pub replication: usize,
-    /// Whether replicas were spread across distinct failure domains.
-    pub spread: bool,
-    /// Whether the paced background repair scheduler was armed.
-    pub proactive: bool,
-    /// Machines the domain failure actually crashed.
-    pub machines_lost: u64,
-    /// Objects permanently lost (every one ledgered — the no-silent-loss
-    /// guarantee).
-    pub objects_lost: u64,
-    /// Worst single-round at-risk gauge (objects below their
-    /// replication floor).
-    pub at_risk_peak: u64,
-    /// At-risk gauge summed over all rounds: the vulnerability window
-    /// area a second failure could exploit.
-    pub at_risk_area: u64,
-    /// Mean rounds from the failure to the at-risk gauge draining to
-    /// zero (0 when it never drained — see `repair_completed`).
-    pub mean_time_to_repair: f64,
-    /// Whether the at-risk gauge returned to zero before the trace ran
-    /// out.
-    pub repair_completed: bool,
-    /// Entries the repair scheduler restored ahead of demand.
-    pub proactive_repairs: u64,
-    /// Directory entries the repair scheduler scanned.
-    pub repair_scans: u64,
-    /// Mean end-to-end latency in milli-units (repair work is priced
-    /// into the queue under the event clock).
-    pub avg_latency_milli: u64,
-}
-
-/// Per-(burst, k) durability summary: naive vs defended cell.
-#[derive(Clone, Debug, PartialEq)]
-pub struct DurabilityRow {
-    /// Expected machines taken by the correlated failure.
-    pub burst: u32,
-    /// Replication factor both cells ran.
-    pub replication: usize,
-    /// Objects the blind + reactive cell lost.
-    pub naive_objects_lost: u64,
-    /// Objects the spread + proactive cell lost.
-    pub defended_objects_lost: u64,
-    /// Naive vulnerability window area.
-    pub naive_at_risk_area: u64,
-    /// Defended vulnerability window area.
-    pub defended_at_risk_area: u64,
-    /// How many times more objects the naive cell lost (denominator
-    /// clamped to 1 so a flawless defended cell stays finite). The
-    /// committed-figure gate wants ≥ 10.
-    pub factor: f64,
-}
-
-/// Everything a durability sweep measured.
-#[derive(Clone, Debug, PartialEq)]
-pub struct DurabilityReport {
-    /// Requests per run.
-    pub requests: u64,
-    /// Overlay size.
-    pub cluster: u64,
-    /// Clock mode every run used.
-    pub clock: ClockMode,
-    /// Master seed of the sweep's fault plans.
-    pub seed: u64,
-    /// Request index where every cell's domain fails.
-    pub burst_at: u64,
-    /// Scan budget per round of the proactive cells.
-    pub repair: u32,
-    /// Fault-free baseline mean latency in milli-units.
-    pub baseline_avg_latency_milli: u64,
-    /// Objects the fault-free baseline lost — conservation demands 0.
-    pub baseline_objects_lost: u64,
-    /// Four rows per (burst, k) grid point: blind+reactive,
-    /// blind+proactive, spread+reactive, spread+proactive.
-    pub cells: Vec<DurabilityCell>,
-    /// One row per (burst, k) grid point.
-    pub rows: Vec<DurabilityRow>,
-}
-
 /// Runs the sweep: one fault-free baseline, then four placement/repair
-/// cells per (burst, k) grid point, all over the same trace.
-pub fn run_durability(cfg: &DurabilityConfig) -> Result<DurabilityReport, SimError> {
+/// cells per (burst, k) grid point — blind+reactive (naive) first,
+/// spread+proactive (defended) last — all over the same trace. The
+/// summary (`rows`) carries one row per grid point.
+pub fn run_durability(cfg: &DurabilityConfig) -> Result<ScenarioReport, SimError> {
     cfg.validate()?;
-    let trace = ProWGen::new(ProWGenConfig {
-        requests: cfg.base.requests,
-        distinct_objects: cfg.base.distinct_objects,
-        num_clients: cfg.base.trace_clients.max(1) as u32,
-        seed: cfg.base.trace_seed,
-        ..ProWGenConfig::default()
-    })
-    .generate();
-
-    let (baseline, base_engine) = drive(
-        &ChurnConfig { plan: FaultPlan::none(), ..cfg.base.clone() },
-        &trace,
-        &FaultPlan::none(),
-    )?;
-    let baseline_avg_latency_milli = (baseline.metrics.avg_latency() * 1000.0).round() as u64;
-    let baseline_objects_lost = base_engine.p2p(0).ledger().objects_lost;
-
-    let mut bursts = cfg.bursts.clone();
-    bursts.sort_unstable();
-    bursts.dedup();
-    let mut ks = cfg.ks.clone();
-    ks.sort_unstable();
-    ks.dedup();
+    let twin = Twin::new(&cfg.base)?;
 
     let mut cells = Vec::new();
-    let mut rows = Vec::new();
-    for &k in &ks {
-        for &burst in &bursts {
-            let mut measured: Vec<DurabilityCell> = Vec::with_capacity(4);
+    let mut summary = Vec::new();
+    for k in axis(&cfg.ks) {
+        for burst in axis(&cfg.bursts) {
             for (spread, proactive) in [(false, false), (false, true), (true, false), (true, true)]
             {
-                let plan = cfg.plan_for(burst, proactive);
-                let churn = ChurnConfig {
-                    replication: k,
-                    plan: plan.clone(),
-                    blind_placement: !spread,
-                    ..cfg.base.clone()
-                };
-                let (out, engine) = drive(&churn, &trace, &plan)?;
-                let mean_time_to_repair = if out.repair_rounds.is_empty() {
-                    0.0
-                } else {
-                    out.repair_rounds.iter().sum::<u64>() as f64 / out.repair_rounds.len() as f64
-                };
-                measured.push(DurabilityCell {
-                    burst,
-                    replication: k,
-                    spread,
-                    proactive,
-                    machines_lost: out.crashes,
-                    objects_lost: out.snapshot.objects_lost_permanent,
-                    at_risk_peak: out.at_risk_peak,
-                    at_risk_area: out.risk_area,
-                    mean_time_to_repair,
-                    repair_completed: !out.repair_rounds.is_empty(),
-                    proactive_repairs: out.snapshot.proactive_repairs,
-                    repair_scans: engine.p2p(0).ledger().repair_scans,
-                    avg_latency_milli: (out.metrics.avg_latency() * 1000.0).round() as u64,
-                });
+                let churn =
+                    ChurnConfig { replication: k, blind_placement: !spread, ..cfg.base.clone() };
+                let (out, engine) = twin.drive(&churn, &cfg.plan_for(burst, proactive))?;
+                cells.push(Row(vec![
+                    ("burst", U(u64::from(burst))),
+                    ("replication", U(k as u64)),
+                    ("spread", B(spread)),
+                    ("proactive", B(proactive)),
+                    ("machines_lost", U(out.crashes)),
+                    // Every one ledgered — the no-silent-loss guarantee.
+                    ("objects_lost", U(out.snapshot.objects_lost_permanent)),
+                    // Objects below their replication floor: worst round, and
+                    // summed over all rounds (the window a second failure
+                    // could exploit).
+                    ("at_risk_peak", U(out.at_risk_peak)),
+                    ("at_risk_area", U(out.risk_area)),
+                    ("mean_time_to_repair", F(out.mean_time_to_repair())),
+                    // Whether the at-risk gauge got back to zero in time.
+                    ("repair_completed", B(!out.repair_rounds.is_empty())),
+                    ("proactive_repairs", U(out.snapshot.proactive_repairs)),
+                    ("repair_scans", U(engine.p2p(0).ledger().repair_scans)),
+                    // Repair work is priced into the queue under the event clock.
+                    ("avg_latency_milli", U(out.avg_latency_milli())),
+                ]));
             }
-            let (naive, defended) = (&measured[0], &measured[3]);
-            rows.push(DurabilityRow {
-                burst,
-                replication: k,
-                naive_objects_lost: naive.objects_lost,
-                defended_objects_lost: defended.objects_lost,
-                naive_at_risk_area: naive.at_risk_area,
-                defended_at_risk_area: defended.at_risk_area,
-                factor: naive.objects_lost as f64 / defended.objects_lost.max(1) as f64,
-            });
-            cells.extend(measured);
+            let (naive, defended) = (&cells[cells.len() - 4], &cells[cells.len() - 1]);
+            let (naive_lost, defended_lost) = (naive.u("objects_lost"), defended.u("objects_lost"));
+            summary.push(Row(vec![
+                ("burst", U(u64::from(burst))),
+                ("replication", U(k as u64)),
+                ("naive_objects_lost", U(naive_lost)),
+                ("defended_objects_lost", U(defended_lost)),
+                ("naive_at_risk_area", U(naive.u("at_risk_area"))),
+                ("defended_at_risk_area", U(defended.u("at_risk_area"))),
+                // Denominator clamped to 1 so a flawless defended cell
+                // stays finite.
+                ("factor", F(naive_lost as f64 / defended_lost.max(1) as f64)),
+            ]));
         }
     }
 
-    Ok(DurabilityReport {
-        requests: cfg.base.requests as u64,
-        cluster: cfg.base.clients_per_cluster as u64,
-        clock: cfg.base.clock,
-        seed: cfg.seed,
-        burst_at: cfg.burst_at,
-        repair: cfg.repair,
-        baseline_avg_latency_milli,
-        baseline_objects_lost,
+    Ok(ScenarioReport {
+        header: Row(vec![
+            ("requests", U(cfg.base.requests as u64)),
+            ("cluster", U(cfg.base.clients_per_cluster as u64)),
+            ("clock", S(cfg.base.clock.label())),
+            ("seed", U(cfg.seed)),
+            ("burst_at", U(cfg.burst_at)),
+            ("repair", U(u64::from(cfg.repair))),
+            ("baseline_avg_latency_milli", U(twin.baseline.avg_latency_milli())),
+            // Conservation demands 0: nothing is lost without a fault.
+            ("baseline_objects_lost", U(twin.engine.p2p(0).ledger().objects_lost)),
+        ]),
         cells,
-        rows,
+        summary_key: "rows",
+        summary,
+        csv_omit: &[],
     })
 }
 
-impl DurabilityReport {
-    /// Renders the report as a JSON document with a fixed field order
-    /// (hand-rolled: the offline build has no serde_json). Bit-stable
-    /// for a fixed config — the durability golden test diffs it.
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        let _ = writeln!(s, "  \"requests\": {},", self.requests);
-        let _ = writeln!(s, "  \"cluster\": {},", self.cluster);
-        let _ = writeln!(s, "  \"clock\": \"{}\",", self.clock.label());
-        let _ = writeln!(s, "  \"seed\": {},", self.seed);
-        let _ = writeln!(s, "  \"burst_at\": {},", self.burst_at);
-        let _ = writeln!(s, "  \"repair\": {},", self.repair);
-        let _ =
-            writeln!(s, "  \"baseline_avg_latency_milli\": {},", self.baseline_avg_latency_milli);
-        let _ = writeln!(s, "  \"baseline_objects_lost\": {},", self.baseline_objects_lost);
-        s.push_str("  \"cells\": [\n");
-        for (i, c) in self.cells.iter().enumerate() {
-            let _ = write!(
-                s,
-                "    {{\"burst\": {}, \"replication\": {}, \"spread\": {}, \"proactive\": {}, \
-                 \"machines_lost\": {}, \"objects_lost\": {}, \"at_risk_peak\": {}, \
-                 \"at_risk_area\": {}, \"mean_time_to_repair\": {:.4}, \
-                 \"repair_completed\": {}, \"proactive_repairs\": {}, \"repair_scans\": {}, \
-                 \"avg_latency_milli\": {}}}",
-                c.burst,
-                c.replication,
-                c.spread,
-                c.proactive,
-                c.machines_lost,
-                c.objects_lost,
-                c.at_risk_peak,
-                c.at_risk_area,
-                c.mean_time_to_repair,
-                c.repair_completed,
-                c.proactive_repairs,
-                c.repair_scans,
-                c.avg_latency_milli,
-            );
-            s.push_str(if i + 1 < self.cells.len() { ",\n" } else { "\n" });
-        }
-        s.push_str("  ],\n");
-        s.push_str("  \"rows\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            let _ = write!(
-                s,
-                "    {{\"burst\": {}, \"replication\": {}, \"naive_objects_lost\": {}, \
-                 \"defended_objects_lost\": {}, \"naive_at_risk_area\": {}, \
-                 \"defended_at_risk_area\": {}, \"factor\": {:.4}}}",
-                r.burst,
-                r.replication,
-                r.naive_objects_lost,
-                r.defended_objects_lost,
-                r.naive_at_risk_area,
-                r.defended_at_risk_area,
-                r.factor,
-            );
-            s.push_str(if i + 1 < self.rows.len() { ",\n" } else { "\n" });
-        }
-        s.push_str("  ]\n}\n");
-        s
+/// The committed-figure gate: the baseline conserves every object, no
+/// defended cell loses one, and for every `k` the naive cell loses at
+/// least 10x more at its worst burst.
+pub fn gate(report: &ScenarioReport) -> Result<(), String> {
+    if report.header.u("baseline_objects_lost") != 0 {
+        return Err("the fault-free baseline lost objects".into());
     }
-
-    /// Renders the per-cell rows as CSV (the committed figure format).
-    pub fn to_csv(&self) -> String {
-        let mut s = String::from(
-            "burst,replication,spread,proactive,machines_lost,objects_lost,at_risk_peak,\
-             at_risk_area,mean_time_to_repair,repair_completed,proactive_repairs,repair_scans,\
-             avg_latency_milli\n",
-        );
-        for c in &self.cells {
-            let _ = writeln!(
-                s,
-                "{},{},{},{},{},{},{},{},{:.4},{},{},{},{}",
-                c.burst,
-                c.replication,
-                c.spread,
-                c.proactive,
-                c.machines_lost,
-                c.objects_lost,
-                c.at_risk_peak,
-                c.at_risk_area,
-                c.mean_time_to_repair,
-                c.repair_completed,
-                c.proactive_repairs,
-                c.repair_scans,
-                c.avg_latency_milli,
-            );
-        }
-        s
+    if report.summary.is_empty() {
+        return Err("no durability rows".into());
     }
+    let mut best: BTreeMap<u64, f64> = BTreeMap::new();
+    for r in &report.summary {
+        if r.u("defended_objects_lost") != 0 {
+            return Err(format!(
+                "defended cell at burst {}, k={} lost {} objects",
+                r.u("burst"),
+                r.u("replication"),
+                r.u("defended_objects_lost")
+            ));
+        }
+        let factor = best.entry(r.u("replication")).or_insert(0.0);
+        *factor = factor.max(r.f("factor"));
+    }
+    match best.iter().find(|(_, factor)| **factor < 10.0) {
+        Some((k, factor)) => Err(format!("best loss factor {factor:.4} at k={k} is below 10x")),
+        None => Ok(()),
+    }
+}
 
-    /// Renders an aligned text summary for terminals.
-    pub fn to_table(&self) -> String {
-        let mut s = String::new();
+/// Renders an aligned text summary for terminals.
+pub fn table(report: &ScenarioReport) -> String {
+    let h = &report.header;
+    let on_off = |flag: bool| if flag { "on" } else { "off" };
+    let mut s = String::new();
+    let _ = writeln!(
+        s,
+        "durability sweep: {} requests, {} client machines, domain failure at {}\n",
+        h.u("requests"),
+        h.u("cluster"),
+        h.u("burst_at")
+    );
+    let _ = writeln!(
+        s,
+        "baseline: avg latency {:.3}, objects lost {}",
+        h.u("baseline_avg_latency_milli") as f64 / 1000.0,
+        h.u("baseline_objects_lost")
+    );
+    let _ = writeln!(
+        s,
+        "{:>6} {:>3} {:>7} {:>9} {:>8} {:>6} {:>9} {:>9} {:>8} {:>8}",
+        "burst",
+        "k",
+        "spread",
+        "proactive",
+        "crashed",
+        "lost",
+        "risk-peak",
+        "risk-area",
+        "mttr",
+        "latency"
+    );
+    for c in &report.cells {
+        let mttr = if c.b("repair_completed") {
+            format!("{:.1}", c.f("mean_time_to_repair"))
+        } else {
+            "never".to_string()
+        };
         let _ = writeln!(
             s,
-            "baseline: avg latency {:.3}, objects lost {}",
-            self.baseline_avg_latency_milli as f64 / 1000.0,
-            self.baseline_objects_lost
+            "{:>6} {:>3} {:>7} {:>9} {:>8} {:>6} {:>9} {:>9} {:>8} {:>8.3}",
+            c.u("burst"),
+            c.u("replication"),
+            on_off(c.b("spread")),
+            on_off(c.b("proactive")),
+            c.u("machines_lost"),
+            c.u("objects_lost"),
+            c.u("at_risk_peak"),
+            c.u("at_risk_area"),
+            mttr,
+            c.u("avg_latency_milli") as f64 / 1000.0,
         );
+    }
+    for r in &report.summary {
         let _ = writeln!(
             s,
-            "{:>6} {:>3} {:>7} {:>9} {:>8} {:>6} {:>9} {:>9} {:>8} {:>8}",
-            "burst",
-            "k",
-            "spread",
-            "proactive",
-            "crashed",
-            "lost",
-            "risk-peak",
-            "risk-area",
-            "mttr",
-            "latency"
+            "durability at burst {:>2}, k={}: blind+reactive lost {} vs spread+proactive \
+             lost {} ({:.1}x), at-risk area {} vs {}",
+            r.u("burst"),
+            r.u("replication"),
+            r.u("naive_objects_lost"),
+            r.u("defended_objects_lost"),
+            r.f("factor"),
+            r.u("naive_at_risk_area"),
+            r.u("defended_at_risk_area"),
         );
-        for c in &self.cells {
-            let _ = writeln!(
-                s,
-                "{:>6} {:>3} {:>7} {:>9} {:>8} {:>6} {:>9} {:>9} {:>8} {:>8.3}",
-                c.burst,
-                c.replication,
-                if c.spread { "on" } else { "off" },
-                if c.proactive { "on" } else { "off" },
-                c.machines_lost,
-                c.objects_lost,
-                c.at_risk_peak,
-                c.at_risk_area,
-                if c.repair_completed {
-                    format!("{:.1}", c.mean_time_to_repair)
-                } else {
-                    "never".to_string()
-                },
-                c.avg_latency_milli as f64 / 1000.0,
-            );
-        }
-        for r in &self.rows {
-            let _ = writeln!(
-                s,
-                "durability at burst {:>2}, k={}: blind+reactive lost {} vs spread+proactive \
-                 lost {} ({:.1}x), at-risk area {} vs {}",
-                r.burst,
-                r.replication,
-                r.naive_objects_lost,
-                r.defended_objects_lost,
-                r.factor,
-                r.naive_at_risk_area,
-                r.defended_at_risk_area,
-            );
-        }
-        s
     }
+    s
 }
 
 #[cfg(test)]
@@ -521,17 +369,17 @@ mod tests {
         let b = run_durability(&cfg).expect("sweep runs");
         assert_eq!(a.to_json(), b.to_json());
         assert_eq!(a.cells.len(), 4, "one grid point, four placement/repair cells");
-        assert_eq!(a.rows.len(), 1);
+        assert_eq!(a.summary.len(), 1);
         let naive = &a.cells[0];
         let defended = &a.cells[3];
-        assert!(!naive.spread && !naive.proactive, "naive row first");
-        assert!(defended.spread && defended.proactive, "defended row last");
+        assert!(!naive.b("spread") && !naive.b("proactive"), "naive row first");
+        assert!(defended.b("spread") && defended.b("proactive"), "defended row last");
     }
 
     #[test]
     fn baseline_conserves_every_object() {
         let report = run_durability(&quick_cfg()).expect("sweep runs");
-        assert_eq!(report.baseline_objects_lost, 0, "no fault, no loss");
+        assert_eq!(report.header.u("baseline_objects_lost"), 0, "no fault, no loss");
     }
 
     #[test]
@@ -540,28 +388,28 @@ mod tests {
         let naive = &report.cells[0];
         let defended = &report.cells[3];
         // Every cell saw the same correlated failure.
-        assert!(naive.machines_lost >= 2, "the domain failure must take machines");
-        assert_eq!(naive.machines_lost, defended.machines_lost, "same failure schedule");
+        assert!(naive.u("machines_lost") >= 2, "the domain failure must take machines");
+        assert_eq!(naive.u("machines_lost"), defended.u("machines_lost"), "same failure schedule");
         // Reactive cells never touch the repair scheduler.
-        assert_eq!(naive.repair_scans, 0);
-        assert_eq!(naive.proactive_repairs, 0);
+        assert_eq!(naive.u("repair_scans"), 0);
+        assert_eq!(naive.u("proactive_repairs"), 0);
         // Spread placement survives the whole-domain failure outright.
-        assert_eq!(defended.objects_lost, 0, "k copies in k domains survive one domainfail");
+        assert_eq!(defended.u("objects_lost"), 0, "k copies in k domains survive one domainfail");
         assert!(
-            defended.objects_lost <= naive.objects_lost,
+            defended.u("objects_lost") <= naive.u("objects_lost"),
             "defended {} must not exceed naive {}",
-            defended.objects_lost,
-            naive.objects_lost
+            defended.u("objects_lost"),
+            naive.u("objects_lost")
         );
         // The paced scheduler did real work and closed the window.
-        assert!(defended.repair_scans > 0, "the proactive cell must scan");
-        assert!(defended.repair_completed, "the at-risk gauge must drain to zero");
+        assert!(defended.u("repair_scans") > 0, "the proactive cell must scan");
+        assert!(defended.b("repair_completed"), "the at-risk gauge must drain to zero");
         assert!(
-            defended.at_risk_area <= naive.at_risk_area,
+            defended.u("at_risk_area") <= naive.u("at_risk_area"),
             "proactive repair must not widen the vulnerability window \
              (defended {} vs naive {})",
-            defended.at_risk_area,
-            naive.at_risk_area
+            defended.u("at_risk_area"),
+            naive.u("at_risk_area")
         );
     }
 
@@ -575,7 +423,7 @@ mod tests {
         let csv = report.to_csv();
         assert!(csv.starts_with("burst,replication,"));
         assert_eq!(csv.lines().count(), 1 + report.cells.len());
-        assert!(report.to_table().contains("durability at burst"));
+        assert!(table(&report).contains("durability at burst"));
     }
 
     #[test]

@@ -53,7 +53,7 @@ use webcache_p2p::{Behavior, NetFaults, OverloadDefense, TransportFaults};
 use webcache_pastry::NodeId;
 use webcache_primitives::seed::{derive, SeedStream};
 use webcache_primitives::Log2Histogram;
-use webcache_workload::{ProWGen, ProWGenConfig, Trace};
+use webcache_workload::Trace;
 
 /// Quiet interval a tripped circuit breaker stays open before its
 /// half-open probe, in sends toward the tripped destination (the
@@ -438,15 +438,34 @@ impl FromStr for FaultPlan {
     type Err = SimError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        fn probability(key: &str, value: &str) -> Result<f64, SimError> {
-            let p: f64 = value
-                .trim()
-                .parse()
-                .map_err(|_| SimError::InvalidConfig(format!("bad {key} probability '{value}'")))?;
-            if !(0.0..1.0).contains(&p) {
-                return Err(SimError::InvalidConfig(format!("{key} must be in [0, 1), got {p}")));
+        /// One token of the spec and its byte offset. Every bad value is
+        /// reported the same way: what it was meant to be, its text, the
+        /// token it sits in and where that token starts.
+        #[derive(Clone, Copy)]
+        struct Token<'a> {
+            token: &'a str,
+            at: usize,
+        }
+        impl Token<'_> {
+            fn value<T: FromStr>(self, what: &str, text: &str) -> Result<T, SimError> {
+                let text = text.trim();
+                text.parse().map_err(|_| {
+                    SimError::InvalidConfig(format!(
+                        "bad {what} '{text}' in '{}' at byte {}",
+                        self.token, self.at
+                    ))
+                })
             }
-            Ok(p)
+            fn probability(self, key: &str, text: &str) -> Result<f64, SimError> {
+                let p: f64 = self.value(&format!("{key} probability"), text)?;
+                if !(0.0..1.0).contains(&p) {
+                    return Err(SimError::InvalidConfig(format!(
+                        "{key} in '{}' at byte {} must be in [0, 1), got {p}",
+                        self.token, self.at
+                    )));
+                }
+                Ok(p)
+            }
         }
         let mut plan = FaultPlan::none();
         let mut seen_keys: Vec<&str> = Vec::new();
@@ -462,7 +481,8 @@ impl FromStr for FaultPlan {
             if token.is_empty() {
                 continue;
             }
-            if let Some((key, value)) = token.split_once('=') {
+            let tok = Token { token, at: token_at };
+            if let Some((key, text)) = token.split_once('=') {
                 let key = key.trim();
                 if seen_keys.contains(&key) {
                     return Err(SimError::InvalidConfig(format!(
@@ -471,35 +491,18 @@ impl FromStr for FaultPlan {
                     )));
                 }
                 match key {
-                    "loss" => plan.loss = probability(key, value)?,
-                    "mloss" => plan.mloss = probability(key, value)?,
-                    "dup" => plan.dup = probability(key, value)?,
-                    "reorder" => plan.reorder = probability(key, value)?,
-                    "corrupt" => plan.corrupt = probability(key, value)?,
-                    "window" => {
-                        plan.window = value.trim().parse().map_err(|_| {
-                            SimError::InvalidConfig(format!("bad window '{value}'"))
-                        })?;
-                    }
-                    "seed" => {
-                        plan.seed = value
-                            .trim()
-                            .parse()
-                            .map_err(|_| SimError::InvalidConfig(format!("bad seed '{value}'")))?;
-                    }
+                    "loss" => plan.loss = tok.probability(key, text)?,
+                    "mloss" => plan.mloss = tok.probability(key, text)?,
+                    "dup" => plan.dup = tok.probability(key, text)?,
+                    "reorder" => plan.reorder = tok.probability(key, text)?,
+                    "corrupt" => plan.corrupt = tok.probability(key, text)?,
+                    "window" => plan.window = tok.value("window", text)?,
+                    "seed" => plan.seed = tok.value("seed", text)?,
                     "breaker" => {
-                        plan.breaker = value.trim().parse().map_err(|_| {
-                            SimError::InvalidConfig(format!(
-                                "bad breaker threshold '{value}' in '{token}' at byte {token_at}"
-                            ))
-                        })?;
+                        plan.breaker = tok.value("breaker threshold", text)?;
                     }
                     "budget" => {
-                        let f: f64 = value.trim().parse().map_err(|_| {
-                            SimError::InvalidConfig(format!(
-                                "bad budget ratio '{value}' in '{token}' at byte {token_at}"
-                            ))
-                        })?;
+                        let f: f64 = tok.value("budget ratio", text)?;
                         if !(f > 0.0 && f <= 1.0) {
                             return Err(SimError::InvalidConfig(format!(
                                 "budget ratio in '{token}' at byte {token_at} must be in \
@@ -509,21 +512,14 @@ impl FromStr for FaultPlan {
                         plan.budget = f;
                     }
                     "shed" => {
-                        let Some((hi, lo)) = value.split_once(':') else {
+                        let Some((hi, lo)) = text.split_once(':') else {
                             return Err(SimError::InvalidConfig(format!(
                                 "shed key '{token}' at byte {token_at} needs both watermarks \
                                  (expected shed=H:L in rounds of backlog, e.g. shed=48:12)"
                             )));
                         };
-                        let parse_mark = |side: &str| -> Result<u64, SimError> {
-                            side.trim().parse().map_err(|_| {
-                                SimError::InvalidConfig(format!(
-                                    "bad shed watermark '{}' in '{token}' at byte {token_at}",
-                                    side.trim()
-                                ))
-                            })
-                        };
-                        let (high, low) = (parse_mark(hi)?, parse_mark(lo)?);
+                        let high: u64 = tok.value("shed watermark", hi)?;
+                        let low: u64 = tok.value("shed watermark", lo)?;
                         if high == 0 || low >= high {
                             return Err(SimError::InvalidConfig(format!(
                                 "shed watermarks in '{token}' at byte {token_at} must satisfy \
@@ -534,11 +530,7 @@ impl FromStr for FaultPlan {
                         plan.shed_low = low;
                     }
                     "domains" => {
-                        let d: u32 = value.trim().parse().map_err(|_| {
-                            SimError::InvalidConfig(format!(
-                                "bad domain count '{value}' in '{token}' at byte {token_at}"
-                            ))
-                        })?;
+                        let d: u32 = tok.value("domain count", text)?;
                         if d == 0 {
                             return Err(SimError::InvalidConfig(format!(
                                 "domain count in '{token}' at byte {token_at} must be at \
@@ -548,11 +540,7 @@ impl FromStr for FaultPlan {
                         plan.domains = d;
                     }
                     "repair" => {
-                        let n: u32 = value.trim().parse().map_err(|_| {
-                            SimError::InvalidConfig(format!(
-                                "bad repair budget '{value}' in '{token}' at byte {token_at}"
-                            ))
-                        })?;
+                        let n: u32 = tok.value("repair budget", text)?;
                         if n == 0 {
                             return Err(SimError::InvalidConfig(format!(
                                 "repair budget in '{token}' at byte {token_at} must be at \
@@ -592,12 +580,7 @@ impl FromStr for FaultPlan {
                              (expected {verb}@N:R with R in (0, 1], e.g. {verb}@100:0.25)"
                         )));
                     };
-                    let rate: f64 = rate_str.trim().parse().map_err(|_| {
-                        SimError::InvalidConfig(format!(
-                            "bad {verb} rate '{}' in '{token}' at byte {token_at}",
-                            rate_str.trim()
-                        ))
-                    })?;
+                    let rate: f64 = tok.value(&format!("{verb} rate"), rate_str)?;
                     if !(rate > 0.0 && rate <= 1.0) {
                         return Err(SimError::InvalidConfig(format!(
                             "{verb} rate in '{token}' at byte {token_at} must be in (0, 1], \
@@ -629,18 +612,8 @@ impl FromStr for FaultPlan {
                              (expected spike@N:SPAN:X, e.g. spike@2000:1024:8)"
                         )));
                     };
-                    let span: u32 = span_str.trim().parse().map_err(|_| {
-                        SimError::InvalidConfig(format!(
-                            "bad spike span '{}' in '{token}' at byte {token_at}",
-                            span_str.trim()
-                        ))
-                    })?;
-                    let times: u16 = times_str.trim().parse().map_err(|_| {
-                        SimError::InvalidConfig(format!(
-                            "bad spike intensity '{}' in '{token}' at byte {token_at}",
-                            times_str.trim()
-                        ))
-                    })?;
+                    let span: u32 = tok.value("spike span", span_str)?;
+                    let times: u16 = tok.value("spike intensity", times_str)?;
                     if span == 0 {
                         return Err(SimError::InvalidConfig(format!(
                             "spike span in '{token}' at byte {token_at} must cover at least \
@@ -674,15 +647,8 @@ impl FromStr for FaultPlan {
                              percentages separated by '|' (expected partition@N{{A|B}})"
                         )));
                     };
-                    let parse_pct = |side: &str| -> Result<u8, SimError> {
-                        side.trim().parse().map_err(|_| {
-                            SimError::InvalidConfig(format!(
-                                "bad island percentage '{}' in '{token}' at byte {token_at}",
-                                side.trim()
-                            ))
-                        })
-                    };
-                    let (pa, pb) = (parse_pct(a)?, parse_pct(b)?);
+                    let pa: u8 = tok.value("island percentage", a)?;
+                    let pb: u8 = tok.value("island percentage", b)?;
                     if u32::from(pa) + u32::from(pb) != 100 {
                         return Err(SimError::InvalidConfig(format!(
                             "island percentages in '{token}' at byte {token_at} must sum to \
@@ -707,13 +673,9 @@ impl FromStr for FaultPlan {
                             if verb == "domainfail" { "2" } else { "3" },
                         )));
                     };
-                    let payload: u32 = payload_str.trim().parse().map_err(|_| {
-                        SimError::InvalidConfig(format!(
-                            "bad {verb} {} '{}' in '{token}' at byte {token_at}",
-                            if verb == "domainfail" { "domain" } else { "size" },
-                            payload_str.trim()
-                        ))
-                    })?;
+                    let what =
+                        if verb == "domainfail" { "domainfail domain" } else { "burst size" };
+                    let payload: u32 = tok.value(what, payload_str)?;
                     if verb == "burst" {
                         if payload < 2 {
                             return Err(SimError::InvalidConfig(format!(
@@ -734,11 +696,7 @@ impl FromStr for FaultPlan {
                     )));
                 }
             };
-            let at: u64 = at_str.trim().parse().map_err(|_| {
-                SimError::InvalidConfig(format!(
-                    "bad request index in '{token}' at byte {token_at}"
-                ))
-            })?;
+            let at: u64 = tok.value("request index", at_str)?;
             plan.events.push(FaultEvent { at, action });
         }
         // Cross-token validation: a domainfail names a domain that must
@@ -1262,14 +1220,7 @@ pub(crate) struct DriveOutcome {
 /// the same trace for the latency delta.
 pub fn run_churn(cfg: &ChurnConfig) -> Result<ChurnReport, SimError> {
     cfg.validate()?;
-    let trace = ProWGen::new(ProWGenConfig {
-        requests: cfg.requests,
-        distinct_objects: cfg.distinct_objects,
-        num_clients: cfg.trace_clients.max(1) as u32,
-        seed: cfg.trace_seed,
-        ..ProWGenConfig::default()
-    })
-    .generate();
+    let trace = cfg.trace();
 
     let (faulty, engine) = drive(cfg, &trace, &cfg.plan)?;
     // The fault-free twin replays the same request window so the latency
@@ -1283,8 +1234,8 @@ pub fn run_churn(cfg: &ChurnConfig) -> Result<ChurnReport, SimError> {
     } else {
         cfg.requests as u64
     };
-    let avg_milli = (faulty.metrics.avg_latency() * 1000.0).round() as u64;
-    let base_milli = (baseline.metrics.avg_latency() * 1000.0).round() as u64;
+    let avg_milli = faulty.avg_latency_milli();
+    let base_milli = baseline.avg_latency_milli();
     let delta =
         if base_milli == 0 { 0.0 } else { (avg_milli as f64 / base_milli as f64 - 1.0) * 100.0 };
     let detected = faulty.detections.len() as u64;
@@ -1337,11 +1288,7 @@ pub fn run_churn(cfg: &ChurnConfig) -> Result<ChurnReport, SimError> {
         repair_scans: engine.p2p(0).ledger().repair_scans,
         at_risk_peak: faulty.at_risk_peak,
         at_risk_area: faulty.risk_area,
-        mean_time_to_repair: if faulty.repair_rounds.is_empty() {
-            0.0
-        } else {
-            faulty.repair_rounds.iter().sum::<u64>() as f64 / faulty.repair_rounds.len() as f64
-        },
+        mean_time_to_repair: faulty.mean_time_to_repair(),
         durability: cfg.plan.has_durability(),
         detected_crashes: detected,
         undetected_crashes: faulty.undetected,
@@ -1981,6 +1928,18 @@ mod tests {
         let err = "crash@1,partition@9{3|4}".parse::<FaultPlan>().unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("'partition@9{3|4}'") && msg.contains("at byte 8"), "{msg}");
+        // The seven oldest keys point at their token like every later one,
+        // for unparseable and out-of-range values alike.
+        for (spec, text, at) in [
+            ("crash@1, loss=abc", "bad loss probability 'abc' in 'loss=abc'", "at byte 9"),
+            ("crash@1, corrupt=1.5", "corrupt in 'corrupt=1.5'", "at byte 9"),
+            ("mloss=0.1,dup=0.1;reorder=x", "bad reorder probability 'x'", "at byte 18"),
+            ("crash@1,window=-5", "bad window '-5' in 'window=-5'", "at byte 8"),
+            ("heal@2; seed=0x10", "bad seed '0x10' in 'seed=0x10'", "at byte 8"),
+        ] {
+            let msg = spec.parse::<FaultPlan>().unwrap_err().to_string();
+            assert!(msg.contains(text) && msg.contains(at), "'{spec}' -> {msg}");
+        }
     }
 
     #[test]

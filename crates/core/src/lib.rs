@@ -85,32 +85,32 @@ pub mod metrics;
 pub mod net;
 pub mod overload;
 pub mod recorder;
+pub mod scenario;
 pub mod site;
 pub mod squirrel;
 pub mod sweep;
 pub mod throughput;
 
-pub use adversary::{run_adversary, AdversaryCell, AdversaryConfig, AdversaryReport, DefenseRow};
+pub use adversary::{run_adversary, AdversaryConfig};
 pub use chaos::{run_chaos, ChaosConfig, ChaosFailure, ChaosReport};
 pub use clock::{ClockMode, SimClock, TICKS_PER_ROUND, TICKS_PER_UNIT};
 pub use config::{
     build_engine, run_experiment, run_experiment_recorded, ExperimentConfig,
     ExperimentConfigBuilder, SchemeKind, Sizing,
 };
-pub use durability::{
-    run_durability, DurabilityCell, DurabilityConfig, DurabilityReport, DurabilityRow,
-};
+pub use durability::{run_durability, DurabilityConfig};
 pub use engine::{Admission, Engine, NoCacheEngine, SchemeEngine, ShedPolicy};
 pub use error::SimError;
 pub use event::Event;
 pub use fault::{run_churn, ChurnConfig, ChurnReport, FaultAction, FaultEvent, FaultPlan};
 pub use hiergd::{HierGdEngine, HierGdOptions};
 pub use metrics::{latency_gain_percent, ClassCounts, RunMetrics};
-pub use net::{ExplicitLatency, HitClass, LatencyModel, NetworkModel};
-pub use overload::{run_overload, OverloadCell, OverloadConfig, OverloadReport, ResilienceRow};
+pub use net::{HitClass, LatencyModel, NetworkModel};
+pub use overload::{run_overload, OverloadConfig};
 pub use recorder::{
     EventLogRecorder, NoopRecorder, Recorder, SimEvent, SimEventKind, StatsRecorder, StatsSnapshot,
 };
+pub use scenario::{Field, Row, ScenarioReport};
 pub use site::{SiteTier, TierTraffic, TwoTierLfuSite};
 pub use squirrel::SquirrelEngine;
 pub use sweep::{gain_curve, sweep, sweep_recorded, SweepResult, PAPER_CACHE_FRACS};

@@ -61,8 +61,7 @@ impl HitClass {
 ///
 /// The engine and every scheme price requests through this trait, so
 /// [`NetworkModel`] — the paper's four-parameter uniform topology — is
-/// one implementation rather than a hard-coded dependency. Non-uniform
-/// topologies implement it too (see [`ExplicitLatency`]): under
+/// one implementation rather than a hard-coded dependency: under
 /// [`ClockMode::Event`](crate::clock::ClockMode::Event) a different
 /// latency table genuinely reshapes the event schedule instead of just
 /// rescaling totals.
@@ -92,50 +91,6 @@ impl LatencyModel for NetworkModel {
 
     fn t_timeout(&self) -> f64 {
         self.t_timeout
-    }
-}
-
-/// A free-form per-class latency table: the simplest non-uniform
-/// topology. Unlike [`NetworkModel`], the five classes need not compose
-/// additively from four link parameters — e.g. a far-away origin with a
-/// fast co-located cooperating proxy, the shape Wang et al. show
-/// dominates cooperation-policy effects.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct ExplicitLatency {
-    /// End-to-end latency per class, indexed by [`HitClass::index`].
-    pub latencies: [f64; HitClass::ALL.len()],
-    /// Proxy-side re-fetch cost per class, indexed by
-    /// [`HitClass::index`].
-    pub fetch_costs: [f64; HitClass::ALL.len()],
-    /// Detection-timeout penalty per stalled message.
-    pub timeout: f64,
-}
-
-impl ExplicitLatency {
-    /// Tabulates `model` into an explicit per-class table (a starting
-    /// point to then skew individual classes).
-    pub fn from_model(model: &dyn LatencyModel) -> Self {
-        let mut latencies = [0.0; HitClass::ALL.len()];
-        let mut fetch_costs = [0.0; HitClass::ALL.len()];
-        for class in HitClass::ALL {
-            latencies[class.index()] = model.latency(class);
-            fetch_costs[class.index()] = model.fetch_cost(class);
-        }
-        ExplicitLatency { latencies, fetch_costs, timeout: model.t_timeout() }
-    }
-}
-
-impl LatencyModel for ExplicitLatency {
-    fn latency(&self, class: HitClass) -> f64 {
-        self.latencies[class.index()]
-    }
-
-    fn fetch_cost(&self, class: HitClass) -> f64 {
-        self.fetch_costs[class.index()]
-    }
-
-    fn t_timeout(&self) -> f64 {
-        self.timeout
     }
 }
 
@@ -353,30 +308,6 @@ mod tests {
     fn validation_catches_inverted_order() {
         let n = NetworkModel { ts: 1.0, tc: 5.0, tl: 1.0, tp2p: 1.0, t_timeout: 4.0 };
         assert!(n.validate().is_err());
-    }
-
-    #[test]
-    fn explicit_table_matches_the_model_it_was_built_from() {
-        let n = NetworkModel::default();
-        let table = ExplicitLatency::from_model(&n);
-        for class in HitClass::ALL {
-            assert_eq!(LatencyModel::latency(&table, class), n.latency(class));
-            assert_eq!(LatencyModel::fetch_cost(&table, class), n.fetch_cost(class));
-        }
-        assert_eq!(LatencyModel::t_timeout(&table), n.t_timeout);
-    }
-
-    #[test]
-    fn explicit_table_supports_non_additive_topologies() {
-        // A co-located cooperating proxy that is *cheaper* than the own
-        // P2P tier — impossible to express with NetworkModel's additive
-        // composition, trivial here.
-        let mut table = ExplicitLatency::from_model(&NetworkModel::default());
-        table.latencies[HitClass::CoopProxy.index()] = 1.1;
-        assert!(
-            LatencyModel::latency(&table, HitClass::CoopProxy)
-                < LatencyModel::latency(&table, HitClass::OwnP2p)
-        );
     }
 
     #[test]

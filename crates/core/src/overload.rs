@@ -13,14 +13,14 @@
 //! [`run_overload`] drives one fault-free baseline plus two runs per
 //! swept intensity — defenses off ("naive") and defenses on — over the
 //! same trace and the same spike, so each pair differs **only** in the
-//! defense. The [`OverloadReport`] carries goodput, mean and p99
+//! defense. The [`ScenarioReport`] carries goodput, mean and p99
 //! latency, shed/degrade fractions and the recovery time back to 95% of
 //! baseline goodput after the spike ends, plus a per-intensity
-//! [`ResilienceRow`] comparing the naive and defended runs (the
-//! committed-figure gate wants the defended run to recover and the
-//! naive run to be ≥ 2× worse on recovery time or goodput). Everything
-//! is seeded and renders to bit-stable JSON/CSV (the overload golden
-//! test pins both clock modes).
+//! `resilience` row comparing the naive and defended runs ([`gate`],
+//! the committed figure's threshold, wants the defended run to recover
+//! and the naive run to be ≥ 2× worse on recovery time or goodput).
+//! Everything is seeded and renders to bit-stable JSON/CSV (the overload
+//! golden test pins both clock modes).
 //!
 //! **Goodput** here is latency-discounted useful service: a window of
 //! `OVERLOAD_WINDOW` (512) requests contributes its non-degraded requests
@@ -30,11 +30,12 @@
 
 use crate::clock::ClockMode;
 use crate::error::SimError;
-use crate::fault::{drive, ChurnConfig, DriveOutcome, FaultAction, FaultPlan, OVERLOAD_WINDOW};
+use crate::fault::{ChurnConfig, DriveOutcome, FaultAction, FaultPlan, OVERLOAD_WINDOW};
 use crate::net::NetworkModel;
+use crate::scenario::Field::{B, F, S, U};
+use crate::scenario::{axis, Row, ScenarioReport, Twin};
 use std::fmt::Write as _;
 use webcache_primitives::seed::derive;
-use webcache_workload::{ProWGen, ProWGenConfig};
 
 /// Configuration of one overload sweep.
 #[derive(Clone, Debug)]
@@ -152,96 +153,6 @@ impl OverloadConfig {
     }
 }
 
-/// What one (intensity, defense) cell measured.
-#[derive(Clone, Debug, PartialEq)]
-pub struct OverloadCell {
-    /// Arrival-rate multiplier of the spike.
-    pub intensity: u16,
-    /// Whether the defense stack was armed.
-    pub defended: bool,
-    /// Latency-discounted useful service, in percent of all requests
-    /// (see the module docs).
-    pub goodput_percent: f64,
-    /// Mean end-to-end latency in milli-units (queueing included under
-    /// the event clock).
-    pub avg_latency_milli: u64,
-    /// 99th-percentile end-to-end latency in milli-units.
-    pub p99_latency_milli: u64,
-    /// Requests shed (background work skipped), in percent.
-    pub shed_percent: f64,
-    /// Requests degraded straight to the origin server, in percent.
-    pub degraded_percent: f64,
-    /// Sends the tripped circuit breakers failed fast.
-    pub breaker_fast_fails: u64,
-    /// Retry ladders cut short by an exhausted retry budget.
-    pub retry_budget_denials: u64,
-    /// Whether shedding was still engaged at the end of the run.
-    pub end_shedding: bool,
-    /// Whether any post-spike window got back to ≥ 95% of baseline
-    /// goodput.
-    pub recovered: bool,
-    /// Requests from spike end until the first recovered window closed
-    /// (censored at the end of the trace when `recovered` is false).
-    pub recovery_requests: u64,
-}
-
-/// Per-intensity resilience summary: naive vs defended run.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ResilienceRow {
-    /// The spike intensity both cells ran.
-    pub intensity: u16,
-    /// Naive goodput, in percent.
-    pub naive_goodput_percent: f64,
-    /// Defended goodput, in percent.
-    pub defended_goodput_percent: f64,
-    /// Naive recovery time in requests (censored at the trace end).
-    pub naive_recovery_requests: u64,
-    /// Defended recovery time in requests.
-    pub defended_recovery_requests: u64,
-    /// Whether the defended run recovered at all.
-    pub defended_recovered: bool,
-    /// How much worse the naive run is: the larger of the recovery-time
-    /// ratio and the goodput-deficit ratio (both naive ÷ defended,
-    /// denominators clamped so the ratio stays finite). The figure gate
-    /// wants ≥ 2.
-    pub factor: f64,
-}
-
-/// Everything an overload sweep measured.
-#[derive(Clone, Debug, PartialEq)]
-pub struct OverloadReport {
-    /// Requests per run.
-    pub requests: u64,
-    /// Overlay size.
-    pub cluster: u64,
-    /// Clock mode every run used.
-    pub clock: ClockMode,
-    /// Master seed of the sweep's fault plans.
-    pub seed: u64,
-    /// Request index where the spike starts.
-    pub spike_at: u64,
-    /// Spike length in requests.
-    pub spike_span: u32,
-    /// Defense knobs of the defended cells.
-    pub breaker: u32,
-    /// Retry-budget ratio of the defended cells.
-    pub budget: f64,
-    /// Shed high watermark (rounds) of the defended cells.
-    pub shed_high: u64,
-    /// Shed low watermark (rounds) of the defended cells.
-    pub shed_low: u64,
-    /// Fault-free baseline goodput, in percent.
-    pub baseline_goodput_percent: f64,
-    /// Baseline mean latency in milli-units.
-    pub baseline_avg_latency_milli: u64,
-    /// Baseline p99 latency in milli-units.
-    pub baseline_p99_latency_milli: u64,
-    /// Two rows per swept intensity: naive first, then defended.
-    pub cells: Vec<OverloadCell>,
-    /// One row per swept intensity.
-    pub resilience: Vec<ResilienceRow>,
-}
-
 /// Pooled mean window latency in milli-units (0 when empty).
 fn pooled_mean_milli(out: &DriveOutcome) -> f64 {
     let reqs: u64 = out.windows.iter().map(|w| w.requests).sum();
@@ -250,6 +161,11 @@ fn pooled_mean_milli(out: &DriveOutcome) -> f64 {
     }
     let lat: u64 = out.windows.iter().map(|w| w.latency_milli_sum).sum();
     lat as f64 / reqs as f64
+}
+
+/// 99th-percentile end-to-end latency in milli-units.
+fn p99_milli(out: &DriveOutcome) -> u64 {
+    out.measured_milli.snapshot().quantile(0.99)
 }
 
 /// Latency-discounted goodput in percent of `issued` (module docs).
@@ -297,240 +213,160 @@ fn recovery(
 }
 
 /// Runs the sweep: one fault-free baseline, then a naive and a defended
-/// drive per intensity, all over the same trace.
-pub fn run_overload(cfg: &OverloadConfig) -> Result<OverloadReport, SimError> {
+/// drive per intensity (naive row first), all over the same trace. The
+/// summary (`resilience`) carries one row per intensity.
+pub fn run_overload(cfg: &OverloadConfig) -> Result<ScenarioReport, SimError> {
     cfg.validate()?;
-    let trace = ProWGen::new(ProWGenConfig {
-        requests: cfg.base.requests,
-        distinct_objects: cfg.base.distinct_objects,
-        num_clients: cfg.base.trace_clients.max(1) as u32,
-        seed: cfg.base.trace_seed,
-        ..ProWGenConfig::default()
-    })
-    .generate();
-
+    let twin = Twin::new(&cfg.base)?;
     let issued = cfg.base.requests as u64;
     let spike_end = cfg.spike_at + u64::from(cfg.spike_span);
-
-    let (baseline, _) = drive(
-        &ChurnConfig { plan: FaultPlan::none(), ..cfg.base.clone() },
-        &trace,
-        &FaultPlan::none(),
-    )?;
-    let base_mean = pooled_mean_milli(&baseline);
-    let base_good = goodput_percent(&baseline, issued, base_mean);
-    let base_latency = (baseline.metrics.avg_latency() * 1000.0).round() as u64;
-    let base_p99 = baseline.measured_milli.snapshot().quantile(0.99);
-
-    let mut intensities = cfg.intensities.clone();
-    intensities.sort_unstable();
-    intensities.dedup();
+    let base_mean = pooled_mean_milli(&twin.baseline);
+    let base_good = goodput_percent(&twin.baseline, issued, base_mean);
 
     let mut cells = Vec::new();
-    let mut resilience = Vec::new();
-    for times in &intensities {
-        let mut measured: Vec<OverloadCell> = Vec::with_capacity(2);
+    let mut summary = Vec::new();
+    for times in axis(&cfg.intensities) {
         for defended in [false, true] {
-            let plan = cfg.plan_for(*times, defended);
-            let churn = ChurnConfig { plan: plan.clone(), ..cfg.base.clone() };
-            let (out, _) = drive(&churn, &trace, &plan)?;
+            let (out, _) = twin.drive(&cfg.base, &cfg.plan_for(times, defended))?;
             let (recovered, recovery_requests) =
                 recovery(&out, spike_end, issued, base_mean, base_good / 100.0);
-            measured.push(OverloadCell {
-                intensity: *times,
-                defended,
-                goodput_percent: goodput_percent(&out, issued, base_mean),
-                avg_latency_milli: (out.metrics.avg_latency() * 1000.0).round() as u64,
-                p99_latency_milli: out.measured_milli.snapshot().quantile(0.99),
-                shed_percent: out.shed_background as f64 / issued as f64 * 100.0,
-                degraded_percent: out.degraded as f64 / issued as f64 * 100.0,
-                breaker_fast_fails: out.snapshot.breaker_fast_fails,
-                retry_budget_denials: out.snapshot.retry_budget_denials,
-                end_shedding: out.end_shedding,
-                recovered,
-                recovery_requests,
-            });
+            cells.push(Row(vec![
+                ("intensity", U(u64::from(times))),
+                ("defended", B(defended)),
+                ("goodput_percent", F(goodput_percent(&out, issued, base_mean))),
+                // Queueing included under the event clock.
+                ("avg_latency_milli", U(out.avg_latency_milli())),
+                ("p99_latency_milli", U(p99_milli(&out))),
+                // Background work skipped / requests sent straight to origin.
+                ("shed_percent", F(out.shed_background as f64 / issued as f64 * 100.0)),
+                ("degraded_percent", F(out.degraded as f64 / issued as f64 * 100.0)),
+                ("breaker_fast_fails", U(out.snapshot.breaker_fast_fails)),
+                ("retry_budget_denials", U(out.snapshot.retry_budget_denials)),
+                ("end_shedding", B(out.end_shedding)),
+                // Requests from spike end until a window got back to 95% of
+                // baseline goodput (censored at the trace end when none did).
+                ("recovered", B(recovered)),
+                ("recovery_requests", U(recovery_requests)),
+            ]));
         }
-        let (naive, defended) = (&measured[0], &measured[1]);
-        let recovery_ratio =
-            naive.recovery_requests as f64 / (defended.recovery_requests.max(1)) as f64;
-        let deficit_ratio = (base_good - naive.goodput_percent).max(0.0)
-            / (base_good - defended.goodput_percent).max(0.01);
-        resilience.push(ResilienceRow {
-            intensity: *times,
-            naive_goodput_percent: naive.goodput_percent,
-            defended_goodput_percent: defended.goodput_percent,
-            naive_recovery_requests: naive.recovery_requests,
-            defended_recovery_requests: defended.recovery_requests,
-            defended_recovered: defended.recovered,
-            factor: recovery_ratio.max(deficit_ratio),
-        });
-        cells.extend(measured);
+        let (naive, defended) = (&cells[cells.len() - 2], &cells[cells.len() - 1]);
+        let (naive_good, defended_good) =
+            (naive.f("goodput_percent"), defended.f("goodput_percent"));
+        let (naive_rec, defended_rec) =
+            (naive.u("recovery_requests"), defended.u("recovery_requests"));
+        // How much worse the naive run is: the larger of the recovery-time
+        // ratio and the goodput-deficit ratio (denominators clamped so the
+        // ratio stays finite).
+        let recovery_ratio = naive_rec as f64 / defended_rec.max(1) as f64;
+        let deficit_ratio =
+            (base_good - naive_good).max(0.0) / (base_good - defended_good).max(0.01);
+        summary.push(Row(vec![
+            ("intensity", U(u64::from(times))),
+            ("naive_goodput_percent", F(naive_good)),
+            ("defended_goodput_percent", F(defended_good)),
+            ("naive_recovery_requests", U(naive_rec)),
+            ("defended_recovery_requests", U(defended_rec)),
+            ("defended_recovered", B(defended.b("recovered"))),
+            ("factor", F(recovery_ratio.max(deficit_ratio))),
+        ]));
     }
 
-    Ok(OverloadReport {
-        requests: issued,
-        cluster: cfg.base.clients_per_cluster as u64,
-        clock: cfg.base.clock,
-        seed: cfg.seed,
-        spike_at: cfg.spike_at,
-        spike_span: cfg.spike_span,
-        breaker: cfg.breaker,
-        budget: cfg.budget,
-        shed_high: cfg.shed_high,
-        shed_low: cfg.shed_low,
-        baseline_goodput_percent: base_good,
-        baseline_avg_latency_milli: base_latency,
-        baseline_p99_latency_milli: base_p99,
+    Ok(ScenarioReport {
+        header: Row(vec![
+            ("requests", U(issued)),
+            ("cluster", U(cfg.base.clients_per_cluster as u64)),
+            ("clock", S(cfg.base.clock.label())),
+            ("seed", U(cfg.seed)),
+            ("spike_at", U(cfg.spike_at)),
+            ("spike_span", U(u64::from(cfg.spike_span))),
+            ("breaker", U(u64::from(cfg.breaker))),
+            ("budget", F(cfg.budget)),
+            ("shed_high", U(cfg.shed_high)),
+            ("shed_low", U(cfg.shed_low)),
+            ("baseline_goodput_percent", F(base_good)),
+            ("baseline_avg_latency_milli", U(twin.baseline.avg_latency_milli())),
+            ("baseline_p99_latency_milli", U(p99_milli(&twin.baseline))),
+        ]),
         cells,
-        resilience,
+        summary_key: "resilience",
+        summary,
+        csv_omit: &["end_shedding"],
     })
 }
 
-impl OverloadReport {
-    /// Renders the report as a JSON document with a fixed field order
-    /// (hand-rolled: the offline build has no serde_json). Bit-stable
-    /// for a fixed config — the overload golden test diffs it.
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        let _ = writeln!(s, "  \"requests\": {},", self.requests);
-        let _ = writeln!(s, "  \"cluster\": {},", self.cluster);
-        let _ = writeln!(s, "  \"clock\": \"{}\",", self.clock.label());
-        let _ = writeln!(s, "  \"seed\": {},", self.seed);
-        let _ = writeln!(s, "  \"spike_at\": {},", self.spike_at);
-        let _ = writeln!(s, "  \"spike_span\": {},", self.spike_span);
-        let _ = writeln!(s, "  \"breaker\": {},", self.breaker);
-        let _ = writeln!(s, "  \"budget\": {:.4},", self.budget);
-        let _ = writeln!(s, "  \"shed_high\": {},", self.shed_high);
-        let _ = writeln!(s, "  \"shed_low\": {},", self.shed_low);
-        let _ =
-            writeln!(s, "  \"baseline_goodput_percent\": {:.4},", self.baseline_goodput_percent);
-        let _ =
-            writeln!(s, "  \"baseline_avg_latency_milli\": {},", self.baseline_avg_latency_milli);
-        let _ =
-            writeln!(s, "  \"baseline_p99_latency_milli\": {},", self.baseline_p99_latency_milli);
-        s.push_str("  \"cells\": [\n");
-        for (i, c) in self.cells.iter().enumerate() {
-            let _ = write!(
-                s,
-                "    {{\"intensity\": {}, \"defended\": {}, \"goodput_percent\": {:.4}, \
-                 \"avg_latency_milli\": {}, \"p99_latency_milli\": {}, \"shed_percent\": {:.4}, \
-                 \"degraded_percent\": {:.4}, \"breaker_fast_fails\": {}, \
-                 \"retry_budget_denials\": {}, \"end_shedding\": {}, \"recovered\": {}, \
-                 \"recovery_requests\": {}}}",
-                c.intensity,
-                c.defended,
-                c.goodput_percent,
-                c.avg_latency_milli,
-                c.p99_latency_milli,
-                c.shed_percent,
-                c.degraded_percent,
-                c.breaker_fast_fails,
-                c.retry_budget_denials,
-                c.end_shedding,
-                c.recovered,
-                c.recovery_requests,
-            );
-            s.push_str(if i + 1 < self.cells.len() { ",\n" } else { "\n" });
-        }
-        s.push_str("  ],\n");
-        s.push_str("  \"resilience\": [\n");
-        for (i, r) in self.resilience.iter().enumerate() {
-            let _ = write!(
-                s,
-                "    {{\"intensity\": {}, \"naive_goodput_percent\": {:.4}, \
-                 \"defended_goodput_percent\": {:.4}, \"naive_recovery_requests\": {}, \
-                 \"defended_recovery_requests\": {}, \"defended_recovered\": {}, \
-                 \"factor\": {:.4}}}",
-                r.intensity,
-                r.naive_goodput_percent,
-                r.defended_goodput_percent,
-                r.naive_recovery_requests,
-                r.defended_recovery_requests,
-                r.defended_recovered,
-                r.factor,
-            );
-            s.push_str(if i + 1 < self.resilience.len() { ",\n" } else { "\n" });
-        }
-        s.push_str("  ]\n}\n");
-        s
+/// The committed-figure gate: every defended run must recover to 95% of
+/// baseline goodput and every naive run must be at least 2x worse.
+pub fn gate(report: &ScenarioReport) -> Result<(), String> {
+    if report.summary.is_empty() {
+        return Err("no resilience rows".into());
     }
-
-    /// Renders the per-cell rows as CSV (the committed figure format).
-    pub fn to_csv(&self) -> String {
-        let mut s = String::from(
-            "intensity,defended,goodput_percent,avg_latency_milli,p99_latency_milli,\
-             shed_percent,degraded_percent,breaker_fast_fails,retry_budget_denials,\
-             recovered,recovery_requests\n",
-        );
-        for c in &self.cells {
-            let _ = writeln!(
-                s,
-                "{},{},{:.4},{},{},{:.4},{:.4},{},{},{},{}",
-                c.intensity,
-                c.defended,
-                c.goodput_percent,
-                c.avg_latency_milli,
-                c.p99_latency_milli,
-                c.shed_percent,
-                c.degraded_percent,
-                c.breaker_fast_fails,
-                c.retry_budget_denials,
-                c.recovered,
-                c.recovery_requests,
-            );
+    for r in &report.summary {
+        if !r.b("defended_recovered") || r.f("factor") < 2.0 {
+            return Err(format!(
+                "at {}x: defended recovered = {}, naive only {:.4}x worse (want recovery and 2x)",
+                r.u("intensity"),
+                r.b("defended_recovered"),
+                r.f("factor")
+            ));
         }
-        s
     }
+    Ok(())
+}
 
-    /// Renders an aligned text summary for terminals.
-    pub fn to_table(&self) -> String {
-        let mut s = String::new();
+/// Renders an aligned text summary for terminals.
+pub fn table(report: &ScenarioReport) -> String {
+    let h = &report.header;
+    let units = |row: &Row, name: &str| row.u(name) as f64 / 1000.0;
+    let mut s = String::new();
+    let _ = writeln!(
+        s,
+        "overload sweep: {} requests, {} client machines, spike at {} for {} requests\n",
+        h.u("requests"),
+        h.u("cluster"),
+        h.u("spike_at"),
+        h.u("spike_span")
+    );
+    let _ = writeln!(
+        s,
+        "baseline: goodput {:.2}%, avg latency {:.3}, p99 {:.3}",
+        h.f("baseline_goodput_percent"),
+        units(h, "baseline_avg_latency_milli"),
+        units(h, "baseline_p99_latency_milli")
+    );
+    let _ = writeln!(
+        s,
+        "{:>9} {:>9} {:>9} {:>9} {:>9} {:>7} {:>7} {:>9}",
+        "spike", "defense", "goodput%", "latency", "p99", "shed%", "orig%", "recovery"
+    );
+    for c in &report.cells {
+        let censored = if c.b("recovered") { "" } else { ">" };
         let _ = writeln!(
             s,
-            "baseline: goodput {:.2}%, avg latency {:.3}, p99 {:.3}",
-            self.baseline_goodput_percent,
-            self.baseline_avg_latency_milli as f64 / 1000.0,
-            self.baseline_p99_latency_milli as f64 / 1000.0
+            "{:>8}x {:>9} {:>9.2} {:>9.3} {:>9.3} {:>7.2} {:>7.2} {:>9}",
+            c.u("intensity"),
+            if c.b("defended") { "on" } else { "off" },
+            c.f("goodput_percent"),
+            units(c, "avg_latency_milli"),
+            units(c, "p99_latency_milli"),
+            c.f("shed_percent"),
+            c.f("degraded_percent"),
+            format!("{censored}{}", c.u("recovery_requests")),
         );
+    }
+    for r in &report.summary {
         let _ = writeln!(
             s,
-            "{:>9} {:>9} {:>9} {:>9} {:>9} {:>7} {:>7} {:>9}",
-            "spike", "defense", "goodput%", "latency", "p99", "shed%", "orig%", "recovery"
+            "resilience at {:>2}x: naive {:.2}% vs defended {:.2}% goodput, \
+             recovery {} vs {} requests ({:.1}x)",
+            r.u("intensity"),
+            r.f("naive_goodput_percent"),
+            r.f("defended_goodput_percent"),
+            r.u("naive_recovery_requests"),
+            r.u("defended_recovery_requests"),
+            r.f("factor"),
         );
-        for c in &self.cells {
-            let _ = writeln!(
-                s,
-                "{:>8}x {:>9} {:>9.2} {:>9.3} {:>9.3} {:>7.2} {:>7.2} {:>9}",
-                c.intensity,
-                if c.defended { "on" } else { "off" },
-                c.goodput_percent,
-                c.avg_latency_milli as f64 / 1000.0,
-                c.p99_latency_milli as f64 / 1000.0,
-                c.shed_percent,
-                c.degraded_percent,
-                if c.recovered {
-                    format!("{}", c.recovery_requests)
-                } else {
-                    format!(">{}", c.recovery_requests)
-                },
-            );
-        }
-        for r in &self.resilience {
-            let _ = writeln!(
-                s,
-                "resilience at {:>2}x: naive {:.2}% vs defended {:.2}% goodput, \
-                 recovery {} vs {} requests ({:.1}x)",
-                r.intensity,
-                r.naive_goodput_percent,
-                r.defended_goodput_percent,
-                r.naive_recovery_requests,
-                r.defended_recovery_requests,
-                r.factor,
-            );
-        }
-        s
     }
+    s
 }
 
 #[cfg(test)]
@@ -563,8 +399,8 @@ mod tests {
         let b = run_overload(&cfg).expect("sweep runs");
         assert_eq!(a.to_json(), b.to_json());
         assert_eq!(a.cells.len(), 2, "one intensity, naive + defended");
-        assert_eq!(a.resilience.len(), 1);
-        assert!(!a.cells[0].defended && a.cells[1].defended, "naive row first");
+        assert_eq!(a.summary.len(), 1);
+        assert!(!a.cells[0].b("defended") && a.cells[1].b("defended"), "naive row first");
     }
 
     #[test]
@@ -573,30 +409,26 @@ mod tests {
         let naive = &report.cells[0];
         let defended = &report.cells[1];
         // Nothing sheds or degrades with the defenses off.
-        assert_eq!(naive.shed_percent, 0.0);
-        assert_eq!(naive.degraded_percent, 0.0);
-        assert_eq!(naive.breaker_fast_fails + naive.retry_budget_denials, 0);
+        assert_eq!(naive.f("shed_percent"), 0.0);
+        assert_eq!(naive.f("degraded_percent"), 0.0);
+        assert_eq!(naive.u("breaker_fast_fails") + naive.u("retry_budget_denials"), 0);
         // The armed defense sheds under the spike and buys back goodput
         // and tail latency.
-        assert!(defended.shed_percent > 0.0, "the spike must engage shedding");
+        assert!(defended.f("shed_percent") > 0.0, "the spike must engage shedding");
         assert!(
-            defended.goodput_percent > naive.goodput_percent,
+            defended.f("goodput_percent") > naive.f("goodput_percent"),
             "defended goodput {:.2}% must beat naive {:.2}%",
-            defended.goodput_percent,
-            naive.goodput_percent
+            defended.f("goodput_percent"),
+            naive.f("goodput_percent")
         );
         assert!(
-            defended.avg_latency_milli < naive.avg_latency_milli,
+            defended.u("avg_latency_milli") < naive.u("avg_latency_milli"),
             "defended latency {} must undercut naive {}",
-            defended.avg_latency_milli,
-            naive.avg_latency_milli
+            defended.u("avg_latency_milli"),
+            naive.u("avg_latency_milli")
         );
-        assert!(defended.recovered, "the defended run must return to baseline goodput");
-        assert!(
-            report.resilience[0].factor >= 2.0,
-            "naive must be >= 2x worse, got {:.2}",
-            report.resilience[0].factor
-        );
+        assert!(defended.b("recovered"), "the defended run must return to baseline goodput");
+        assert_eq!(gate(&report), Ok(()), "naive must be >= 2x worse");
     }
 
     #[test]
@@ -605,8 +437,8 @@ mod tests {
         cfg.base.clock = ClockMode::Compat;
         let report = run_overload(&cfg).expect("sweep runs");
         for c in &report.cells {
-            assert_eq!(c.shed_percent, 0.0, "no backlog, no shedding");
-            assert!(c.recovered, "analytic latencies never leave baseline");
+            assert_eq!(c.f("shed_percent"), 0.0, "no backlog, no shedding");
+            assert!(c.b("recovered"), "analytic latencies never leave baseline");
         }
     }
 
@@ -620,7 +452,7 @@ mod tests {
         let csv = report.to_csv();
         assert!(csv.starts_with("intensity,defended,"));
         assert_eq!(csv.lines().count(), 1 + report.cells.len());
-        assert!(report.to_table().contains("resilience at"));
+        assert!(table(&report).contains("resilience at"));
     }
 
     #[test]

@@ -18,9 +18,7 @@
 
 // The discrete-event clock vocabulary, lifted to the root so harness
 // code can name the types without the `sim::` hop.
-pub use webcache_sim::{
-    Admission, ClockMode, Engine, Event, ExplicitLatency, LatencyModel, SimClock,
-};
+pub use webcache_sim::{Admission, ClockMode, Engine, Event, LatencyModel, SimClock};
 
 pub use webcache_p2p as p2p;
 pub use webcache_pastry as pastry;

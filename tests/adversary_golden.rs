@@ -8,6 +8,8 @@
 //! To regenerate after an *intentional* semantic change:
 //! `UPDATE_GOLDEN=1 cargo test --release --test adversary_golden`.
 
+mod common;
+
 use webcache::sim::{run_adversary, run_churn, AdversaryConfig, ChurnConfig, ClockMode};
 
 const GOLDEN_COMPAT: &str = "tests/golden/adversary_report.json";
@@ -43,25 +45,7 @@ fn check_golden(clock: ClockMode, golden_path: &str) {
     assert_eq!(report, again, "same config must reproduce the report");
     let rendered = report.to_json();
 
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(golden_path);
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &rendered).unwrap();
-        eprintln!("golden file rewritten: {}", path.display());
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}); run UPDATE_GOLDEN=1 cargo test --test adversary_golden",
-            path.display()
-        )
-    });
-    if rendered != golden {
-        for (r, g) in rendered.lines().zip(golden.lines()) {
-            assert_eq!(r, g, "{clock:?} adversary report diverged from golden output");
-        }
-        assert_eq!(rendered.len(), golden.len(), "golden output length changed");
-    }
+    common::assert_golden(golden_path, &rendered);
 }
 
 #[test]
@@ -83,13 +67,17 @@ fn clock_modes_agree_on_attack_and_defense_counts() {
     let event = run_adversary(&pinned_config(ClockMode::Event)).expect("sweep runs");
     assert_eq!(compat.cells.len(), event.cells.len());
     for (c, e) in compat.cells.iter().zip(&event.cells) {
-        assert_eq!(c.attackers, e.attackers);
-        assert_eq!(c.audits_challenged, e.audits_challenged);
-        assert_eq!(c.audits_failed, e.audits_failed);
-        assert_eq!(c.forged_receipts, e.forged_receipts);
-        assert_eq!(c.quarantines, e.quarantines);
-        assert_eq!(c.stale_lookups, e.stale_lookups);
-        assert_eq!(c.hit_ratio_percent.to_bits(), e.hit_ratio_percent.to_bits());
+        for count in [
+            "attackers",
+            "audits_challenged",
+            "audits_failed",
+            "forged_receipts",
+            "quarantines",
+            "stale_lookups",
+        ] {
+            assert_eq!(c.u(count), e.u(count), "{count}");
+        }
+        assert_eq!(c.f("hit_ratio_percent").to_bits(), e.f("hit_ratio_percent").to_bits());
     }
 }
 

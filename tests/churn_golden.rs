@@ -9,6 +9,8 @@
 //! To regenerate after an *intentional* semantic change:
 //! `UPDATE_GOLDEN=1 cargo test --release --test churn_golden`.
 
+mod common;
+
 use webcache::sim::{run_churn, ChurnConfig, FaultPlan};
 
 const GOLDEN_PATH: &str = "tests/golden/churn_report.json";
@@ -55,23 +57,5 @@ fn churn_report_matches_golden() {
     let rendered = report.to_json();
     assert_eq!(rendered, again.to_json());
 
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(GOLDEN_PATH);
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &rendered).unwrap();
-        eprintln!("golden file rewritten: {}", path.display());
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}); run UPDATE_GOLDEN=1 cargo test --test churn_golden",
-            path.display()
-        )
-    });
-    if rendered != golden {
-        for (r, g) in rendered.lines().zip(golden.lines()) {
-            assert_eq!(r, g, "churn report diverged from golden output");
-        }
-        assert_eq!(rendered.len(), golden.len(), "golden output length changed");
-    }
+    common::assert_golden(GOLDEN_PATH, &rendered);
 }

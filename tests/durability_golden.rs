@@ -8,6 +8,8 @@
 //! To regenerate after an *intentional* semantic change:
 //! `UPDATE_GOLDEN=1 cargo test --release --test durability_golden`.
 
+mod common;
+
 use webcache::sim::{run_durability, ChurnConfig, ClockMode, DurabilityConfig, NetworkModel};
 
 const GOLDEN_COMPAT: &str = "tests/golden/durability_report.json";
@@ -44,25 +46,7 @@ fn check_golden(clock: ClockMode, golden_path: &str) {
     assert_eq!(report, again, "same config must reproduce the report");
     let rendered = report.to_json();
 
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(golden_path);
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &rendered).unwrap();
-        eprintln!("golden file rewritten: {}", path.display());
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}); run UPDATE_GOLDEN=1 cargo test --test durability_golden",
-            path.display()
-        )
-    });
-    if rendered != golden {
-        for (r, g) in rendered.lines().zip(golden.lines()) {
-            assert_eq!(r, g, "{clock:?} durability report diverged from golden output");
-        }
-        assert_eq!(rendered.len(), golden.len(), "golden output length changed");
-    }
+    common::assert_golden(golden_path, &rendered);
 }
 
 #[test]
@@ -85,9 +69,9 @@ fn compat_durability_report_matches_golden() {
 fn reactive_cells_never_touch_the_repair_scheduler() {
     for clock in [ClockMode::Compat, ClockMode::Event] {
         let report = run_durability(&pinned_config(clock)).expect("sweep runs");
-        for cell in report.cells.iter().filter(|c| !c.proactive) {
-            assert_eq!(cell.repair_scans, 0, "{clock:?} spread={}", cell.spread);
-            assert_eq!(cell.proactive_repairs, 0, "{clock:?} spread={}", cell.spread);
+        for cell in report.cells.iter().filter(|c| !c.b("proactive")) {
+            assert_eq!(cell.u("repair_scans"), 0, "{clock:?} spread={}", cell.b("spread"));
+            assert_eq!(cell.u("proactive_repairs"), 0, "{clock:?} spread={}", cell.b("spread"));
         }
     }
 }
@@ -100,6 +84,6 @@ fn reactive_cells_never_touch_the_repair_scheduler() {
 fn baseline_stays_fault_free_in_both_clock_modes() {
     for clock in [ClockMode::Compat, ClockMode::Event] {
         let report = run_durability(&pinned_config(clock)).expect("sweep runs");
-        assert_eq!(report.baseline_objects_lost, 0, "{clock:?}");
+        assert_eq!(report.header.u("baseline_objects_lost"), 0, "{clock:?}");
     }
 }

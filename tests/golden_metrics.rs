@@ -10,6 +10,8 @@
 //! To regenerate after an *intentional* semantic change:
 //! `UPDATE_GOLDEN=1 cargo test --release --test golden_metrics`.
 
+mod common;
+
 use std::fmt::Write as _;
 use webcache::sim::{run_experiment, ExperimentConfig, HitClass, SchemeKind};
 use webcache::workload::{ProWGen, ProWGenConfig, Trace};
@@ -100,24 +102,5 @@ fn render_all() -> String {
 #[test]
 fn run_metrics_match_golden() {
     let rendered = render_all();
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(GOLDEN_PATH);
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &rendered).unwrap();
-        eprintln!("golden file rewritten: {}", path.display());
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}); run UPDATE_GOLDEN=1 cargo test --test golden_metrics",
-            path.display()
-        )
-    });
-    if rendered != golden {
-        // Diff line-by-line so a mismatch names the scheme that moved.
-        for (r, g) in rendered.lines().zip(golden.lines()) {
-            assert_eq!(r, g, "RunMetrics diverged from golden output");
-        }
-        assert_eq!(rendered.len(), golden.len(), "golden output length changed");
-    }
+    common::assert_golden(GOLDEN_PATH, &rendered);
 }

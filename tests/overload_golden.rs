@@ -9,6 +9,8 @@
 //! To regenerate after an *intentional* semantic change:
 //! `UPDATE_GOLDEN=1 cargo test --release --test overload_golden`.
 
+mod common;
+
 use webcache::sim::{run_overload, ChurnConfig, ClockMode, NetworkModel, OverloadConfig};
 
 const GOLDEN_COMPAT: &str = "tests/golden/overload_report.json";
@@ -44,25 +46,7 @@ fn check_golden(clock: ClockMode, golden_path: &str) {
     assert_eq!(report, again, "same config must reproduce the report");
     let rendered = report.to_json();
 
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(golden_path);
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &rendered).unwrap();
-        eprintln!("golden file rewritten: {}", path.display());
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}); run UPDATE_GOLDEN=1 cargo test --test overload_golden",
-            path.display()
-        )
-    });
-    if rendered != golden {
-        for (r, g) in rendered.lines().zip(golden.lines()) {
-            assert_eq!(r, g, "{clock:?} overload report diverged from golden output");
-        }
-        assert_eq!(rendered.len(), golden.len(), "golden output length changed");
-    }
+    common::assert_golden(golden_path, &rendered);
 }
 
 #[test]
@@ -86,11 +70,11 @@ fn naive_cells_never_touch_the_defense_stack() {
     for clock in [ClockMode::Compat, ClockMode::Event] {
         let report = run_overload(&pinned_config(clock)).expect("sweep runs");
         let naive = &report.cells[0];
-        assert!(!naive.defended);
-        assert_eq!(naive.shed_percent, 0.0, "{clock:?}");
-        assert_eq!(naive.degraded_percent, 0.0, "{clock:?}");
-        assert_eq!(naive.breaker_fast_fails, 0, "{clock:?}");
-        assert_eq!(naive.retry_budget_denials, 0, "{clock:?}");
-        assert!(!naive.end_shedding, "{clock:?}");
+        assert!(!naive.b("defended"));
+        assert_eq!(naive.f("shed_percent"), 0.0, "{clock:?}");
+        assert_eq!(naive.f("degraded_percent"), 0.0, "{clock:?}");
+        assert_eq!(naive.u("breaker_fast_fails"), 0, "{clock:?}");
+        assert_eq!(naive.u("retry_budget_denials"), 0, "{clock:?}");
+        assert!(!naive.b("end_shedding"), "{clock:?}");
     }
 }

@@ -14,6 +14,8 @@
 //! To regenerate after an *intentional* semantic change:
 //! `UPDATE_GOLDEN=1 cargo test --release --test splitbrain_golden`.
 
+mod common;
+
 use std::sync::Arc;
 use webcache::sim::engine::SchemeEngine;
 use webcache::sim::hiergd::{HierGdEngine, HierGdOptions};
@@ -90,23 +92,5 @@ fn split_brain_reconciliation_matches_golden() {
     assert!(problems.is_empty(), "post-heal state is not converged: {problems:?}");
 
     // Pin the reconciled end state against the committed golden bytes.
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(GOLDEN_PATH);
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &state).unwrap();
-        eprintln!("golden file rewritten: {}", path.display());
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}); run UPDATE_GOLDEN=1 cargo test --test splitbrain_golden",
-            path.display()
-        )
-    });
-    if state != golden {
-        for (r, g) in state.lines().zip(golden.lines()) {
-            assert_eq!(r, g, "split-brain end state diverged from golden output");
-        }
-        assert_eq!(state.len(), golden.len(), "golden output length changed");
-    }
+    common::assert_golden(GOLDEN_PATH, &state);
 }

@@ -11,6 +11,8 @@
 //! after an *intentional* semantic change:
 //! `UPDATE_GOLDEN=1 cargo test --release --test transport_idempotency`.
 
+mod common;
+
 use std::sync::Arc;
 use webcache::p2p::TransportFaults;
 use webcache::primitives::seed::derive;
@@ -78,25 +80,7 @@ fn duplication_and_reordering_leave_end_state_byte_identical() {
     assert_eq!(clean, faulty, "dup/reorder transport changed the end state");
 
     // Pin the canonical end state against the committed golden bytes.
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(GOLDEN_PATH);
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &clean).unwrap();
-        eprintln!("golden file rewritten: {}", path.display());
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}); run UPDATE_GOLDEN=1 cargo test --test transport_idempotency",
-            path.display()
-        )
-    });
-    if clean != golden {
-        for (r, g) in clean.lines().zip(golden.lines()) {
-            assert_eq!(r, g, "transport end state diverged from golden output");
-        }
-        assert_eq!(clean.len(), golden.len(), "golden output length changed");
-    }
+    common::assert_golden(GOLDEN_PATH, &clean);
 }
 
 #[test]
