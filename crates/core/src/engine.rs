@@ -78,12 +78,11 @@ pub trait SchemeEngine {
         }
     }
 
-    /// Batched lookup hook: called before a wave of requests is served to
-    /// `proxy`'s cluster, letting the engine pre-resolve the DHT state the
-    /// wave will probe (grouped by responsible node) instead of paying one
-    /// lookup round-trip at a time. Must be a pure warm-up: serving the
-    /// wave afterwards has to produce byte-identical metrics and message
-    /// charges whether or not this was called. Default: no-op.
+    /// Inert shim: nothing in the simulator calls or overrides it. It was
+    /// the hook through which Hier-GD pre-resolved a wave's DHT routes
+    /// before serving it; routes are now resolved inline. It remains only
+    /// because the frozen `benchmark/` crate calls it, and goes once that
+    /// crate drops `hiergd.prepare_wave_ns_per_req`.
     fn prepare_wave(&mut self, _proxy: usize, _wave: &[Request]) {}
 
     /// Called once after the trace is exhausted, e.g. to merge message
@@ -93,12 +92,6 @@ pub trait SchemeEngine {
     /// Scheme label for reports.
     fn name(&self) -> &'static str;
 }
-
-/// Requests per [`SchemeEngine::prepare_wave`] batch. The wave models the
-/// lookahead a proxy gets from its accept queue: big enough to amortize
-/// per-node batching, small enough that the warmed state is still current
-/// when the wave is served.
-const WAVE: usize = 1024;
 
 /// Watermark load-shed policy bounding a proxy's admission queue in the
 /// event-clock engine: once a proxy's backlog (its busy horizon minus
@@ -193,11 +186,6 @@ impl<'a, E: SchemeEngine + ?Sized> Engine<'a, E> {
             round += 1;
             for (p, trace) in self.traces.iter().enumerate() {
                 if let Some(req) = trace.requests.get(cursors[p]) {
-                    if cursors[p].is_multiple_of(WAVE) {
-                        let wave = &trace.requests
-                            [cursors[p]..trace.requests.len().min(cursors[p] + WAVE)];
-                        self.scheme.prepare_wave(p, wave);
-                    }
                     cursors[p] += 1;
                     if cursors[p] < trace.requests.len() {
                         live += 1;
@@ -252,10 +240,6 @@ impl<'a, E: SchemeEngine + ?Sized> Engine<'a, E> {
                 Event::Arrival { proxy, index } => {
                     let trace = &self.traces[proxy];
                     let req = &trace.requests[index];
-                    if index.is_multiple_of(WAVE) {
-                        let wave = &trace.requests[index..trace.requests.len().min(index + WAVE)];
-                        self.scheme.prepare_wave(proxy, wave);
-                    }
                     if index + 1 < trace.requests.len() {
                         clock.schedule_in(
                             TICKS_PER_ROUND,

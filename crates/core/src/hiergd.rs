@@ -556,29 +556,6 @@ impl<R: Recorder> HierGdEngine<R> {
 }
 
 impl<R: Recorder> SchemeEngine for HierGdEngine<R> {
-    fn prepare_wave(&mut self, p: usize, wave: &[Request]) {
-        // Batched DHT lookups (§4.2 lookup traffic): resolve the wave's
-        // fetch routes grouped by entry node in one pass. Only requests
-        // that look like directory-gated P2P lookups *right now* are
-        // warmed — a request the proxy cache will absorb never routes.
-        // The filter is a heuristic (the wave itself mutates cache
-        // state), which is fine: warming is pure, and the cascade replays
-        // each route with the identical root and identical hop charge,
-        // so metrics and ledgers are byte-identical to the unbatched
-        // path.
-        let proxy = &self.proxies[p];
-        let pairs: Vec<(u32, u128)> = wave
-            .iter()
-            .filter(|r| !proxy.cache.contains(r.object))
-            .filter(|r| {
-                let oid = self.object_ids[r.object as usize];
-                proxy.p2p.directory_contains_dense(r.object as usize, oid)
-            })
-            .map(|r| (r.client, self.object_ids[r.object as usize]))
-            .collect();
-        self.proxies[p].p2p.warm_routes(pairs);
-    }
-
     fn serve(&mut self, p: usize, request: &Request) -> HitClass {
         let class = self.serve_cascade(p, request);
         // Timeout stalls accrued anywhere the cascade went (own cluster,

@@ -170,60 +170,6 @@ pub struct DestageOutcome {
     pub refreshed: bool,
 }
 
-/// Slots in the direct-mapped route memo (power of two).
-const ROUTE_MEMO_SLOTS: usize = 1 << 14;
-
-/// Fixed-size direct-mapped memo of overlay routes: (entry node, object)
-/// → (DHT root, hop count).
-///
-/// Overlay routes are pure functions of the membership, so replaying a
-/// memoized route yields the identical root and the identical message
-/// charge. A direct-mapped table is used instead of a growable map: route
-/// keys are dominated by destages whose (entry, object) pairs rarely
-/// repeat, and a hash map paid a per-miss insert plus periodic rehashes of
-/// an ever-growing table — more than the memoized hits saved. Here a miss
-/// costs one slot overwrite, memory is bounded, and hot fetch routes (same
-/// client re-requesting the same object) still hit. Colliding pairs simply
-/// evict each other, which affects speed, never results.
-#[derive(Clone, Debug)]
-struct RouteMemo {
-    slots: Vec<MemoSlot>,
-}
-
-/// One memo slot: the (entry id, object id) tag plus the (root, hops)
-/// payload.
-type MemoSlot = Option<((u128, u128), (NodeId, u32))>;
-
-impl RouteMemo {
-    fn new() -> Self {
-        RouteMemo { slots: vec![None; ROUTE_MEMO_SLOTS] }
-    }
-
-    /// Both key halves are SHA-derived and uniformly distributed, so an
-    /// XOR fold indexes as well as a real hash at a fraction of the cost.
-    /// (Slot choice affects speed only, never results: a memo hit replays
-    /// the identical root and hop charge the full walk would produce.)
-    fn slot(entry: u128, object: u128) -> usize {
-        let x = entry ^ object.rotate_left(64);
-        (x as u64 ^ (x >> 64) as u64) as usize & (ROUTE_MEMO_SLOTS - 1)
-    }
-
-    fn get(&self, entry: NodeId, object: u128) -> Option<(NodeId, u32)> {
-        match self.slots[Self::slot(entry.0, object)] {
-            Some((key, val)) if key == (entry.0, object) => Some(val),
-            _ => None,
-        }
-    }
-
-    fn put(&mut self, entry: NodeId, object: u128, root: NodeId, hops: u32) {
-        self.slots[Self::slot(entry.0, object)] = Some(((entry.0, object), (root, hops)));
-    }
-
-    fn clear(&mut self) {
-        self.slots.fill(None);
-    }
-}
-
 /// Cluster-side bookkeeping for an active network partition.
 ///
 /// The overlay tracks the membership cut ([`Overlay::start_partition`]);
@@ -414,9 +360,6 @@ pub struct P2PClientCache {
     directory: LookupDirectory,
     ledger: MessageLedger,
     resident: usize,
-    /// Memoized overlay routes, invalidated wholesale on membership change
-    /// ([`fail_node`](Self::fail_node) / [`join_node`](Self::join_node)).
-    route_memo: RouteMemo,
     /// Message-level fault state (loss, slow nodes). `None` keeps every
     /// path bit-identical to the fault-free simulator.
     faults: Option<NetFaults>,
@@ -490,7 +433,6 @@ impl P2PClientCache {
             directory,
             ledger: MessageLedger::default(),
             resident: 0,
-            route_memo: RouteMemo::new(),
             faults: None,
             fault_penalties: 0,
             limbo: FxHashMap::default(),
@@ -1180,24 +1122,10 @@ impl P2PClientCache {
     }
 
     /// Routes from `entry` to the DHT root of `object`, charging the hop
-    /// count to the ledger. Memoized when `memoize` is set: a memo hit
-    /// replays the identical root and identical hop charge the overlay
-    /// walk would produce. Fetches memoize (the same client re-requests
-    /// the same hot object often); destages do not — their (entry, object)
-    /// pairs are near-unique, so writing them to the memo only evicts the
-    /// fetch entries that do repay.
-    fn route_to_root(&mut self, entry: NodeId, object: u128, memoize: bool) -> (NodeId, usize) {
-        if memoize {
-            if let Some((root, hops)) = self.route_memo.get(entry, object) {
-                self.ledger.overlay_messages += u64::from(hops);
-                return (root, hops as usize);
-            }
-        }
+    /// count to the ledger.
+    fn route_to_root(&mut self, entry: NodeId, object: u128) -> (NodeId, usize) {
         let (root, hops) =
             self.overlay.route_hops(entry, object_key(object)).expect("entry node is live");
-        if memoize {
-            self.route_memo.put(entry, object, root, hops as u32);
-        }
         self.ledger.overlay_messages += hops as u64;
         (root, hops)
     }
@@ -1212,9 +1140,10 @@ impl P2PClientCache {
         self.node_of_client[client as usize % self.node_of_client.len()]
     }
 
-    /// Aggregate capacity (sum over nodes).
+    /// Aggregate capacity: the sum over the nodes that are live now, so
+    /// failures, crashes and quarantines shrink it and joins grow it.
     pub fn capacity(&self) -> usize {
-        self.cfg.num_nodes * self.cfg.node_capacity
+        self.overlay.len() * self.cfg.node_capacity
     }
 
     /// Objects currently resident across all nodes.
@@ -1247,40 +1176,12 @@ impl P2PClientCache {
         self.directory.contains_dense(idx).unwrap_or_else(|| self.directory.contains(object))
     }
 
-    /// Batch-resolves the overlay routes a request wave's lookups will
-    /// need, grouped by entry node, warming the route memo off the ledger
-    /// so the serve path replays them as memo hits with the identical
-    /// root and identical hop charge. This is the batched form of the
-    /// §4.2 directory lookup: instead of one independent DHT walk per
-    /// request, the wave's probes for each responsible node resolve in
-    /// one pass. Pure warming — no ledger charges, no store or directory
-    /// mutations — and a no-op under faults (membership changes would
-    /// invalidate the warm immediately).
-    pub fn warm_routes(&mut self, wave: impl IntoIterator<Item = (u32, u128)>) {
-        if self.fault_mode() {
-            return;
-        }
-        // Group by entry node so each node's routes resolve back-to-back
-        // (one batch of probes per responsible node, and warm locality in
-        // its routing state). Pairs already memoized are skipped.
-        let mut by_entry: Vec<(u128, u128)> = Vec::new();
-        for (client, object) in wave {
-            let Some(entry) = self.entry_for_client(client) else {
-                return;
-            };
-            if self.route_memo.get(entry, object).is_none() {
-                by_entry.push((entry.0, object));
-            }
-        }
-        by_entry.sort_unstable();
-        by_entry.dedup();
-        for (entry, object) in by_entry {
-            let entry = NodeId(entry);
-            let (root, hops) =
-                self.overlay.route_hops(entry, object_key(object)).expect("entry node is live");
-            self.route_memo.put(entry, object, root, hops as u32);
-        }
-    }
+    /// Inert shim: does nothing and does not read `wave`. It used to
+    /// pre-resolve a request wave's overlay routes into a route memo;
+    /// [`fetch`](Self::fetch) now walks the overlay inline. It remains
+    /// only because the frozen `benchmark/` crate calls it, and goes once
+    /// that crate drops `p2p.warm_routes_ns_per_key`.
+    pub fn warm_routes(&mut self, _wave: impl IntoIterator<Item = (u32, u128)>) {}
 
     /// Immutable access to the lookup directory (for memory accounting).
     pub fn directory(&self) -> &LookupDirectory {
@@ -1368,7 +1269,7 @@ impl P2PClientCache {
                 self.ledger.new_connections += 1;
             }
         }
-        let (root, hops) = self.route_to_root(entry, object, false);
+        let (root, hops) = self.route_to_root(entry, object);
         let free_nodes = match self.space_hint {
             Some(n) => n,
             None => self.recount_space(),
@@ -1721,7 +1622,7 @@ impl P2PClientCache {
             return self.fetch_churn(client, object, hit_cost, sink);
         }
         let from = self.entry_for_client(client)?;
-        let (root, hops) = self.route_to_root(from, object, true);
+        let (root, hops) = self.route_to_root(from, object);
         match self.holder_of(root, object) {
             Some(holder) => {
                 let extra = usize::from(holder != root);
@@ -1856,7 +1757,6 @@ impl P2PClientCache {
             return Err(P2pError::UnknownNode(id));
         };
         self.overlay.fail(id).expect("overlay membership mirrors the node map");
-        self.route_memo.clear();
         if let Some(f) = self.faults.as_mut() {
             f.clear_slow(id);
         }
@@ -1964,7 +1864,6 @@ impl P2PClientCache {
             // Already reclaimed (two walks can detect the same crash).
             return;
         };
-        self.route_memo.clear();
         if let Some(f) = self.faults.as_mut() {
             f.clear_slow(dead);
         }
@@ -2863,8 +2762,6 @@ impl P2PClientCache {
         if let Some(f) = self.faults.as_mut() {
             f.clear_slow(id);
         }
-        // Membership changed: every memoized route may now be wrong.
-        self.route_memo.clear();
         if self.nodes.is_empty() {
             // Last node gone: no entry points remain and exact remove
             // pairing is impossible, so flush wholesale.
@@ -2936,8 +2833,6 @@ impl P2PClientCache {
             }
         }
         self.node_of_client.push(id);
-        // Membership changed: every memoized route may now be wrong.
-        self.route_memo.clear();
 
         // Re-home keys whose closest node is now the newcomer, carrying
         // their greedy-dual credit along as the insertion cost.
@@ -3140,7 +3035,6 @@ impl P2PClientCache {
         if !self.overlay.start_partition(live[..cut].iter().map(|&k| NodeId(k))) {
             return false;
         }
-        self.route_memo.clear();
         // Clients reach the cluster through the proxy, which sits on
         // island A: remap every entry point stranded across the cut.
         let anchor = NodeId(live[0]);
@@ -3306,7 +3200,6 @@ impl P2PClientCache {
             }
         }
         self.overlay.heal_partition();
-        self.route_memo.clear();
 
         // The merged ring invalidates every replica set: scrub them
         // wholesale (crash casualties in limbo keep theirs — lazy
@@ -3918,47 +3811,41 @@ mod tests {
     }
 
     #[test]
-    fn route_memo_hits_are_bit_identical_and_invalidated_on_churn() {
-        // Replaying a fetch must hit the memo and charge the identical
-        // hop cost, yielding the identical outcome.
-        let mut warm = small(10, 3);
-        for i in 0..20u64 {
-            warm.destage(oid(i), 1.0, Some(0)).unwrap();
+    fn fetches_charge_the_overlay_walk_and_reroute_after_churn() {
+        // A fetch charges the overlay walk from the client's entry node
+        // to the object's live owner (plus one hop when a diversion
+        // pointer is followed), and a live node serves it.
+        fn fetch_checked(c: &mut P2PClientCache, client: u32, o: u128) -> FetchOutcome {
+            let key = object_key(o);
+            let (root, walk) = c.overlay.route_hops(c.node_for_client(client), key).unwrap();
+            assert_eq!(Some(root), c.overlay.owner_of(key), "route ends at the live owner");
+            let before = c.ledger().overlay_messages;
+            let out = c.fetch(client, o, 1.0).expect("directory-resident object fetchable");
+            assert_eq!(out.hops, walk + usize::from(out.holder != root));
+            assert_eq!(c.ledger().overlay_messages - before, out.hops as u64);
+            assert!(c.node(out.holder).is_some(), "holder must be live");
+            out
         }
-        let lookups_before = warm.ledger().overlay_messages;
-        let out_a = warm.fetch(1, oid(5), 1.0);
-        let first_cost = warm.ledger().overlay_messages - lookups_before;
-        let mid = warm.ledger().overlay_messages;
-        let out_b = warm.fetch(1, oid(5), 1.0); // memoized route
-        let second_cost = warm.ledger().overlay_messages - mid;
-        assert_eq!(out_a, out_b, "memoized fetch outcome changed");
-        assert_eq!(first_cost, second_cost, "memo must charge identical hops");
-
-        // Failing a node clears the memo: routes targeting the dead node
-        // must re-resolve to a live root instead of replaying stale memos.
-        let victim = warm.node_ids().next().unwrap();
-        warm.fail_node(victim).unwrap();
+        let resident = |c: &P2PClientCache| -> Vec<u128> {
+            (0..20).map(oid).filter(|&o| c.directory_contains(o)).collect()
+        };
+        let mut c = small(10, 3);
         for i in 0..20u64 {
-            let o = oid(i);
-            if warm.directory_contains(o) {
-                let f = warm.fetch(2, o, 1.0).expect("directory-resident object fetchable");
-                assert_ne!(f.holder, victim, "route led to a failed node");
-            }
+            c.destage(oid(i), 1.0, Some(0)).unwrap();
         }
-        assert!(warm.check_invariants().is_empty());
-
-        // Joining changes ownership; memoized roots must be recomputed
-        // and migration keeps every directory-resident object reachable
-        // through routing.
-        let newcomer = NodeId::from_bytes(b"late-joining-cache-node");
-        warm.join_node(newcomer);
-        for i in 0..20u64 {
-            let o = oid(i);
-            if warm.directory_contains(o) {
-                assert!(warm.fetch(3, o, 1.0).is_some());
-            }
+        let (first, second) = (fetch_checked(&mut c, 1, oid(5)), fetch_checked(&mut c, 1, oid(5)));
+        assert_eq!(first, second, "identical fetches, identical outcomes");
+        // Membership changes move ownership; routes follow at once.
+        let victim = c.node_ids().next().unwrap();
+        c.fail_node(victim).unwrap();
+        for o in resident(&c) {
+            assert_ne!(fetch_checked(&mut c, 2, o).holder, victim, "route led to a failed node");
         }
-        assert!(warm.check_invariants().is_empty());
+        c.join_node(NodeId::from_bytes(b"late-joining-cache-node"));
+        for o in resident(&c) {
+            fetch_checked(&mut c, 3, o);
+        }
+        assert!(c.check_invariants().is_empty());
     }
 
     #[test]
@@ -4065,6 +3952,20 @@ mod tests {
         assert_eq!(c.capacity(), 70);
         assert_eq!(c.node_for_client(0), c.node_for_client(10));
         assert_ne!(c.node_for_client(0), c.node_for_client(1));
+    }
+
+    #[test]
+    fn capacity_follows_live_membership() {
+        let mut c = small(10, 7);
+        let victim = c.node_ids().next().unwrap();
+        c.fail_node(victim).unwrap();
+        c.join_node(NodeId::from_bytes(b"capacity-joiner-1"));
+        c.join_node(NodeId::from_bytes(b"capacity-joiner-2"));
+        assert_eq!(c.capacity(), 77, "one fail and two joins: 11 live nodes of 7");
+        // A silent crash takes the machine's space away, detected or not.
+        let corpse = c.node_ids().next().unwrap();
+        c.crash_node(corpse).unwrap();
+        assert_eq!(c.capacity(), 70);
     }
 
     proptest::proptest! {
@@ -4291,8 +4192,8 @@ mod tests {
         let (churn_ledger, churn_len, churn_served) = drive(true);
         assert_eq!(plain_len, churn_len);
         assert_eq!(plain_served, churn_served);
-        // Route memoization only runs on the plain path, but a memo hit
-        // replays identical hops, so the ledgers must agree exactly.
+        // Both paths walk the same overlay, so the ledgers must agree
+        // exactly.
         assert_eq!(plain_ledger, churn_ledger);
     }
 

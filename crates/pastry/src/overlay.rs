@@ -437,7 +437,9 @@ impl Overlay {
         }
         for m in x.leaf_members() {
             if let Some(ms) = self.nodes.get(&m.0) {
-                for peer in ms.known_nodes() {
+                // Repeats are harmless: `consider_for_table` is first-wins
+                // and first occurrences come in `known_nodes` order.
+                for peer in ms.known_iter() {
                     if peer != new_id && !self.is_crashed(peer) {
                         x.consider_for_table(peer);
                     }
@@ -1212,6 +1214,24 @@ mod tests {
     }
 
     #[test]
+    fn thousand_node_tables_stay_sparse() {
+        // Only about log16(N) rows can hold an entry, which is what makes
+        // allocating rows on first insert pay (measured: mean 3.2, max 5).
+        let o = build(1000, 31);
+        let populated = |id| {
+            let s: &NodeState = o.state(id).expect("live node");
+            (0..32).filter(|&r| s.table_row(r).iter().any(Option::is_some)).count()
+        };
+        let rows: Vec<usize> = o.node_ids().map(populated).collect();
+        assert!(rows.iter().sum::<usize>() <= 4 * rows.len(), "mean above 4 populated rows");
+        assert!(
+            rows.iter().all(|&n| n <= 6),
+            "a node holds {:?} populated rows",
+            rows.iter().max()
+        );
+    }
+
+    #[test]
     fn route_from_unknown_node_is_none() {
         let o = build(4, 12);
         assert!(o.route(NodeId(0xDEAD), NodeId(1)).is_none() || o.contains(NodeId(0xDEAD)));
@@ -1381,6 +1401,19 @@ mod tests {
             let o = build(n, seed);
             let problems = o.check_invariants();
             proptest::prop_assert!(problems.is_empty(), "{:?}", problems);
+            // The allocation-free walk the join and the routes use sees
+            // what the deduplicated list sees, in the same order.
+            for s in o.node_ids().map(|id| o.state(id).expect("live node")) {
+                let mut firsts: Vec<NodeId> = Vec::new();
+                for n in s.known_iter() {
+                    if !firsts.contains(&n) {
+                        firsts.push(n);
+                    }
+                }
+                proptest::prop_assert_eq!(firsts, s.known_nodes());
+                let by_row: usize = (0..32).map(|r| s.table_row(r).iter().flatten().count()).sum();
+                proptest::prop_assert_eq!(s.table_population(), by_row);
+            }
             let mut rng = SmallRng::seed_from_u64(seed ^ 0xABCD);
             let froms: Vec<NodeId> = o.node_ids().collect();
             for _ in 0..20 {

@@ -46,6 +46,10 @@ impl PastryConfig {
     }
 }
 
+/// What [`NodeState::table_row`] hands out for a row that never held an
+/// entry; `validate` caps `cols()` at 2^8.
+static EMPTY_ROW: [Option<NodeId>; 256] = [None; 256];
+
 /// Routing state of a single Pastry node.
 #[derive(Clone, Debug)]
 pub struct NodeState {
@@ -55,9 +59,12 @@ pub struct NodeState {
     leaf_cw: Vec<NodeId>,
     /// Up to `l/2` nearest nodes counter-clockwise, ordered nearest-first.
     leaf_ccw: Vec<NodeId>,
-    /// `digits() × cols()` table; `table[r][c]` holds a node sharing `r`
-    /// digits of prefix with `id` whose digit `r` is `c`.
-    table: Vec<Option<NodeId>>,
+    /// `rows[r][c]` holds a node sharing `r` digits of prefix with `id`
+    /// whose digit `r` is `c`. A row is allocated (`cols()` wide) by the
+    /// first insert into it — until then it is empty or past the end —
+    /// because only about `log_2^b N` of the `digits()` rows ever hold an
+    /// entry: ~1.5 KB per node at 1,000 nodes instead of a dense 16 KB.
+    rows: Vec<Vec<Option<NodeId>>>,
     /// The distinct leaf-set members plus self, sorted by clockwise
     /// position from `id` — rebuilt eagerly on every leaf mutation
     /// (join/churn time) so the per-hop [`closest_in_leaf`] probe is a
@@ -86,7 +93,7 @@ impl NodeState {
             id,
             leaf_cw: Vec::with_capacity(cfg.leaf_set_size / 2),
             leaf_ccw: Vec::with_capacity(cfg.leaf_set_size / 2),
-            table: vec![None; cfg.digits() * cfg.cols()],
+            rows: Vec::new(),
             arc: vec![(0, id)],
             covers_all: true,
             cover_add: 0,
@@ -105,13 +112,9 @@ impl NodeState {
         &self.cfg
     }
 
-    fn slot(&self, row: usize, col: usize) -> usize {
-        row * self.cfg.cols() + col
-    }
-
     /// Routing-table entry at (`row`, `col`).
     pub fn table_entry(&self, row: usize, col: usize) -> Option<NodeId> {
-        self.table[self.slot(row, col)]
+        *self.rows.get(row)?.get(col)?
     }
 
     /// The routing-table slot a peer belongs in: row = shared prefix
@@ -128,23 +131,30 @@ impl NodeState {
     /// Records `peer` in the routing table if its slot is empty.
     /// Returns true if the table changed.
     pub fn consider_for_table(&mut self, peer: NodeId) -> bool {
-        if let Some((row, col)) = self.slot_for(peer) {
-            let s = self.slot(row, col);
-            if self.table[s].is_none() {
-                self.table[s] = Some(peer);
-                return true;
-            }
+        let Some((row, col)) = self.slot_for(peer) else {
+            return false;
+        };
+        if self.table_entry(row, col).is_some() {
+            return false;
         }
-        false
+        if self.rows.len() <= row {
+            self.rows.resize_with(row + 1, Vec::new);
+        }
+        // Allocates the row on its first insert; a no-op afterwards.
+        self.rows[row].resize(self.cfg.cols(), None);
+        self.rows[row][col] = Some(peer);
+        true
     }
 
-    /// Removes `peer` from the routing table wherever it appears.
-    pub fn remove_from_table(&mut self, peer: NodeId) {
-        if let Some((row, col)) = self.slot_for(peer) {
-            let s = self.slot(row, col);
-            if self.table[s] == Some(peer) {
-                self.table[s] = None;
+    /// Removes `peer` from the routing table (it can only sit in its own
+    /// slot); returns true if it was there.
+    pub fn remove_from_table(&mut self, peer: NodeId) -> bool {
+        match self.slot_for(peer) {
+            Some((row, col)) if self.table_entry(row, col) == Some(peer) => {
+                self.rows[row][col] = None;
+                true
             }
+            _ => false,
         }
     }
 
@@ -212,17 +222,7 @@ impl NodeState {
     /// which is what decides whether this node would gossip the repair.
     pub fn purge(&mut self, dead: NodeId) -> bool {
         let in_leaf = self.remove_from_leaf(dead);
-        let in_table = if let Some((row, col)) = self.slot_for(dead) {
-            let s = self.slot(row, col);
-            if self.table[s] == Some(dead) {
-                self.table[s] = None;
-                true
-            } else {
-                false
-            }
-        } else {
-            false
-        };
+        let in_table = self.remove_from_table(dead);
         in_leaf || in_table
     }
 
@@ -240,7 +240,7 @@ impl NodeState {
             self.rebuild_arc();
         }
         let mut changed = leaf_changed;
-        for e in self.table.iter_mut() {
+        for e in self.rows.iter_mut().flatten() {
             if let Some(peer) = *e {
                 if pred(peer) {
                     *e = None;
@@ -391,7 +391,7 @@ impl NodeState {
     /// All nodes this state knows about (leaf set + routing table).
     pub fn known_nodes(&self) -> Vec<NodeId> {
         let mut v = self.leaf_members();
-        for e in self.table.iter().flatten() {
+        for e in self.rows.iter().flatten().flatten() {
             if !v.contains(e) {
                 v.push(*e);
             }
@@ -409,18 +409,21 @@ impl NodeState {
             .iter()
             .chain(self.leaf_ccw.iter())
             .copied()
-            .chain(self.table.iter().filter_map(|e| *e))
+            .chain(self.rows.iter().flatten().filter_map(|e| *e))
     }
 
-    /// Routing-table row `row` as a slice of options.
+    /// Routing-table row `row` as a slice of `cols()` options; a row
+    /// that never held an entry reads as a shared all-`None` slice.
     pub fn table_row(&self, row: usize) -> &[Option<NodeId>] {
-        let c = self.cfg.cols();
-        &self.table[row * c..(row + 1) * c]
+        match self.rows.get(row) {
+            Some(r) if !r.is_empty() => r,
+            _ => &EMPTY_ROW[..self.cfg.cols()],
+        }
     }
 
     /// Number of populated routing-table entries.
     pub fn table_population(&self) -> usize {
-        self.table.iter().filter(|e| e.is_some()).count()
+        self.rows.iter().flatten().flatten().count()
     }
 }
 
@@ -564,6 +567,42 @@ mod tests {
         assert!(!s.purge_where(|n| n == far), "second sweep finds nothing");
     }
 
+    /// A peer sharing exactly `row` digits (b = 4) with `me`: digit `row`
+    /// is flipped by `flip` (1..16) and everything below comes from `low`.
+    fn peer_in_row(me: NodeId, row: usize, flip: u8, low: u128) -> NodeId {
+        let shift = 124 - 4 * row as u32;
+        let below = (1u128 << shift) - 1;
+        id(((me.0 ^ (u128::from(flip) << shift)) & !below) | (low & below))
+    }
+
+    #[test]
+    fn sparse_rows_read_empty_and_survive_insert_remove_purge() {
+        let me = id(0xAB00_0000_0000_0000_0000_0000_0000_0000);
+        let mut s = NodeState::new(me, cfg());
+        let (deep, shallow) = (peer_in_row(me, 6, 2, 1), peer_in_row(me, 0, 9, 2));
+        // Nothing allocated yet: every row reads as `cols()` empty slots
+        // and removals find nothing.
+        assert_eq!(s.table_row(31), vec![None; 16].as_slice());
+        assert_eq!(
+            NodeState::new(me, PastryConfig { b: 8, leaf_set_size: 4 }).table_row(15).len(),
+            256
+        );
+        assert_eq!((s.table_entry(6, 2), s.table_population()), (None, 0));
+        assert!(!s.remove_from_table(deep) && !s.purge(deep) && !s.purge_where(|_| true));
+        // An insert into row 6 leaves the rows around it unallocated.
+        assert!(s.consider_for_table(deep) && s.consider_for_table(shallow));
+        assert_eq!(s.table_row(6)[2], Some(deep));
+        assert_eq!(s.table_row(3), vec![None; 16].as_slice());
+        assert_eq!(s.known_nodes(), vec![shallow, deep], "row-major order");
+        // Only the slot's occupant can be removed, and only once.
+        let rival = peer_in_row(me, 6, 2, 99);
+        assert!(!s.remove_from_table(rival));
+        assert!(s.remove_from_table(deep) && !s.remove_from_table(deep));
+        assert!(s.consider_for_table(rival), "the emptied row takes a new entry");
+        assert!(s.purge_where(|n| n == rival || n == shallow));
+        assert!(s.table_population() == 0 && !s.purge_where(|_| true));
+    }
+
     proptest::proptest! {
         /// The binary-search `closest_in_leaf` agrees with the exhaustive
         /// scan for every leaf-set shape, including overlapping sides on
@@ -593,6 +632,70 @@ mod tests {
                 let expect = if s.leaf_covers(id(k)) { Some(s.closest_in_leaf(id(k))) } else { None };
                 proptest::prop_assert_eq!(s.leaf_route(id(k)), expect);
             }
+        }
+
+        /// The sparse table against a dense `digits × cols` model under
+        /// random inserts, removals and sweeps: every slot, every row,
+        /// the population and the row-major walk agree.
+        #[test]
+        fn sparse_table_matches_a_dense_model(
+            me in proptest::prelude::any::<u128>(),
+            leaf in proptest::collection::vec(proptest::prelude::any::<u128>(), 0..6),
+            // (op, row, flip, low): op 0..4 inserts, 4 removes, 5 sweeps.
+            ops in proptest::collection::vec(
+                (0u8..6, 0usize..32, 1u8..16, proptest::prelude::any::<u128>()),
+                0..48,
+            ),
+        ) {
+            let me = id(me);
+            let mut s = NodeState::new(me, cfg());
+            let mut dense: Vec<Option<NodeId>> = vec![None; 32 * 16];
+            for &p in &leaf {
+                s.consider_for_leaf(id(p));
+            }
+            for &(op, row, flip, low) in &ops {
+                let peer = peer_in_row(me, row, flip, low);
+                let (r, c) = s.slot_for(peer).expect("never self");
+                proptest::prop_assert_eq!(r, row);
+                let slot = &mut dense[r * 16 + c];
+                match op {
+                    0..=3 => {
+                        let took = slot.is_none();
+                        if took {
+                            *slot = Some(peer);
+                        }
+                        proptest::prop_assert_eq!(s.consider_for_table(peer), took);
+                    }
+                    4 => {
+                        let held = *slot == Some(peer);
+                        if held {
+                            *slot = None;
+                        }
+                        proptest::prop_assert_eq!(s.remove_from_table(peer), held);
+                    }
+                    _ => {
+                        // Sweep a third of the id space out of both halves.
+                        let doomed = |n: NodeId| n.0 % 3 == low % 3;
+                        let mut hit = false;
+                        for e in dense.iter_mut().filter(|e| e.is_some_and(doomed)) {
+                            *e = None;
+                            hit = true;
+                        }
+                        hit |= s.leaf_members().into_iter().any(doomed);
+                        proptest::prop_assert_eq!(s.purge_where(doomed), hit);
+                    }
+                }
+            }
+            for r in 0..32 {
+                proptest::prop_assert_eq!(s.table_row(r), &dense[r * 16..(r + 1) * 16]);
+                for c in 0..16 {
+                    proptest::prop_assert_eq!(s.table_entry(r, c), dense[r * 16 + c]);
+                }
+            }
+            proptest::prop_assert_eq!(s.table_population(), dense.iter().flatten().count());
+            // The row-major walk yields exactly the model's entries.
+            let walked: Vec<NodeId> = s.known_iter().skip(s.leaf_cw().len() + s.leaf_ccw().len()).collect();
+            proptest::prop_assert_eq!(walked, dense.iter().flatten().copied().collect::<Vec<_>>());
         }
     }
 

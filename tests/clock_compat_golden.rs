@@ -47,10 +47,6 @@ fn analytic_reference<E: SchemeEngine + ?Sized>(
         let mut live = 0;
         for (p, t) in traces.iter().enumerate() {
             let Some(req) = t.requests.get(cursors[p]) else { continue };
-            if cursors[p].is_multiple_of(1024) {
-                let wave = &t.requests[cursors[p]..t.requests.len().min(cursors[p] + 1024)];
-                engine.prepare_wave(p, wave);
-            }
             cursors[p] += 1;
             live += 1;
             let admission = engine.admit(p, req);
