@@ -34,22 +34,25 @@
 use crate::engine::SchemeEngine;
 use crate::net::{HitClass, NetworkModel};
 use crate::site::SiteTier;
-use webcache_policy::{BoundedCache, NotBeneficial, ValueCache};
-use webcache_primitives::FxHashMap;
+use webcache_policy::{BoundedCache, DenseIndex, NotBeneficial, ValueCache};
 use webcache_workload::{ObjectId, Request, Trace};
+
+/// One value-ordered tier. Trace object ids are dense (`0..num_objects`),
+/// so the key → slot index is a plain array rather than a hash table.
+type Tier = ValueCache<ObjectId, DenseIndex>;
 
 /// One proxy's storage in the FC cluster.
 #[derive(Clone, Debug)]
 struct CbSite {
-    proxy: ValueCache<ObjectId>,
-    p2p: Option<ValueCache<ObjectId>>,
+    proxy: Tier,
+    p2p: Option<Tier>,
 }
 
 impl CbSite {
     fn new(proxy_capacity: usize, p2p_capacity: usize) -> Self {
         CbSite {
-            proxy: ValueCache::new(proxy_capacity.max(1)),
-            p2p: (p2p_capacity > 0).then(|| ValueCache::new(p2p_capacity)),
+            proxy: Tier::with_index(proxy_capacity.max(1)),
+            p2p: (p2p_capacity > 0).then(|| Tier::with_index(p2p_capacity)),
         }
     }
 
@@ -121,12 +124,58 @@ impl CbSite {
     }
 }
 
+/// object → proxies currently holding a copy, in the order the copies
+/// were placed (a removal moves the last holder into the gap). One flat
+/// table indexed by object: row `o` is `[count, holder₀, holder₁, …]`, so
+/// a first or last copy neither allocates nor frees.
+#[derive(Clone, Debug)]
+struct HolderTable {
+    /// Row width: one count byte plus one slot per proxy.
+    stride: usize,
+    rows: Vec<u8>,
+}
+
+impl HolderTable {
+    fn new(num_objects: usize, num_proxies: usize) -> Self {
+        let stride = num_proxies + 1;
+        HolderTable { stride, rows: vec![0; num_objects * stride] }
+    }
+
+    fn row_mut(&mut self, object: ObjectId) -> &mut [u8] {
+        &mut self.rows[object as usize * self.stride..][..self.stride]
+    }
+
+    /// The proxies holding `object`, oldest placement first.
+    fn get(&self, object: ObjectId) -> &[u8] {
+        let row = &self.rows[object as usize * self.stride..];
+        &row[1..=row[0] as usize]
+    }
+
+    /// Appends `proxy` to `object`'s holders.
+    fn push(&mut self, object: ObjectId, proxy: u8) {
+        let row = self.row_mut(object);
+        debug_assert!(!row[1..=row[0] as usize].contains(&proxy));
+        row[0] += 1;
+        row[row[0] as usize] = proxy;
+    }
+
+    /// Removes `proxy` from `object`'s holders; the last holder takes its
+    /// place.
+    fn swap_remove(&mut self, object: ObjectId, proxy: u8) {
+        let row = self.row_mut(object);
+        let n = row[0] as usize;
+        let pos = 1 + row[1..=n].iter().position(|&h| h == proxy).expect("holder recorded");
+        row[pos] = row[n];
+        row[0] -= 1;
+    }
+}
+
 /// FC / FC-EC engine.
 #[derive(Clone, Debug)]
 pub struct CostBenefitEngine {
     sites: Vec<CbSite>,
     /// object -> proxies currently holding a copy (either tier).
-    holders: FxHashMap<ObjectId, Vec<u8>>,
+    holders: HolderTable,
     /// Perfect per-object frequency knowledge (request counts).
     freq: Vec<f64>,
     first_copy_factor: f64,
@@ -158,7 +207,7 @@ impl CostBenefitEngine {
         let p = num_proxies as f64;
         CostBenefitEngine {
             sites: (0..num_proxies).map(|_| CbSite::new(proxy_capacity, p2p_capacity)).collect(),
-            holders: FxHashMap::default(),
+            holders: HolderTable::new(num_objects, num_proxies),
             freq,
             first_copy_factor: net.ts + (p - 1.0) * (net.ts - net.tc),
             extra_copy_factor: net.tc,
@@ -178,36 +227,28 @@ impl CostBenefitEngine {
     /// Registers that `proxy` now holds a copy; fixes the values of other
     /// copies after the count transition.
     fn add_holder(&mut self, object: ObjectId, proxy: usize) {
-        let holders = self.holders.entry(object).or_default();
-        debug_assert!(!holders.contains(&(proxy as u8)));
-        holders.push(proxy as u8);
-        if holders.len() == 2 {
+        self.holders.push(object, proxy as u8);
+        if let [other, _] = *self.holders.get(object) {
             // The previously lone copy is no longer marginal-first.
-            let other = holders[0] as usize;
             let v = self.value(object, 2);
-            self.sites[other].set_value(object, v);
+            self.sites[other as usize].set_value(object, v);
         }
     }
 
     /// Registers that `proxy` dropped its copy; restores the lone
     /// survivor's value if the count fell to one.
     fn remove_holder(&mut self, object: ObjectId, proxy: usize) {
-        let holders = self.holders.get_mut(&object).expect("displaced copy was tracked");
-        let pos = holders.iter().position(|&h| h == proxy as u8).expect("holder recorded");
-        holders.swap_remove(pos);
-        if holders.len() == 1 {
-            let survivor = holders[0] as usize;
+        self.holders.swap_remove(object, proxy as u8);
+        if let [survivor] = *self.holders.get(object) {
             let v = self.value(object, 1);
-            self.sites[survivor].set_value(object, v);
-        } else if holders.is_empty() {
-            self.holders.remove(&object);
+            self.sites[survivor as usize].set_value(object, v);
         }
     }
 
     /// Attempts to place a new copy at `proxy`, maintaining cluster
     /// bookkeeping.
     fn try_place(&mut self, object: ObjectId, proxy: usize) {
-        let existing = self.holders.get(&object).map_or(0, Vec::len);
+        let existing = self.holders.get(object).len();
         let value = self.value(object, existing + 1);
         if let Ok(displaced) = self.sites[proxy].insert(object, value) {
             self.add_holder(object, proxy);
@@ -224,7 +265,7 @@ impl CostBenefitEngine {
 
     /// Copies of `object` in the cluster (tests).
     pub fn copies_of(&self, object: ObjectId) -> usize {
-        self.holders.get(&object).map_or(0, Vec::len)
+        self.holders.get(object).len()
     }
 }
 
@@ -238,12 +279,9 @@ impl SchemeEngine for CostBenefitEngine {
             };
         }
         // A copy elsewhere in the cluster?
-        let remote = self
-            .holders
-            .get(&object)
-            .and_then(|hs| hs.first().copied())
-            .map(|q| (q as usize, self.sites[q as usize].tier_of(object)));
-        if let Some((_, Some(tier))) = remote {
+        let remote =
+            self.holders.get(object).first().and_then(|&q| self.sites[q as usize].tier_of(object));
+        if let Some(tier) = remote {
             self.try_place(object, proxy);
             return match tier {
                 SiteTier::Proxy => HitClass::CoopProxy,
@@ -329,8 +367,8 @@ mod tests {
         let net = NetworkModel::default();
         let mut fce = CostBenefitEngine::new(2, 25, 0, &net, &ts);
         let _ = run(&mut fce, &ts, &net);
-        let dup: usize = fce.holders.values().filter(|h| h.len() > 1).count();
-        let total: usize = fce.holders.len();
+        let held = |min: usize| (0..1_000).filter(|&o| fce.copies_of(o) >= min).count();
+        let (dup, total) = (held(2), held(1));
         assert!(total > 0);
         assert!((dup as f64) < 0.5 * total as f64, "{dup}/{total} objects duplicated");
     }
@@ -379,7 +417,53 @@ mod tests {
         let _ = run(&mut e, &ts, &net);
         assert!(e.resident_copies() <= 3 * 30);
         // holders bookkeeping matches the sites.
-        let tracked: usize = e.holders.values().map(Vec::len).sum();
+        let tracked: usize = (0..1_000).map(|o| e.copies_of(o)).sum();
         assert_eq!(tracked, e.resident_copies());
+    }
+
+    #[test]
+    fn holder_table_tracks_the_sites_in_placement_order() {
+        // Reference: the `Vec` of holders per object the table replaced,
+        // fed only by what the sites show. A serve changes membership at
+        // the serving proxy alone: at most one copy placed, then at most
+        // one displaced — the order `try_place` books them in.
+        let ts = traces(3, 10_000);
+        let net = NetworkModel::default();
+        let mut e = CostBenefitEngine::new(3, 40, 20, &net, &ts);
+        let keys = |site: &CbSite| -> Vec<ObjectId> {
+            let p2p = site.p2p.iter().flat_map(|c| c.keys_by_value());
+            site.proxy.keys_by_value().chain(p2p).collect()
+        };
+        let mut model: Vec<Vec<u8>> = vec![Vec::new(); 1_000];
+        let (mut removals, mut reordered) = (0, 0);
+        for i in 0..10_000 {
+            for (proxy, t) in ts.iter().enumerate() {
+                let request = t.requests[i];
+                let before = keys(&e.sites[proxy]);
+                e.serve(proxy, &request);
+                let after = keys(&e.sites[proxy]);
+                for &o in after.iter().filter(|o| !before.contains(o)) {
+                    model[o as usize].push(proxy as u8);
+                }
+                for &o in before.iter().filter(|o| !after.contains(o)) {
+                    let hs = &mut model[o as usize];
+                    let pos = hs.iter().position(|&h| h == proxy as u8).expect("was a holder");
+                    // `swap_remove` and `remove` differ from here on.
+                    reordered += usize::from(pos + 2 < hs.len());
+                    hs.swap_remove(pos);
+                    removals += 1;
+                }
+                let o = request.object;
+                assert_eq!(e.holders.get(o), model[o as usize], "request {i} at {proxy}");
+            }
+        }
+        for (o, hs) in model.iter().enumerate() {
+            assert_eq!(e.holders.get(o as ObjectId), hs, "object {o}");
+            for (p, site) in e.sites.iter().enumerate() {
+                assert_eq!(hs.contains(&(p as u8)), site.contains(o as ObjectId));
+            }
+        }
+        assert!(removals > 100, "only {removals} removals");
+        assert!(reordered > 0, "no removal ever reordered the survivors");
     }
 }

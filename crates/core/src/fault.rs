@@ -1346,7 +1346,8 @@ pub(crate) fn drive(
     if plan.has_transport() {
         engine.set_client_transport(0, plan.transport_faults());
     }
-    if plan.has_adversary() {
+    let adversarial = plan.has_adversary();
+    if adversarial {
         // The adversary stream is label-separated from target selection,
         // per-hop loss and the transport, so arming the defense never
         // reshuffles which machines the other faults hit.
@@ -1627,18 +1628,22 @@ pub(crate) fn drive(
                 // only when traffic walked into the corpse and repair ran.
                 // Detection latency stays in request-index units in both
                 // modes (cache dynamics are identical at admission time).
-                if !outstanding.is_empty() {
-                    let still: Vec<u128> = engine.p2p(0).crashed_ids().map(|n| n.0).collect();
-                    let detected_now: Vec<u128> =
-                        outstanding.keys().filter(|k| !still.contains(k)).copied().collect();
-                    for key in detected_now {
-                        let crashed_at =
-                            outstanding.remove(&key).expect("key came from outstanding");
+                // Every crash enters `outstanding` as it enters the
+                // overlay's crashed set (`apply_action` is the only path
+                // to either), so equal sizes mean nothing was detected
+                // this round — the common case, decided without a scan.
+                let p2p = engine.p2p(0);
+                if outstanding.len() != p2p.crashed_len() {
+                    outstanding.retain(|&key, &mut crashed_at| {
+                        if p2p.crashed_ids().any(|n| n.0 == key) {
+                            return true;
+                        }
                         out.detections.push(i as u64 - crashed_at);
                         // Acceptance criterion: the structure must be clean
                         // at every detection point.
-                        out.invariant_violations += engine.p2p(0).check_invariants().len() as u64;
-                    }
+                        out.invariant_violations += p2p.check_invariants().len() as u64;
+                        false
+                    });
                 }
 
                 // Quarantine replacement: an expelled machine gets
@@ -1648,8 +1653,8 @@ pub(crate) fn drive(
                 // fresh ids come from the same picks stream as scheduled
                 // rejoins; adversary-free plans never quarantine, so
                 // their draw sequences are untouched.
-                if plan.has_adversary() {
-                    let q = engine.p2p(0).quarantined_ids().len() as u64;
+                if adversarial {
+                    let q = engine.p2p(0).quarantined_len() as u64;
                     while out.quarantine_replacements < q {
                         let id = fresh_node_id(&engine, &mut picks);
                         engine.join_client(0, id);

@@ -11,8 +11,12 @@
 //! cache is exactly what a single LFU of the combined size would hold,
 //! while the *tier* an object occupies determines its access latency.
 
-use webcache_policy::{BoundedCache, LfuCache};
+use webcache_policy::{BoundedCache, DenseIndex, LfuCache};
 use webcache_workload::ObjectId;
+
+/// One LFU tier. Trace object ids are dense (`0..num_objects`), so the
+/// key → slot index is a plain array rather than a hash table.
+type Tier = LfuCache<ObjectId, DenseIndex>;
 
 /// Which tier of a site holds an object.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -38,8 +42,8 @@ pub struct TierTraffic {
 /// Proxy cache plus optional unified P2P tier, LFU-managed.
 #[derive(Clone, Debug)]
 pub struct TwoTierLfuSite {
-    proxy: LfuCache<ObjectId>,
-    p2p: Option<LfuCache<ObjectId>>,
+    proxy: Tier,
+    p2p: Option<Tier>,
     traffic: TierTraffic,
 }
 
@@ -48,8 +52,8 @@ impl TwoTierLfuSite {
     /// `p2p_capacity > 0`, a unified P2P tier of that size.
     pub fn new(proxy_capacity: usize, p2p_capacity: usize) -> Self {
         TwoTierLfuSite {
-            proxy: LfuCache::new(proxy_capacity.max(1)),
-            p2p: (p2p_capacity > 0).then(|| LfuCache::new(p2p_capacity)),
+            proxy: Tier::with_index(proxy_capacity.max(1)),
+            p2p: (p2p_capacity > 0).then(|| Tier::with_index(p2p_capacity)),
             traffic: TierTraffic::default(),
         }
     }
@@ -145,7 +149,7 @@ impl TwoTierLfuSite {
 
     /// Objects resident in the P2P tier (0 without one).
     pub fn p2p_len(&self) -> usize {
-        self.p2p.as_ref().map_or(0, LfuCache::len)
+        self.p2p.as_ref().map_or(0, Tier::len)
     }
 
     /// Combined resident count.

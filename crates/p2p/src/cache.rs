@@ -787,6 +787,11 @@ impl P2PClientCache {
             .map_or_else(Vec::new, |adv| adv.quarantined.iter().map(|&k| NodeId(k)).collect())
     }
 
+    /// Number of nodes quarantined by the audit defense.
+    pub fn quarantined_len(&self) -> usize {
+        self.adversary.as_ref().map_or(0, |adv| adv.quarantined.len())
+    }
+
     /// True when `id` has been quarantined by the audit defense.
     pub fn is_quarantined(&self, id: NodeId) -> bool {
         self.adversary.as_ref().is_some_and(|adv| adv.quarantined.contains(&id.0))

@@ -600,9 +600,9 @@ impl Overlay {
         key: NodeId,
         mut visit: impl FnMut(NodeId),
     ) -> Option<(NodeId, usize)> {
-        if !self.contains(from) {
-            return None;
-        }
+        // One lookup both answers "is `from` live" and yields the state
+        // the first decision reads.
+        let mut state = self.nodes.get(&from.0)?;
         let mut current = from;
         let mut hops = 0usize;
         visit(current);
@@ -621,7 +621,7 @@ impl Overlay {
             // *around* here (the join protocol and announced-churn paths
             // must stay correct mid-staleness); only `route_detecting`
             // deliberately walks into them to model timeout detection.
-            match self.hop_decision(current, key, &mut greedy_mode, true) {
+            match self.hop_decision(state, current, key, &mut greedy_mode, true) {
                 Hop::Arrived => return Some((current, hops)),
                 Hop::Deliver(n) => {
                     debug_assert!(
@@ -636,6 +636,7 @@ impl Overlay {
                         self.nodes.contains_key(&n.0),
                         "routing state references dead node {n}"
                     );
+                    state = &self.nodes[&n.0];
                     current = n;
                     visit(current);
                     hops += 1;
@@ -648,9 +649,9 @@ impl Overlay {
         );
     }
 
-    /// One routing decision at `current`, shared by the pure walk
-    /// ([`route_steps`](Self::route_steps)) and the liveness-aware walk
-    /// ([`route_detecting`](Self::route_detecting)).
+    /// One routing decision at `current`, whose state is `s`; shared by
+    /// the pure walk ([`route_steps`](Self::route_steps)) and the
+    /// liveness-aware walk ([`route_detecting`](Self::route_detecting)).
     ///
     /// With `avoid_crashed` the decision silently skips
     /// crashed-but-undetected candidates (free detection avoidance —
@@ -659,12 +660,12 @@ impl Overlay {
     /// exactly the stale choice a real node would make.
     fn hop_decision(
         &self,
+        s: &NodeState,
         current: NodeId,
         key: NodeId,
         greedy_mode: &mut bool,
         avoid_crashed: bool,
     ) -> Hop {
-        let s = &self.nodes[&current.0];
         // `avoid` is false on every path until a crash is injected, so
         // the liveness filters below fold to no-ops in steady state.
         let avoid = avoid_crashed && !self.crashed.is_empty();
@@ -788,7 +789,8 @@ impl Overlay {
                  overlay state is inconsistent"
             );
             fuel -= 1;
-            match self.hop_decision(current, key, &mut greedy_mode, false) {
+            let state = &self.nodes[&current.0];
+            match self.hop_decision(state, current, key, &mut greedy_mode, false) {
                 Hop::Arrived => {
                     return Some(ChurnRoute { destination: current, hops, timeouts, detected });
                 }

@@ -261,18 +261,26 @@ impl<P: Ord + Copy, K: Copy + Eq, X: PositionIndex<K>> IndexedMinHeap<P, K, X> {
     /// One position probe — the hit path's alternative to
     /// [`push`](Self::push), which would probe again on insert.
     pub fn update(&mut self, key: K, priority: P) -> bool {
-        let Some(h) = self.pos.get(&key) else {
-            return false;
-        };
+        self.update_with(key, |_| priority).is_some()
+    }
+
+    /// Re-prioritises `key` from its current priority: `f` maps the old
+    /// priority to the new one. Returns the old priority, or `None`
+    /// (without calling `f`) when `key` is absent. Read-modify-write on
+    /// one position probe, where [`priority`](Self::priority) followed by
+    /// [`update`](Self::update) would probe twice.
+    pub fn update_with(&mut self, key: K, f: impl FnOnce(P) -> P) -> Option<P> {
+        let h = self.pos.get(&key)?;
         let i = self.slot[h as usize] as usize;
         let old = self.heap[i].0;
+        let priority = f(old);
         self.heap[i].0 = priority;
         if priority < old {
             self.sift_up(i);
         } else if old < priority {
             self.sift_down(i);
         }
-        true
+        Some(old)
     }
 
     /// Inserts `key` at `priority`, or updates its priority if present.
@@ -468,6 +476,36 @@ mod tests {
         assert_eq!(h.priority(3), Some(40));
         assert_eq!(h.len(), 3);
         h.check_invariants();
+    }
+
+    #[test]
+    fn update_with_reads_and_rewrites_on_one_probe() {
+        let mut h: IndexedMinHeap<u64, u32, DenseIndex> = IndexedMinHeap::new();
+        for k in 0u32..40 {
+            h.push(k, u64::from(k * 7 % 40));
+        }
+        // Absent key: `f` is not called, nothing moves.
+        assert_eq!(h.update_with(99, |_| unreachable!("absent key")), None);
+        for k in 0u32..40 {
+            let before = h.priority(k).unwrap();
+            // Alternate increases, decreases and no-ops.
+            let after = match k % 3 {
+                0 => before + 50,
+                1 => before / 2,
+                _ => before,
+            };
+            let seen = h.update_with(k, |old| if k % 3 == 1 { old / 2 } else { after });
+            assert_eq!(seen, Some(before));
+            assert_eq!(h.priority(k), Some(after));
+            assert_eq!(h.len(), 40);
+            h.check_invariants();
+        }
+        let mut prev = 0;
+        while let Some((p, _)) = h.pop_min() {
+            assert!(prev <= p);
+            prev = p;
+            h.check_invariants();
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! Ties break toward evicting the least-recently-used among the
 //! least-frequent, the common implementation choice.
 
-use crate::heap::IndexedMinHeap;
+use crate::heap::{HashIndex, IndexedMinHeap, PositionIndex};
 use crate::BoundedCache;
 use std::hash::Hash;
 use webcache_primitives::FxHashMap;
@@ -24,15 +24,16 @@ use webcache_primitives::FxHashMap;
 ///
 /// An [`IndexedMinHeap`] keyed by `(freq, stamp)` replaces the earlier
 /// `BTreeSet<(freq, stamp, key)>`; stamps are unique, so the eviction
-/// order is unchanged while updates stop allocating B-tree nodes.
+/// order is unchanged while updates stop allocating B-tree nodes. Every
+/// method resolves the key through the position index `X` at most once.
 #[derive(Clone, Debug)]
-struct FreqIndex<K: Copy + Eq + Hash> {
+struct FreqIndex<K, X> {
     /// key -> (freq, stamp); the minimum is the victim.
-    heap: IndexedMinHeap<(u64, u64), K>,
+    heap: IndexedMinHeap<(u64, u64), K, X>,
     clock: u64,
 }
 
-impl<K: Copy + Eq + Hash> FreqIndex<K> {
+impl<K: Copy + Eq, X: PositionIndex<K>> FreqIndex<K, X> {
     fn new() -> Self {
         FreqIndex { heap: IndexedMinHeap::new(), clock: 0 }
     }
@@ -49,10 +50,23 @@ impl<K: Copy + Eq + Hash> FreqIndex<K> {
         self.heap.priority(key).map(|(f, _)| f)
     }
 
-    /// Sets `key`'s frequency to `freq` (inserting if absent).
-    fn set(&mut self, key: K, freq: u64) {
+    /// Restamps a resident `key` at `f(its frequency)`; false if absent.
+    fn update(&mut self, key: K, f: impl FnOnce(u64) -> u64) -> bool {
+        let stamp = self.clock + 1;
+        let hit = self.heap.update_with(key, |(freq, _)| (f(freq), stamp)).is_some();
+        // A branch, not `clock += u64::from(hit)`: rustc 1.95 at
+        // opt-level 3 drops that add when `f` ignores its argument (the
+        // naive-model proptest below fails in release builds with it).
+        if hit {
+            self.clock = stamp;
+        }
+        hit
+    }
+
+    /// Inserts `key`, which the caller knows to be absent, at `freq`.
+    fn insert_new(&mut self, key: K, freq: u64) {
         self.clock += 1;
-        self.heap.push(key, (freq, self.clock));
+        self.heap.insert_new(key, (freq, self.clock));
     }
 
     fn remove(&mut self, key: K) -> Option<u64> {
@@ -69,18 +83,36 @@ impl<K: Copy + Eq + Hash> FreqIndex<K> {
 }
 
 /// Bounded in-cache LFU.
+///
+/// `X` selects the heap's key → slot index, as for
+/// [`GreedyDualCache`](crate::GreedyDualCache): the default hash index
+/// for arbitrary keys ([`new`](LfuCache::new)), or
+/// [`DenseIndex`](crate::DenseIndex) when keys are dense small integers
+/// ([`with_index`](Self::with_index); the simulator's sites use it).
 #[derive(Clone, Debug)]
-pub struct LfuCache<K: Copy + Eq + Hash> {
+pub struct LfuCache<K, X = HashIndex<K>> {
     capacity: usize,
-    index: FreqIndex<K>,
+    index: FreqIndex<K, X>,
 }
 
 impl<K: Copy + Eq + Hash> LfuCache<K> {
-    /// Creates a cache holding at most `capacity` objects.
+    /// Creates a cache holding at most `capacity` objects, on the default
+    /// hash index.
     ///
     /// # Panics
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
+        Self::with_index(capacity)
+    }
+}
+
+impl<K: Copy + Eq, X: PositionIndex<K>> LfuCache<K, X> {
+    /// Creates a cache holding at most `capacity` objects on the position
+    /// index named by the type (`LfuCache::<u32, DenseIndex>::with_index`).
+    ///
+    /// # Panics
+    /// Panics if `capacity` is zero.
+    pub fn with_index(capacity: usize) -> Self {
         assert!(capacity > 0, "capacity must be positive");
         LfuCache { capacity, index: FreqIndex::new() }
     }
@@ -108,12 +140,11 @@ impl<K: Copy + Eq + Hash> LfuCache<K> {
     /// tiers "coordinate replacement so that they appear as one unified
     /// cache" (§2), which requires counts to survive tier transfers.
     pub fn insert_with_frequency(&mut self, key: K, freq: u64) -> Option<(K, u64)> {
-        if self.index.contains(key) {
-            self.index.set(key, freq);
+        if self.index.update(key, |_| freq) {
             return None;
         }
         let evicted = if self.index.len() >= self.capacity { self.index.pop_min() } else { None };
-        self.index.set(key, freq.max(1));
+        self.index.insert_new(key, freq.max(1));
         evicted
     }
 
@@ -135,7 +166,7 @@ impl<K: Copy + Eq + Hash> LfuCache<K> {
     }
 }
 
-impl<K: Copy + Eq + Hash> BoundedCache<K> for LfuCache<K> {
+impl<K: Copy + Eq + Hash, X: PositionIndex<K>> BoundedCache<K> for LfuCache<K, X> {
     fn capacity(&self) -> usize {
         self.capacity
     }
@@ -149,13 +180,7 @@ impl<K: Copy + Eq + Hash> BoundedCache<K> for LfuCache<K> {
     }
 
     fn touch(&mut self, key: K) -> bool {
-        match self.index.freq(key) {
-            Some(f) => {
-                self.index.set(key, f + 1);
-                true
-            }
-            None => false,
-        }
+        self.index.update(key, |f| f + 1)
     }
 
     fn insert(&mut self, key: K) -> Option<K> {
@@ -167,7 +192,7 @@ impl<K: Copy + Eq + Hash> BoundedCache<K> for LfuCache<K> {
         } else {
             None
         };
-        self.index.set(key, 1);
+        self.index.insert_new(key, 1);
         evicted
     }
 
@@ -180,7 +205,7 @@ impl<K: Copy + Eq + Hash> BoundedCache<K> for LfuCache<K> {
 #[derive(Clone, Debug)]
 pub struct PerfectLfuCache<K: Copy + Eq + Hash> {
     capacity: usize,
-    index: FreqIndex<K>,
+    index: FreqIndex<K, HashIndex<K>>,
     /// Frequencies of every key ever seen, resident or not.
     global: FxHashMap<K, u64>,
 }
@@ -199,6 +224,13 @@ impl<K: Copy + Eq + Hash> PerfectLfuCache<K> {
     pub fn global_frequency(&self, key: K) -> u64 {
         self.global.get(&key).copied().unwrap_or(0)
     }
+
+    /// Counts an access in the global table and returns the new count.
+    fn count(&mut self, key: K) -> u64 {
+        let f = self.global.entry(key).or_insert(0);
+        *f += 1;
+        *f
+    }
 }
 
 impl<K: Copy + Eq + Hash> BoundedCache<K> for PerfectLfuCache<K> {
@@ -215,29 +247,21 @@ impl<K: Copy + Eq + Hash> BoundedCache<K> for PerfectLfuCache<K> {
     }
 
     fn touch(&mut self, key: K) -> bool {
-        let f = self.global.entry(key).or_insert(0);
-        *f += 1;
-        let f = *f;
-        if self.index.contains(key) {
-            self.index.set(key, f);
-            true
-        } else {
-            false
-        }
+        let f = self.count(key);
+        self.index.update(key, |_| f)
     }
 
     fn insert(&mut self, key: K) -> Option<K> {
-        if self.touch(key) {
+        let f = self.count(key);
+        if self.index.update(key, |_| f) {
             return None;
         }
-        // `touch` already counted this access in the global map.
-        let f = self.global[&key];
         let evicted = if self.index.len() >= self.capacity {
             self.index.pop_min().map(|(k, _)| k)
         } else {
             None
         };
-        self.index.set(key, f);
+        self.index.insert_new(key, f);
         evicted
     }
 
@@ -375,6 +399,88 @@ mod tests {
     }
 
     proptest::proptest! {
+        #[test]
+        fn hash_and_dense_index_match_a_naive_model(
+            ops in proptest::collection::vec((0u8..5, 0u32..40, 0u64..6), 1..400)
+        ) {
+            use crate::DenseIndex;
+            const CAP: usize = 6;
+            // The dense table starts empty, so every key (offset well
+            // past zero) lies beyond its size and exercises the grow path.
+            let mut hash = LfuCache::<u32>::new(CAP);
+            let mut dense = LfuCache::<u32, DenseIndex>::with_index(CAP);
+            // The model: resident (key, freq, stamp) triples, searched
+            // linearly; the victim is the minimum (freq, stamp).
+            let mut model: Vec<(u32, u64, u64)> = Vec::new();
+            let mut clock = 0u64;
+            let mut tick = || {
+                clock += 1;
+                clock
+            };
+            let evict = |m: &mut Vec<(u32, u64, u64)>| {
+                let i = (0..m.len()).min_by_key(|&i| (m[i].1, m[i].2))?;
+                let (k, f, _) = m.swap_remove(i);
+                Some((k, f))
+            };
+            for (op, key, freq) in ops {
+                let key = key * 7 + 100;
+                let at = model.iter().position(|e| e.0 == key);
+                match (op, at) {
+                    (0 | 1, Some(i)) => {
+                        model[i] = (key, model[i].1 + 1, tick());
+                        if op == 0 {
+                            proptest::prop_assert_eq!(hash.insert(key), None);
+                            proptest::prop_assert_eq!(dense.insert(key), None);
+                        } else {
+                            proptest::prop_assert!(hash.touch(key) && dense.touch(key));
+                        }
+                    }
+                    (1, None) => {
+                        proptest::prop_assert!(!hash.touch(key) && !dense.touch(key));
+                    }
+                    (2, Some(i)) => {
+                        model[i] = (key, freq, tick());
+                        proptest::prop_assert_eq!(hash.insert_with_frequency(key, freq), None);
+                        proptest::prop_assert_eq!(dense.insert_with_frequency(key, freq), None);
+                    }
+                    (0 | 2, None) => {
+                        let out = if model.len() >= CAP { evict(&mut model) } else { None };
+                        let freq = if op == 0 { 1 } else { freq.max(1) };
+                        model.push((key, freq, tick()));
+                        if op == 0 {
+                            proptest::prop_assert_eq!(hash.insert(key), out.map(|e| e.0));
+                            proptest::prop_assert_eq!(dense.insert(key), out.map(|e| e.0));
+                        } else {
+                            proptest::prop_assert_eq!(hash.insert_with_frequency(key, freq), out);
+                            proptest::prop_assert_eq!(dense.insert_with_frequency(key, freq), out);
+                        }
+                    }
+                    (3, _) => {
+                        at.map(|i| model.swap_remove(i));
+                        proptest::prop_assert_eq!(hash.remove(key), at.is_some());
+                        proptest::prop_assert_eq!(dense.remove(key), at.is_some());
+                    }
+                    _ => {
+                        let out = evict(&mut model);
+                        proptest::prop_assert_eq!(hash.evict_with_frequency(), out);
+                        proptest::prop_assert_eq!(dense.evict_with_frequency(), out);
+                    }
+                }
+                model.sort_unstable_by_key(|e| (e.1, e.2));
+                let order: Vec<u32> = model.iter().map(|e| e.0).collect();
+                proptest::prop_assert_eq!(&order, &hash.keys_by_frequency().collect::<Vec<_>>());
+                proptest::prop_assert_eq!(&order, &dense.keys_by_frequency().collect::<Vec<_>>());
+                proptest::prop_assert_eq!(hash.len(), model.len());
+                proptest::prop_assert_eq!(dense.len(), model.len());
+                proptest::prop_assert_eq!(hash.peek_victim(), order.first().copied());
+                proptest::prop_assert_eq!(dense.min_frequency(), model.first().map(|e| e.1));
+                for &(k, f, _) in &model {
+                    proptest::prop_assert_eq!(hash.frequency(k), Some(f));
+                    proptest::prop_assert_eq!(dense.frequency(k), Some(f));
+                }
+            }
+        }
+
         #[test]
         fn lfu_never_exceeds_capacity(ops in proptest::collection::vec((0u8..3, 0u64..20), 1..200)) {
             let mut c = LfuCache::new(5);

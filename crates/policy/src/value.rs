@@ -8,7 +8,7 @@
 //! cluster — and stores the copy in a [`ValueCache`]; replacement evicts
 //! the minimum-value copy when a higher-value copy needs the slot.
 
-use crate::heap::IndexedMinHeap;
+use crate::heap::{HashIndex, IndexedMinHeap, PositionIndex};
 use crate::BoundedCache;
 use std::hash::Hash;
 
@@ -49,20 +49,34 @@ impl Ord for V {
 /// Values live in an [`IndexedMinHeap`] keyed by `(value, stamp)`; stamps
 /// are unique, so eviction order matches the earlier
 /// `BTreeSet<(value, stamp, key)>` exactly, allocation-free per update.
+/// `X` selects the heap's key → slot index, as for
+/// [`LfuCache`](crate::LfuCache); every method probes it at most once.
 #[derive(Clone, Debug)]
-pub struct ValueCache<K: Copy + Eq + Hash = u64> {
+pub struct ValueCache<K = u64, X = HashIndex<K>> {
     capacity: usize,
     /// key -> (value, stamp); the minimum is the victim.
-    heap: IndexedMinHeap<(V, u64), K>,
+    heap: IndexedMinHeap<(V, u64), K, X>,
     clock: u64,
 }
 
 impl<K: Copy + Eq + Hash> ValueCache<K> {
-    /// Creates a store holding at most `capacity` entries.
+    /// Creates a store holding at most `capacity` entries, on the default
+    /// hash index.
     ///
     /// # Panics
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
+        Self::with_index(capacity)
+    }
+}
+
+impl<K: Copy + Eq, X: PositionIndex<K>> ValueCache<K, X> {
+    /// Creates a store holding at most `capacity` entries on the position
+    /// index named by the type.
+    ///
+    /// # Panics
+    /// Panics if `capacity` is zero.
+    pub fn with_index(capacity: usize) -> Self {
         assert!(capacity > 0, "capacity must be positive");
         ValueCache { capacity, heap: IndexedMinHeap::with_capacity(capacity), clock: 0 }
     }
@@ -72,15 +86,35 @@ impl<K: Copy + Eq + Hash> ValueCache<K> {
         self.heap.priority(key).map(|(V(v), _)| v)
     }
 
+    /// Restamps a resident `key` at `f(its value)`; false if absent.
+    fn update(&mut self, key: K, f: impl FnOnce(f64) -> f64) -> bool {
+        let stamp = self.clock + 1;
+        let hit = self.heap.update_with(key, |(V(v), _)| (V(f(v)), stamp)).is_some();
+        // A branch, not `clock += u64::from(hit)`, for the reason given
+        // at `FreqIndex::update` in lfu.rs (a release-build miscompile).
+        if hit {
+            self.clock = stamp;
+        }
+        hit
+    }
+
+    /// Inserts `key`, which the caller knows to be absent, at `value`.
+    fn insert_new(&mut self, key: K, value: f64) {
+        self.clock += 1;
+        self.heap.insert_new(key, (V(value), self.clock));
+    }
+
     /// Sets (or updates) `key`'s value without evicting; returns false if
     /// the store is full and `key` is not resident.
     pub fn set_value(&mut self, key: K, value: f64) -> bool {
         debug_assert!(value.is_finite());
-        if !self.heap.contains(key) && self.heap.len() >= self.capacity {
+        if self.update(key, |_| value) {
+            return true;
+        }
+        if self.heap.len() >= self.capacity {
             return false;
         }
-        self.clock += 1;
-        self.heap.push(key, (V(value), self.clock));
+        self.insert_new(key, value);
         true
     }
 
@@ -88,20 +122,20 @@ impl<K: Copy + Eq + Hash> ValueCache<K> {
     /// **only when the incoming value exceeds the victim's**; otherwise
     /// the insert is refused. Returns `Ok(evicted)` on success.
     pub fn insert_if_beneficial(&mut self, key: K, value: f64) -> Result<Option<K>, NotBeneficial> {
-        if self.heap.contains(key) {
-            self.set_value(key, value);
+        debug_assert!(value.is_finite());
+        if self.update(key, |_| value) {
             return Ok(None);
         }
-        if self.heap.len() < self.capacity {
-            self.set_value(key, value);
-            return Ok(None);
-        }
-        let (vmin, _) = self.peek_min().expect("full store has a minimum");
-        if value <= vmin {
-            return Err(NotBeneficial);
-        }
-        let evicted = self.evict();
-        self.set_value(key, value);
+        let evicted = if self.heap.len() >= self.capacity {
+            let (vmin, _) = self.peek_min().expect("full store has a minimum");
+            if value <= vmin {
+                return Err(NotBeneficial);
+            }
+            self.evict()
+        } else {
+            None
+        };
+        self.insert_new(key, value);
         Ok(evicted)
     }
 
@@ -128,7 +162,7 @@ impl<K: Copy + Eq + Hash> ValueCache<K> {
     }
 }
 
-impl<K: Copy + Eq + Hash> BoundedCache<K> for ValueCache<K> {
+impl<K: Copy + Eq + Hash, X: PositionIndex<K>> BoundedCache<K> for ValueCache<K, X> {
     fn capacity(&self) -> usize {
         self.capacity
     }
@@ -142,12 +176,7 @@ impl<K: Copy + Eq + Hash> BoundedCache<K> for ValueCache<K> {
     }
 
     fn touch(&mut self, key: K) -> bool {
-        if let Some(v) = self.value(key) {
-            self.set_value(key, v);
-            true
-        } else {
-            false
-        }
+        self.update(key, |v| v)
     }
 
     fn insert(&mut self, key: K) -> Option<K> {
@@ -155,7 +184,7 @@ impl<K: Copy + Eq + Hash> BoundedCache<K> for ValueCache<K> {
             return None;
         }
         let evicted = if self.heap.len() >= self.capacity { self.evict() } else { None };
-        self.set_value(key, 1.0);
+        self.insert_new(key, 1.0);
         evicted
     }
 
@@ -229,6 +258,109 @@ mod tests {
     }
 
     proptest::proptest! {
+        #[test]
+        fn hash_and_dense_index_match_a_naive_model(
+            ops in proptest::collection::vec((0u8..6, 0u32..40, 0u32..50), 1..400)
+        ) {
+            use crate::DenseIndex;
+            const CAP: usize = 6;
+            // The dense table starts at `CAP` slots; keys run far beyond
+            // it and exercise the grow path.
+            let mut hash = ValueCache::<u32>::new(CAP);
+            let mut dense = ValueCache::<u32, DenseIndex>::with_index(CAP);
+            // The model: resident (key, value, stamp) triples, searched
+            // linearly; the victim is the minimum (value, stamp). Values
+            // are small integers, exact as f64 and as u32.
+            let mut model: Vec<(u32, u32, u64)> = Vec::new();
+            let mut clock = 0u64;
+            let mut tick = || {
+                clock += 1;
+                clock
+            };
+            let evict = |m: &mut Vec<(u32, u32, u64)>| {
+                let i = (0..m.len()).min_by_key(|&i| (m[i].1, m[i].2))?;
+                Some(m.swap_remove(i).0)
+            };
+            for (op, key, v) in ops {
+                let key = key * 7 + 100;
+                let value = f64::from(v);
+                let at = model.iter().position(|e| e.0 == key);
+                let full = model.len() >= CAP;
+                match (op, at) {
+                    (0 | 1, Some(i)) => {
+                        model[i].2 = tick();
+                        if op == 0 {
+                            proptest::prop_assert_eq!(hash.insert(key), None);
+                            proptest::prop_assert_eq!(dense.insert(key), None);
+                        } else {
+                            proptest::prop_assert!(hash.touch(key) && dense.touch(key));
+                        }
+                    }
+                    (0, None) => {
+                        let out = if full { evict(&mut model) } else { None };
+                        model.push((key, 1, tick()));
+                        proptest::prop_assert_eq!(hash.insert(key), out);
+                        proptest::prop_assert_eq!(dense.insert(key), out);
+                    }
+                    (1, None) => {
+                        proptest::prop_assert!(!hash.touch(key) && !dense.touch(key));
+                    }
+                    (2 | 3, Some(i)) => {
+                        model[i] = (key, v, tick());
+                        if op == 2 {
+                            proptest::prop_assert!(hash.set_value(key, value));
+                            proptest::prop_assert!(dense.set_value(key, value));
+                        } else {
+                            proptest::prop_assert_eq!(hash.insert_if_beneficial(key, value), Ok(None));
+                            proptest::prop_assert_eq!(dense.insert_if_beneficial(key, value), Ok(None));
+                        }
+                    }
+                    (2, None) => {
+                        if !full {
+                            model.push((key, v, tick()));
+                        }
+                        proptest::prop_assert_eq!(hash.set_value(key, value), !full);
+                        proptest::prop_assert_eq!(dense.set_value(key, value), !full);
+                    }
+                    (3, None) => {
+                        let vmin = model.iter().map(|e| e.1).min();
+                        let expect = if full && Some(v) <= vmin {
+                            Err(NotBeneficial)
+                        } else {
+                            let out = if full { evict(&mut model) } else { None };
+                            model.push((key, v, tick()));
+                            Ok(out)
+                        };
+                        proptest::prop_assert_eq!(hash.insert_if_beneficial(key, value), expect);
+                        proptest::prop_assert_eq!(dense.insert_if_beneficial(key, value), expect);
+                    }
+                    (4, _) => {
+                        at.map(|i| model.swap_remove(i));
+                        proptest::prop_assert_eq!(hash.remove(key), at.is_some());
+                        proptest::prop_assert_eq!(dense.remove(key), at.is_some());
+                    }
+                    _ => {
+                        let out = evict(&mut model);
+                        proptest::prop_assert_eq!(hash.evict(), out);
+                        proptest::prop_assert_eq!(dense.evict(), out);
+                    }
+                }
+                model.sort_unstable_by_key(|e| (e.1, e.2));
+                let order: Vec<u32> = model.iter().map(|e| e.0).collect();
+                proptest::prop_assert_eq!(&order, &hash.keys_by_value().collect::<Vec<_>>());
+                proptest::prop_assert_eq!(&order, &dense.keys_by_value().collect::<Vec<_>>());
+                proptest::prop_assert_eq!(hash.len(), model.len());
+                proptest::prop_assert_eq!(dense.len(), model.len());
+                let min = model.first().map(|e| (f64::from(e.1), e.0));
+                proptest::prop_assert_eq!(hash.peek_min(), min);
+                proptest::prop_assert_eq!(dense.peek_min(), min);
+                for &(k, v, _) in &model {
+                    proptest::prop_assert_eq!(hash.value(k), Some(f64::from(v)));
+                    proptest::prop_assert_eq!(dense.value(k), Some(f64::from(v)));
+                }
+            }
+        }
+
         #[test]
         fn total_value_never_decreases_on_beneficial_insert(
             ops in proptest::collection::vec((0u64..20, 0u32..100), 1..200)

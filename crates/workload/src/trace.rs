@@ -128,20 +128,31 @@ impl Trace {
 
     /// Computes summary statistics in one pass.
     pub fn stats(&self) -> TraceStats {
-        let mut counts: HashMap<ObjectId, u32> = HashMap::with_capacity(self.num_objects as usize);
+        // Object ids are dense, so the pass counts into an array; the
+        // public map is built once, from the objects actually referenced.
+        let mut per_object = vec![0u32; self.num_objects as usize];
         for r in &self.requests {
-            *counts.entry(r.object).or_insert(0) += 1;
+            let i = r.object as usize;
+            if i >= per_object.len() {
+                // `num_objects` is a public field; tolerate a stale bound.
+                per_object.resize(i + 1, 0);
+            }
+            per_object[i] += 1;
         }
+        let counts: HashMap<ObjectId, u32> = per_object
+            .iter()
+            .enumerate()
+            .filter(|&(_, &c)| c > 0)
+            .map(|(o, &c)| (o as ObjectId, c))
+            .collect();
         let distinct = counts.len();
-        let one_timers = counts.values().filter(|&&c| c == 1).count();
-        let multi = distinct - one_timers;
-        let max_count = counts.values().copied().max().unwrap_or(0);
+        let one_timers = per_object.iter().filter(|&&c| c == 1).count();
         TraceStats {
             requests: self.requests.len(),
             distinct_objects: distinct,
             one_timers,
-            infinite_cache_size: multi,
-            max_object_refs: max_count,
+            infinite_cache_size: distinct - one_timers,
+            max_object_refs: per_object.iter().copied().max().unwrap_or(0),
             counts,
         }
     }
@@ -242,6 +253,15 @@ mod tests {
         assert_eq!(s.infinite_cache_size, 2);
         assert_eq!(s.max_object_refs, 3);
         assert!((s.one_timer_fraction() - 0.5).abs() < 1e-12);
+        // The map holds exactly the referenced objects (5 is in range
+        // but never requested), also when `num_objects` is stale.
+        let expect = HashMap::from([(0, 3), (1, 1), (2, 2), (3, 1)]);
+        assert_eq!(s.counts, expect);
+        let wide = Trace { num_objects: 6, ..t.clone() };
+        assert_eq!(wide.stats().counts, expect);
+        let stale = Trace { num_objects: 1, ..t };
+        assert_eq!(stale.stats().counts, expect);
+        assert_eq!(stale.stats().one_timers, 2);
     }
 
     #[test]
