@@ -93,36 +93,6 @@ pub trait SchemeEngine {
     fn name(&self) -> &'static str;
 }
 
-/// Watermark load-shed policy bounding a proxy's admission queue in the
-/// event-clock engine: once a proxy's backlog (its busy horizon minus
-/// the current tick) exceeds `high_rounds`, arrivals stop being admitted
-/// into the cache fabric and degrade straight to the origin server —
-/// shedding the background work an admission would have generated —
-/// until the backlog drains below `low_rounds`. Compat mode has no queue
-/// to measure, so the policy only engages under
-/// [`crate::clock::ClockMode::Event`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ShedPolicy {
-    /// Backlog (in rounds) above which shedding engages; 0 disables the
-    /// policy entirely.
-    pub high_rounds: u64,
-    /// Backlog (in rounds) below which shedding disengages (hysteresis:
-    /// must sit below `high_rounds`).
-    pub low_rounds: u64,
-}
-
-impl ShedPolicy {
-    /// The disabled policy: every arrival is admitted.
-    pub fn none() -> Self {
-        ShedPolicy::default()
-    }
-
-    /// True when the policy never engages.
-    pub fn is_none(&self) -> bool {
-        self.high_rounds == 0
-    }
-}
-
 /// The event-loop driver: a scheme, its traces, and a latency model,
 /// run from a [`SimClock`]. This is the single entrypoint that replaced
 /// the `run_engine` / `run_engine_recorded` twins — pass
@@ -132,10 +102,6 @@ pub struct Engine<'a, E: SchemeEngine + ?Sized> {
     scheme: &'a mut E,
     traces: &'a [Trace],
     model: &'a dyn LatencyModel,
-    shed: ShedPolicy,
-    /// Requests the shed policy degraded straight to origin during the
-    /// last [`Engine::run`] (event mode only; always 0 when disarmed).
-    pub shed_served: u64,
 }
 
 impl<'a, E: SchemeEngine + ?Sized> Engine<'a, E> {
@@ -145,19 +111,12 @@ impl<'a, E: SchemeEngine + ?Sized> Engine<'a, E> {
     /// Panics if `traces` is empty.
     pub fn new(scheme: &'a mut E, traces: &'a [Trace], model: &'a dyn LatencyModel) -> Self {
         assert!(!traces.is_empty(), "need at least one proxy trace");
-        Engine { scheme, traces, model, shed: ShedPolicy::none(), shed_served: 0 }
-    }
-
-    /// Arms the watermark load-shed policy (see [`ShedPolicy`]).
-    pub fn with_shed(mut self, policy: ShedPolicy) -> Self {
-        self.shed = policy;
-        self
+        Engine { scheme, traces, model }
     }
 
     /// Runs the full schedule on `clock`, reporting every served request
     /// to `recorder`, and returns the aggregated metrics.
     pub fn run<R: Recorder>(&mut self, clock: &mut SimClock, recorder: &R) -> RunMetrics {
-        self.shed_served = 0;
         let mut metrics = RunMetrics::default();
         match clock.mode() {
             ClockMode::Compat => self.run_compat(clock, recorder, &mut metrics),
@@ -234,7 +193,6 @@ impl<'a, E: SchemeEngine + ?Sized> Engine<'a, E> {
             }
         }
         let mut next_free = vec![0u64; self.traces.len()];
-        let mut shedding = vec![false; self.traces.len()];
         while let Some(event) = clock.pop() {
             match event {
                 Event::Arrival { proxy, index } => {
@@ -245,33 +203,6 @@ impl<'a, E: SchemeEngine + ?Sized> Engine<'a, E> {
                             TICKS_PER_ROUND,
                             Event::Arrival { proxy, index: index + 1 },
                         );
-                    }
-                    if !self.shed.is_none() {
-                        let backlog = next_free[proxy].saturating_sub(clock.now());
-                        if backlog >= self.shed.high_rounds * TICKS_PER_ROUND {
-                            shedding[proxy] = true;
-                        } else if backlog <= self.shed.low_rounds * TICKS_PER_ROUND {
-                            shedding[proxy] = false;
-                        }
-                        if shedding[proxy] {
-                            // Degrade straight to origin: no admission
-                            // (and so no background work), no occupancy
-                            // on the proxy — that is the relief valve.
-                            self.shed_served += 1;
-                            let price = self.scheme.latency_of(self.model, HitClass::Server);
-                            let now = clock.now();
-                            let done = now + ticks_of(price).max(1);
-                            let measured = (done - now) as f64 / TICKS_PER_UNIT as f64;
-                            clock.schedule_at(
-                                done,
-                                Event::Completion {
-                                    proxy,
-                                    class: HitClass::Server,
-                                    latency: measured,
-                                },
-                            );
-                            continue;
-                        }
                     }
                     let admission = self.scheme.admit(proxy, req);
                     let price = self.scheme.price(self.model, &admission);
@@ -354,51 +285,6 @@ mod tests {
         fn name(&self) -> &'static str {
             "probe"
         }
-    }
-
-    #[test]
-    fn watermark_shedding_bounds_the_event_queue_and_degrades_to_origin() {
-        // A scheme whose admitted service time dwarfs the one-round
-        // arrival gap, so the naive event queue grows without bound.
-        struct Expensive;
-        impl SchemeEngine for Expensive {
-            fn serve(&mut self, _proxy: usize, _request: &Request) -> HitClass {
-                HitClass::OwnP2p
-            }
-            fn latency_of(&self, model: &dyn LatencyModel, class: HitClass) -> f64 {
-                match class {
-                    HitClass::Server => model.latency(class),
-                    _ => 8.0,
-                }
-            }
-            fn name(&self) -> &'static str {
-                "expensive"
-            }
-        }
-        let objects: Vec<u32> = (0..200).collect();
-        let traces = vec![trace(&objects)];
-        let net = NetworkModel::default();
-        let mut naive_scheme = Expensive;
-        let naive = Engine::new(&mut naive_scheme, &traces, &net)
-            .run(&mut SimClock::event(), &NoopRecorder);
-        let mut shed_scheme = Expensive;
-        let mut armed = Engine::new(&mut shed_scheme, &traces, &net)
-            .with_shed(ShedPolicy { high_rounds: 16, low_rounds: 4 });
-        let shed = armed.run(&mut SimClock::event(), &NoopRecorder);
-        assert!(armed.shed_served > 0, "shedding never engaged");
-        assert_eq!(shed.requests, naive.requests, "every request is still served");
-        assert!(
-            shed.avg_latency() < naive.avg_latency(),
-            "shedding must relieve the backlog: {} vs naive {}",
-            shed.avg_latency(),
-            naive.avg_latency()
-        );
-        // A disarmed policy is inert: bit-identical to no policy at all.
-        let mut again = Expensive;
-        let mut disarmed = Engine::new(&mut again, &traces, &net).with_shed(ShedPolicy::none());
-        let re = disarmed.run(&mut SimClock::event(), &NoopRecorder);
-        assert_eq!(disarmed.shed_served, 0);
-        assert_eq!(re.avg_latency(), naive.avg_latency());
     }
 
     #[test]

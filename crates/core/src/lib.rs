@@ -99,7 +99,7 @@ pub use config::{
     ExperimentConfigBuilder, SchemeKind, Sizing,
 };
 pub use durability::{run_durability, DurabilityConfig};
-pub use engine::{Admission, Engine, NoCacheEngine, SchemeEngine, ShedPolicy};
+pub use engine::{Admission, Engine, NoCacheEngine, SchemeEngine};
 pub use error::SimError;
 pub use event::Event;
 pub use fault::{run_churn, ChurnConfig, ChurnReport, FaultAction, FaultEvent, FaultPlan};
