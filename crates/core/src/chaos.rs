@@ -1229,4 +1229,32 @@ mod regressions {
         let violations = run_oracles(&cfg, &plan, &trace).unwrap();
         assert!(violations.is_empty(), "violations: {violations:#?}");
     }
+
+    /// Found by the repository benchmark's `fault_drill` checks (the
+    /// `domain_repair` plan over other trace seeds). The repair scan
+    /// resolved an entry's root with `root_of`, which skips crashed but
+    /// undetected machines, and found the object "held" by a live node
+    /// that only hosted it for such a dead root. The top-up then started
+    /// a second replica set at the host; when the host evicted the
+    /// object, only the dead root's set was dropped and the host's
+    /// tracking outlived the object. A domain failure under a fast scan
+    /// (`repair=64`) lines that up within a few thousand requests.
+    #[test]
+    fn repair_scan_leaves_entries_linked_under_an_undetected_corpse() {
+        let cfg = ChaosConfig {
+            plans: 1,
+            requests: 40_000,
+            distinct_objects: 5_000,
+            trace_clients: 50,
+            clients_per_cluster: 128,
+            proxy_capacity: 100,
+            ..ChaosConfig::default()
+        };
+        let trace = ChurnConfig { trace_seed: 3, ..cfg.churn(&FaultPlan::none()) }.trace();
+        let plan =
+            FaultPlan::from_str("domainfail@10000:3,domains=8,repair=64,seed=103,window=12000")
+                .unwrap();
+        let violations = run_oracles(&cfg, &plan, &trace).unwrap();
+        assert!(violations.is_empty(), "violations: {violations:#?}");
+    }
 }

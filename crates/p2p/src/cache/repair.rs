@@ -159,6 +159,17 @@ impl P2PClientCache {
             if self.overlay.is_crashed(holder) {
                 continue;
             }
+            // `root_of` skips crashed-but-undetected machines, so `root`
+            // may be standing in for a dead root the object is still
+            // linked under — and `holder_of` answers "stores it" for a
+            // node that only *hosts* the object for that root. A top-up
+            // here would start a second replica set the linked root's
+            // books (and a later eviction) know nothing of; detection
+            // re-homes the entry, and a later revolution tops it up.
+            let hn = self.nodes.get(&holder.0).expect("located holder is a member");
+            if hn.hosted_for.get(&obj).is_some_and(|linked| *linked != root) {
+                continue;
+            }
             let floor = self.cfg.replication.min(self.nodes.len());
             let live_copies = 1 + self
                 .nodes
