@@ -159,17 +159,6 @@ impl P2PClientCache {
             if self.overlay.is_crashed(holder) {
                 continue;
             }
-            // `root_of` skips crashed-but-undetected machines, so `root`
-            // may be standing in for a dead root the object is still
-            // linked under — and `holder_of` answers "stores it" for a
-            // node that only *hosts* the object for that root. A top-up
-            // here would start a second replica set the linked root's
-            // books (and a later eviction) know nothing of; detection
-            // re-homes the entry, and a later revolution tops it up.
-            let hn = self.nodes.get(&holder.0).expect("located holder is a member");
-            if hn.hosted_for.get(&obj).is_some_and(|linked| *linked != root) {
-                continue;
-            }
             let floor = self.cfg.replication.min(self.nodes.len());
             let live_copies = 1 + self
                 .nodes
@@ -183,8 +172,18 @@ impl P2PClientCache {
             if live_copies >= floor {
                 continue;
             }
-            let credit =
-                self.nodes.get(&holder.0).and_then(|hn| hn.store.h_value(obj)).unwrap_or(1.0);
+            // `root_of` skips crashed-but-undetected machines, so `root`
+            // may be standing in for a dead root the object is still
+            // linked under — and `holder_of` answers "stores it" for a
+            // node that only *hosts* the object for that root. A top-up
+            // here would start a second replica set the linked root's
+            // books (and a later eviction) know nothing of; detection
+            // re-homes the entry, and a later revolution tops it up.
+            let hn = self.nodes.get(&holder.0);
+            if hn.and_then(|hn| hn.hosted_for.get(&obj)).is_some_and(|linked| *linked != root) {
+                continue;
+            }
+            let credit = hn.and_then(|hn| hn.store.h_value(obj)).unwrap_or(1.0);
             let made = self.top_up_replicas(obj, root, holder, credit);
             if made > 0 {
                 self.proactive_repair(&mut out, made, sink);

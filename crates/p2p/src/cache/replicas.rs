@@ -281,28 +281,16 @@ impl P2PClientCache {
         targets
     }
 
-    /// Stores a replica copy of `object` at each of `targets` and adds
-    /// them to the replica set tracked at `root`. Returns the number of
-    /// copies made.
-    fn place_copies(
-        &mut self,
-        object: u128,
-        root: NodeId,
-        targets: Vec<NodeId>,
-        credit: f64,
-    ) -> u32 {
-        if targets.is_empty() {
-            return 0;
-        }
-        for t in &targets {
+    /// Ships a replica copy of `object`, tracked at `root`, to each of
+    /// `targets`. Returns the number of copies made; recording them in
+    /// the root's replica set is the caller's.
+    fn place_copies(&mut self, object: u128, root: NodeId, targets: &[NodeId], credit: f64) -> u32 {
+        for t in targets {
             let tn = self.nodes.get_mut(&t.0).expect("target checked live");
             tn.replicas.insert(object, (credit, root));
             self.ledger.overlay_messages += 1; // replica transfer
         }
-        let made = targets.len().min(u32::MAX as usize) as u32;
-        let rn = self.nodes.get_mut(&root.0).expect("root is live");
-        rn.replicated_to.entry(object).or_default().extend(targets);
-        made
+        targets.len().min(u32::MAX as usize) as u32
     }
 
     /// Stores up to `k - 1` replica copies of `object` at live leaf-set
@@ -320,11 +308,13 @@ impl P2PClientCache {
             return 0;
         }
         let targets = self.replica_targets(root, primary, self.cfg.replication - 1, &[]);
-        debug_assert!(
-            targets.is_empty() || !self.nodes[&root.0].replicated_to.contains_key(&object),
-            "replica set created twice for the same object"
-        );
-        self.place_copies(object, root, targets, credit)
+        let made = self.place_copies(object, root, &targets, credit);
+        if made > 0 {
+            let rn = self.nodes.get_mut(&root.0).expect("root is live");
+            let prev = rn.replicated_to.insert(object, targets);
+            debug_assert!(prev.is_none(), "replica set created twice for the same object");
+        }
+        made
     }
 
     /// Tops an under-replicated entry back up to the replica floor:
@@ -368,7 +358,12 @@ impl P2PClientCache {
             // hosts a copy (the root is never in its own leaf set).
             targets.push(root);
         }
-        self.place_copies(object, root, targets, credit)
+        let made = self.place_copies(object, root, &targets, credit);
+        if made > 0 {
+            let rn = self.nodes.get_mut(&root.0).expect("root is live");
+            rn.replicated_to.entry(object).or_default().extend(targets);
+        }
+        made
     }
 
     // ------------------------------------------------------------------
