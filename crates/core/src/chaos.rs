@@ -1257,4 +1257,27 @@ mod regressions {
         let violations = run_oracles(&cfg, &plan, &trace).unwrap();
         assert!(violations.is_empty(), "violations: {violations:#?}");
     }
+
+    /// Found by `webcache chaos --plans 200 --seed 42 --adversary-prob 1`
+    /// (plan #128; #151 under the event clock and `--partition-prob 1`
+    /// #174 are the same bug). A 10|90 cut leaves one machine — the
+    /// lowest cacheId — on the proxy's side; a fresh machine joins
+    /// island A with an id above some of island B's; the original
+    /// machine is then quarantined. Its clients were remapped to "the
+    /// first live node", which is only on island A while A's members
+    /// are the lowest ids: here it was an island-B machine, so proxy
+    /// traffic entered across the cut and stored objects the B index
+    /// had never seen.
+    #[test]
+    fn entry_points_stay_on_island_a_once_its_first_members_are_gone() {
+        let cfg = ChaosConfig::default();
+        let trace = cfg.churn(&FaultPlan::none()).trace();
+        let plan = FaultPlan::from_str(concat!(
+            "partition@131{10|90},freeride@586,rejoin@634,",
+            "window=698,seed=15695897328332889789",
+        ))
+        .unwrap();
+        let violations = run_oracles(&cfg, &plan, &trace).unwrap();
+        assert!(violations.is_empty(), "violations: {violations:#?}");
+    }
 }

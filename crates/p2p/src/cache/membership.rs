@@ -255,7 +255,11 @@ impl P2PClientCache {
         if self.node_of_client.iter().all(|s| *s != dead) {
             return;
         }
-        let fallback = self.overlay.node_ids().next().or_else(|| self.overlay.crashed_ids().next());
+        // While a cut is up the proxy only reaches island A, whose
+        // members need not be the lowest ids once one has joined late.
+        let candidates = || self.overlay.node_ids().chain(self.overlay.crashed_ids());
+        let fallback =
+            candidates().find(|n| self.overlay.in_island_a(*n)).or_else(|| candidates().next());
         match fallback {
             Some(f) => {
                 for slot in &mut self.node_of_client {

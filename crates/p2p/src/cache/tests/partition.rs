@@ -110,3 +110,25 @@ fn fetch_during_split_survives_and_islands_merge_cleanly() {
     assert!(problems.is_empty(), "post-heal: {problems:?}");
     assert!(c.directory_divergence().is_empty());
 }
+
+#[test]
+fn clients_of_a_lost_island_a_machine_remap_inside_island_a() {
+    let mut c = small(10, 4);
+    // A 10|90 cut keeps one machine, the lowest cacheId, proxy-side.
+    assert!(c.partition_nodes(10, &mut NoSink));
+    let first = c.node_ids().find(|n| c.in_island_a(*n)).unwrap();
+    // A late joiner lands on island A whatever its id — here one above
+    // every island-B id, so "the first live node" is across the cut.
+    let joiner = NodeId(u128::MAX - 7);
+    c.join_node(joiner);
+    assert!(c.in_island_a(joiner));
+    c.fail_node(first).unwrap();
+    for client in 0..20 {
+        assert_eq!(c.node_for_client(client), joiner, "client {client} entered across the cut");
+    }
+    for i in 0..12u64 {
+        let out = c.destage(oid(i), 1.0, Some(i as u32)).unwrap();
+        assert!(c.in_island_a(out.stored_at));
+    }
+    assert!(c.check_invariants().is_empty(), "{:?}", c.check_invariants());
+}
