@@ -186,12 +186,12 @@ impl P2PClientCache {
             self.consume_replicas(&hosts, obj);
             return 0;
         }
-        let lost = u32::from(hosts.is_empty());
-        if hosts.is_empty() {
+        let unreplicated = hosts.is_empty();
+        if unreplicated {
             self.note_lost(obj, false, sink);
         }
         self.limbo.insert(obj, hosts);
-        lost
+        u32::from(unreplicated)
     }
 
     /// For each object the removed `node` rooted but had diverted to a

@@ -491,6 +491,11 @@ impl P2PClientCache {
         }
     }
 
+    /// [`holder_of`](Self::holder_of), unless that holder crashed.
+    fn live_holder_of(&self, root: NodeId, object: u128) -> Option<NodeId> {
+        self.holder_of(root, object).filter(|h| !self.overlay.is_crashed(*h))
+    }
+
     /// Last-resort probe of the root's leaf set for a surviving replica
     /// (or stray primary) of `object` — the belt-and-braces path for
     /// copies whose tracking is buried on a crashed-but-undetected old
@@ -507,14 +512,13 @@ impl P2PClientCache {
             return None;
         }
         let members: Vec<NodeId> = self.overlay.state(root)?.leaf_iter().collect();
-        // Detection may promote the object straight back under its root.
-        let live_holder =
-            |c: &Self| c.holder_of(root, object).filter(|h| !c.overlay.is_crashed(*h));
         for m in members {
             if self.overlay.is_crashed(m) {
                 self.note_timeout(true, sink);
                 self.detect_crash(m, sink);
-                if let Some(h) = live_holder(self) {
+                // Detection may have promoted the object straight back
+                // under its root.
+                if let Some(h) = self.live_holder_of(root, object) {
                     return Some(h);
                 }
                 continue;
@@ -538,7 +542,7 @@ impl P2PClientCache {
                 if self.overlay.is_crashed(r) {
                     self.note_timeout(true, sink);
                     self.detect_crash(r, sink);
-                    if let Some(h) = live_holder(self) {
+                    if let Some(h) = self.live_holder_of(root, object) {
                         return Some(h);
                     }
                 }

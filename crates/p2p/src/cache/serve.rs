@@ -379,7 +379,8 @@ impl P2PClientCache {
                     if S::ENABLED {
                         sink.event(P2pEvent::StaleDirectoryHit { replica_served: true });
                     }
-                    return self.serve_from::<true, S>(rescued, root, hops, object, hit_cost, sink);
+                    return self
+                        .serve_from::<ARMED, S>(rescued, root, hops, object, hit_cost, sink);
                 }
             }
         }

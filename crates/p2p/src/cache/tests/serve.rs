@@ -441,9 +441,9 @@ fn corrupting_transport_quarantines_instead_of_caching() {
     assert!(c.check_invariants().is_empty());
 }
 
-/// One cache of the two-instantiation contract below: `shape` picks the
-/// replication factor and directory kind, `armed` installs loss-free
-/// fault state — which arms every request without changing one outcome.
+/// One cache of the two-instantiation contract below; `armed` installs
+/// loss-free fault state under that seed, which arms every request
+/// without changing one outcome.
 fn contract_twin(
     nodes: usize,
     cap: usize,
