@@ -63,9 +63,7 @@ use webcache_sim::{
     FaultAction, FaultPlan, HitClass, NetworkModel, OverloadConfig, ScenarioReport, SchemeKind,
     SimError, StatsRecorder,
 };
-use webcache_workload::{
-    Diurnal, FlashCrowd, ProWGen, ProWGenConfig, Trace, TraceStats, UcbLike, UcbLikeConfig,
-};
+use webcache_workload::{ProWGen, ProWGenConfig, Trace, TraceStats, UcbLike, UcbLikeConfig};
 
 /// A parsed command line.
 #[derive(Clone, Debug, PartialEq)]
@@ -236,19 +234,6 @@ USAGE:
   webcache gen   --out FILE [--model prowgen|ucb] [--requests N]
                  [--objects N] [--alpha F] [--one-timers F] [--stack F]
                  [--clients N] [--seed N]
-                 [--flash-at N --flash-span N [--flash-intensity F]]
-                 [--diurnal-period N [--diurnal-amplitude F]]
-                 [--scan-fraction F]
-                 (the flash flags layer a flash-crowd burst over a
-                  prowgen trace: one cold object spikes to the head of
-                  the popularity ranking for the window [at, at+span);
-                  the diurnal flags modulate the request rate
-                  sinusoidally with that period and amplitude in (0,1),
-                  default 0.5 — busy hours revisit a dense neighborhood
-                  of the stream, off-hours skip across it;
-                  --scan-fraction F redirects that fraction of requests
-                  to a one-touch sequential scan of the object space —
-                  crawler traffic with zero temporal locality)
   webcache stats FILE...
   webcache run   --scheme nc|nc-ec|sc|sc-ec|fc|fc-ec|hier-gd
                  [--cache-frac F] [--clients N] [--ts-tc F] [--ts-tl F]
@@ -406,8 +391,7 @@ type Handler = fn(&Command) -> Result<String, CliError>;
 fn dispatch(name: &str) -> Option<(&'static [&'static str], Handler)> {
     Some(match name {
         "gen" => (
-            &["out model requests objects alpha one-timers stack clients seed fresh \
-               flash-at flash-span flash-intensity diurnal-period diurnal-amplitude scan-fraction"],
+            &["out model requests objects alpha one-timers stack clients seed fresh"],
             cmd_gen,
         ),
         "stats" => (&[], cmd_stats),
@@ -482,21 +466,6 @@ fn cmd_gen(cmd: &Command) -> Result<String, CliError> {
     let model = cmd.opt("model", "prowgen".to_string())?;
     let trace = match model.as_str() {
         "prowgen" => {
-            let flash_crowd = match (cmd.options.get("flash-at"), cmd.options.get("flash-span")) {
-                (None, None) => None,
-                _ => Some(FlashCrowd {
-                    at: cmd.opt("flash-at", 0usize)?,
-                    span: cmd.opt("flash-span", 0usize)?,
-                    intensity: cmd.opt("flash-intensity", 0.8f64)?,
-                }),
-            };
-            let diurnal = match cmd.options.get("diurnal-period") {
-                None => None,
-                Some(_) => Some(Diurnal {
-                    period: cmd.opt("diurnal-period", 0usize)?,
-                    amplitude: cmd.opt("diurnal-amplitude", 0.5f64)?,
-                }),
-            };
             let cfg = ProWGenConfig {
                 requests: cmd.opt("requests", 250_000)?,
                 distinct_objects: cmd.opt("objects", 10_000)?,
@@ -505,9 +474,6 @@ fn cmd_gen(cmd: &Command) -> Result<String, CliError> {
                 stack_fraction: cmd.opt("stack", 0.2)?,
                 num_clients: cmd.opt("clients", 100)?,
                 seed: cmd.opt("seed", 0x5EED_2003)?,
-                flash_crowd,
-                diurnal,
-                scan_fraction: cmd.opt("scan-fraction", 0.0)?,
                 ..ProWGenConfig::default()
             };
             cfg.validate().map_err(|e| format!("invalid workload: {e}"))?;
@@ -1701,36 +1667,5 @@ mod tests {
         ]))
         .unwrap();
         assert!(execute(&gen).unwrap_err().to_string().contains("invalid workload"));
-    }
-
-    #[test]
-    fn gen_scan_fraction_flag_reaches_the_generator() {
-        let dir = std::env::temp_dir().join("webcache-cli-scan-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let plain = dir.join("plain.bin");
-        let scanned = dir.join("scanned.bin");
-        for (path, extra) in
-            [(&plain, vec![]), (&scanned, vec!["--scan-fraction".to_string(), "0.2".to_string()])]
-        {
-            let mut args = vec![
-                "gen".to_string(),
-                "--out".to_string(),
-                path.to_string_lossy().into_owned(),
-                "--requests".to_string(),
-                "20000".to_string(),
-                "--objects".to_string(),
-                "1000".to_string(),
-            ];
-            args.extend(extra);
-            execute(&Command::parse(&args).unwrap()).unwrap();
-        }
-        let a = std::fs::read(&plain).unwrap();
-        let b = std::fs::read(&scanned).unwrap();
-        assert_ne!(a, b, "a 20% scan must reshape the trace");
-        // Out-of-range fraction is a usage error, not a panic.
-        let bad = Command::parse(&argv(&["gen", "--out", "/tmp/x.bin", "--scan-fraction", "1.0"]))
-            .unwrap();
-        assert!(execute(&bad).unwrap_err().to_string().contains("scan_fraction"));
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -27,7 +27,7 @@ pub mod sizes;
 pub mod trace;
 pub mod ucb;
 
-pub use prowgen::{Diurnal, FlashCrowd, ProWGen, ProWGenConfig};
+pub use prowgen::{ProWGen, ProWGenConfig};
 pub use sizes::{SizeDistribution, SizeModel};
 pub use trace::{ObjectId, Request, Trace, TraceStats};
 pub use ucb::{UcbLike, UcbLikeConfig};

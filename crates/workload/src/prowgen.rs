@@ -15,15 +15,6 @@
 //!   percentage of the number of multi-reference objects (Figure 4 sweeps
 //!   {5%, 20%, 60%}).
 //!
-//! An optional [`FlashCrowd`] knob layers a breaking-news burst on top:
-//! inside a seeded window one previously cold object spikes to the head
-//! of the popularity ranking. An optional [`Diurnal`] knob modulates the
-//! request rate sinusoidally (busy hours vs. off-hours) via a monotone
-//! time-warp resampling. An optional `scan_fraction` knob interleaves a
-//! one-touch sequential scan (the crawler pattern). All three run as
-//! post-passes with their own derived RNG streams, so traces without
-//! the knobs are byte-identical to pre-knob generations.
-//!
 //! # Generation model (ProWGen's "dynamic" stack variant)
 //!
 //! 1. Objects are split into one-timers and multi-reference objects;
@@ -58,45 +49,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-use webcache_primitives::seed::derive;
 use webcache_primitives::Fenwick;
-
-/// A flash-crowd burst: one cold object abruptly spikes to the head of
-/// the popularity ranking for a window of the trace — the breaking-news
-/// pattern proxy workload studies single out because it inverts every
-/// frequency-based assumption a cache has learned. Applied as a post-pass
-/// over the generated stream with its own derived RNG stream, so the
-/// base trace stays bit-identical whether or not the knob is on.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct FlashCrowd {
-    /// First request index of the burst window.
-    pub at: usize,
-    /// Window length in requests (the window must lie inside the trace).
-    pub span: usize,
-    /// Probability that a window request is redirected to the flash
-    /// object, in (0, 1].
-    pub intensity: f64,
-}
-
-/// A diurnal load swing: sinusoidal request-rate modulation with the
-/// given period and amplitude, realized as a monotone time-warp
-/// resampling of the generated stream. The engine consumes one request
-/// per round, so "rate" lives in how fast the output walks through the
-/// underlying content process: at the peak of the swing many consecutive
-/// requests sample a narrow neighborhood of the base stream (dense,
-/// high-locality busy hours); in the trough the output skips across it
-/// (sparse off-hours). The request count is preserved exactly, the
-/// phase comes from a derived RNG stream, and the pass runs only when
-/// the knob is set — traces without it are byte-identical to pre-knob
-/// generations.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct Diurnal {
-    /// Swing period in requests (one simulated "day").
-    pub period: usize,
-    /// Peak-to-mean rate swing in (0, 1): instantaneous rate is
-    /// `1 + amplitude·sin(2πk/period + φ)`.
-    pub amplitude: f64,
-}
 
 /// Configuration for [`ProWGen`]. Defaults are the paper's (§5.1).
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -130,26 +83,6 @@ pub struct ProWGenConfig {
     /// Size–popularity rank correlation in [-1, 1]; ProWGen found real
     /// traces close to 0, slightly negative (popular objects smaller).
     pub size_pop_correlation: f64,
-    /// Optional flash-crowd burst. `None` (the default) performs no
-    /// extra draws, so traces without the knob stay byte-identical to
-    /// pre-knob generations of the same seed.
-    #[serde(default)]
-    pub flash_crowd: Option<FlashCrowd>,
-    /// Optional diurnal load swing. `None` (the default) performs no
-    /// extra draws, so traces without the knob stay byte-identical to
-    /// pre-knob generations of the same seed.
-    #[serde(default)]
-    pub diurnal: Option<Diurnal>,
-    /// Fraction of requests redirected to a one-touch sequential scan —
-    /// the crawler/virus-scanner pattern that walks the object space in
-    /// id order, touching each object once and never again. Scans carry
-    /// zero temporal locality, so they pollute LRU-style stacks without
-    /// contributing re-reference hits. Applied as a post-pass on its own
-    /// derived stream (`derive(seed, "scans")`); at the default 0.0 the
-    /// pass performs no draws and the trace is byte-identical to
-    /// pre-knob generations of the same seed.
-    #[serde(default)]
-    pub scan_fraction: f64,
     /// RNG seed; every derived stream is deterministic in this.
     pub seed: u64,
 }
@@ -166,9 +99,6 @@ impl Default for ProWGenConfig {
             num_clients: 100,
             size_model: SizeModel::Unit,
             size_pop_correlation: 0.0,
-            flash_crowd: None,
-            diurnal: None,
-            scan_fraction: 0.0,
             seed: 0x5EED_2003,
         }
     }
@@ -200,28 +130,6 @@ impl ProWGenConfig {
         }
         if !(-1.0..=1.0).contains(&self.size_pop_correlation) {
             return Err("size_pop_correlation must be in [-1,1]".into());
-        }
-        if let Some(fc) = &self.flash_crowd {
-            if fc.span == 0 {
-                return Err("flash_crowd span must be positive".into());
-            }
-            if fc.at >= self.requests || fc.span > self.requests - fc.at {
-                return Err("flash_crowd window must lie inside the trace".into());
-            }
-            if !(fc.intensity > 0.0 && fc.intensity <= 1.0) {
-                return Err("flash_crowd intensity must be in (0, 1]".into());
-            }
-        }
-        if let Some(d) = &self.diurnal {
-            if d.period < 2 || d.period > self.requests {
-                return Err("diurnal period must be in [2, requests]".into());
-            }
-            if !(d.amplitude > 0.0 && d.amplitude < 1.0) {
-                return Err("diurnal amplitude must be in (0, 1)".into());
-            }
-        }
-        if !(0.0..1.0).contains(&self.scan_fraction) {
-            return Err("scan_fraction must be in [0, 1)".into());
         }
         let n = self.distinct_objects;
         let n_one = (n as f64 * self.one_time_fraction).round() as usize;
@@ -255,23 +163,6 @@ pub struct GenReport {
     pub pool_picks: u64,
     /// Times a stack-bottom entry was displaced back into the pool.
     pub displacements: u64,
-    /// Requests redirected to the flash-crowd object (0 without the knob).
-    #[serde(default)]
-    pub flash_requests: u64,
-    /// The flash-crowd object, when the knob was on.
-    #[serde(default)]
-    pub flash_object: Option<u32>,
-    /// The seeded phase (radians) of the diurnal swing, when the knob
-    /// was on.
-    #[serde(default)]
-    pub diurnal_phase: Option<f64>,
-    /// Requests redirected to the sequential scan (0 without the knob).
-    #[serde(default)]
-    pub scan_requests: u64,
-    /// The seeded object id the scan walk started from, when the knob
-    /// was on.
-    #[serde(default)]
-    pub scan_start: Option<u32>,
 }
 
 /// The generator. Create with [`ProWGen::new`], call [`ProWGen::generate`].
@@ -426,81 +317,6 @@ impl ProWGen {
             });
         }
         debug_assert_eq!(total_remaining, 0);
-
-        if let Some(d) = cfg.diurnal {
-            // Monotone time-warp resampling on its own derived stream
-            // (see [`Diurnal`]). Each output slot advances "content
-            // time" by 1/rate, normalized so the warp spans the base
-            // stream exactly: peak-rate slots revisit a narrow base
-            // neighborhood, trough slots skip across it. Runs before
-            // the flash-crowd overlay so the burst window stays in
-            // output coordinates.
-            let mut drng = ChaCha8Rng::seed_from_u64(derive(cfg.seed, "diurnal"));
-            let phase = drng.random::<f64>() * std::f64::consts::TAU;
-            let incs: Vec<f64> = (0..r)
-                .map(|k| {
-                    let angle = std::f64::consts::TAU * k as f64 / d.period as f64 + phase;
-                    1.0 / (1.0 + d.amplitude * angle.sin())
-                })
-                .collect();
-            let total: f64 = incs.iter().sum();
-            let scale = r as f64 / total;
-            let mut pos = 0.0f64;
-            requests = incs
-                .iter()
-                .map(|inc| {
-                    let idx = (pos as usize).min(r - 1);
-                    pos += inc * scale;
-                    requests[idx]
-                })
-                .collect();
-            report.diurnal_phase = Some(phase);
-        }
-
-        if let Some(fc) = cfg.flash_crowd {
-            // Post-pass on its own derived stream: the base generation
-            // above consumed exactly the draws it always has, so a trace
-            // without the knob is byte-identical to pre-knob output.
-            let mut frng = ChaCha8Rng::seed_from_u64(derive(cfg.seed, "flash-crowd"));
-            // The flash object is a cold one — a one-timer when any
-            // exist, otherwise from the cold half of the ranking — so
-            // the burst genuinely inverts the learned popularity order.
-            let flash = if n_one > 0 {
-                n_multi + frng.random_range(0..n_one)
-            } else {
-                n_multi / 2 + frng.random_range(0..n_multi - n_multi / 2)
-            } as u32;
-            for req in &mut requests[fc.at..fc.at + fc.span] {
-                if frng.random::<f64>() < fc.intensity {
-                    req.object = flash;
-                    req.size = sizes[flash as usize];
-                    report.flash_requests += 1;
-                }
-            }
-            report.flash_object = Some(flash);
-        }
-
-        if cfg.scan_fraction > 0.0 {
-            // One-touch sequential scan on its own derived stream: a
-            // cursor walks the object space in id order from a seeded
-            // start, and each redirected slot references the next id —
-            // each scanned object is touched exactly once per lap, with
-            // no re-reference for a stack to exploit. Runs last so the
-            // scan also perforates any flash-crowd window, as a crawler
-            // would.
-            let mut srng = ChaCha8Rng::seed_from_u64(derive(cfg.seed, "scans"));
-            let start = srng.random_range(0..n as u32);
-            let mut cursor = start;
-            for req in &mut requests {
-                if srng.random::<f64>() < cfg.scan_fraction {
-                    req.object = cursor;
-                    req.size = sizes[cursor as usize];
-                    report.scan_requests += 1;
-                    cursor = if cursor + 1 == n as u32 { 0 } else { cursor + 1 };
-                }
-            }
-            report.scan_start = Some(start);
-        }
 
         let trace = Trace { requests, num_objects: n as u32, num_clients: cfg.num_clients };
         (trace, report)
@@ -731,160 +547,6 @@ mod tests {
         assert!(bad(&|c| c.num_clients = 0));
         assert!(bad(&|c| c.requests = 10)); // fewer than objects
         assert!(ProWGenConfig::default().validate().is_ok());
-    }
-
-    #[test]
-    fn flash_crowd_spikes_a_cold_object_and_only_inside_its_window() {
-        let base = ProWGen::new(small_cfg()).generate();
-        let cfg = ProWGenConfig {
-            flash_crowd: Some(FlashCrowd { at: 10_000, span: 4_000, intensity: 0.9 }),
-            ..small_cfg()
-        };
-        let (t, rep) = ProWGen::new(cfg).generate_with_report();
-        // The burst is a pure overlay: everything outside the window is
-        // byte-identical to the knob-free stream.
-        assert_eq!(t.requests[..10_000], base.requests[..10_000]);
-        assert_eq!(t.requests[14_000..], base.requests[14_000..]);
-        let flash = rep.flash_object.expect("knob was on");
-        let in_window =
-            t.requests[10_000..14_000].iter().filter(|r| r.object == flash).count() as u64;
-        assert_eq!(in_window, rep.flash_requests);
-        assert!(in_window > 4_000 * 8 / 10, "the burst must dominate its window: {in_window}");
-        // The flash object was cold before the burst: a one-timer.
-        let base_count = base.requests.iter().filter(|r| r.object == flash).count();
-        assert_eq!(base_count, 1, "object {flash} was not cold");
-    }
-
-    #[test]
-    fn flash_crowd_validation() {
-        let with = |fc: FlashCrowd| {
-            ProWGenConfig { flash_crowd: Some(fc), ..small_cfg() }.validate().is_err()
-        };
-        assert!(with(FlashCrowd { at: 0, span: 0, intensity: 0.5 }));
-        assert!(with(FlashCrowd { at: 60_000, span: 1, intensity: 0.5 }));
-        assert!(with(FlashCrowd { at: 59_000, span: 2_000, intensity: 0.5 }));
-        assert!(with(FlashCrowd { at: 0, span: 100, intensity: 0.0 }));
-        assert!(with(FlashCrowd { at: 0, span: 100, intensity: 1.5 }));
-        assert!(!with(FlashCrowd { at: 0, span: 60_000, intensity: 1.0 }));
-    }
-
-    #[test]
-    fn diurnal_swing_is_seeded_and_modulates_locality() {
-        let base = ProWGen::new(small_cfg()).generate();
-        let cfg = ProWGenConfig {
-            diurnal: Some(Diurnal { period: 10_000, amplitude: 0.9 }),
-            ..small_cfg()
-        };
-        let (t, rep) = ProWGen::new(cfg.clone()).generate_with_report();
-        let phase = rep.diurnal_phase.expect("knob was on");
-
-        // Exact request count, same universe bound, deterministic.
-        assert_eq!(t.len(), base.len());
-        assert!(t.requests.iter().all(|r| r.object < t.num_objects));
-        let (t2, rep2) = ProWGen::new(cfg.clone()).generate_with_report();
-        assert_eq!(t.requests, t2.requests);
-        assert_eq!(rep2.diurnal_phase, Some(phase));
-        assert_ne!(t.requests, base.requests, "a 0.9 swing must reshape the stream");
-
-        // The phase is its own derived stream: a different master seed
-        // moves it.
-        let other = ProWGenConfig { seed: cfg.seed ^ 1, ..cfg.clone() };
-        let (_, rep3) = ProWGen::new(other).generate_with_report();
-        assert_ne!(rep3.diurnal_phase, Some(phase));
-
-        // Peak-rate slots sample a narrow base neighborhood (dense
-        // re-references), trough slots skip across it: distinct objects
-        // per request must be visibly lower at the peak.
-        let tau = std::f64::consts::TAU;
-        let mut peak = std::collections::HashSet::new();
-        let mut trough = std::collections::HashSet::new();
-        let (mut n_peak, mut n_trough) = (0u64, 0u64);
-        for (k, r) in t.requests.iter().enumerate() {
-            let s = (tau * k as f64 / 10_000.0 + phase).sin();
-            if s > 0.5 {
-                peak.insert(r.object);
-                n_peak += 1;
-            } else if s < -0.5 {
-                trough.insert(r.object);
-                n_trough += 1;
-            }
-        }
-        let peak_ratio = peak.len() as f64 / n_peak as f64;
-        let trough_ratio = trough.len() as f64 / n_trough as f64;
-        assert!(
-            peak_ratio < trough_ratio * 0.8,
-            "peak distinct/request {peak_ratio:.3} should sit well below trough {trough_ratio:.3}"
-        );
-    }
-
-    #[test]
-    fn diurnal_validation() {
-        let with =
-            |d: Diurnal| ProWGenConfig { diurnal: Some(d), ..small_cfg() }.validate().is_err();
-        assert!(with(Diurnal { period: 1, amplitude: 0.5 }));
-        assert!(with(Diurnal { period: 100_000, amplitude: 0.5 }));
-        assert!(with(Diurnal { period: 5_000, amplitude: 0.0 }));
-        assert!(with(Diurnal { period: 5_000, amplitude: 1.0 }));
-        assert!(!with(Diurnal { period: 5_000, amplitude: 0.99 }));
-    }
-
-    #[test]
-    fn scans_are_sequential_one_touch_and_seeded() {
-        let base = ProWGen::new(small_cfg()).generate();
-        let cfg = ProWGenConfig { scan_fraction: 0.1, ..small_cfg() };
-        let (t, rep) = ProWGen::new(cfg.clone()).generate_with_report();
-        let start = rep.scan_start.expect("knob was on");
-
-        // Roughly a tenth of the stream is scan traffic.
-        assert!(rep.scan_requests > 4_000 && rep.scan_requests < 8_000, "{}", rep.scan_requests);
-
-        // Replaying the derived stream pins the pass exactly: redirected
-        // slots walk the id space sequentially from the seeded start, and
-        // every slot the scan skipped is byte-identical to the knob-free
-        // stream.
-        use webcache_primitives::seed::derive;
-        let mut srng = ChaCha8Rng::seed_from_u64(derive(cfg.seed, "scans"));
-        assert_eq!(srng.random_range(0..t.num_objects), start);
-        let mut cursor = start;
-        let mut scanned = 0u64;
-        for (ours, theirs) in t.requests.iter().zip(&base.requests) {
-            if srng.random::<f64>() < 0.1 {
-                assert_eq!(ours.object, cursor, "scan slot must follow the cursor walk");
-                cursor = (cursor + 1) % t.num_objects;
-                scanned += 1;
-            } else {
-                assert_eq!(ours, theirs, "non-scan slot must match the base stream");
-            }
-        }
-        assert_eq!(scanned, rep.scan_requests);
-
-        // Deterministic in the seed, and a different seed moves the walk.
-        let (t2, rep2) = ProWGen::new(cfg.clone()).generate_with_report();
-        assert_eq!(t.requests, t2.requests);
-        assert_eq!(rep2.scan_start, Some(start));
-        let other = ProWGenConfig { seed: cfg.seed ^ 1, ..cfg };
-        let (_, rep3) = ProWGen::new(other).generate_with_report();
-        assert_ne!(rep3.scan_start, Some(start));
-    }
-
-    #[test]
-    fn unset_scan_fraction_is_byte_identical() {
-        let base = ProWGen::new(small_cfg()).generate();
-        let cfg = ProWGenConfig { scan_fraction: 0.0, ..small_cfg() };
-        let (t, rep) = ProWGen::new(cfg).generate_with_report();
-        assert_eq!(t.requests, base.requests);
-        assert_eq!(rep.scan_requests, 0);
-        assert_eq!(rep.scan_start, None);
-    }
-
-    #[test]
-    fn scan_fraction_validation() {
-        let with = |f: f64| ProWGenConfig { scan_fraction: f, ..small_cfg() }.validate().is_err();
-        assert!(with(-0.1));
-        assert!(with(1.0));
-        assert!(with(1.5));
-        assert!(!with(0.0));
-        assert!(!with(0.99));
     }
 
     #[test]
