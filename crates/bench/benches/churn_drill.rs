@@ -75,7 +75,8 @@ fn main() {
                         .node_ids()
                         .nth(failed % cfg.clients_per_cluster)
                         .expect("cluster non-empty");
-                    engine.fail_client(p, victim).expect("victim is live");
+                    let (p2p, mut tap) = engine.cluster_mut(p);
+                    p2p.fail_node_tap(victim, &mut tap).expect("victim is live");
                 }
                 failed += 1;
             }

@@ -173,20 +173,16 @@ impl ChaosConfig {
         if self.replication == 0 {
             return Err(SimError::InvalidConfig("replication factor must be >= 1".into()));
         }
-        if !(0.0..=1.0).contains(&self.partition_prob) {
-            return Err(SimError::InvalidConfig("partition_prob must be in [0, 1]".into()));
-        }
-        if !(0.0..=1.0).contains(&self.adversary_prob) {
-            return Err(SimError::InvalidConfig("adversary_prob must be in [0, 1]".into()));
-        }
-        if !(0.0..=1.0).contains(&self.audit_rate) {
-            return Err(SimError::InvalidConfig("audit_rate must be in [0, 1]".into()));
-        }
-        if !(0.0..=1.0).contains(&self.flash_prob) {
-            return Err(SimError::InvalidConfig("flash_prob must be in [0, 1]".into()));
-        }
-        if !(0.0..=1.0).contains(&self.burst_prob) {
-            return Err(SimError::InvalidConfig("burst_prob must be in [0, 1]".into()));
+        for (name, p) in [
+            ("partition_prob", self.partition_prob),
+            ("adversary_prob", self.adversary_prob),
+            ("audit_rate", self.audit_rate),
+            ("flash_prob", self.flash_prob),
+            ("burst_prob", self.burst_prob),
+        ] {
+            if !(0.0..=1.0).contains(&p) {
+                return Err(SimError::InvalidConfig(format!("{name} must be in [0, 1]")));
+            }
         }
         self.net.validate()
     }
@@ -410,7 +406,7 @@ fn run_oracles(
         // The planted bug: a directory entry with no backing copy, only
         // in plans that schedule a crash — so the minimal reproducer is
         // a single crash event.
-        engine.debug_plant_ghost_entry(0, 0xBAD_C0DE);
+        engine.cluster_mut(0).0.debug_plant_ghost_entry(0xBAD_C0DE);
     }
     let p2p = engine.p2p(0);
     let mut violations = Vec::new();
@@ -471,8 +467,7 @@ fn run_oracles(
     }
 
     // Oracle 4: counter conservation.
-    let issued =
-        if plan.window > 0 { plan.window.min(cfg.requests as u64) } else { cfg.requests as u64 };
+    let issued = plan.served(cfg.requests as u64);
     let by_class: u64 = crate::net::HitClass::ALL.iter().map(|c| out.metrics.count(*c)).sum();
     if by_class != out.metrics.requests {
         violations.push(format!(
@@ -645,10 +640,156 @@ fn run_oracles(
 /// spent; each candidate is a full drive).
 const SHRINK_BUDGET: u64 = 128;
 
-/// Minimizes a failing plan: repeatedly drop events, zero-then-halve
-/// probabilities, and narrow the window, keeping any candidate that
-/// still fails, until a fixed point or the budget runs out. Returns the
-/// shrunk plan, its findings, and the runs spent.
+/// One shrink pass: `candidates(best, position, requests)` lists the
+/// simpler plans to try at `position` of the pass's walk (no candidates:
+/// nothing to simplify there), or `None` once the walk is over.
+struct Pass {
+    /// After adopting a candidate, try the same position again — it now
+    /// holds something new (the next event, or the same event ready to
+    /// be softened once more) — instead of moving on.
+    stay: bool,
+    candidates: fn(&FaultPlan, usize, u64) -> Option<Vec<FaultPlan>>,
+}
+
+/// The passes, in the order each round of [`shrink`] runs them.
+const PASSES: [Pass; 8] = [
+    Pass { stay: true, candidates: drop_event },
+    Pass { stay: false, candidates: weaken_probability },
+    Pass { stay: true, candidates: narrow_partition },
+    Pass { stay: true, candidates: |best, i, _| soften_event(best, i, halve_rate) },
+    Pass { stay: true, candidates: |best, i, _| soften_event(best, i, narrow_spike) },
+    Pass { stay: false, candidates: disarm_defense },
+    Pass { stay: true, candidates: |best, i, _| soften_event(best, i, halve_burst) },
+    Pass { stay: false, candidates: relax_durability_and_window },
+];
+
+/// `best` after `edit`.
+fn edited(best: &FaultPlan, edit: impl FnOnce(&mut FaultPlan)) -> FaultPlan {
+    let mut candidate = best.clone();
+    edit(&mut candidate);
+    candidate
+}
+
+/// Drop each scheduled event in turn.
+fn drop_event(best: &FaultPlan, i: usize, _: u64) -> Option<Vec<FaultPlan>> {
+    (i < best.events.len()).then(|| {
+        vec![edited(best, |c| {
+            c.events.remove(i);
+        })]
+    })
+}
+
+/// Zero, then halve, each fault probability.
+fn weaken_probability(best: &FaultPlan, i: usize, _: u64) -> Option<Vec<FaultPlan>> {
+    let p = *best.keys_only().probability(i)?;
+    let with = |v: f64| edited(best, |c| *c.probability(i).expect("read just above") = v);
+    Some(if p > 0.0 { vec![with(0.0), with(p / 2.0)] } else { Vec::new() })
+}
+
+/// Narrow each partition's span — pull the heal halfway toward its cut.
+/// A shorter split that still fails is a strictly simpler reproducer
+/// (less divergence to wade through).
+fn narrow_partition(best: &FaultPlan, i: usize, _: u64) -> Option<Vec<FaultPlan>> {
+    let cut = best.events.get(i)?;
+    let heal = best.events.iter().position(|e| e.action == FaultAction::Heal && e.at > cut.at + 1);
+    let (FaultAction::Partition(_), Some(heal)) = (cut.action, heal) else {
+        return Some(Vec::new());
+    };
+    Some(vec![edited(best, |c| {
+        c.events[heal].at = cut.at + (best.events[heal].at - cut.at) / 2;
+        c.events.sort_by_key(|e| e.at);
+    })])
+}
+
+/// The candidate of a per-event pass: event `i` softened, if `soften`
+/// has anything left to take from it.
+fn soften_event(
+    best: &FaultPlan,
+    i: usize,
+    soften: fn(FaultAction) -> Option<FaultAction>,
+) -> Option<Vec<FaultPlan>> {
+    let softer = soften(best.events.get(i)?.action);
+    Some(softer.map(|action| edited(best, |c| c.events[i].action = action)).into_iter().collect())
+}
+
+/// Halve adversary rates — a weaker forger or garbler that still trips
+/// the oracles is a strictly simpler reproducer (fewer hostile acts to
+/// wade through in the event log).
+fn halve_rate(action: FaultAction) -> Option<FaultAction> {
+    match action {
+        FaultAction::Forge(pm) if pm > 1 => Some(FaultAction::Forge(pm / 2)),
+        FaultAction::Garble(pm) if pm > 1 => Some(FaultAction::Garble(pm / 2)),
+        _ => None,
+    }
+}
+
+/// Narrow flash crowds — halve each spike's span, then its intensity
+/// (floored at the grammar's 2× minimum). A shorter or gentler crowd
+/// that still trips the oracles is a strictly simpler metastability
+/// reproducer.
+fn narrow_spike(action: FaultAction) -> Option<FaultAction> {
+    match action {
+        FaultAction::Spike { span, times } if span > 1 => {
+            Some(FaultAction::Spike { span: span / 2, times })
+        }
+        FaultAction::Spike { span, times } if times > 2 => {
+            Some(FaultAction::Spike { span, times: (times / 2).max(2) })
+        }
+        _ => None,
+    }
+}
+
+/// Disarm each overload-defense knob in turn — a failure that survives
+/// without the defense was never about the defense.
+fn disarm_defense(best: &FaultPlan, knob: usize, _: u64) -> Option<Vec<FaultPlan>> {
+    let candidate = match knob {
+        0 => (best.breaker > 0).then(|| edited(best, |c| c.breaker = 0)),
+        1 => (best.budget > 0.0).then(|| edited(best, |c| c.budget = 0.0)),
+        2 => (best.shed_high > 0).then(|| edited(best, |c| (c.shed_high, c.shed_low) = (0, 0))),
+        _ => return None,
+    };
+    Some(candidate.into_iter().collect())
+}
+
+/// Soften correlated failures — halve each burst's size (floored at the
+/// grammar's 2 minimum). A smaller blast radius that still trips the
+/// oracles is a strictly simpler reproducer.
+fn halve_burst(action: FaultAction) -> Option<FaultAction> {
+    match action {
+        FaultAction::Burst(k) if k > 2 => Some(FaultAction::Burst((k / 2).max(2))),
+        _ => None,
+    }
+}
+
+/// The rest of the correlated-failure softening — double the domain
+/// count (shrinking the doomed domain's share of the cluster), disarm
+/// the repair pacer, drop a dangling `domains=` key once no domainfail
+/// remains — and last, narrow the request window to just past the last
+/// event.
+fn relax_durability_and_window(
+    best: &FaultPlan,
+    step: usize,
+    requests: u64,
+) -> Option<Vec<FaultPlan>> {
+    let has_domainfail = best.events.iter().any(|e| matches!(e.action, FaultAction::DomainFail(_)));
+    let candidate = match step {
+        0 => (has_domainfail && best.domains > 0 && best.domains <= 32)
+            .then(|| edited(best, |c| c.domains *= 2)),
+        1 => (best.repair > 0).then(|| edited(best, |c| c.repair = 0)),
+        2 => (!has_domainfail && best.domains > 0).then(|| edited(best, |c| c.domains = 0)),
+        3 => {
+            let narrowed = best.events.iter().map(|e| e.at).max().map(|last_at| last_at + 64);
+            narrowed.filter(|&n| n < best.served(requests)).map(|n| edited(best, |c| c.window = n))
+        }
+        _ => return None,
+    };
+    Some(candidate.into_iter().collect())
+}
+
+/// Minimizes a failing plan: round after round of [`PASSES`], adopting
+/// any candidate that still fails, until a round improves nothing or the
+/// budget runs out. Returns the shrunk plan, its findings, and the runs
+/// spent.
 pub fn shrink(
     cfg: &ChaosConfig,
     trace: &Trace,
@@ -658,258 +799,30 @@ pub fn shrink(
     let mut best_violations = run_oracles(cfg, &best, trace)?;
     debug_assert!(!best_violations.is_empty(), "shrink() needs a failing plan");
     let mut runs = 0u64;
-
-    let still_fails =
-        |candidate: &FaultPlan, runs: &mut u64| -> Result<Option<Vec<String>>, SimError> {
-            *runs += 1;
-            let v = run_oracles(cfg, candidate, trace)?;
-            Ok(if v.is_empty() { None } else { Some(v) })
-        };
-
-    loop {
-        let mut improved = false;
-
-        // Pass 1: drop each scheduled event in turn.
-        let mut i = 0;
-        while i < best.events.len() && runs < SHRINK_BUDGET {
-            let mut candidate = best.clone();
-            candidate.events.remove(i);
-            if let Some(v) = still_fails(&candidate, &mut runs)? {
-                best = candidate;
-                best_violations = v;
-                improved = true;
-            } else {
-                i += 1;
-            }
-        }
-
-        // Pass 2: zero, then halve, each fault probability.
-        for field in 0..5 {
-            if runs >= SHRINK_BUDGET {
-                break;
-            }
-            let get = |p: &FaultPlan| match field {
-                0 => p.loss,
-                1 => p.mloss,
-                2 => p.dup,
-                3 => p.reorder,
-                _ => p.corrupt,
-            };
-            let set = |p: &mut FaultPlan, v: f64| match field {
-                0 => p.loss = v,
-                1 => p.mloss = v,
-                2 => p.dup = v,
-                3 => p.reorder = v,
-                _ => p.corrupt = v,
-            };
-            if get(&best) <= 0.0 {
-                continue;
-            }
-            let mut candidate = best.clone();
-            set(&mut candidate, 0.0);
-            if let Some(v) = still_fails(&candidate, &mut runs)? {
-                best = candidate;
-                best_violations = v;
-                improved = true;
-            } else if runs < SHRINK_BUDGET {
-                let mut candidate = best.clone();
-                set(&mut candidate, get(&best) / 2.0);
-                if let Some(v) = still_fails(&candidate, &mut runs)? {
-                    best = candidate;
-                    best_violations = v;
-                    improved = true;
-                }
-            }
-        }
-
-        // Pass 3: narrow each partition's span — pull the heal halfway
-        // toward its cut. A shorter split that still fails is a strictly
-        // simpler reproducer (less divergence to wade through).
-        let mut pi = 0;
-        while pi < best.events.len() && runs < SHRINK_BUDGET {
-            if !matches!(best.events[pi].action, FaultAction::Partition(_)) {
-                pi += 1;
-                continue;
-            }
-            let cut_at = best.events[pi].at;
-            let heal =
-                best.events.iter().position(|e| e.action == FaultAction::Heal && e.at > cut_at + 1);
-            let Some(hi) = heal else {
-                pi += 1;
-                continue;
-            };
-            let mut candidate = best.clone();
-            candidate.events[hi].at = cut_at + (best.events[hi].at - cut_at) / 2;
-            candidate.events.sort_by_key(|e| e.at);
-            if let Some(v) = still_fails(&candidate, &mut runs)? {
-                best = candidate;
-                best_violations = v;
-                improved = true;
-            } else {
-                pi += 1;
-            }
-        }
-
-        // Pass 4: halve adversary rates — a weaker forger or garbler
-        // that still trips the oracles is a strictly simpler reproducer
-        // (fewer hostile acts to wade through in the event log).
-        let mut ai = 0;
-        while ai < best.events.len() && runs < SHRINK_BUDGET {
-            let halved = match best.events[ai].action {
-                FaultAction::Forge(pm) if pm > 1 => Some(FaultAction::Forge(pm / 2)),
-                FaultAction::Garble(pm) if pm > 1 => Some(FaultAction::Garble(pm / 2)),
-                _ => None,
-            };
-            let Some(action) = halved else {
-                ai += 1;
-                continue;
-            };
-            let mut candidate = best.clone();
-            candidate.events[ai].action = action;
-            if let Some(v) = still_fails(&candidate, &mut runs)? {
-                best = candidate;
-                best_violations = v;
-                improved = true;
-            } else {
-                ai += 1;
-            }
-        }
-
-        // Pass 5: narrow flash crowds — halve each spike's span, then
-        // its intensity (floored at the grammar's 2× minimum). A
-        // shorter or gentler crowd that still trips the oracles is a
-        // strictly simpler metastability reproducer.
-        let mut si = 0;
-        while si < best.events.len() && runs < SHRINK_BUDGET {
-            let narrowed = match best.events[si].action {
-                FaultAction::Spike { span, times } if span > 1 => {
-                    Some(FaultAction::Spike { span: span / 2, times })
-                }
-                FaultAction::Spike { span, times } if times > 2 => {
-                    Some(FaultAction::Spike { span, times: (times / 2).max(2) })
-                }
-                _ => None,
-            };
-            let Some(action) = narrowed else {
-                si += 1;
-                continue;
-            };
-            let mut candidate = best.clone();
-            candidate.events[si].action = action;
-            if let Some(v) = still_fails(&candidate, &mut runs)? {
-                best = candidate;
-                best_violations = v;
-                improved = true;
-            } else {
-                si += 1;
-            }
-        }
-
-        // Pass 6: disarm each overload-defense knob in turn — a failure
-        // that survives without the defense was never about the defense.
-        for knob in 0..3 {
-            if runs >= SHRINK_BUDGET {
-                break;
-            }
-            let armed = match knob {
-                0 => best.breaker > 0,
-                1 => best.budget > 0.0,
-                _ => best.shed_high > 0,
-            };
-            if !armed {
-                continue;
-            }
-            let mut candidate = best.clone();
-            match knob {
-                0 => candidate.breaker = 0,
-                1 => candidate.budget = 0.0,
-                _ => {
-                    candidate.shed_high = 0;
-                    candidate.shed_low = 0;
-                }
-            }
-            if let Some(v) = still_fails(&candidate, &mut runs)? {
-                best = candidate;
-                best_violations = v;
-                improved = true;
-            }
-        }
-
-        // Pass 7: soften correlated failures — halve each burst's size
-        // (floored at the grammar's 2 minimum), double the domain count
-        // (shrinking the doomed domain's share of the cluster), disarm
-        // the repair pacer, and drop a dangling domains= key once no
-        // domainfail remains. A smaller blast radius that still trips
-        // the oracles is a strictly simpler reproducer.
-        let mut bi = 0;
-        while bi < best.events.len() && runs < SHRINK_BUDGET {
-            let softened = match best.events[bi].action {
-                FaultAction::Burst(k) if k > 2 => Some(FaultAction::Burst((k / 2).max(2))),
-                _ => None,
-            };
-            let Some(action) = softened else {
-                bi += 1;
-                continue;
-            };
-            let mut candidate = best.clone();
-            candidate.events[bi].action = action;
-            if let Some(v) = still_fails(&candidate, &mut runs)? {
-                best = candidate;
-                best_violations = v;
-                improved = true;
-            } else {
-                bi += 1;
-            }
-        }
-        let has_domainfail =
-            best.events.iter().any(|e| matches!(e.action, FaultAction::DomainFail(_)));
-        if runs < SHRINK_BUDGET && has_domainfail && best.domains > 0 && best.domains <= 32 {
-            let mut candidate = best.clone();
-            candidate.domains = best.domains * 2;
-            if let Some(v) = still_fails(&candidate, &mut runs)? {
-                best = candidate;
-                best_violations = v;
-                improved = true;
-            }
-        }
-        if runs < SHRINK_BUDGET && best.repair > 0 {
-            let mut candidate = best.clone();
-            candidate.repair = 0;
-            if let Some(v) = still_fails(&candidate, &mut runs)? {
-                best = candidate;
-                best_violations = v;
-                improved = true;
-            }
-        }
-        if runs < SHRINK_BUDGET && !has_domainfail && best.domains > 0 {
-            let mut candidate = best.clone();
-            candidate.domains = 0;
-            if let Some(v) = still_fails(&candidate, &mut runs)? {
-                best = candidate;
-                best_violations = v;
-                improved = true;
-            }
-        }
-
-        // Pass 8: narrow the request window to just past the last event.
-        if runs < SHRINK_BUDGET {
-            if let Some(last_at) = best.events.iter().map(|e| e.at).max() {
-                let narrowed = last_at + 64;
-                let current = if best.window > 0 { best.window } else { cfg.requests as u64 };
-                if narrowed < current {
-                    let mut candidate = best.clone();
-                    candidate.window = narrowed;
-                    if let Some(v) = still_fails(&candidate, &mut runs)? {
-                        best = candidate;
-                        best_violations = v;
-                        improved = true;
+    let mut improved = true;
+    while improved && runs < SHRINK_BUDGET {
+        improved = false;
+        for pass in &PASSES {
+            let mut position = 0;
+            while let Some(candidates) = (pass.candidates)(&best, position, cfg.requests as u64) {
+                let mut adopted = false;
+                for candidate in candidates {
+                    if runs >= SHRINK_BUDGET {
+                        break;
+                    }
+                    runs += 1;
+                    let violations = run_oracles(cfg, &candidate, trace)?;
+                    if !violations.is_empty() {
+                        (best, best_violations) = (candidate, violations);
+                        adopted = true;
+                        break;
                     }
                 }
+                improved |= adopted;
+                if !(adopted && pass.stay) {
+                    position += 1;
+                }
             }
-        }
-
-        if !improved || runs >= SHRINK_BUDGET {
-            break;
         }
     }
     Ok((best, best_violations, runs))

@@ -206,23 +206,9 @@ impl<'a, E: SchemeEngine + ?Sized> Engine<'a, E> {
                     }
                     let admission = self.scheme.admit(proxy, req);
                     let price = self.scheme.price(self.model, &admission);
-                    let now = clock.now();
-                    let start = now.max(next_free[proxy]);
-                    let service = ticks_of(price).max(1);
-                    let done = start + service;
-                    next_free[proxy] = done;
-                    if admission.stalls > 0 {
-                        let stall = ticks_of(admission.stalls as f64 * self.model.t_timeout());
-                        clock.schedule_at(
-                            start + stall.max(1),
-                            Event::Timeout { proxy, units: admission.stalls },
-                        );
-                    }
-                    let measured = (done - now) as f64 / TICKS_PER_UNIT as f64;
-                    clock.schedule_at(
-                        done,
-                        Event::Completion { proxy, class: admission.class, latency: measured },
-                    );
+                    let start = clock.now().max(next_free[proxy]);
+                    (next_free[proxy], _) =
+                        complete(clock, self.model, proxy, start, &admission, price);
                 }
                 Event::Completion { proxy, class, latency } => {
                     metrics.record(class, latency);
@@ -234,11 +220,35 @@ impl<'a, E: SchemeEngine + ?Sized> Engine<'a, E> {
                 // itself is already in the completion's service time.
                 Event::Timeout { .. } => {}
                 // Fault events are scheduled (and handled) only by the
-                // fault driver's loop in `fault.rs`.
+                // fault driver's loop in `fault/driver.rs`.
                 Event::Fault { .. } => {}
             }
         }
     }
+}
+
+/// The completion step of the event clock, shared by [`Engine::run`] and
+/// the fault driver: the request admitted at the current tick is served
+/// from `start` for its priced service time. Schedules the
+/// [`Event::Timeout`] that marks when its stalled retries resolve and the
+/// [`Event::Completion`] that records it; returns the tick it is done at
+/// and the latency the client measures (queue wait plus service).
+pub(crate) fn complete(
+    clock: &mut SimClock,
+    model: &dyn LatencyModel,
+    proxy: usize,
+    start: u64,
+    admission: &Admission,
+    price: f64,
+) -> (u64, f64) {
+    let done = start + ticks_of(price).max(1);
+    if admission.stalls > 0 {
+        let stall = ticks_of(admission.stalls as f64 * model.t_timeout()).max(1);
+        clock.schedule_at(start + stall, Event::Timeout { proxy, units: admission.stalls });
+    }
+    let measured = (done - clock.now()) as f64 / TICKS_PER_UNIT as f64;
+    clock.schedule_at(done, Event::Completion { proxy, class: admission.class, latency: measured });
+    (done, measured)
 }
 
 /// A do-nothing engine: every request goes to the server. Used by tests

@@ -28,16 +28,12 @@
 //! its implicit inter-cache coordination (Korupolu & Dahlin \[10\]).
 
 use crate::engine::{Admission, SchemeEngine};
-use crate::error::SimError;
 use crate::metrics::RunMetrics;
 use crate::net::{HitClass, LatencyModel, NetworkModel};
 use crate::recorder::{NoopRecorder, Recorder};
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
-use webcache_p2p::{
-    DirectoryKind, NetFaults, P2PClientCache, P2PClientCacheConfig, P2pEvent, P2pSink,
-    RepairOutcome,
-};
+use webcache_p2p::{DirectoryKind, P2PClientCache, P2PClientCacheConfig, P2pEvent, P2pSink};
 use webcache_pastry::PastryConfig;
 use webcache_policy::{BoundedCache, DenseIndex, GreedyDualCache};
 use webcache_workload::{ObjectId, Request, Trace};
@@ -85,8 +81,8 @@ struct GdProxy {
 /// Forwards [`P2pEvent`]s from one proxy's P2P cache to the engine's
 /// [`Recorder`], tagging them with the proxy index. Borrowing only the
 /// recorder keeps the adapter disjoint from the `&mut` borrow of the
-/// cache it observes.
-struct Tap<'a, R> {
+/// cache it observes. Handed out by [`HierGdEngine::cluster_mut`].
+pub struct Tap<'a, R> {
     recorder: &'a R,
     proxy: usize,
 }
@@ -264,214 +260,27 @@ impl<R: Recorder> HierGdEngine<R> {
         &self.proxies[proxy].cache
     }
 
-    /// Fails one client machine in `proxy`'s cluster mid-run *with
-    /// announcement*: its cache contents are lost, the overlay repairs
-    /// itself (leaf-set gossip) and the lookup directory is flushed of
-    /// the lost objects — the "self-organizing … in the presence of …
-    /// node failure" property §4.1 inherits from Pastry, exercised end
-    /// to end. Contrast [`crash_client`](Self::crash_client), which
-    /// kills the machine silently.
-    pub fn fail_client(
-        &mut self,
-        proxy: usize,
-        node: webcache_pastry::NodeId,
-    ) -> Result<(), SimError> {
+    /// Mutable access to `proxy`'s client cluster, for every fault and
+    /// membership operation of [`P2PClientCache`] (`crash_node_tap`,
+    /// `join_node_tap`, `set_faults`, `partition_nodes`, …), together
+    /// with the tap that reports what the operation does to this
+    /// engine's recorder, tagged with the proxy index. Marks the engine
+    /// fault-touched: from here on every request drains the clusters'
+    /// timeout penalties (which can only be zero before any such call).
+    /// Read-only questions go through [`p2p`](Self::p2p).
+    pub fn cluster_mut(&mut self, proxy: usize) -> (&mut P2PClientCache, Tap<'_, R>) {
         self.faults_touched = true;
-        self.proxies[proxy]
-            .p2p
-            .fail_node_tap(node, &mut Tap { recorder: &self.recorder, proxy })?;
-        Ok(())
-    }
-
-    /// Crashes one client machine *silently* (tentpole fault model): no
-    /// announcement, no repair — every other node and the proxy's lookup
-    /// directory keep stale references until traffic walks into the
-    /// corpse and times out (lazy failure detection).
-    pub fn crash_client(
-        &mut self,
-        proxy: usize,
-        node: webcache_pastry::NodeId,
-    ) -> Result<(), SimError> {
-        self.faults_touched = true;
-        self.proxies[proxy]
-            .p2p
-            .crash_node_tap(node, &mut Tap { recorder: &self.recorder, proxy })?;
-        Ok(())
-    }
-
-    /// Gracefully departs one client machine: it hands its resident
-    /// objects to their new roots before disconnecting, so nothing is
-    /// lost.
-    pub fn depart_client(
-        &mut self,
-        proxy: usize,
-        node: webcache_pastry::NodeId,
-    ) -> Result<(), SimError> {
-        self.faults_touched = true;
-        self.proxies[proxy]
-            .p2p
-            .depart_node_tap(node, &mut Tap { recorder: &self.recorder, proxy })?;
-        Ok(())
-    }
-
-    /// Joins a fresh client machine into `proxy`'s cluster mid-run
-    /// (rejoin after churn); keys it now roots migrate to it.
-    pub fn join_client(&mut self, proxy: usize, node: webcache_pastry::NodeId) {
-        self.faults_touched = true;
-        self.proxies[proxy].p2p.join_node_tap(node, &mut Tap { recorder: &self.recorder, proxy });
-    }
-
-    /// Installs message-level fault state (loss probability, slow nodes)
-    /// on `proxy`'s cluster. Also switches the cluster's request path
-    /// into fault-aware mode.
-    pub fn set_client_faults(&mut self, proxy: usize, faults: NetFaults) {
-        self.faults_touched = true;
-        self.proxies[proxy].p2p.set_faults(faults);
-    }
-
-    /// Marks one client machine as slow (requests it serves stall one
-    /// timeout). No-op unless [`set_client_faults`](Self::set_client_faults)
-    /// ran first.
-    pub fn mark_client_slow(&mut self, proxy: usize, node: webcache_pastry::NodeId) {
-        self.faults_touched = true;
-        self.proxies[proxy].p2p.mark_slow(node);
-    }
-
-    /// Arms the misbehavior subsystem on `proxy`'s cluster: installs the
-    /// adversary draw stream and the spot-check audit defense (audit
-    /// every store receipt with probability `audit_rate`; quarantine a
-    /// node after `strike_limit` failed possession challenges). Also
-    /// switches the cluster's request path into fault-aware mode. Nodes
-    /// stay honest until [`set_client_behavior`](Self::set_client_behavior)
-    /// flips them.
-    pub fn enable_client_adversary(
-        &mut self,
-        proxy: usize,
-        seed: u64,
-        audit_rate: f64,
-        strike_limit: u32,
-    ) {
-        self.faults_touched = true;
-        self.proxies[proxy].p2p.enable_adversary(seed, audit_rate, strike_limit);
-    }
-
-    /// Flips one client machine's behavior (free-rider, receipt forger,
-    /// garbage responder, or back to honest). No-op unless
-    /// [`enable_client_adversary`](Self::enable_client_adversary) ran
-    /// first.
-    pub fn set_client_behavior(
-        &mut self,
-        proxy: usize,
-        node: webcache_pastry::NodeId,
-        behavior: webcache_p2p::Behavior,
-    ) {
-        self.faults_touched = true;
-        self.proxies[proxy].p2p.set_behavior(node, behavior);
+        (&mut self.proxies[proxy].p2p, Tap { recorder: &self.recorder, proxy })
     }
 
     /// Routes every protocol message in `proxy`'s cluster through an
     /// [`UnreliableTransport`](webcache_p2p::UnreliableTransport) with the
-    /// given loss/duplication/reorder/corruption probabilities. Also
-    /// switches the cluster's request path into fault-aware mode.
+    /// given loss/duplication/reorder/corruption probabilities:
+    /// `cluster_mut(proxy).0.set_transport(faults)`. Kept, like the
+    /// `prepare_wave` shim, only because the frozen `benchmark/` crate
+    /// calls it.
     pub fn set_client_transport(&mut self, proxy: usize, faults: webcache_p2p::TransportFaults) {
-        self.faults_touched = true;
-        self.proxies[proxy].p2p.set_transport(faults);
-    }
-
-    /// Arms the overload defenses (per-destination circuit breakers and
-    /// the per-node retry budget) on `proxy`'s cluster transport,
-    /// installing a fault-free transport first when none is present. Also
-    /// switches the cluster's request path into fault-aware mode. An
-    /// all-off defense is a no-op.
-    pub fn arm_client_overload_defense(
-        &mut self,
-        proxy: usize,
-        defense: webcache_p2p::OverloadDefense,
-    ) {
-        if defense.is_none() {
-            return;
-        }
-        self.faults_touched = true;
-        self.proxies[proxy].p2p.arm_overload_defense(defense);
-    }
-
-    /// Splits `proxy`'s client cluster into two overlay islands, keeping
-    /// `percent_a` percent of the live machines on the proxy's side.
-    /// Each island runs its own membership view and repair until
-    /// [`heal_clients`](Self::heal_clients) merges them back — the
-    /// split-brain fault the reconciliation sweep exists for. Returns
-    /// whether a cut was actually started (`false`: one is already up or
-    /// too few machines remain).
-    pub fn partition_clients(&mut self, proxy: usize, percent_a: u8) -> bool {
-        self.faults_touched = true;
-        self.proxies[proxy]
-            .p2p
-            .partition_nodes(percent_a, &mut Tap { recorder: &self.recorder, proxy })
-    }
-
-    /// Heals `proxy`'s cluster partition and runs the anti-entropy
-    /// reconciliation sweep (higher epoch wins, losers demoted, floors
-    /// re-established). Returns whether a cut was actually healed.
-    pub fn heal_clients(&mut self, proxy: usize) -> bool {
-        self.faults_touched = true;
-        self.proxies[proxy].p2p.heal_nodes(&mut Tap { recorder: &self.recorder, proxy })
-    }
-
-    /// Installs correlated failure domains on `proxy`'s cluster: every
-    /// machine draws a domain id in `0..count` from a
-    /// [`SeedStream`](webcache_primitives::seed::SeedStream)
-    /// derived from `seed` (late joiners draw from the same stream).
-    /// With `spread` on, replica placement spans distinct domains
-    /// whenever the cluster offers enough of them; with it off, domains
-    /// drive fault injection only (blind placement). Does *not* switch
-    /// the request path into fault-aware mode — placement works in the
-    /// fast path.
-    pub fn assign_client_domains(&mut self, proxy: usize, count: u32, seed: u64, spread: bool) {
-        self.proxies[proxy].p2p.assign_domains(count, seed, spread);
-    }
-
-    /// Live client machines of `proxy`'s cluster in failure domain
-    /// `domain`, in cacheId order — the `domainfail@N:D` victim list.
-    pub fn live_clients_in_domain(
-        &self,
-        proxy: usize,
-        domain: u32,
-    ) -> Vec<webcache_pastry::NodeId> {
-        self.proxies[proxy].p2p.live_ids_in_domain(domain)
-    }
-
-    /// One paced round of the background repair scheduler on `proxy`'s
-    /// cluster: up to `budget` scan units spent detecting silent
-    /// corpses, draining limbo, and topping under-floor entries back up
-    /// — see [`P2PClientCache::repair_step_tap`]. The returned
-    /// [`RepairOutcome`] carries the units actually spent (`scanned`),
-    /// which event-clock drivers price as busy time.
-    pub fn repair_client_step(&mut self, proxy: usize, budget: u32) -> RepairOutcome {
-        self.faults_touched = true;
-        self.proxies[proxy]
-            .p2p
-            .repair_step_tap(budget, &mut Tap { recorder: &self.recorder, proxy })
-    }
-
-    /// Entries currently below the replica floor in `proxy`'s cluster
-    /// (limbo casualties + the repair sweep's under-floor gauge).
-    pub fn client_at_risk(&self, proxy: usize) -> u64 {
-        self.proxies[proxy].p2p.at_risk_gauge()
-    }
-
-    /// The no-silent-loss audit over `proxy`'s cluster (chaos oracle 9):
-    /// violations for every unrecoverable object that was never ledgered
-    /// lost. Empty = conserved.
-    pub fn client_silent_loss_audit(&self, proxy: usize) -> Vec<String> {
-        self.proxies[proxy].p2p.silent_loss_audit()
-    }
-
-    /// Test-only sabotage hook: plants a directory entry with no backing
-    /// copy in `proxy`'s cluster, a violation the chaos-explorer oracles
-    /// must catch.
-    #[doc(hidden)]
-    pub fn debug_plant_ghost_entry(&mut self, proxy: usize, object: u128) {
-        self.proxies[proxy].p2p.debug_plant_ghost_entry(object);
+        self.cluster_mut(proxy).0.set_transport(faults);
     }
 
     /// The recorder observing this engine.

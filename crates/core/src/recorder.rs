@@ -344,7 +344,7 @@ impl Recorder for StatsRecorder {
 }
 
 /// Plain-data snapshot of a [`StatsRecorder`].
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
     /// Requests per class, indexed by [`HitClass::index`].
     pub requests_by_class: [u64; HitClass::ALL.len()],

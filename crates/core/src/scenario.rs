@@ -75,10 +75,14 @@ pub(crate) struct Twin {
 }
 
 impl Twin {
-    /// Generates `base`'s trace and drives it with no plan armed.
+    /// Generates `base`'s trace and drives it with no fault armed, over
+    /// the request window of `base.plan` — so a windowed plan (a shrunk
+    /// chaos reproducer) is compared against a twin that served the same
+    /// requests.
     pub(crate) fn new(base: &ChurnConfig) -> Result<Twin, SimError> {
         let trace = base.trace();
-        let (baseline, engine) = drive(base, &trace, &FaultPlan::none())?;
+        let fault_free = FaultPlan { window: base.plan.window, ..FaultPlan::none() };
+        let (baseline, engine) = drive(base, &trace, &fault_free)?;
         Ok(Twin { trace, baseline, engine })
     }
 

@@ -402,6 +402,13 @@ pub struct Log2Snapshot {
     pub max: u64,
 }
 
+impl Default for Log2Snapshot {
+    /// The snapshot of a histogram nothing was recorded into.
+    fn default() -> Self {
+        Log2Snapshot { buckets: [0; LOG2_BUCKETS], count: 0, sum: 0, max: 0 }
+    }
+}
+
 impl Log2Snapshot {
     /// Exact mean of all samples (0 if empty).
     pub fn mean(&self) -> f64 {

@@ -29,7 +29,8 @@ fn hiergd_survives_rolling_client_failures() {
         // Crash a machine every 4000 requests (10 failures total).
         if i % 4_000 == 3_999 {
             let victim = engine.p2p(0).node_ids().nth(i / 4_000).expect("cluster non-empty");
-            engine.fail_client(0, victim).expect("victim is live");
+            let (p2p, mut tap) = engine.cluster_mut(0);
+            p2p.fail_node_tap(victim, &mut tap).expect("victim is live");
             let problems = engine.p2p(0).check_invariants();
             assert!(problems.is_empty(), "after failure at {i}: {problems:?}");
         }
@@ -141,7 +142,8 @@ fn churn_costs_latency_but_not_correctness() {
             metrics.record(class, net.latency(class));
             if failures > 0 && i % every == every - 1 && i / every < failures {
                 let victim = engine.p2p(0).node_ids().next().expect("cluster non-empty");
-                engine.fail_client(0, victim).expect("victim is live");
+                let (p2p, mut tap) = engine.cluster_mut(0);
+                p2p.fail_node_tap(victim, &mut tap).expect("victim is live");
             }
         }
         engine.finish(&mut metrics);

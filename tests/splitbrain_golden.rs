@@ -54,10 +54,12 @@ fn split_brain_run(trace: &Trace) -> (HierGdEngine<Arc<StatsRecorder>>, Arc<Stat
     let heal_at = 2 * trace.requests.len() / 3;
     for (i, req) in trace.requests.iter().enumerate() {
         if i == cut_at {
-            assert!(engine.partition_clients(0, 60), "cut must take effect");
+            let (p2p, mut tap) = engine.cluster_mut(0);
+            assert!(p2p.partition_nodes(60, &mut tap), "cut must take effect");
         }
         if i == heal_at {
-            assert!(engine.heal_clients(0), "heal must take effect");
+            let (p2p, mut tap) = engine.cluster_mut(0);
+            assert!(p2p.heal_nodes(&mut tap), "heal must take effect");
         }
         engine.serve(0, req);
     }
