@@ -401,6 +401,7 @@ fn run_oracles(
     trace: &Trace,
 ) -> Result<Vec<String>, SimError> {
     let churn = cfg.churn(plan);
+    churn.validate()?;
     let (out, mut engine) = drive(&churn, trace, plan)?;
     if cfg.sabotage && plan.count(FaultAction::Crash) > 0 {
         // The planted bug: a directory entry with no backing copy, only

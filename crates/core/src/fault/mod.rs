@@ -133,29 +133,6 @@ impl ChurnConfig {
         if self.replication == 0 {
             return Err(SimError::InvalidConfig("replication factor must be >= 1".into()));
         }
-        for (name, p) in [
-            ("loss", self.plan.loss),
-            ("mloss", self.plan.mloss),
-            ("dup", self.plan.dup),
-            ("reorder", self.plan.reorder),
-            ("corrupt", self.plan.corrupt),
-        ] {
-            if !(0.0..1.0).contains(&p) {
-                return Err(SimError::InvalidConfig(format!("{name} must be in [0, 1), got {p}")));
-            }
-        }
-        if !(0.0..=1.0).contains(&self.plan.budget) {
-            return Err(SimError::InvalidConfig(format!(
-                "budget ratio must be in [0, 1], got {}",
-                self.plan.budget
-            )));
-        }
-        if self.plan.shed_high > 0 && self.plan.shed_low >= self.plan.shed_high {
-            return Err(SimError::InvalidConfig(format!(
-                "shed low watermark must sit below the high watermark, got {}:{}",
-                self.plan.shed_high, self.plan.shed_low
-            )));
-        }
         if !(0.0..=1.0).contains(&self.audit_rate) {
             return Err(SimError::InvalidConfig(format!(
                 "audit_rate must be in [0, 1], got {}",
@@ -165,18 +142,9 @@ impl ChurnConfig {
         if self.audit_strikes == 0 {
             return Err(SimError::InvalidConfig("audit_strikes must be >= 1".into()));
         }
-        // Programmatically-built plans (the chaos explorer uses `push`)
-        // bypass the parser's cross-token check, so re-validate here.
-        for e in &self.plan.events {
-            if let FaultAction::DomainFail(d) = e.action {
-                if self.plan.domains == 0 || d >= self.plan.domains {
-                    return Err(SimError::InvalidConfig(format!(
-                        "domainfail@{}:{d} names a domain outside 0..{} (set domains=D)",
-                        e.at, self.plan.domains
-                    )));
-                }
-            }
-        }
+        // A plan built in code never met the parser, so it is held to
+        // the parser's range rules here.
+        self.plan.validate()?;
         self.net.validate()
     }
 }
@@ -396,6 +364,61 @@ mod tests {
         let table = report.to_table();
         assert!(table.contains("availability"));
         assert!(table.contains("stale directory hits"));
+    }
+
+    /// The error of a drill whose plan schedules `action` at request 10.
+    fn rejection(action: FaultAction, domains: u32) -> String {
+        let mut plan = FaultPlan { domains, ..FaultPlan::none() };
+        plan.push(10, action);
+        run_churn(&small_cfg(plan)).unwrap_err().to_string()
+    }
+
+    // A plan built in code never met the parser. Three ways that used to
+    // go wrong, each rejected now with an error naming the event:
+
+    #[test]
+    fn a_spike_of_intensity_zero_is_rejected_not_divided_by() {
+        let err = rejection(FaultAction::Spike { span: 64, times: 0 }, 0);
+        assert!(err.contains("spike intensity in spike@10"), "{err}");
+    }
+
+    #[test]
+    fn a_partition_past_100_percent_is_rejected_not_printed_with_overflow() {
+        let err = rejection(FaultAction::Partition(150), 0);
+        assert!(err.contains("each island in partition@10"), "{err}");
+    }
+
+    #[test]
+    fn payloads_whose_spec_would_not_parse_are_rejected() {
+        for (action, needle) in [
+            (FaultAction::Forge(0), "forge rate in forge@10"),
+            (FaultAction::Garble(2_000), "garble rate in garble@10"),
+            (FaultAction::Burst(1), "burst size in burst@10"),
+        ] {
+            let err = rejection(action, 0);
+            assert!(err.contains(needle), "{action:?} -> {err}");
+        }
+    }
+
+    #[test]
+    fn every_other_range_of_the_grammar_holds_for_plans_built_in_code() {
+        for (action, domains, needle) in [
+            (FaultAction::Spike { span: 0, times: 4 }, 0, "spike span in spike@10"),
+            (FaultAction::DomainFail(4), 4, "domainfail domain 4 in domainfail@10"),
+            (FaultAction::DomainFail(0), 0, "domainfail in domainfail@10"),
+        ] {
+            let err = rejection(action, domains);
+            assert!(err.contains(needle), "{action:?} -> {err}");
+        }
+        for plan in [
+            FaultPlan { mloss: 1.0, ..FaultPlan::none() },
+            FaultPlan { budget: 1.5, ..FaultPlan::none() },
+            FaultPlan { shed_high: 4, shed_low: 4, ..FaultPlan::none() },
+            FaultPlan { shed_low: 4, ..FaultPlan::none() },
+        ] {
+            let err = run_churn(&small_cfg(plan.clone())).unwrap_err();
+            assert!(matches!(err, SimError::InvalidConfig(_)), "{plan:?} -> {err}");
+        }
     }
 
     #[test]
