@@ -3,7 +3,7 @@
 //! Everything the simulation does at a point in model time is one of
 //! these variants, scheduled on a [`SimClock`](crate::clock::SimClock)
 //! and handled by the [`Engine`](crate::engine::Engine) event loop (or by
-//! the fault driver's loop in `fault.rs`, which adds [`Event::Fault`]
+//! the fault driver's loop in `fault/driver.rs`, which adds [`Event::Fault`]
 //! handling). The old inline driver collapsed all of these into
 //! synchronous calls; the event core makes each one a first-class,
 //! timestamped occurrence so non-uniform latencies, overlapping

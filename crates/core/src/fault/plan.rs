@@ -164,7 +164,7 @@ impl Shape {
             text.split_once(sep).ok_or_else(|| {
                 let (pattern, example) = self.pattern();
                 invalid(
-                    format_args!("{kw} token"),
+                    kw,
                     tok,
                     format_args!(
                         "is missing its {part} (expected {kw}@N{pattern}, e.g. {kw}@100{example})"
@@ -193,7 +193,7 @@ impl Shape {
                 let (at, cut) = split(rest, '{', "island split")?;
                 let Some(body) = cut.trim().strip_suffix('}') else {
                     return Err(invalid(
-                        format_args!("{kw} token"),
+                        kw,
                         tok,
                         format_args!("has an unterminated '{{' (expected {kw}@N{{A|B}})"),
                     ));
@@ -409,7 +409,7 @@ impl Key {
                 let Some((h, l)) = text.split_once(':') else {
                     let name = self.name;
                     return Err(invalid(
-                        format_args!("{name} key"),
+                        name,
                         tok,
                         format_args!(
                             "needs both watermarks (expected {name}=H:L in rounds of backlog, \

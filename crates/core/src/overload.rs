@@ -9,7 +9,7 @@
 //! at the transport, and watermark load shedding degrades background
 //! work to the origin until the backlog drains (see
 //! [`FaultPlan::overload_defense`] and the plan's `shed=HI:LO`
-//! watermarks, which the fault driver's loop in `fault.rs` applies).
+//! watermarks, which the fault driver's loop in `fault/driver.rs` applies).
 //!
 //! [`run_overload`] drives one fault-free baseline plus two runs per
 //! swept intensity — defenses off ("naive") and defenses on — over the

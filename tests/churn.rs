@@ -82,6 +82,15 @@ fn ten_silent_crashes_and_one_percent_loss_stay_fully_available() {
         "replica rescues are a subset of stale directory hits"
     );
     assert!(report.stale_hits > 0, "silent crashes must leave stale directory entries");
+    // Lazy repair keeps stale hits bounded by the objects a corpse can
+    // hold: a crashed machine's entries are purged at its detection.
+    assert!(
+        report.stale_hits <= report.crashes * cfg.client_cache_capacity as u64,
+        "{} stale hits from {} crashes of {}-object machines",
+        report.stale_hits,
+        report.crashes,
+        cfg.client_cache_capacity
+    );
     assert!(report.timeouts > 0, "stale hits and dead routes must cost timeouts");
 
     // Invariants held at every lazy-detection point.
