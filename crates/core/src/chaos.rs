@@ -787,7 +787,7 @@ fn relax_durability_and_window(
     Some(candidate.into_iter().collect())
 }
 
-/// Minimizes a failing plan: round after round of [`PASSES`], adopting
+/// Minimizes a failing plan: round after round of the `PASSES`, adopting
 /// any candidate that still fails, until a round improves nothing or the
 /// budget runs out. Returns the shrunk plan, its findings, and the runs
 /// spent.

@@ -6,7 +6,7 @@
 //! [`HierGdEngine::cluster_mut`] — the `P2PClientCache` operations
 //! themselves, with the engine's recorder tap.
 
-use super::{ChurnConfig, FaultAction, FaultPlan};
+use super::{ChurnConfig, FaultAction, FaultEvent, FaultPlan};
 use crate::clock::{ticks_of, ClockMode, SimClock, TICKS_PER_ROUND};
 use crate::engine::{complete, Admission, SchemeEngine};
 use crate::error::SimError;
@@ -187,8 +187,7 @@ pub(crate) fn drive(
     while let Some(event) = clock.pop() {
         match event {
             Event::Fault { index } => {
-                let action = plan.events[index].action;
-                let at = plan.events[index].at;
+                let FaultEvent { at, action } = plan.events[index];
                 if let FaultAction::Spike { span, times } = action {
                     // Pure arrival-schedule state — overlapping spikes
                     // extend the window and the newest intensity wins.
@@ -314,7 +313,7 @@ pub(crate) fn drive(
                 // Detection latency stays in request-index units in both
                 // modes (cache dynamics are identical at admission time).
                 // Every crash enters `outstanding` as it enters the
-                // overlay's crashed set (`crash_one` is the only path to
+                // overlay's crashed set (`crash` is the only path to
                 // either), so equal sizes mean nothing was detected this
                 // round — the common case, decided without a scan.
                 let p2p = engine.p2p(0);

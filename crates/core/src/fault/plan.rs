@@ -9,8 +9,9 @@
 //! row (DESIGN.md, "Fault plan grammar", prints them; a test keeps the
 //! two in step).
 //!
-//! Every parse error is built by [`Token`], so each names the token it
-//! sits in and the byte that token starts at. The range rules take the
+//! Every error has one wording, built by `invalid`; a parse error's place
+//! is its [`Token`], so each names the token it sits in and the byte
+//! that token starts at. The range rules take the
 //! place they report at — the parser passes the token,
 //! [`FaultPlan::validate`] the event (`spike@10`) — so a plan built in
 //! code is held to the same rules as a parsed one.
