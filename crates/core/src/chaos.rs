@@ -164,19 +164,9 @@ impl ChaosConfig {
         if self.plans == 0 {
             return Err(SimError::InvalidConfig("plans must be positive".into()));
         }
-        if self.requests == 0 {
-            return Err(SimError::InvalidConfig("requests must be positive".into()));
-        }
-        if self.clients_per_cluster == 0 {
-            return Err(SimError::InvalidConfig("clients_per_cluster must be positive".into()));
-        }
-        if self.replication == 0 {
-            return Err(SimError::InvalidConfig("replication factor must be >= 1".into()));
-        }
         for (name, p) in [
             ("partition_prob", self.partition_prob),
             ("adversary_prob", self.adversary_prob),
-            ("audit_rate", self.audit_rate),
             ("flash_prob", self.flash_prob),
             ("burst_prob", self.burst_prob),
         ] {
@@ -184,7 +174,9 @@ impl ChaosConfig {
                 return Err(SimError::InvalidConfig(format!("{name} must be in [0, 1]")));
             }
         }
-        self.net.validate()
+        // Everything a drill needs of this configuration — sizes,
+        // replication, audit rate, latency model — is the drill's to check.
+        self.churn(&FaultPlan::none()).validate()
     }
 
     /// The churn-drill view of this configuration with `plan` installed.

@@ -171,11 +171,7 @@ impl ChurnReport {
         ChurnReport {
             requests: served,
             served_by_class,
-            availability_percent: if issued == 0 {
-                100.0
-            } else {
-                served as f64 / issued as f64 * 100.0
-            },
+            availability_percent: served as f64 / issued as f64 * 100.0,
             crashes: faulty.crashes,
             departures: faulty.departures,
             rejoins: faulty.rejoins,
