@@ -385,7 +385,7 @@ mod tests {
     #[test]
     fn a_partition_past_100_percent_is_rejected_not_printed_with_overflow() {
         let err = rejection(FaultAction::Partition(150), 0);
-        assert!(err.contains("each island in partition@10"), "{err}");
+        assert!(err.contains("partition island in partition@10"), "{err}");
     }
 
     #[test]
@@ -404,7 +404,7 @@ mod tests {
     fn every_other_range_of_the_grammar_holds_for_plans_built_in_code() {
         for (action, domains, needle) in [
             (FaultAction::Spike { span: 0, times: 4 }, 0, "spike span in spike@10"),
-            (FaultAction::DomainFail(4), 4, "domainfail domain 4 in domainfail@10"),
+            (FaultAction::DomainFail(4), 4, "domainfail domain in domainfail@10"),
             (FaultAction::DomainFail(0), 0, "domainfail in domainfail@10"),
         ] {
             let err = rejection(action, domains);

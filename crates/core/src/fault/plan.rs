@@ -177,9 +177,8 @@ impl Shape {
             Shape::Bare(action) => (rest, action),
             Shape::Rate(make) => {
                 let (at, text) = split(rest, ':', "rate")?;
-                let what = format!("{kw} rate");
-                let rate: f64 = tok.value(&what, text)?;
-                ratio_rule(&what, &tok, rate)?;
+                let rate: f64 = tok.value(format_args!("{kw} rate"), text)?;
+                ratio_rule(&format_args!("{kw} rate"), &tok, rate)?;
                 // Per-mille keeps the action Copy + Eq; a positive
                 // rate never rounds down to "never fires".
                 (at, make(((rate * 1000.0).round() as u16).max(1)))
@@ -187,8 +186,8 @@ impl Shape {
             Shape::SpanTimes(make) => {
                 let (at, tail) = split(rest, ':', "span and intensity")?;
                 let (span, times) = split(tail, ':', "intensity")?;
-                let span = tok.value(&format!("{kw} span"), span)?;
-                (at, make(span, tok.value(&format!("{kw} intensity"), times)?))
+                let span = tok.value(format_args!("{kw} span"), span)?;
+                (at, make(span, tok.value(format_args!("{kw} intensity"), times)?))
             }
             Shape::Islands(make) => {
                 let (at, cut) = split(rest, '{', "island split")?;
@@ -210,7 +209,7 @@ impl Shape {
             }
             Shape::Count(make, noun) => {
                 let (at, text) = split(rest, ':', noun)?;
-                (at, make(tok.value(&format!("{kw} {noun}"), text)?))
+                (at, make(tok.value(format_args!("{kw} {noun}"), text)?))
             }
         })
     }
@@ -227,36 +226,35 @@ impl FaultAction {
     /// `domains` is the plan's `domains=` value: a `domainfail` names a
     /// domain that must exist.
     fn check(self, domains: u32, place: &dyn fmt::Display) -> Result<(), SimError> {
-        let kw = self.keyword();
         let (what, why) = match self {
             FaultAction::Spike { span: 0, .. } => {
-                (format!("{kw} span"), "must cover at least one request".to_string())
+                (" span", "must cover at least one request".to_string())
             }
             FaultAction::Spike { times, .. } if times < 2 => {
-                (format!("{kw} intensity"), format!("must be at least 2x, got {times}"))
+                (" intensity", format!("must be at least 2x, got {times}"))
             }
             FaultAction::Partition(pct) if !(1..=99).contains(&pct) => {
-                ("each island".to_string(), "needs between 1% and 99% of the machines".to_string())
+                (" island", "needs between 1% and 99% of the machines".to_string())
             }
             FaultAction::Forge(pm) | FaultAction::Garble(pm) => {
-                return ratio_rule(&format!("{kw} rate"), place, f64::from(pm) / 1000.0);
+                let what = format_args!("{} rate", self.keyword());
+                return ratio_rule(&what, place, f64::from(pm) / 1000.0);
             }
             FaultAction::Burst(k) if k < 2 => (
-                format!("{kw} size"),
+                " size",
                 "must be at least 2 simultaneous crashes (use crash@N for one)".to_string(),
             ),
             FaultAction::DomainFail(_) if domains == 0 => (
-                kw.to_string(),
+                "",
                 "needs the domains=D key (the cluster is not carved into failure domains)"
                     .to_string(),
             ),
-            FaultAction::DomainFail(d) if d >= domains => (
-                format!("{kw} domain {d}"),
-                format!("names a domain outside 0..{domains} (domains={domains})"),
-            ),
+            FaultAction::DomainFail(d) if d >= domains => {
+                (" domain", format!("is outside 0..{domains} (domains={domains}): {d}"))
+            }
             _ => return Ok(()),
         };
-        Err(invalid(what, place, why))
+        Err(invalid(format_args!("{}{what}", self.keyword()), place, why))
     }
 }
 
@@ -387,25 +385,26 @@ const KEYS: [Key; 12] = {
     ]
 };
 
-impl Key {
+impl fmt::Display for Key {
     /// What messages call a value of this key.
-    fn what(&self) -> String {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match (self.rule, self.noun) {
-            (Rule::Probability, _) => format!("{} probability", self.name),
-            (_, "") => self.name.to_string(),
-            (_, noun) => noun.to_string(),
+            (Rule::Probability, _) => write!(f, "{} probability", self.name),
+            (_, "") => f.write_str(self.name),
+            (_, noun) => f.write_str(noun),
         }
     }
+}
 
+impl Key {
     /// Parses the text after `name=` into the key's field of `plan` and
     /// range-checks it.
     fn parse_into(&self, plan: &mut FaultPlan, tok: Token<'_>, text: &str) -> Result<(), SimError> {
-        let what = self.what();
         let mut slot = (self.slot)(plan);
         match &mut slot {
-            Slot::Real(v) => **v = tok.value(&what, text)?,
-            Slot::Small(n) => **n = tok.value(&what, text)?,
-            Slot::Large(n) => **n = tok.value(&what, text)?,
+            Slot::Real(v) => **v = tok.value(self, text)?,
+            Slot::Small(n) => **n = tok.value(self, text)?,
+            Slot::Large(n) => **n = tok.value(self, text)?,
             Slot::Marks(high, low) => {
                 let Some((h, l)) = text.split_once(':') else {
                     let name = self.name;
@@ -418,7 +417,7 @@ impl Key {
                         ),
                     ));
                 };
-                (**high, **low) = (tok.value(&what, h)?, tok.value(&what, l)?);
+                (**high, **low) = (tok.value(self, h)?, tok.value(self, l)?);
             }
         }
         self.check(&slot, &tok)
@@ -430,12 +429,12 @@ impl Key {
             (Rule::Probability, Slot::Real(p)) if !(0.0..1.0).contains(*p) => {
                 Err(invalid(self.name, place, format_args!("must be in [0, 1), got {p}")))
             }
-            (Rule::Ratio, Slot::Real(f)) => ratio_rule(&self.what(), place, **f),
+            (Rule::Ratio, Slot::Real(f)) => ratio_rule(self, place, **f),
             (Rule::AtLeastOne(rest), Slot::Small(0)) => {
-                Err(invalid(self.what(), place, format_args!("must be at least 1{rest}")))
+                Err(invalid(self, place, format_args!("must be at least 1{rest}")))
             }
             (Rule::Watermarks, Slot::Marks(high, low)) if low >= high => Err(invalid(
-                format_args!("{}s", self.what()),
+                format_args!("{self}s"),
                 place,
                 format_args!("must satisfy H > L >= 0, got {high}:{low}"),
             )),
@@ -445,7 +444,11 @@ impl Key {
 }
 
 /// `(0, 1]`: the range of the `budget=` ratio and of adversary rates.
-fn ratio_rule(what: &str, place: &dyn fmt::Display, value: f64) -> Result<(), SimError> {
+fn ratio_rule(
+    what: &dyn fmt::Display,
+    place: &dyn fmt::Display,
+    value: f64,
+) -> Result<(), SimError> {
     if value > 0.0 && value <= 1.0 {
         return Ok(());
     }
@@ -488,7 +491,7 @@ impl fmt::Display for Token<'_> {
 
 impl Token<'_> {
     /// `text` as a number of type `T`.
-    fn value<T: FromStr>(self, what: &str, text: &str) -> Result<T, SimError> {
+    fn value<T: FromStr>(self, what: impl fmt::Display, text: &str) -> Result<T, SimError> {
         let text = text.trim();
         text.parse().map_err(|_| {
             let expected = format_args!("(expected {})", std::any::type_name::<T>());
