@@ -87,6 +87,24 @@ surfaces() { # $1 = binary, $2 = output directory
       --report-out $scenario.json --csv-out $scenario.csv
   done
   keep chaos_sabotage.json "$bin" chaos --plans 40 --seed 42 --sabotage true --json true
+
+  # Error paths: the message and the exit code are what a CLI refactor
+  # breaks. Paths are relative so both sides print the same names.
+  keep err_unknown_scheme.txt "$bin" run --scheme x t1.bin
+  keep err_unknown_flag_churn.txt "$bin" churn --crahes 3
+  keep err_unknown_flag_durability.txt "$bin" durability --replication 3
+  keep err_unknown_flag_overload.txt "$bin" overload --ts-tc 5
+  keep err_two_typos.txt "$bin" adversary --zeta 1 --alpha 2
+  keep err_empty_grid.txt "$bin" adversary --fracs 0
+  keep err_bad_list_element.txt "$bin" durability --bursts nope
+  keep err_missing_value.txt "$bin" sweep --schemes
+  keep err_missing_trace.txt "$bin" run --scheme sc missing.bin
+  keep err_no_traces.txt "$bin" run --scheme sc
+  keep err_bad_plan.txt "$bin" churn --plan mloss=1.5
+  keep err_duplicate_plan_key.txt "$bin" churn --plan seed=1,seed=2
+  keep err_chaos_zero_plans.txt "$bin" chaos --plans 0
+  keep err_unknown_subcommand.txt "$bin" frobnicate
+  keep err_help.txt "$bin" --help
 }
 
 (surfaces "$scratch/parent-target/release/webcache" "$scratch/out-parent")
