@@ -3,6 +3,7 @@
 use super::driver::DriveOutcome;
 use super::ChurnConfig;
 use crate::net::HitClass;
+use crate::recorder::class_counts_json;
 use std::fmt::Write as _;
 
 /// What a churn drill measured. All latency fields are integer
@@ -230,22 +231,12 @@ impl ChurnReport {
     }
 
     /// Renders the report as a JSON document with a fixed field order
-    /// (hand-rolled: the offline build has no serde_json). Bit-stable
+    /// (hand-rolled: the offline build has no JSON crate). Bit-stable
     /// for a fixed seed + plan — the golden churn test diffs it.
     pub fn to_json(&self) -> String {
         let mut s = String::from("{\n");
         let _ = writeln!(s, "  \"requests\": {},", self.requests);
-        s.push_str("  \"served_by_class\": {");
-        for (i, class) in HitClass::ALL.iter().enumerate() {
-            let _ = write!(
-                s,
-                "{}\"{}\": {}",
-                if i == 0 { "" } else { ", " },
-                class.label(),
-                self.served_by_class[class.index()]
-            );
-        }
-        s.push_str("},\n");
+        let _ = writeln!(s, "  \"served_by_class\": {},", class_counts_json(&self.served_by_class));
         let _ = writeln!(s, "  \"availability_percent\": {:.4},", self.availability_percent);
         for (name, v) in [
             ("crashes", self.crashes),

@@ -20,7 +20,7 @@
 //!   histograms, built on [`ShardedCounter`]/[`Log2Histogram`] so one
 //!   instance can be shared across the rayon-parallel `sweep()` workers;
 //! * [`EventLogRecorder`] — a bounded ring buffer of structured events
-//!   with CSV/JSON export for offline analysis (`target/figures/`).
+//!   with CSV export for offline analysis (`target/figures/`).
 
 use crate::error::SimError;
 use crate::net::HitClass;
@@ -120,123 +120,174 @@ impl<A: Recorder, B: Recorder> Recorder for (A, B) {
     }
 }
 
-/// Lock-free aggregate statistics: per-class request counters, a latency
-/// histogram, hop distributions, and every P2P message class the paper's
-/// claims 11–13 reference.
-///
-/// All cells are sharded counters or atomic histograms, so a single
-/// `Arc<StatsRecorder>` can be shared across the rayon-parallel `sweep()`
-/// without locks. Not `Clone` — share via `Arc` (or borrow).
-#[derive(Debug, Default)]
-pub struct StatsRecorder {
-    /// Requests per [`HitClass`] (indexed by [`HitClass::index`]).
-    requests: [ShardedCounter; HitClass::ALL.len()],
-    /// End-to-end latency in milli-units (`latency × 1000`, log₂ buckets).
-    latency_milli: Log2Histogram,
-    /// Overlay hops per routed lookup (claim 11's hop distribution).
-    lookup_hops: Log2Histogram,
-    /// Overlay hops per destage message.
-    destage_hops: Log2Histogram,
-    destages: ShardedCounter,
-    piggybacked_destages: ShardedCounter,
-    direct_destage_connections: ShardedCounter,
-    diverted_destages: ShardedCounter,
-    refreshed_destages: ShardedCounter,
-    lookups: ShardedCounter,
-    stale_lookups: ShardedCounter,
-    pushes: ShardedCounter,
-    directory_probes: ShardedCounter,
-    directory_probe_hits: ShardedCounter,
-    evictions: ShardedCounter,
-    pointer_invalidations: ShardedCounter,
-    node_failures: ShardedCounter,
-    objects_lost: ShardedCounter,
-    node_joins: ShardedCounter,
-    objects_migrated: ShardedCounter,
-    node_crashes: ShardedCounter,
-    objects_at_risk: ShardedCounter,
-    node_departures: ShardedCounter,
-    objects_handed_off: ShardedCounter,
-    timeouts: ShardedCounter,
-    dead_node_timeouts: ShardedCounter,
-    stale_directory_hits: ShardedCounter,
-    stale_hits_replica_served: ShardedCounter,
-    rereplications: ShardedCounter,
-    replica_copies: ShardedCounter,
-    message_retries: ShardedCounter,
-    message_dedups: ShardedCounter,
-    checksum_failures: ShardedCounter,
-    partitions_started: ShardedCounter,
-    partitions_healed: ShardedCounter,
-    entries_reconciled: ShardedCounter,
-    primaries_demoted: ShardedCounter,
-    audits_challenged: ShardedCounter,
-    audits_failed: ShardedCounter,
-    forged_receipts: ShardedCounter,
-    quarantines: ShardedCounter,
-    breaker_fast_fails: ShardedCounter,
-    retry_budget_denials: ShardedCounter,
-    objects_lost_permanent: ShardedCounter,
-    proactive_repairs: ShardedCounter,
-    proactive_repair_copies: ShardedCounter,
+/// Declares every scalar counter once. Each entry below — a doc comment
+/// and a name — becomes a [`ShardedCounter`] cell of [`StatsRecorder`],
+/// the public `u64` field of [`StatsSnapshot`] that `snapshot()` copies it
+/// into, and one `(name, value)` row of the JSON and table renderings, in
+/// declaration order: the list is the counter schema. A new counter is one
+/// entry here plus the arm of `StatsRecorder::p2p_event` that bumps it.
+macro_rules! counters {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// Lock-free aggregate statistics: per-class request counters, a
+        /// latency histogram, hop distributions, and every P2P message
+        /// class the paper's claims 11–13 reference.
+        ///
+        /// All cells are sharded counters or atomic histograms, so a single
+        /// `Arc<StatsRecorder>` can be shared across the rayon-parallel
+        /// `sweep()` without locks. Not `Clone` — share via `Arc` (or
+        /// borrow).
+        #[derive(Debug, Default)]
+        pub struct StatsRecorder {
+            /// Requests per [`HitClass`] (indexed by [`HitClass::index`]).
+            requests: [ShardedCounter; HitClass::ALL.len()],
+            /// End-to-end latency in milli-units (`latency × 1000`, log₂ buckets).
+            latency_milli: Log2Histogram,
+            /// Overlay hops per routed lookup (claim 11's hop distribution).
+            lookup_hops: Log2Histogram,
+            /// Overlay hops per destage message.
+            destage_hops: Log2Histogram,
+            $($name: ShardedCounter,)*
+        }
+
+        impl StatsRecorder {
+            /// A plain-data copy of the current counters.
+            pub fn snapshot(&self) -> StatsSnapshot {
+                StatsSnapshot {
+                    requests_by_class: std::array::from_fn(|i| self.requests[i].get()),
+                    latency_milli: self.latency_milli.snapshot(),
+                    lookup_hops: self.lookup_hops.snapshot(),
+                    destage_hops: self.destage_hops.snapshot(),
+                    $($name: self.$name.get(),)*
+                }
+            }
+        }
+
+        /// Plain-data snapshot of a [`StatsRecorder`].
+        #[derive(Clone, Debug, Default, PartialEq, Eq)]
+        pub struct StatsSnapshot {
+            /// Requests per class, indexed by [`HitClass::index`].
+            pub requests_by_class: [u64; HitClass::ALL.len()],
+            /// End-to-end latency histogram in milli-units (latency × 1000).
+            pub latency_milli: Log2Snapshot,
+            /// Hop distribution of routed lookups (claim 11).
+            pub lookup_hops: Log2Snapshot,
+            /// Hop distribution of destage messages.
+            pub destage_hops: Log2Snapshot,
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl StatsSnapshot {
+            /// The scalar counters as stable `(name, value)` rows.
+            fn counter_rows(&self) -> Vec<(&'static str, u64)> {
+                vec![$((stringify!($name), self.$name),)*]
+            }
+        }
+    };
+}
+
+counters! {
+    /// Total destages (proxy evictions passed down, Fig. 1).
+    destages,
+    /// Destages that rode HTTP responses (§4.4).
+    piggybacked_destages,
+    /// Dedicated connections opened for destaging (claim 12: zero when
+    /// piggybacking is on).
+    direct_destage_connections,
+    /// Destages diverted to a leaf-set neighbor (§4.3).
+    diverted_destages,
+    /// Destages refreshing an already-resident object.
+    refreshed_destages,
+    /// Routed lookups into a client cluster.
+    lookups,
+    /// Lookups whose object was gone (claim 13: Bloom false positives /
+    /// churn staleness).
+    stale_lookups,
+    /// Successful push-protocol fetches (§4.5).
+    pushes,
+    /// Serve-path consultations of the own-cluster lookup directory.
+    directory_probes,
+    /// Probes that answered "present".
+    directory_probe_hits,
+    /// Client-cache evictions (destage replacement + join migration).
+    evictions,
+    /// Evictions that invalidated a diversion pointer.
+    pointer_invalidations,
+    /// Client machines failed.
+    node_failures,
+    /// Objects lost to failures.
+    objects_lost,
+    /// Client machines joined mid-run.
+    node_joins,
+    /// Objects migrated to newcomers.
+    objects_migrated,
+    /// Client machines crashed silently (unannounced, lazily detected).
+    node_crashes,
+    /// Primary copies at risk at crash time (before replica rescue).
+    objects_at_risk,
+    /// Client machines departed gracefully.
+    node_departures,
+    /// Objects handed off to new roots by graceful departures.
+    objects_handed_off,
+    /// Timeout-equivalent stalls (dead-node detection, message loss,
+    /// slow nodes).
+    timeouts,
+    /// Timeouts that exposed a crashed node (lazy failure detection).
+    dead_node_timeouts,
+    /// Directory-approved lookups whose primary died with a crash.
+    stale_directory_hits,
+    /// Stale directory hits rescued by a leaf-set replica.
+    stale_hits_replica_served,
+    /// Replica promotions that restored the replication factor.
+    rereplications,
+    /// Fresh replica copies created by re-replications.
+    replica_copies,
+    /// Protocol messages that needed at least one retransmission through
+    /// the unreliable transport.
+    message_retries,
+    /// Duplicate deliveries discarded by a receiver's dedup window.
+    message_dedups,
+    /// Delivery attempts rejected by the XXH64 payload checksum.
+    checksum_failures,
+    /// Network partitions that split the overlay into islands.
+    partitions_started,
+    /// Partitions healed by the anti-entropy reconciliation sweep.
+    partitions_healed,
+    /// Directory entries merged during reconciliation (epoch winners).
+    entries_reconciled,
+    /// Split-brain primaries demoted to replicas or collected on heal.
+    primaries_demoted,
+    /// Possession challenges issued against store-receipt senders.
+    audits_challenged,
+    /// Audit strikes recorded: possession challenges the audited node
+    /// could not answer, plus garbled fetch payloads caught by checksum
+    /// while the defense is armed.
+    audits_failed,
+    /// Store receipts exposed as forged by a failed audit.
+    forged_receipts,
+    /// Nodes quarantined after exhausting their audit strikes.
+    quarantines,
+    /// Sends that fail-fasted on an open circuit breaker (overload
+    /// defense): one detection timeout instead of a full backoff ladder.
+    breaker_fast_fails,
+    /// Retry ladders abandoned because the per-node retry budget ran dry
+    /// (overload defense): the work degraded to the origin server.
+    retry_budget_denials,
+    /// Objects permanently lost with no surviving copy — the
+    /// no-silent-loss guarantee ledgers each exactly once
+    /// ([`P2pEvent::ObjectLost`]). Distinct from `objects_lost`, which
+    /// aggregates the per-failure loss counts announced at crash time.
+    objects_lost_permanent,
+    /// Entries the background repair scheduler restored to the replica
+    /// floor before a request tripped over them.
+    proactive_repairs,
+    /// Fresh replica copies created by proactive repairs.
+    proactive_repair_copies,
 }
 
 impl StatsRecorder {
     /// Creates a zeroed recorder.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A plain-data copy of the current counters.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            requests_by_class: std::array::from_fn(|i| self.requests[i].get()),
-            latency_milli: self.latency_milli.snapshot(),
-            lookup_hops: self.lookup_hops.snapshot(),
-            destage_hops: self.destage_hops.snapshot(),
-            destages: self.destages.get(),
-            piggybacked_destages: self.piggybacked_destages.get(),
-            direct_destage_connections: self.direct_destage_connections.get(),
-            diverted_destages: self.diverted_destages.get(),
-            refreshed_destages: self.refreshed_destages.get(),
-            lookups: self.lookups.get(),
-            stale_lookups: self.stale_lookups.get(),
-            pushes: self.pushes.get(),
-            directory_probes: self.directory_probes.get(),
-            directory_probe_hits: self.directory_probe_hits.get(),
-            evictions: self.evictions.get(),
-            pointer_invalidations: self.pointer_invalidations.get(),
-            node_failures: self.node_failures.get(),
-            objects_lost: self.objects_lost.get(),
-            node_joins: self.node_joins.get(),
-            objects_migrated: self.objects_migrated.get(),
-            node_crashes: self.node_crashes.get(),
-            objects_at_risk: self.objects_at_risk.get(),
-            node_departures: self.node_departures.get(),
-            objects_handed_off: self.objects_handed_off.get(),
-            timeouts: self.timeouts.get(),
-            dead_node_timeouts: self.dead_node_timeouts.get(),
-            stale_directory_hits: self.stale_directory_hits.get(),
-            stale_hits_replica_served: self.stale_hits_replica_served.get(),
-            rereplications: self.rereplications.get(),
-            replica_copies: self.replica_copies.get(),
-            message_retries: self.message_retries.get(),
-            message_dedups: self.message_dedups.get(),
-            checksum_failures: self.checksum_failures.get(),
-            partitions_started: self.partitions_started.get(),
-            partitions_healed: self.partitions_healed.get(),
-            entries_reconciled: self.entries_reconciled.get(),
-            primaries_demoted: self.primaries_demoted.get(),
-            audits_challenged: self.audits_challenged.get(),
-            audits_failed: self.audits_failed.get(),
-            forged_receipts: self.forged_receipts.get(),
-            quarantines: self.quarantines.get(),
-            breaker_fast_fails: self.breaker_fast_fails.get(),
-            retry_budget_denials: self.retry_budget_denials.get(),
-            objects_lost_permanent: self.objects_lost_permanent.get(),
-            proactive_repairs: self.proactive_repairs.get(),
-            proactive_repair_copies: self.proactive_repair_copies.get(),
-        }
     }
 }
 
@@ -343,113 +394,12 @@ impl Recorder for StatsRecorder {
     }
 }
 
-/// Plain-data snapshot of a [`StatsRecorder`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// Requests per class, indexed by [`HitClass::index`].
-    pub requests_by_class: [u64; HitClass::ALL.len()],
-    /// End-to-end latency histogram in milli-units (latency × 1000).
-    pub latency_milli: Log2Snapshot,
-    /// Hop distribution of routed lookups (claim 11).
-    pub lookup_hops: Log2Snapshot,
-    /// Hop distribution of destage messages.
-    pub destage_hops: Log2Snapshot,
-    /// Total destages (proxy evictions passed down, Fig. 1).
-    pub destages: u64,
-    /// Destages that rode HTTP responses (§4.4).
-    pub piggybacked_destages: u64,
-    /// Dedicated connections opened for destaging (claim 12: zero when
-    /// piggybacking is on).
-    pub direct_destage_connections: u64,
-    /// Destages diverted to a leaf-set neighbor (§4.3).
-    pub diverted_destages: u64,
-    /// Destages refreshing an already-resident object.
-    pub refreshed_destages: u64,
-    /// Routed lookups into a client cluster.
-    pub lookups: u64,
-    /// Lookups whose object was gone (claim 13: Bloom false positives /
-    /// churn staleness).
-    pub stale_lookups: u64,
-    /// Successful push-protocol fetches (§4.5).
-    pub pushes: u64,
-    /// Serve-path consultations of the own-cluster lookup directory.
-    pub directory_probes: u64,
-    /// Probes that answered "present".
-    pub directory_probe_hits: u64,
-    /// Client-cache evictions (destage replacement + join migration).
-    pub evictions: u64,
-    /// Evictions that invalidated a diversion pointer.
-    pub pointer_invalidations: u64,
-    /// Client machines failed.
-    pub node_failures: u64,
-    /// Objects lost to failures.
-    pub objects_lost: u64,
-    /// Client machines joined mid-run.
-    pub node_joins: u64,
-    /// Objects migrated to newcomers.
-    pub objects_migrated: u64,
-    /// Client machines crashed silently (unannounced, lazily detected).
-    pub node_crashes: u64,
-    /// Primary copies at risk at crash time (before replica rescue).
-    pub objects_at_risk: u64,
-    /// Client machines departed gracefully.
-    pub node_departures: u64,
-    /// Objects handed off to new roots by graceful departures.
-    pub objects_handed_off: u64,
-    /// Timeout-equivalent stalls (dead-node detection, message loss,
-    /// slow nodes).
-    pub timeouts: u64,
-    /// Timeouts that exposed a crashed node (lazy failure detection).
-    pub dead_node_timeouts: u64,
-    /// Directory-approved lookups whose primary died with a crash.
-    pub stale_directory_hits: u64,
-    /// Stale directory hits rescued by a leaf-set replica.
-    pub stale_hits_replica_served: u64,
-    /// Replica promotions that restored the replication factor.
-    pub rereplications: u64,
-    /// Fresh replica copies created by re-replications.
-    pub replica_copies: u64,
-    /// Protocol messages that needed at least one retransmission through
-    /// the unreliable transport.
-    pub message_retries: u64,
-    /// Duplicate deliveries discarded by a receiver's dedup window.
-    pub message_dedups: u64,
-    /// Delivery attempts rejected by the XXH64 payload checksum.
-    pub checksum_failures: u64,
-    /// Network partitions that split the overlay into islands.
-    pub partitions_started: u64,
-    /// Partitions healed by the anti-entropy reconciliation sweep.
-    pub partitions_healed: u64,
-    /// Directory entries merged during reconciliation (epoch winners).
-    pub entries_reconciled: u64,
-    /// Split-brain primaries demoted to replicas or collected on heal.
-    pub primaries_demoted: u64,
-    /// Possession challenges issued against store-receipt senders.
-    pub audits_challenged: u64,
-    /// Audit strikes recorded: possession challenges the audited node
-    /// could not answer, plus garbled fetch payloads caught by checksum
-    /// while the defense is armed.
-    pub audits_failed: u64,
-    /// Store receipts exposed as forged by a failed audit.
-    pub forged_receipts: u64,
-    /// Nodes quarantined after exhausting their audit strikes.
-    pub quarantines: u64,
-    /// Sends that fail-fasted on an open circuit breaker (overload
-    /// defense): one detection timeout instead of a full backoff ladder.
-    pub breaker_fast_fails: u64,
-    /// Retry ladders abandoned because the per-node retry budget ran dry
-    /// (overload defense): the work degraded to the origin server.
-    pub retry_budget_denials: u64,
-    /// Objects permanently lost with no surviving copy — the
-    /// no-silent-loss guarantee ledgers each exactly once
-    /// ([`P2pEvent::ObjectLost`]). Distinct from `objects_lost`, which
-    /// aggregates the per-failure loss counts announced at crash time.
-    pub objects_lost_permanent: u64,
-    /// Entries the background repair scheduler restored to the replica
-    /// floor before a request tripped over them.
-    pub proactive_repairs: u64,
-    /// Fresh replica copies created by proactive repairs.
-    pub proactive_repair_copies: u64,
+/// Renders per-class counts (indexed by [`HitClass::index`]) as the JSON
+/// object `{"proxy": n, …}` every report pastes under its own key.
+pub(crate) fn class_counts_json(counts: &[u64; HitClass::ALL.len()]) -> String {
+    let pairs: Vec<String> =
+        HitClass::ALL.iter().map(|c| format!("\"{}\": {}", c.label(), counts[c.index()])).collect();
+    format!("{{{}}}", pairs.join(", "))
 }
 
 impl StatsSnapshot {
@@ -479,20 +429,11 @@ impl StatsSnapshot {
     }
 
     /// Renders the snapshot as a JSON document (hand-rolled: the offline
-    /// build has no serde_json).
+    /// build has no JSON crate).
     pub fn to_json(&self) -> String {
         let mut s = String::from("{\n");
-        s.push_str("  \"requests_by_class\": {");
-        for (i, class) in HitClass::ALL.iter().enumerate() {
-            let _ = write!(
-                s,
-                "{}\"{}\": {}",
-                if i == 0 { "" } else { ", " },
-                class.label(),
-                self.count(*class)
-            );
-        }
-        s.push_str("},\n");
+        let _ =
+            writeln!(s, "  \"requests_by_class\": {},", class_counts_json(&self.requests_by_class));
         let _ = writeln!(s, "  \"total_requests\": {},", self.total_requests());
         let _ = writeln!(s, "  \"avg_latency\": {:.6},", self.avg_latency());
         for (name, hist) in [
@@ -557,54 +498,6 @@ impl StatsSnapshot {
             self.destage_hops.max
         );
         s
-    }
-
-    /// The scalar counters as stable `(name, value)` rows.
-    fn counter_rows(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("destages", self.destages),
-            ("piggybacked_destages", self.piggybacked_destages),
-            ("direct_destage_connections", self.direct_destage_connections),
-            ("diverted_destages", self.diverted_destages),
-            ("refreshed_destages", self.refreshed_destages),
-            ("lookups", self.lookups),
-            ("stale_lookups", self.stale_lookups),
-            ("pushes", self.pushes),
-            ("directory_probes", self.directory_probes),
-            ("directory_probe_hits", self.directory_probe_hits),
-            ("evictions", self.evictions),
-            ("pointer_invalidations", self.pointer_invalidations),
-            ("node_failures", self.node_failures),
-            ("objects_lost", self.objects_lost),
-            ("node_joins", self.node_joins),
-            ("objects_migrated", self.objects_migrated),
-            ("node_crashes", self.node_crashes),
-            ("objects_at_risk", self.objects_at_risk),
-            ("node_departures", self.node_departures),
-            ("objects_handed_off", self.objects_handed_off),
-            ("timeouts", self.timeouts),
-            ("dead_node_timeouts", self.dead_node_timeouts),
-            ("stale_directory_hits", self.stale_directory_hits),
-            ("stale_hits_replica_served", self.stale_hits_replica_served),
-            ("rereplications", self.rereplications),
-            ("replica_copies", self.replica_copies),
-            ("message_retries", self.message_retries),
-            ("message_dedups", self.message_dedups),
-            ("checksum_failures", self.checksum_failures),
-            ("partitions_started", self.partitions_started),
-            ("partitions_healed", self.partitions_healed),
-            ("entries_reconciled", self.entries_reconciled),
-            ("primaries_demoted", self.primaries_demoted),
-            ("audits_challenged", self.audits_challenged),
-            ("audits_failed", self.audits_failed),
-            ("forged_receipts", self.forged_receipts),
-            ("quarantines", self.quarantines),
-            ("breaker_fast_fails", self.breaker_fast_fails),
-            ("retry_budget_denials", self.retry_budget_denials),
-            ("objects_lost_permanent", self.objects_lost_permanent),
-            ("proactive_repairs", self.proactive_repairs),
-            ("proactive_repair_copies", self.proactive_repair_copies),
-        ]
     }
 }
 
@@ -712,50 +605,22 @@ impl EventLogRecorder {
     }
 
     /// Renders the retained events as CSV
-    /// (`seq,proxy,kind,class,latency,hops,detail`).
+    /// (`seq,proxy,kind,class,latency,hops,detail`), columns empty where
+    /// they do not apply.
     pub fn to_csv(&self) -> String {
         let mut s = String::from("seq,proxy,kind,class,latency,hops,detail\n");
         for e in self.events() {
-            let (class, latency, hops, detail) = describe(&e.kind);
-            let _ = writeln!(
-                s,
-                "{},{},{},{class},{latency},{hops},{detail}",
-                e.seq,
-                e.proxy,
-                e.kind.kind_label()
-            );
+            let _ = write!(s, "{},{},{},", e.seq, e.proxy, e.kind.kind_label());
+            let _ = match e.kind {
+                SimEventKind::Request { class, latency } => {
+                    writeln!(s, "{},{latency:.4},,", class.label())
+                }
+                SimEventKind::P2p(event) => {
+                    let (hops, detail) = event.detail();
+                    writeln!(s, ",,{},{detail}", hops.map_or(String::new(), |h| h.to_string()))
+                }
+            };
         }
-        s
-    }
-
-    /// Renders the retained events as a JSON array of objects.
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("[\n");
-        let events = self.events();
-        for (i, e) in events.iter().enumerate() {
-            let (class, latency, hops, detail) = describe(&e.kind);
-            let _ = write!(
-                s,
-                "  {{\"seq\": {}, \"proxy\": {}, \"kind\": \"{}\"",
-                e.seq,
-                e.proxy,
-                e.kind.kind_label()
-            );
-            if !class.is_empty() {
-                let _ = write!(s, ", \"class\": \"{class}\"");
-            }
-            if !latency.is_empty() {
-                let _ = write!(s, ", \"latency\": {latency}");
-            }
-            if !hops.is_empty() {
-                let _ = write!(s, ", \"hops\": {hops}");
-            }
-            if !detail.is_empty() {
-                let _ = write!(s, ", \"detail\": \"{detail}\"");
-            }
-            let _ = writeln!(s, "}}{}", if i + 1 == events.len() { "" } else { "," });
-        }
-        s.push_str("]\n");
         s
     }
 
@@ -763,138 +628,6 @@ impl EventLogRecorder {
     pub fn write_csv(&self, path: &Path) -> Result<(), SimError> {
         std::fs::write(path, self.to_csv())?;
         Ok(())
-    }
-
-    /// Writes [`to_json`](Self::to_json) to `path`.
-    pub fn write_json(&self, path: &Path) -> Result<(), SimError> {
-        std::fs::write(path, self.to_json())?;
-        Ok(())
-    }
-}
-
-/// Flattens an event into the shared CSV/JSON columns:
-/// `(class, latency, hops, detail)`, empty strings where not applicable.
-fn describe(kind: &SimEventKind) -> (String, String, String, String) {
-    match kind {
-        SimEventKind::Request { class, latency } => {
-            (class.label().to_string(), format!("{latency:.4}"), String::new(), String::new())
-        }
-        SimEventKind::P2p(e) => {
-            let mut hops = String::new();
-            let mut flags: Vec<String> = Vec::new();
-            match *e {
-                P2pEvent::Destage { hops: h, piggybacked, diverted, refreshed, evicted } => {
-                    hops = h.to_string();
-                    if piggybacked {
-                        flags.push("piggybacked".into());
-                    }
-                    if diverted {
-                        flags.push("diverted".into());
-                    }
-                    if refreshed {
-                        flags.push("refreshed".into());
-                    }
-                    if evicted {
-                        flags.push("evicted".into());
-                    }
-                }
-                P2pEvent::Lookup { hops: h, stale } => {
-                    hops = h.to_string();
-                    if stale {
-                        flags.push("stale".into());
-                    }
-                }
-                P2pEvent::Push { hops: h } => hops = h.to_string(),
-                P2pEvent::DirectoryProbe { hit } => {
-                    flags.push(if hit { "hit" } else { "miss" }.into());
-                }
-                P2pEvent::Eviction { pointer_invalidated } => {
-                    if pointer_invalidated {
-                        flags.push("pointer_invalidated".into());
-                    }
-                }
-                P2pEvent::NodeFailed { objects_lost } => {
-                    flags.push(format!("objects_lost={objects_lost}"));
-                }
-                P2pEvent::NodeJoined { objects_migrated } => {
-                    flags.push(format!("objects_migrated={objects_migrated}"));
-                }
-                P2pEvent::NodeCrashed { objects_at_risk } => {
-                    flags.push(format!("objects_at_risk={objects_at_risk}"));
-                }
-                P2pEvent::NodeDeparted { objects_handed_off } => {
-                    flags.push(format!("objects_handed_off={objects_handed_off}"));
-                }
-                P2pEvent::TimeoutDetected { dead_node } => {
-                    flags.push(if dead_node { "dead_node" } else { "transient" }.into());
-                }
-                P2pEvent::StaleDirectoryHit { replica_served } => {
-                    flags.push(
-                        if replica_served { "replica_served" } else { "server_fallback" }.into(),
-                    );
-                }
-                P2pEvent::Rereplicated { copies } => {
-                    flags.push(format!("copies={copies}"));
-                }
-                P2pEvent::MessageRetried { class, attempts } => {
-                    flags.push(format!("class={class}"));
-                    flags.push(format!("attempts={attempts}"));
-                }
-                P2pEvent::MessageDeduped { class } => {
-                    flags.push(format!("class={class}"));
-                }
-                P2pEvent::ChecksumFailed { class } => {
-                    flags.push(format!("class={class}"));
-                }
-                P2pEvent::PartitionStarted { island_a, island_b } => {
-                    flags.push(format!("island_a={island_a}"));
-                    flags.push(format!("island_b={island_b}"));
-                }
-                P2pEvent::PartitionHealed { reconciled, demoted } => {
-                    flags.push(format!("reconciled={reconciled}"));
-                    flags.push(format!("demoted={demoted}"));
-                }
-                P2pEvent::EntryReconciled { epoch } => {
-                    flags.push(format!("epoch={epoch}"));
-                }
-                P2pEvent::PrimaryDemoted { garbage_collected } => {
-                    flags.push(
-                        if garbage_collected { "garbage_collected" } else { "kept_as_replica" }
-                            .into(),
-                    );
-                }
-                P2pEvent::AuditChallenged { passed } => {
-                    flags.push(if passed { "passed" } else { "failed" }.into());
-                }
-                P2pEvent::AuditFailed { strikes } => {
-                    flags.push(format!("strikes={strikes}"));
-                }
-                P2pEvent::ForgedReceiptDetected { entry_purged } => {
-                    flags.push(
-                        if entry_purged { "entry_purged" } else { "entry_already_gone" }.into(),
-                    );
-                }
-                P2pEvent::NodeQuarantined { entries_purged, residents_parked } => {
-                    flags.push(format!("entries_purged={entries_purged}"));
-                    flags.push(format!("residents_parked={residents_parked}"));
-                }
-                P2pEvent::BreakerFastFailed { class } => {
-                    flags.push(format!("class={class}"));
-                }
-                P2pEvent::RetryBudgetExhausted { class } => {
-                    flags.push(format!("class={class}"));
-                }
-                P2pEvent::ObjectLost { had_replicas } => {
-                    flags.push(
-                        if had_replicas { "replicas_died_too" } else { "never_replicated" }.into(),
-                    );
-                }
-                P2pEvent::ProactiveRepair { copies } => {
-                    flags.push(format!("copies={copies}"));
-                }
-            }
-            (String::new(), String::new(), hops, flags.join("|"))
-        }
     }
 }
 
@@ -936,81 +669,116 @@ mod tests {
         assert_eq!(s.latency_milli.max, 21_000);
     }
 
+    /// A sample of every [`P2pEvent`] variant — both polarities of every
+    /// flag, every amount non-zero. Each arm names the sample that follows
+    /// the one it matches, so the `match` has no wildcard: a new variant
+    /// does not compile until it is sampled here.
+    fn samples() -> Vec<P2pEvent> {
+        use P2pEvent::*;
+        fn next(after: P2pEvent) -> Option<P2pEvent> {
+            Some(match after {
+                Destage { piggybacked: true, .. } => Destage {
+                    hops: 3,
+                    piggybacked: false,
+                    diverted: false,
+                    refreshed: false,
+                    evicted: false,
+                },
+                Destage { piggybacked: false, .. } => Lookup { hops: 1, stale: false },
+                Lookup { stale: false, .. } => Lookup { hops: 4, stale: true },
+                Lookup { stale: true, .. } => Push { hops: 4 },
+                Push { .. } => DirectoryProbe { hit: true },
+                DirectoryProbe { hit: true } => DirectoryProbe { hit: false },
+                DirectoryProbe { hit: false } => Eviction { pointer_invalidated: true },
+                Eviction { pointer_invalidated: true } => Eviction { pointer_invalidated: false },
+                Eviction { pointer_invalidated: false } => NodeFailed { objects_lost: 7 },
+                NodeFailed { .. } => NodeJoined { objects_migrated: 3 },
+                NodeJoined { .. } => NodeCrashed { objects_at_risk: 5 },
+                NodeCrashed { .. } => NodeDeparted { objects_handed_off: 4 },
+                NodeDeparted { .. } => TimeoutDetected { dead_node: true },
+                TimeoutDetected { dead_node: true } => TimeoutDetected { dead_node: false },
+                TimeoutDetected { dead_node: false } => StaleDirectoryHit { replica_served: true },
+                StaleDirectoryHit { replica_served: true } => {
+                    StaleDirectoryHit { replica_served: false }
+                }
+                StaleDirectoryHit { replica_served: false } => Rereplicated { copies: 2 },
+                Rereplicated { .. } => MessageRetried { class: "destage", attempts: 3 },
+                MessageRetried { .. } => MessageDeduped { class: "push" },
+                MessageDeduped { .. } => ChecksumFailed { class: "fetch" },
+                ChecksumFailed { .. } => PartitionStarted { island_a: 5, island_b: 3 },
+                PartitionStarted { .. } => PartitionHealed { reconciled: 2, demoted: 1 },
+                PartitionHealed { .. } => EntryReconciled { epoch: 9 },
+                EntryReconciled { .. } => PrimaryDemoted { garbage_collected: true },
+                PrimaryDemoted { garbage_collected: true } => {
+                    PrimaryDemoted { garbage_collected: false }
+                }
+                PrimaryDemoted { garbage_collected: false } => AuditChallenged { passed: true },
+                AuditChallenged { passed: true } => AuditChallenged { passed: false },
+                AuditChallenged { passed: false } => AuditFailed { strikes: 2 },
+                AuditFailed { .. } => ForgedReceiptDetected { entry_purged: true },
+                ForgedReceiptDetected { entry_purged: true } => {
+                    ForgedReceiptDetected { entry_purged: false }
+                }
+                ForgedReceiptDetected { entry_purged: false } => {
+                    NodeQuarantined { entries_purged: 6, residents_parked: 8 }
+                }
+                NodeQuarantined { .. } => BreakerFastFailed { class: "destage" },
+                BreakerFastFailed { .. } => RetryBudgetExhausted { class: "push" },
+                RetryBudgetExhausted { .. } => ObjectLost { had_replicas: true },
+                ObjectLost { had_replicas: true } => ObjectLost { had_replicas: false },
+                ObjectLost { had_replicas: false } => ProactiveRepair { copies: 11 },
+                ProactiveRepair { .. } => return None,
+            })
+        }
+        let first =
+            Destage { hops: 2, piggybacked: true, diverted: true, refreshed: true, evicted: true };
+        std::iter::successors(Some(first), |&event| next(event)).collect()
+    }
+
+    #[test]
+    fn counter_table_is_closed_under_the_events() {
+        let all = StatsRecorder::new();
+        for event in samples() {
+            let alone = StatsRecorder::new();
+            alone.p2p_event(0, event);
+            let counted = alone.snapshot() != StatsSnapshot::default();
+            assert!(counted, "{} moves no counter and no histogram", event.kind_label());
+            all.p2p_event(0, event);
+        }
+        let idle: Vec<&str> = all
+            .snapshot()
+            .counter_rows()
+            .into_iter()
+            .filter_map(|(name, value)| (value == 0).then_some(name))
+            .collect();
+        assert!(idle.is_empty(), "declared counters no event moves: {idle:?}");
+    }
+
     #[test]
     fn stats_recorder_classifies_p2p_events() {
         let r = StatsRecorder::new();
-        r.p2p_event(
-            0,
-            P2pEvent::Destage {
-                hops: 2,
-                piggybacked: true,
-                diverted: true,
-                refreshed: false,
-                evicted: false,
-            },
-        );
-        r.p2p_event(
-            0,
-            P2pEvent::Destage {
-                hops: 3,
-                piggybacked: false,
-                diverted: false,
-                refreshed: true,
-                evicted: true,
-            },
-        );
-        r.p2p_event(0, P2pEvent::Eviction { pointer_invalidated: true });
-        r.p2p_event(0, P2pEvent::Lookup { hops: 1, stale: false });
-        r.p2p_event(0, P2pEvent::Lookup { hops: 4, stale: true });
-        r.p2p_event(0, P2pEvent::Push { hops: 4 });
-        r.p2p_event(0, P2pEvent::DirectoryProbe { hit: true });
-        r.p2p_event(0, P2pEvent::DirectoryProbe { hit: false });
-        r.p2p_event(0, P2pEvent::NodeFailed { objects_lost: 7 });
-        r.p2p_event(0, P2pEvent::NodeJoined { objects_migrated: 3 });
-        r.p2p_event(0, P2pEvent::NodeCrashed { objects_at_risk: 5 });
-        r.p2p_event(0, P2pEvent::NodeDeparted { objects_handed_off: 4 });
-        r.p2p_event(0, P2pEvent::TimeoutDetected { dead_node: true });
-        r.p2p_event(0, P2pEvent::TimeoutDetected { dead_node: false });
-        r.p2p_event(0, P2pEvent::StaleDirectoryHit { replica_served: true });
-        r.p2p_event(0, P2pEvent::StaleDirectoryHit { replica_served: false });
-        r.p2p_event(0, P2pEvent::Rereplicated { copies: 2 });
-        r.p2p_event(0, P2pEvent::PartitionStarted { island_a: 5, island_b: 3 });
-        r.p2p_event(0, P2pEvent::EntryReconciled { epoch: 2 });
-        r.p2p_event(0, P2pEvent::EntryReconciled { epoch: 3 });
-        r.p2p_event(0, P2pEvent::PrimaryDemoted { garbage_collected: false });
-        r.p2p_event(0, P2pEvent::PartitionHealed { reconciled: 2, demoted: 1 });
+        for event in samples() {
+            r.p2p_event(0, event);
+        }
         let s = r.snapshot();
-        assert_eq!(s.destages, 2);
-        assert_eq!(s.piggybacked_destages, 1);
-        assert_eq!(s.direct_destage_connections, 1);
-        assert_eq!(s.diverted_destages, 1);
-        assert_eq!(s.refreshed_destages, 1);
-        assert_eq!(s.lookups, 2);
-        assert_eq!(s.stale_lookups, 1);
+        let rows: Vec<String> =
+            s.counter_rows().iter().map(|(name, value)| format!("{name}={value}")).collect();
+        let expected = "\
+             destages=2 piggybacked_destages=1 direct_destage_connections=1 \
+             diverted_destages=1 refreshed_destages=1 lookups=2 stale_lookups=1 \
+             pushes=1 directory_probes=2 directory_probe_hits=1 evictions=2 \
+             pointer_invalidations=1 node_failures=1 objects_lost=7 node_joins=1 \
+             objects_migrated=3 node_crashes=1 objects_at_risk=5 node_departures=1 \
+             objects_handed_off=4 timeouts=2 dead_node_timeouts=1 \
+             stale_directory_hits=2 stale_hits_replica_served=1 rereplications=1 \
+             replica_copies=2 message_retries=1 message_dedups=1 checksum_failures=1 \
+             partitions_started=1 partitions_healed=1 entries_reconciled=1 \
+             primaries_demoted=2 audits_challenged=2 audits_failed=1 \
+             forged_receipts=2 quarantines=1 breaker_fast_fails=1 \
+             retry_budget_denials=1 objects_lost_permanent=2 proactive_repairs=1 \
+             proactive_repair_copies=11";
+        assert_eq!(rows.join(" "), expected);
         assert!((s.stale_lookup_rate() - 0.5).abs() < 1e-12);
-        assert_eq!(s.pushes, 1);
-        assert_eq!(s.directory_probes, 2);
-        assert_eq!(s.directory_probe_hits, 1);
-        assert_eq!(s.evictions, 1);
-        assert_eq!(s.pointer_invalidations, 1);
-        assert_eq!(s.node_failures, 1);
-        assert_eq!(s.objects_lost, 7);
-        assert_eq!(s.node_joins, 1);
-        assert_eq!(s.objects_migrated, 3);
-        assert_eq!(s.node_crashes, 1);
-        assert_eq!(s.objects_at_risk, 5);
-        assert_eq!(s.node_departures, 1);
-        assert_eq!(s.objects_handed_off, 4);
-        assert_eq!(s.timeouts, 2);
-        assert_eq!(s.dead_node_timeouts, 1);
-        assert_eq!(s.stale_directory_hits, 2);
-        assert_eq!(s.stale_hits_replica_served, 1);
-        assert_eq!(s.rereplications, 1);
-        assert_eq!(s.replica_copies, 2);
-        assert_eq!(s.partitions_started, 1);
-        assert_eq!(s.partitions_healed, 1);
-        assert_eq!(s.entries_reconciled, 2);
-        assert_eq!(s.primaries_demoted, 1);
         assert_eq!(s.lookup_hops.count, 2);
         assert_eq!(s.lookup_hops.max, 4);
         assert_eq!(s.destage_hops.count, 2);
@@ -1068,28 +836,53 @@ mod tests {
 
     #[test]
     fn event_log_exports() {
-        let log = EventLogRecorder::new(16);
+        let log = EventLogRecorder::new(64);
         log.request(0, HitClass::LocalProxy, 1.0);
-        log.p2p_event(
-            1,
-            P2pEvent::Destage {
-                hops: 2,
-                piggybacked: true,
-                diverted: false,
-                refreshed: false,
-                evicted: true,
-            },
-        );
-        log.p2p_event(1, P2pEvent::Lookup { hops: 3, stale: true });
-        let csv = log.to_csv();
-        assert!(csv.starts_with("seq,proxy,kind,class,latency,hops,detail\n"));
-        assert!(csv.contains("0,0,request,proxy,1.0000,,"));
-        assert!(csv.contains("1,1,destage,,,2,piggybacked|evicted"));
-        assert!(csv.contains("2,1,lookup,,,3,stale"));
-        let json = log.to_json();
-        assert!(json.contains("\"kind\": \"destage\""));
-        assert!(json.contains("\"detail\": \"stale\""));
-        assert!(json.trim_end().ends_with(']'));
+        for event in samples() {
+            log.p2p_event(1, event);
+        }
+        let expected = "\
+seq,proxy,kind,class,latency,hops,detail
+0,0,request,proxy,1.0000,,
+1,1,destage,,,2,piggybacked|diverted|refreshed|evicted
+2,1,destage,,,3,
+3,1,lookup,,,1,
+4,1,lookup,,,4,stale
+5,1,push,,,4,
+6,1,directory_probe,,,,hit
+7,1,directory_probe,,,,miss
+8,1,eviction,,,,pointer_invalidated
+9,1,eviction,,,,
+10,1,node_failed,,,,objects_lost=7
+11,1,node_joined,,,,objects_migrated=3
+12,1,node_crashed,,,,objects_at_risk=5
+13,1,node_departed,,,,objects_handed_off=4
+14,1,timeout_detected,,,,dead_node
+15,1,timeout_detected,,,,transient
+16,1,stale_directory_hit,,,,replica_served
+17,1,stale_directory_hit,,,,server_fallback
+18,1,rereplicated,,,,copies=2
+19,1,message_retried,,,,class=destage|attempts=3
+20,1,message_deduped,,,,class=push
+21,1,checksum_failed,,,,class=fetch
+22,1,partition_started,,,,island_a=5|island_b=3
+23,1,partition_healed,,,,reconciled=2|demoted=1
+24,1,entry_reconciled,,,,epoch=9
+25,1,primary_demoted,,,,garbage_collected
+26,1,primary_demoted,,,,kept_as_replica
+27,1,audit_challenged,,,,passed
+28,1,audit_challenged,,,,failed
+29,1,audit_failed,,,,strikes=2
+30,1,forged_receipt_detected,,,,entry_purged
+31,1,forged_receipt_detected,,,,entry_already_gone
+32,1,node_quarantined,,,,entries_purged=6|residents_parked=8
+33,1,breaker_fast_failed,,,,class=destage
+34,1,retry_budget_exhausted,,,,class=push
+35,1,object_lost,,,,replicas_died_too
+36,1,object_lost,,,,never_replicated
+37,1,proactive_repair,,,,copies=11
+";
+        assert_eq!(log.to_csv(), expected);
     }
 
     #[test]

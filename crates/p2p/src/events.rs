@@ -251,6 +251,72 @@ impl P2pEvent {
             P2pEvent::ProactiveRepair { .. } => "proactive_repair",
         }
     }
+
+    /// The event's payload as the two columns it fills in an event log:
+    /// the overlay hops of a routed message (`None` for every other
+    /// event) and a `key=value|flag` detail string.
+    pub fn detail(&self) -> (Option<u16>, String) {
+        // `kv!(a, b)` renders the named bindings as `a=1|b=2`.
+        macro_rules! kv {
+            ($($field:ident),+) => {
+                [$(format!(concat!(stringify!($field), "={}"), $field)),+].join("|")
+            };
+        }
+        // `set!(a, b)` names the bindings that are true, as `a|b`.
+        macro_rules! set {
+            ($($flag:ident),+) => {
+                [$(($flag, stringify!($flag))),+]
+                    .iter()
+                    .filter_map(|&(on, name)| on.then_some(name))
+                    .collect::<Vec<_>>()
+                    .join("|")
+            };
+        }
+        let either = |flag: bool, yes: &str, no: &str| if flag { yes } else { no }.to_string();
+        match *self {
+            P2pEvent::Destage { hops, piggybacked, diverted, refreshed, evicted } => {
+                (Some(hops), set!(piggybacked, diverted, refreshed, evicted))
+            }
+            P2pEvent::Lookup { hops, stale } => (Some(hops), set!(stale)),
+            P2pEvent::Push { hops } => (Some(hops), String::new()),
+            P2pEvent::DirectoryProbe { hit } => (None, either(hit, "hit", "miss")),
+            P2pEvent::Eviction { pointer_invalidated } => (None, set!(pointer_invalidated)),
+            P2pEvent::NodeFailed { objects_lost } => (None, kv!(objects_lost)),
+            P2pEvent::NodeJoined { objects_migrated } => (None, kv!(objects_migrated)),
+            P2pEvent::NodeCrashed { objects_at_risk } => (None, kv!(objects_at_risk)),
+            P2pEvent::NodeDeparted { objects_handed_off } => (None, kv!(objects_handed_off)),
+            P2pEvent::TimeoutDetected { dead_node } => {
+                (None, either(dead_node, "dead_node", "transient"))
+            }
+            P2pEvent::StaleDirectoryHit { replica_served } => {
+                (None, either(replica_served, "replica_served", "server_fallback"))
+            }
+            P2pEvent::Rereplicated { copies } => (None, kv!(copies)),
+            P2pEvent::MessageRetried { class, attempts } => (None, kv!(class, attempts)),
+            P2pEvent::MessageDeduped { class } => (None, kv!(class)),
+            P2pEvent::ChecksumFailed { class } => (None, kv!(class)),
+            P2pEvent::PartitionStarted { island_a, island_b } => (None, kv!(island_a, island_b)),
+            P2pEvent::PartitionHealed { reconciled, demoted } => (None, kv!(reconciled, demoted)),
+            P2pEvent::EntryReconciled { epoch } => (None, kv!(epoch)),
+            P2pEvent::PrimaryDemoted { garbage_collected } => {
+                (None, either(garbage_collected, "garbage_collected", "kept_as_replica"))
+            }
+            P2pEvent::AuditChallenged { passed } => (None, either(passed, "passed", "failed")),
+            P2pEvent::AuditFailed { strikes } => (None, kv!(strikes)),
+            P2pEvent::ForgedReceiptDetected { entry_purged } => {
+                (None, either(entry_purged, "entry_purged", "entry_already_gone"))
+            }
+            P2pEvent::NodeQuarantined { entries_purged, residents_parked } => {
+                (None, kv!(entries_purged, residents_parked))
+            }
+            P2pEvent::BreakerFastFailed { class } => (None, kv!(class)),
+            P2pEvent::RetryBudgetExhausted { class } => (None, kv!(class)),
+            P2pEvent::ObjectLost { had_replicas } => {
+                (None, either(had_replicas, "replicas_died_too", "never_replicated"))
+            }
+            P2pEvent::ProactiveRepair { copies } => (None, kv!(copies)),
+        }
+    }
 }
 
 /// Receiver for [`P2pEvent`]s, threaded through the cache's mutating

@@ -7,105 +7,102 @@
 //! each mechanism generates so the `ablation_piggyback` bench can quantify
 //! the claim.
 
-use serde::{Deserialize, Serialize};
+/// Declares [`MessageLedger`] from one list of counters — each a doc
+/// comment and a name — so the public field and its line in
+/// [`MessageLedger::merge`] cannot drift apart.
+macro_rules! message_ledger {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// Cumulative message/connection counters for one P2P client cache.
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct MessageLedger {
+            $($(#[$doc])* pub $name: u64,)*
+        }
 
-/// Cumulative message/connection counters for one P2P client cache.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MessageLedger {
+        impl MessageLedger {
+            /// Adds another ledger's counts into this one.
+            pub fn merge(&mut self, other: &MessageLedger) {
+                $(self.$name += other.$name;)*
+            }
+        }
+    };
+}
+
+message_ledger! {
     /// Individual Pastry hop messages (routing traffic on the LAN).
-    pub overlay_messages: u64,
+    overlay_messages,
     /// New connections opened between the proxy and client caches
     /// (piggybacking exists to keep this at zero for destaging).
-    pub new_connections: u64,
+    new_connections,
     /// Evicted objects destaged by piggybacking on an HTTP response.
-    pub piggybacked_objects: u64,
+    piggybacked_objects,
     /// Evicted objects destaged over a dedicated proxy→client connection.
-    pub direct_destages: u64,
+    direct_destages,
     /// Store receipts sent from client caches to the proxy (Fig. 1 steps
     /// 5/10/14) — these ride the existing client↔proxy channel.
-    pub store_receipts: u64,
+    store_receipts,
     /// Objects diverted to a leaf-set neighbor (§4.3).
-    pub diversions: u64,
+    diversions,
     /// Lookup redirects into the P2P cache.
-    pub lookups: u64,
+    lookups,
     /// Lookups the directory approved but the cache could not serve
     /// (Bloom false positives, or post-churn staleness).
-    pub stale_lookups: u64,
+    stale_lookups,
     /// Push-protocol fetches on behalf of cooperating proxies (§4.5).
-    pub pushes: u64,
+    pushes,
     /// Messages that timed out: contacts with dead nodes (lazy failure
     /// detection), lost-and-retransmitted messages, and slow-node stalls.
-    #[serde(default)]
-    pub timeouts: u64,
+    timeouts,
     /// Directory-approved lookups whose primary copy died with a crashed
     /// node (served from a replica or not).
-    #[serde(default)]
-    pub stale_hits: u64,
+    stale_hits,
     /// Crashed primaries rebuilt from a leaf-set replica (promotion plus
     /// replication-factor restoration).
-    #[serde(default)]
-    pub rereplications: u64,
+    rereplications,
     /// Protocol messages that needed at least one retransmission through
     /// the unreliable transport (loss or corruption).
-    #[serde(default)]
-    pub retries: u64,
+    retries,
     /// Duplicated deliveries discarded by the receiver's sequence-number
     /// dedup window.
-    #[serde(default)]
-    pub dedups: u64,
+    dedups,
     /// Delivery attempts that failed their XXH64 payload checksum.
-    #[serde(default)]
-    pub checksum_failures: u64,
+    checksum_failures,
     /// Payload messages dropped because they crossed an active partition
     /// cut (the network ate them; the sender paid a timeout).
-    #[serde(default)]
-    pub cut_drops: u64,
+    cut_drops,
     /// Metadata messages queued at the cut and drained through the
     /// transport's retry/dedup machinery when the partition healed.
-    #[serde(default)]
-    pub cut_drained: u64,
+    cut_drained,
     /// Directory entries merged by anti-entropy reconciliation on heal.
-    #[serde(default)]
-    pub entries_reconciled: u64,
+    entries_reconciled,
     /// Split-brain primaries demoted (or collected) on heal.
-    #[serde(default)]
-    pub primaries_demoted: u64,
+    primaries_demoted,
     /// Possession challenges issued against store-receipt senders (the
     /// spot-check audit defense; each costs a round trip).
-    #[serde(default)]
-    pub audits_challenged: u64,
+    audits_challenged,
     /// Audit strikes recorded: possession challenges the audited node
     /// could not answer, plus garbled fetch payloads caught by checksum
     /// while the defense is armed.
-    #[serde(default)]
-    pub audits_failed: u64,
+    audits_failed,
     /// Store receipts exposed as forged (object never held by sender).
-    #[serde(default)]
-    pub forged_receipts: u64,
+    forged_receipts,
     /// Nodes quarantined after exhausting their audit strikes.
-    #[serde(default)]
-    pub quarantines: u64,
+    quarantines,
     /// Sends that fail-fasted on an open circuit breaker (overload
     /// defense): one detection timeout instead of a full backoff ladder.
-    #[serde(default)]
-    pub breaker_fast_fails: u64,
+    breaker_fast_fails,
     /// Ladders abandoned because the per-node retry budget ran dry
     /// (overload defense): the caller degraded to the origin server.
-    #[serde(default)]
-    pub retry_budget_denials: u64,
+    retry_budget_denials,
     /// Objects permanently lost — no live copy survives anywhere. The
     /// no-silent-loss guarantee: every loss path increments this exactly
     /// once per object (and emits `P2pEvent::ObjectLost`).
-    #[serde(default)]
-    pub objects_lost: u64,
+    objects_lost,
     /// Directory entries examined by the background repair scheduler's
     /// paced scan (each is real work, priced by the event clock).
-    #[serde(default)]
-    pub repair_scans: u64,
+    repair_scans,
     /// Entries the repair scheduler restored to the replica floor before
     /// a request tripped over them (limbo promotions plus floor top-ups).
-    #[serde(default)]
-    pub proactive_repairs: u64,
+    proactive_repairs,
 }
 
 impl MessageLedger {
@@ -121,38 +118,6 @@ impl MessageLedger {
         } else {
             self.stale_lookups as f64 / self.lookups as f64
         }
-    }
-
-    /// Adds another ledger's counts into this one.
-    pub fn merge(&mut self, other: &MessageLedger) {
-        self.overlay_messages += other.overlay_messages;
-        self.new_connections += other.new_connections;
-        self.piggybacked_objects += other.piggybacked_objects;
-        self.direct_destages += other.direct_destages;
-        self.store_receipts += other.store_receipts;
-        self.diversions += other.diversions;
-        self.lookups += other.lookups;
-        self.stale_lookups += other.stale_lookups;
-        self.pushes += other.pushes;
-        self.timeouts += other.timeouts;
-        self.stale_hits += other.stale_hits;
-        self.rereplications += other.rereplications;
-        self.retries += other.retries;
-        self.dedups += other.dedups;
-        self.checksum_failures += other.checksum_failures;
-        self.cut_drops += other.cut_drops;
-        self.cut_drained += other.cut_drained;
-        self.entries_reconciled += other.entries_reconciled;
-        self.primaries_demoted += other.primaries_demoted;
-        self.audits_challenged += other.audits_challenged;
-        self.audits_failed += other.audits_failed;
-        self.forged_receipts += other.forged_receipts;
-        self.quarantines += other.quarantines;
-        self.breaker_fast_fails += other.breaker_fast_fails;
-        self.retry_budget_denials += other.retry_budget_denials;
-        self.objects_lost += other.objects_lost;
-        self.repair_scans += other.repair_scans;
-        self.proactive_repairs += other.proactive_repairs;
     }
 }
 
