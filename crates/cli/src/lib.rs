@@ -42,8 +42,9 @@
 //!
 //! Flags are `--key value` pairs; parsing is hand-rolled (the workspace
 //! deliberately keeps its dependency set small — see DESIGN.md). Each
-//! subcommand declares the flags it accepts in the `dispatch` table, and
-//! any other flag is a usage error before any work starts.
+//! subcommand is one row of the `COMMANDS` table — its flags, its help
+//! and its handler — so the help text lists exactly the flags the parser
+//! accepts, and any other flag is a usage error before any work starts.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -151,10 +152,10 @@ impl Command {
     /// Parses `argv` (without the program name).
     pub fn parse(argv: &[String]) -> Result<Command, UsageError> {
         let Some(name) = argv.first() else {
-            return Err(UsageError(USAGE.into()));
+            return Err(UsageError(usage()));
         };
         if name == "--help" || name == "-h" || name == "help" {
-            return Err(UsageError(USAGE.into()));
+            return Err(UsageError(usage()));
         }
         let mut options = HashMap::new();
         let mut positional = Vec::new();
@@ -204,10 +205,10 @@ impl Command {
             .collect()
     }
 
-    /// Rejects any option outside `accepted` (space-separated groups): a
-    /// typo must not silently run the defaults.
-    fn reject_unknown(&self, accepted: &[&str]) -> Result<(), UsageError> {
-        let accepted: Vec<&str> = accepted.iter().flat_map(|g| g.split_whitespace()).collect();
+    /// Rejects any option `spec` does not list: a typo must not silently
+    /// run the defaults.
+    fn reject_unknown(&self, spec: &CommandSpec) -> Result<(), UsageError> {
+        let accepted: Vec<&str> = spec.flags().map(|(flag, _)| flag).collect();
         let mut unknown: Vec<&str> =
             self.options.keys().map(String::as_str).filter(|k| !accepted.contains(k)).collect();
         if unknown.is_empty() {
@@ -225,132 +226,6 @@ impl Command {
         )))
     }
 }
-
-/// Top-level usage text.
-pub const USAGE: &str = "\
-webcache — reproduction of 'Exploiting Client Caches' (ICPP'03)
-
-USAGE:
-  webcache gen   --out FILE [--model prowgen|ucb] [--requests N]
-                 [--objects N] [--alpha F] [--one-timers F] [--stack F]
-                 [--clients N] [--seed N]
-  webcache stats FILE...
-  webcache run   --scheme nc|nc-ec|sc|sc-ec|fc|fc-ec|hier-gd
-                 [--cache-frac F] [--clients N] [--ts-tc F] [--ts-tl F]
-                 [--clock compat|event]
-                 [--stats-out FILE]  (write the stats snapshot as JSON)
-                 FILE...            (one trace file per proxy)
-  webcache explain [--scheme S] [--cache-frac F] [--clients N]
-                 [--clock compat|event]
-                 [--stats-out FILE] [--events-out FILE] [--events N]
-                 FILE...            (per-tier breakdown + P2P counters;
-                                     scheme defaults to hier-gd)
-  webcache sweep [--schemes a,b,c] [--fracs f1,f2,...] FILE...
-  webcache throughput [--schemes a,b,c] [--cache-frac F] [--requests N]
-                 [--objects N] [--clients N] [--proxies N] [--repeats N]
-                 [--threads N] [--clock compat|event] [--out FILE] [FILE...]
-                 (no FILEs: times the default figure-2 synthetic workload;
-                  --threads N sizes the work-stealing pool — repeats run
-                  in parallel and the report adds req/s-per-core)
-  webcache churn [--plan SPEC] [--crashes N] [--loss F] [--seed N]
-                 [--requests N] [--objects N] [--clients N]
-                 [--proxy-cap N] [--node-cap N] [--replication K]
-                 [--trace-seed N] [--clock compat|event]
-                 [--audit-rate F] [--strikes K] [--report-out FILE]
-                 (fault drill over a synthetic Hier-GD run; SPEC is
-                  crash@N,depart@N,rejoin@N,slow@N,partition@N{A|B},
-                  heal@N,freeride@N,forge@N:RATE,garble@N:RATE,
-                  domainfail@N:D,burst@N:K,loss=F,mloss=F,dup=F,
-                  reorder=F,corrupt=F,window=N,seed=N,domains=D,
-                  repair=N tokens. partition@N{A|B} cuts the
-                  overlay before request N with A% of the machines on
-                  the proxy side (A+B must be 100); heal@N merges the
-                  islands back with the anti-entropy sweep. freeride/
-                  forge/garble turn one honest machine hostile before
-                  request N — forge fakes store receipts at RATE per
-                  opportunity, garble serves corrupted payloads; arm
-                  the audit defense with --audit-rate F [--strikes K].
-                  domains=D carves each cluster into D correlated
-                  failure domains (racks/switches); domainfail@N:D then
-                  crashes every machine in domain D before request N,
-                  and burst@N:K crashes K seeded machines at once.
-                  repair=N arms the proactive repair scheduler: each
-                  round the proxy scans up to N directory entries and
-                  re-replicates any under the replication floor.
-                  Without --plan, --crashes N spreads N silent crashes
-                  evenly through the run)
-  webcache chaos [--plans N] [--seed N] [--requests N] [--objects N]
-                 [--clients N] [--proxy-cap N] [--node-cap N]
-                 [--replication K] [--max-events N] [--sabotage true]
-                 [--partition-prob F] [--adversary-prob F] [--audit-rate F]
-                 [--flash-prob F] [--burst-prob F]
-                 [--clock compat|event] [--json true]
-                 [--report-out FILE] [--repro-out FILE]
-                 (random seeded fault plans + invariant oracles; failing
-                  plans are shrunk to minimal reproducer specs, written
-                  to --repro-out one per line; exits 2 on violations.
-                  --partition-prob F schedules a partition/heal pair in
-                  that fraction of plans [default 0.5]; --adversary-prob F
-                  turns machines hostile (free-riders, receipt forgers,
-                  payload garblers) in that fraction of plans [default
-                  0.25], audited at --audit-rate F [default 0.3];
-                  --flash-prob F injects a flash-crowd spike (and, half
-                  the time, the overload defenses) in that fraction of
-                  plans [default 0.25]; --burst-prob F injects a
-                  correlated failure — a domain kill or simultaneous
-                  burst, half the time with proactive repair armed — in
-                  that fraction of plans [default 0.25], audited by the
-                  ninth (no-silent-loss ledger) oracle; --json true
-                  prints the machine-readable report instead of the
-                  table)
-  webcache adversary [--fracs f1,f2,...] [--audit-rates r1,r2,...]
-                 [--forge-rate F] [--strikes K] [--seed N] [--requests N]
-                 [--objects N] [--clients N] [--proxy-cap N] [--node-cap N]
-                 [--replication K] [--trace-seed N] [--clock compat|event]
-                 [--json true] [--report-out FILE] [--csv-out FILE]
-                 (attacker fraction x audit rate sweep: receipt forgers
-                  poison the store-receipt directory, the spot-check
-                  defense challenges receipt senders and quarantines
-                  repeat offenders; every cell replays the same trace
-                  and attack schedule, so undefended and defended rows
-                  differ only in the defense)
-  webcache overload [--intensities t1,t2,...] [--spike-at N]
-                 [--spike-span N] [--breaker K] [--budget F]
-                 [--shed-high N] [--shed-low N] [--seed N] [--requests N]
-                 [--objects N] [--clients N] [--proxy-cap N] [--node-cap N]
-                 [--replication K] [--trace-seed N] [--clock compat|event]
-                 [--json true] [--report-out FILE] [--csv-out FILE]
-                 (flash-crowd intensity x defense sweep: each intensity
-                  compresses the arrival schedule by that factor for
-                  --spike-span requests starting at --spike-at, once with
-                  the defenses off and once with circuit breakers, retry
-                  budgets and watermark load shedding armed. The report
-                  carries goodput, p99 latency, shed fractions and the
-                  recovery time back to 95% of baseline goodput after the
-                  spike ends. Defaults to --clock event with the latency
-                  model scaled down 16x — the analytic clock has no queue
-                  to overload)
-  webcache durability [--bursts b1,b2,...] [--ks k1,k2,...]
-                 [--burst-at N] [--repair N] [--seed N] [--requests N]
-                 [--objects N] [--clients N] [--proxy-cap N] [--node-cap N]
-                 [--trace-seed N] [--clock compat|event] [--json true]
-                 [--report-out FILE] [--csv-out FILE]
-                 (correlated burst size x replica k x placement x repair
-                  sweep: the cluster is carved into clients/burst failure
-                  domains and one whole domain crashes at --burst-at.
-                  Each (burst, k) point runs blind/spread replica
-                  placement crossed with reactive/proactive repair over
-                  the same trace and failure schedule; the report carries
-                  objects lost, the at-risk window area, the mean time to
-                  repair, and the naive-vs-defended loss factor. Defaults
-                  to --clock event so the --repair scan budget is priced
-                  as real proxy work)
-
-Traces are the binary format written by `webcache gen` (WCTRACE1).
---clock compat (default) prices latencies analytically at arrival and
-keeps every golden output byte-identical; --clock event runs the
-discrete-event scheduler, so busy proxies and slow nodes show up as
-queuing delay.";
 
 fn load_traces(paths: &[String]) -> Result<Vec<Trace>, CliError> {
     if paths.is_empty() {
@@ -371,94 +246,259 @@ fn named_io(path: &str, e: std::io::Error) -> CliError {
     CliError::Sim(SimError::Io(std::io::Error::new(e.kind(), format!("{path}: {e}"))))
 }
 
-// Flag groups shared between subcommands, space-separated like the
-// per-subcommand lists in `dispatch`.
-/// The latency ratios ([`net_from`]).
-const NET_FLAGS: &str = "ts-tc ts-tl tp2p-tl";
-/// `run` and `explain` ([`config_from`]).
-const EXPERIMENT_FLAGS: &str = "cache-frac clients clock";
-/// `churn` and the scenario sweeps ([`churn_base_from`]); `--replication`
-/// and the ratio flags are listed per subcommand.
-const CHURN_BASE_FLAGS: &str = "requests objects clients proxy-cap node-cap trace-seed clock";
-/// The scenario sweeps' outputs ([`cmd_scenario`]).
-const EMIT_FLAGS: &str = "json report-out csv-out";
-
 type Handler = fn(&Command) -> Result<String, CliError>;
 
-/// The whole dispatch table: each subcommand's accepted flags and its
-/// handler. A scenario sweep is one row — its own flags, its config
-/// reader and its terminal table.
-fn dispatch(name: &str) -> Option<(&'static [&'static str], Handler)> {
-    Some(match name {
-        "gen" => (
-            &["out model requests objects alpha one-timers stack clients seed fresh"],
-            cmd_gen,
-        ),
-        "stats" => (&[], cmd_stats),
-        "run" => (&["scheme stats-out", EXPERIMENT_FLAGS, NET_FLAGS], cmd_run),
-        "explain" => {
-            (&["scheme stats-out events-out events", EXPERIMENT_FLAGS, NET_FLAGS], cmd_explain)
+/// One subcommand: all that [`execute`], `reject_unknown` and [`usage`]
+/// know about it.
+struct CommandSpec {
+    name: &'static str,
+    /// The accepted flags as space-separated `flag=PLACEHOLDER` words, one
+    /// line per group of flags read together; a `!` after the placeholder
+    /// marks the flag required.
+    flags: &'static str,
+    /// Synopsis of the positional arguments, empty when it takes none.
+    positional: &'static str,
+    /// Help prose, printed in parentheses under the generated synopsis.
+    prose: &'static str,
+    run: Handler,
+}
+
+/// Every subcommand, in help order. A flag exists for a subcommand when
+/// it is a word of that row's `flags` — the synopsis in `webcache --help`
+/// and the check in `reject_unknown` are both generated from here — and
+/// the handler's typed `cmd.opt(..)` calls read it.
+const COMMANDS: &[CommandSpec] = &[
+    CommandSpec {
+        name: "gen",
+        flags: "out=FILE! model=prowgen|ucb requests=N objects=N alpha=F one-timers=F \
+                stack=F clients=N seed=N fresh=N",
+        positional: "",
+        prose: "--alpha, --one-timers and --stack shape the prowgen model;\n\
+                --fresh N is the ucb model's fresh objects per day",
+        run: cmd_gen,
+    },
+    CommandSpec { name: "stats", flags: "", positional: "FILE...", prose: "", run: cmd_stats },
+    CommandSpec {
+        name: "run",
+        flags: "scheme=nc|nc-ec|sc|sc-ec|fc|fc-ec|hier-gd! stats-out=FILE \
+                cache-frac=F clients=N clock=compat|event \
+                ts-tc=F ts-tl=F tp2p-tl=F",
+        positional: "FILE...",
+        prose: "one trace file per proxy; --stats-out FILE writes the stats\n\
+                snapshot as JSON",
+        run: cmd_run,
+    },
+    CommandSpec {
+        name: "explain",
+        flags: "scheme=S stats-out=FILE events-out=FILE events=N \
+                cache-frac=F clients=N clock=compat|event \
+                ts-tc=F ts-tl=F tp2p-tl=F",
+        positional: "FILE...",
+        prose: "per-tier breakdown + P2P counters; scheme defaults to\n\
+                hier-gd",
+        run: cmd_explain,
+    },
+    CommandSpec {
+        name: "sweep",
+        flags: "schemes=a,b,c fracs=f1,f2,... clients=N \
+                ts-tc=F ts-tl=F tp2p-tl=F",
+        positional: "FILE...",
+        prose: "",
+        run: cmd_sweep,
+    },
+    CommandSpec {
+        name: "throughput",
+        flags: "schemes=a,b,c cache-frac=F requests=N objects=N clients=N proxies=N \
+                repeats=N threads=N clock=compat|event out=FILE \
+                ts-tc=F ts-tl=F tp2p-tl=F",
+        positional: "[FILE...]",
+        prose: "no FILEs: times the default figure-2 synthetic workload;\n\
+                --threads N sizes the work-stealing pool — repeats run\n\
+                in parallel and the report adds req/s-per-core",
+        run: cmd_throughput,
+    },
+    CommandSpec {
+        name: "churn",
+        flags: "plan=SPEC crashes=N loss=F seed=N replication=K audit-rate=F strikes=K \
+                report-out=FILE \
+                requests=N objects=N clients=N proxy-cap=N node-cap=N trace-seed=N \
+                clock=compat|event \
+                ts-tc=F ts-tl=F tp2p-tl=F",
+        positional: "",
+        prose: "fault drill over a synthetic Hier-GD run; SPEC is\n\
+                crash@N,depart@N,rejoin@N,slow@N,partition@N{A|B},\n\
+                heal@N,freeride@N,forge@N:RATE,garble@N:RATE,\n\
+                domainfail@N:D,burst@N:K,loss=F,mloss=F,dup=F,\n\
+                reorder=F,corrupt=F,window=N,seed=N,domains=D,\n\
+                repair=N tokens. partition@N{A|B} cuts the\n\
+                overlay before request N with A% of the machines on\n\
+                the proxy side (A+B must be 100); heal@N merges the\n\
+                islands back with the anti-entropy sweep. freeride/\n\
+                forge/garble turn one honest machine hostile before\n\
+                request N — forge fakes store receipts at RATE per\n\
+                opportunity, garble serves corrupted payloads; arm\n\
+                the audit defense with --audit-rate F (and --strikes K).\n\
+                domains=D carves each cluster into D correlated\n\
+                failure domains (racks/switches); domainfail@N:D then\n\
+                crashes every machine in domain D before request N,\n\
+                and burst@N:K crashes K seeded machines at once.\n\
+                repair=N arms the proactive repair scheduler: each\n\
+                round the proxy scans up to N directory entries and\n\
+                re-replicates any under the replication floor.\n\
+                Without --plan, --crashes N spreads N silent crashes\n\
+                evenly through the run",
+        run: cmd_churn,
+    },
+    CommandSpec {
+        name: "chaos",
+        flags: "plans=N seed=N requests=N objects=N clients=N proxy-cap=N node-cap=N \
+                replication=K max-events=N sabotage=true partition-prob=F adversary-prob=F \
+                audit-rate=F flash-prob=F burst-prob=F clock=compat|event json=true \
+                report-out=FILE repro-out=FILE \
+                ts-tc=F ts-tl=F tp2p-tl=F",
+        positional: "",
+        prose: "random seeded fault plans + invariant oracles; failing\n\
+                plans are shrunk to minimal reproducer specs, written\n\
+                to --repro-out one per line; exits 2 on violations.\n\
+                --partition-prob F schedules a partition/heal pair in\n\
+                that fraction of plans [default 0.5]; --adversary-prob F\n\
+                turns machines hostile (free-riders, receipt forgers,\n\
+                payload garblers) in that fraction of plans [default\n\
+                0.25], audited at --audit-rate F [default 0.3];\n\
+                --flash-prob F injects a flash-crowd spike (and, half\n\
+                the time, the overload defenses) in that fraction of\n\
+                plans [default 0.25]; --burst-prob F injects a\n\
+                correlated failure — a domain kill or simultaneous\n\
+                burst, half the time with proactive repair armed — in\n\
+                that fraction of plans [default 0.25], audited by the\n\
+                ninth (no-silent-loss ledger) oracle; --json true\n\
+                prints the machine-readable report instead of the\n\
+                table",
+        run: cmd_chaos,
+    },
+    CommandSpec {
+        name: "adversary",
+        flags: "fracs=f1,f2,... audit-rates=r1,r2,... forge-rate=F strikes=K seed=N replication=K \
+                requests=N objects=N clients=N proxy-cap=N node-cap=N trace-seed=N \
+                clock=compat|event \
+                ts-tc=F ts-tl=F tp2p-tl=F \
+                json=true report-out=FILE csv-out=FILE",
+        positional: "",
+        prose: "attacker fraction x audit rate sweep: receipt forgers\n\
+                poison the store-receipt directory, the spot-check\n\
+                defense challenges receipt senders and quarantines\n\
+                repeat offenders; every cell replays the same trace\n\
+                and attack schedule, so undefended and defended rows\n\
+                differ only in the defense",
+        run: |cmd| cmd_scenario(cmd, adversary_from, adversary::table),
+    },
+    CommandSpec {
+        name: "overload",
+        flags: "intensities=t1,t2,... spike-at=N spike-span=N breaker=K budget=F shed-high=N \
+                shed-low=N seed=N replication=K \
+                requests=N objects=N clients=N proxy-cap=N node-cap=N trace-seed=N \
+                clock=compat|event \
+                json=true report-out=FILE csv-out=FILE",
+        positional: "",
+        prose: "flash-crowd intensity x defense sweep: each intensity\n\
+                compresses the arrival schedule by that factor for\n\
+                --spike-span requests starting at --spike-at, once with\n\
+                the defenses off and once with circuit breakers, retry\n\
+                budgets and watermark load shedding armed. The report\n\
+                carries goodput, p99 latency, shed fractions and the\n\
+                recovery time back to 95% of baseline goodput after the\n\
+                spike ends. Defaults to --clock event with the latency\n\
+                model scaled down 16x — the analytic clock has no queue\n\
+                to overload",
+        run: |cmd| cmd_scenario(cmd, overload_from, overload::table),
+    },
+    // No replication=K: k is a swept axis here (ks=).
+    CommandSpec {
+        name: "durability",
+        flags: "bursts=b1,b2,... ks=k1,k2,... burst-at=N repair=N seed=N \
+                requests=N objects=N clients=N proxy-cap=N node-cap=N trace-seed=N \
+                clock=compat|event \
+                json=true report-out=FILE csv-out=FILE",
+        positional: "",
+        prose: "correlated burst size x replica k x placement x repair\n\
+                sweep: the cluster is carved into clients/burst failure\n\
+                domains and one whole domain crashes at --burst-at.\n\
+                Each (burst, k) point runs blind/spread replica\n\
+                placement crossed with reactive/proactive repair over\n\
+                the same trace and failure schedule; the report carries\n\
+                objects lost, the at-risk window area, the mean time to\n\
+                repair, and the naive-vs-defended loss factor. Defaults\n\
+                to --clock event so the --repair scan budget is priced\n\
+                as real proxy work",
+        run: |cmd| cmd_scenario(cmd, durability_from, durability::table),
+    },
+];
+
+impl CommandSpec {
+    /// `(flag, placeholder)` of every accepted flag, in table order.
+    fn flags(&self) -> impl Iterator<Item = (&'static str, &'static str)> {
+        self.flags
+            .split_whitespace()
+            .map(|word| word.split_once('=').expect("COMMANDS flags are flag=PLACEHOLDER words"))
+    }
+
+    /// Appends `  webcache NAME --flag VALUE ... FILE...` (optional flags in
+    /// brackets), wrapped at 78 columns with continuation lines aligned
+    /// under the first flag.
+    fn synopsis(&self, out: &mut String) {
+        let flags = self.flags().map(|(flag, placeholder)| {
+            let required = placeholder.strip_suffix('!');
+            let shown = format!("--{flag} {}", required.unwrap_or(placeholder));
+            if required.is_some() {
+                shown
+            } else {
+                format!("[{shown}]")
+            }
+        });
+        let positional = (!self.positional.is_empty()).then(|| self.positional.to_string());
+        let mut line = format!("{:<16}", format!("  webcache {}", self.name));
+        for word in flags.chain(positional) {
+            if line.len() + 1 + word.len() > 78 {
+                let _ = writeln!(out, "{line}");
+                line = " ".repeat(16);
+            }
+            line.push(' ');
+            line.push_str(&word);
         }
-        "sweep" => (&["schemes fracs clients", NET_FLAGS], cmd_sweep),
-        "throughput" => (
-            &[
-                "schemes cache-frac requests objects clients proxies repeats threads clock out",
-                NET_FLAGS,
-            ],
-            cmd_throughput,
-        ),
-        "churn" => (
-            &[
-                "plan crashes loss seed replication audit-rate strikes report-out",
-                CHURN_BASE_FLAGS,
-                NET_FLAGS,
-            ],
-            cmd_churn,
-        ),
-        "chaos" => (
-            &[
-                "plans seed requests objects clients proxy-cap node-cap replication max-events \
-                 sabotage partition-prob adversary-prob audit-rate flash-prob burst-prob clock \
-                 json report-out repro-out",
-                NET_FLAGS,
-            ],
-            cmd_chaos,
-        ),
-        "adversary" => (
-            &[
-                "fracs audit-rates forge-rate strikes seed replication",
-                CHURN_BASE_FLAGS,
-                NET_FLAGS,
-                EMIT_FLAGS,
-            ],
-            |cmd| cmd_scenario(cmd, adversary_from, adversary::table),
-        ),
-        "overload" => (
-            &[
-                "intensities spike-at spike-span breaker budget shed-high shed-low seed replication",
-                CHURN_BASE_FLAGS,
-                EMIT_FLAGS,
-            ],
-            |cmd| cmd_scenario(cmd, overload_from, overload::table),
-        ),
-        // No --replication: k is a swept axis here (--ks).
-        "durability" => {
-            (&["bursts ks burst-at repair seed", CHURN_BASE_FLAGS, EMIT_FLAGS], |cmd| {
-                cmd_scenario(cmd, durability_from, durability::table)
-            })
+        let _ = writeln!(out, "{line}");
+    }
+}
+
+/// The `webcache --help` text: each subcommand's synopsis, generated from
+/// its `COMMANDS` row, above that row's prose.
+pub fn usage() -> String {
+    let mut s =
+        String::from("webcache — reproduction of 'Exploiting Client Caches' (ICPP'03)\n\nUSAGE:\n");
+    for spec in COMMANDS {
+        spec.synopsis(&mut s);
+        if !spec.prose.is_empty() {
+            let _ = writeln!(s, "{:17}({})", "", spec.prose.replace('\n', "\n                  "));
         }
-        _ => return None,
-    })
+    }
+    s.push_str(
+        "
+Traces are the binary format written by `webcache gen` (WCTRACE1).
+--clock compat (default) prices latencies analytically at arrival and
+keeps every golden output byte-identical; --clock event runs the
+discrete-event scheduler, so busy proxies and slow nodes show up as
+queuing delay.",
+    );
+    s
 }
 
 /// Executes a parsed command, returning the text to print. A flag the
 /// subcommand does not declare is a usage error before any work starts.
 pub fn execute(cmd: &Command) -> Result<String, CliError> {
-    let Some((flags, run)) = dispatch(&cmd.name) else {
-        return Err(UsageError(format!("unknown subcommand '{}'\n\n{USAGE}", cmd.name)).into());
+    let Some(spec) = COMMANDS.iter().find(|spec| spec.name == cmd.name) else {
+        return Err(UsageError(format!("unknown subcommand '{}'\n\n{}", cmd.name, usage())).into());
     };
-    cmd.reject_unknown(flags)?;
-    run(cmd)
+    cmd.reject_unknown(spec)?;
+    (spec.run)(cmd)
 }
 
 fn cmd_gen(cmd: &Command) -> Result<String, CliError> {
@@ -528,22 +568,25 @@ fn cmd_stats(cmd: &Command) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Parses the shared `--clock compat|event` flag (default `compat`).
-/// Every simulating subcommand (`run`, `explain`, `churn`, `chaos`,
-/// `throughput`) accepts it through this one helper so the grammar and
-/// the error message never drift apart.
-fn clock_from(cmd: &Command) -> Result<ClockMode, CliError> {
+/// Parses the shared `--clock compat|event` flag, `base` when absent.
+/// Every simulating subcommand accepts it through this one helper so the
+/// grammar and the error message never drift apart.
+fn clock_from(cmd: &Command, base: ClockMode) -> Result<ClockMode, CliError> {
     match cmd.options.get("clock") {
-        None => Ok(ClockMode::default()),
+        None => Ok(base),
         Some(v) => v.parse().map_err(|e| CliError::Usage(UsageError(format!("--clock: {e}")))),
     }
 }
 
-fn net_from(cmd: &Command) -> Result<NetworkModel, CliError> {
-    let ts_tc = cmd.opt("ts-tc", 10.0)?;
-    let ts_tl = cmd.opt("ts-tl", 20.0)?;
-    let tp2p_tl = cmd.opt("tp2p-tl", 1.4)?;
-    let net = NetworkModel::from_ratios(ts_tc, ts_tl, tp2p_tl);
+/// Builds the latency model from the three ratio flags (a missing one
+/// takes the paper's default), `base` when none is given.
+fn net_from(cmd: &Command, base: NetworkModel) -> Result<NetworkModel, CliError> {
+    let ratios = [("ts-tc", 10.0), ("ts-tl", 20.0), ("tp2p-tl", 1.4)];
+    if !ratios.iter().any(|(flag, _)| cmd.options.contains_key(*flag)) {
+        return Ok(base);
+    }
+    let [ts_tc, ts_tl, tp2p_tl] = ratios.map(|(flag, default)| cmd.opt(flag, default));
+    let net = NetworkModel::from_ratios(ts_tc?, ts_tl?, tp2p_tl?);
     net.validate()?;
     Ok(net)
 }
@@ -558,8 +601,8 @@ fn config_from(
     let mut cfg = ExperimentConfig::new(scheme, cmd.opt("cache-frac", 0.2)?);
     cfg.num_proxies = traces.len();
     cfg.clients_per_cluster = cmd.opt("clients", 100)?;
-    cfg.net = net_from(cmd)?;
-    cfg.clock = clock_from(cmd)?;
+    cfg.net = net_from(cmd, cfg.net)?;
+    cfg.clock = clock_from(cmd, cfg.clock)?;
     cfg.validate()?;
     Ok(cfg)
 }
@@ -690,7 +733,7 @@ fn cmd_sweep(cmd: &Command) -> Result<String, CliError> {
     let mut base = ExperimentConfig::new(SchemeKind::Nc, fracs[0]);
     base.num_proxies = traces.len();
     base.clients_per_cluster = cmd.opt("clients", 100)?;
-    base.net = net_from(cmd)?;
+    base.net = net_from(cmd, base.net)?;
     let results = sweep(&schemes, &fracs, &traces, &base)?;
     let mut out = String::new();
     let _ = write!(out, "{:>10}", "cache(%)");
@@ -767,8 +810,8 @@ fn cmd_throughput(cmd: &Command) -> Result<String, CliError> {
     let mut base = ExperimentConfig::new(SchemeKind::Nc, cache_frac);
     base.num_proxies = traces.len();
     base.clients_per_cluster = clients;
-    base.net = net_from(cmd)?;
-    base.clock = clock_from(cmd)?;
+    base.net = net_from(cmd, base.net)?;
+    base.clock = clock_from(cmd, base.clock)?;
     base.validate()?;
 
     let report = measure_throughput(&schemes, &base, &traces, repeats)?;
@@ -783,7 +826,6 @@ fn cmd_throughput(cmd: &Command) -> Result<String, CliError> {
 /// replaced only when their flags are given: `overload` and `durability`
 /// default to the event clock on a scaled-down model.
 fn churn_base_from(cmd: &Command, base: ChurnConfig) -> Result<ChurnConfig, CliError> {
-    let ratios_given = NET_FLAGS.split_whitespace().any(|flag| cmd.options.contains_key(flag));
     Ok(ChurnConfig {
         requests: cmd.opt("requests", base.requests)?,
         distinct_objects: cmd.opt("objects", base.distinct_objects)?,
@@ -792,8 +834,8 @@ fn churn_base_from(cmd: &Command, base: ChurnConfig) -> Result<ChurnConfig, CliE
         client_cache_capacity: cmd.opt("node-cap", base.client_cache_capacity)?,
         replication: cmd.opt("replication", base.replication)?,
         trace_seed: cmd.opt("trace-seed", base.trace_seed)?,
-        net: if ratios_given { net_from(cmd)? } else { base.net },
-        clock: if cmd.options.contains_key("clock") { clock_from(cmd)? } else { base.clock },
+        net: net_from(cmd, base.net)?,
+        clock: clock_from(cmd, base.clock)?,
         ..base
     })
 }
@@ -868,8 +910,8 @@ fn cmd_chaos(cmd: &Command) -> Result<String, CliError> {
         audit_rate: cmd.opt("audit-rate", defaults.audit_rate)?,
         flash_prob: cmd.opt("flash-prob", defaults.flash_prob)?,
         burst_prob: cmd.opt("burst-prob", defaults.burst_prob)?,
-        net: net_from(cmd)?,
-        clock: clock_from(cmd)?,
+        net: net_from(cmd, defaults.net)?,
+        clock: clock_from(cmd, defaults.clock)?,
         sabotage: cmd.opt("sabotage", false)?,
         ..defaults
     };
@@ -1033,13 +1075,14 @@ mod tests {
     #[test]
     fn clock_flag_parses_and_rejects() {
         let c = Command::parse(&argv(&["run", "--clock", "event"])).unwrap();
-        assert_eq!(clock_from(&c).unwrap(), ClockMode::Event);
+        assert_eq!(clock_from(&c, ClockMode::Compat).unwrap(), ClockMode::Event);
         let c = Command::parse(&argv(&["run", "--clock", "compat"])).unwrap();
-        assert_eq!(clock_from(&c).unwrap(), ClockMode::Compat);
+        assert_eq!(clock_from(&c, ClockMode::Event).unwrap(), ClockMode::Compat);
         let c = Command::parse(&argv(&["run"])).unwrap();
-        assert_eq!(clock_from(&c).unwrap(), ClockMode::Compat);
+        assert_eq!(clock_from(&c, ClockMode::Compat).unwrap(), ClockMode::Compat);
+        assert_eq!(clock_from(&c, ClockMode::Event).unwrap(), ClockMode::Event);
         let c = Command::parse(&argv(&["run", "--clock", "warp"])).unwrap();
-        let err = clock_from(&c).unwrap_err();
+        let err = clock_from(&c, ClockMode::Compat).unwrap_err();
         assert_eq!(err.exit_code(), 2);
         assert!(err.to_string().contains("unknown clock mode 'warp'"), "{err}");
     }
@@ -1542,21 +1585,51 @@ mod tests {
     }
 
     #[test]
-    fn every_documented_flag_is_accepted() {
-        // One USAGE block per subcommand; prose inside a block only ever
-        // mentions that subcommand's own flags.
-        for block in USAGE.split("\n  webcache ").skip(1) {
-            let name = block.split_whitespace().next().unwrap();
-            let (flags, _) = dispatch(name).unwrap_or_else(|| panic!("no dispatch row: {name}"));
-            let options = block
-                .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+    fn help_documents_exactly_the_accepted_flags() {
+        let flags_in = |text: &str| -> std::collections::BTreeSet<String> {
+            text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
                 .filter_map(|word| word.strip_prefix("--"))
                 .filter(|flag| !flag.is_empty())
-                .map(|flag| (flag.to_string(), String::new()))
-                .collect();
-            let cmd = Command { name: name.to_string(), options, positional: Vec::new() };
-            assert_eq!(cmd.reject_unknown(flags), Ok(()), "USAGE documents a rejected flag");
+                .map(String::from)
+                .collect()
+        };
+        let help = usage();
+        let mut counts = Vec::new();
+        for spec in COMMANDS {
+            // What the parser accepts, read off its own rejection hint.
+            let typo = HashMap::from([("no-such-flag".to_string(), String::new())]);
+            let cmd = Command { name: spec.name.to_string(), options: typo, positional: vec![] };
+            let hint = cmd.reject_unknown(spec).unwrap_err().0;
+            let accepted = flags_in(hint.split_once("(accepted:").map_or("", |(_, list)| list));
+
+            let mut synopsis = String::new();
+            spec.synopsis(&mut synopsis);
+            assert!(help.contains(&synopsis), "--help lacks the synopsis of '{}'", spec.name);
+            assert!(synopsis.lines().all(|line| line.len() <= 78), "{synopsis}");
+            assert_eq!(flags_in(&synopsis), accepted, "synopsis of '{}'", spec.name);
+
+            // Prose only ever mentions the subcommand's own flags.
+            assert!(help.contains(&spec.prose.replace('\n', "\n                  ")));
+            let foreign: Vec<_> = flags_in(spec.prose).difference(&accepted).cloned().collect();
+            assert!(foreign.is_empty(), "'{}' prose names foreign flags {foreign:?}", spec.name);
+            counts.push((spec.name, accepted.len()));
         }
+        println!("accepted flags per subcommand: {counts:?}");
+        // The flag sets of the `dispatch` table this one replaced.
+        let expected = [
+            ("gen", 10),
+            ("stats", 0),
+            ("run", 8),
+            ("explain", 10),
+            ("sweep", 6),
+            ("throughput", 13),
+            ("churn", 18),
+            ("chaos", 22),
+            ("adversary", 19),
+            ("overload", 19),
+            ("durability", 15),
+        ];
+        assert_eq!(counts, expected);
     }
 
     #[test]
