@@ -238,7 +238,7 @@ impl ChaosReport {
     }
 
     /// Renders the report as a JSON document (hand-rolled: the offline
-    /// build has no serde_json).
+    /// build has no JSON crate).
     pub fn to_json(&self) -> String {
         let mut s = String::from("{\n");
         let _ = writeln!(s, "  \"plans\": {},", self.plans);

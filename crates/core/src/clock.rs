@@ -20,7 +20,6 @@
 //! tick, enforced by an always-on monotonicity assertion in [`SimClock::pop`].
 
 use crate::event::Event;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::str::FromStr;
@@ -41,7 +40,7 @@ pub fn ticks_of(units: f64) -> u64 {
 }
 
 /// How the engine prices and orders work on the clock.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum ClockMode {
     /// Replay the analytic pricing of the inline driver through the
     /// event schedule: requests are priced at arrival with the

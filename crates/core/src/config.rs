@@ -9,13 +9,12 @@ use crate::lfu_schemes::LfuFamilyEngine;
 use crate::metrics::RunMetrics;
 use crate::net::NetworkModel;
 use crate::recorder::{NoopRecorder, Recorder};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 use webcache_workload::Trace;
 
 /// The seven caching schemes of the paper (§2–3).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SchemeKind {
     /// No cache cooperation, LFU.
     Nc,
@@ -94,7 +93,7 @@ impl FromStr for SchemeKind {
 ///
 /// All fields are plain values, so the config is `Copy` — sweeps and
 /// harnesses pass it by value instead of cloning per grid point.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ExperimentConfig {
     /// Scheme to run.
     pub scheme: SchemeKind,
@@ -231,7 +230,7 @@ impl ExperimentConfigBuilder {
 }
 
 /// Derived sizes for an experiment over a given workload.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Sizing {
     /// The infinite cache size `U`: distinct objects referenced more than
     /// once (§5.1), measured on the first proxy's trace.

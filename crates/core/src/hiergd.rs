@@ -31,7 +31,6 @@ use crate::engine::{Admission, SchemeEngine};
 use crate::metrics::RunMetrics;
 use crate::net::{HitClass, LatencyModel, NetworkModel};
 use crate::recorder::{NoopRecorder, Recorder};
-use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 use webcache_p2p::{DirectoryKind, P2PClientCache, P2PClientCacheConfig, P2pEvent, P2pSink};
 use webcache_pastry::PastryConfig;
@@ -39,7 +38,7 @@ use webcache_policy::{BoundedCache, DenseIndex, GreedyDualCache};
 use webcache_workload::{ObjectId, Request, Trace};
 
 /// Tunable design choices of Hier-GD (§4), exposed for ablation benches.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct HierGdOptions {
     /// Lookup directory representation (§4.2).
     pub directory: DirectoryKind,

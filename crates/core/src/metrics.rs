@@ -1,7 +1,6 @@
 //! Run metrics and the paper's latency-gain measure.
 
 use crate::net::HitClass;
-use serde::{Deserialize, Serialize};
 use webcache_p2p::MessageLedger;
 
 /// Requests served per [`HitClass`], as a dense array.
@@ -9,7 +8,7 @@ use webcache_p2p::MessageLedger;
 /// `record()` runs once per simulated request; a `HashMap<String, u64>`
 /// here cost a label-`String` allocation plus a SipHash per request. The
 /// array indexes by [`HitClass::index`] instead.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ClassCounts([u64; HitClass::ALL.len()]);
 
 impl ClassCounts {
@@ -30,7 +29,7 @@ impl ClassCounts {
 }
 
 /// Aggregated results of one simulation run.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct RunMetrics {
     /// Requests served.
     pub requests: u64,

@@ -12,10 +12,9 @@
 //! P2P cache < origin server.
 
 use crate::error::SimError;
-use serde::{Deserialize, Serialize};
 
 /// Where a request was ultimately served from.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum HitClass {
     /// Hit in the client's local proxy cache.
     LocalProxy,
@@ -96,7 +95,7 @@ impl LatencyModel for NetworkModel {
 
 /// Latency parameters, in arbitrary units (only ratios matter for the
 /// latency-gain metric).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct NetworkModel {
     /// Proxy → origin server average latency.
     pub ts: f64,

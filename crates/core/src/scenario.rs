@@ -201,7 +201,7 @@ pub struct ScenarioReport {
 impl ScenarioReport {
     /// Renders the report as a JSON document: header fields in order,
     /// then the `cells` and summary arrays, one inline object per row
-    /// (hand-rolled: the vendored serde derives expand to nothing).
+    /// (hand-rolled: the offline build has no JSON crate).
     pub fn to_json(&self) -> String {
         let mut s = String::from("{\n");
         for field in &self.header.0 {

@@ -11,14 +11,13 @@ use crate::error::SimError;
 use crate::metrics::{latency_gain_percent, RunMetrics};
 use crate::recorder::{NoopRecorder, Recorder};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use webcache_workload::Trace;
 
 /// The paper's x-axis: 10%..=100% in steps of 10%.
 pub const PAPER_CACHE_FRACS: [f64; 10] = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0];
 
 /// One sweep point's result.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SweepResult {
     /// Scheme simulated.
     pub scheme: SchemeKind,

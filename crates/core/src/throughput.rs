@@ -30,11 +30,11 @@
 //! engine from the same config, so outputs stay byte-identical.
 
 use crate::clock::SimClock;
-use crate::config::{build_engine_recorded, ExperimentConfig, SchemeKind};
+use crate::config::{build_engine, ExperimentConfig, SchemeKind};
 use crate::engine::Engine;
 use crate::error::SimError;
 use crate::metrics::RunMetrics;
-use crate::recorder::{NoopRecorder, Recorder};
+use crate::recorder::NoopRecorder;
 use rayon::prelude::*;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -95,19 +95,6 @@ pub fn measure_throughput(
     traces: &[Trace],
     repeats: usize,
 ) -> Result<ThroughputReport, SimError> {
-    measure_throughput_recorded(schemes, base, traces, repeats, NoopRecorder)
-}
-
-/// [`measure_throughput`] with a [`Recorder`] attached to every timed
-/// run. Use this to quantify the recorder's own overhead: compare
-/// against a [`NoopRecorder`] baseline from [`measure_throughput`].
-pub fn measure_throughput_recorded<R: Recorder + Clone + 'static>(
-    schemes: &[SchemeKind],
-    base: &ExperimentConfig,
-    traces: &[Trace],
-    repeats: usize,
-    recorder: R,
-) -> Result<ThroughputReport, SimError> {
     let repeats = repeats.max(1);
     let threads = rayon::current_num_threads();
     let mut points = Vec::with_capacity(schemes.len());
@@ -125,14 +112,13 @@ pub fn measure_throughput_recorded<R: Recorder + Clone + 'static>(
         // One repeat: build a pristine engine (untimed — the serve path
         // is what is being measured), then time the run alone.
         let one_repeat = |_r: usize| -> (f64, RunMetrics) {
-            let mut engine =
-                build_engine_recorded(&cfg, traces, recorder.clone()).expect("validated above");
+            let mut engine = build_engine(&cfg, traces).expect("validated above");
             // The clock is built outside the timed region: it is identical
             // setup work for every scheme, and the serve path is what is
             // being measured.
             let mut clock = SimClock::new(cfg.clock);
             let start = Instant::now();
-            let m = Engine::new(engine.as_mut(), traces, &cfg.net).run(&mut clock, &recorder);
+            let m = Engine::new(engine.as_mut(), traces, &cfg.net).run(&mut clock, &NoopRecorder);
             (start.elapsed().as_secs_f64(), m)
         };
         let batch_start = Instant::now();
@@ -175,7 +161,7 @@ pub fn measure_throughput_recorded<R: Recorder + Clone + 'static>(
 impl ThroughputReport {
     /// Renders the report as the `BENCH_throughput.json` document.
     ///
-    /// Hand-rolled JSON: the offline build environment has no serde_json,
+    /// Hand-rolled JSON: the offline build environment has no JSON crate,
     /// and the format is small and fixed.
     pub fn to_json(&self) -> String {
         let mut s = String::from("{\n");

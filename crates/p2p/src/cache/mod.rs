@@ -69,14 +69,13 @@ use adversary::AdversaryState;
 use partition::SplitState;
 use repair::RepairState;
 use replicas::DomainState;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use webcache_pastry::{NodeId, Overlay, PastryConfig};
 use webcache_policy::{BoundedCache, GreedyDualCache, ShaIndex};
 use webcache_primitives::{FxHashMap, ShaIdMap};
 
 /// Configuration for a [`P2PClientCache`].
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct P2PClientCacheConfig {
     /// Overlay parameters (b, leaf-set size l).
     pub pastry: PastryConfig,
@@ -95,7 +94,6 @@ pub struct P2PClientCacheConfig {
     /// plus up to `k - 1` leaf-set replicas). `1` reproduces the paper's
     /// replica-free baseline bit for bit; higher values trade LAN messages
     /// for availability under unannounced crashes.
-    #[serde(default)]
     pub replication: usize,
     /// Seed for cacheId assignment.
     pub seed: u64,

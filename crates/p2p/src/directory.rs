@@ -23,11 +23,10 @@
 //! epoch instead of guessing. Entries that never move carry epoch 0 and
 //! occupy no epoch storage, so fault-free runs pay nothing.
 
-use serde::{Deserialize, Serialize};
 use webcache_primitives::{CountingBloomFilter, FxHashMap, ShaIdMap, ShaIdSet};
 
 /// Which directory representation the proxy uses.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum DirectoryKind {
     /// Exact hashtable of objectIds.
     Exact,

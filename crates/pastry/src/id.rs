@@ -5,12 +5,11 @@
 //! paper derives them with SHA-1 (§4.1): `cacheId` from the client's
 //! identity, `objectId` from the object URL.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use webcache_primitives::Sha1;
 
 /// A 128-bit identifier in Pastry's circular id space.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u128);
 
 impl NodeId {

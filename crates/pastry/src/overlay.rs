@@ -572,24 +572,6 @@ impl Overlay {
         self.route_steps(from, key, |_| {})
     }
 
-    /// The instrumented routing walk: `visit` is called for every node on
-    /// the path (starting node first, destination last) and the return
-    /// value is `(destination, hops)`, exactly as [`route_hops`].
-    ///
-    /// This is the observability tap for per-lookup hop accounting: a
-    /// recorder can watch the walk without materializing a path vector
-    /// the way [`route`](Self::route) does.
-    ///
-    /// [`route_hops`]: Self::route_hops
-    pub fn route_visit(
-        &self,
-        from: NodeId,
-        key: NodeId,
-        visit: impl FnMut(NodeId),
-    ) -> Option<(NodeId, usize)> {
-        self.route_steps(from, key, visit)
-    }
-
     /// The routing walk shared by [`route`](Self::route) and
     /// [`route_hops`](Self::route_hops): `visit` sees every node on the
     /// path (starting node first, destination last); the return value is
@@ -1113,6 +1095,8 @@ mod tests {
         for (i, &from) in nodes.iter().enumerate() {
             let key = NodeId(0x5851_F42Du128.wrapping_mul(i as u128 + 1));
             let plain = o.route_hops(from, key).unwrap();
+            let full = o.route(from, key).unwrap();
+            assert_eq!((full.destination, full.hops()), plain);
             let det = o.route_detecting(from, key, || false).unwrap();
             assert_eq!((det.destination, det.hops), plain);
             assert_eq!(det.timeouts, 0);
@@ -1196,23 +1180,6 @@ mod tests {
         assert_eq!(o.crashed_len(), 0);
         let problems = o.check_invariants();
         assert!(problems.is_empty(), "{problems:?}");
-    }
-
-    #[test]
-    fn route_visit_agrees_with_route_and_route_hops() {
-        let o = build(24, 77);
-        let nodes: Vec<NodeId> = o.node_ids().collect();
-        for (i, &from) in nodes.iter().enumerate() {
-            let key = NodeId(0x9E37_79B9u128.wrapping_mul(i as u128 + 1));
-            let full = o.route(from, key).expect("live node");
-            let mut visited = Vec::new();
-            let (dest, hops) = o.route_visit(from, key, |n| visited.push(n)).expect("live node");
-            assert_eq!(visited, full.path, "visit order must match route() path");
-            assert_eq!(dest, full.destination);
-            assert_eq!(Some((dest, hops)), o.route_hops(from, key));
-            assert_eq!(hops, full.path.len() - 1);
-        }
-        assert!(o.route_visit(NodeId(0xDEAD_BEEF), NodeId(1), |_| {}).is_none());
     }
 
     #[test]

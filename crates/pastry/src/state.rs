@@ -1,14 +1,13 @@
 //! Per-node Pastry routing state: leaf set and prefix routing table.
 
 use crate::id::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// Overlay configuration.
 ///
 /// `b` is Pastry's digit width (the paper quotes hop counts for `b = 4`,
 /// i.e. base-16 digits) and `leaf_set_size` is `l`, "a configuration
 /// parameter in Pastry with typical value 16" (§4.3).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct PastryConfig {
     /// Digit width in bits; must divide 128 (1, 2, 4 or 8).
     pub b: u32,

@@ -27,7 +27,6 @@
 //! inside the measured-vs-theory slack.
 
 use crate::seed::splitmix64;
-use serde::{Deserialize, Serialize};
 
 /// Bits per block: 64 bytes, one x86-64 cache line.
 const BLOCK_BITS: u64 = 512;
@@ -52,7 +51,7 @@ fn probe_offset(h1: u64, h2: u64, i: u64, block_len: u64) -> u64 {
 }
 
 /// Classic Bloom filter over 128-bit keys, cache-line blocked.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct BloomFilter {
     bits: Vec<u64>,
     blocks: u64,
@@ -158,7 +157,7 @@ impl BloomFilter {
 /// This is the variant the Hier-GD lookup directory uses: client caches
 /// report evictions back to the proxy (Fig. 1 step 14), which must remove
 /// the corresponding entry.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CountingBloomFilter {
     /// 4-bit counters, 16 to a word; each key's k counters share a block
     /// of [`BLOCK_COUNTERS`] (one cache line).

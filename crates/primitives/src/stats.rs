@@ -6,11 +6,10 @@
 //! helpers here. The benchmark harnesses also use [`OnlineStats`] to report
 //! mean latencies without storing per-request samples.
 
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Welford online mean/variance accumulator.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct OnlineStats {
     n: u64,
     mean: f64,
@@ -133,7 +132,7 @@ pub fn linear_fit(points: &[(f64, f64)]) -> Option<LinearFit> {
 }
 
 /// Fixed-bucket histogram over `[0, bound)` with an overflow bucket.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Histogram {
     bound: f64,
     buckets: Vec<u64>,

@@ -47,12 +47,11 @@ use crate::sizes::{SizeDistribution, SizeModel};
 use crate::trace::{Request, Trace};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use webcache_primitives::Fenwick;
 
 /// Configuration for [`ProWGen`]. Defaults are the paper's (§5.1).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ProWGenConfig {
     /// Total requests to generate (paper default: 1,000,000).
     pub requests: usize,
@@ -148,7 +147,7 @@ impl ProWGenConfig {
 }
 
 /// Counters describing how generation went; exposed for tests and analysis.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct GenReport {
     /// Multi-reference objects generated.
     pub multi_objects: usize,

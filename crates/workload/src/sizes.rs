@@ -7,10 +7,9 @@
 //! of ProWGen has something to correlate with.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Size model configuration.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub enum SizeModel {
     /// Every object has the same size — the paper's assumption 1.
     Unit,

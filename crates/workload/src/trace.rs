@@ -1,6 +1,5 @@
 //! Trace representation and analysis.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Dense object identifier within one trace's universe.
@@ -16,7 +15,7 @@ pub type ObjectId = u32;
 /// part of the client's browser cache. `client` identifies which of the
 /// client cluster's machines issued the request — Hier-GD needs it for
 /// piggyback destaging (§4.4), the unified-cache schemes ignore it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Request {
     /// Issuing client within the cluster.
     pub client: u32,
@@ -29,7 +28,7 @@ pub struct Request {
 }
 
 /// A request stream for one client cluster.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Trace {
     /// The request stream in arrival order.
     pub requests: Vec<Request>,

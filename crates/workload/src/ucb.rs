@@ -28,10 +28,9 @@
 use crate::prowgen::{ProWGen, ProWGenConfig};
 use crate::sizes::SizeModel;
 use crate::trace::{Request, Trace};
-use serde::{Deserialize, Serialize};
 
 /// Configuration for the UCB-like synthetic trace.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct UcbLikeConfig {
     /// Total requests (default 2,000,000 — a laptop-friendly scale-down of
     /// the original 9.24M; `--full` harness runs use 9,244,728).
