@@ -180,10 +180,7 @@ impl Command {
 
     /// Typed option lookup with default.
     pub fn opt<T: FromStr>(&self, key: &str, default: T) -> Result<T, UsageError> {
-        match self.options.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| UsageError(format!("--{key}: cannot parse '{v}'"))),
-        }
+        self.options.get(key).map_or(Ok(default), |v| parse_value(key, v))
     }
 
     /// Required option lookup.
@@ -195,14 +192,12 @@ impl Command {
     }
 
     /// Comma-separated list option (`--fracs 0.1,0.3`), `default` when
-    /// absent; `what` names an element in the error message.
-    fn list<T: FromStr>(&self, key: &str, what: &str, default: Vec<T>) -> Result<Vec<T>, CliError> {
+    /// absent.
+    fn list<T: FromStr>(&self, key: &str, default: Vec<T>) -> Result<Vec<T>, UsageError> {
         let Some(list) = self.options.get(key) else {
             return Ok(default);
         };
-        list.split(',')
-            .map(|t| t.trim().parse().map_err(|_| CliError::Other(format!("bad {what} '{t}'"))))
-            .collect()
+        list.split(',').map(|element| parse_value(key, element.trim())).collect()
     }
 
     /// Rejects any option `spec` does not list: a typo must not silently
@@ -225,6 +220,12 @@ impl Command {
             self.name
         )))
     }
+}
+
+/// Parses one value of `--key` — a scalar or a list element. A value that
+/// does not parse is a usage error naming the flag, whichever shape it has.
+fn parse_value<T: FromStr>(key: &str, value: &str) -> Result<T, UsageError> {
+    value.parse().map_err(|_| UsageError(format!("--{key}: cannot parse '{value}'")))
 }
 
 fn load_traces(paths: &[String]) -> Result<Vec<Trace>, CliError> {
@@ -729,7 +730,7 @@ fn cmd_sweep(cmd: &Command) -> Result<String, CliError> {
         .split(',')
         .map(|t| t.parse())
         .collect::<Result<_, SimError>>()?;
-    let fracs: Vec<f64> = cmd.list("fracs", "fraction", vec![0.1, 0.3, 0.5, 0.7, 0.9])?;
+    let fracs: Vec<f64> = cmd.list("fracs", vec![0.1, 0.3, 0.5, 0.7, 0.9])?;
     let mut base = ExperimentConfig::new(SchemeKind::Nc, fracs[0]);
     base.num_proxies = traces.len();
     base.clients_per_cluster = cmd.opt("clients", 100)?;
@@ -778,8 +779,7 @@ fn cmd_throughput(cmd: &Command) -> Result<String, CliError> {
     let out_path = cmd.opt("out", "BENCH_throughput.json".to_string())?;
     let clients = cmd.opt("clients", 100usize)?;
     if let Some(t) = cmd.options.get("threads") {
-        let n: usize =
-            t.parse().ok().filter(|&n| n >= 1).ok_or(format!("bad --threads '{t}' (want >= 1)"))?;
+        let n: std::num::NonZeroUsize = parse_value("threads", t)?;
         // The pool reads this once at first use; `throughput` is the first
         // rayon touch on this path, so the override always lands.
         std::env::set_var("WEBCACHE_THREADS", n.to_string());
@@ -986,8 +986,8 @@ fn adversary_from(cmd: &Command) -> Result<ScenarioReport, CliError> {
     let d = AdversaryConfig::default();
     Ok(run_adversary(&AdversaryConfig {
         base: churn_base_from(cmd, d.base)?,
-        attacker_fracs: cmd.list("fracs", "fraction", d.attacker_fracs)?,
-        audit_rates: cmd.list("audit-rates", "audit rate", d.audit_rates)?,
+        attacker_fracs: cmd.list("fracs", d.attacker_fracs)?,
+        audit_rates: cmd.list("audit-rates", d.audit_rates)?,
         forge_rate: cmd.opt("forge-rate", d.forge_rate)?,
         strikes: cmd.opt("strikes", d.strikes)?,
         seed: cmd.opt("seed", d.seed)?,
@@ -1003,7 +1003,7 @@ fn overload_from(cmd: &Command) -> Result<ScenarioReport, CliError> {
     let d = OverloadConfig::default();
     Ok(run_overload(&OverloadConfig {
         base: churn_base_from(cmd, d.base)?,
-        intensities: cmd.list("intensities", "intensity", d.intensities)?,
+        intensities: cmd.list("intensities", d.intensities)?,
         spike_at: cmd.opt("spike-at", d.spike_at)?,
         spike_span: cmd.opt("spike-span", d.spike_span)?,
         breaker: cmd.opt("breaker", d.breaker)?,
@@ -1022,8 +1022,8 @@ fn durability_from(cmd: &Command) -> Result<ScenarioReport, CliError> {
     let d = DurabilityConfig::default();
     Ok(run_durability(&DurabilityConfig {
         base: churn_base_from(cmd, d.base)?,
-        bursts: cmd.list("bursts", "burst", d.bursts)?,
-        ks: cmd.list("ks", "replication", d.ks)?,
+        bursts: cmd.list("bursts", d.bursts)?,
+        ks: cmd.list("ks", d.ks)?,
         burst_at: cmd.opt("burst-at", d.burst_at)?,
         repair: cmd.opt("repair", d.repair)?,
         seed: cmd.opt("seed", d.seed)?,
@@ -1117,6 +1117,9 @@ mod tests {
         assert_eq!(CliError::Sim(std::io::Error::other("x").into()).exit_code(), 3);
         assert_eq!(CliError::Other("x".into()).exit_code(), 1);
         assert_eq!(CliError::Violations("x".into()).exit_code(), 2);
+        // A malformed value is a usage error whichever helper reads it.
+        let bad = Command::parse(&argv(&["throughput", "--threads", "0"])).unwrap();
+        assert_eq!(execute(&bad).unwrap_err().exit_code(), 2);
     }
 
     #[test]
@@ -1551,8 +1554,10 @@ mod tests {
 
     #[test]
     fn durability_rejects_bad_grids() {
-        let bad = Command::parse(&argv(&["durability", "--bursts", "nope"])).unwrap();
-        assert_eq!(execute(&bad).unwrap_err().exit_code(), 1);
+        let bad = Command::parse(&argv(&["durability", "--bursts", "8,nope"])).unwrap();
+        let err = execute(&bad).unwrap_err();
+        assert_eq!(err.to_string(), "--bursts: cannot parse 'nope'");
+        assert_eq!(err.exit_code(), 2);
         let bad = Command::parse(&argv(&["durability", "--bursts", "1"])).unwrap();
         assert_eq!(execute(&bad).unwrap_err().exit_code(), 2);
         let bad = Command::parse(&argv(&["durability", "--ks", "1"])).unwrap();
@@ -1635,15 +1640,22 @@ mod tests {
     #[test]
     fn overload_rejects_bad_grids() {
         let bad = Command::parse(&argv(&["overload", "--intensities", "nope"])).unwrap();
-        assert_eq!(execute(&bad).unwrap_err().exit_code(), 1);
+        assert_eq!(execute(&bad).unwrap_err().exit_code(), 2);
         let bad = Command::parse(&argv(&["overload", "--intensities", "1"])).unwrap();
         assert_eq!(execute(&bad).unwrap_err().exit_code(), 2);
     }
 
     #[test]
     fn adversary_rejects_bad_grids() {
+        // A malformed list element and a malformed scalar are the same
+        // mistake: both name the flag and exit 2.
         let bad = Command::parse(&argv(&["adversary", "--fracs", "nope"])).unwrap();
-        assert_eq!(execute(&bad).unwrap_err().exit_code(), 1);
+        let list = execute(&bad).unwrap_err();
+        let bad = Command::parse(&argv(&["adversary", "--forge-rate", "nope"])).unwrap();
+        let scalar = execute(&bad).unwrap_err();
+        assert_eq!(list.to_string(), "--fracs: cannot parse 'nope'");
+        assert_eq!(scalar.to_string(), "--forge-rate: cannot parse 'nope'");
+        assert_eq!((list.exit_code(), scalar.exit_code()), (2, 2));
         let bad = Command::parse(&argv(&["adversary", "--fracs", "1.0"])).unwrap();
         assert_eq!(execute(&bad).unwrap_err().exit_code(), 2);
     }
