@@ -579,6 +579,19 @@ fn clock_from(cmd: &Command, base: ClockMode) -> Result<ClockMode, CliError> {
     }
 }
 
+/// A latency ratio as [`NetworkModel::from_ratios`] takes it: positive and
+/// finite. Anything else fails to parse, so `--ts-tc 0` is a usage error
+/// naming the flag rather than the library's assert.
+struct Ratio(f64);
+
+impl FromStr for Ratio {
+    type Err = ();
+
+    fn from_str(s: &str) -> Result<Self, ()> {
+        s.parse().ok().filter(|r: &f64| r.is_finite() && *r > 0.0).map(Ratio).ok_or(())
+    }
+}
+
 /// Builds the latency model from the three ratio flags (a missing one
 /// takes the paper's default), `base` when none is given.
 fn net_from(cmd: &Command, base: NetworkModel) -> Result<NetworkModel, CliError> {
@@ -586,8 +599,8 @@ fn net_from(cmd: &Command, base: NetworkModel) -> Result<NetworkModel, CliError>
     if !ratios.iter().any(|(flag, _)| cmd.options.contains_key(*flag)) {
         return Ok(base);
     }
-    let [ts_tc, ts_tl, tp2p_tl] = ratios.map(|(flag, default)| cmd.opt(flag, default));
-    let net = NetworkModel::from_ratios(ts_tc?, ts_tl?, tp2p_tl?);
+    let [ts_tc, ts_tl, tp2p_tl] = ratios.map(|(flag, default)| cmd.opt(flag, Ratio(default)));
+    let net = NetworkModel::from_ratios(ts_tc?.0, ts_tl?.0, tp2p_tl?.0);
     net.validate()?;
     Ok(net)
 }
@@ -1562,6 +1575,34 @@ mod tests {
         assert_eq!(execute(&bad).unwrap_err().exit_code(), 2);
         let bad = Command::parse(&argv(&["durability", "--ks", "1"])).unwrap();
         assert_eq!(execute(&bad).unwrap_err().exit_code(), 2);
+    }
+
+    #[test]
+    fn non_positive_ratios_are_usage_errors_naming_flag_and_value() {
+        let dir = std::env::temp_dir().join("webcache-cli-ratio-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let trace = dir.join("t.bin");
+        let trace = trace.to_str().unwrap();
+        let gen = ["gen", "--out", trace, "--requests", "2000", "--objects", "200"];
+        execute(&Command::parse(&argv(&gen)).unwrap()).unwrap();
+        // Each reached `NetworkModel::from_ratios`'s assert: exit 101.
+        // One case per subcommand that takes the ratio flags.
+        for (args, flag, value) in [
+            (&["run", "--scheme", "sc", trace][..], "ts-tc", "0"),
+            (&["explain", trace][..], "ts-tl", "0"),
+            (&["sweep", trace][..], "tp2p-tl", "0"),
+            (&["throughput"][..], "ts-tc", "0"),
+            (&["churn"][..], "ts-tl", "-20"),
+            (&["chaos"][..], "tp2p-tl", "NaN"),
+            (&["adversary"][..], "ts-tc", "inf"),
+        ] {
+            let flag_arg = format!("--{flag}");
+            let cmd = Command::parse(&argv(&[args, &[&flag_arg, value]].concat())).unwrap();
+            let err = execute(&cmd).unwrap_err();
+            assert_eq!(err.to_string(), format!("--{flag}: cannot parse '{value}'"), "{args:?}");
+            assert_eq!(err.exit_code(), 2, "{args:?}");
+        }
+        std::fs::remove_file(trace).ok();
     }
 
     #[test]

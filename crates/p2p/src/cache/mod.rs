@@ -71,7 +71,7 @@ use repair::RepairState;
 use replicas::DomainState;
 use std::collections::BTreeSet;
 use webcache_pastry::{NodeId, Overlay, PastryConfig};
-use webcache_policy::{BoundedCache, GreedyDualCache, ShaIndex};
+use webcache_policy::{BoundedCache, GreedyDualCache, LinearScan};
 use webcache_primitives::{FxHashMap, ShaIdMap};
 
 /// Configuration for a [`P2PClientCache`].
@@ -120,9 +120,10 @@ pub struct ClientCacheNode {
     /// Local greedy-dual store over objectIds. Holds both objects this
     /// node is the DHT root for and objects it hosts for leaf-set
     /// neighbors that diverted them here.
-    /// Keys are SHA-derived objectIds, so the GD heap's position index
-    /// skips rehashing them.
-    store: GreedyDualCache<u128, ShaIndex>,
+    /// A client cache holds a handful of objects (0.1 % of the infinite
+    /// cache size), so the heap finds a key by scanning its entries: one
+    /// allocation per node and no index to keep in step.
+    store: GreedyDualCache<u128, LinearScan>,
     /// Objects this node is the root for but which live at a neighbor:
     /// the diversion table of §4.3 ("enters an entry for d1 in its table
     /// with a pointer to B").

@@ -222,3 +222,102 @@ fn emptying_the_cluster_ledgers_limbo_before_the_wipe() {
     assert!(c.silent_loss_audit().is_empty());
     assert!(c.check_invariants().is_empty());
 }
+
+/// Each live node's store in id order: `(object index, credit)` in the
+/// order `store.keys()` yields them — the order the hand-off loops walk.
+fn placements(c: &P2PClientCache, objects: u64) -> Vec<Vec<(u64, f64)>> {
+    let index = |o: u128| (0..objects).find(|&i| oid(i) == o).expect("a test object");
+    let mut ids: Vec<NodeId> = c.node_ids().collect();
+    ids.sort();
+    ids.into_iter()
+        .map(|id| {
+            let store = &c.node(id).unwrap().store;
+            store.keys().map(|o| (index(o), store.h_value(o).unwrap())).collect()
+        })
+        .collect()
+}
+
+/// Three full nodes of four, twelve objects at twelve distinct costs.
+fn full_cluster(k: usize) -> P2PClientCache {
+    let mut c = small_k(3, 4, k);
+    for i in 0..12u64 {
+        c.destage(oid(i), 1.0 + (i * 5 % 12) as f64, Some(0)).unwrap();
+    }
+    c
+}
+
+#[test]
+fn departure_hands_objects_off_in_store_order() {
+    // The hand-off order is observable: each adoption evicts the new
+    // root's minimum and raises its inflation, so the credits the later
+    // objects land at depend on who went first. The departing node walks
+    // `store.keys()`, the heap's array order, which is neither id nor
+    // credit order here (both would hand off 10, 6, 9, 7 and land 6 at
+    // 9.0 and 7 at 18.0). Checked in a scratch edit of
+    // `GreedyDualCache::keys()`: sorted by credit, and under each of the
+    // other 23 permutations of the four objects, this test fails — on
+    // the pinned store order, and still on the hand-off's outcome when
+    // the pins are compared as sets.
+    let mut c = full_cluster(1);
+    let before = vec![
+        vec![(3, 4.0), (4, 9.0), (8, 5.0), (11, 8.0)],
+        vec![(0, 1.0), (1, 6.0), (2, 11.0), (5, 2.0)],
+        vec![(10, 3.0), (7, 12.0), (9, 10.0), (6, 7.0)],
+    ];
+    assert_eq!(placements(&c, 12), before);
+    let leaver = *c.node_ids().collect::<Vec<_>>().iter().max().unwrap();
+    let mut sink = VecSink(Vec::new());
+    c.depart_node_tap(leaver, &mut sink).unwrap();
+    assert_eq!(
+        placements(&c, 12),
+        vec![before[0].clone(), vec![(2, 11.0), (7, 14.0), (9, 14.0), (6, 13.0)]]
+    );
+    assert_eq!(sink.count_label("eviction"), 4, "each adoption displaced a resident");
+    assert_eq!(
+        *c.ledger(),
+        MessageLedger {
+            overlay_messages: 18,
+            piggybacked_objects: 12,
+            store_receipts: 12,
+            diversions: 3,
+            ..MessageLedger::default()
+        }
+    );
+    assert!(c.check_invariants().is_empty());
+}
+
+#[test]
+fn detected_crash_parks_the_store_whatever_its_order() {
+    // The counterpart of the departure test for a silent crash. The
+    // corpse's store is walked in `store.keys()` order too, and the
+    // pinned store below fails under any other order like the test
+    // above (same scratch edit, all 24 cases). What detection does with
+    // that walk is order-free — parking a casualty touches only that
+    // object's own books (limbo, its replica set, the ledger's sums) —
+    // and with the pin compared as a set the rest stayed green under
+    // every permutation.
+    let mut c = full_cluster(2);
+    let before = placements(&c, 12);
+    assert_eq!(before[2], vec![(10, 3.0), (7, 12.0), (9, 10.0), (6, 7.0)]);
+    let corpse = *c.node_ids().collect::<Vec<_>>().iter().max().unwrap();
+    let mut sink = VecSink(Vec::new());
+    c.crash_node_tap(corpse, &mut sink).unwrap();
+    c.detect_crash(corpse, &mut sink);
+    let labels: Vec<String> =
+        sink.0.iter().map(|e| format!("{} {}", e.kind_label(), e.detail().1)).collect();
+    assert_eq!(labels, ["node_crashed objects_at_risk=4", "node_failed objects_lost=0"]);
+    assert_eq!(placements(&c, 12), before[..2]);
+    let mut parked: Vec<u64> =
+        (0..12).filter(|&i| c.limbo.get(&oid(i)).is_some_and(|hosts| hosts.len() == 1)).collect();
+    parked.sort_unstable();
+    assert_eq!(parked, [6, 7, 9, 10], "every casualty waits in limbo with its one replica");
+    // Each casualty comes back from its replica at the credit it carried.
+    for i in [6u64, 7, 9, 10] {
+        assert!(c.fetch(0, oid(i), 1.0).is_some(), "object {i} is served from its replica");
+    }
+    assert_eq!(c.limbo.len(), 0);
+    assert_eq!(c.ledger().stale_hits, 4);
+    assert_eq!(c.ledger().rereplications, 4);
+    assert_eq!(c.ledger().objects_lost, 0);
+    assert!(c.check_invariants().is_empty());
+}

@@ -17,23 +17,26 @@
 //! * Hier-GD (§3) runs this algorithm at the proxy *and* in every client
 //!   cache, passing the proxy's evictions down into the P2P client cache.
 //!
-//! Priorities live in an [`IndexedMinHeap`] keyed by `(H, stamp)`; the
+//! Priorities live in a [`MinHeap`] keyed by `(H, stamp)`; the
 //! stamp comes from a monotone clock, so `(H, stamp)` is already a total
 //! order and the eviction sequence is bit-identical to the earlier
 //! `BTreeSet<(H, stamp, key)>` implementation (a proptest below checks
 //! this against a retained reference copy) — without the B-tree's
 //! per-operation node allocation.
 
-use crate::heap::{HashIndex, IndexedMinHeap, PositionIndex};
+use crate::heap::{HashIndex, HeapIndex, MinHeap};
 use crate::BoundedCache;
 
 /// Bounded greedy-dual cache.
 ///
-/// `X` selects the heap's key → slot index: the default hash index for
-/// arbitrary keys, or [`DenseIndex`](crate::DenseIndex) when keys are
-/// dense small integers (the Hier-GD proxy caches use the latter).
+/// `X` selects how the heap finds a key: the default hash index for
+/// arbitrary keys, [`DenseIndex`](crate::DenseIndex) when keys are dense
+/// small integers (the Hier-GD proxy caches), or
+/// [`LinearScan`](crate::LinearScan) — no index, one allocation — for a
+/// store of a few entries (the client caches). The choice never changes
+/// what the cache does, [`keys`](Self::keys) order included.
 #[derive(Clone, Debug)]
-pub struct GreedyDualCache<K: Copy + Eq = u64, X: PositionIndex<K> = HashIndex<K>> {
+pub struct GreedyDualCache<K: Copy + Eq = u64, X: HeapIndex<K> = HashIndex<K>> {
     capacity: usize,
     /// key -> (H bits, stamp); min is the eviction victim. Stamps are
     /// unique, so the order is total without comparing keys. `H` is
@@ -42,12 +45,12 @@ pub struct GreedyDualCache<K: Copy + Eq = u64, X: PositionIndex<K> = HashIndex<K
     /// for such values `f64::total_cmp` order equals unsigned bit order —
     /// so the heap compares plain integers instead of running the
     /// total_cmp bit-twiddle a dozen times per sift.
-    heap: IndexedMinHeap<(u64, u64), K, X>,
+    heap: MinHeap<(u64, u64), K, X::Locator>,
     inflation: f64,
     clock: u64,
 }
 
-impl<K: Copy + Eq, X: PositionIndex<K>> GreedyDualCache<K, X> {
+impl<K: Copy + Eq, X: HeapIndex<K>> GreedyDualCache<K, X> {
     /// Creates a cache holding at most `capacity` unit-size objects.
     ///
     /// # Panics
@@ -56,7 +59,7 @@ impl<K: Copy + Eq, X: PositionIndex<K>> GreedyDualCache<K, X> {
         assert!(capacity > 0, "capacity must be positive");
         GreedyDualCache {
             capacity,
-            heap: IndexedMinHeap::with_capacity(capacity),
+            heap: MinHeap::with_capacity(capacity),
             inflation: 0.0,
             clock: 0,
         }
@@ -84,8 +87,7 @@ impl<K: Copy + Eq, X: PositionIndex<K>> GreedyDualCache<K, X> {
     pub fn touch_with_cost(&mut self, key: K, cost: f64, size: f64) -> bool {
         let h = self.inflation + cost / size;
         debug_assert!(h.is_finite() && h >= 0.0 && h.is_sign_positive());
-        // Single position probe: `update` both tests residency and
-        // re-stamps on the same lookup.
+        // Single lookup: `update` both tests residency and re-stamps.
         if self.heap.update(key, (h.to_bits(), self.clock + 1)) {
             self.clock += 1;
             true
@@ -132,7 +134,10 @@ impl<K: Copy + Eq, X: PositionIndex<K>> GreedyDualCache<K, X> {
         self.heap.sorted_snapshot().into_iter().map(|(_, k)| k)
     }
 
-    /// Iterates over resident keys in arbitrary order, without allocating.
+    /// Iterates over resident keys in heap-array order, without
+    /// allocating. The order is a function of the operations applied and
+    /// is the same for every `X`; the P2P membership paths hand objects
+    /// off in it.
     pub fn keys(&self) -> impl Iterator<Item = K> + '_ {
         self.heap.iter().map(|(_, k)| k)
     }
@@ -143,9 +148,7 @@ impl<K: Copy + Eq, X: PositionIndex<K>> GreedyDualCache<K, X> {
     }
 }
 
-impl<K: Copy + Eq + std::hash::Hash, X: PositionIndex<K>> BoundedCache<K>
-    for GreedyDualCache<K, X>
-{
+impl<K: Copy + Eq + std::hash::Hash, X: HeapIndex<K>> BoundedCache<K> for GreedyDualCache<K, X> {
     fn capacity(&self) -> usize {
         self.capacity
     }
@@ -482,6 +485,54 @@ mod tests {
                 let a: Vec<u64> = heap_gd.keys_by_credit().collect();
                 let b: Vec<u64> = ref_gd.keys_by_credit().collect();
                 proptest::prop_assert_eq!(a, b, "credit order diverged");
+            }
+        }
+
+        /// A client cache's store (`LinearScan`) against the same cache
+        /// on an index, at every capacity a client cache is given: each
+        /// return value, the victim, the credits, the inflation and —
+        /// what the P2P membership paths hand objects off in — the
+        /// `keys()` order must agree after every operation.
+        #[test]
+        fn linear_scan_matches_hash_index(
+            cap in 1usize..65,
+            ops in proptest::collection::vec(
+                (0u8..4, 0u64..128, 1u32..16, 1u32..4), 1..400
+            )
+        ) {
+            let mut flat: GreedyDualCache<u128, crate::LinearScan> = GreedyDualCache::new(cap);
+            let mut indexed: GreedyDualCache<u128, HashIndex<u128>> = GreedyDualCache::new(cap);
+            let universe = 2 * cap as u64;
+            for (op, key, cost, size) in ops {
+                // Spread the keys over the id space as SHA-derived ids are.
+                let key = u128::from(key % universe)
+                    .wrapping_mul(0x9E37_79B9_7F4A_7C15_F39C_C060_5CED_C835);
+                let (cost, size) = (f64::from(cost), f64::from(size));
+                match op {
+                    0 => proptest::prop_assert_eq!(
+                        flat.insert_with_cost(key, cost, size),
+                        indexed.insert_with_cost(key, cost, size),
+                        "eviction victims diverged"
+                    ),
+                    1 => proptest::prop_assert_eq!(
+                        flat.touch_with_cost(key, cost, size),
+                        indexed.touch_with_cost(key, cost, size)
+                    ),
+                    2 => proptest::prop_assert_eq!(flat.remove(key), indexed.remove(key)),
+                    _ => proptest::prop_assert_eq!(flat.evict(), indexed.evict()),
+                }
+                proptest::prop_assert_eq!(flat.len(), indexed.len());
+                proptest::prop_assert_eq!(flat.has_free_space(), indexed.has_free_space());
+                proptest::prop_assert_eq!(
+                    flat.inflation().to_bits(),
+                    indexed.inflation().to_bits()
+                );
+                proptest::prop_assert_eq!(flat.peek_victim(), indexed.peek_victim());
+                proptest::prop_assert_eq!(flat.contains(key), indexed.contains(key));
+                proptest::prop_assert_eq!(flat.h_value(key), indexed.h_value(key));
+                let a: Vec<u128> = flat.keys().collect();
+                let b: Vec<u128> = indexed.keys().collect();
+                proptest::prop_assert_eq!(a, b, "keys() order diverged");
             }
         }
     }

@@ -1,4 +1,4 @@
-//! Indexed d-ary min-heap: the priority structure behind the policies.
+//! Keyed d-ary min-heap: the priority structure behind the policies.
 //!
 //! The original implementations kept eviction order in a
 //! `BTreeSet<(Priority, Stamp, Key)>`: every touch allocated/freed a B-tree
@@ -7,6 +7,12 @@
 //! position index, so update/remove of an arbitrary key stays O(log n)
 //! with **zero per-operation allocation** and mostly-contiguous memory
 //! traffic.
+//!
+//! How a key is resolved to its entry is the heap's [`KeyLocator`]:
+//! [`Handles`] (a [`PositionIndex`] plus handle tables — the proxies'
+//! [`IndexedMinHeap`]) or [`LinearScan`] (nothing beside the entry array
+//! — the client caches' [`FlatMinHeap`]). The tree itself, and so the
+//! order [`MinHeap::iter`] yields, is the same under both.
 //!
 //! A 4-ary layout is used rather than binary: the tree is half as deep, and
 //! the four children of a node share one or two cache lines, which is the
@@ -18,6 +24,7 @@
 //! has to compare keys — the eviction sequence is exactly the one the old
 //! B-tree produced.
 
+use std::fmt::Debug;
 use std::hash::Hash;
 use webcache_primitives::FxHashMap;
 
@@ -147,66 +154,49 @@ impl PositionIndex<u32> for DenseIndex {
     }
 }
 
-/// A [`PositionIndex`] for 128-bit SHA-derived keys: a hash map with the
-/// identity hasher from `webcache_primitives` (the keys are already
-/// uniformly distributed digests, so hashing them again is pure waste).
-#[derive(Clone, Debug, Default)]
-pub struct ShaIndex(webcache_primitives::ShaIdMap<u128, u32>);
-
-impl PositionIndex<u128> for ShaIndex {
-    fn with_capacity(n: usize) -> Self {
-        ShaIndex(webcache_primitives::ShaIdMap::with_capacity_and_hasher(n, Default::default()))
+/// How a [`MinHeap`] resolves a key to its entry, and what an entry
+/// carries beside its priority so the key can be read back.
+///
+/// The heap reports every entry it moves ([`moved`](Self::moved)), so a
+/// locator may track positions ([`Handles`]) or ignore the reports and
+/// search the entry array instead ([`LinearScan`]).
+pub trait KeyLocator<K>: Clone {
+    /// The non-priority half of a heap entry.
+    type Tag: Copy + Debug;
+    /// A locator with room for `n` keys before growing.
+    fn with_capacity(n: usize) -> Self;
+    /// The slot of `key`'s entry in `heap`, if present.
+    fn find<P>(&self, heap: &[(P, Self::Tag)], key: &K) -> Option<usize>;
+    /// True if `key` has an entry in `heap`.
+    fn contains<P>(&self, heap: &[(P, Self::Tag)], key: &K) -> bool {
+        self.find(heap, key).is_some()
     }
-
-    #[inline]
-    fn get(&self, key: &u128) -> Option<u32> {
-        self.0.get(key).copied()
-    }
-
-    #[inline]
-    fn insert(&mut self, key: u128, handle: u32) {
-        let prev = self.0.insert(key, handle);
-        debug_assert!(prev.is_none(), "insert of a mapped key");
-    }
-
-    #[inline]
-    fn remove(&mut self, key: &u128) {
-        let prev = self.0.remove(key);
-        debug_assert!(prev.is_some(), "remove of an unmapped key");
-    }
-
-    fn clear(&mut self) {
-        self.0.clear();
-    }
-
-    fn len(&self) -> usize {
-        self.0.len()
-    }
+    /// The key behind `tag`.
+    fn key(&self, tag: Self::Tag) -> K;
+    /// Registers `key` (which must be absent), returning its entry's tag.
+    fn admit(&mut self, key: K) -> Self::Tag;
+    /// The entry carrying `tag` now lives at `slot`.
+    fn moved(&mut self, tag: Self::Tag, slot: usize);
+    /// The entry carrying `tag` left the heap; returns its key.
+    fn retire(&mut self, tag: Self::Tag) -> K;
+    /// Forgets every key.
+    fn clear(&mut self);
 }
 
-/// A min-heap over `(priority, key)` pairs with an index from key to slot,
-/// supporting O(log n) update-by-key and remove-by-key.
-///
-/// `P` must be a total order (`Ord`); callers that prioritize by `f64`
-/// wrap it in a `total_cmp` newtype. Duplicate keys are not stored: a
-/// second [`push`](Self::push) of the same key replaces its priority.
-///
-/// Keys are interned behind small integer *handles* so that sifting never
-/// touches the hash map: heap entries carry `(priority, handle)`, and a
-/// flat `slot[handle]` table tracks where each handle currently lives.
+/// The [`KeyLocator`] of an [`IndexedMinHeap`]: keys are interned behind
+/// small integer *handles* so that sifting never touches the
+/// [`PositionIndex`] — heap entries carry `(priority, handle)`, and a flat
+/// `slot[handle]` table tracks where each handle currently lives.
 /// Restoring the heap property after an update is then pure `Vec` traffic
 /// — the profile showed the earlier design spending more time re-inserting
 /// positions into the hash map (one insert per sift level) than comparing
-/// priorities. The map is consulted exactly once per operation, to resolve
-/// the key to its handle.
-#[derive(Clone, Debug, Default)]
-pub struct IndexedMinHeap<P, K, X = HashIndex<K>> {
-    /// Implicit d-ary tree: children of slot `i` are `ARITY*i + 1 ..= ARITY*i + ARITY`.
-    /// Entries are `(priority, handle)`.
-    heap: Vec<(P, u32)>,
+/// priorities. The index is consulted exactly once per operation, to
+/// resolve the key to its handle.
+#[derive(Clone, Debug)]
+pub struct Handles<K, X = HashIndex<K>> {
     /// handle -> key (interning table; slots are recycled via `free`).
     keys: Vec<K>,
-    /// handle -> current index in `heap`.
+    /// handle -> current index in the heap.
     slot: Vec<u32>,
     /// Recycled handles of removed keys.
     free: Vec<u32>,
@@ -214,27 +204,168 @@ pub struct IndexedMinHeap<P, K, X = HashIndex<K>> {
     pos: X,
 }
 
-impl<P: Ord + Copy, K: Copy + Eq, X: PositionIndex<K>> IndexedMinHeap<P, K, X> {
-    /// Creates an empty heap.
-    pub fn new() -> Self {
-        IndexedMinHeap {
-            heap: Vec::new(),
-            keys: Vec::new(),
-            slot: Vec::new(),
-            free: Vec::new(),
-            pos: X::default(),
-        }
-    }
+impl<K: Copy + Eq, X: PositionIndex<K>> KeyLocator<K> for Handles<K, X> {
+    type Tag = u32;
 
-    /// Creates an empty heap with room for `n` entries before reallocating.
-    pub fn with_capacity(n: usize) -> Self {
-        IndexedMinHeap {
-            heap: Vec::with_capacity(n),
+    fn with_capacity(n: usize) -> Self {
+        Handles {
             keys: Vec::with_capacity(n),
             slot: Vec::with_capacity(n),
             free: Vec::new(),
             pos: X::with_capacity(n),
         }
+    }
+
+    #[inline]
+    fn find<P>(&self, _heap: &[(P, u32)], key: &K) -> Option<usize> {
+        self.pos.get(key).map(|h| self.slot[h as usize] as usize)
+    }
+
+    #[inline]
+    fn contains<P>(&self, _heap: &[(P, u32)], key: &K) -> bool {
+        self.pos.get(key).is_some()
+    }
+
+    #[inline]
+    fn key(&self, h: u32) -> K {
+        self.keys[h as usize]
+    }
+
+    #[inline]
+    fn admit(&mut self, key: K) -> u32 {
+        let h = match self.free.pop() {
+            Some(h) => {
+                self.keys[h as usize] = key;
+                h
+            }
+            None => {
+                let h = self.keys.len() as u32;
+                self.keys.push(key);
+                self.slot.push(0);
+                h
+            }
+        };
+        self.pos.insert(key, h);
+        h
+    }
+
+    #[inline]
+    fn moved(&mut self, h: u32, slot: usize) {
+        self.slot[h as usize] = slot as u32;
+    }
+
+    #[inline]
+    fn retire(&mut self, h: u32) -> K {
+        let key = self.keys[h as usize];
+        self.pos.remove(&key);
+        self.free.push(h);
+        key
+    }
+
+    fn clear(&mut self) {
+        self.keys.clear();
+        self.slot.clear();
+        self.free.clear();
+        self.pos.clear();
+    }
+}
+
+/// The [`KeyLocator`] of a [`FlatMinHeap`]: entries carry the key itself
+/// and a lookup scans the entry array, so the heap is one allocation and a
+/// lookup reads consecutive memory. For stores of a few entries — the
+/// client caches hold 0.1 % of the infinite cache size, five objects at
+/// the benchmark's scale — that beats any index; EXPERIMENTS.md
+/// ("Throughput round 5") has the measured crossover.
+#[derive(Clone, Copy, Debug)]
+pub struct LinearScan;
+
+impl<K: Copy + Eq + Debug> KeyLocator<K> for LinearScan {
+    type Tag = K;
+
+    fn with_capacity(_n: usize) -> Self {
+        LinearScan
+    }
+
+    #[inline]
+    fn find<P>(&self, heap: &[(P, K)], key: &K) -> Option<usize> {
+        heap.iter().position(|(_, k)| k == key)
+    }
+
+    #[inline]
+    fn key(&self, key: K) -> K {
+        key
+    }
+
+    #[inline]
+    fn admit(&mut self, key: K) -> K {
+        key
+    }
+
+    #[inline]
+    fn moved(&mut self, _key: K, _slot: usize) {}
+
+    #[inline]
+    fn retire(&mut self, key: K) -> K {
+        key
+    }
+
+    fn clear(&mut self) {}
+}
+
+/// Names the [`KeyLocator`] a policy's heap uses: any [`PositionIndex`]
+/// stands for [`Handles`] over it, [`LinearScan`] for itself. This is what
+/// lets `GreedyDualCache<K, DenseIndex>` and `GreedyDualCache<K,
+/// LinearScan>` be one type with one body.
+pub trait HeapIndex<K> {
+    /// The locator behind this choice.
+    type Locator: KeyLocator<K>;
+}
+
+impl<K: Copy + Eq, X: PositionIndex<K>> HeapIndex<K> for X {
+    type Locator = Handles<K, X>;
+}
+
+impl<K: Copy + Eq + Debug> HeapIndex<K> for LinearScan {
+    type Locator = LinearScan;
+}
+
+/// A min-heap over `(priority, key)` pairs that finds a key's entry
+/// through its [`KeyLocator`] `L`, supporting update-by-key and
+/// remove-by-key in O(log n) after the lookup.
+///
+/// `P` must be a total order (`Ord`); callers that prioritize by `f64`
+/// wrap it in a `total_cmp` newtype. Duplicate keys are not stored: a
+/// second [`push`](Self::push) of the same key replaces its priority.
+#[derive(Clone, Debug)]
+pub struct MinHeap<P, K, L: KeyLocator<K>> {
+    /// Implicit d-ary tree: children of slot `i` are `ARITY*i + 1 ..= ARITY*i + ARITY`.
+    heap: Vec<(P, L::Tag)>,
+    loc: L,
+}
+
+/// A [`MinHeap`] whose keys are found through the [`PositionIndex`] `X`
+/// (O(1) lookup, five allocations).
+pub type IndexedMinHeap<P, K, X = HashIndex<K>> = MinHeap<P, K, Handles<K, X>>;
+
+/// A [`MinHeap`] whose keys are found by scanning the entries (O(n)
+/// lookup, one allocation).
+pub type FlatMinHeap<P, K> = MinHeap<P, K, LinearScan>;
+
+impl<P: Ord + Copy, K: Copy + Eq, L: KeyLocator<K>> Default for MinHeap<P, K, L> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<P: Ord + Copy, K: Copy + Eq, L: KeyLocator<K>> MinHeap<P, K, L> {
+    /// Creates an empty heap.
+    pub fn new() -> Self {
+        Self::with_capacity(0)
+    }
+
+    /// Creates an empty heap with room for `n` entries before reallocating.
+    pub fn with_capacity(n: usize) -> Self {
+        MinHeap { heap: Vec::with_capacity(n), loc: L::with_capacity(n) }
     }
 
     /// Number of entries.
@@ -249,17 +380,17 @@ impl<P: Ord + Copy, K: Copy + Eq, X: PositionIndex<K>> IndexedMinHeap<P, K, X> {
 
     /// True if `key` is present.
     pub fn contains(&self, key: K) -> bool {
-        self.pos.get(&key).is_some()
+        self.loc.contains(&self.heap, &key)
     }
 
     /// Current priority of `key`.
     pub fn priority(&self, key: K) -> Option<P> {
-        self.pos.get(&key).map(|h| self.heap[self.slot[h as usize] as usize].0)
+        self.loc.find(&self.heap, &key).map(|i| self.heap[i].0)
     }
 
     /// Updates `key`'s priority if present, returning whether it was.
-    /// One position probe — the hit path's alternative to
-    /// [`push`](Self::push), which would probe again on insert.
+    /// One lookup — the hit path's alternative to [`push`](Self::push),
+    /// which would look up again on insert.
     pub fn update(&mut self, key: K, priority: P) -> bool {
         self.update_with(key, |_| priority).is_some()
     }
@@ -267,11 +398,10 @@ impl<P: Ord + Copy, K: Copy + Eq, X: PositionIndex<K>> IndexedMinHeap<P, K, X> {
     /// Re-prioritises `key` from its current priority: `f` maps the old
     /// priority to the new one. Returns the old priority, or `None`
     /// (without calling `f`) when `key` is absent. Read-modify-write on
-    /// one position probe, where [`priority`](Self::priority) followed by
-    /// [`update`](Self::update) would probe twice.
+    /// one lookup, where [`priority`](Self::priority) followed by
+    /// [`update`](Self::update) would look up twice.
     pub fn update_with(&mut self, key: K, f: impl FnOnce(P) -> P) -> Option<P> {
-        let h = self.pos.get(&key)?;
-        let i = self.slot[h as usize] as usize;
+        let i = self.loc.find(&self.heap, &key)?;
         let old = self.heap[i].0;
         let priority = f(old);
         self.heap[i].0 = priority;
@@ -291,32 +421,18 @@ impl<P: Ord + Copy, K: Copy + Eq, X: PositionIndex<K>> IndexedMinHeap<P, K, X> {
     }
 
     /// Inserts `key`, which the caller guarantees is absent. Skips the
-    /// presence probe that [`push`](Self::push) pays; the `pos.insert`
-    /// below would catch (and debug-assert against) a duplicate.
+    /// presence lookup that [`push`](Self::push) pays.
     pub(crate) fn insert_new(&mut self, key: K, priority: P) {
-        debug_assert!(self.pos.get(&key).is_none());
-        let h = match self.free.pop() {
-            Some(h) => {
-                self.keys[h as usize] = key;
-                h
-            }
-            None => {
-                let h = self.keys.len() as u32;
-                self.keys.push(key);
-                self.slot.push(0);
-                h
-            }
-        };
+        debug_assert!(!self.contains(key));
         let i = self.heap.len();
-        self.heap.push((priority, h));
-        self.slot[h as usize] = i as u32;
-        self.pos.insert(key, h);
+        let tag = self.loc.admit(key);
+        self.heap.push((priority, tag));
         self.sift_up(i);
     }
 
     /// The minimum entry without removing it.
     pub fn peek_min(&self) -> Option<(P, K)> {
-        self.heap.first().map(|&(p, h)| (p, self.keys[h as usize]))
+        self.heap.first().map(|&(p, tag)| (p, self.loc.key(tag)))
     }
 
     /// Removes and returns the minimum entry.
@@ -329,13 +445,15 @@ impl<P: Ord + Copy, K: Copy + Eq, X: PositionIndex<K>> IndexedMinHeap<P, K, X> {
 
     /// Removes `key`, returning its priority if it was present.
     pub fn remove(&mut self, key: K) -> Option<P> {
-        let h = self.pos.get(&key)?;
-        Some(self.remove_slot(self.slot[h as usize] as usize).0)
+        let i = self.loc.find(&self.heap, &key)?;
+        Some(self.remove_slot(i).0)
     }
 
-    /// Iterates entries in arbitrary (heap) order, without allocating.
+    /// Iterates entries in heap-array order, without allocating. The
+    /// order depends only on the sequence of operations, never on the
+    /// locator.
     pub fn iter(&self) -> impl Iterator<Item = (P, K)> + '_ {
-        self.heap.iter().map(|&(p, h)| (p, self.keys[h as usize]))
+        self.heap.iter().map(|&(p, tag)| (p, self.loc.key(tag)))
     }
 
     /// Keys in ascending priority order, as a fresh sorted snapshot.
@@ -352,22 +470,17 @@ impl<P: Ord + Copy, K: Copy + Eq, X: PositionIndex<K>> IndexedMinHeap<P, K, X> {
     /// Removes every entry.
     pub fn clear(&mut self) {
         self.heap.clear();
-        self.keys.clear();
-        self.slot.clear();
-        self.free.clear();
-        self.pos.clear();
+        self.loc.clear();
     }
 
     /// Removes the entry at slot `i`, restoring the heap property.
     fn remove_slot(&mut self, i: usize) -> (P, K) {
         let last = self.heap.len() - 1;
         self.heap.swap(i, last);
-        let (p, h) = self.heap.pop().expect("slot exists");
-        let key = self.keys[h as usize];
-        self.pos.remove(&key);
-        self.free.push(h);
+        let (p, tag) = self.heap.pop().expect("slot exists");
+        let key = self.loc.retire(tag);
         if i < self.heap.len() {
-            self.slot[self.heap[i].1 as usize] = i as u32;
+            self.loc.moved(self.heap[i].1, i);
             // The element moved into `i` came from the bottom; it may need
             // to travel either direction relative to `i`'s neighborhood.
             self.sift_up(i);
@@ -387,14 +500,14 @@ impl<P: Ord + Copy, K: Copy + Eq, X: PositionIndex<K>> IndexedMinHeap<P, K, X> {
             let parent = (i - 1) / ARITY;
             if e.0 < self.heap[parent].0 {
                 self.heap[i] = self.heap[parent];
-                self.slot[self.heap[i].1 as usize] = i as u32;
+                self.loc.moved(self.heap[i].1, i);
                 i = parent;
             } else {
                 break;
             }
         }
         self.heap[i] = e;
-        self.slot[e.1 as usize] = i as u32;
+        self.loc.moved(e.1, i);
     }
 
     fn sift_down(&mut self, mut i: usize) {
@@ -417,30 +530,38 @@ impl<P: Ord + Copy, K: Copy + Eq, X: PositionIndex<K>> IndexedMinHeap<P, K, X> {
             }
             if min_p < e.0 {
                 self.heap[i] = self.heap[min_child];
-                self.slot[self.heap[i].1 as usize] = i as u32;
+                self.loc.moved(self.heap[i].1, i);
                 i = min_child;
             } else {
                 break;
             }
         }
         self.heap[i] = e;
-        self.slot[e.1 as usize] = i as u32;
+        self.loc.moved(e.1, i);
     }
 
-    /// Debug check: heap property and handle-table consistency.
+    /// Debug check: heap property and locator consistency.
     #[cfg(test)]
-    fn check_invariants(&self) {
-        assert_eq!(self.heap.len(), self.pos.len());
-        // (`PositionIndex::len` tracks insert/remove pairing.)
-        for (i, &(p, h)) in self.heap.iter().enumerate() {
-            let key = self.keys[h as usize];
-            assert_eq!(self.pos.get(&key), Some(h), "pos map out of sync");
-            assert_eq!(self.slot[h as usize] as usize, i, "slot table out of sync");
+    fn check_tree(&self) {
+        for (i, &(p, tag)) in self.heap.iter().enumerate() {
+            let key = self.loc.key(tag);
+            assert_eq!(self.loc.find(&self.heap, &key), Some(i), "locator out of sync");
+            assert!(self.loc.contains(&self.heap, &key));
             if i > 0 {
                 let parent = (i - 1) / ARITY;
                 assert!(self.heap[parent].0 <= p, "heap property violated at {i}");
             }
         }
+    }
+}
+
+#[cfg(test)]
+impl<P: Ord + Copy, K: Copy + Eq, X: PositionIndex<K>> IndexedMinHeap<P, K, X> {
+    /// [`check_tree`](MinHeap::check_tree), and the index maps exactly
+    /// the heap's keys (`PositionIndex::len` tracks insert/remove pairing).
+    fn check_invariants(&self) {
+        self.check_tree();
+        assert_eq!(self.heap.len(), self.loc.pos.len());
     }
 }
 
@@ -595,6 +716,62 @@ mod tests {
                     }
                 }
                 proptest::prop_assert_eq!(h.len(), entries.len());
+            }
+        }
+
+        /// The two locators are two views of one tree: driven in lockstep
+        /// as a bounded store of every size a client cache is given, the
+        /// flat and the indexed heap return the same values and hold the
+        /// same entries in the same slots after every operation — so
+        /// `iter()` order, which the P2P hand-off paths expose, cannot
+        /// tell them apart. Priorities repeat, so ties are covered too.
+        #[test]
+        fn flat_and_indexed_heaps_move_in_lockstep(
+            cap in 1usize..65,
+            ops in proptest::collection::vec((0u8..5, 0u64..128, 0u64..24), 1..400)
+        ) {
+            let mut flat: FlatMinHeap<u64, u64> = FlatMinHeap::with_capacity(cap);
+            let mut indexed: IndexedMinHeap<u64, u64> = IndexedMinHeap::with_capacity(cap);
+            let universe = 2 * cap as u64;
+            for (op, key, prio) in ops {
+                let key = key % universe;
+                match op {
+                    0 => {
+                        // Insert (evicting the minimum when full) or update.
+                        if !flat.contains(key) && flat.len() == cap {
+                            proptest::prop_assert_eq!(flat.pop_min(), indexed.pop_min());
+                        }
+                        flat.push(key, prio);
+                        indexed.push(key, prio);
+                    }
+                    1 => {
+                        // Update upwards from wherever the key sits.
+                        let f = |old: u64| old + prio;
+                        proptest::prop_assert_eq!(
+                            flat.update_with(key, f),
+                            indexed.update_with(key, f)
+                        );
+                    }
+                    2 => {
+                        // Update downwards.
+                        let f = |old: u64| old.saturating_sub(prio);
+                        proptest::prop_assert_eq!(
+                            flat.update_with(key, f),
+                            indexed.update_with(key, f)
+                        );
+                    }
+                    3 => proptest::prop_assert_eq!(flat.remove(key), indexed.remove(key)),
+                    _ => proptest::prop_assert_eq!(flat.pop_min(), indexed.pop_min()),
+                }
+                flat.check_tree();
+                indexed.check_invariants();
+                let (a, b): (Vec<_>, Vec<_>) = (flat.iter().collect(), indexed.iter().collect());
+                proptest::prop_assert_eq!(a, b, "iter() order diverged");
+                proptest::prop_assert_eq!(flat.peek_min(), indexed.peek_min());
+                for k in 0..universe {
+                    proptest::prop_assert_eq!(flat.contains(k), indexed.contains(k));
+                    proptest::prop_assert_eq!(flat.priority(k), indexed.priority(k));
+                }
             }
         }
     }

@@ -27,7 +27,7 @@ use webcache_primitives::FxHashMap;
 /// order is unchanged while updates stop allocating B-tree nodes. Every
 /// method resolves the key through the position index `X` at most once.
 #[derive(Clone, Debug)]
-struct FreqIndex<K, X> {
+struct FreqIndex<K: Copy + Eq, X: PositionIndex<K>> {
     /// key -> (freq, stamp); the minimum is the victim.
     heap: IndexedMinHeap<(u64, u64), K, X>,
     clock: u64,
@@ -90,7 +90,7 @@ impl<K: Copy + Eq, X: PositionIndex<K>> FreqIndex<K, X> {
 /// [`DenseIndex`](crate::DenseIndex) when keys are dense small integers
 /// ([`with_index`](Self::with_index); the simulator's sites use it).
 #[derive(Clone, Debug)]
-pub struct LfuCache<K, X = HashIndex<K>> {
+pub struct LfuCache<K: Copy + Eq, X: PositionIndex<K> = HashIndex<K>> {
     capacity: usize,
     index: FreqIndex<K, X>,
 }

@@ -34,7 +34,10 @@ pub mod value;
 
 pub use bytes::{ByteLruCache, GreedyDualSizeCache};
 pub use gd::GreedyDualCache;
-pub use heap::{DenseIndex, HashIndex, IndexedMinHeap, PositionIndex, ShaIndex};
+pub use heap::{
+    DenseIndex, FlatMinHeap, Handles, HashIndex, HeapIndex, IndexedMinHeap, KeyLocator, LinearScan,
+    MinHeap, PositionIndex,
+};
 pub use lfu::{LfuCache, PerfectLfuCache};
 pub use lru::LruCache;
 pub use value::{NotBeneficial, ValueCache};

@@ -52,7 +52,7 @@ impl Ord for V {
 /// `X` selects the heap's key → slot index, as for
 /// [`LfuCache`](crate::LfuCache); every method probes it at most once.
 #[derive(Clone, Debug)]
-pub struct ValueCache<K = u64, X = HashIndex<K>> {
+pub struct ValueCache<K: Copy + Eq = u64, X: PositionIndex<K> = HashIndex<K>> {
     capacity: usize,
     /// key -> (value, stamp); the minimum is the victim.
     heap: IndexedMinHeap<(V, u64), K, X>,

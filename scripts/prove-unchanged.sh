@@ -97,6 +97,7 @@ surfaces() { # $1 = binary, $2 = output directory
   keep err_two_typos.txt "$bin" adversary --zeta 1 --alpha 2
   keep err_empty_grid.txt "$bin" adversary --fracs 0
   keep err_bad_list_element.txt "$bin" durability --bursts nope
+  keep err_zero_ratio.txt "$bin" throughput --ts-tc 0
   keep err_missing_value.txt "$bin" sweep --schemes
   keep err_missing_trace.txt "$bin" run --scheme sc missing.bin
   keep err_no_traces.txt "$bin" run --scheme sc
