@@ -1794,4 +1794,25 @@ mod tests {
         .unwrap();
         assert!(execute(&gen).unwrap_err().to_string().contains("invalid workload"));
     }
+
+    #[test]
+    fn gen_rejects_all_one_timers() {
+        // 400 one-timers cannot fill 5,000 requests; this used to panic
+        // inside the generator ("cannot sample empty range", exit 101).
+        let gen = Command::parse(&argv(&[
+            "gen",
+            "--out",
+            "/tmp/x.bin",
+            "--requests",
+            "5000",
+            "--objects",
+            "400",
+            "--one-timers",
+            "1",
+        ]))
+        .unwrap();
+        let err = execute(&gen).unwrap_err();
+        assert!(err.to_string().starts_with("invalid workload: "), "{err}");
+        assert_eq!(err.exit_code(), 1);
+    }
 }

@@ -10,8 +10,8 @@
 //!   the 128-bit `objectId` used for Pastry routing.
 //! * [`bloom`] — §4.2 proposes Bloom filters as one of the two lookup
 //!   directory representations a proxy keeps for its P2P client cache.
-//! * [`zipf`] — the ProWGen workload model draws object popularity from a
-//!   Zipf-like distribution with tunable skew `α` (Figure 3 sweeps it).
+//! * [`sumtree`] — the ProWGen workload model draws each pool reference
+//!   in proportion to the objects' remaining reference counts.
 //! * [`stats`] — online statistics used by tests and by the benchmark
 //!   harnesses to validate workload shape (Zipf slope, locality, …).
 //! * [`seed`] — deterministic seed derivation (and the shared seeded
@@ -38,21 +38,19 @@
 pub const TIMEOUT_RTT_MULTIPLE: f64 = 4.0;
 
 pub mod bloom;
-pub mod fenwick;
 pub mod fxhash;
 pub mod seed;
 pub mod sha1;
 pub mod stats;
+pub mod sumtree;
 pub mod xxhash;
-pub mod zipf;
 
 pub use bloom::{BloomFilter, CountingBloomFilter};
-pub use fenwick::Fenwick;
 pub use fxhash::{
     FxBuildHasher, FxHashMap, FxHashSet, FxHasher, ShaIdBuildHasher, ShaIdMap, ShaIdSet,
 };
 pub use seed::Bernoulli;
 pub use sha1::Sha1;
 pub use stats::{Histogram, LinearFit, Log2Histogram, Log2Snapshot, OnlineStats, ShardedCounter};
+pub use sumtree::SumTree;
 pub use xxhash::xxh64;
-pub use zipf::{AliasTable, ZipfSampler};

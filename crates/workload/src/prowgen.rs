@@ -34,6 +34,16 @@
 //!    bottom entry is *displaced* back into the pool, keeping its remaining
 //!    references.
 //!
+//! The pool is a [`SumTree`] over remaining references: a pool draw
+//! descends one row of four sibling sums per level (7 levels at 10,000
+//! objects), and moving an object on or off the stack is a point update.
+//! A stack draw searches the depth prefix sums `Σ_{j≤d} j^-θ` from a
+//! Chen–Asau guide table, which starts the search next to its answer
+//! rather than bisecting up to the stack capacity. Both return exactly
+//! what a linear scan would, so the trace depends on the configuration
+//! alone; tests hold the loop to a naive reference model and pin the
+//! digests of the benchmark's traces.
+//!
 //! Every assigned reference is eventually emitted, so the realized
 //! popularity distribution and one-timer fraction match the configuration
 //! *exactly*; the stack capacity only redistributes reference positions in
@@ -48,7 +58,7 @@ use crate::trace::{Request, Trace};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::VecDeque;
-use webcache_primitives::Fenwick;
+use webcache_primitives::SumTree;
 
 /// Configuration for [`ProWGen`]. Defaults are the paper's (§5.1).
 #[derive(Clone, Debug)]
@@ -121,8 +131,8 @@ impl ProWGenConfig {
         if !(0.0..=1.0).contains(&self.stack_fraction) || self.stack_fraction == 0.0 {
             return Err("stack_fraction must be in (0,1]".into());
         }
-        if self.stack_depth_skew < 0.0 {
-            return Err("stack_depth_skew must be >= 0".into());
+        if self.stack_depth_skew < 0.0 || !self.stack_depth_skew.is_finite() {
+            return Err("stack_depth_skew must be finite and >= 0".into());
         }
         if self.num_clients == 0 {
             return Err("num_clients must be positive".into());
@@ -142,12 +152,20 @@ impl ProWGenConfig {
                 n + n_multi
             ));
         }
+        // Only multi-ref objects take the references beyond the first.
+        if n_multi == 0 && self.requests != n {
+            return Err(format!(
+                "one_time_fraction {} makes all {n} objects one-timers, so requests ({}) \
+                 must equal distinct_objects",
+                self.one_time_fraction, self.requests
+            ));
+        }
         Ok(())
     }
 }
 
 /// Counters describing how generation went; exposed for tests and analysis.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GenReport {
     /// Multi-reference objects generated.
     pub multi_objects: usize,
@@ -162,6 +180,58 @@ pub struct GenReport {
     pub pool_picks: u64,
     /// Times a stack-bottom entry was displaced back into the pool.
     pub displacements: u64,
+}
+
+/// Stack-depth weights and a Chen–Asau guide table over them.
+///
+/// `prefix[d] = Σ_{j=1..d} j^-θ`, so a draw `u ∈ [0, prefix[len])` picks
+/// depth `d` (1 = top) with probability ∝ `1/d^θ`. `guide` splits
+/// `[0, prefix[cap])` into `cap` equal buckets and holds, for each, the
+/// first depth whose prefix exceeds the bucket's left edge, so a search
+/// starts next to its answer instead of bisecting up to `cap` sums.
+struct DepthSearch {
+    prefix: Vec<f64>,
+    guide: Vec<usize>,
+    /// Buckets per unit of weight: `cap / prefix[cap]`.
+    scale: f64,
+}
+
+impl DepthSearch {
+    fn new(cap: usize, theta: f64) -> Self {
+        let mut prefix = Vec::with_capacity(cap + 1);
+        prefix.push(0.0f64);
+        for d in 1..=cap {
+            prefix.push(prefix[d - 1] + (d as f64).powf(-theta));
+        }
+        let scale = cap as f64 / prefix[cap];
+        let mut d = 1;
+        let guide = (0..cap)
+            .map(|k| {
+                while d < cap && prefix[d] <= k as f64 / scale {
+                    d += 1;
+                }
+                d
+            })
+            .collect();
+        DepthSearch { prefix, guide, scale }
+    }
+
+    /// The first depth `d` in `1..=len` with `prefix[d] > u`, clamped to
+    /// `len`: what `prefix[1..=len].partition_point(|&c| c <= u) + 1`
+    /// returns. The guide only picks where the walk starts; walking down
+    /// and then up over the same `prefix[d] <= u` comparisons makes the
+    /// answer exact however `u * scale` rounds.
+    fn depth(&self, u: f64, len: usize) -> usize {
+        let bucket = ((u * self.scale) as usize).min(self.guide.len() - 1);
+        let mut d = self.guide[bucket].min(len + 1);
+        while d > 1 && self.prefix[d - 1] > u {
+            d -= 1;
+        }
+        while d <= len && self.prefix[d] <= u {
+            d += 1;
+        }
+        d.min(len)
+    }
 }
 
 /// The generator. Create with [`ProWGen::new`], call [`ProWGen::generate`].
@@ -235,27 +305,26 @@ impl ProWGen {
         let n_multi = n - n_one;
         let r = cfg.requests;
 
+        // The output before any scratch, so the scratch never sits below
+        // it in the heap: there, its size decided where each trace landed,
+        // and repeated generate-and-drop cycles grew glibc's heap by a
+        // whole trace at some cycle counts (EXPERIMENTS.md, "Throughput
+        // round 6").
+        let mut requests = Vec::with_capacity(r);
         let mut remaining = self.assigned_counts();
         let sizes = self.object_sizes(&mut rng, n, n_multi);
 
         // Pool: remaining references of all objects *not* on the stack.
         let mut pool =
-            Fenwick::from_weights(&remaining.iter().map(|&c| u64::from(c)).collect::<Vec<_>>());
+            SumTree::from_weights(&remaining.iter().map(|&c| u64::from(c)).collect::<Vec<_>>());
         let stack_capacity = ((n_multi as f64 * cfg.stack_fraction).round() as usize).max(1);
-        // Depth-selection prefix sums: prefix[d] = Σ_{j=1..d} j^-θ, so a
-        // draw `u * prefix[len]` binary-searches to a depth ≤ current len.
-        let mut depth_prefix = Vec::with_capacity(stack_capacity + 1);
-        depth_prefix.push(0.0f64);
-        for d in 1..=stack_capacity {
-            depth_prefix.push(depth_prefix[d - 1] + (d as f64).powf(-cfg.stack_depth_skew));
-        }
+        let depths = DepthSearch::new(stack_capacity, cfg.stack_depth_skew);
 
         // Stack of recently referenced, unexhausted objects; top at back.
         let mut stack: VecDeque<u32> = VecDeque::with_capacity(stack_capacity + 1);
         let mut stack_remaining: u64 = 0;
         let mut total_remaining: u64 = r as u64;
 
-        let mut requests = Vec::with_capacity(r);
         let mut report = GenReport {
             multi_objects: n_multi,
             one_timer_objects: n_one,
@@ -274,10 +343,8 @@ impl ProWGen {
             let object = if from_stack {
                 report.stack_picks += 1;
                 let len = stack.len();
-                let u = rng.random::<f64>() * depth_prefix[len];
-                // First depth whose cumulative weight exceeds u (1 = top).
-                let d = (depth_prefix[1..=len].partition_point(|&c| c <= u) + 1).min(len);
-                let idx = len - d;
+                let u = rng.random::<f64>() * depths.prefix[len];
+                let idx = len - depths.depth(u, len);
                 let obj = stack.remove(idx).expect("index in range");
                 remaining[obj as usize] -= 1;
                 stack_remaining -= 1;
@@ -549,6 +616,62 @@ mod tests {
     }
 
     #[test]
+    fn depth_search_is_exact_from_any_start() {
+        // The guide only chooses where the walk starts: with it pointing
+        // at the top, at the bottom or past the end of the stack, the
+        // answer is still `partition_point`'s.
+        for theta in [0.0, 0.5, 1.5, 3.0, 40.0] {
+            for cap in [1usize, 2, 7, 100] {
+                let table = DepthSearch::new(cap, theta);
+                for start in [1, cap, cap + 1] {
+                    let search =
+                        DepthSearch { guide: vec![start; cap], ..DepthSearch::new(cap, theta) };
+                    for len in 1..=cap {
+                        for step in 0..=64 {
+                            let u = table.prefix[len] * f64::from(step) / 64.0;
+                            let u = if step == 64 { u.next_down() } else { u };
+                            let exact =
+                                (table.prefix[1..=len].partition_point(|&c| c <= u) + 1).min(len);
+                            assert_eq!(
+                                table.depth(u, len),
+                                exact,
+                                "θ {theta} cap {cap} len {len} u {u}"
+                            );
+                            assert_eq!(
+                                search.depth(u, len),
+                                exact,
+                                "θ {theta} start {start} u {u}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn validation_rejects_configs_generate_cannot_fill() {
+        // Rounding makes every object a one-timer: the references sum to
+        // `distinct_objects`, so any other request count cannot be met.
+        let all_one_timers = ProWGenConfig {
+            requests: 5_000,
+            distinct_objects: 400,
+            one_time_fraction: 1.0,
+            ..small_cfg()
+        };
+        let err = all_one_timers.validate().expect_err("5,000 requests over 400 one-timers");
+        assert!(err.contains("one-timers"), "{err}");
+        assert!(ProWGenConfig { one_time_fraction: 0.9995, ..all_one_timers.clone() }
+            .validate()
+            .is_err());
+        assert!(ProWGenConfig { requests: 400, ..all_one_timers }.validate().is_ok());
+        for theta in [f64::NAN, f64::INFINITY] {
+            let c = ProWGenConfig { stack_depth_skew: theta, ..small_cfg() };
+            assert!(c.validate().expect_err("non-finite θ").contains("stack_depth_skew"));
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "invalid ProWGenConfig")]
     fn new_panics_on_invalid() {
         let _ = ProWGen::new(ProWGenConfig { requests: 0, ..ProWGenConfig::default() });
@@ -569,6 +692,198 @@ mod tests {
         assert_eq!(rep.multi_objects, 0);
         assert_eq!(rep.stack_picks, 0);
         assert_eq!(t.stats().one_timers, 500);
+    }
+
+    #[test]
+    fn traces_are_pinned() {
+        // xxh64 of the `write_binary` bytes, pinned from the generator
+        // before the sum tree and the depth guide (a binary indexed tree,
+        // a `partition_point` search and a one-block ChaCha8 refill): the
+        // benchmark's two full-scale proxy traces and its fault-drill
+        // trace at seed 2003, and two knob extremes.
+        use webcache_primitives::seed::{derive, derive_indexed};
+        let digest = |cfg: ProWGenConfig| {
+            let mut bytes = Vec::new();
+            ProWGen::new(cfg).generate().write_binary(&mut bytes).expect("writes to a Vec");
+            webcache_primitives::xxh64(&bytes, 0)
+        };
+        let mid = ProWGenConfig {
+            requests: 200_000,
+            distinct_objects: 5_000,
+            seed: derive(2003, "drill-trace"),
+            ..ProWGenConfig::default()
+        };
+        for (what, cfg, pinned) in [
+            (
+                "proxy 0",
+                ProWGenConfig {
+                    seed: derive_indexed(2003, "proxy-trace", 0),
+                    ..Default::default()
+                },
+                0xaf0982ba9868e42au64,
+            ),
+            (
+                "proxy 1",
+                ProWGenConfig {
+                    seed: derive_indexed(2003, "proxy-trace", 1),
+                    ..Default::default()
+                },
+                0x5cac33e964fe0432,
+            ),
+            ("drill", ProWGenConfig { num_clients: 50, ..mid.clone() }, 0x63c70903e2f008f5),
+            (
+                "deep stack, no one-timers, flat popularity, one client",
+                ProWGenConfig {
+                    stack_fraction: 1.0,
+                    one_time_fraction: 0.0,
+                    zipf_alpha: 0.0,
+                    num_clients: 1,
+                    ..mid.clone()
+                },
+                0xb3d8ce78ece56cb6,
+            ),
+            (
+                "shallow stack, 90% one-timers, steep popularity",
+                ProWGenConfig {
+                    stack_fraction: 0.05,
+                    one_time_fraction: 0.9,
+                    zipf_alpha: 1.0,
+                    ..mid.clone()
+                },
+                0x7b8566eff1ee1fb8,
+            ),
+        ] {
+            assert_eq!(digest(cfg), pinned, "{what}");
+        }
+    }
+
+    /// The generator before the sum tree and the depth guide: the same
+    /// loop and draws over a prefix-scan pool and a `partition_point`
+    /// depth search. `generate_with_report` must match it exactly.
+    fn reference(g: &ProWGen) -> (Vec<Request>, GenReport) {
+        let cfg = g.config();
+        let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
+        let n = cfg.distinct_objects;
+        let n_one = (n as f64 * cfg.one_time_fraction).round() as usize;
+        let n_multi = n - n_one;
+        let mut remaining = g.assigned_counts();
+        let sizes = g.object_sizes(&mut rng, n, n_multi);
+        let mut pool: Vec<u64> = remaining.iter().map(|&c| u64::from(c)).collect();
+        let stack_capacity = ((n_multi as f64 * cfg.stack_fraction).round() as usize).max(1);
+        let mut depth_prefix = vec![0.0f64];
+        for d in 1..=stack_capacity {
+            depth_prefix.push(depth_prefix[d - 1] + (d as f64).powf(-cfg.stack_depth_skew));
+        }
+        let mut stack: VecDeque<u32> = VecDeque::new();
+        let mut stack_remaining = 0u64;
+        let mut total_remaining = cfg.requests as u64;
+        let mut requests = Vec::new();
+        let mut report = GenReport {
+            multi_objects: n_multi,
+            one_timer_objects: n_one,
+            stack_capacity,
+            ..GenReport::default()
+        };
+        for _ in 0..cfg.requests {
+            let pool_total: u64 = pool.iter().sum();
+            let from_stack = stack_remaining > 0
+                && (pool_total == 0
+                    || (rng.random::<f64>() * (total_remaining as f64)) < stack_remaining as f64);
+            let object = if from_stack {
+                report.stack_picks += 1;
+                let len = stack.len();
+                let u = rng.random::<f64>() * depth_prefix[len];
+                let d = (depth_prefix[1..=len].partition_point(|&c| c <= u) + 1).min(len);
+                let obj = stack.remove(len - d).expect("index in range");
+                remaining[obj as usize] -= 1;
+                stack_remaining -= 1;
+                if remaining[obj as usize] > 0 {
+                    stack.push_back(obj);
+                }
+                obj
+            } else {
+                report.pool_picks += 1;
+                let target = if pool_total == 1 { 0 } else { rng.random_range(0..pool_total) };
+                let mut below = 0;
+                let obj = pool
+                    .iter()
+                    .position(|&w| {
+                        below += w;
+                        below > target
+                    })
+                    .expect("target below the pool total") as u32;
+                pool[obj as usize] = 0;
+                remaining[obj as usize] -= 1;
+                if remaining[obj as usize] > 0 {
+                    stack.push_back(obj);
+                    stack_remaining += u64::from(remaining[obj as usize]);
+                    if stack.len() > stack_capacity {
+                        let displaced = stack.pop_front().expect("stack non-empty after push");
+                        let dw = u64::from(remaining[displaced as usize]);
+                        stack_remaining -= dw;
+                        pool[displaced as usize] = dw;
+                        report.displacements += 1;
+                    }
+                }
+                obj
+            };
+            total_remaining -= 1;
+            requests.push(Request {
+                client: rng.random_range(0..cfg.num_clients),
+                object,
+                size: sizes[object as usize],
+            });
+        }
+        (requests, report)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+        /// Every knob at its edges: α = 0 (a quarter of the cases), no
+        /// one-timers, a one-slot stack or a stack the size of the
+        /// multi-ref set, θ up to 40 (every prefix past depth 2 rounds to
+        /// the same sum), the minimum request count and 20× it, one
+        /// client, and lognormal–Pareto sizes with ρ = ±0.9.
+        #[test]
+        fn matches_the_reference_model(
+            seed in 0u64..u64::MAX,
+            n in 1usize..300,
+            alpha in -0.5f64..1.5,
+            otf in -0.1f64..0.9,
+            frac in 0.0f64..1.2,
+            theta in 0usize..5,
+            extra in -2_000i64..19_000,
+            clients in 1u32..5,
+            sizes in 0usize..4,
+        ) {
+            let otf = otf.max(0.0);
+            let n_multi = n - (n as f64 * otf).round() as usize;
+            let least = n + n_multi;
+            let (size_model, size_pop_correlation) = [
+                (SizeModel::Unit, 0.0),
+                (SizeModel::prowgen_default(), 0.0),
+                (SizeModel::prowgen_default(), 0.9),
+                (SizeModel::prowgen_default(), -0.9),
+            ][sizes];
+            let cfg = ProWGenConfig {
+                requests: least + least * extra.max(0) as usize / 1_000,
+                distinct_objects: n,
+                one_time_fraction: otf,
+                zipf_alpha: alpha.max(0.0),
+                stack_fraction: if frac < 0.1 { 1e-6 } else { frac.min(1.0) },
+                stack_depth_skew: [0.0, 0.5, 1.5, 3.0, 40.0][theta],
+                num_clients: clients,
+                size_model,
+                size_pop_correlation,
+                seed,
+            };
+            proptest::prop_assume!(cfg.validate().is_ok());
+            let g = ProWGen::new(cfg);
+            let (trace, report) = g.generate_with_report();
+            let (requests, expected) = reference(&g);
+            proptest::prop_assert_eq!(report, expected);
+            proptest::prop_assert!(trace.requests == requests, "the request streams differ");
+        }
     }
 
     proptest::proptest! {

@@ -113,7 +113,53 @@ impl UcbLikeConfig {
                 self.core_objects, core_reqs
             ));
         }
+        // Every day but the last has the first day's shape.
+        for day in [0, self.days - 1] {
+            for ((sub, _), stream) in self.day_streams(day).into_iter().zip(["core", "fresh"]) {
+                sub.validate().map_err(|e| format!("day {day}'s {stream} stream: {e}"))?;
+            }
+        }
         Ok(())
+    }
+
+    /// Day `day`'s two [`ProWGen`] streams — the persistent core, then the
+    /// day-local fresh objects — each with how many of its requests the
+    /// day keeps.
+    fn day_streams(&self, day: usize) -> [(ProWGenConfig, usize); 2] {
+        // Give the final day the remainder so totals match exactly.
+        let per_day = self.requests / self.days;
+        let total =
+            if day + 1 == self.days { self.requests - per_day * (self.days - 1) } else { per_day };
+        let core_reqs = (total as f64 * self.core_request_fraction) as usize;
+        let fresh_reqs = total - core_reqs;
+        // Core stream: stable popularity (same ranks every day, fresh seed
+        // so *which* requests arrive varies), low one-timer rate (the core
+        // is by definition re-referenced material). The core sub-universe
+        // each day is the whole core.
+        let core = ProWGenConfig {
+            requests: core_reqs.max(self.core_objects / 2),
+            distinct_objects: (self.core_objects / 2).max(1),
+            one_time_fraction: 0.0,
+            zipf_alpha: self.zipf_alpha,
+            stack_fraction: 0.5,
+            num_clients: self.num_clients,
+            size_model: SizeModel::Unit,
+            seed: webcache_primitives::seed::derive_indexed(self.seed, "ucb-core", day as u64),
+            ..ProWGenConfig::default()
+        };
+        // Fresh stream: day-local objects, heavy one-time referencing.
+        let fresh = ProWGenConfig {
+            requests: fresh_reqs.max(2 * self.fresh_objects_per_day),
+            distinct_objects: self.fresh_objects_per_day,
+            one_time_fraction: self.fresh_one_time_fraction,
+            zipf_alpha: self.zipf_alpha,
+            stack_fraction: 0.3,
+            num_clients: self.num_clients,
+            size_model: SizeModel::Unit,
+            seed: webcache_primitives::seed::derive_indexed(self.seed, "ucb-fresh", day as u64),
+            ..ProWGenConfig::default()
+        };
+        [(core, core_reqs), (fresh, fresh_reqs)]
     }
 }
 
@@ -142,59 +188,17 @@ impl UcbLike {
     /// `core + d*fresh .. core + (d+1)*fresh`.
     pub fn generate(&self) -> Trace {
         let cfg = &self.cfg;
-        let per_day = cfg.requests / cfg.days;
-        let core_reqs = (per_day as f64 * cfg.core_request_fraction) as usize;
-        let fresh_reqs = per_day - core_reqs;
-
         let mut requests: Vec<Request> = Vec::with_capacity(cfg.requests);
         for day in 0..cfg.days {
-            // Give the final day the remainder so totals match exactly.
-            let (core_reqs, fresh_reqs) = if day + 1 == cfg.days {
-                let total = cfg.requests - per_day * (cfg.days - 1);
-                let c = (total as f64 * cfg.core_request_fraction) as usize;
-                (c, total - c)
-            } else {
-                (core_reqs, fresh_reqs)
-            };
-
-            // Core stream: stable popularity (same ranks every day, fresh
-            // seed so *which* requests arrive varies), low one-timer rate
-            // (the core is by definition re-referenced material). The core
-            // sub-universe each day is the whole core.
-            let core = ProWGen::new(ProWGenConfig {
-                requests: core_reqs.max(cfg.core_objects / 2),
-                distinct_objects: (cfg.core_objects / 2).max(1),
-                one_time_fraction: 0.0,
-                zipf_alpha: cfg.zipf_alpha,
-                stack_fraction: 0.5,
-                num_clients: cfg.num_clients,
-                size_model: SizeModel::Unit,
-                seed: webcache_primitives::seed::derive_indexed(cfg.seed, "ucb-core", day as u64),
-                ..ProWGenConfig::default()
-            })
-            .generate();
+            let [(core, core_reqs), (fresh, fresh_reqs)] = cfg.day_streams(day);
             // Map the day's dense rank ids onto stable core ids via a
             // rank-preserving stride so every day hits the same hot head.
-            for r in core.requests.iter().take(core_reqs) {
+            for r in ProWGen::new(core).generate().requests.iter().take(core_reqs) {
                 let object = (r.object as usize * 2 % cfg.core_objects) as u32;
                 requests.push(Request { client: r.client, object, size: 1 });
             }
-
-            // Fresh stream: day-local objects, heavy one-time referencing.
-            let fresh = ProWGen::new(ProWGenConfig {
-                requests: fresh_reqs.max(2 * cfg.fresh_objects_per_day),
-                distinct_objects: cfg.fresh_objects_per_day,
-                one_time_fraction: cfg.fresh_one_time_fraction,
-                zipf_alpha: cfg.zipf_alpha,
-                stack_fraction: 0.3,
-                num_clients: cfg.num_clients,
-                size_model: SizeModel::Unit,
-                seed: webcache_primitives::seed::derive_indexed(cfg.seed, "ucb-fresh", day as u64),
-                ..ProWGenConfig::default()
-            })
-            .generate();
             let base = (cfg.core_objects + day * cfg.fresh_objects_per_day) as u32;
-            for r in fresh.requests.iter().take(fresh_reqs) {
+            for r in ProWGen::new(fresh).generate().requests.iter().take(fresh_reqs) {
                 requests.push(Request { client: r.client, object: base + r.object, size: 1 });
             }
 
@@ -334,6 +338,12 @@ mod tests {
         let mut c = tiny();
         c.fresh_objects_per_day = 1_000_000;
         assert!(c.validate().is_err());
+        // Every fresh object a one-timer: the fresh stream's references
+        // cannot reach its request count.
+        let mut c = tiny();
+        c.fresh_one_time_fraction = 1.0;
+        let err = c.validate().expect_err("all-one-timer fresh stream");
+        assert!(err.contains("day 0's fresh stream"), "{err}");
         assert!(tiny().validate().is_ok());
         assert!(UcbLikeConfig::default().validate().is_ok());
         assert!(UcbLikeConfig::full_scale().validate().is_ok());

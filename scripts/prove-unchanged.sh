@@ -43,6 +43,17 @@ surfaces() { # $1 = binary, $2 = output directory
   keep gen1.txt "$bin" gen --out t1.bin --requests 100000 --objects 5000 --seed 1
   keep gen2.txt "$bin" gen --out t2.bin --requests 100000 --objects 5000 --seed 2
   keep gen_ucb.txt "$bin" gen --model ucb --out ucb.bin --requests 200000 --objects 2000 --fresh 500
+  keep gen_ucb7.txt "$bin" gen --model ucb --out ucb7.bin --requests 200000 --objects 2000 \
+    --fresh 500 --seed 7
+  # The benchmark's scale (1 M requests over 10 k objects) and the knob
+  # extremes: a stack as deep as the multi-ref set with flat popularity,
+  # no one-timers and one client; a 5 % stack with 90 % one-timers.
+  keep gen_full.txt "$bin" gen --out full.bin --requests 1000000 --objects 10000
+  keep gen_full7.txt "$bin" gen --out full7.bin --requests 1000000 --objects 10000 --seed 7
+  keep gen_deep.txt "$bin" gen --out deep.bin --requests 200000 --objects 5000 \
+    --stack 1 --one-timers 0 --alpha 0 --clients 1
+  keep gen_shallow.txt "$bin" gen --out shallow.bin --requests 200000 --objects 5000 \
+    --stack 0.05 --one-timers 0.9 --alpha 1
   keep stats.txt "$bin" stats t1.bin ucb.bin
 
   for scheme in nc nc-ec sc sc-ec fc fc-ec hier-gd; do
@@ -104,6 +115,8 @@ surfaces() { # $1 = binary, $2 = output directory
   keep err_bad_plan.txt "$bin" churn --plan mloss=1.5
   keep err_duplicate_plan_key.txt "$bin" churn --plan seed=1,seed=2
   keep err_chaos_zero_plans.txt "$bin" chaos --plans 0
+  keep err_all_one_timers.txt "$bin" gen --out all_one_timers.bin --requests 5000 \
+    --objects 400 --one-timers 1
   keep err_unknown_subcommand.txt "$bin" frobnicate
   keep err_help.txt "$bin" --help
 }
