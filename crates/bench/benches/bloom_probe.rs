@@ -11,12 +11,12 @@
 //!
 //! Writes `target/figures/bloom_probe.csv`
 //! (`filter,layout,keys,hit_frac,ns_per_probe,positive_frac`) alongside
-//! the criterion-style stderr report.
+//! the table it prints on stdout.
 
+use std::hint::black_box;
 use std::io::Write as _;
 use std::time::Instant;
 
-use criterion::black_box;
 use webcache_bench::figures_dir;
 use webcache_primitives::{BloomFilter, CountingBloomFilter, Sha1};
 

@@ -12,8 +12,6 @@
 //! * `explain` — run with the stats recorder attached and print the
 //!   per-tier breakdown, P2P protocol counters, and hop histograms;
 //! * `sweep` — run schemes × cache sizes and print a figure panel;
-//! * `throughput` — time the simulator itself (requests/sec per scheme)
-//!   and write `BENCH_throughput.json`, the repo's perf trajectory;
 //! * `churn` — drive Hier-GD through a deterministic fault plan (silent
 //!   crashes, departures, rejoins, slow nodes, network partitions with
 //!   their heals, message loss) and report detection latency, stale
@@ -56,7 +54,6 @@ use std::io::{BufReader, BufWriter};
 use std::str::FromStr;
 use std::sync::Arc;
 use webcache_sim::sweep::{gain_curve, sweep};
-use webcache_sim::throughput::measure_throughput;
 use webcache_sim::{
     adversary, durability, latency_gain_percent, overload, run_adversary, run_chaos, run_churn,
     run_durability, run_experiment, run_experiment_recorded, run_overload, AdversaryConfig,
@@ -306,17 +303,6 @@ const COMMANDS: &[CommandSpec] = &[
         positional: "FILE...",
         prose: "",
         run: cmd_sweep,
-    },
-    CommandSpec {
-        name: "throughput",
-        flags: "schemes=a,b,c cache-frac=F requests=N objects=N clients=N proxies=N \
-                repeats=N threads=N clock=compat|event out=FILE \
-                ts-tc=F ts-tl=F tp2p-tl=F",
-        positional: "[FILE...]",
-        prose: "no FILEs: times the default figure-2 synthetic workload;\n\
-                --threads N sizes the work-stealing pool — repeats run\n\
-                in parallel and the report adds req/s-per-core",
-        run: cmd_throughput,
     },
     CommandSpec {
         name: "churn",
@@ -776,64 +762,6 @@ fn cmd_sweep(cmd: &Command) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Times `run_experiment` per scheme and writes `BENCH_throughput.json`.
-///
-/// With no positional trace files, the default figure-2 synthetic workload
-/// is generated in-process (ProWGen §5.1 defaults, one statistically
-/// identical trace per proxy, same seed derivation as the bench harness).
-fn cmd_throughput(cmd: &Command) -> Result<String, CliError> {
-    let schemes: Vec<SchemeKind> = cmd
-        .opt("schemes", "nc,sc,fc,nc-ec,sc-ec,fc-ec,hier-gd".to_string())?
-        .split(',')
-        .map(|t| t.parse())
-        .collect::<Result<_, SimError>>()?;
-    let cache_frac = cmd.opt("cache-frac", 0.1)?;
-    let repeats = cmd.opt("repeats", 3usize)?;
-    let out_path = cmd.opt("out", "BENCH_throughput.json".to_string())?;
-    let clients = cmd.opt("clients", 100usize)?;
-    if let Some(t) = cmd.options.get("threads") {
-        let n: std::num::NonZeroUsize = parse_value("threads", t)?;
-        // The pool reads this once at first use; `throughput` is the first
-        // rayon touch on this path, so the override always lands.
-        std::env::set_var("WEBCACHE_THREADS", n.to_string());
-    }
-
-    let traces = if cmd.positional.is_empty() {
-        let num_proxies = cmd.opt("proxies", 2usize)?;
-        let requests = cmd.opt("requests", 250_000usize)?;
-        let objects = cmd.opt("objects", 10_000usize)?;
-        (0..num_proxies)
-            .map(|p| {
-                let mut cfg = ProWGenConfig {
-                    requests,
-                    distinct_objects: objects,
-                    num_clients: clients as u32,
-                    ..ProWGenConfig::default()
-                };
-                cfg.seed =
-                    webcache_primitives::seed::derive_indexed(cfg.seed, "proxy-trace", p as u64);
-                cfg.validate().map_err(|e| format!("invalid workload: {e}"))?;
-                Ok(ProWGen::new(cfg).generate())
-            })
-            .collect::<Result<Vec<_>, String>>()?
-    } else {
-        load_traces(&cmd.positional)?
-    };
-
-    let mut base = ExperimentConfig::new(SchemeKind::Nc, cache_frac);
-    base.num_proxies = traces.len();
-    base.clients_per_cluster = clients;
-    base.net = net_from(cmd, base.net)?;
-    base.clock = clock_from(cmd, base.clock)?;
-    base.validate()?;
-
-    let report = measure_throughput(&schemes, &base, &traces, repeats)?;
-    std::fs::write(&out_path, report.to_json()).map_err(|e| named_io(&out_path, e))?;
-    let mut out = report.to_table();
-    let _ = writeln!(out, "wrote {out_path}");
-    Ok(out)
-}
-
 /// Reads the flags `churn` and the scenario sweeps share over `base`
 /// (the subcommand's own defaults). The latency model and the clock are
 /// replaced only when their flags are given: `overload` and `durability`
@@ -1131,7 +1059,7 @@ mod tests {
         assert_eq!(CliError::Other("x".into()).exit_code(), 1);
         assert_eq!(CliError::Violations("x".into()).exit_code(), 2);
         // A malformed value is a usage error whichever helper reads it.
-        let bad = Command::parse(&argv(&["throughput", "--threads", "0"])).unwrap();
+        let bad = Command::parse(&argv(&["chaos", "--plans", "x"])).unwrap();
         assert_eq!(execute(&bad).unwrap_err().exit_code(), 2);
     }
 
@@ -1591,7 +1519,6 @@ mod tests {
             (&["run", "--scheme", "sc", trace][..], "ts-tc", "0"),
             (&["explain", trace][..], "ts-tl", "0"),
             (&["sweep", trace][..], "tp2p-tl", "0"),
-            (&["throughput"][..], "ts-tc", "0"),
             (&["churn"][..], "ts-tl", "-20"),
             (&["chaos"][..], "tp2p-tl", "NaN"),
             (&["adversary"][..], "ts-tc", "inf"),
@@ -1668,7 +1595,6 @@ mod tests {
             ("run", 8),
             ("explain", 10),
             ("sweep", 6),
-            ("throughput", 13),
             ("churn", 18),
             ("chaos", 22),
             ("adversary", 19),

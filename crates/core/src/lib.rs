@@ -89,7 +89,6 @@ pub mod scenario;
 pub mod site;
 pub mod squirrel;
 pub mod sweep;
-pub mod throughput;
 
 pub use adversary::{run_adversary, AdversaryConfig};
 pub use chaos::{run_chaos, ChaosConfig, ChaosFailure, ChaosReport};
@@ -114,7 +113,6 @@ pub use scenario::{Field, Row, ScenarioReport};
 pub use site::{SiteTier, TierTraffic, TwoTierLfuSite};
 pub use squirrel::SquirrelEngine;
 pub use sweep::{gain_curve, sweep, sweep_recorded, SweepResult, PAPER_CACHE_FRACS};
-pub use throughput::{measure_throughput, ThroughputPoint, ThroughputReport};
 pub use webcache_p2p::{
     MessageClass, OverloadDefense, SendOutcome, TransportFaults, UnreliableTransport,
 };
