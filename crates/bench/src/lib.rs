@@ -21,7 +21,7 @@
 use std::fs;
 use std::io::Write as _;
 use std::path::PathBuf;
-use webcache_sim::sweep::SweepResult;
+use webcache_sim::sweep::{gain_table, SweepResult};
 use webcache_sim::SchemeKind;
 use webcache_workload::{ProWGen, ProWGenConfig, Trace};
 
@@ -47,11 +47,10 @@ impl Scale {
         Scale { requests: 1_000_000, distinct_objects: 10_000, full: true }
     }
 
-    /// Picks the scale from CLI args (`--full`) / env (`WEBCACHE_FULL=1`).
+    /// Picks the scale from the command line: `--full` selects the
+    /// paper's.
     pub fn from_env() -> Self {
-        let full = std::env::args().any(|a| a == "--full")
-            || std::env::var("WEBCACHE_FULL").map(|v| v == "1").unwrap_or(false);
-        if full {
+        if std::env::args().any(|a| a == "--full") {
             Self::paper_scale()
         } else {
             Self::default_scale()
@@ -123,32 +122,14 @@ pub fn write_csv(name: &str, results: &[SweepResult]) -> PathBuf {
     path
 }
 
-/// Prints one figure panel: rows = cache size, columns = schemes, cells =
-/// latency gain (%) — the same series the paper plots.
+/// Prints one figure panel ([`gain_table`]) with a row per cache size
+/// in `results`, smallest first.
 pub fn print_panel(title: &str, results: &[SweepResult], schemes: &[SchemeKind]) {
     println!("\n=== {title} ===");
-    print!("{:>10}", "cache(%)");
-    for s in schemes {
-        print!("{:>10}", s.label());
-    }
-    println!();
     let mut fracs: Vec<f64> = results.iter().map(|r| r.cache_frac).collect();
     fracs.sort_by(|a, b| a.total_cmp(b));
     fracs.dedup_by(|a, b| (*a - *b).abs() < 1e-9);
-    for frac in fracs {
-        print!("{:>10.0}", frac * 100.0);
-        for s in schemes {
-            let gain = results
-                .iter()
-                .find(|r| r.scheme == *s && (r.cache_frac - frac).abs() < 1e-9)
-                .map(|r| r.gain_percent);
-            match gain {
-                Some(g) => print!("{g:>10.1}"),
-                None => print!("{:>10}", "-"),
-            }
-        }
-        println!();
-    }
+    print!("{}", gain_table(results, schemes, &fracs));
 }
 
 /// Prints labeled gain curves (for sweeps whose series are not schemes,

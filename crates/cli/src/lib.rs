@@ -53,7 +53,7 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::str::FromStr;
 use std::sync::Arc;
-use webcache_sim::sweep::{gain_curve, sweep};
+use webcache_sim::sweep::{gain_table, sweep};
 use webcache_sim::{
     adversary, durability, latency_gain_percent, overload, run_adversary, run_chaos, run_churn,
     run_durability, run_experiment, run_experiment_recorded, run_overload, AdversaryConfig,
@@ -735,31 +735,7 @@ fn cmd_sweep(cmd: &Command) -> Result<String, CliError> {
     base.clients_per_cluster = cmd.opt("clients", 100)?;
     base.net = net_from(cmd, base.net)?;
     let results = sweep(&schemes, &fracs, &traces, &base)?;
-    let mut out = String::new();
-    let _ = write!(out, "{:>10}", "cache(%)");
-    for s in &schemes {
-        let _ = write!(out, "{:>10}", s.label());
-    }
-    let _ = writeln!(out);
-    for &frac in &fracs {
-        let _ = write!(out, "{:>10.0}", frac * 100.0);
-        for &s in &schemes {
-            let gain = gain_curve(&results, s)
-                .iter()
-                .find(|(f, _)| (f - frac).abs() < 1e-9)
-                .map(|&(_, g)| g);
-            match gain {
-                Some(g) => {
-                    let _ = write!(out, "{g:>10.1}");
-                }
-                None => {
-                    let _ = write!(out, "{:>10}", "-");
-                }
-            }
-        }
-        let _ = writeln!(out);
-    }
-    Ok(out)
+    Ok(gain_table(&results, &schemes, &fracs))
 }
 
 /// Reads the flags `churn` and the scenario sweeps share over `base`

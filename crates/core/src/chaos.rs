@@ -468,12 +468,12 @@ fn run_oracles(
             out.metrics.requests
         ));
     }
-    if out.detections.len() as u64 + out.undetected != out.crashes {
+    if out.detections.len() as u64 + out.undetected != out.snapshot.node_crashes {
         violations.push(format!(
             "conservation: {} detected + {} undetected != {} crashes",
             out.detections.len(),
             out.undetected,
-            out.crashes
+            out.snapshot.node_crashes
         ));
     }
     if out.snapshot.stale_lookups > out.snapshot.lookups {

@@ -93,6 +93,19 @@ impl FromStr for SchemeKind {
 ///
 /// All fields are plain values, so the config is `Copy` — sweeps and
 /// harnesses pass it by value instead of cloning per grid point.
+/// Override the paper defaults with struct-update syntax and check the
+/// result with [`validate`](Self::validate):
+///
+/// ```
+/// use webcache_sim::config::{ExperimentConfig, SchemeKind};
+/// let cfg = ExperimentConfig {
+///     num_proxies: 4,
+///     clients_per_cluster: 50,
+///     ..ExperimentConfig::new(SchemeKind::HierGd, 0.2)
+/// };
+/// cfg.validate().unwrap();
+/// assert_eq!(cfg.num_proxies, 4);
+/// ```
 #[derive(Clone, Copy, Debug)]
 pub struct ExperimentConfig {
     /// Scheme to run.
@@ -133,13 +146,6 @@ impl ExperimentConfig {
         }
     }
 
-    /// Starts a [builder](ExperimentConfigBuilder) from the paper
-    /// defaults; `build()` validates, so a config obtained this way is
-    /// known-good.
-    pub fn builder(scheme: SchemeKind, cache_frac: f64) -> ExperimentConfigBuilder {
-        ExperimentConfigBuilder { cfg: ExperimentConfig::new(scheme, cache_frac) }
-    }
-
     /// This config re-pointed at another grid point: same topology and
     /// knobs, different scheme and proxy size. Sweeps and harnesses use
     /// it instead of struct-update syntax.
@@ -164,68 +170,6 @@ impl ExperimentConfig {
             return Err(SimError::InvalidConfig("per_client_frac must be in (0, 0.1]".into()));
         }
         self.net.validate()
-    }
-}
-
-/// Builds an [`ExperimentConfig`] from the paper defaults, one override
-/// at a time; [`build`](ExperimentConfigBuilder::build) validates the
-/// result.
-///
-/// ```
-/// use webcache_sim::config::{ExperimentConfig, SchemeKind};
-/// let cfg = ExperimentConfig::builder(SchemeKind::HierGd, 0.2)
-///     .num_proxies(4)
-///     .clients_per_cluster(50)
-///     .build()
-///     .unwrap();
-/// assert_eq!(cfg.num_proxies, 4);
-/// ```
-#[derive(Clone, Copy, Debug)]
-pub struct ExperimentConfigBuilder {
-    cfg: ExperimentConfig,
-}
-
-impl ExperimentConfigBuilder {
-    /// Sets the proxy count (paper default 2).
-    pub fn num_proxies(mut self, n: usize) -> Self {
-        self.cfg.num_proxies = n;
-        self
-    }
-
-    /// Sets the clients per cluster (paper default 100).
-    pub fn clients_per_cluster(mut self, n: usize) -> Self {
-        self.cfg.clients_per_cluster = n;
-        self
-    }
-
-    /// Sets the per-client cache fraction of `U` (paper default 0.001).
-    pub fn per_client_frac(mut self, f: f64) -> Self {
-        self.cfg.per_client_frac = f;
-        self
-    }
-
-    /// Sets the network latency model.
-    pub fn net(mut self, net: NetworkModel) -> Self {
-        self.cfg.net = net;
-        self
-    }
-
-    /// Sets the Hier-GD design knobs.
-    pub fn hiergd(mut self, opts: HierGdOptions) -> Self {
-        self.cfg.hiergd = opts;
-        self
-    }
-
-    /// Sets the clock mode (default [`ClockMode::Compat`]).
-    pub fn clock(mut self, mode: ClockMode) -> Self {
-        self.cfg.clock = mode;
-        self
-    }
-
-    /// Validates and returns the config.
-    pub fn build(self) -> Result<ExperimentConfig, SimError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
     }
 }
 
@@ -427,26 +371,23 @@ mod tests {
     }
 
     #[test]
-    fn builder_validates_and_applies_overrides() {
-        let cfg = ExperimentConfig::builder(SchemeKind::HierGd, 0.3)
-            .num_proxies(4)
-            .clients_per_cluster(50)
-            .per_client_frac(0.002)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.num_proxies, 4);
-        assert_eq!(cfg.clients_per_cluster, 50);
-        assert!((cfg.per_client_frac - 0.002).abs() < 1e-12);
-        assert!(matches!(
-            ExperimentConfig::builder(SchemeKind::Nc, 0.3).num_proxies(0).build(),
-            Err(SimError::InvalidConfig(_))
-        ));
+    fn validate_rejects_out_of_range_overrides() {
+        let cfg = ExperimentConfig {
+            num_proxies: 4,
+            per_client_frac: 0.002,
+            ..ExperimentConfig::new(SchemeKind::HierGd, 0.3)
+        };
+        assert!(cfg.validate().is_ok());
+        let bad = ExperimentConfig { num_proxies: 0, ..ExperimentConfig::new(SchemeKind::Nc, 0.3) };
+        assert!(matches!(bad.validate(), Err(SimError::InvalidConfig(_))));
     }
 
     #[test]
     fn at_repoints_the_grid() {
-        let base =
-            ExperimentConfig::builder(SchemeKind::Nc, 0.1).clients_per_cluster(30).build().unwrap();
+        let base = ExperimentConfig {
+            clients_per_cluster: 30,
+            ..ExperimentConfig::new(SchemeKind::Nc, 0.1)
+        };
         let p = base.at(SchemeKind::HierGd, 0.5);
         assert_eq!(p.scheme, SchemeKind::HierGd);
         assert!((p.cache_frac - 0.5).abs() < 1e-12);

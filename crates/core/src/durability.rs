@@ -188,7 +188,7 @@ pub fn run_durability(cfg: &DurabilityConfig) -> Result<ScenarioReport, SimError
                     ("replication", U(k as u64)),
                     ("spread", B(spread)),
                     ("proactive", B(proactive)),
-                    ("machines_lost", U(out.crashes)),
+                    ("machines_lost", U(out.snapshot.node_crashes)),
                     // Every one ledgered — the no-silent-loss guarantee.
                     ("objects_lost", U(out.snapshot.objects_lost_permanent)),
                     // Objects below their replication floor: worst round, and

@@ -39,17 +39,15 @@ pub(crate) struct WindowStat {
     pub(crate) degraded: u64,
 }
 
-/// Everything one driven run produced.
+/// Everything one driven run produced. Crashes, departures, cuts and
+/// heals are P2P events: read them from `snapshot`, which counts each
+/// once, the end-of-run heal included.
 #[derive(Default)]
 pub(crate) struct DriveOutcome {
     pub(crate) metrics: RunMetrics,
     pub(crate) snapshot: StatsSnapshot,
-    pub(crate) crashes: u64,
-    pub(crate) departures: u64,
     pub(crate) rejoins: u64,
     pub(crate) slows: u64,
-    pub(crate) partitions: u64,
-    pub(crate) heals: u64,
     pub(crate) freerides: u64,
     pub(crate) forges: u64,
     pub(crate) garbles: u64,
@@ -59,8 +57,9 @@ pub(crate) struct DriveOutcome {
     pub(crate) undetected: u64,
     pub(crate) invariant_violations: u64,
     pub(crate) spikes: u64,
+    /// Requests shed by the watermark: each skipped its background work
+    /// and went straight to the origin server.
     pub(crate) shed_background: u64,
-    pub(crate) degraded: u64,
     pub(crate) domainfails: u64,
     pub(crate) bursts: u64,
     /// Worst single-round at-risk gauge over the run.
@@ -240,7 +239,6 @@ pub(crate) fn drive(
                 }
                 let admission = if shedding {
                     out.shed_background += 1;
-                    out.degraded += 1;
                     Admission { class: HitClass::Server, stalls: 0 }
                 } else {
                     engine.admit(0, req)
@@ -356,9 +354,7 @@ pub(crate) fn drive(
     // simulation distinguishes from "about to come back".
     if engine.p2p(0).is_partitioned() {
         let (p2p, mut tap) = engine.cluster_mut(0);
-        if p2p.heal_nodes(&mut tap) {
-            out.heals += 1;
-        }
+        p2p.heal_nodes(&mut tap);
     }
     out.undetected = outstanding.len() as u64;
     out.end_shedding = shedding;
@@ -402,12 +398,10 @@ fn crash<R: Recorder>(
     target: NodeId,
     at: u64,
     outstanding: &mut BTreeMap<u128, u64>,
-    out: &mut DriveOutcome,
 ) -> Result<(), SimError> {
     let (p2p, mut tap) = engine.cluster_mut(0);
     p2p.crash_node_tap(target, &mut tap)?;
     outstanding.insert(target.0, at);
-    out.crashes += 1;
     Ok(())
 }
 
@@ -462,20 +456,22 @@ fn apply_action<R: Recorder>(
         // events hit.
         FaultAction::Partition(pct) => {
             let (p2p, mut tap) = engine.cluster_mut(0);
-            let cut = p2p.partition_nodes(pct, &mut tap);
-            tally(cut, &mut out.partitions, &mut out.skipped);
+            if !p2p.partition_nodes(pct, &mut tap) {
+                out.skipped += 1;
+            }
         }
         FaultAction::Heal => {
             let (p2p, mut tap) = engine.cluster_mut(0);
-            let healed = p2p.heal_nodes(&mut tap);
-            tally(healed, &mut out.heals, &mut out.skipped);
+            if !p2p.heal_nodes(&mut tap) {
+                out.skipped += 1;
+            }
         }
         FaultAction::Spike { .. } => {
             unreachable!("spike events are intercepted by the drive loop")
         }
         FaultAction::Crash => {
             if let Some(target) = draw(removable(engine.p2p(0)), picks, out) {
-                crash(engine, target, at, outstanding, out)?;
+                crash(engine, target, at, outstanding)?;
             }
         }
         FaultAction::DomainFail(d) => {
@@ -485,7 +481,7 @@ fn apply_action<R: Recorder>(
             let p2p = engine.p2p(0);
             let mut targets = p2p.live_ids_in_domain(d);
             targets.retain(|&n| p2p.in_island_a(n));
-            let before = out.crashes;
+            let mut killed = false;
             for target in targets {
                 // The last-machine guard is re-checked per kill: the
                 // doomed domain may be all that's left of island A.
@@ -493,26 +489,27 @@ fn apply_action<R: Recorder>(
                     out.skipped += 1;
                     continue;
                 }
-                crash(engine, target, at, outstanding, out)?;
+                crash(engine, target, at, outstanding)?;
+                killed = true;
             }
-            tally(out.crashes > before, &mut out.domainfails, &mut out.skipped);
+            tally(killed, &mut out.domainfails, &mut out.skipped);
         }
         FaultAction::Burst(k) => {
             // K simultaneous seeded crashes: each target comes from the
             // same picks stream as a scheduled crash, re-collecting the
             // live membership between draws.
-            let before = out.crashes;
+            let mut killed = false;
             for _ in 0..k {
                 let Some(target) = draw(removable(engine.p2p(0)), picks, out) else { break };
-                crash(engine, target, at, outstanding, out)?;
+                crash(engine, target, at, outstanding)?;
+                killed = true;
             }
-            tally(out.crashes > before, &mut out.bursts, &mut out.skipped);
+            tally(killed, &mut out.bursts, &mut out.skipped);
         }
         FaultAction::Depart => {
             let Some(target) = draw(removable(engine.p2p(0)), picks, out) else { return Ok(()) };
             let (p2p, mut tap) = engine.cluster_mut(0);
             p2p.depart_node_tap(target, &mut tap)?;
-            out.departures += 1;
         }
         FaultAction::Slow => {
             let Some(target) = draw(island_a(engine.p2p(0)), picks, out) else { return Ok(()) };

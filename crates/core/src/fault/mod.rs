@@ -176,7 +176,6 @@ mod tests {
         defended_cfg.clock = ClockMode::Event;
         let defended = run_churn(&defended_cfg).unwrap();
         assert!(defended.degraded_to_origin > 0, "shedding never engaged");
-        assert_eq!(defended.shed_background, defended.degraded_to_origin);
         assert!(
             defended.avg_latency_milli < naive.avg_latency_milli,
             "shedding must relieve the flash crowd: defended {} vs naive {}",

@@ -173,12 +173,12 @@ impl ChurnReport {
             requests: served,
             served_by_class,
             availability_percent: served as f64 / issued as f64 * 100.0,
-            crashes: faulty.crashes,
-            departures: faulty.departures,
+            crashes: faulty.snapshot.node_crashes,
+            departures: faulty.snapshot.node_departures,
             rejoins: faulty.rejoins,
             slows: faulty.slows,
-            partitions: faulty.partitions,
-            heals: faulty.heals,
+            partitions: faulty.snapshot.partitions_started,
+            heals: faulty.snapshot.partitions_healed,
             entries_reconciled: faulty.snapshot.entries_reconciled,
             primaries_demoted: faulty.snapshot.primaries_demoted,
             skipped_actions: faulty.skipped,
@@ -193,7 +193,7 @@ impl ChurnReport {
             adversarial: cfg.plan.has_adversary(),
             spikes: faulty.spikes,
             shed_background: faulty.shed_background,
-            degraded_to_origin: faulty.degraded,
+            degraded_to_origin: faulty.shed_background,
             breaker_fast_fails: faulty.snapshot.breaker_fast_fails,
             retry_budget_denials: faulty.snapshot.retry_budget_denials,
             overloaded: cfg.plan.has_spike() || cfg.plan.has_overload_defense(),

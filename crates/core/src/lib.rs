@@ -49,10 +49,11 @@
 //!     .collect();
 //!
 //! let nc = run_experiment(&ExperimentConfig::new(SchemeKind::Nc, 0.2), &traces).unwrap();
-//! let cfg = ExperimentConfig::builder(SchemeKind::HierGd, 0.2)
-//!     .clients_per_cluster(20) // keep the demo overlay small
-//!     .build()
-//!     .unwrap();
+//! let cfg = ExperimentConfig {
+//!     clients_per_cluster: 20, // keep the demo overlay small
+//!     ..ExperimentConfig::new(SchemeKind::HierGd, 0.2)
+//! };
+//! cfg.validate().unwrap();
 //! let hg = run_experiment(&cfg, &traces).unwrap();
 //! let gain = webcache_sim::metrics::latency_gain_percent(&nc, &hg);
 //! assert!(gain > 0.0);
@@ -94,8 +95,7 @@ pub use adversary::{run_adversary, AdversaryConfig};
 pub use chaos::{run_chaos, ChaosConfig, ChaosFailure, ChaosReport};
 pub use clock::{ClockMode, SimClock, TICKS_PER_ROUND, TICKS_PER_UNIT};
 pub use config::{
-    build_engine, run_experiment, run_experiment_recorded, ExperimentConfig,
-    ExperimentConfigBuilder, SchemeKind, Sizing,
+    build_engine, run_experiment, run_experiment_recorded, ExperimentConfig, SchemeKind, Sizing,
 };
 pub use durability::{run_durability, DurabilityConfig};
 pub use engine::{Admission, Engine, NoCacheEngine, SchemeEngine};
@@ -112,7 +112,7 @@ pub use recorder::{
 pub use scenario::{Field, Row, ScenarioReport};
 pub use site::{SiteTier, TierTraffic, TwoTierLfuSite};
 pub use squirrel::SquirrelEngine;
-pub use sweep::{gain_curve, sweep, sweep_recorded, SweepResult, PAPER_CACHE_FRACS};
+pub use sweep::{gain_curve, gain_table, sweep, sweep_recorded, SweepResult, PAPER_CACHE_FRACS};
 pub use webcache_p2p::{
     MessageClass, OverloadDefense, SendOutcome, TransportFaults, UnreliableTransport,
 };

@@ -231,6 +231,7 @@ pub fn run_overload(cfg: &OverloadConfig) -> Result<ScenarioReport, SimError> {
             let (out, _) = twin.drive(&cfg.base, &cfg.plan_for(times, defended))?;
             let (recovered, recovery_requests) =
                 recovery(&out, spike_end, issued, base_mean, base_good / 100.0);
+            let shed_percent = out.shed_background as f64 / issued as f64 * 100.0;
             cells.push(Row(vec![
                 ("intensity", U(u64::from(times))),
                 ("defended", B(defended)),
@@ -238,9 +239,10 @@ pub fn run_overload(cfg: &OverloadConfig) -> Result<ScenarioReport, SimError> {
                 // Queueing included under the event clock.
                 ("avg_latency_milli", U(out.avg_latency_milli())),
                 ("p99_latency_milli", U(p99_milli(&out))),
-                // Background work skipped / requests sent straight to origin.
-                ("shed_percent", F(out.shed_background as f64 / issued as f64 * 100.0)),
-                ("degraded_percent", F(out.degraded as f64 / issued as f64 * 100.0)),
+                // A shed request both skips its background work and goes
+                // straight to origin, so the two columns are one count.
+                ("shed_percent", F(shed_percent)),
+                ("degraded_percent", F(shed_percent)),
                 ("breaker_fast_fails", U(out.snapshot.breaker_fast_fails)),
                 ("retry_budget_denials", U(out.snapshot.retry_budget_denials)),
                 ("end_shedding", B(out.end_shedding)),

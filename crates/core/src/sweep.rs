@@ -11,6 +11,7 @@ use crate::error::SimError;
 use crate::metrics::{latency_gain_percent, RunMetrics};
 use crate::recorder::{NoopRecorder, Recorder};
 use rayon::prelude::*;
+use std::fmt::Write as _;
 use webcache_workload::Trace;
 
 /// The paper's x-axis: 10%..=100% in steps of 10%.
@@ -119,6 +120,30 @@ pub fn gain_curve(results: &[SweepResult], scheme: SchemeKind) -> Vec<(f64, f64)
     curve
 }
 
+/// Renders one figure panel as text: a row per size in `fracs` (in the
+/// order given), a column per scheme, cells = latency gain (%) — the
+/// series the paper plots. A grid point missing from `results` prints
+/// as `-`.
+pub fn gain_table(results: &[SweepResult], schemes: &[SchemeKind], fracs: &[f64]) -> String {
+    let mut out = format!("{:>10}", "cache(%)");
+    for s in schemes {
+        let _ = write!(out, "{:>10}", s.label());
+    }
+    out.push('\n');
+    for &frac in fracs {
+        let _ = write!(out, "{:>10.0}", frac * 100.0);
+        for &s in schemes {
+            let cell = results
+                .iter()
+                .find(|r| r.scheme == s && (r.cache_frac - frac).abs() < 1e-9)
+                .map_or_else(|| "-".to_string(), |r| format!("{:.1}", r.gain_percent));
+            let _ = write!(out, "{cell:>10}");
+        }
+        out.push('\n');
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,6 +214,29 @@ mod tests {
         let mut base = ExperimentConfig::new(SchemeKind::Nc, 0.1);
         base.clients_per_cluster = 0; // invalid for client-cache schemes
         assert!(sweep(&[SchemeKind::ScEc], &[0.1], &ts, &base).is_err());
+    }
+
+    #[test]
+    fn gain_table_pins_the_layout_and_marks_missing_points() {
+        let point = |scheme, cache_frac, gain_percent| SweepResult {
+            scheme,
+            cache_frac,
+            metrics: RunMetrics::default(),
+            gain_percent,
+            wall_secs: 0.0,
+        };
+        let results = [
+            point(SchemeKind::Sc, 0.1, 12.34),
+            point(SchemeKind::HierGd, 0.1, -3.0),
+            point(SchemeKind::Sc, 0.5, 7.0),
+        ];
+        let table = gain_table(&results, &[SchemeKind::Sc, SchemeKind::HierGd], &[0.1, 0.5]);
+        assert_eq!(
+            table,
+            "  cache(%)        SC   Hier-GD\n\
+             \x20       10      12.3      -3.0\n\
+             \x20       50       7.0         -\n"
+        );
     }
 
     #[test]

@@ -231,7 +231,6 @@ impl P2PClientCache {
         if adv.draws.unit() >= adv.audit_rate {
             return;
         }
-        self.ledger.audits_challenged += 1;
         self.ledger.overlay_messages += 2; // challenge + echo round trip
         self.transport_send(MessageClass::AuditChallenge, from.0, object, sink);
         if S::ENABLED {
@@ -243,7 +242,6 @@ impl P2PClientCache {
         // The sender cannot echo the checksum of an object it never
         // held: the challenge times out, the lie is exposed, and the
         // poisoned entry is purged on the spot.
-        self.ledger.forged_receipts += 1;
         self.note_timeout(false, sink);
         let adv = self.adversary.as_mut().expect("checked above");
         let entry_purged = adv.phantoms.remove(&object).is_some();
@@ -260,7 +258,6 @@ impl P2PClientCache {
     /// not answer, a fetch it refused, or a payload that failed its
     /// checksum — quarantining it at the strike limit.
     fn strike<S: P2pSink>(&mut self, node: NodeId, sink: &mut S) {
-        self.ledger.audits_failed += 1;
         let adv = self.adversary.as_mut().expect("a strike implies adversary mode");
         let strikes = adv.strikes.entry(node.0).or_insert(0);
         *strikes += 1;
@@ -294,7 +291,6 @@ impl P2PClientCache {
                 if adv.draws.unit() >= f64::from(rate_pm) / 1000.0 {
                     return false;
                 }
-                self.ledger.checksum_failures += 1;
                 if S::ENABLED {
                     sink.event(P2pEvent::ChecksumFailed { class: "fetch_response" });
                 }
@@ -337,7 +333,6 @@ impl P2PClientCache {
             adv.phantoms.remove(&obj);
             self.directory.remove(obj);
         }
-        self.ledger.quarantines += 1;
         let residents_parked =
             self.nodes.get(&from.0).map_or(0, |n| n.store.len().min(u32::MAX as usize) as u32);
         // Expel through the crash machinery: residents park in limbo

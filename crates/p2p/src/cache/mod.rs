@@ -447,11 +447,12 @@ impl P2PClientCache {
     /// no-op returning `true` when none is installed). Charges the send's
     /// cost — one [`note_timeout`](Self::note_timeout) per failed
     /// attempt, plus backoff waits and the reorder stall as latency
-    /// penalties — and records retries, dedups, and checksum failures in
-    /// the ledger and the event stream. `dest` is the receiver the
-    /// message is addressed to (a node's overlay id, or [`PROXY_DEST`]
-    /// for the proxy end of the client↔proxy channel); with the overload
-    /// defenses armed it selects the per-destination circuit breaker.
+    /// penalties — counts retries in the ledger, and emits each retry,
+    /// dedup, checksum failure and overload decision as an event. `dest`
+    /// is the receiver the message is addressed to (a node's overlay id,
+    /// or [`PROXY_DEST`] for the proxy end of the client↔proxy channel);
+    /// with the overload defenses armed it selects the per-destination
+    /// circuit breaker.
     /// Returns whether the payload was delivered; `false` (lost,
     /// quarantined, fast-failed by an open breaker, or abandoned by an
     /// exhausted retry budget) only ever happens for droppable payload
@@ -478,28 +479,19 @@ impl P2PClientCache {
                 });
             }
         }
-        if out.deduped {
-            self.ledger.dedups += 1;
-            if S::ENABLED {
-                sink.event(P2pEvent::MessageDeduped { class: class.label() });
+        if S::ENABLED {
+            let class = class.label();
+            if out.deduped {
+                sink.event(P2pEvent::MessageDeduped { class });
             }
-        }
-        if out.checksum_failures > 0 {
-            self.ledger.checksum_failures += u64::from(out.checksum_failures);
-            if S::ENABLED {
-                sink.event(P2pEvent::ChecksumFailed { class: class.label() });
+            if out.checksum_failures > 0 {
+                sink.event(P2pEvent::ChecksumFailed { class });
             }
-        }
-        if out.breaker_fast_fail {
-            self.ledger.breaker_fast_fails += 1;
-            if S::ENABLED {
-                sink.event(P2pEvent::BreakerFastFailed { class: class.label() });
+            if out.breaker_fast_fail {
+                sink.event(P2pEvent::BreakerFastFailed { class });
             }
-        }
-        if out.budget_denied {
-            self.ledger.retry_budget_denials += 1;
-            if S::ENABLED {
-                sink.event(P2pEvent::RetryBudgetExhausted { class: class.label() });
+            if out.budget_denied {
+                sink.event(P2pEvent::RetryBudgetExhausted { class });
             }
         }
         out.delivered

@@ -309,7 +309,6 @@ impl P2PClientCache {
                 // loser as a host; garbage-collected outright otherwise.
                 let kept = self.nodes.get(&l.0).is_some_and(|ln| ln.replicas.contains_key(&obj));
                 demoted += 1;
-                self.ledger.primaries_demoted += 1;
                 if S::ENABLED {
                     sink.event(P2pEvent::PrimaryDemoted { garbage_collected: !kept });
                 }
@@ -329,7 +328,6 @@ impl P2PClientCache {
             };
             self.directory.set_epoch(obj, epoch);
             reconciled += 1;
-            self.ledger.entries_reconciled += 1;
             if S::ENABLED {
                 sink.event(P2pEvent::EntryReconciled { epoch });
             }

@@ -70,10 +70,9 @@ impl P2PClientCache {
     ///    only), topping under-floor entries back up. The `under_floor`
     ///    gauge term publishes at each completed revolution.
     ///
-    /// Restored entries count as `proactive_repairs` in the ledger and
-    /// emit [`P2pEvent::ProactiveRepair`]; every scanned unit counts as
-    /// `repair_scans`. Returns the round's outcome plus the at-risk
-    /// gauge after it.
+    /// Restored entries emit [`P2pEvent::ProactiveRepair`]; every scanned
+    /// unit counts as `repair_scans` in the ledger. Returns the round's
+    /// outcome plus the at-risk gauge after it.
     pub fn repair_step_tap<S: P2pSink>(&mut self, budget: u32, sink: &mut S) -> RepairOutcome {
         let mut out = RepairOutcome::default();
         if self.repair.is_none() {
@@ -203,7 +202,6 @@ impl P2PClientCache {
     /// `copies` fresh replica copies.
     fn proactive_repair<S: P2pSink>(&mut self, out: &mut RepairOutcome, copies: u32, sink: &mut S) {
         out.repaired += 1;
-        self.ledger.proactive_repairs += 1;
         self.space_hint = None;
         if S::ENABLED {
             sink.event(P2pEvent::ProactiveRepair { copies });

@@ -439,7 +439,6 @@ impl P2PClientCache {
     /// epoch and account the re-replication.
     pub(super) fn rereplicated<S: P2pSink>(&mut self, obj: u128, copies: u32, sink: &mut S) {
         self.directory.bump_epoch(obj);
-        self.ledger.rereplications += 1;
         if S::ENABLED {
             sink.event(P2pEvent::Rereplicated { copies });
         }
@@ -463,7 +462,6 @@ impl P2PClientCache {
     ) -> Option<Option<super::FetchOutcome>> {
         let hosts = self.limbo.remove(&object)?;
         self.note_timeout(true, sink);
-        self.ledger.stale_hits += 1;
         match self.promote_or_lose(object, &hosts, false, sink) {
             Some((holder, _copies)) => {
                 if S::ENABLED {

@@ -375,7 +375,6 @@ impl P2PClientCache {
             // orphaned replica surviving in its leaf set.
             if pointer.is_none() {
                 if let Some(rescued) = self.replica_rescue(root, object, sink) {
-                    self.ledger.stale_hits += 1;
                     if S::ENABLED {
                         sink.event(P2pEvent::StaleDirectoryHit { replica_served: true });
                     }

@@ -56,17 +56,19 @@ fn freerider_poisons_directory_and_stale_fetch_repairs_it() {
 
 #[test]
 fn audits_of_honest_receipts_always_pass() {
+    let mut sink = VecSink(Vec::new());
     let mut c = small(6, 2);
     c.enable_adversary(31, 1.0, 1);
     for i in 0..30u64 {
-        c.destage(oid(i), 1.0 + (i % 3) as f64, Some(0)).unwrap();
+        c.destage_tap(oid(i), 1.0 + (i % 3) as f64, Some(0), &mut sink).unwrap();
     }
-    let l = *c.ledger();
-    assert!(l.store_receipts > 0);
-    assert_eq!(l.audits_challenged, l.store_receipts, "rate 1.0 audits every receipt");
-    assert_eq!(l.audits_failed, 0);
-    assert_eq!(l.forged_receipts, 0);
-    assert_eq!(l.quarantines, 0);
+    let receipts = c.ledger().store_receipts;
+    assert!(receipts > 0);
+    let count = |label: &str| sink.count_label(label);
+    assert_eq!(count("audit_challenged"), receipts, "rate 1.0 audits every receipt");
+    assert_eq!(count("audit_failed"), 0);
+    assert_eq!(count("forged_receipt_detected"), 0);
+    assert_eq!(count("node_quarantined"), 0);
     assert!(c.quarantined_ids().is_empty());
     assert!(c.check_invariants().is_empty());
 }
@@ -94,16 +96,11 @@ fn persistent_forger_is_audited_and_quarantined() {
     assert_eq!(c.strikes_of(forger), 3, "quarantine lands exactly at the strike limit");
     assert_eq!(c.phantom_entries(), 0, "quarantine purges the forger's phantoms");
     assert!(!c.node_ids().any(|n| n == forger), "quarantine expels the node");
-    let l = *c.ledger();
-    assert_eq!(l.quarantines, 1);
-    assert_eq!(l.audits_failed, 3);
-    assert!(l.forged_receipts >= 3);
-    assert!(l.audits_challenged > l.audits_failed, "honest receipts were audited too");
     let count = |label: &str| sink.count_label(label);
-    assert_eq!(count("node_quarantined"), l.quarantines);
-    assert_eq!(count("audit_failed"), l.audits_failed);
-    assert_eq!(count("forged_receipt_detected"), l.forged_receipts);
-    assert_eq!(count("audit_challenged"), l.audits_challenged);
+    assert_eq!(count("node_quarantined"), 1);
+    assert_eq!(count("audit_failed"), 3);
+    assert!(count("forged_receipt_detected") >= 3);
+    assert!(count("audit_challenged") > 3, "honest receipts were audited too");
     // The cluster keeps serving after the expulsion.
     for i in 100..110u64 {
         let _ = c.destage(oid(i), 1.0, Some(0));
@@ -113,6 +110,7 @@ fn persistent_forger_is_audited_and_quarantined() {
 
 #[test]
 fn garbler_fails_checksums_and_quarantine_frees_its_objects() {
+    let mut sink = VecSink(Vec::new());
     let mut c = small_k(8, 4, 2);
     c.enable_adversary(23, 1.0, 2);
     for i in 0..20u64 {
@@ -124,12 +122,12 @@ fn garbler_fails_checksums_and_quarantine_frees_its_objects() {
     c.set_behavior(holder, Behavior::Garbler { rate_pm: 1000 });
     // Every response from the garbler fails its xxhash check; with
     // audits on, two bad payloads exhaust its strikes.
-    assert!(c.fetch(1, o, 1.0).is_none(), "garbage is caught, not served");
+    assert!(c.fetch_tap(1, o, 1.0, &mut sink).is_none(), "garbage is caught, not served");
     assert!(!c.is_quarantined(holder));
-    assert!(c.fetch(1, o, 1.0).is_none());
+    assert!(c.fetch_tap(1, o, 1.0, &mut sink).is_none());
     assert!(c.is_quarantined(holder), "second bad payload hits the strike limit");
-    assert_eq!(c.ledger().checksum_failures, 2);
-    assert_eq!(c.ledger().quarantines, 1);
+    assert_eq!(sink.count_label("checksum_failed"), 2);
+    assert_eq!(sink.count_label("node_quarantined"), 1);
     let problems = c.check_invariants();
     assert!(problems.is_empty(), "{problems:?}");
     // The expelled garbler's residents park in limbo; the k = 2
@@ -141,6 +139,7 @@ fn garbler_fails_checksums_and_quarantine_frees_its_objects() {
 
 #[test]
 fn undefended_garbler_degrades_but_is_never_quarantined() {
+    let mut sink = VecSink(Vec::new());
     let mut c = small(6, 2);
     c.enable_adversary(29, 0.0, 1);
     for i in 0..12u64 {
@@ -151,12 +150,12 @@ fn undefended_garbler_degrades_but_is_never_quarantined() {
     let holder = c.holder_of(root, o).unwrap();
     c.set_behavior(holder, Behavior::Garbler { rate_pm: 1000 });
     for _ in 0..10 {
-        assert!(c.fetch(1, o, 1.0).is_none(), "every response is garbage");
+        assert!(c.fetch_tap(1, o, 1.0, &mut sink).is_none(), "every response is garbage");
     }
-    assert_eq!(c.ledger().checksum_failures, 10);
+    assert_eq!(sink.count_label("checksum_failed"), 10);
     assert!(!c.is_quarantined(holder), "audits off means no strikes accrue");
-    assert_eq!(c.ledger().quarantines, 0);
-    assert_eq!(c.ledger().audits_challenged, 0);
+    assert_eq!(sink.count_label("node_quarantined"), 0);
+    assert_eq!(sink.count_label("audit_challenged"), 0);
     assert!(c.check_invariants().is_empty());
 }
 

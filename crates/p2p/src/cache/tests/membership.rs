@@ -161,8 +161,6 @@ fn churn_events_mirror_fault_counters() {
     let count = |f: &dyn Fn(&P2pEvent) -> bool| sink.count(f);
     assert_eq!(count(&|e| matches!(e, P2pEvent::NodeCrashed { .. })), 3);
     assert_eq!(count(&|e| matches!(e, P2pEvent::TimeoutDetected { .. })), l.timeouts);
-    assert_eq!(count(&|e| matches!(e, P2pEvent::StaleDirectoryHit { .. })), l.stale_hits);
-    assert_eq!(count(&|e| matches!(e, P2pEvent::Rereplicated { .. })), l.rereplications);
     assert_eq!(c.crashed_len(), 0, "every node serves some client, so all crashes surface");
     assert!(l.timeouts >= 3, "each detection costs a timeout");
 }
@@ -313,11 +311,11 @@ fn detected_crash_parks_the_store_whatever_its_order() {
     assert_eq!(parked, [6, 7, 9, 10], "every casualty waits in limbo with its one replica");
     // Each casualty comes back from its replica at the credit it carried.
     for i in [6u64, 7, 9, 10] {
-        assert!(c.fetch(0, oid(i), 1.0).is_some(), "object {i} is served from its replica");
+        assert!(c.fetch_tap(0, oid(i), 1.0, &mut sink).is_some(), "{i} served from its replica");
     }
     assert_eq!(c.limbo.len(), 0);
-    assert_eq!(c.ledger().stale_hits, 4);
-    assert_eq!(c.ledger().rereplications, 4);
+    assert_eq!(sink.count_label("stale_directory_hit"), 4);
+    assert_eq!(sink.count_label("rereplicated"), 4);
     assert_eq!(c.ledger().objects_lost, 0);
     assert!(c.check_invariants().is_empty());
 }

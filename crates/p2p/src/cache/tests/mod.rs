@@ -11,7 +11,6 @@ mod serve;
 use super::*;
 use crate::events::{NoSink, P2pEvent};
 use crate::faults::P2pError;
-use crate::transport::MAX_ATTEMPTS;
 
 fn small(nodes: usize, cap: usize) -> P2PClientCache {
     small_k(nodes, cap, 1)
@@ -30,8 +29,8 @@ fn oid(i: u64) -> u128 {
     object_id_for_url(&format!("http://origin.example/obj/{i}"))
 }
 
-/// A sink that keeps every event, for the "events mirror the ledger"
-/// tests.
+/// A sink that keeps every event, for tests that count what the ledger
+/// does not.
 struct VecSink(Vec<P2pEvent>);
 
 impl P2pSink for VecSink {

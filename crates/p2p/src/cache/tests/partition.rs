@@ -58,8 +58,9 @@ fn split_brain_duplicates_are_reconciled_by_epoch() {
     let islanded = c.split.as_ref().map_or(0, |s| s.b_index.len());
     assert!(islanded > 0, "island B must keep primaries of its own");
     assert!(c.ledger().cut_drops > 0, "B's announcements die at the cut");
-    assert!(c.heal_nodes(&mut NoSink));
-    assert!(c.ledger().entries_reconciled > 0, "the sweep must merge entries");
+    let mut sink = VecSink(Vec::new());
+    assert!(c.heal_nodes(&mut sink));
+    assert!(sink.count_label("entry_reconciled") > 0, "the sweep must merge entries");
     assert!(c.ledger().cut_drained > 0, "queued receipts drain at the heal");
     let diverged = c.directory_divergence();
     assert!(diverged.is_empty(), "{diverged:?}");
@@ -67,7 +68,7 @@ fn split_brain_duplicates_are_reconciled_by_epoch() {
 }
 
 #[test]
-fn partition_events_mirror_ledger_counters() {
+fn partition_events_report_the_cut_and_the_heal() {
     let mut sink = VecSink(Vec::new());
     let mut c = small_k(10, 16, 2);
     for i in 0..30u64 {
@@ -78,8 +79,6 @@ fn partition_events_mirror_ledger_counters() {
     let count = |label: &str| sink.count_label(label);
     assert_eq!(count("partition_started"), 1);
     assert_eq!(count("partition_healed"), 1);
-    assert_eq!(count("entry_reconciled"), c.ledger().entries_reconciled);
-    assert_eq!(count("primary_demoted"), c.ledger().primaries_demoted);
     let started = sink.0.iter().find_map(|e| match e {
         P2pEvent::PartitionStarted { island_a, island_b } => Some((*island_a, *island_b)),
         _ => None,

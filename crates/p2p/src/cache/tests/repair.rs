@@ -2,20 +2,21 @@ use super::*;
 
 #[test]
 fn repair_sweep_heals_before_any_request() {
+    let mut sink = VecSink(Vec::new());
     let mut c = small_k(10, 16, 2);
     for i in 0..16u64 {
-        c.destage(oid(i), 1.0 + i as f64, Some(i as u32)).unwrap();
+        c.destage_tap(oid(i), 1.0 + i as f64, Some(i as u32), &mut sink).unwrap();
     }
     let victim = c.root_of(oid(0)).unwrap();
-    c.crash_node(victim).unwrap();
+    c.crash_node_tap(victim, &mut sink).unwrap();
     assert_eq!(c.crashed_len(), 1, "a silent crash announces nothing");
     // The first scan unit is the corpse probe: the sweep detects the
     // crash before any request walks into it.
-    let first = c.repair_step(1);
+    let first = c.repair_step_tap(1, &mut sink);
     assert_eq!(first.scanned, 1);
     assert_eq!(c.crashed_len(), 0);
     for _ in 0..30 {
-        let out = c.repair_step(8);
+        let out = c.repair_step_tap(8, &mut sink);
         if out.at_risk == 0 && c.check_replica_floor().is_empty() {
             break;
         }
@@ -25,8 +26,8 @@ fn repair_sweep_heals_before_any_request() {
     assert!(c.check_replica_floor().is_empty(), "{:?}", c.check_replica_floor());
     assert!(c.check_invariants().is_empty(), "{:?}", c.check_invariants());
     assert!(c.silent_loss_audit().is_empty());
-    assert!(c.ledger().proactive_repairs > 0, "the sweep did the repairs");
-    assert_eq!(c.ledger().stale_hits, 0, "no request ever tripped a stale entry");
+    assert!(sink.count_label("proactive_repair") > 0, "the sweep did the repairs");
+    assert_eq!(sink.count_label("stale_directory_hit"), 0, "no request tripped a stale entry");
     assert!(c.ledger().repair_scans >= u64::from(first.scanned));
 }
 proptest::proptest! {

@@ -11,11 +11,11 @@ fn replica_survives_primary_crash_with_k2() {
     let root = c.root_of(o).unwrap();
     let holder = c.holder_of(root, o).unwrap();
     c.crash_node(holder).unwrap();
-    let rereps = c.ledger().rereplications;
-    let f = c.fetch(2, o, 1.0);
+    let mut sink = VecSink(Vec::new());
+    let f = c.fetch_tap(2, o, 1.0, &mut sink);
     assert!(f.is_some(), "a replica must keep the object reachable");
     assert_ne!(f.unwrap().holder, holder, "the corpse cannot serve");
-    assert!(c.ledger().rereplications > rereps, "promotion re-replicates");
+    assert!(sink.count_label("rereplicated") > 0, "promotion re-replicates");
     assert_eq!(c.crashed_len(), 0, "the stale hit detects the crash");
     let problems = c.check_invariants();
     assert!(problems.is_empty(), "{problems:?}");

@@ -374,6 +374,7 @@ fn duplication_and_reordering_never_change_end_state() {
     // reordered delivery costs latency but mutates nothing, so the
     // end state is byte-identical to a fault-free run.
     let drive = |faulty: bool| {
+        let mut sink = VecSink(Vec::new());
         let mut c = small_k(10, 4, 2);
         if faulty {
             c.set_transport(TransportFaults {
@@ -384,13 +385,13 @@ fn duplication_and_reordering_never_change_end_state() {
             });
         }
         for i in 0..80u64 {
-            c.destage(oid(i), 1.0 + (i % 7) as f64, Some(i as u32)).unwrap();
+            c.destage_tap(oid(i), 1.0 + (i % 7) as f64, Some(i as u32), &mut sink).unwrap();
         }
         let mut served = 0u32;
         for i in 0..80u64 {
-            served += u32::from(c.fetch(i as u32, oid(i), 1.0).is_some());
+            served += u32::from(c.fetch_tap(i as u32, oid(i), 1.0, &mut sink).is_some());
         }
-        (c.contents_snapshot(), served, c.ledger().dedups)
+        (c.contents_snapshot(), served, sink.count_label("message_deduped"))
     };
     let (clean_state, clean_served, clean_dedups) = drive(false);
     let (faulty_state, faulty_served, faulty_dedups) = drive(true);
@@ -426,18 +427,20 @@ fn lossy_transport_drops_destages_but_keeps_invariants() {
 
 #[test]
 fn corrupting_transport_quarantines_instead_of_caching() {
+    let mut sink = VecSink(Vec::new());
     let mut c = small(8, 4);
     c.set_transport(TransportFaults { corruption: 0.999, seed: 9, ..TransportFaults::none() });
-    let mut quarantined = 0u32;
+    let mut quarantined = 0u64;
     for i in 0..10u64 {
-        quarantined += u32::from(c.destage(oid(i), 1.0, Some(0)).is_none());
+        quarantined += u64::from(c.destage_tap(oid(i), 1.0, Some(0), &mut sink).is_none());
     }
     assert!(
         quarantined >= 8,
         "payloads that never verify must be quarantined, not cached ({quarantined}/10)"
     );
     assert_eq!(c.len(), 10 - quarantined as usize);
-    assert!(c.ledger().checksum_failures >= u64::from(quarantined * MAX_ATTEMPTS));
+    // A send whose every attempt failed its checksum emits one event.
+    assert!(sink.count_label("checksum_failed") >= quarantined);
     assert!(c.check_invariants().is_empty());
 }
 

@@ -6,6 +6,13 @@
 //! sharing with cooperating proxies (§4.5). The ledger counts the traffic
 //! each mechanism generates so the `ablation_piggyback` bench can quantify
 //! the claim.
+//!
+//! The ledger holds traffic, plus the two values the safety oracles and
+//! reports read back: `objects_lost` (the no-silent-loss audit) and
+//! `repair_scans` (the repair scheduler's paced work). Every other fact —
+//! audits, quarantines, reconciliation, re-replication, repair, breaker
+//! and budget decisions, dedups, checksum failures, stale hits — is a
+//! [`P2pEvent`](crate::P2pEvent) that a recorder counts once.
 
 /// Declares [`MessageLedger`] from one list of counters — each a doc
 /// comment and a name — so the public field and its line in
@@ -52,47 +59,15 @@ message_ledger! {
     /// Messages that timed out: contacts with dead nodes (lazy failure
     /// detection), lost-and-retransmitted messages, and slow-node stalls.
     timeouts,
-    /// Directory-approved lookups whose primary copy died with a crashed
-    /// node (served from a replica or not).
-    stale_hits,
-    /// Crashed primaries rebuilt from a leaf-set replica (promotion plus
-    /// replication-factor restoration).
-    rereplications,
     /// Protocol messages that needed at least one retransmission through
     /// the unreliable transport (loss or corruption).
     retries,
-    /// Duplicated deliveries discarded by the receiver's sequence-number
-    /// dedup window.
-    dedups,
-    /// Delivery attempts that failed their XXH64 payload checksum.
-    checksum_failures,
     /// Payload messages dropped because they crossed an active partition
     /// cut (the network ate them; the sender paid a timeout).
     cut_drops,
     /// Metadata messages queued at the cut and drained through the
     /// transport's retry/dedup machinery when the partition healed.
     cut_drained,
-    /// Directory entries merged by anti-entropy reconciliation on heal.
-    entries_reconciled,
-    /// Split-brain primaries demoted (or collected) on heal.
-    primaries_demoted,
-    /// Possession challenges issued against store-receipt senders (the
-    /// spot-check audit defense; each costs a round trip).
-    audits_challenged,
-    /// Audit strikes recorded: possession challenges the audited node
-    /// could not answer, plus garbled fetch payloads caught by checksum
-    /// while the defense is armed.
-    audits_failed,
-    /// Store receipts exposed as forged (object never held by sender).
-    forged_receipts,
-    /// Nodes quarantined after exhausting their audit strikes.
-    quarantines,
-    /// Sends that fail-fasted on an open circuit breaker (overload
-    /// defense): one detection timeout instead of a full backoff ladder.
-    breaker_fast_fails,
-    /// Ladders abandoned because the per-node retry budget ran dry
-    /// (overload defense): the caller degraded to the origin server.
-    retry_budget_denials,
     /// Objects permanently lost — no live copy survives anywhere. The
     /// no-silent-loss guarantee: every loss path increments this exactly
     /// once per object (and emits `P2pEvent::ObjectLost`).
@@ -100,9 +75,6 @@ message_ledger! {
     /// Directory entries examined by the background repair scheduler's
     /// paced scan (each is real work, priced by the event clock).
     repair_scans,
-    /// Entries the repair scheduler restored to the replica floor before
-    /// a request tripped over them (limbo promotions plus floor top-ups).
-    proactive_repairs,
 }
 
 impl MessageLedger {

@@ -18,7 +18,7 @@
 //! (one cache line), and all k probes land inside that block, so a
 //! membership test costs one memory access instead of k scattered ones.
 //! The k probes are then resolved with a fused word test
-//! ([`BloomFilter::contains_all_k`] / [`CountingBloomFilter::contains_all_k`]):
+//! ([`BloomFilter::contains`] / [`CountingBloomFilter::contains`]):
 //! required bits are OR-accumulated into per-word masks and checked with
 //! one compare per touched word, rather than one branch per probe.
 //! Blocking raises the false-positive rate slightly over a flat filter of
@@ -100,16 +100,12 @@ impl BloomFilter {
     }
 
     /// Membership test; false positives possible, false negatives not.
-    #[inline]
-    pub fn contains(&self, key: u128) -> bool {
-        self.contains_all_k(key)
-    }
-
+    ///
     /// The fused probe: accumulates all k required bits into per-word
     /// masks over the key's block, then verifies each touched word with a
     /// single `AND`/compare — one cache line, no per-probe branches.
     #[inline]
-    pub fn contains_all_k(&self, key: u128) -> bool {
+    pub fn contains(&self, key: u128) -> bool {
         let (h1, h2) = index_pair(key);
         let base = self.block_base(h1);
         let mut need = [0u64; BLOCK_WORDS];
@@ -242,17 +238,13 @@ impl CountingBloomFilter {
     }
 
     /// Membership test; false positives possible.
-    #[inline]
-    pub fn contains(&self, key: u128) -> bool {
-        self.contains_all_k(key)
-    }
-
+    ///
     /// The fused probe: collapses each nibble of the key's block to its
     /// "non-zero" bit (`n | n>>1 | n>>2 | n>>3` masked to the lane LSB),
     /// accumulates the k required lanes into per-word masks, and checks
     /// each touched word with one compare — one cache line per probe.
     #[inline]
-    pub fn contains_all_k(&self, key: u128) -> bool {
+    pub fn contains(&self, key: u128) -> bool {
         let (h1, h2) = index_pair(key);
         let base = self.block_base(h1);
         let mut need = [0u64; BLOCK_WORDS];
@@ -506,12 +498,12 @@ mod tests {
                 f
             };
             for &k in &keys {
-                proptest::prop_assert!(blocked.contains_all_k(k));
+                proptest::prop_assert!(blocked.contains(k));
                 proptest::prop_assert!(classic.contains(k));
             }
             let inserted: std::collections::HashSet<u128> = keys.iter().copied().collect();
             let fresh: Vec<u128> = probes.iter().copied().filter(|p| !inserted.contains(p)).collect();
-            let fp = fresh.iter().filter(|&&p| blocked.contains_all_k(p)).count();
+            let fp = fresh.iter().filter(|&&p| blocked.contains(p)).count();
             // At 12 bits/key theory is ~0.03%; even tiny samples should
             // essentially never see 3+ false positives.
             proptest::prop_assert!(
@@ -531,7 +523,7 @@ mod tests {
             let half = keys.len() / 2;
             for &k in &keys[..half] { f.remove(k); }
             for &k in &keys[half..] {
-                proptest::prop_assert!(f.contains_all_k(k));
+                proptest::prop_assert!(f.contains(k));
             }
         }
 

@@ -31,13 +31,14 @@ fn main() {
     println!("workload: 2 proxies x 100k requests, infinite cache size U = {u}");
 
     // Proxy caches at 20% of U — the regime where client caches shine.
-    // The builder validates once; `at` re-points the same topology.
+    // Validate once; `at` re-points the same topology.
     let frac = 0.2;
-    let base = ExperimentConfig::builder(SchemeKind::Nc, frac)
-        .num_proxies(2)
-        .clients_per_cluster(100)
-        .build()
-        .expect("paper defaults are valid");
+    let base = ExperimentConfig {
+        num_proxies: 2,
+        clients_per_cluster: 100,
+        ..ExperimentConfig::new(SchemeKind::Nc, frac)
+    };
+    base.validate().expect("paper defaults are valid");
     let nc = run_experiment(&base, &traces).unwrap();
     println!(
         "\n{:<8} avg latency {:.2} (hit ratio {:.1}%)  — the baseline",

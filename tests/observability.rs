@@ -27,10 +27,12 @@ fn traces(n: usize) -> Vec<Trace> {
 }
 
 fn hiergd_cfg() -> ExperimentConfig {
-    ExperimentConfig::builder(SchemeKind::HierGd, 0.2)
-        .clients_per_cluster(40)
-        .build()
-        .expect("valid config")
+    let cfg = ExperimentConfig {
+        clients_per_cluster: 40,
+        ..ExperimentConfig::new(SchemeKind::HierGd, 0.2)
+    };
+    cfg.validate().expect("valid config");
+    cfg
 }
 
 #[test]
@@ -104,11 +106,8 @@ fn attaching_a_recorder_does_not_perturb_the_simulation() {
 #[test]
 fn event_log_mirrors_stats_counts_and_exports() {
     let ts = traces(1);
-    let cfg = ExperimentConfig::builder(SchemeKind::HierGd, 0.2)
-        .num_proxies(1)
-        .clients_per_cluster(40)
-        .build()
-        .unwrap();
+    let cfg = ExperimentConfig { num_proxies: 1, ..hiergd_cfg() };
+    cfg.validate().unwrap();
     let stats = Arc::new(StatsRecorder::new());
     // Large enough to keep every event of the single-proxy run.
     let events = Arc::new(EventLogRecorder::new(2_000_000));
@@ -139,11 +138,8 @@ fn event_log_mirrors_stats_counts_and_exports() {
 #[test]
 fn event_log_ring_is_bounded() {
     let ts = traces(1);
-    let cfg = ExperimentConfig::builder(SchemeKind::HierGd, 0.2)
-        .num_proxies(1)
-        .clients_per_cluster(40)
-        .build()
-        .unwrap();
+    let cfg = ExperimentConfig { num_proxies: 1, ..hiergd_cfg() };
+    cfg.validate().unwrap();
     let events = Arc::new(EventLogRecorder::new(500));
     run_experiment_recorded(&cfg, &ts, events.clone()).unwrap();
     assert_eq!(events.len(), 500);
@@ -162,7 +158,7 @@ fn typed_errors_surface_through_the_experiment_api() {
         Err(SimError::TraceCountMismatch { traces: 1, proxies: 2 }) => {}
         other => panic!("expected TraceCountMismatch, got {other:?}"),
     }
-    let bad = ExperimentConfig::builder(SchemeKind::Nc, 0.0).build();
+    let bad = ExperimentConfig::new(SchemeKind::Nc, 0.0).validate();
     assert!(matches!(bad, Err(SimError::InvalidConfig(_))));
     assert!(matches!("squid".parse::<SchemeKind>(), Err(SimError::UnknownScheme(_))));
 }
