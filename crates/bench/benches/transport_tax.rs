@@ -12,9 +12,8 @@ use std::sync::Arc;
 use webcache_bench::{figures_dir, Scale};
 use webcache_p2p::TransportFaults;
 use webcache_primitives::seed::derive;
-use webcache_sim::engine::SchemeEngine;
 use webcache_sim::hiergd::{HierGdEngine, HierGdOptions};
-use webcache_sim::{NetworkModel, StatsRecorder};
+use webcache_sim::{Engine, NetworkModel, SimClock, StatsRecorder};
 use webcache_workload::{ProWGen, ProWGenConfig};
 
 fn main() {
@@ -34,8 +33,8 @@ fn main() {
 
     println!("\n=== Hier-GD under an unreliable transport ===");
     println!(
-        "{:>8}{:>8}{:>12}{:>12}{:>12}{:>12}{:>12}",
-        "mloss", "dup", "avg lat", "retries", "dedups", "cksum fail", "timeouts"
+        "{:>8}{:>8}{:>12}{:>10}{:>12}{:>12}{:>12}{:>12}",
+        "mloss", "dup", "avg lat", "requests", "retries", "dedups", "cksum fail", "timeouts"
     );
     let mut csv = std::fs::File::create(figures_dir().join("transport_tax.csv")).expect("csv");
     writeln!(csv, "mloss,dup_reorder,avg_latency,retries,dedups,checksum_failures,timeouts")
@@ -57,25 +56,21 @@ fn main() {
             Arc::clone(&recorder),
         );
         if mloss > 0.0 || dup > 0.0 {
-            engine.set_client_transport(
-                0,
-                TransportFaults {
-                    loss: mloss,
-                    duplication: dup,
-                    reorder: dup,
-                    corruption: mloss / 10.0,
-                    seed: derive(0x7A_C5, "transport-tax"),
-                },
-            );
+            engine.cluster_mut(0).0.set_transport(TransportFaults {
+                loss: mloss,
+                duplication: dup,
+                reorder: dup,
+                corruption: mloss / 10.0,
+                seed: derive(0x7A_C5, "transport-tax"),
+            });
         }
-        let mut total_latency = 0.0;
         let net = NetworkModel::default();
-        for req in &trace.requests {
-            let class = engine.serve(0, req);
-            total_latency += engine.latency_of(&net, class);
-        }
+        let metrics = Engine::new(&mut engine, std::slice::from_ref(&trace), &net)
+            .run(&mut SimClock::compat(), &recorder);
         let snap = recorder.snapshot();
-        let avg = total_latency / trace.requests.len() as f64;
+        let avg = metrics.avg_latency();
+        let served: u64 = snap.requests_by_class.iter().sum();
+        assert_eq!(served, trace.requests.len() as u64, "the recorder saw every request");
         if mloss == 0.0 && dup == 0.0 {
             baseline_by_class = Some(snap.requests_by_class);
         } else if mloss == 0.0 {
@@ -88,10 +83,11 @@ fn main() {
             );
         }
         println!(
-            "{:>8.2}{:>8.2}{:>12.4}{:>12}{:>12}{:>12}{:>12}",
+            "{:>8.2}{:>8.2}{:>12.4}{:>10}{:>12}{:>12}{:>12}{:>12}",
             mloss,
             dup,
             avg,
+            served,
             snap.message_retries,
             snap.message_dedups,
             snap.checksum_failures,

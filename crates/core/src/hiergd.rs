@@ -29,9 +29,8 @@
 
 use crate::engine::{Admission, SchemeEngine};
 use crate::metrics::RunMetrics;
-use crate::net::{HitClass, LatencyModel, NetworkModel};
+use crate::net::{HitClass, NetworkModel};
 use crate::recorder::{NoopRecorder, Recorder};
-use std::cell::Cell;
 use webcache_p2p::{DirectoryKind, P2PClientCache, P2PClientCacheConfig, P2pEvent, P2pSink};
 use webcache_pastry::PastryConfig;
 use webcache_policy::{BoundedCache, DenseIndex, GreedyDualCache};
@@ -108,12 +107,6 @@ pub struct HierGdEngine<R: Recorder = NoopRecorder> {
     net: NetworkModel,
     opts: HierGdOptions,
     recorder: R,
-    /// Timeout-equivalent stalls accrued by the request just served
-    /// (crashed-node detection, message loss, slow holders); drained by
-    /// [`SchemeEngine::latency_of`], which charges `t_timeout` each.
-    /// Always zero in fault-free runs, so the plain latency model is
-    /// untouched. `Cell` because `latency_of` takes `&self`.
-    pending_timeouts: Cell<u64>,
     /// True once any fault/membership hook has run; gates the per-request
     /// fault-penalty drain, which can only ever see zeros before then.
     faults_touched: bool,
@@ -190,15 +183,7 @@ impl<R: Recorder> HierGdEngine<R> {
             // probes from a bitset.
             proxy.p2p.enable_dense_directory(&object_ids);
         }
-        HierGdEngine {
-            proxies,
-            object_ids,
-            net,
-            opts,
-            recorder,
-            pending_timeouts: Cell::new(0),
-            faults_touched: false,
-        }
+        HierGdEngine { proxies, object_ids, net, opts, recorder, faults_touched: false }
     }
 
     fn oid(&self, object: ObjectId) -> u128 {
@@ -229,7 +214,7 @@ impl<R: Recorder> HierGdEngine<R> {
     /// Inserts a fetched object into proxy `p`'s cache and destages the
     /// eviction victim into the P2P client cache (Fig. 1), piggybacked on
     /// the response to `client` when enabled (§4.4).
-    fn admit(&mut self, p: usize, object: ObjectId, fetch_cost: f64, client: u32) {
+    fn cache_fetched(&mut self, p: usize, object: ObjectId, fetch_cost: f64, client: u32) {
         let evicted = self.proxies[p].cache.insert_with_cost(object, fetch_cost, 1.0);
         if let Some(victim) = evicted {
             // The victim's credit in the client cache restarts at its
@@ -288,7 +273,7 @@ impl<R: Recorder> HierGdEngine<R> {
     }
 
     /// The five-level miss cascade (module docs); split from
-    /// [`SchemeEngine::serve`] so the caller can drain fault penalties
+    /// [`SchemeEngine::admit`] so the caller can drain fault penalties
     /// once, after whatever subset of clusters the cascade touched.
     fn serve_cascade(&mut self, p: usize, request: &Request) -> HitClass {
         let object = request.object;
@@ -323,7 +308,7 @@ impl<R: Recorder> HierGdEngine<R> {
             if served {
                 if self.opts.promote_on_p2p_hit {
                     let fetch = self.net.fetch_cost(HitClass::OwnP2p);
-                    self.admit(p, object, fetch, request.client);
+                    self.cache_fetched(p, object, fetch, request.client);
                 }
                 return HitClass::OwnP2p;
             }
@@ -337,7 +322,7 @@ impl<R: Recorder> HierGdEngine<R> {
             let remote_cost = self.refetch_cost(q, object);
             self.proxies[q].cache.touch_with_cost(object, remote_cost, 1.0);
             let fetch = self.net.fetch_cost(HitClass::CoopProxy);
-            self.admit(p, object, fetch, request.client);
+            self.cache_fetched(p, object, fetch, request.client);
             return HitClass::CoopProxy;
         }
         // 4. Cooperating proxies' P2P client caches via push (§4.5).
@@ -352,54 +337,38 @@ impl<R: Recorder> HierGdEngine<R> {
                 .is_some();
             if pushed {
                 let fetch = self.net.fetch_cost(HitClass::CoopP2p);
-                self.admit(p, object, fetch, request.client);
+                self.cache_fetched(p, object, fetch, request.client);
                 return HitClass::CoopP2p;
             }
         }
         // 5. Origin server.
         let fetch = self.net.fetch_cost(HitClass::Server);
-        self.admit(p, object, fetch, request.client);
+        self.cache_fetched(p, object, fetch, request.client);
         HitClass::Server
     }
 }
 
 impl<R: Recorder> SchemeEngine for HierGdEngine<R> {
+    /// The hit class of [`admit`](SchemeEngine::admit); its transport
+    /// stalls are drained and dropped, so nothing prices them.
     fn serve(&mut self, p: usize, request: &Request) -> HitClass {
+        self.admit(p, request).class
+    }
+
+    /// The cascade, then the timeout stalls it accrued anywhere it went
+    /// (own cluster, cooperating clusters via push), drained into the
+    /// [`Admission`]: the event loop schedules them as timeout events and
+    /// the default `price` charges `t_timeout` each. Zero on fault-free
+    /// runs, and the drain is skipped entirely until a fault hook has run.
+    fn admit(&mut self, p: usize, request: &Request) -> Admission {
         let class = self.serve_cascade(p, request);
-        // Timeout stalls accrued anywhere the cascade went (own cluster,
-        // cooperating clusters via push). Zero on fault-free runs, and
-        // the drain is skipped entirely until a fault hook has run.
+        let mut stalls = 0u64;
         if self.faults_touched {
-            let mut stalls = 0u64;
             for proxy in &mut self.proxies {
                 stalls += proxy.p2p.take_fault_penalties();
             }
-            if stalls != 0 {
-                self.pending_timeouts.set(self.pending_timeouts.get() + stalls);
-            }
         }
-        class
-    }
-
-    /// Admission continuation split: the cascade runs (banking transport
-    /// stalls into the pending cell), then the stalls are drained into
-    /// the [`Admission`] so the event loop can schedule them as timeout
-    /// events. The default `price` then charges exactly what the old
-    /// inline `latency_of` drain charged — `latency_of` below sees an
-    /// empty cell and adds nothing.
-    fn admit(&mut self, p: usize, request: &Request) -> Admission {
-        let class = self.serve(p, request);
-        Admission { class, stalls: self.pending_timeouts.replace(0) }
-    }
-
-    fn latency_of(&self, model: &dyn LatencyModel, class: HitClass) -> f64 {
-        let base = model.latency(class);
-        let stalls = self.pending_timeouts.replace(0);
-        if stalls == 0 {
-            base
-        } else {
-            base + stalls as f64 * model.t_timeout()
-        }
+        Admission { class, stalls }
     }
 
     fn finish(&mut self, metrics: &mut RunMetrics) {
@@ -420,6 +389,7 @@ mod tests {
     use crate::engine::Engine;
     use crate::lfu_schemes::LfuFamilyEngine;
     use crate::metrics::latency_gain_percent;
+    use webcache_p2p::TransportFaults;
     use webcache_workload::{ProWGen, ProWGenConfig};
 
     fn run<E: SchemeEngine + ?Sized>(e: &mut E, ts: &[Trace], net: &NetworkModel) -> RunMetrics {
@@ -558,5 +528,32 @@ mod tests {
         let m = run(&mut e, &ts, &NetworkModel::default());
         assert_eq!(m.requests, 10_000);
         assert!(m.count(HitClass::OwnP2p) > 0);
+    }
+
+    #[test]
+    fn stalls_of_served_requests_never_reach_a_later_admission() {
+        // Two engines behind the same seeded lossy transport: one serves
+        // all but the last request, the other admits them all. The state
+        // is the same either way, so the last admission must report the
+        // same stalls — its own, none banked by the earlier `serve`s.
+        let ts = traces(1, 3_000, 500);
+        let lossy = || {
+            let mut e = engine(1, 10, 10, 4, 500);
+            e.cluster_mut(0).0.set_transport(TransportFaults {
+                loss: 0.3,
+                seed: 0x5_7A11,
+                ..TransportFaults::none()
+            });
+            e
+        };
+        let (mut served, mut admitted) = (lossy(), lossy());
+        let (last, rest) = ts[0].requests.split_last().unwrap();
+        let mut earlier_stalls = 0;
+        for r in rest {
+            served.serve(0, r);
+            earlier_stalls += admitted.admit(0, r).stalls;
+        }
+        assert!(earlier_stalls > 0, "the lossy transport must stall earlier requests");
+        assert_eq!(served.admit(0, last), admitted.admit(0, last));
     }
 }

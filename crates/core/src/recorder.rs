@@ -212,7 +212,7 @@ counters! {
     evictions,
     /// Evictions that invalidated a diversion pointer.
     pointer_invalidations,
-    /// Client machines failed.
+    /// Silent crashes detected and reclaimed (one per corpse).
     node_failures,
     /// Objects lost to failures.
     objects_lost,

@@ -1,14 +1,13 @@
-//! Cluster membership: joins, announced failures, silent crashes with
-//! lazy detection, and graceful departures.
+//! Cluster membership: joins, silent crashes with lazy detection, and
+//! graceful departures.
 //!
-//! The three ways a machine leaves — [`fail_node`], [`depart_node`] and
-//! a detected [`crash_node`] (`reclaim_node_state`) — walk the same
-//! per-node books through the primitives of the `replicas` layer, but
-//! each keeps its own operation *order*: which loss is ledgered first
-//! and which pointer is rewired before which hand-off is observable in
-//! the event stream and the goldens.
+//! The two ways a machine leaves — [`depart_node`] and a detected
+//! [`crash_node`] (`reclaim_node_state`) — walk the same per-node books
+//! through the primitives of the `replicas` layer, but each keeps its
+//! own operation *order*: which loss is ledgered first and which pointer
+//! is rewired before which hand-off is observable in the event stream
+//! and the goldens.
 //!
-//! [`fail_node`]: P2PClientCache::fail_node
 //! [`depart_node`]: P2PClientCache::depart_node
 //! [`crash_node`]: P2PClientCache::crash_node
 
@@ -290,77 +289,6 @@ impl P2PClientCache {
             adv.phantoms.clear();
         }
         debug_assert_eq!(self.resident, 0);
-    }
-
-    /// Simulates a client machine failing with an *announced* failure:
-    /// its cache contents are lost and the overlay repairs immediately.
-    /// Directory entries for lost objects are flushed (the proxy learns
-    /// of the failure by timeout). Unknown ids return a typed error
-    /// instead of panicking, and failing the last node empties the
-    /// cluster cleanly.
-    pub fn fail_node(&mut self, id: NodeId) -> Result<(), P2pError> {
-        self.fail_node_tap(id, &mut NoSink)
-    }
-
-    /// [`fail_node`](Self::fail_node) with an observability sink: emits
-    /// one [`P2pEvent::NodeFailed`] carrying the number of objects lost.
-    pub fn fail_node_tap<S: P2pSink>(&mut self, id: NodeId, sink: &mut S) -> Result<(), P2pError> {
-        self.space_hint = None;
-        let Some(node) = self.nodes.remove(&id.0) else {
-            return Err(P2pError::UnknownNode(id));
-        };
-        let mut objects_lost = 0u32;
-        // Objects stored here are gone (announced failure loses state; it
-        // is detection via `crash_node` that rescues replicas). `node` is
-        // owned (already removed from the map), so its store can be walked
-        // in heap order without snapshotting the keys into a Vec first.
-        for obj in node.store.keys() {
-            self.resident -= 1;
-            objects_lost += 1;
-            self.directory.remove(obj);
-            // The primary is lost, so its replica copies are dead weight.
-            let (_owner, hosts) = self.unlink_removed_primary(&node, obj);
-            self.consume_replicas(&hosts, obj);
-            self.note_lost(obj, !hosts.is_empty(), sink);
-        }
-        // Replica copies this node hosted: unlink from their roots.
-        self.unlink_replicas_hosted_by(&node);
-        // Objects this node had diverted elsewhere lose their pointers
-        // with the node, making them unreachable; drop them from their
-        // hosts and the directory.
-        for (obj, host) in &node.diverted_to {
-            self.directory.remove(*obj);
-            let mut dropped = false;
-            if let Some(hn) = self.nodes.get_mut(&host.0) {
-                if hn.store.remove(*obj) {
-                    self.resident -= 1;
-                    objects_lost += 1;
-                    dropped = true;
-                }
-                hn.hosted_for.remove(obj);
-            }
-            let replica_hosts = node.replicated_to.get(obj).map_or(&[][..], Vec::as_slice);
-            self.consume_replicas(replica_hosts, *obj);
-            if dropped {
-                self.note_lost(*obj, !replica_hosts.is_empty(), sink);
-            }
-        }
-        if S::ENABLED {
-            sink.event(P2pEvent::NodeFailed { objects_lost });
-        }
-        // An announced failure also covers a node that had silently
-        // crashed earlier (operator removes a corpse): `Overlay::fail`
-        // accepts both live and crashed members.
-        self.overlay.fail(id).expect("overlay membership mirrors the node map");
-        if let Some(f) = self.faults.as_mut() {
-            f.clear_slow(id);
-        }
-        if self.nodes.is_empty() {
-            self.cluster_emptied(sink);
-        } else {
-            self.remap_clients_away_from(id);
-        }
-        Ok(())
     }
 
     /// Joins a new client cache to the cluster mid-run (churn). The new

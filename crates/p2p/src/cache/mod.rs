@@ -26,8 +26,8 @@
 //!   push, each one body generic over `const ARMED: bool`;
 //! * `replicas` — placement primitives (diversion pointers, replica
 //!   sets, failure domains), limbo, promotion and the loss ledger;
-//! * `membership` — join, announced failure, silent crash and its lazy
-//!   detection, graceful departure;
+//! * `membership` — join, silent crash and its lazy detection, graceful
+//!   departure;
 //! * `partition` — split-brain islands and the heal-time anti-entropy
 //!   sweep;
 //! * `adversary` — misbehaving participants and the audit defense;

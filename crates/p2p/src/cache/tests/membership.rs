@@ -8,7 +8,7 @@ fn node_failure_loses_objects_but_stays_consistent() {
     }
     let victim = c.node_ids().next().unwrap();
     let before = c.len();
-    c.fail_node(victim).unwrap();
+    crash_detected(&mut c, victim, &mut NoSink);
     assert!(c.len() <= before);
     let problems = c.check_invariants();
     assert!(problems.is_empty(), "{problems:?}");
@@ -50,10 +50,10 @@ fn join_node_accepts_traffic() {
 fn capacity_follows_live_membership() {
     let mut c = small(10, 7);
     let victim = c.node_ids().next().unwrap();
-    c.fail_node(victim).unwrap();
+    c.depart_node(victim).unwrap();
     c.join_node(NodeId::from_bytes(b"capacity-joiner-1"));
     c.join_node(NodeId::from_bytes(b"capacity-joiner-2"));
-    assert_eq!(c.capacity(), 77, "one fail and two joins: 11 live nodes of 7");
+    assert_eq!(c.capacity(), 77, "one departure and two joins: 11 live nodes of 7");
     // A silent crash takes the machine's space away, detected or not.
     let corpse = c.node_ids().next().unwrap();
     c.crash_node(corpse).unwrap();
@@ -64,16 +64,16 @@ fn capacity_follows_live_membership() {
 fn unknown_and_double_failures_are_typed_errors() {
     let mut c = small(4, 2);
     let ghost = NodeId::from_bytes(b"never-joined");
-    assert_eq!(c.fail_node(ghost), Err(P2pError::UnknownNode(ghost)));
     assert_eq!(c.depart_node(ghost), Err(P2pError::UnknownNode(ghost)));
     assert_eq!(c.crash_node(ghost), Err(P2pError::UnknownNode(ghost)));
     let victim = c.node_ids().next().unwrap();
     c.crash_node(victim).unwrap();
     assert_eq!(c.crash_node(victim), Err(P2pError::AlreadyCrashed(victim)));
     assert_eq!(c.depart_node(victim), Err(P2pError::AlreadyCrashed(victim)));
-    // An announced failure can still clean up a silent corpse.
-    c.fail_node(victim).unwrap();
-    assert_eq!(c.fail_node(victim), Err(P2pError::UnknownNode(victim)));
+    // Once detected, the corpse is no member at all.
+    c.detect_crash(victim, &mut NoSink);
+    assert_eq!(c.crash_node(victim), Err(P2pError::UnknownNode(victim)));
+    assert_eq!(c.depart_node(victim), Err(P2pError::UnknownNode(victim)));
     assert!(c.check_invariants().is_empty());
 }
 
@@ -106,7 +106,7 @@ fn empty_cluster_degrades_instead_of_panicking() {
     }
     let ids: Vec<NodeId> = c.node_ids().collect();
     for id in ids {
-        c.fail_node(id).unwrap();
+        c.depart_node(id).unwrap();
     }
     assert_eq!(c.len(), 0);
     assert!(c.directory().is_empty(), "empty cluster flushes the directory");
@@ -212,7 +212,7 @@ fn emptying_the_cluster_ledgers_limbo_before_the_wipe() {
     // each is ledgered — a wipe must not be a silent loss.
     let rest: Vec<NodeId> = c.node_ids().collect();
     for id in rest {
-        c.fail_node_tap(id, &mut sink).unwrap();
+        c.depart_node_tap(id, &mut sink).unwrap();
     }
     assert!(c.limbo.is_empty() && c.directory().is_empty() && c.is_empty());
     assert!(c.ledger().objects_lost >= parked);

@@ -25,6 +25,13 @@ fn small_k(nodes: usize, cap: usize, k: usize) -> P2PClientCache {
     })
 }
 
+/// Crashes `id` silently and detects the corpse at once: the machine
+/// leaves with its store, whose primaries park in limbo for lazy repair.
+fn crash_detected(c: &mut P2PClientCache, id: NodeId, sink: &mut impl P2pSink) {
+    c.crash_node_tap(id, sink).unwrap();
+    c.detect_crash(id, sink);
+}
+
 fn oid(i: u64) -> u128 {
     object_id_for_url(&format!("http://origin.example/obj/{i}"))
 }

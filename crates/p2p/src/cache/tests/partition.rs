@@ -121,7 +121,7 @@ fn clients_of_a_lost_island_a_machine_remap_inside_island_a() {
     let joiner = NodeId(u128::MAX - 7);
     c.join_node(joiner);
     assert!(c.in_island_a(joiner));
-    c.fail_node(first).unwrap();
+    crash_detected(&mut c, first, &mut NoSink);
     for client in 0..20 {
         assert_eq!(c.node_for_client(client), joiner, "client {client} entered across the cut");
     }

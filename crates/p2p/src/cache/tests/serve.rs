@@ -202,9 +202,9 @@ fn fetches_charge_the_overlay_walk_and_reroute_after_churn() {
     assert_eq!(first, second, "identical fetches, identical outcomes");
     // Membership changes move ownership; routes follow at once.
     let victim = c.node_ids().next().unwrap();
-    c.fail_node(victim).unwrap();
+    c.depart_node(victim).unwrap();
     for o in resident(&c) {
-        assert_ne!(fetch_checked(&mut c, 2, o).holder, victim, "route led to a failed node");
+        assert_ne!(fetch_checked(&mut c, 2, o).holder, victim, "route led to a departed node");
     }
     c.join_node(NodeId::from_bytes(b"late-joining-cache-node"));
     for o in resident(&c) {
@@ -226,7 +226,7 @@ fn tap_events_mirror_ledger_counters() {
     let o = c.node_ids().next().and_then(|n| c.node(n).unwrap().objects().next()).unwrap();
     assert!(c.push_fetch_tap(o, 1.0, &mut sink).is_some());
     let victim = c.node_ids().next().unwrap();
-    c.fail_node_tap(victim, &mut sink).unwrap();
+    crash_detected(&mut c, victim, &mut sink);
     c.join_node_tap(NodeId::from_bytes(b"tap-newcomer"), &mut sink);
 
     let count = |f: &dyn Fn(&P2pEvent) -> bool| sink.count(f);
@@ -495,7 +495,7 @@ fn contract_step(c: &mut P2PClientCache, (kind, a, b): (u8, u64, u32)) -> String
         }
         15 if c.node_ids().count() > 2 => {
             let victim = c.node_ids().nth(b as usize % c.node_ids().count()).unwrap();
-            format!("{:?}", c.fail_node(victim))
+            format!("{:?}", c.depart_node(victim))
         }
         _ => String::new(),
     }

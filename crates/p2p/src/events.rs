@@ -60,10 +60,11 @@ pub enum P2pEvent {
         /// diversion pointer had to be invalidated (one overlay message).
         pointer_invalidated: bool,
     },
-    /// A client machine failed; its cache contents were lost.
+    /// A silent crash was detected and the corpse's state reclaimed: its
+    /// primaries park in limbo for lazy repair from their replicas.
     NodeFailed {
-        /// Resident objects that became unreachable (stored on the node
-        /// or stranded behind its diversion pointers).
+        /// Objects with no surviving copy (stored on the corpse, or
+        /// stranded behind its diversion pointers, without a replica).
         objects_lost: u32,
     },
     /// A client machine joined mid-run; keys it now roots migrated to it.

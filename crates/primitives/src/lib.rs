@@ -51,6 +51,6 @@ pub use fxhash::{
 };
 pub use seed::Bernoulli;
 pub use sha1::Sha1;
-pub use stats::{Histogram, LinearFit, Log2Histogram, Log2Snapshot, OnlineStats, ShardedCounter};
+pub use stats::{LinearFit, Log2Histogram, Log2Snapshot, ShardedCounter};
 pub use sumtree::SumTree;
 pub use xxhash::xxh64;

@@ -1,97 +1,12 @@
-//! Online statistics used to validate workload shape and report results.
+//! Statistics used to validate workload shape and record results.
 //!
 //! The workload generator's tests verify that generated traces actually have
 //! the statistical properties the paper assumes (Zipf popularity slope,
-//! one-timer fraction, temporal locality); those checks are built on the
-//! helpers here. The benchmark harnesses also use [`OnlineStats`] to report
-//! mean latencies without storing per-request samples.
+//! one-timer fraction, temporal locality); those checks are built on
+//! [`linear_fit`]. The lock-free [`ShardedCounter`] and [`Log2Histogram`]
+//! back the simulator's stats recorder.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-
-/// Welford online mean/variance accumulator.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        OnlineStats { n: 0, mean: 0.0, m2: 0.0, min: f64::INFINITY, max: f64::NEG_INFINITY }
-    }
-
-    /// Adds one sample.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0 for < 2 samples).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest sample seen (+inf if empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest sample seen (-inf if empty).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Merges another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n = self.n + other.n;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.n as f64 / n as f64;
-        let m2 = self.m2 + other.m2 + delta * delta * self.n as f64 * other.n as f64 / n as f64;
-        self.n = n;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
 
 /// Ordinary least-squares fit `y = slope * x + intercept`.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -129,68 +44,6 @@ pub fn linear_fit(points: &[(f64, f64)]) -> Option<LinearFit> {
     let ss_res: f64 = points.iter().map(|p| (p.1 - (slope * p.0 + intercept)).powi(2)).sum();
     let r2 = if ss_tot > 0.0 { 1.0 - ss_res / ss_tot } else { 1.0 };
     Some(LinearFit { slope, intercept, r2 })
-}
-
-/// Fixed-bucket histogram over `[0, bound)` with an overflow bucket.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    bound: f64,
-    buckets: Vec<u64>,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// `buckets` equal-width buckets covering `[0, bound)`.
-    pub fn new(bound: f64, buckets: usize) -> Self {
-        assert!(bound > 0.0 && buckets > 0);
-        Histogram { bound, buckets: vec![0; buckets], overflow: 0 }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, x: f64) {
-        if x < 0.0 {
-            return;
-        }
-        let idx = (x / self.bound * self.buckets.len() as f64) as usize;
-        if idx < self.buckets.len() {
-            self.buckets[idx] += 1;
-        } else {
-            self.overflow += 1;
-        }
-    }
-
-    /// Total recorded samples.
-    pub fn count(&self) -> u64 {
-        self.buckets.iter().sum::<u64>() + self.overflow
-    }
-
-    /// Count landing above `bound`.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Approximate quantile (`q` in 0..=1) by bucket interpolation.
-    pub fn quantile(&self, q: f64) -> f64 {
-        let total = self.count();
-        if total == 0 {
-            return 0.0;
-        }
-        let target = (q.clamp(0.0, 1.0) * total as f64).ceil() as u64;
-        let mut acc = 0u64;
-        let width = self.bound / self.buckets.len() as f64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            acc += c;
-            if acc >= target {
-                return (i as f64 + 0.5) * width;
-            }
-        }
-        self.bound
-    }
-
-    /// Raw bucket counts.
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
 }
 
 /// Number of independent shards in a [`ShardedCounter`].
@@ -252,13 +105,6 @@ impl ShardedCounter {
     /// Sum of all shards.
     pub fn get(&self) -> u64 {
         self.shards.iter().map(|s| s.0.load(Ordering::Relaxed)).sum()
-    }
-
-    /// Folds another counter's shards into this one (parallel reduction).
-    pub fn merge(&self, other: &ShardedCounter) {
-        for (mine, theirs) in self.shards.iter().zip(&other.shards) {
-            mine.0.fetch_add(theirs.0.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
     }
 }
 
@@ -357,16 +203,6 @@ impl Log2Histogram {
         }
     }
 
-    /// Folds another histogram into this one (parallel reduction).
-    pub fn merge(&self, other: &Log2Histogram) {
-        for (mine, theirs) in self.buckets.iter().zip(&other.buckets) {
-            mine.fetch_add(theirs.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        self.count.fetch_add(other.count(), Ordering::Relaxed);
-        self.sum.fetch_add(other.sum(), Ordering::Relaxed);
-        self.max.fetch_max(other.max(), Ordering::Relaxed);
-    }
-
     /// A plain-data copy of the current state.
     pub fn snapshot(&self) -> Log2Snapshot {
         Log2Snapshot {
@@ -454,67 +290,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn online_stats_basic() {
-        let mut s = OnlineStats::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.push(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert!((s.stddev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-    }
-
-    #[test]
-    fn online_stats_empty() {
-        let s = OnlineStats::new();
-        assert_eq!(s.count(), 0);
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let data: Vec<f64> = (0..1000).map(|i| ((i * 37) % 101) as f64).collect();
-        let mut whole = OnlineStats::new();
-        for &x in &data {
-            whole.push(x);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in &data[..317] {
-            a.push(x);
-        }
-        for &x in &data[317..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = OnlineStats::new();
-        a.push(1.0);
-        a.push(3.0);
-        let before = a;
-        a.merge(&OnlineStats::new());
-        assert_eq!(a.count(), before.count());
-        assert_eq!(a.mean(), before.mean());
-
-        let mut empty = OnlineStats::new();
-        empty.merge(&before);
-        assert_eq!(empty.count(), 2);
-        assert!((empty.mean() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn linear_fit_exact_line() {
         let pts: Vec<(f64, f64)> = (0..10).map(|i| (i as f64, 3.0 * i as f64 - 2.0)).collect();
         let fit = linear_fit(&pts).unwrap();
@@ -536,28 +311,6 @@ mod tests {
             (1..=100).map(|i| ((i as f64).ln(), (i as f64).powf(-0.8).ln())).collect();
         let fit = linear_fit(&pts).unwrap();
         assert!((fit.slope + 0.8).abs() < 1e-9);
-    }
-
-    #[test]
-    fn histogram_quantiles() {
-        let mut h = Histogram::new(100.0, 100);
-        for i in 0..100 {
-            h.record(i as f64);
-        }
-        assert_eq!(h.count(), 100);
-        let med = h.quantile(0.5);
-        assert!((med - 50.0).abs() < 2.0, "median {med}");
-        let p90 = h.quantile(0.9);
-        assert!((p90 - 90.0).abs() < 2.0, "p90 {p90}");
-    }
-
-    #[test]
-    fn histogram_overflow_and_negative() {
-        let mut h = Histogram::new(10.0, 10);
-        h.record(100.0);
-        h.record(-5.0); // ignored
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.count(), 1);
     }
 
     #[test]
@@ -618,24 +371,6 @@ mod tests {
     }
 
     #[test]
-    fn log2_histogram_merge_matches_sequential() {
-        let a = Log2Histogram::new();
-        let b = Log2Histogram::new();
-        let whole = Log2Histogram::new();
-        for i in 0..500u64 {
-            let v = (i * 7919) % 4096;
-            whole.record(v);
-            if i % 2 == 0 {
-                a.record(v);
-            } else {
-                b.record(v);
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a.snapshot(), whole.snapshot());
-    }
-
-    #[test]
     fn sharded_counter_concurrent_adds() {
         let c = ShardedCounter::new();
         std::thread::scope(|s| {
@@ -648,22 +383,6 @@ mod tests {
             }
         });
         assert_eq!(c.get(), 80_000);
-    }
-
-    #[test]
-    fn sharded_counter_merge() {
-        let a = ShardedCounter::new();
-        let b = ShardedCounter::new();
-        a.add(5);
-        b.add(7);
-        // Merge from a second thread so the two counters have hot shards
-        // at different indices; the merged total must still be exact.
-        std::thread::scope(|s| {
-            s.spawn(|| b.add(8));
-        });
-        a.merge(&b);
-        assert_eq!(a.get(), 20);
-        assert_eq!(b.get(), 15, "merge must not mutate the source");
     }
 
     #[test]

@@ -18,7 +18,7 @@ use webcache::p2p::TransportFaults;
 use webcache::primitives::seed::derive;
 use webcache::sim::engine::SchemeEngine;
 use webcache::sim::hiergd::{HierGdEngine, HierGdOptions};
-use webcache::sim::{NetworkModel, StatsRecorder, StatsSnapshot};
+use webcache::sim::{Engine, NetworkModel, SimClock, StatsRecorder, StatsSnapshot};
 use webcache::workload::{ProWGen, ProWGenConfig, Trace};
 
 const GOLDEN_PATH: &str = "tests/golden/transport_end_state.txt";
@@ -34,8 +34,9 @@ fn trace() -> Trace {
     .generate()
 }
 
-/// Drives one Hier-GD engine over the trace, optionally through a lossy
-/// transport, and returns the canonical end state + counters.
+/// Drives one Hier-GD engine over the trace through the compat-clock
+/// run loop, optionally behind a lossy transport, and returns the
+/// canonical end state + counters (per-class request counts included).
 fn end_state(trace: &Trace, faults: Option<TransportFaults>) -> (String, StatsSnapshot) {
     let recorder = Arc::new(StatsRecorder::new());
     let mut engine = HierGdEngine::with_recorder(
@@ -49,11 +50,11 @@ fn end_state(trace: &Trace, faults: Option<TransportFaults>) -> (String, StatsSn
         Arc::clone(&recorder),
     );
     if let Some(f) = faults {
-        engine.set_client_transport(0, f);
+        engine.cluster_mut(0).0.set_transport(f);
     }
-    for req in &trace.requests {
-        engine.serve(0, req);
-    }
+    let net = NetworkModel::default();
+    Engine::new(&mut engine, std::slice::from_ref(trace), &net)
+        .run(&mut SimClock::compat(), &recorder);
     (engine.p2p(0).contents_snapshot(), recorder.snapshot())
 }
 
@@ -74,6 +75,7 @@ fn duplication_and_reordering_leave_end_state_byte_identical() {
     assert!(faulty_stats.message_dedups > 0, "no duplicate deliveries were drawn");
     // …and every request must have been served from the same tier: a
     // dup or reorder draw is priced, never allowed to change routing.
+    assert_eq!(clean_stats.requests_by_class.iter().sum::<u64>(), trace.requests.len() as u64);
     assert_eq!(clean_stats.requests_by_class, faulty_stats.requests_by_class);
     // The contract itself: cache contents, replica sets, the lookup
     // directory and the limbo set are byte-identical.
@@ -104,7 +106,7 @@ fn lossy_transport_may_shed_state_but_never_corrupts_it() {
         HierGdOptions { replication: 2, ..HierGdOptions::default() },
         Arc::clone(&recorder),
     );
-    engine.set_client_transport(0, faults);
+    engine.cluster_mut(0).0.set_transport(faults);
     for req in &trace.requests {
         engine.serve(0, req);
     }
