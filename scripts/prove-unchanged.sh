@@ -82,6 +82,16 @@ surfaces() { # $1 = binary, $2 = output directory
     keep churn_skill_$clock.txt "$bin" churn --requests 20000 --clock $clock \
       --plan 'crash@500,depart@900,mloss=0.05,dup=0.05,reorder=0.05,corrupt=0.02,seed=99' \
       --report-out churn_skill_$clock.json
+    # Repair-heavy: a domain failure under the proactive repair scheduler
+    # at the benchmark's shape, on the trace seed that once broke its
+    # books, at the benchmark's scan budget and at eight times it.
+    for pace in 8 64; do
+      keep churn_repair${pace}_$clock.txt "$bin" churn \
+        --plan "domainfail@50000:3,domains=8,repair=$pace,seed=103" \
+        --requests 200000 --objects 5000 --clients 128 --replication 2 \
+        --trace-seed 1279518340424449214 --clock $clock \
+        --report-out churn_repair${pace}_$clock.json
+    done
 
     for forced in base partition adversary flash burst; do
       local flag=""
@@ -97,6 +107,9 @@ surfaces() { # $1 = binary, $2 = output directory
     keep $scenario.txt "$bin" $scenario \
       --report-out $scenario.json --csv-out $scenario.csv
   done
+  # Off-default durability: k = 3 and a slow scan budget.
+  keep durability_k3.txt "$bin" durability --bursts 4,16 --ks 2,3 --repair 2 --clock event \
+    --report-out durability_k3.json --csv-out durability_k3.csv
   keep chaos_sabotage.json "$bin" chaos --plans 40 --seed 42 --sabotage true --json true
 
   # Error paths: the message and the exit code are what a CLI refactor
