@@ -278,8 +278,10 @@ pub(crate) fn drive(
                 debug_invariants(&engine, format_args!("at request {i} ({:032x})", req.object));
 
                 // Proactive repair: one paced scheduler step per round.
-                // Scanning is a local read of the proxy's own directory
-                // and costs nothing, but each entry the step actually
+                // Its scan units (`scanned`, the ledger's `repair_scans`)
+                // are bookkeeping and cost no model time; a corpse
+                // probe's timeout lands in the fault penalties the next
+                // admission drains. Each entry the step actually
                 // *restored* moved an object copy over the LAN — under
                 // the event clock that is real proxy work, one LAN round
                 // trip of busy time per restored entry, so a repair storm

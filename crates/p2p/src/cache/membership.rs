@@ -31,6 +31,7 @@ impl P2PClientCache {
     pub fn crash_node_tap<S: P2pSink>(&mut self, id: NodeId, sink: &mut S) -> Result<(), P2pError> {
         self.space_hint = None;
         self.overlay.crash(id)?;
+        self.books_changed();
         if S::ENABLED {
             let at_risk =
                 self.nodes.get(&id.0).map_or(0, |n| n.store.len().min(u32::MAX as usize) as u32);
@@ -68,6 +69,7 @@ impl P2PClientCache {
             return Err(P2pError::UnknownNode(id));
         };
         self.overlay.fail(id).expect("overlay membership mirrors the node map");
+        self.books_changed();
         if let Some(f) = self.faults.as_mut() {
             f.clear_slow(id);
         }
@@ -121,6 +123,7 @@ impl P2PClientCache {
     /// A crashed node has been detected: repair the overlay (if the walk
     /// that found it has not already) and reclaim the p2p bookkeeping.
     pub(super) fn detect_crash<S: P2pSink>(&mut self, dead: NodeId, sink: &mut S) {
+        self.books_changed();
         if self.overlay.is_crashed(dead) {
             let _ = self.overlay.fail(dead);
         }
@@ -327,6 +330,7 @@ impl P2PClientCache {
             adv.admit(id);
         }
         let msgs = self.overlay.join(id);
+        self.books_changed();
         self.ledger.overlay_messages += msgs as u64;
         self.nodes.insert(id.0, ClientCacheNode::new(id, self.cfg.node_capacity));
         if let Some(dom) = self.domains.as_mut() {

@@ -127,6 +127,7 @@ impl P2PClientCache {
         if !self.overlay.start_partition(live[..cut].iter().map(|&k| NodeId(k))) {
             return false;
         }
+        self.books_changed();
         // Clients reach the cluster through the proxy, which sits on
         // island A: remap every entry point stranded across the cut.
         let anchor = NodeId(live[0]);
@@ -247,6 +248,7 @@ impl P2PClientCache {
             }
         }
         self.overlay.heal_partition();
+        self.books_changed();
 
         // The merged ring invalidates every replica set: scrub them
         // wholesale (crash casualties in limbo keep theirs — lazy

@@ -186,6 +186,9 @@ impl P2PClientCache {
     /// Unlinks every replica copy hosted by the removed `node` from the
     /// roots that tracked it.
     pub(super) fn unlink_replicas_hosted_by(&mut self, node: &ClientCacheNode) {
+        if !node.replicas.is_empty() {
+            self.books_changed(); // their primaries stay, one copy short
+        }
         for (obj, (_credit, root)) in &node.replicas {
             if let Some(rn) = self.nodes.get_mut(&root.0) {
                 if let Some(hs) = rn.replicated_to.get_mut(obj) {
@@ -295,7 +298,8 @@ impl P2PClientCache {
 
     /// Stores up to `k - 1` replica copies of `object` at live leaf-set
     /// members of `root` (excluding the `primary` holder), recording the
-    /// replica set at `root`. Returns the number of copies made. A strict
+    /// replica set at `root`. Returns the number of copies made; a set
+    /// created short bumps the repair scheduler's books epoch. A strict
     /// no-op when the replication factor is 1.
     pub(super) fn make_replicas(
         &mut self,
@@ -308,6 +312,9 @@ impl P2PClientCache {
             return 0;
         }
         let targets = self.replica_targets(root, primary, self.cfg.replication - 1, &[]);
+        if targets.len() < self.cfg.replication - 1 {
+            self.books_changed();
+        }
         let made = self.place_copies(object, root, &targets, credit);
         if made > 0 {
             let rn = self.nodes.get_mut(&root.0).expect("root is live");
@@ -525,7 +532,9 @@ impl P2PClientCache {
             self.ledger.overlay_messages += 1; // probe
             if mn.store.contains(object) {
                 // A stray primary whose old root died before detection:
-                // rewire the pointer from the current root.
+                // rewire the pointer from the current root. Its replica
+                // set stayed with the old root, so it comes back short.
+                self.books_changed();
                 self.link(m, root, object);
                 self.readvertise(object);
                 self.ledger.overlay_messages += 1;
@@ -547,7 +556,9 @@ impl P2PClientCache {
                 continue;
             }
             // True orphan: the tracking died with its root, and the object
-            // was accounted lost. Promote this copy under `root`.
+            // was accounted lost. Promote this copy under `root` — a
+            // primary with no replica set.
+            self.books_changed();
             self.nodes.get_mut(&m.0).expect("live").replicas.remove(&object);
             self.adopt(m, object, credit, sink); // the object is reachable again
             self.link(m, root, object);
