@@ -342,7 +342,6 @@ impl P2PClientCache {
         if !self.overlay.is_crashed(from) {
             let _ = self.overlay.fail(from);
         }
-        self.books_changed();
         self.detect_crash(from, sink);
         if S::ENABLED {
             sink.event(P2pEvent::NodeQuarantined { entries_purged, residents_parked });
