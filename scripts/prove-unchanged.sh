@@ -63,6 +63,16 @@ surfaces() { # $1 = binary, $2 = output directory
   keep run_hier-gd_event.txt "$bin" run --scheme hier-gd --cache-frac 0.2 --clock event \
     --stats-out run_hier-gd_event.json t1.bin t2.bin
   keep sweep.txt "$bin" sweep --schemes sc,fc-ec,hier-gd --fracs 0.1,0.5 t1.bin t2.bin
+  # The proxy greedy-dual at the benchmark's scale: a small and a full
+  # proxy in both clocks, and a 1,000-client cluster.
+  for frac in 0.1 1.0; do
+    for clock in compat event; do
+      keep run_full_${frac}_$clock.txt "$bin" run --scheme hier-gd --cache-frac $frac \
+        --clock $clock --stats-out run_full_${frac}_$clock.json full.bin full7.bin
+    done
+  done
+  keep run_full_c1000.txt "$bin" run --scheme hier-gd --cache-frac 0.1 --clients 1000 \
+    --stats-out run_full_c1000.json full.bin full7.bin
 
   for clock in compat event; do
     keep explain_$clock.txt "$bin" explain --cache-frac 0.2 --clock $clock \
