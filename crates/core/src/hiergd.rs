@@ -70,7 +70,7 @@ impl Default for HierGdOptions {
 }
 
 struct GdProxy {
-    /// ObjectIds are dense trace indices, so the GD heap's position
+    /// ObjectIds are dense trace indices, so the greedy-dual's position
     /// index is a flat table instead of a hash map.
     cache: GreedyDualCache<ObjectId, DenseIndex>,
     p2p: P2PClientCache,
@@ -237,11 +237,6 @@ impl<R: Recorder> HierGdEngine<R> {
     /// Immutable view of a proxy's P2P cache (tests, benches).
     pub fn p2p(&self, proxy: usize) -> &P2PClientCache {
         &self.proxies[proxy].p2p
-    }
-
-    /// Immutable view of a proxy's greedy-dual cache (tests).
-    pub fn proxy_cache(&self, proxy: usize) -> &GreedyDualCache<ObjectId, DenseIndex> {
-        &self.proxies[proxy].cache
     }
 
     /// Mutable access to `proxy`'s client cluster, for every fault and

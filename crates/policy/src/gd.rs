@@ -6,7 +6,7 @@
 //! implementation the paper alludes to keeps a global **inflation value**
 //! `L` instead: new/hit objects get `H = L + cost/size`, and eviction of
 //! the minimum-`H` object sets `L = H_min`. Both are equivalent, but the
-//! latter is O(log n) per operation.
+//! latter never visits the other residents.
 //!
 //! Two properties the paper relies on:
 //!
@@ -17,40 +17,45 @@
 //! * Hier-GD (§3) runs this algorithm at the proxy *and* in every client
 //!   cache, passing the proxy's evictions down into the P2P client cache.
 //!
-//! Priorities live in a [`MinHeap`] keyed by `(H, stamp)`; the
-//! stamp comes from a monotone clock, so `(H, stamp)` is already a total
-//! order and the eviction sequence is bit-identical to the earlier
-//! `BTreeSet<(H, stamp, key)>` implementation (a proptest below checks
-//! this against a retained reference copy) — without the B-tree's
-//! per-operation node allocation.
+//! Priorities live in the cache's [`CreditOrder`], keyed by
+//! `(H, stamp)`; the stamp comes from a monotone clock, so `(H, stamp)`
+//! is a total order and the eviction sequence is bit-identical to the
+//! earlier `BTreeSet<(H, stamp, key)>` implementation (proptests below
+//! check this against a retained reference copy). An indexed cache keeps
+//! one FIFO per increment `cost / size` — O(1) per hit and insert, and an
+//! eviction linear in the number of distinct increments seen (four at a
+//! Hier-GD proxy); a [`LinearScan`](crate::LinearScan) store keeps a flat
+//! 4-ary heap, O(log n). The `credit` module has the exactness argument.
 
-use crate::heap::{HashIndex, HeapIndex, MinHeap};
+use crate::credit::{CreditIndex, CreditOrder};
+use crate::heap::HashIndex;
 use crate::BoundedCache;
 
 /// Bounded greedy-dual cache.
 ///
-/// `X` selects how the heap finds a key: the default hash index for
-/// arbitrary keys, [`DenseIndex`](crate::DenseIndex) when keys are dense
-/// small integers (the Hier-GD proxy caches), or
-/// [`LinearScan`](crate::LinearScan) — no index, one allocation — for a
-/// store of a few entries (the client caches). The choice never changes
-/// what the cache does, [`keys`](Self::keys) order included.
+/// `X` selects how a key is found and so the order structure: the default
+/// hash index for arbitrary keys, [`DenseIndex`](crate::DenseIndex) when
+/// keys are dense small integers (the Hier-GD proxy caches) — both over
+/// one FIFO per credit increment — or [`LinearScan`](crate::LinearScan)
+/// — no index, one allocation, a flat heap — for a store of a few entries
+/// (the client caches). The choice never changes which key is evicted,
+/// the credits or the inflation; only [`keys`](Self::keys) order follows
+/// the structure.
 #[derive(Clone, Debug)]
-pub struct GreedyDualCache<K: Copy + Eq = u64, X: HeapIndex<K> = HashIndex<K>> {
+pub struct GreedyDualCache<K: Copy + Eq = u64, X: CreditIndex<K> = HashIndex<K>> {
     capacity: usize,
     /// key -> (H bits, stamp); min is the eviction victim. Stamps are
     /// unique, so the order is total without comparing keys. `H` is
     /// stored as its raw IEEE-754 bits: every credit is non-negative and
     /// finite (costs are, and `L` only advances to evicted credits), and
     /// for such values `f64::total_cmp` order equals unsigned bit order —
-    /// so the heap compares plain integers instead of running the
-    /// total_cmp bit-twiddle a dozen times per sift.
-    heap: MinHeap<(u64, u64), K, X::Locator>,
+    /// so the order compares plain integers.
+    order: X::Order,
     inflation: f64,
     clock: u64,
 }
 
-impl<K: Copy + Eq, X: HeapIndex<K>> GreedyDualCache<K, X> {
+impl<K: Copy + Eq, X: CreditIndex<K>> GreedyDualCache<K, X> {
     /// Creates a cache holding at most `capacity` unit-size objects.
     ///
     /// # Panics
@@ -59,7 +64,7 @@ impl<K: Copy + Eq, X: HeapIndex<K>> GreedyDualCache<K, X> {
         assert!(capacity > 0, "capacity must be positive");
         GreedyDualCache {
             capacity,
-            heap: MinHeap::with_capacity(capacity),
+            order: X::Order::with_capacity(capacity),
             inflation: 0.0,
             clock: 0,
         }
@@ -72,23 +77,17 @@ impl<K: Copy + Eq, X: HeapIndex<K>> GreedyDualCache<K, X> {
 
     /// Resident credit of `key` (the raw `H`, including inflation).
     pub fn h_value(&self, key: K) -> Option<f64> {
-        self.heap.priority(key).map(|(bits, _)| f64::from_bits(bits))
-    }
-
-    /// Inserts `key` (known absent) at credit `h` with a fresh stamp.
-    fn set_h_new(&mut self, key: K, h: f64) {
-        debug_assert!(h.is_finite() && h >= 0.0 && h.is_sign_positive());
-        self.clock += 1;
-        self.heap.insert_new(key, (h.to_bits(), self.clock));
+        self.order.credit(key).map(|(bits, _)| f64::from_bits(bits))
     }
 
     /// Records a hit: `H = L + cost/size`.
     /// Returns false if `key` is not resident.
     pub fn touch_with_cost(&mut self, key: K, cost: f64, size: f64) -> bool {
-        let h = self.inflation + cost / size;
+        let d = cost / size;
+        let h = self.inflation + d;
         debug_assert!(h.is_finite() && h >= 0.0 && h.is_sign_positive());
         // Single lookup: `update` both tests residency and re-stamps.
-        if self.heap.update(key, (h.to_bits(), self.clock + 1)) {
+        if self.order.update(key, (h.to_bits(), self.clock + 1), d.to_bits()) {
             self.clock += 1;
             true
         } else {
@@ -105,15 +104,18 @@ impl<K: Copy + Eq, X: HeapIndex<K>> GreedyDualCache<K, X> {
         if self.touch_with_cost(key, cost, size) {
             return None;
         }
-        let evicted = if self.heap.len() >= self.capacity { self.evict() } else { None };
-        let h = self.inflation + cost / size;
-        self.set_h_new(key, h);
+        let evicted = if self.order.len() >= self.capacity { self.evict() } else { None };
+        let d = cost / size;
+        let h = self.inflation + d;
+        debug_assert!(h.is_finite() && h >= 0.0 && h.is_sign_positive());
+        self.clock += 1;
+        self.order.insert_new(key, (h.to_bits(), self.clock), d.to_bits());
         evicted
     }
 
     /// Evicts the minimum-credit object, advancing `L` to its credit.
     pub fn evict(&mut self) -> Option<K> {
-        let ((bits, _), key) = self.heap.pop_min()?;
+        let ((bits, _), key) = self.order.pop_min()?;
         let h = f64::from_bits(bits);
         // Inflation is monotone: every resident H >= L by construction.
         debug_assert!(h >= self.inflation);
@@ -123,7 +125,7 @@ impl<K: Copy + Eq, X: HeapIndex<K>> GreedyDualCache<K, X> {
 
     /// The would-be victim without evicting.
     pub fn peek_victim(&self) -> Option<K> {
-        self.heap.peek_min().map(|(_, k)| k)
+        self.order.peek_min()
     }
 
     /// Iterates over resident keys in eviction (ascending credit) order.
@@ -131,34 +133,35 @@ impl<K: Copy + Eq, X: HeapIndex<K>> GreedyDualCache<K, X> {
     /// Builds a sorted snapshot (O(n log n)) — inspection use only. Hot
     /// paths that don't need ordering should use [`keys`](Self::keys).
     pub fn keys_by_credit(&self) -> impl Iterator<Item = K> {
-        self.heap.sorted_snapshot().into_iter().map(|(_, k)| k)
+        self.order.sorted().into_iter().map(|(_, k)| k)
     }
 
-    /// Iterates over resident keys in heap-array order, without
-    /// allocating. The order is a function of the operations applied and
-    /// is the same for every `X`; the P2P membership paths hand objects
-    /// off in it.
+    /// Iterates over resident keys without allocating, in an order that
+    /// is a function of the operations applied and of `X`: heap-array
+    /// order under [`LinearScan`](crate::LinearScan) — the order the P2P
+    /// membership paths hand a client cache's objects off in — and FIFO
+    /// by FIFO under an index.
     pub fn keys(&self) -> impl Iterator<Item = K> + '_ {
-        self.heap.iter().map(|(_, k)| k)
+        self.order.keys()
     }
 
     /// True if the cache has spare capacity.
     pub fn has_free_space(&self) -> bool {
-        self.heap.len() < self.capacity
+        self.order.len() < self.capacity
     }
 }
 
-impl<K: Copy + Eq + std::hash::Hash, X: HeapIndex<K>> BoundedCache<K> for GreedyDualCache<K, X> {
+impl<K: Copy + Eq + std::hash::Hash, X: CreditIndex<K>> BoundedCache<K> for GreedyDualCache<K, X> {
     fn capacity(&self) -> usize {
         self.capacity
     }
 
     fn len(&self) -> usize {
-        self.heap.len()
+        self.order.len()
     }
 
     fn contains(&self, key: K) -> bool {
-        self.heap.contains(key)
+        self.order.contains(key)
     }
 
     fn touch(&mut self, key: K) -> bool {
@@ -170,7 +173,7 @@ impl<K: Copy + Eq + std::hash::Hash, X: HeapIndex<K>> BoundedCache<K> for Greedy
     }
 
     fn remove(&mut self, key: K) -> bool {
-        self.heap.remove(key).is_some()
+        self.order.remove(key)
     }
 }
 
@@ -440,59 +443,108 @@ mod tests {
         }
     }
 
+    /// Hier-GD's proxy costs: the default `NetworkModel`'s `fetch_cost`
+    /// of `OwnP2p`, `CoopProxy`, `CoopP2p` and `Server` (`Tp2p`, `Tc`,
+    /// `Tc + Tp2p`, `Ts` at `Tl = 1`), always charged at size 1.
+    const HIER_GD_COSTS: [f64; 4] = [1.4, 2.0, 2.0 + 1.4, 20.0];
+
+    /// Drives a `GreedyDualCache<K, X>` and the reference in lockstep
+    /// through `ops` — `(op, key, cost, size)`: insert, touch, remove,
+    /// evict — and compares after every one: the return value, the
+    /// would-be victim, the inflation and `key`'s credit to the bit, the
+    /// ascending-credit order, and `keys()` as a set.
+    fn lockstep<K, X>(
+        capacity: usize,
+        ops: impl IntoIterator<Item = (u8, K, f64, f64)>,
+    ) -> Result<(), proptest::TestCaseError>
+    where
+        K: Copy + Eq + std::hash::Hash + Ord + std::fmt::Debug,
+        X: CreditIndex<K>,
+    {
+        let mut gd: GreedyDualCache<K, X> = GreedyDualCache::new(capacity);
+        let mut oracle = reference::BTreeGreedyDualCache::new(capacity);
+        for (op, key, cost, size) in ops {
+            match op {
+                0 => proptest::prop_assert_eq!(
+                    gd.insert_with_cost(key, cost, size),
+                    oracle.insert_with_cost(key, cost, size),
+                    "eviction victims diverged"
+                ),
+                1 => proptest::prop_assert_eq!(
+                    gd.touch_with_cost(key, cost, size),
+                    oracle.touch_with_cost(key, cost, size)
+                ),
+                2 => proptest::prop_assert_eq!(gd.remove(key), oracle.remove(key)),
+                _ => proptest::prop_assert_eq!(gd.evict(), oracle.evict()),
+            }
+            proptest::prop_assert_eq!(gd.len(), oracle.len());
+            proptest::prop_assert_eq!(
+                gd.inflation().to_bits(),
+                oracle.inflation().to_bits(),
+                "inflation diverged"
+            );
+            proptest::prop_assert_eq!(gd.peek_victim(), oracle.peek_victim());
+            proptest::prop_assert_eq!(
+                gd.h_value(key).map(f64::to_bits),
+                oracle.h_value(key).map(f64::to_bits)
+            );
+            let by_credit: Vec<K> = oracle.keys_by_credit().collect();
+            let ours: Vec<K> = gd.keys_by_credit().collect();
+            proptest::prop_assert_eq!(&ours, &by_credit, "credit order diverged");
+            let mut resident: Vec<K> = gd.keys().collect();
+            resident.sort_unstable();
+            let mut expect = by_credit;
+            expect.sort_unstable();
+            proptest::prop_assert_eq!(resident, expect, "keys() set diverged");
+        }
+        Ok(())
+    }
+
+    /// A heap-ordered greedy-dual on a hash index: the order every
+    /// indexed cache kept before the FIFOs, kept here so that the client
+    /// stores' `keys()` order is still held to an indexed heap's.
+    #[derive(Debug)]
+    struct IndexedHeap;
+
+    impl CreditIndex<u128> for IndexedHeap {
+        type Order = crate::IndexedMinHeap<crate::Credit, u128>;
+    }
+
     proptest::proptest! {
-        /// The heap-backed cache must replay the reference BTreeSet
-        /// implementation *exactly*: same eviction victims in the same
-        /// order, same inflation trajectory, same credits, same victim
-        /// prediction, same ascending-credit iteration.
+        /// The default cache (hash index, FIFOs) must replay the
+        /// reference BTreeSet implementation *exactly* under arbitrary
+        /// cost/size — many increments, ties across them.
         #[test]
-        fn heap_matches_btreeset_reference(
+        fn gd_matches_btreeset_reference(
+            capacity in 1usize..9,
             ops in proptest::collection::vec(
                 (0u8..4, 0u64..25, 1u32..16, 1u32..4), 1..400
             )
         ) {
-            let mut heap_gd: GreedyDualCache = GreedyDualCache::new(5);
-            let mut ref_gd = reference::BTreeGreedyDualCache::new(5);
-            for (op, key, cost, size) in ops {
-                let (cost, size) = (cost as f64, size as f64);
-                match op {
-                    0 => {
-                        let a = heap_gd.insert_with_cost(key, cost, size);
-                        let b = ref_gd.insert_with_cost(key, cost, size);
-                        proptest::prop_assert_eq!(a, b, "eviction victims diverged");
-                    }
-                    1 => {
-                        proptest::prop_assert_eq!(
-                            heap_gd.touch_with_cost(key, cost, size),
-                            ref_gd.touch_with_cost(key, cost, size)
-                        );
-                    }
-                    2 => {
-                        proptest::prop_assert_eq!(heap_gd.remove(key), ref_gd.remove(key));
-                    }
-                    _ => {
-                        proptest::prop_assert_eq!(heap_gd.evict(), ref_gd.evict());
-                    }
-                }
-                proptest::prop_assert_eq!(heap_gd.len(), ref_gd.len());
-                proptest::prop_assert_eq!(
-                    heap_gd.inflation().to_bits(),
-                    ref_gd.inflation().to_bits(),
-                    "inflation diverged"
-                );
-                proptest::prop_assert_eq!(heap_gd.peek_victim(), ref_gd.peek_victim());
-                proptest::prop_assert_eq!(heap_gd.h_value(key), ref_gd.h_value(key));
-                let a: Vec<u64> = heap_gd.keys_by_credit().collect();
-                let b: Vec<u64> = ref_gd.keys_by_credit().collect();
-                proptest::prop_assert_eq!(a, b, "credit order diverged");
-            }
+            let ops = ops.into_iter().map(|(op, key, cost, size)| {
+                (op, key, f64::from(cost), f64::from(size))
+            });
+            lockstep::<u64, HashIndex<u64>>(capacity, ops)?;
         }
 
-        /// A client cache's store (`LinearScan`) against the same cache
-        /// on an index, at every capacity a client cache is given: each
-        /// return value, the victim, the credits, the inflation and —
-        /// what the P2P membership paths hand objects off in — the
-        /// `keys()` order must agree after every operation.
+        /// A proxy cache (`DenseIndex`, FIFOs) at Hier-GD's four costs,
+        /// with keys well past the index's initial table.
+        #[test]
+        fn dense_fifos_match_btreeset_reference_at_hier_gd_costs(
+            capacity in 1usize..40,
+            ops in proptest::collection::vec((0u8..4, 0u32..256, 0usize..4), 1..600)
+        ) {
+            let ops = ops.into_iter().map(|(op, key, cost)| (op, key, HIER_GD_COSTS[cost], 1.0));
+            lockstep::<u32, crate::DenseIndex>(capacity, ops)?;
+        }
+
+        /// A client cache's store (`LinearScan`) at every capacity a
+        /// client cache is given, against the same ops on an indexed
+        /// heap and on the default FIFOs: each return value, the victim,
+        /// the credits and the inflation must agree after every
+        /// operation, the resident set with the FIFOs, and — what the
+        /// P2P membership paths hand objects off in — the `keys()` order
+        /// with the indexed heap.
         #[test]
         fn linear_scan_matches_hash_index(
             cap in 1usize..65,
@@ -501,39 +553,63 @@ mod tests {
             )
         ) {
             let mut flat: GreedyDualCache<u128, crate::LinearScan> = GreedyDualCache::new(cap);
-            let mut indexed: GreedyDualCache<u128, HashIndex<u128>> = GreedyDualCache::new(cap);
+            let mut heap: GreedyDualCache<u128, IndexedHeap> = GreedyDualCache::new(cap);
+            let mut fifos: GreedyDualCache<u128, HashIndex<u128>> = GreedyDualCache::new(cap);
             let universe = 2 * cap as u64;
             for (op, key, cost, size) in ops {
                 // Spread the keys over the id space as SHA-derived ids are.
                 let key = u128::from(key % universe)
                     .wrapping_mul(0x9E37_79B9_7F4A_7C15_F39C_C060_5CED_C835);
                 let (cost, size) = (f64::from(cost), f64::from(size));
-                match op {
-                    0 => proptest::prop_assert_eq!(
-                        flat.insert_with_cost(key, cost, size),
-                        indexed.insert_with_cost(key, cost, size),
-                        "eviction victims diverged"
-                    ),
-                    1 => proptest::prop_assert_eq!(
-                        flat.touch_with_cost(key, cost, size),
-                        indexed.touch_with_cost(key, cost, size)
-                    ),
-                    2 => proptest::prop_assert_eq!(flat.remove(key), indexed.remove(key)),
-                    _ => proptest::prop_assert_eq!(flat.evict(), indexed.evict()),
-                }
-                proptest::prop_assert_eq!(flat.len(), indexed.len());
-                proptest::prop_assert_eq!(flat.has_free_space(), indexed.has_free_space());
-                proptest::prop_assert_eq!(
-                    flat.inflation().to_bits(),
-                    indexed.inflation().to_bits()
-                );
-                proptest::prop_assert_eq!(flat.peek_victim(), indexed.peek_victim());
-                proptest::prop_assert_eq!(flat.contains(key), indexed.contains(key));
-                proptest::prop_assert_eq!(flat.h_value(key), indexed.h_value(key));
-                let a: Vec<u128> = flat.keys().collect();
-                let b: Vec<u128> = indexed.keys().collect();
-                proptest::prop_assert_eq!(a, b, "keys() order diverged");
+                let (a, b, c) = match op {
+                    0 => {
+                        let a = flat.insert_with_cost(key, cost, size);
+                        let b = heap.insert_with_cost(key, cost, size);
+                        (a, b, fifos.insert_with_cost(key, cost, size))
+                    }
+                    1 => {
+                        let a = flat.touch_with_cost(key, cost, size).then_some(key);
+                        let b = heap.touch_with_cost(key, cost, size).then_some(key);
+                        (a, b, fifos.touch_with_cost(key, cost, size).then_some(key))
+                    }
+                    2 => {
+                        let a = flat.remove(key).then_some(key);
+                        let b = heap.remove(key).then_some(key);
+                        (a, b, fifos.remove(key).then_some(key))
+                    }
+                    _ => (flat.evict(), heap.evict(), fifos.evict()),
+                };
+                proptest::prop_assert_eq!(a, b, "flat and indexed heap diverged");
+                proptest::prop_assert_eq!(a, c, "flat heap and FIFOs diverged");
+                let seen = observe(&flat, key);
+                proptest::prop_assert_eq!(seen, observe(&heap, key));
+                proptest::prop_assert_eq!(seen, observe(&fifos, key));
+                let order: Vec<u128> = flat.keys().collect();
+                let heap_order: Vec<u128> = heap.keys().collect();
+                proptest::prop_assert_eq!(&order, &heap_order, "keys() order diverged");
+                let mut set = order;
+                set.sort_unstable();
+                let mut fifo_set: Vec<u128> = fifos.keys().collect();
+                fifo_set.sort_unstable();
+                proptest::prop_assert_eq!(set, fifo_set, "keys() set diverged");
             }
         }
+    }
+
+    /// What `linear_scan_matches_hash_index` reads back from each cache
+    /// after an operation on `key`: length, free space, inflation bits,
+    /// victim, residency and credit bits.
+    fn observe<X: CreditIndex<u128>>(
+        c: &GreedyDualCache<u128, X>,
+        key: u128,
+    ) -> (usize, bool, u64, Option<u128>, bool, Option<u64>) {
+        (
+            c.len(),
+            c.has_free_space(),
+            c.inflation().to_bits(),
+            c.peek_victim(),
+            c.contains(key),
+            c.h_value(key).map(f64::to_bits),
+        )
     }
 }

@@ -9,9 +9,9 @@
 //! traffic.
 //!
 //! How a key is resolved to its entry is the heap's [`KeyLocator`]:
-//! [`Handles`] (a [`PositionIndex`] plus handle tables — the proxies'
-//! [`IndexedMinHeap`]) or [`LinearScan`] (nothing beside the entry array
-//! — the client caches' [`FlatMinHeap`]). The tree itself, and so the
+//! [`Handles`] (a [`PositionIndex`] plus handle tables — the LFU and
+//! value stores' [`IndexedMinHeap`]) or [`LinearScan`] (nothing beside
+//! the entry array — the client caches' [`FlatMinHeap`]). The tree itself, and so the
 //! order [`MinHeap::iter`] yields, is the same under both.
 //!
 //! A 4-ary layout is used rather than binary: the tree is half as deep, and
@@ -31,9 +31,10 @@ use webcache_primitives::FxHashMap;
 /// Heap arity; 4 keeps siblings within a cache line for small priorities.
 const ARITY: usize = 4;
 
-/// Pluggable key → handle index for [`IndexedMinHeap`].
+/// Pluggable key → handle index for [`IndexedMinHeap`] and
+/// [`CreditFifos`](crate::CreditFifos).
 ///
-/// The heap consults this exactly once per operation; everything else is
+/// Either consults this exactly once per operation; everything else is
 /// flat `Vec` traffic. The default [`HashIndex`] works for any hashable
 /// key; [`DenseIndex`] replaces the hash probe with a direct array load
 /// when keys are small dense integers (the simulator's `ObjectId`s are
@@ -310,23 +311,6 @@ impl<K: Copy + Eq + Debug> KeyLocator<K> for LinearScan {
     }
 
     fn clear(&mut self) {}
-}
-
-/// Names the [`KeyLocator`] a policy's heap uses: any [`PositionIndex`]
-/// stands for [`Handles`] over it, [`LinearScan`] for itself. This is what
-/// lets `GreedyDualCache<K, DenseIndex>` and `GreedyDualCache<K,
-/// LinearScan>` be one type with one body.
-pub trait HeapIndex<K> {
-    /// The locator behind this choice.
-    type Locator: KeyLocator<K>;
-}
-
-impl<K: Copy + Eq, X: PositionIndex<K>> HeapIndex<K> for X {
-    type Locator = Handles<K, X>;
-}
-
-impl<K: Copy + Eq + Debug> HeapIndex<K> for LinearScan {
-    type Locator = LinearScan;
 }
 
 /// A min-heap over `(priority, key)` pairs that finds a key's entry

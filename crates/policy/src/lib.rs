@@ -13,8 +13,15 @@
 //!   proxy cluster". The cluster engine computes per-copy benefit values
 //!   and stores them in a [`ValueCache`] (evict the minimum-value copy).
 //! * **Hier-GD** runs Young's **greedy-dual** ([`GreedyDualCache`]) at the
-//!   proxy and in every client cache, using the O(log n) "inflation value"
-//!   implementation the paper calls "the efficient implementation".
+//!   proxy and in every client cache, using the "inflation value"
+//!   implementation the paper calls "the efficient implementation". An
+//!   indexed cache keeps one FIFO per credit increment `cost/size`
+//!   ([`CreditFifos`]): entries given one increment are credited in
+//!   ascending order because the inflation never falls, so a hit or an
+//!   insert is O(1) and an eviction compares the FIFO heads — linear in
+//!   the number of distinct increments, four at a Hier-GD proxy. A
+//!   client cache's few-entry [`LinearScan`] store keeps an O(log n) flat
+//!   heap, whose array order its object hand-offs follow.
 //! * [`LruCache`] is included as the classic baseline the greedy-dual
 //!   literature (Korupolu & Dahlin) compares against.
 //!
@@ -26,6 +33,7 @@
 #![warn(missing_docs)]
 
 pub mod bytes;
+pub mod credit;
 pub mod gd;
 pub mod heap;
 pub mod lfu;
@@ -33,10 +41,11 @@ pub mod lru;
 pub mod value;
 
 pub use bytes::{ByteLruCache, GreedyDualSizeCache};
+pub use credit::{Credit, CreditFifos, CreditIndex, CreditOrder};
 pub use gd::GreedyDualCache;
 pub use heap::{
-    DenseIndex, FlatMinHeap, Handles, HashIndex, HeapIndex, IndexedMinHeap, KeyLocator, LinearScan,
-    MinHeap, PositionIndex,
+    DenseIndex, FlatMinHeap, Handles, HashIndex, IndexedMinHeap, KeyLocator, LinearScan, MinHeap,
+    PositionIndex,
 };
 pub use lfu::{LfuCache, PerfectLfuCache};
 pub use lru::LruCache;
