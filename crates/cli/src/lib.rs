@@ -415,8 +415,8 @@ const COMMANDS: &[CommandSpec] = &[
                 the same trace and failure schedule; the report carries\n\
                 objects lost, the at-risk window area, the mean time to\n\
                 repair, and the naive-vs-defended loss factor. Defaults\n\
-                to --clock event so the --repair scan budget is priced\n\
-                as real proxy work",
+                to --clock event, which prices each entry the --repair\n\
+                scan restores as real proxy work; scanning is free",
         run: |cmd| cmd_scenario(cmd, durability_from, durability::table),
     },
 ];
@@ -933,8 +933,8 @@ fn overload_from(cmd: &Command) -> Result<ScenarioReport, CliError> {
 
 /// `webcache durability`: correlated burst size × replica k × placement
 /// × repair pace over the same trace and failure schedule. Like
-/// `overload`, the default clock is `event` so the repair scan budget is
-/// priced as real proxy work.
+/// `overload`, the default clock is `event`, which prices each entry the
+/// repair scan restores as real proxy work; scanning itself is free.
 fn durability_from(cmd: &Command) -> Result<ScenarioReport, CliError> {
     let d = DurabilityConfig::default();
     Ok(run_durability(&DurabilityConfig {

@@ -63,8 +63,8 @@ pub struct DurabilityConfig {
     /// Request index where the domain fails in every cell.
     pub burst_at: u64,
     /// Proactive cells: directory entries the background repair
-    /// scheduler may scan per round (priced as real work under the
-    /// event clock).
+    /// scheduler may scan per round (free; each entry it restores is
+    /// priced as real work under the event clock).
     pub repair: u32,
     /// Master seed for the sweep's fault plans (label-separated from
     /// the trace seed and every other stream).

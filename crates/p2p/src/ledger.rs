@@ -73,7 +73,8 @@ message_ledger! {
     /// once per object (and emits `P2pEvent::ObjectLost`).
     objects_lost,
     /// Directory entries examined by the background repair scheduler's
-    /// paced scan (each is real work, priced by the event clock).
+    /// paced scan (bookkeeping: only the entries it restores are priced,
+    /// by the event clock).
     repair_scans,
 }
 
