@@ -223,6 +223,18 @@ impl<K: Copy + Eq, X: PositionIndex<K>> CreditFifos<K, X> {
             .min_by_key(|&n| self.nodes[n as usize].credit)
     }
 
+    /// The resident nodes, FIFO by FIFO.
+    fn resident(&self) -> impl Iterator<Item = &Node<K>> + '_ {
+        self.classes.iter().flat_map(move |c| {
+            let first = (c.head != NIL).then_some(c.head);
+            std::iter::successors(first, move |&n| {
+                let next = self.nodes[n as usize].next;
+                (next != NIL).then_some(next)
+            })
+            .map(move |n| &self.nodes[n as usize])
+        })
+    }
+
     /// Unlinks and vacates `node`, unmapping its key; returns the entry.
     fn release(&mut self, node: u32) -> (Credit, K) {
         self.unlink(node);
@@ -299,21 +311,11 @@ impl<K: Copy + Eq + Debug, X: PositionIndex<K> + Debug> CreditOrder<K> for Credi
 
     /// Class by class in first-seen order, each oldest credit first.
     fn keys(&self) -> impl Iterator<Item = K> + '_ {
-        self.classes.iter().flat_map(move |c| {
-            let first = (c.head != NIL).then_some(c.head);
-            std::iter::successors(first, move |&n| {
-                let next = self.nodes[n as usize].next;
-                (next != NIL).then_some(next)
-            })
-            .map(move |n| self.nodes[n as usize].key)
-        })
+        self.resident().map(|n| n.key)
     }
 
     fn sorted(&self) -> Vec<(Credit, K)> {
-        let mut v: Vec<(Credit, K)> = self
-            .keys()
-            .map(|k| (self.credit(k).expect("keys() yields resident keys"), k))
-            .collect();
+        let mut v: Vec<(Credit, K)> = self.resident().map(|n| (n.credit, n.key)).collect();
         v.sort_unstable_by_key(|e| e.0);
         v
     }

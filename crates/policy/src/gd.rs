@@ -25,7 +25,8 @@
 //! one FIFO per increment `cost / size` — O(1) per hit and insert, and an
 //! eviction linear in the number of distinct increments seen (four at a
 //! Hier-GD proxy); a [`LinearScan`](crate::LinearScan) store keeps a flat
-//! 4-ary heap, O(log n). The `credit` module has the exactness argument.
+//! 4-ary heap, O(log n). The [`credit`](crate::credit) module has the
+//! exactness argument.
 
 use crate::credit::{CreditIndex, CreditOrder};
 use crate::heap::HashIndex;

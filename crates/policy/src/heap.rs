@@ -11,8 +11,9 @@
 //! How a key is resolved to its entry is the heap's [`KeyLocator`]:
 //! [`Handles`] (a [`PositionIndex`] plus handle tables — the LFU and
 //! value stores' [`IndexedMinHeap`]) or [`LinearScan`] (nothing beside
-//! the entry array — the client caches' [`FlatMinHeap`]). The tree itself, and so the
-//! order [`MinHeap::iter`] yields, is the same under both.
+//! the entry array — the client caches' [`FlatMinHeap`]). The tree
+//! itself, and so the order [`MinHeap::iter`] yields, is the same under
+//! both.
 //!
 //! A 4-ary layout is used rather than binary: the tree is half as deep, and
 //! the four children of a node share one or two cache lines, which is the
