@@ -63,6 +63,12 @@ surfaces() { # $1 = binary, $2 = output directory
   keep run_hier-gd_event.txt "$bin" run --scheme hier-gd --cache-frac 0.2 --clock event \
     --stats-out run_hier-gd_event.json t1.bin t2.bin
   keep sweep.txt "$bin" sweep --schemes sc,fc-ec,hier-gd --fracs 0.1,0.5 t1.bin t2.bin
+  # The same grid on one thread and on four: the sweep pool's serial and
+  # parallel paths must print the same bytes.
+  for threads in 1 4; do
+    keep sweep_t$threads.txt env WEBCACHE_THREADS=$threads "$bin" sweep \
+      --schemes sc,fc-ec,hier-gd --fracs 0.1,0.5 t1.bin t2.bin
+  done
   # The proxy greedy-dual at the benchmark's scale: a small and a full
   # proxy in both clocks, and a 1,000-client cluster.
   for frac in 0.1 1.0; do
