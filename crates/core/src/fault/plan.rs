@@ -624,12 +624,6 @@ impl FaultPlan {
         }
     }
 
-    /// This plan with a different selection/loss seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Adds one event, keeping the schedule sorted.
     pub fn push(&mut self, at: u64, action: FaultAction) {
         self.events.push(FaultEvent { at, action });

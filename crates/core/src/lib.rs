@@ -22,12 +22,15 @@
 //! | [`lfu_schemes`] | NC, NC-EC, SC, SC-EC (LFU replacement) |
 //! | [`cost_benefit`] | FC, FC-EC (perfect-knowledge cost-benefit) |
 //! | [`hiergd`] | Hier-GD over the real Pastry P2P client cache |
+//! | [`squirrel`] | Squirrel, the proxy-less related-work baseline (§6) |
 //! | [`metrics`] | average latency, hit breakdown, latency gain |
 //! | [`config`] | §5.1 sizing rules and the scheme registry |
 //! | [`fault`] | deterministic fault plans + the churn drill harness |
 //! | [`chaos`] | seeded chaos explorer: random plans, oracles, shrinking |
 //! | [`adversary`] | attacker-fraction × audit-rate sweep of the receipt defense |
 //! | [`overload`] | flash-crowd intensity × defense sweep of the overload stack |
+//! | [`durability`] | correlated burst × replica `k` × placement × repair-pace sweep |
+//! | [`scenario`] | what those three sweeps share: trace, fault-free twin, axes, report |
 //! | [`error`] | the [`SimError`] type every fallible API returns |
 //! | [`recorder`] | pluggable observability taps (stats, event log) |
 //! | [`sweep`](crate::sweep()) | Rayon-parallel (scheme × size) grids for the figures |
@@ -64,7 +67,7 @@
 //! Every run can carry a [`Recorder`]: [`StatsRecorder`] aggregates
 //! per-class hit counters, log₂ latency/hop histograms, and P2P protocol
 //! counters; [`EventLogRecorder`] keeps a bounded ring of raw events with
-//! CSV/JSON export. The default [`NoopRecorder`] is statically compiled
+//! CSV export. The default [`NoopRecorder`] is statically compiled
 //! out, so un-instrumented runs pay nothing.
 
 #![forbid(unsafe_code)]

@@ -17,8 +17,9 @@
 //! Two concrete recorders ship:
 //!
 //! * [`StatsRecorder`] — lock-free aggregate counters and log₂-bucketed
-//!   histograms, built on [`ShardedCounter`]/[`Log2Histogram`] so one
-//!   instance can be shared across the rayon-parallel `sweep()` workers;
+//!   histograms, one relaxed `AtomicU64` per counter plus
+//!   [`Log2Histogram`]s, so one instance can be shared across the
+//!   parallel `sweep()` grid points;
 //! * [`EventLogRecorder`] — a bounded ring buffer of structured events
 //!   with CSV export for offline analysis (`target/figures/`).
 
@@ -27,9 +28,10 @@ use crate::net::HitClass;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use webcache_p2p::P2pEvent;
-use webcache_primitives::{Log2Histogram, Log2Snapshot, ShardedCounter};
+use webcache_primitives::{Log2Histogram, Log2Snapshot};
 
 /// Scale factor between model latency units and the integer "milli-units"
 /// recorded into the latency histogram (`Tl = 1.0` → 1000).
@@ -121,7 +123,7 @@ impl<A: Recorder, B: Recorder> Recorder for (A, B) {
 }
 
 /// Declares every scalar counter once. Each entry below — a doc comment
-/// and a name — becomes a [`ShardedCounter`] cell of [`StatsRecorder`],
+/// and a name — becomes an `AtomicU64` cell of [`StatsRecorder`],
 /// the public `u64` field of [`StatsSnapshot`] that `snapshot()` copies it
 /// into, and one `(name, value)` row of the JSON and table renderings, in
 /// declaration order: the list is the counter schema. A new counter is one
@@ -132,32 +134,32 @@ macro_rules! counters {
         /// latency histogram, hop distributions, and every P2P message
         /// class the paper's claims 11–13 reference.
         ///
-        /// All cells are sharded counters or atomic histograms, so a single
-        /// `Arc<StatsRecorder>` can be shared across the rayon-parallel
+        /// All cells are relaxed atomics (counters and histograms), so a
+        /// single `Arc<StatsRecorder>` can be shared across the parallel
         /// `sweep()` without locks. Not `Clone` — share via `Arc` (or
         /// borrow).
         #[derive(Debug, Default)]
         pub struct StatsRecorder {
             /// Requests per [`HitClass`] (indexed by [`HitClass::index`]).
-            requests: [ShardedCounter; HitClass::ALL.len()],
+            requests: [AtomicU64; HitClass::ALL.len()],
             /// End-to-end latency in milli-units (`latency × 1000`, log₂ buckets).
             latency_milli: Log2Histogram,
             /// Overlay hops per routed lookup (claim 11's hop distribution).
             lookup_hops: Log2Histogram,
             /// Overlay hops per destage message.
             destage_hops: Log2Histogram,
-            $($name: ShardedCounter,)*
+            $($name: AtomicU64,)*
         }
 
         impl StatsRecorder {
             /// A plain-data copy of the current counters.
             pub fn snapshot(&self) -> StatsSnapshot {
                 StatsSnapshot {
-                    requests_by_class: std::array::from_fn(|i| self.requests[i].get()),
+                    requests_by_class: std::array::from_fn(|i| self.requests[i].load(Ordering::Relaxed)),
                     latency_milli: self.latency_milli.snapshot(),
                     lookup_hops: self.lookup_hops.snapshot(),
                     destage_hops: self.destage_hops.snapshot(),
-                    $($name: self.$name.get(),)*
+                    $($name: self.$name.load(Ordering::Relaxed),)*
                 }
             }
         }
@@ -291,104 +293,110 @@ impl StatsRecorder {
     }
 }
 
+/// Adds `n` to one counter; `Relaxed`, as a counter publishes no other data.
+#[inline]
+fn bump(counter: &AtomicU64, n: u64) {
+    counter.fetch_add(n, Ordering::Relaxed);
+}
+
 impl Recorder for StatsRecorder {
     fn request(&self, _proxy: usize, class: HitClass, latency: f64) {
-        self.requests[class.index()].incr();
+        bump(&self.requests[class.index()], 1);
         self.latency_milli.record((latency * LATENCY_MILLI_SCALE).round().max(0.0) as u64);
     }
 
     fn p2p_event(&self, _proxy: usize, event: P2pEvent) {
         match event {
             P2pEvent::Destage { hops, piggybacked, diverted, refreshed, evicted } => {
-                self.destages.incr();
+                bump(&self.destages, 1);
                 self.destage_hops.record(u64::from(hops));
                 if piggybacked {
-                    self.piggybacked_destages.incr();
+                    bump(&self.piggybacked_destages, 1);
                 } else {
-                    self.direct_destage_connections.incr();
+                    bump(&self.direct_destage_connections, 1);
                 }
                 if diverted {
-                    self.diverted_destages.incr();
+                    bump(&self.diverted_destages, 1);
                 }
                 if refreshed {
-                    self.refreshed_destages.incr();
+                    bump(&self.refreshed_destages, 1);
                 }
                 // The eviction itself arrives as a separate
                 // `P2pEvent::Eviction`; `evicted` is only a flag here.
                 let _ = evicted;
             }
             P2pEvent::Lookup { hops, stale } => {
-                self.lookups.incr();
+                bump(&self.lookups, 1);
                 self.lookup_hops.record(u64::from(hops));
                 if stale {
-                    self.stale_lookups.incr();
+                    bump(&self.stale_lookups, 1);
                 }
             }
-            P2pEvent::Push { .. } => self.pushes.incr(),
+            P2pEvent::Push { .. } => bump(&self.pushes, 1),
             P2pEvent::DirectoryProbe { hit } => {
-                self.directory_probes.incr();
+                bump(&self.directory_probes, 1);
                 if hit {
-                    self.directory_probe_hits.incr();
+                    bump(&self.directory_probe_hits, 1);
                 }
             }
             P2pEvent::Eviction { pointer_invalidated } => {
-                self.evictions.incr();
+                bump(&self.evictions, 1);
                 if pointer_invalidated {
-                    self.pointer_invalidations.incr();
+                    bump(&self.pointer_invalidations, 1);
                 }
             }
             P2pEvent::NodeFailed { objects_lost } => {
-                self.node_failures.incr();
-                self.objects_lost.add(u64::from(objects_lost));
+                bump(&self.node_failures, 1);
+                bump(&self.objects_lost, u64::from(objects_lost));
             }
             P2pEvent::NodeJoined { objects_migrated } => {
-                self.node_joins.incr();
-                self.objects_migrated.add(u64::from(objects_migrated));
+                bump(&self.node_joins, 1);
+                bump(&self.objects_migrated, u64::from(objects_migrated));
             }
             P2pEvent::NodeCrashed { objects_at_risk } => {
-                self.node_crashes.incr();
-                self.objects_at_risk.add(u64::from(objects_at_risk));
+                bump(&self.node_crashes, 1);
+                bump(&self.objects_at_risk, u64::from(objects_at_risk));
             }
             P2pEvent::NodeDeparted { objects_handed_off } => {
-                self.node_departures.incr();
-                self.objects_handed_off.add(u64::from(objects_handed_off));
+                bump(&self.node_departures, 1);
+                bump(&self.objects_handed_off, u64::from(objects_handed_off));
             }
             P2pEvent::TimeoutDetected { dead_node } => {
-                self.timeouts.incr();
+                bump(&self.timeouts, 1);
                 if dead_node {
-                    self.dead_node_timeouts.incr();
+                    bump(&self.dead_node_timeouts, 1);
                 }
             }
             P2pEvent::StaleDirectoryHit { replica_served } => {
-                self.stale_directory_hits.incr();
+                bump(&self.stale_directory_hits, 1);
                 if replica_served {
-                    self.stale_hits_replica_served.incr();
+                    bump(&self.stale_hits_replica_served, 1);
                 }
             }
             P2pEvent::Rereplicated { copies } => {
-                self.rereplications.incr();
-                self.replica_copies.add(u64::from(copies));
+                bump(&self.rereplications, 1);
+                bump(&self.replica_copies, u64::from(copies));
             }
-            P2pEvent::MessageRetried { .. } => self.message_retries.incr(),
-            P2pEvent::MessageDeduped { .. } => self.message_dedups.incr(),
-            P2pEvent::ChecksumFailed { .. } => self.checksum_failures.incr(),
-            P2pEvent::PartitionStarted { .. } => self.partitions_started.incr(),
+            P2pEvent::MessageRetried { .. } => bump(&self.message_retries, 1),
+            P2pEvent::MessageDeduped { .. } => bump(&self.message_dedups, 1),
+            P2pEvent::ChecksumFailed { .. } => bump(&self.checksum_failures, 1),
+            P2pEvent::PartitionStarted { .. } => bump(&self.partitions_started, 1),
             // `PartitionHealed` carries sweep totals, but each merged entry
             // and demoted primary also arrives as its own event — count
             // those individually to avoid double-counting.
-            P2pEvent::PartitionHealed { .. } => self.partitions_healed.incr(),
-            P2pEvent::EntryReconciled { .. } => self.entries_reconciled.incr(),
-            P2pEvent::PrimaryDemoted { .. } => self.primaries_demoted.incr(),
-            P2pEvent::AuditChallenged { .. } => self.audits_challenged.incr(),
-            P2pEvent::AuditFailed { .. } => self.audits_failed.incr(),
-            P2pEvent::ForgedReceiptDetected { .. } => self.forged_receipts.incr(),
-            P2pEvent::NodeQuarantined { .. } => self.quarantines.incr(),
-            P2pEvent::BreakerFastFailed { .. } => self.breaker_fast_fails.incr(),
-            P2pEvent::RetryBudgetExhausted { .. } => self.retry_budget_denials.incr(),
-            P2pEvent::ObjectLost { .. } => self.objects_lost_permanent.incr(),
+            P2pEvent::PartitionHealed { .. } => bump(&self.partitions_healed, 1),
+            P2pEvent::EntryReconciled { .. } => bump(&self.entries_reconciled, 1),
+            P2pEvent::PrimaryDemoted { .. } => bump(&self.primaries_demoted, 1),
+            P2pEvent::AuditChallenged { .. } => bump(&self.audits_challenged, 1),
+            P2pEvent::AuditFailed { .. } => bump(&self.audits_failed, 1),
+            P2pEvent::ForgedReceiptDetected { .. } => bump(&self.forged_receipts, 1),
+            P2pEvent::NodeQuarantined { .. } => bump(&self.quarantines, 1),
+            P2pEvent::BreakerFastFailed { .. } => bump(&self.breaker_fast_fails, 1),
+            P2pEvent::RetryBudgetExhausted { .. } => bump(&self.retry_budget_denials, 1),
+            P2pEvent::ObjectLost { .. } => bump(&self.objects_lost_permanent, 1),
             P2pEvent::ProactiveRepair { copies } => {
-                self.proactive_repairs.incr();
-                self.proactive_repair_copies.add(u64::from(copies));
+                bump(&self.proactive_repairs, 1);
+                bump(&self.proactive_repair_copies, u64::from(copies));
             }
         }
     }

@@ -49,7 +49,7 @@ pub fn sweep(
 /// [`sweep`] with a shared [`Recorder`] observing every grid point.
 ///
 /// The recorder handle is cloned per simulation (pass e.g.
-/// `Arc<StatsRecorder>`), so its shards aggregate across all points —
+/// `Arc<StatsRecorder>`), so its counters aggregate across all points —
 /// per-point attribution needs one sweep call per point.
 ///
 /// Every grid config is validated *before* the parallel region, so the

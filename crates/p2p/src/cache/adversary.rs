@@ -151,11 +151,6 @@ impl P2PClientCache {
         self.adversary.as_ref().map_or(Behavior::Honest, |adv| adv.behavior_of(id))
     }
 
-    /// True when the misbehavior subsystem is installed.
-    pub fn adversary_enabled(&self) -> bool {
-        self.adversary.is_some()
-    }
-
     /// Nodes quarantined by the audit defense, in cacheId order.
     pub fn quarantined_ids(&self) -> Vec<NodeId> {
         self.adversary

@@ -79,11 +79,6 @@ impl P2PClientCache {
         self.domains.as_ref().and_then(|d| d.of.get(&id.0).copied())
     }
 
-    /// Number of failure domains (0 when the subsystem is off).
-    pub fn domain_count(&self) -> u32 {
-        self.domains.as_ref().map_or(0, |d| d.count)
-    }
-
     /// Live (non-crashed) members of failure domain `domain`, in cacheId
     /// order — the `domainfail@N:D` verb's victim list.
     pub fn live_ids_in_domain(&self, domain: u32) -> Vec<NodeId> {

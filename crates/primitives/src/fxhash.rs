@@ -22,7 +22,8 @@ const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 /// Rotation applied before each fold; spreads low-entropy input bits.
 const ROTATE: u32 = 5;
 
-/// A fast, non-cryptographic, DoS-*unsafe* hasher for trusted integer keys.
+/// A fast, non-cryptographic hasher for trusted integer keys: crafted keys
+/// can collide at will, so it offers no DoS resistance.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FxHasher {
     hash: u64,

@@ -12,8 +12,9 @@
 //!   directory representations a proxy keeps for its P2P client cache.
 //! * [`sumtree`] — the ProWGen workload model draws each pool reference
 //!   in proportion to the objects' remaining reference counts.
-//! * [`stats`] — online statistics used by tests and by the benchmark
-//!   harnesses to validate workload shape (Zipf slope, locality, …).
+//! * [`stats`] — the least-squares fit the workload tests use to validate
+//!   trace shape (Zipf slope, locality, …), and the lock-free log₂
+//!   histogram behind the simulator's stats recorder.
 //! * [`seed`] — deterministic seed derivation (and the shared seeded
 //!   [`Bernoulli`] fault coin) so every experiment is reproducible
 //!   bit-for-bit.
@@ -51,6 +52,6 @@ pub use fxhash::{
 };
 pub use seed::Bernoulli;
 pub use sha1::Sha1;
-pub use stats::{LinearFit, Log2Histogram, Log2Snapshot, ShardedCounter};
+pub use stats::{LinearFit, Log2Histogram, Log2Snapshot};
 pub use sumtree::SumTree;
 pub use xxhash::xxh64;

@@ -3,10 +3,10 @@
 //! The workload generator's tests verify that generated traces actually have
 //! the statistical properties the paper assumes (Zipf popularity slope,
 //! one-timer fraction, temporal locality); those checks are built on
-//! [`linear_fit`]. The lock-free [`ShardedCounter`] and [`Log2Histogram`]
-//! back the simulator's stats recorder.
+//! [`linear_fit`]. The lock-free [`Log2Histogram`] backs the simulator's
+//! stats recorder.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Ordinary least-squares fit `y = slope * x + intercept`.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -44,74 +44,6 @@ pub fn linear_fit(points: &[(f64, f64)]) -> Option<LinearFit> {
     let ss_res: f64 = points.iter().map(|p| (p.1 - (slope * p.0 + intercept)).powi(2)).sum();
     let r2 = if ss_tot > 0.0 { 1.0 - ss_res / ss_tot } else { 1.0 };
     Some(LinearFit { slope, intercept, r2 })
-}
-
-/// Number of independent shards in a [`ShardedCounter`].
-///
-/// Must be a power of two (shard selection masks the thread index). 16
-/// shards comfortably cover the worker counts the vendored rayon stand-in
-/// spawns (one per core) while keeping the counter at 1 KiB.
-const COUNTER_SHARDS: usize = 16;
-
-/// Returns a small per-thread index used to pick a counter shard.
-///
-/// Each thread that ever touches a sharded counter gets the next index from
-/// a global sequence; masking by `COUNTER_SHARDS - 1` maps it to a shard.
-/// Two threads may share a shard — that only costs contention, never
-/// correctness, because shards are atomics.
-fn thread_shard() -> usize {
-    static NEXT_THREAD: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static SHARD: usize = NEXT_THREAD.fetch_add(1, Ordering::Relaxed);
-    }
-    SHARD.with(|s| *s) & (COUNTER_SHARDS - 1)
-}
-
-/// One cache-line-sized atomic cell, padded so neighbouring shards never
-/// share a line (false sharing is the whole point of sharding).
-#[derive(Default)]
-#[repr(align(64))]
-struct PaddedCell(AtomicU64);
-
-/// A monotonically increasing `u64` counter safe for concurrent writers.
-///
-/// Writers land on a per-thread shard (relaxed `fetch_add`, no cross-core
-/// line bouncing under the parallel `sweep()`); readers sum the shards.
-/// Reads are monotone but not a consistent snapshot while writers are
-/// active — callers read after the parallel region completes.
-#[derive(Default)]
-pub struct ShardedCounter {
-    shards: [PaddedCell; COUNTER_SHARDS],
-}
-
-impl ShardedCounter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `n` to the calling thread's shard.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.shards[thread_shard()].0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Adds 1 to the calling thread's shard.
-    #[inline]
-    pub fn incr(&self) {
-        self.add(1);
-    }
-
-    /// Sum of all shards.
-    pub fn get(&self) -> u64 {
-        self.shards.iter().map(|s| s.0.load(Ordering::Relaxed)).sum()
-    }
-}
-
-impl std::fmt::Debug for ShardedCounter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("ShardedCounter").field(&self.get()).finish()
-    }
 }
 
 /// Number of buckets in a [`Log2Histogram`]: one for zero plus one per
@@ -368,21 +300,6 @@ mod tests {
         // quantiles: median lands in the [2,3] bucket, p100 is the max.
         assert_eq!(snap.quantile(1.0), 1000);
         assert!(snap.quantile(0.5) <= 3);
-    }
-
-    #[test]
-    fn sharded_counter_concurrent_adds() {
-        let c = ShardedCounter::new();
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| {
-                    for _ in 0..10_000 {
-                        c.incr();
-                    }
-                });
-            }
-        });
-        assert_eq!(c.get(), 80_000);
     }
 
     #[test]
