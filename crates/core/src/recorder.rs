@@ -123,8 +123,8 @@ impl<A: Recorder, B: Recorder> Recorder for (A, B) {
 }
 
 /// Declares every scalar counter once. Each entry below — a doc comment
-/// and a name — becomes an `AtomicU64` cell of [`StatsRecorder`],
-/// the public `u64` field of [`StatsSnapshot`] that `snapshot()` copies it
+/// and a name — becomes an `AtomicU64` cell of [`StatsRecorder`], the
+/// public `u64` field of [`StatsSnapshot`] that `snapshot()` copies it
 /// into, and one `(name, value)` row of the JSON and table renderings, in
 /// declaration order: the list is the counter schema. A new counter is one
 /// entry here plus the arm of `StatsRecorder::p2p_event` that bumps it.
@@ -155,7 +155,9 @@ macro_rules! counters {
             /// A plain-data copy of the current counters.
             pub fn snapshot(&self) -> StatsSnapshot {
                 StatsSnapshot {
-                    requests_by_class: std::array::from_fn(|i| self.requests[i].load(Ordering::Relaxed)),
+                    requests_by_class: std::array::from_fn(|i| {
+                        self.requests[i].load(Ordering::Relaxed)
+                    }),
                     latency_milli: self.latency_milli.snapshot(),
                     lookup_hops: self.lookup_hops.snapshot(),
                     destage_hops: self.destage_hops.snapshot(),
