@@ -79,6 +79,12 @@ surfaces() { # $1 = binary, $2 = output directory
   done
   keep run_full_c1000.txt "$bin" run --scheme hier-gd --cache-frac 0.1 --clients 1000 \
     --stats-out run_full_c1000.json full.bin full7.bin
+  # The LFU family at the benchmark's scale: unified_schemes runs NC,
+  # SC-EC and FC-EC at a tenth of the infinite cache size.
+  for scheme in nc nc-ec sc sc-ec fc-ec; do
+    keep run_full_$scheme.txt "$bin" run --scheme $scheme --cache-frac 0.1 \
+      --stats-out run_full_$scheme.json full.bin full7.bin
+  done
 
   for clock in compat event; do
     keep explain_$clock.txt "$bin" explain --cache-frac 0.2 --clock $clock \
