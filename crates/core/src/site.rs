@@ -84,9 +84,9 @@ impl TwoTierLfuSite {
             return Some(SiteTier::Proxy);
         }
         let p2p = self.p2p.as_mut()?;
-        let freq = p2p.frequency(object)? + 1;
+        let freq = p2p.frequency(object)?.saturating_add(1);
         // Promote when the object now outranks the proxy tier's victim
-        // (ties go to the newer access, as in-cache LFU's stamp order).
+        // (ties go to the newer access, as in in-cache LFU).
         let deserves_proxy = self.proxy.len() < self.proxy.capacity()
             || freq >= self.proxy.min_frequency().unwrap_or(u64::MAX);
         if deserves_proxy {
@@ -227,30 +227,48 @@ mod tests {
         }
     }
 
+    proptest::proptest! {
+        #[test]
+        fn combined_membership_matches_unified_lfu(
+            proxy in 1usize..5,
+            p2p in 0usize..6,
+            stream in proptest::collection::vec(0u32..12, 0..301)
+        ) {
+            // A site and a single LFU of the combined size, driven by the
+            // same access stream, must hold the same objects.
+            let mut site = TwoTierLfuSite::new(proxy, p2p);
+            let mut unified = LfuCache::new(proxy + p2p);
+            for (i, &o) in stream.iter().enumerate() {
+                if site.lookup(o).is_none() {
+                    site.admit(o);
+                }
+                if !unified.touch(o) {
+                    unified.insert(o);
+                }
+                for k in 0..12u32 {
+                    proptest::prop_assert_eq!(
+                        site.tier_of(k).is_some(),
+                        unified.contains(k),
+                        "object {} after request {}",
+                        k,
+                        i
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
-    fn combined_membership_matches_unified_lfu() {
-        // Drive a site (2+2) and a single LFU of size 4 with the same
-        // access stream; resident *sets* must agree.
-        let mut site = TwoTierLfuSite::new(2, 2);
-        let mut unified = LfuCache::new(4);
-        let stream = [1u32, 2, 3, 1, 2, 4, 5, 1, 6, 2, 7, 1, 3, 3, 8, 1, 2];
-        for &o in &stream {
-            if site.lookup(o).is_none() {
-                site.admit(o);
-            }
-            if !unified.touch(o) {
-                unified.insert(o);
-            }
-        }
-        for o in 1u32..=8 {
-            assert_eq!(
-                site.tier_of(o).is_some(),
-                unified.contains(o),
-                "object {o}: site={:?} unified={}",
-                site.tier_of(o),
-                unified.contains(o)
-            );
-        }
+    fn a_p2p_hit_at_the_top_frequency_saturates() {
+        let mut s = TwoTierLfuSite::new(1, 1);
+        s.admit(1);
+        s.admit(2); // 1 demoted into the P2P tier
+        let p2p = s.p2p.as_mut().expect("p2p tier exists");
+        p2p.insert_with_frequency(1, u64::MAX);
+        // Outranks the proxy resident without wrapping to zero.
+        assert_eq!(s.lookup(1), Some(SiteTier::P2p));
+        assert_eq!(s.tier_of(1), Some(SiteTier::Proxy));
+        assert_eq!(s.proxy.frequency(1), Some(u64::MAX));
     }
 
     #[test]

@@ -1,4 +1,8 @@
-//! Keyed d-ary min-heap: the priority structure behind the policies.
+//! Keyed d-ary min-heap: the priority structure behind FC/FC-EC's value
+//! store ([`ValueCache`](crate::ValueCache)) and the client caches'
+//! few-entry greedy-dual stores. The LFU caches and the indexed
+//! greedy-dual caches keep FIFOs over a node slab instead, whose writes
+//! need no reordering.
 //!
 //! The original implementations kept eviction order in a
 //! `BTreeSet<(Priority, Stamp, Key)>`: every touch allocated/freed a B-tree
@@ -9,8 +13,8 @@
 //! traffic.
 //!
 //! How a key is resolved to its entry is the heap's [`KeyLocator`]:
-//! [`Handles`] (a [`PositionIndex`] plus handle tables — the LFU and
-//! value stores' [`IndexedMinHeap`]) or [`LinearScan`] (nothing beside
+//! [`Handles`] (a [`PositionIndex`] plus handle tables — the value
+//! store's [`IndexedMinHeap`]) or [`LinearScan`] (nothing beside
 //! the entry array — the client caches' [`FlatMinHeap`]). The tree
 //! itself, and so the order [`MinHeap::iter`] yields, is the same under
 //! both.
@@ -32,8 +36,9 @@ use webcache_primitives::FxHashMap;
 /// Heap arity; 4 keeps siblings within a cache line for small priorities.
 const ARITY: usize = 4;
 
-/// Pluggable key → handle index for [`IndexedMinHeap`] and
-/// [`CreditFifos`](crate::CreditFifos).
+/// Pluggable key → handle index for [`IndexedMinHeap`] and for the node
+/// slabs under [`CreditFifos`](crate::CreditFifos) and
+/// [`LfuCache`](crate::LfuCache).
 ///
 /// Either consults this exactly once per operation; everything else is
 /// flat `Vec` traffic. The default [`HashIndex`] works for any hashable

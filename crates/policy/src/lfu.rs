@@ -15,76 +15,299 @@
 //! Ties break toward evicting the least-recently-used among the
 //! least-frequent, the common implementation choice.
 
-use crate::heap::{HashIndex, IndexedMinHeap, PositionIndex};
+use crate::heap::{HashIndex, PositionIndex};
 use crate::BoundedCache;
 use std::hash::Hash;
 use webcache_primitives::FxHashMap;
 
-/// Shared frequency-ordered store: (frequency, recency stamp) ordering.
-///
-/// An [`IndexedMinHeap`] keyed by `(freq, stamp)` replaces the earlier
-/// `BTreeSet<(freq, stamp, key)>`; stamps are unique, so the eviction
-/// order is unchanged while updates stop allocating B-tree nodes. Every
-/// method resolves the key through the position index `X` at most once.
+/// "No slot": the ends of a FIFO, of the bucket list and of the free
+/// chains.
+const NIL: u32 = u32::MAX;
+
+/// A resident entry, linked into the FIFO of its frequency's bucket.
+/// Vacated nodes are chained through `next` for reuse.
 #[derive(Clone, Debug)]
-struct FreqIndex<K: Copy + Eq, X: PositionIndex<K>> {
-    /// key -> (freq, stamp); the minimum is the victim.
-    heap: IndexedMinHeap<(u64, u64), K, X>,
-    clock: u64,
+struct Node<K> {
+    key: K,
+    prev: u32,
+    next: u32,
+    /// The bucket whose FIFO this node is in.
+    bucket: u32,
+}
+
+/// The FIFO of one resident frequency, least recently written at `head`,
+/// in the list of buckets sorted by frequency.
+#[derive(Clone, Debug)]
+struct Bucket {
+    freq: u64,
+    head: u32,
+    tail: u32,
+    /// The neighbouring buckets, [`NIL`] past either end. A vacated
+    /// bucket chains the free list through `higher`.
+    lower: u32,
+    higher: u32,
+}
+
+/// Shared frequency-ordered store: one FIFO per resident frequency (the
+/// O(1) LFU of Shah, Mitra & Matani, 2010).
+///
+/// Every write — an insert, a touch, a frequency set — appends the entry
+/// at the tail of its frequency's FIFO, so each FIFO lists its members in
+/// the order they were last written: the recency tie-break, with no stamp
+/// clock. The buckets form a doubly linked list in ascending frequency,
+/// so the victim is the head of the lowest bucket. A touch moves an entry
+/// to the bucket just above, created there if missing (a lone member with
+/// no bucket at its new count renumbers its own bucket in place); a
+/// bucket that empties is unlinked and recycled. The nodes live in a slab
+/// that the position index `X` maps keys into, resolved at most once per
+/// method.
+///
+/// A write at an arbitrary frequency ([`insert_with_frequency`] at a
+/// tier transfer, every [`PerfectLfuCache`] write) finds its bucket by
+/// walking in from both ends of the bucket list at once: O(number of
+/// resident frequencies), at most the capacity, in the worst case. Fresh
+/// objects land at the low end and promoted ones near the top; over the
+/// benchmark's traces a walk averages about one step (EXPERIMENTS.md,
+/// "Throughput round 9").
+///
+/// [`insert_with_frequency`]: LfuCache::insert_with_frequency
+#[derive(Clone, Debug)]
+struct FreqIndex<K, X> {
+    /// key -> node.
+    index: X,
+    nodes: Vec<Node<K>>,
+    /// Head of the chain of vacated nodes.
+    free_node: u32,
+    /// Resident buckets and vacated ones, which `free_bucket` chains.
+    buckets: Vec<Bucket>,
+    lowest: u32,
+    highest: u32,
+    free_bucket: u32,
 }
 
 impl<K: Copy + Eq, X: PositionIndex<K>> FreqIndex<K, X> {
     fn new() -> Self {
-        FreqIndex { heap: IndexedMinHeap::new(), clock: 0 }
+        FreqIndex {
+            index: X::default(),
+            nodes: Vec::new(),
+            free_node: NIL,
+            buckets: Vec::new(),
+            lowest: NIL,
+            highest: NIL,
+            free_bucket: NIL,
+        }
     }
 
     fn len(&self) -> usize {
-        self.heap.len()
+        self.index.len()
     }
 
     fn contains(&self, key: K) -> bool {
-        self.heap.contains(key)
+        self.index.get(&key).is_some()
     }
 
     fn freq(&self, key: K) -> Option<u64> {
-        self.heap.priority(key).map(|(f, _)| f)
+        self.index.get(&key).map(|n| self.buckets[self.nodes[n as usize].bucket as usize].freq)
     }
 
-    /// Restamps a resident `key` at `f(its frequency)`; false if absent.
-    fn update(&mut self, key: K, f: impl FnOnce(u64) -> u64) -> bool {
-        let stamp = self.clock + 1;
-        let hit = self.heap.update_with(key, |(freq, _)| (f(freq), stamp)).is_some();
-        // A branch, not `clock += u64::from(hit)`: rustc 1.95 at
-        // opt-level 3 drops that add when `f` ignores its argument (the
-        // naive-model proptest below fails in release builds with it).
-        if hit {
-            self.clock = stamp;
+    /// Adds one to a resident `key`'s frequency, saturating at
+    /// `u64::MAX`; false if absent.
+    fn touch(&mut self, key: K) -> bool {
+        let Some(node) = self.index.get(&key) else { return false };
+        let b = self.nodes[node as usize].bucket;
+        let Bucket { freq, head, tail, higher, .. } = self.buckets[b as usize];
+        let Some(up) = freq.checked_add(1) else {
+            self.set(node, freq);
+            return true;
+        };
+        if higher != NIL && self.buckets[higher as usize].freq == up {
+            self.detach(node);
+            self.append(node, higher);
+        } else if head == tail {
+            // Alone in its bucket, with none at `up`: renumber in place.
+            self.buckets[b as usize].freq = up;
+        } else {
+            let above = self.link_bucket(up, b, higher);
+            self.detach(node);
+            self.append(node, above);
         }
-        hit
+        true
+    }
+
+    /// Sets a resident `key`'s frequency to `freq` and makes it the most
+    /// recent at that frequency; false if absent.
+    fn update(&mut self, key: K, freq: u64) -> bool {
+        let Some(node) = self.index.get(&key) else { return false };
+        self.set(node, freq);
+        true
     }
 
     /// Inserts `key`, which the caller knows to be absent, at `freq`.
     fn insert_new(&mut self, key: K, freq: u64) {
-        self.clock += 1;
-        self.heap.insert_new(key, (freq, self.clock));
+        let node = match self.free_node {
+            NIL => {
+                self.nodes.push(Node { key, prev: NIL, next: NIL, bucket: NIL });
+                (self.nodes.len() - 1) as u32
+            }
+            n => {
+                self.free_node = self.nodes[n as usize].next;
+                self.nodes[n as usize].key = key;
+                n
+            }
+        };
+        self.index.insert(key, node);
+        let b = self.bucket_of(freq);
+        self.append(node, b);
     }
 
     fn remove(&mut self, key: K) -> Option<u64> {
-        self.heap.remove(key).map(|(f, _)| f)
+        let node = self.index.get(&key)?;
+        Some(self.release(node).1)
     }
 
     fn pop_min(&mut self) -> Option<(K, u64)> {
-        self.heap.pop_min().map(|((f, _), k)| (k, f))
+        let b = self.buckets.get(self.lowest as usize)?;
+        Some(self.release(b.head))
     }
 
     fn peek_min(&self) -> Option<(K, u64)> {
-        self.heap.peek_min().map(|((f, _), k)| (k, f))
+        let b = self.buckets.get(self.lowest as usize)?;
+        Some((self.nodes[b.head as usize].key, b.freq))
+    }
+
+    /// Resident keys, lowest frequency first and, within one, least
+    /// recently written first.
+    fn keys(&self) -> impl Iterator<Item = K> + '_ {
+        let from = |first: u32| (first != NIL).then_some(first);
+        std::iter::successors(from(self.lowest), move |&b| from(self.buckets[b as usize].higher))
+            .flat_map(move |b| {
+                let head = self.buckets[b as usize].head;
+                std::iter::successors(from(head), move |&n| from(self.nodes[n as usize].next))
+            })
+            .map(move |n| self.nodes[n as usize].key)
+    }
+
+    /// Moves `node` to the tail of `freq`'s FIFO.
+    fn set(&mut self, node: u32, freq: u64) {
+        self.detach(node);
+        let b = self.bucket_of(freq);
+        self.append(node, b);
+    }
+
+    /// Appends the detached `node` to bucket `b`'s FIFO.
+    fn append(&mut self, node: u32, b: u32) {
+        let bucket = &mut self.buckets[b as usize];
+        let tail = bucket.tail;
+        bucket.tail = node;
+        match tail {
+            NIL => bucket.head = node,
+            t => {
+                let t = &mut self.nodes[t as usize];
+                debug_assert!(t.bucket == b && t.next == NIL, "FIFO tail out of place");
+                t.next = node;
+            }
+        }
+        let n = &mut self.nodes[node as usize];
+        n.prev = tail;
+        n.next = NIL;
+        n.bucket = b;
+    }
+
+    /// Takes `node` out of its bucket's FIFO, unlinking and recycling the
+    /// bucket if that empties it.
+    fn detach(&mut self, node: u32) {
+        let Node { prev, next, bucket: b, .. } = self.nodes[node as usize];
+        match prev {
+            NIL => self.buckets[b as usize].head = next,
+            p => self.nodes[p as usize].next = next,
+        }
+        match next {
+            NIL => self.buckets[b as usize].tail = prev,
+            n => self.nodes[n as usize].prev = prev,
+        }
+        let bucket = &mut self.buckets[b as usize];
+        if bucket.head == NIL {
+            let Bucket { lower, higher, .. } = *bucket;
+            bucket.higher = self.free_bucket;
+            self.free_bucket = b;
+            match lower {
+                NIL => self.lowest = higher,
+                l => self.buckets[l as usize].higher = higher,
+            }
+            match higher {
+                NIL => self.highest = lower,
+                h => self.buckets[h as usize].lower = lower,
+            }
+        }
+    }
+
+    /// Detaches and vacates `node`, unmapping its key; returns its key
+    /// and frequency.
+    fn release(&mut self, node: u32) -> (K, u64) {
+        let freq = self.buckets[self.nodes[node as usize].bucket as usize].freq;
+        self.detach(node);
+        let n = &mut self.nodes[node as usize];
+        n.next = self.free_node;
+        self.free_node = node;
+        self.index.remove(&n.key);
+        (n.key, freq)
+    }
+
+    /// The bucket of `freq`, linked in empty if there is none: walks in
+    /// from both ends of the list at once.
+    fn bucket_of(&mut self, freq: u64) -> u32 {
+        // Every bucket below `lo` is under `freq`, every one above `hi`
+        // over it.
+        let (mut lo, mut hi) = (self.lowest, self.highest);
+        while lo != NIL {
+            let l = &self.buckets[lo as usize];
+            if l.freq >= freq {
+                return if l.freq == freq { lo } else { self.link_bucket(freq, l.lower, lo) };
+            }
+            let h = &self.buckets[hi as usize];
+            if h.freq <= freq {
+                return if h.freq == freq { hi } else { self.link_bucket(freq, hi, h.higher) };
+            }
+            (lo, hi) = (l.higher, h.lower);
+        }
+        self.link_bucket(freq, NIL, NIL)
+    }
+
+    /// Links an empty bucket of `freq` in between the adjacent buckets
+    /// `lower` and `higher` (either [`NIL`] past an end).
+    fn link_bucket(&mut self, freq: u64, lower: u32, higher: u32) -> u32 {
+        debug_assert!(
+            (lower == NIL || self.buckets[lower as usize].freq < freq)
+                && (higher == NIL || freq < self.buckets[higher as usize].freq),
+            "bucket linked out of frequency order"
+        );
+        let bucket = Bucket { freq, head: NIL, tail: NIL, lower, higher };
+        let b = match self.free_bucket {
+            NIL => {
+                self.buckets.push(bucket);
+                (self.buckets.len() - 1) as u32
+            }
+            b => {
+                self.free_bucket = self.buckets[b as usize].higher;
+                self.buckets[b as usize] = bucket;
+                b
+            }
+        };
+        match lower {
+            NIL => self.lowest = b,
+            l => self.buckets[l as usize].higher = b,
+        }
+        match higher {
+            NIL => self.highest = b,
+            h => self.buckets[h as usize].lower = b,
+        }
+        b
     }
 }
 
 /// Bounded in-cache LFU.
 ///
-/// `X` selects the heap's key → slot index, as for
+/// `X` selects the key → node index, as for
 /// [`GreedyDualCache`](crate::GreedyDualCache): the default hash index
 /// for arbitrary keys ([`new`](LfuCache::new)), or
 /// [`DenseIndex`](crate::DenseIndex) when keys are dense small integers
@@ -140,7 +363,7 @@ impl<K: Copy + Eq, X: PositionIndex<K>> LfuCache<K, X> {
     /// tiers "coordinate replacement so that they appear as one unified
     /// cache" (§2), which requires counts to survive tier transfers.
     pub fn insert_with_frequency(&mut self, key: K, freq: u64) -> Option<(K, u64)> {
-        if self.index.update(key, |_| freq) {
+        if self.index.update(key, freq) {
             return None;
         }
         let evicted = if self.index.len() >= self.capacity { self.index.pop_min() } else { None };
@@ -153,11 +376,10 @@ impl<K: Copy + Eq, X: PositionIndex<K>> LfuCache<K, X> {
         self.index.pop_min()
     }
 
-    /// Iterates resident keys in eviction order (least valuable first).
-    ///
-    /// Builds a sorted snapshot (O(n log n)) — inspection use only.
-    pub fn keys_by_frequency(&self) -> impl Iterator<Item = K> {
-        self.index.heap.sorted_snapshot().into_iter().map(|(_, k)| k)
+    /// Iterates resident keys in eviction order (least valuable first),
+    /// walking the frequency buckets in O(n).
+    pub fn keys_by_frequency(&self) -> impl Iterator<Item = K> + '_ {
+        self.index.keys()
     }
 
     /// Evicts and returns the victim.
@@ -180,7 +402,7 @@ impl<K: Copy + Eq + Hash, X: PositionIndex<K>> BoundedCache<K> for LfuCache<K, X
     }
 
     fn touch(&mut self, key: K) -> bool {
-        self.index.update(key, |f| f + 1)
+        self.index.touch(key)
     }
 
     fn insert(&mut self, key: K) -> Option<K> {
@@ -248,12 +470,12 @@ impl<K: Copy + Eq + Hash> BoundedCache<K> for PerfectLfuCache<K> {
 
     fn touch(&mut self, key: K) -> bool {
         let f = self.count(key);
-        self.index.update(key, |_| f)
+        self.index.update(key, f)
     }
 
     fn insert(&mut self, key: K) -> Option<K> {
         let f = self.count(key);
-        if self.index.update(key, |_| f) {
+        if self.index.update(key, f) {
             return None;
         }
         let evicted = if self.index.len() >= self.capacity {
@@ -398,10 +620,31 @@ mod tests {
         assert_eq!(victim, 1);
     }
 
+    #[test]
+    fn touch_saturates_at_the_top_frequency() {
+        let mut c = LfuCache::new(2);
+        c.insert_with_frequency(1u64, u64::MAX);
+        c.insert(2);
+        assert!(c.touch(1));
+        assert_eq!(c.frequency(1), Some(u64::MAX));
+        assert_eq!(c.peek_victim(), Some(2), "a wrapped count made the hottest key the victim");
+    }
+
+    /// Maps a draw from `0..67` onto the frequencies 0–64 and the two
+    /// highest, so arbitrary-frequency writes land below, between and
+    /// above the resident buckets and at the saturation point.
+    fn frequency(draw: u64) -> u64 {
+        if draw <= 64 {
+            draw
+        } else {
+            u64::MAX - (66 - draw)
+        }
+    }
+
     proptest::proptest! {
         #[test]
         fn hash_and_dense_index_match_a_naive_model(
-            ops in proptest::collection::vec((0u8..5, 0u32..40, 0u64..6), 1..400)
+            ops in proptest::collection::vec((0u8..5, 0u32..40, 0u64..67), 1..400)
         ) {
             use crate::DenseIndex;
             const CAP: usize = 6;
@@ -422,12 +665,13 @@ mod tests {
                 let (k, f, _) = m.swap_remove(i);
                 Some((k, f))
             };
-            for (op, key, freq) in ops {
+            for (op, key, draw) in ops {
                 let key = key * 7 + 100;
+                let freq = frequency(draw);
                 let at = model.iter().position(|e| e.0 == key);
                 match (op, at) {
                     (0 | 1, Some(i)) => {
-                        model[i] = (key, model[i].1 + 1, tick());
+                        model[i] = (key, model[i].1.saturating_add(1), tick());
                         if op == 0 {
                             proptest::prop_assert_eq!(hash.insert(key), None);
                             proptest::prop_assert_eq!(dense.insert(key), None);
@@ -477,6 +721,55 @@ mod tests {
                 for &(k, f, _) in &model {
                     proptest::prop_assert_eq!(hash.frequency(k), Some(f));
                     proptest::prop_assert_eq!(dense.frequency(k), Some(f));
+                }
+            }
+        }
+
+        #[test]
+        fn perfect_lfu_matches_a_naive_model(
+            ops in proptest::collection::vec((0u8..3, 0u64..12), 1..400)
+        ) {
+            const CAP: usize = 4;
+            let mut cache = PerfectLfuCache::new(CAP);
+            // The model: all-time counts that survive eviction, and the
+            // resident (key, freq, stamp) triples, the victim being the
+            // minimum (freq, stamp).
+            let mut global = [0u64; 12];
+            let mut model: Vec<(u64, u64, u64)> = Vec::new();
+            for (stamp, (op, key)) in ops.into_iter().enumerate() {
+                let at = model.iter().position(|e| e.0 == key);
+                if op < 2 {
+                    global[key as usize] += 1;
+                }
+                let freq = global[key as usize];
+                match (op, at) {
+                    (0, Some(i)) => {
+                        model[i] = (key, freq, stamp as u64);
+                        proptest::prop_assert_eq!(cache.insert(key), None);
+                    }
+                    (0, None) => {
+                        let victim = (0..model.len())
+                            .min_by_key(|&i| (model[i].1, model[i].2))
+                            .filter(|_| model.len() >= CAP)
+                            .map(|i| model.swap_remove(i).0);
+                        model.push((key, freq, stamp as u64));
+                        proptest::prop_assert_eq!(cache.insert(key), victim);
+                    }
+                    (1, _) => {
+                        if let Some(i) = at {
+                            model[i] = (key, freq, stamp as u64);
+                        }
+                        proptest::prop_assert_eq!(cache.touch(key), at.is_some());
+                    }
+                    _ => {
+                        at.map(|i| model.swap_remove(i));
+                        proptest::prop_assert_eq!(cache.remove(key), at.is_some());
+                    }
+                }
+                proptest::prop_assert_eq!(cache.len(), model.len());
+                for k in 0..12u64 {
+                    proptest::prop_assert_eq!(cache.global_frequency(k), global[k as usize]);
+                    proptest::prop_assert_eq!(cache.contains(k), model.iter().any(|e| e.0 == k));
                 }
             }
         }

@@ -6,7 +6,12 @@
 //!   We provide the classic *in-cache* LFU ([`LfuCache`], frequency counted
 //!   only while the object is resident — the form deployed proxies use) and
 //!   *perfect* LFU ([`PerfectLfuCache`], frequency survives eviction) so
-//!   the difference itself can be measured.
+//!   the difference itself can be measured. Both keep one FIFO per
+//!   resident frequency in a list of buckets sorted by frequency (the O(1)
+//!   LFU of Shah, Mitra & Matani): every write appends to its frequency's
+//!   tail, so the victim is the lowest bucket's head, and a touch, an
+//!   insert at frequency 1 and an eviction are O(1); a write at any other
+//!   frequency walks in from both ends of the bucket list.
 //! * **FC, FC-EC** use a **cost-benefit** replacement that, "based on the
 //!   assumption of the perfect frequency knowledge to each object,
 //!   minimizes the aggregate average latency of all the clients in the

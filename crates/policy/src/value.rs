@@ -90,8 +90,10 @@ impl<K: Copy + Eq, X: PositionIndex<K>> ValueCache<K, X> {
     fn update(&mut self, key: K, f: impl FnOnce(f64) -> f64) -> bool {
         let stamp = self.clock + 1;
         let hit = self.heap.update_with(key, |(V(v), _)| (V(f(v)), stamp)).is_some();
-        // A branch, not `clock += u64::from(hit)`, for the reason given
-        // at `FreqIndex::update` in lfu.rs (a release-build miscompile).
+        // A branch, not `clock += u64::from(hit)`: rustc 1.95 at
+        // opt-level 3 dropped that add when `f` ignored its argument (the
+        // LFU naive-model proptest failed in release builds with it, back
+        // when the LFU caches kept this same stamp clock).
         if hit {
             self.clock = stamp;
         }
