@@ -86,7 +86,7 @@ impl TwoTierLfuSite {
         let p2p = self.p2p.as_mut()?;
         let freq = p2p.frequency(object)?.saturating_add(1);
         // Promote when the object now outranks the proxy tier's victim
-        // (ties go to the newer access, as in in-cache LFU).
+        // (ties go to the newer access, as within one LFU frequency).
         let deserves_proxy = self.proxy.len() < self.proxy.capacity()
             || freq >= self.proxy.min_frequency().unwrap_or(u64::MAX);
         if deserves_proxy {

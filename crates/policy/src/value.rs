@@ -91,9 +91,9 @@ impl<K: Copy + Eq, X: PositionIndex<K>> ValueCache<K, X> {
         let stamp = self.clock + 1;
         let hit = self.heap.update_with(key, |(V(v), _)| (V(f(v)), stamp)).is_some();
         // A branch, not `clock += u64::from(hit)`: rustc 1.95 at
-        // opt-level 3 dropped that add when `f` ignored its argument (the
-        // LFU naive-model proptest failed in release builds with it, back
-        // when the LFU caches kept this same stamp clock).
+        // opt-level 3 dropped that add when `f` ignored its argument (a
+        // naive-model proptest of the same pattern failed in release
+        // builds with it).
         if hit {
             self.clock = stamp;
         }
