@@ -346,6 +346,50 @@ mod tests {
 
     proptest::proptest! {
         #[test]
+        fn byte_lru_matches_a_naive_model(
+            cap in 1u64..120,
+            ops in proptest::collection::vec((0u8..2, 0u64..24, 1u32..60), 1..400)
+        ) {
+            let mut c = ByteLruCache::new(cap);
+            // The model: resident (key, stamp, size) triples, searched
+            // linearly; the victim is the minimum stamp.
+            let mut model: Vec<(u64, u64, u32)> = Vec::new();
+            for (stamp, (op, key, size)) in ops.into_iter().enumerate() {
+                let stamp = stamp as u64;
+                let at = model.iter().position(|e| e.0 == key);
+                let used = |m: &[(u64, u64, u32)]| m.iter().map(|e| u64::from(e.2)).sum::<u64>();
+                match (op, at) {
+                    (0 | 1, Some(i)) => {
+                        model[i].1 = stamp;
+                        if op == 0 {
+                            proptest::prop_assert_eq!(c.insert(key, size), Vec::<u64>::new());
+                        } else {
+                            proptest::prop_assert!(c.touch(key));
+                        }
+                    }
+                    (0, None) => {
+                        let mut out = Vec::new();
+                        if u64::from(size) <= cap {
+                            while used(&model) + u64::from(size) > cap {
+                                let i = (0..model.len()).min_by_key(|&i| model[i].1).unwrap();
+                                out.push(model.swap_remove(i).0);
+                            }
+                            model.push((key, stamp, size));
+                        }
+                        proptest::prop_assert_eq!(c.insert(key, size), out);
+                    }
+                    _ => proptest::prop_assert!(!c.touch(key)),
+                }
+                proptest::prop_assert_eq!(c.len(), model.len());
+                proptest::prop_assert_eq!(c.is_empty(), model.is_empty());
+                proptest::prop_assert_eq!(c.used_bytes(), used(&model));
+                for k in 0..24 {
+                    proptest::prop_assert_eq!(c.contains(k), model.iter().any(|e| e.0 == k));
+                }
+            }
+        }
+
+        #[test]
         fn byte_budgets_never_exceeded(
             ops in proptest::collection::vec((0u64..30, 1u32..40, 1u32..10), 1..300)
         ) {

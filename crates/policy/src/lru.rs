@@ -152,7 +152,57 @@ mod tests {
         let _ = LruCache::<u64>::new(0);
     }
 
+    /// Removes the model's minimum-stamp entry and returns its key.
+    fn evict_oldest(model: &mut Vec<(u64, u64)>) -> Option<u64> {
+        let i = (0..model.len()).min_by_key(|&i| model[i].1)?;
+        Some(model.swap_remove(i).0)
+    }
+
     proptest::proptest! {
+        #[test]
+        fn matches_a_naive_model(
+            cap in 1usize..9,
+            ops in proptest::collection::vec((0u8..4, 0u64..24), 1..400)
+        ) {
+            let mut c = LruCache::new(cap);
+            // The model: resident (key, stamp) pairs, searched linearly;
+            // the victim is the minimum stamp.
+            let mut model: Vec<(u64, u64)> = Vec::new();
+            for (stamp, (op, key)) in ops.into_iter().enumerate() {
+                let stamp = stamp as u64;
+                let at = model.iter().position(|e| e.0 == key);
+                match (op, at) {
+                    (0 | 1, Some(i)) => {
+                        model[i].1 = stamp;
+                        if op == 0 {
+                            proptest::prop_assert_eq!(c.insert(key), None);
+                        } else {
+                            proptest::prop_assert!(c.touch(key));
+                        }
+                    }
+                    (0, None) => {
+                        let out = if model.len() >= cap { evict_oldest(&mut model) } else { None };
+                        model.push((key, stamp));
+                        proptest::prop_assert_eq!(c.insert(key), out);
+                    }
+                    (1, None) => proptest::prop_assert!(!c.touch(key)),
+                    (2, _) => {
+                        at.map(|i| model.swap_remove(i));
+                        proptest::prop_assert_eq!(c.remove(key), at.is_some());
+                    }
+                    _ => proptest::prop_assert_eq!(c.evict(), evict_oldest(&mut model)),
+                }
+                model.sort_unstable_by_key(|e| e.1);
+                let order: Vec<u64> = model.iter().map(|e| e.0).collect();
+                proptest::prop_assert_eq!(&order, &c.keys_lru_order().collect::<Vec<_>>());
+                proptest::prop_assert_eq!(c.len(), model.len());
+                proptest::prop_assert_eq!(c.peek_lru(), order.first().copied());
+                for k in 0..24 {
+                    proptest::prop_assert_eq!(c.contains(k), order.contains(&k));
+                }
+            }
+        }
+
         #[test]
         fn never_exceeds_capacity(ops in proptest::collection::vec((0u8..3, 0u64..20), 1..200)) {
             let mut c = LruCache::new(5);
