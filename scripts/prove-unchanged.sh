@@ -35,7 +35,7 @@ keep() {
   echo "exit $code" >>"$out"
 }
 
-surfaces() { # $1 = binary, $2 = output directory
+surfaces() { # $1 = binary, $2 = output directory, $3 = checkout, $4 = its target directory
   local bin=$1
   rm -rf "$2" && mkdir -p "$2" && cd "$2"
 
@@ -134,6 +134,20 @@ surfaces() { # $1 = binary, $2 = output directory
     --report-out durability_k3.json --csv-out durability_k3.csv
   keep chaos_sabotage.json "$bin" chaos --plans 40 --seed 42 --sabotage true --json true
 
+  # No CLI surface runs LruCache, ByteLruCache, PerfectLfuCache or
+  # GreedyDualSizeCache; these benches, at default scale, are the only
+  # outputs that do. Each writes its CSV under its own target directory's
+  # figures/, so both sides build with their own CARGO_TARGET_DIR. Stderr
+  # names that directory and is kept aside, uncompared.
+  for bench in squirrel_compare ablation_lfu ablation_gds; do
+    rm -f "$4/figures/$bench.csv"
+    local code=0
+    (cd "$3" && CARGO_TARGET_DIR="$4" cargo bench --offline -q -p webcache-bench \
+      --bench $bench) >bench_$bench.txt 2>"$4/bench_$bench.stderr" || code=$?
+    echo "exit $code" >>bench_$bench.txt
+    cp "$4/figures/$bench.csv" bench_$bench.csv 2>/dev/null || echo missing >bench_$bench.csv
+  done
+
   # Error paths: the message and the exit code are what a CLI refactor
   # breaks. Paths are relative so both sides print the same names.
   keep err_unknown_scheme.txt "$bin" run --scheme x t1.bin
@@ -156,8 +170,9 @@ surfaces() { # $1 = binary, $2 = output directory
   keep err_help.txt "$bin" --help
 }
 
-(surfaces "$scratch/parent-target/release/webcache" "$scratch/out-parent")
-(surfaces "$repo/target/release/webcache" "$scratch/out-change")
+(surfaces "$scratch/parent-target/release/webcache" "$scratch/out-parent" \
+  "$scratch/parent" "$scratch/parent-target")
+(surfaces "$repo/target/release/webcache" "$scratch/out-change" "$repo" "$repo/target")
 if diff -r "$scratch/out-parent" "$scratch/out-change"; then
   echo "unchanged: $(ls "$scratch/out-change" | wc -l) files identical to $parent"
 else
