@@ -14,6 +14,8 @@
 //! Both refuse objects larger than the whole cache (served but never
 //! stored — standard proxy behaviour).
 
+use crate::fifo::{Fifo, FifoSlab};
+use crate::heap::HashIndex;
 use std::collections::BTreeSet;
 use std::hash::Hash;
 use webcache_primitives::FxHashMap;
@@ -162,16 +164,16 @@ impl<K: Copy + Eq + Hash + Ord> GreedyDualSizeCache<K> {
     }
 }
 
-/// Byte-bounded LRU cache.
+/// Byte-bounded LRU cache: one FIFO in last-use order, as
+/// [`LruCache`](crate::LruCache), with each entry's size beside its key.
 #[derive(Clone, Debug)]
 pub struct ByteLruCache<K: Copy = u64> {
     capacity_bytes: u64,
     used_bytes: u64,
-    /// key -> (stamp, size)
-    entries: FxHashMap<K, (u64, u32)>,
-    /// stamp -> key, oldest first.
-    order: std::collections::BTreeMap<u64, K>,
-    clock: u64,
+    /// The resident keys and their sizes.
+    slab: FifoSlab<K, u32, HashIndex<K>>,
+    /// Least recently used at the head.
+    order: Fifo,
 }
 
 impl<K: Copy + Eq + Hash> ByteLruCache<K> {
@@ -184,9 +186,8 @@ impl<K: Copy + Eq + Hash> ByteLruCache<K> {
         ByteLruCache {
             capacity_bytes,
             used_bytes: 0,
-            entries: FxHashMap::default(),
-            order: std::collections::BTreeMap::new(),
-            clock: 0,
+            slab: FifoSlab::with_capacity(0),
+            order: Fifo::EMPTY,
         }
     }
 
@@ -197,28 +198,24 @@ impl<K: Copy + Eq + Hash> ByteLruCache<K> {
 
     /// Resident object count.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.slab.len()
     }
 
     /// True if nothing is stored.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
     /// True if `key` is resident.
     pub fn contains(&self, key: K) -> bool {
-        self.entries.contains_key(&key)
+        self.slab.get(&key).is_some()
     }
 
     /// Records a hit; returns false on a miss.
     pub fn touch(&mut self, key: K) -> bool {
-        let Some(&(stamp, size)) = self.entries.get(&key) else {
-            return false;
-        };
-        self.order.remove(&stamp);
-        self.clock += 1;
-        self.entries.insert(key, (self.clock, size));
-        self.order.insert(self.clock, key);
+        let Some(node) = self.slab.get(&key) else { return false };
+        self.slab.unlink(&mut self.order, node);
+        self.slab.push_back(&mut self.order, node, 0);
         true
     }
 
@@ -234,16 +231,13 @@ impl<K: Copy + Eq + Hash> ByteLruCache<K> {
         }
         let mut evicted = Vec::new();
         while self.used_bytes + u64::from(size) > self.capacity_bytes {
-            let (&stamp, &victim) =
-                self.order.iter().next().expect("over budget implies non-empty");
-            self.order.remove(&stamp);
-            let (_, vsize) = self.entries.remove(&victim).expect("ordered entry resident");
+            let node = self.order.front().expect("over budget implies non-empty");
+            let (victim, vsize) = self.slab.release(&mut self.order, node);
             self.used_bytes -= u64::from(vsize);
             evicted.push(victim);
         }
-        self.clock += 1;
-        self.entries.insert(key, (self.clock, size));
-        self.order.insert(self.clock, key);
+        let node = self.slab.alloc(key, size);
+        self.slab.push_back(&mut self.order, node, 0);
         self.used_bytes += u64::from(size);
         evicted
     }

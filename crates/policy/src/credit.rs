@@ -9,23 +9,23 @@
 //! the same increment, the one credited later has an `H` no smaller and a
 //! larger stamp. Kept in the order their credits were set, one
 //! increment's entries are therefore already sorted by `(H, stamp)`:
-//! [`CreditFifos`] keeps one doubly linked FIFO per distinct increment,
-//! appends on every credit, and finds the victim — the smallest
-//! `(H, stamp)` overall — among the FIFO heads. Every operation is O(1)
-//! except that lookup, which is linear in the number of distinct
-//! increments the cache has seen: four for a Hier-GD proxy, whose costs
-//! are the network model's four re-fetch costs at size 1. A debug build
-//! re-checks the sortedness on every append.
+//! [`CreditFifos`] keeps one FIFO per distinct increment over the crate's
+//! FIFO slab, appends on every credit, and finds the victim — the
+//! smallest `(H, stamp)` overall — among the FIFO heads. Every operation
+//! is O(1) except that lookup, which is linear in the number of distinct
+//! increments seen: four for a Hier-GD proxy, whose costs are the network
+//! model's four re-fetch costs at size 1. A debug build re-checks the
+//! sortedness on every append.
 //!
 //! Which structure a cache uses follows its locator ([`CreditIndex`]):
-//! every [`PositionIndex`] takes the FIFOs, reached through a slab of
-//! `capacity` nodes; [`LinearScan`] keeps the flat heap
-//! ([`FlatMinHeap`]), whose array order its [`keys`](CreditOrder::keys)
-//! yields — the order the P2P membership paths hand client-cache objects
-//! off in.
+//! every [`PositionIndex`] takes the FIFOs; [`LinearScan`] keeps the flat
+//! heap ([`FlatMinHeap`]), whose array order its
+//! [`keys`](CreditOrder::keys) yields — the order the P2P membership
+//! paths hand client-cache objects off in.
 
 use std::fmt::Debug;
 
+use crate::fifo::{Fifo, FifoSlab, NIL};
 use crate::heap::{FlatMinHeap, KeyLocator, LinearScan, MinHeap, PositionIndex};
 
 /// A resident entry's `(H bits, stamp)`. Every credit is non-negative and
@@ -127,41 +127,23 @@ impl<K: Copy + Eq + Debug, L: KeyLocator<K> + Debug> CreditOrder<K> for MinHeap<
     }
 }
 
-/// "No slot": the ends of a FIFO and of the free chain.
-const NIL: u32 = u32::MAX;
-
-/// A resident entry, linked into its increment's FIFO. Vacated nodes are
-/// chained through `next` for reuse.
-#[derive(Clone, Debug)]
-struct Node<K> {
-    credit: Credit,
-    key: K,
-    prev: u32,
-    next: u32,
-    /// The FIFO this node is in (an index into `CreditFifos::classes`).
-    class: u32,
-}
-
-/// The FIFO of one increment, oldest credit at `head`.
+/// The FIFO of one increment, oldest credit at its head.
 #[derive(Clone, Debug)]
 struct Class {
     /// Bits of the increment `cost / size` every member was credited with.
     increment: u64,
-    head: u32,
-    tail: u32,
+    fifo: Fifo,
 }
 
 /// One FIFO per credit increment (module docs): the order of every
-/// [`PositionIndex`]-located greedy-dual cache. The index maps a key to
-/// its node in a slab that never holds more nodes than the cache's
-/// capacity; nothing beside the index is kept per key ever seen.
+/// [`PositionIndex`]-located greedy-dual cache. Its slab never holds more
+/// nodes than the cache's capacity, and nothing beside the index is kept
+/// per key ever seen.
 #[derive(Clone, Debug)]
 pub struct CreditFifos<K, X> {
-    /// key -> node.
-    index: X,
-    nodes: Vec<Node<K>>,
-    /// Head of the chain of vacated nodes.
-    free: u32,
+    /// The resident entries and their credits; a node's list is its
+    /// class.
+    slab: FifoSlab<K, Credit, X>,
     /// One per distinct increment seen, in first-seen order; a class that
     /// empties stays, to be refilled.
     classes: Vec<Class>,
@@ -173,129 +155,79 @@ impl<K: Copy + Eq, X: PositionIndex<K>> CreditFifos<K, X> {
         match self.classes.iter().position(|c| c.increment == increment) {
             Some(c) => c as u32,
             None => {
-                self.classes.push(Class { increment, head: NIL, tail: NIL });
+                self.classes.push(Class { increment, fifo: Fifo::EMPTY });
                 (self.classes.len() - 1) as u32
             }
         }
     }
 
-    /// Takes `node` out of its FIFO.
-    fn unlink(&mut self, node: u32) {
-        let Node { prev, next, class, .. } = self.nodes[node as usize];
-        let class = &mut self.classes[class as usize];
-        match prev {
-            NIL => class.head = next,
-            p => self.nodes[p as usize].next = next,
-        }
-        match next {
-            NIL => class.tail = prev,
-            n => self.nodes[n as usize].prev = prev,
-        }
-    }
-
-    /// Credits `node` at `credit` and appends it to the FIFO of
-    /// `increment`.
+    /// Credits `node`, in no FIFO, at `credit` and appends it to the FIFO
+    /// of `increment`.
     fn append(&mut self, node: u32, credit: Credit, increment: u64) {
         let c = self.class_of(increment);
-        let class = &mut self.classes[c as usize];
-        let tail = class.tail;
-        class.tail = node;
-        if tail == NIL {
-            class.head = node;
-        } else {
-            // The exactness argument (module docs): a FIFO stays sorted.
-            debug_assert!(self.nodes[tail as usize].credit < credit, "FIFO out of credit order");
-            self.nodes[tail as usize].next = node;
-        }
-        let n = &mut self.nodes[node as usize];
-        n.credit = credit;
-        n.prev = tail;
-        n.next = NIL;
-        n.class = c;
+        let fifo = &mut self.classes[c as usize].fifo;
+        // The exactness argument (module docs): a FIFO stays sorted.
+        debug_assert!(
+            fifo.tail == NIL || self.slab.val(fifo.tail) < credit,
+            "FIFO out of credit order"
+        );
+        self.slab.set_val(node, credit);
+        self.slab.push_back(fifo, node, c);
     }
 
     /// The node holding the minimum credit: the least of the FIFO heads.
     fn min_node(&self) -> Option<u32> {
-        self.classes
-            .iter()
-            .filter(|c| c.head != NIL)
-            .map(|c| c.head)
-            .min_by_key(|&n| self.nodes[n as usize].credit)
+        self.classes.iter().filter_map(|c| c.fifo.front()).min_by_key(|&n| self.slab.val(n))
     }
 
-    /// The resident nodes, FIFO by FIFO.
-    fn resident(&self) -> impl Iterator<Item = &Node<K>> + '_ {
-        self.classes.iter().flat_map(move |c| {
-            let first = (c.head != NIL).then_some(c.head);
-            std::iter::successors(first, move |&n| {
-                let next = self.nodes[n as usize].next;
-                (next != NIL).then_some(next)
-            })
-            .map(move |n| &self.nodes[n as usize])
-        })
+    /// The resident entries, FIFO by FIFO.
+    fn resident(&self) -> impl Iterator<Item = (K, Credit)> + '_ {
+        self.classes.iter().flat_map(move |c| self.slab.iter(c.fifo))
     }
 
     /// Unlinks and vacates `node`, unmapping its key; returns the entry.
     fn release(&mut self, node: u32) -> (Credit, K) {
-        self.unlink(node);
-        let n = &mut self.nodes[node as usize];
-        n.next = self.free;
-        self.free = node;
-        self.index.remove(&n.key);
-        (n.credit, n.key)
+        let c = self.slab.list(node);
+        let (key, credit) = self.slab.release(&mut self.classes[c as usize].fifo, node);
+        (credit, key)
     }
 }
 
 impl<K: Copy + Eq + Debug, X: PositionIndex<K> + Debug> CreditOrder<K> for CreditFifos<K, X> {
     fn with_capacity(n: usize) -> Self {
-        CreditFifos {
-            index: X::with_capacity(n),
-            nodes: Vec::with_capacity(n),
-            free: NIL,
-            classes: Vec::new(),
-        }
+        CreditFifos { slab: FifoSlab::with_capacity(n), classes: Vec::new() }
     }
 
     fn len(&self) -> usize {
-        self.index.len()
+        self.slab.len()
     }
 
     #[inline]
     fn contains(&self, key: K) -> bool {
-        self.index.get(&key).is_some()
+        self.slab.get(&key).is_some()
     }
 
     fn credit(&self, key: K) -> Option<Credit> {
-        self.index.get(&key).map(|n| self.nodes[n as usize].credit)
+        self.slab.get(&key).map(|n| self.slab.val(n))
     }
 
     #[inline]
     fn update(&mut self, key: K, credit: Credit, increment: u64) -> bool {
-        let Some(node) = self.index.get(&key) else { return false };
-        self.unlink(node);
+        let Some(node) = self.slab.get(&key) else { return false };
+        let c = self.slab.list(node);
+        self.slab.unlink(&mut self.classes[c as usize].fifo, node);
         self.append(node, credit, increment);
         true
     }
 
     fn insert_new(&mut self, key: K, credit: Credit, increment: u64) {
         debug_assert!(!self.contains(key), "insert_new of a resident key");
-        let node = match self.free {
-            NIL => {
-                self.nodes.push(Node { credit, key, prev: NIL, next: NIL, class: 0 });
-                (self.nodes.len() - 1) as u32
-            }
-            n => {
-                self.free = self.nodes[n as usize].next;
-                self.nodes[n as usize].key = key;
-                n
-            }
-        };
-        self.index.insert(key, node);
+        let node = self.slab.alloc(key, credit);
         self.append(node, credit, increment);
     }
 
     fn peek_min(&self) -> Option<K> {
-        self.min_node().map(|n| self.nodes[n as usize].key)
+        self.min_node().map(|n| self.slab.key(n))
     }
 
     fn pop_min(&mut self) -> Option<(Credit, K)> {
@@ -304,18 +236,18 @@ impl<K: Copy + Eq + Debug, X: PositionIndex<K> + Debug> CreditOrder<K> for Credi
     }
 
     fn remove(&mut self, key: K) -> bool {
-        let Some(node) = self.index.get(&key) else { return false };
+        let Some(node) = self.slab.get(&key) else { return false };
         self.release(node);
         true
     }
 
     /// Class by class in first-seen order, each oldest credit first.
     fn keys(&self) -> impl Iterator<Item = K> + '_ {
-        self.resident().map(|n| n.key)
+        self.resident().map(|(k, _)| k)
     }
 
     fn sorted(&self) -> Vec<(Credit, K)> {
-        let mut v: Vec<(Credit, K)> = self.resident().map(|n| (n.credit, n.key)).collect();
+        let mut v: Vec<(Credit, K)> = self.resident().map(|(k, c)| (c, k)).collect();
         v.sort_unstable_by_key(|e| e.0);
         v
     }

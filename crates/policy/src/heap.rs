@@ -1,16 +1,14 @@
 //! Keyed d-ary min-heap: the priority structure behind FC/FC-EC's value
 //! store ([`ValueCache`](crate::ValueCache)) and the client caches'
-//! few-entry greedy-dual stores. The LFU caches and the indexed
-//! greedy-dual caches keep FIFOs over a node slab instead, whose writes
-//! need no reordering.
+//! few-entry greedy-dual stores. The LRU, LFU and indexed greedy-dual
+//! caches keep FIFOs over one node slab instead, whose writes need no
+//! reordering. This module also holds the [`PositionIndex`] both kinds
+//! of structure find keys through.
 //!
-//! The original implementations kept eviction order in a
-//! `BTreeSet<(Priority, Stamp, Key)>`: every touch allocated/freed a B-tree
-//! node and chased pointers across a dozen cache lines. This heap stores
-//! the same (priority, stamp) pairs in a flat `Vec` with a [`FxHashMap`]
-//! position index, so update/remove of an arbitrary key stays O(log n)
-//! with **zero per-operation allocation** and mostly-contiguous memory
-//! traffic.
+//! The heap replaced a `BTreeSet<(Priority, Stamp, Key)>`, which allocated
+//! or freed a B-tree node on every touch: it keeps the same pairs in one
+//! flat `Vec`, so update/remove of an arbitrary key stays O(log n) with
+//! **zero per-operation allocation**.
 //!
 //! How a key is resolved to its entry is the heap's [`KeyLocator`]:
 //! [`Handles`] (a [`PositionIndex`] plus handle tables — the value
@@ -24,10 +22,8 @@
 //! standard trade for heaps whose cost is dominated by sift-down during
 //! `pop_min` (eviction).
 //!
-//! Policies that need a *total* order guarantee uniqueness by embedding a
-//! monotone stamp in the priority (`(credit, stamp)`), so the heap never
-//! has to compare keys — the eviction sequence is exactly the one the old
-//! B-tree produced.
+//! Policies that need a *total* order embed a monotone stamp in the
+//! priority (`(value, stamp)`), so the heap never compares keys.
 
 use std::fmt::Debug;
 use std::hash::Hash;
@@ -36,16 +32,20 @@ use webcache_primitives::FxHashMap;
 /// Heap arity; 4 keeps siblings within a cache line for small priorities.
 const ARITY: usize = 4;
 
-/// Pluggable key → handle index for [`IndexedMinHeap`] and for the node
-/// slabs under [`CreditFifos`](crate::CreditFifos) and
-/// [`LfuCache`](crate::LfuCache).
+/// Pluggable key → handle index for [`IndexedMinHeap`] and for the FIFO
+/// node slab under [`CreditFifos`](crate::CreditFifos),
+/// [`LfuCache`](crate::LfuCache), [`LruCache`](crate::LruCache) and
+/// [`ByteLruCache`](crate::ByteLruCache).
 ///
-/// Either consults this exactly once per operation; everything else is
+/// Each consults this at most once per operation; everything else is
 /// flat `Vec` traffic. The default [`HashIndex`] works for any hashable
 /// key; [`DenseIndex`] replaces the hash probe with a direct array load
 /// when keys are small dense integers (the simulator's `ObjectId`s are
 /// `0..num_objects`, so the proxy caches — the hottest structures in the
 /// whole simulator, probed on every request — qualify).
+/// `Default` is a supertrait only so that no crate can make the
+/// non-`Default` [`LinearScan`] a `PositionIndex`, which lets
+/// [`CreditIndex`](crate::CreditIndex) be implemented for both.
 pub trait PositionIndex<K>: Clone + Default {
     /// An index with room for `n` keys before growing.
     fn with_capacity(n: usize) -> Self;
@@ -55,8 +55,6 @@ pub trait PositionIndex<K>: Clone + Default {
     fn insert(&mut self, key: K, handle: u32);
     /// Unmaps `key` (the key must be present).
     fn remove(&mut self, key: &K);
-    /// Unmaps everything.
-    fn clear(&mut self);
     /// Number of mapped keys.
     fn len(&self) -> usize;
     /// True when no keys are present.
@@ -95,10 +93,6 @@ impl<K: Copy + Eq + Hash> PositionIndex<K> for HashIndex<K> {
     fn remove(&mut self, key: &K) {
         let prev = self.0.remove(key);
         debug_assert!(prev.is_some(), "remove of an unmapped key");
-    }
-
-    fn clear(&mut self) {
-        self.0.clear();
     }
 
     fn len(&self) -> usize {
@@ -151,11 +145,6 @@ impl PositionIndex<u32> for DenseIndex {
         self.len -= 1;
     }
 
-    fn clear(&mut self) {
-        self.table.fill(ABSENT);
-        self.len = 0;
-    }
-
     fn len(&self) -> usize {
         self.len
     }
@@ -186,8 +175,6 @@ pub trait KeyLocator<K>: Clone {
     fn moved(&mut self, tag: Self::Tag, slot: usize);
     /// The entry carrying `tag` left the heap; returns its key.
     fn retire(&mut self, tag: Self::Tag) -> K;
-    /// Forgets every key.
-    fn clear(&mut self);
 }
 
 /// The [`KeyLocator`] of an [`IndexedMinHeap`]: keys are interned behind
@@ -268,13 +255,6 @@ impl<K: Copy + Eq, X: PositionIndex<K>> KeyLocator<K> for Handles<K, X> {
         self.free.push(h);
         key
     }
-
-    fn clear(&mut self) {
-        self.keys.clear();
-        self.slot.clear();
-        self.free.clear();
-        self.pos.clear();
-    }
 }
 
 /// The [`KeyLocator`] of a [`FlatMinHeap`]: entries carry the key itself
@@ -315,8 +295,6 @@ impl<K: Copy + Eq + Debug> KeyLocator<K> for LinearScan {
     fn retire(&mut self, key: K) -> K {
         key
     }
-
-    fn clear(&mut self) {}
 }
 
 /// A min-heap over `(priority, key)` pairs that finds a key's entry
@@ -455,12 +433,6 @@ impl<P: Ord + Copy, K: Copy + Eq, L: KeyLocator<K>> MinHeap<P, K, L> {
         let mut v: Vec<(P, K)> = self.iter().collect();
         v.sort_unstable_by_key(|a| a.0);
         v
-    }
-
-    /// Removes every entry.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        self.loc.clear();
     }
 
     /// Removes the entry at slot `i`, restoring the heap property.
@@ -660,7 +632,7 @@ mod tests {
         assert_eq!(h.peek_min(), None);
         assert_eq!(h.remove(1), None);
         h.push(1, 1);
-        h.clear();
+        assert_eq!(h.pop_min(), Some((1, 1)));
         assert!(h.is_empty() && !h.contains(1));
     }
 

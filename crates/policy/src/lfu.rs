@@ -15,33 +15,18 @@
 //! Ties break toward evicting the least-recently-used among the
 //! least-frequent, the common implementation choice.
 
+use crate::fifo::{Fifo, FifoSlab, NIL};
 use crate::heap::{HashIndex, PositionIndex};
 use crate::BoundedCache;
 use std::hash::Hash;
 use webcache_primitives::FxHashMap;
 
-/// "No slot": the ends of a FIFO, of the bucket list and of the free
-/// chains.
-const NIL: u32 = u32::MAX;
-
-/// A resident entry, linked into the FIFO of its frequency's bucket.
-/// Vacated nodes are chained through `next` for reuse.
-#[derive(Clone, Debug)]
-struct Node<K> {
-    key: K,
-    prev: u32,
-    next: u32,
-    /// The bucket whose FIFO this node is in.
-    bucket: u32,
-}
-
-/// The FIFO of one resident frequency, least recently written at `head`,
-/// in the list of buckets sorted by frequency.
+/// The FIFO of one resident frequency, least recently written at its
+/// head, in the list of buckets sorted by frequency.
 #[derive(Clone, Debug)]
 struct Bucket {
     freq: u64,
-    head: u32,
-    tail: u32,
+    fifo: Fifo,
     /// The neighbouring buckets, [`NIL`] past either end. A vacated
     /// bucket chains the free list through `higher`.
     lower: u32,
@@ -49,35 +34,27 @@ struct Bucket {
 }
 
 /// Shared frequency-ordered store: one FIFO per resident frequency (the
-/// O(1) LFU of Shah, Mitra & Matani, 2010).
+/// O(1) LFU of Shah, Mitra & Matani, 2010), in buckets that form a doubly
+/// linked list in ascending frequency.
 ///
-/// Every write — an insert, a touch, a frequency set — appends the entry
-/// at the tail of its frequency's FIFO, so each FIFO lists its members in
-/// the order they were last written: the recency tie-break, with no stamp
-/// clock. The buckets form a doubly linked list in ascending frequency,
-/// so the victim is the head of the lowest bucket. A touch moves an entry
-/// to the bucket just above, created there if missing (a lone member with
-/// no bucket at its new count renumbers its own bucket in place); a
-/// bucket that empties is unlinked and recycled. The nodes live in a slab
-/// that the position index `X` maps keys into, resolved at most once per
-/// method.
+/// Every write appends the entry at its frequency's tail, so a bucket
+/// lists its members in last-write order — the recency tie-break — and
+/// the victim is the lowest bucket's head. A touch moves an entry to the
+/// bucket just above, created there if missing (a lone member with no
+/// bucket at its new count renumbers its own bucket in place); a bucket
+/// that empties is unlinked and recycled.
 ///
 /// A write at an arbitrary frequency ([`insert_with_frequency`] at a
-/// tier transfer, every [`PerfectLfuCache`] write) finds its bucket by
-/// walking in from both ends of the bucket list at once: O(number of
-/// resident frequencies), at most the capacity, in the worst case. Fresh
-/// objects land at the low end and promoted ones near the top; over the
-/// benchmark's traces a walk averages about one step (EXPERIMENTS.md,
-/// "Throughput round 9").
+/// tier transfer, every [`PerfectLfuCache`] write) walks in from both
+/// ends of the bucket list at once: O(resident frequencies) at worst,
+/// about one step on the benchmark's traces (EXPERIMENTS.md, "Throughput
+/// round 9").
 ///
 /// [`insert_with_frequency`]: LfuCache::insert_with_frequency
 #[derive(Clone, Debug)]
 struct FreqIndex<K, X> {
-    /// key -> node.
-    index: X,
-    nodes: Vec<Node<K>>,
-    /// Head of the chain of vacated nodes.
-    free_node: u32,
+    /// The resident entries; a node's list is its bucket.
+    slab: FifoSlab<K, (), X>,
     /// Resident buckets and vacated ones, which `free_bucket` chains.
     buckets: Vec<Bucket>,
     lowest: u32,
@@ -88,9 +65,7 @@ struct FreqIndex<K, X> {
 impl<K: Copy + Eq, X: PositionIndex<K>> FreqIndex<K, X> {
     fn new() -> Self {
         FreqIndex {
-            index: X::default(),
-            nodes: Vec::new(),
-            free_node: NIL,
+            slab: FifoSlab::with_capacity(0),
             buckets: Vec::new(),
             lowest: NIL,
             highest: NIL,
@@ -99,23 +74,23 @@ impl<K: Copy + Eq, X: PositionIndex<K>> FreqIndex<K, X> {
     }
 
     fn len(&self) -> usize {
-        self.index.len()
+        self.slab.len()
     }
 
     fn contains(&self, key: K) -> bool {
-        self.index.get(&key).is_some()
+        self.slab.get(&key).is_some()
     }
 
     fn freq(&self, key: K) -> Option<u64> {
-        self.index.get(&key).map(|n| self.buckets[self.nodes[n as usize].bucket as usize].freq)
+        self.slab.get(&key).map(|n| self.buckets[self.slab.list(n) as usize].freq)
     }
 
     /// Adds one to a resident `key`'s frequency, saturating at
     /// `u64::MAX`; false if absent.
     fn touch(&mut self, key: K) -> bool {
-        let Some(node) = self.index.get(&key) else { return false };
-        let b = self.nodes[node as usize].bucket;
-        let Bucket { freq, head, tail, higher, .. } = self.buckets[b as usize];
+        let Some(node) = self.slab.get(&key) else { return false };
+        let b = self.slab.list(node);
+        let Bucket { freq, fifo, higher, .. } = self.buckets[b as usize];
         let Some(up) = freq.checked_add(1) else {
             self.set(node, freq);
             return true;
@@ -123,7 +98,7 @@ impl<K: Copy + Eq, X: PositionIndex<K>> FreqIndex<K, X> {
         if higher != NIL && self.buckets[higher as usize].freq == up {
             self.detach(node);
             self.append(node, higher);
-        } else if head == tail {
+        } else if fifo.head == fifo.tail {
             // Alone in its bucket, with none at `up`: renumber in place.
             self.buckets[b as usize].freq = up;
         } else {
@@ -137,42 +112,31 @@ impl<K: Copy + Eq, X: PositionIndex<K>> FreqIndex<K, X> {
     /// Sets a resident `key`'s frequency to `freq` and makes it the most
     /// recent at that frequency; false if absent.
     fn update(&mut self, key: K, freq: u64) -> bool {
-        let Some(node) = self.index.get(&key) else { return false };
+        let Some(node) = self.slab.get(&key) else { return false };
         self.set(node, freq);
         true
     }
 
     /// Inserts `key`, which the caller knows to be absent, at `freq`.
     fn insert_new(&mut self, key: K, freq: u64) {
-        let node = match self.free_node {
-            NIL => {
-                self.nodes.push(Node { key, prev: NIL, next: NIL, bucket: NIL });
-                (self.nodes.len() - 1) as u32
-            }
-            n => {
-                self.free_node = self.nodes[n as usize].next;
-                self.nodes[n as usize].key = key;
-                n
-            }
-        };
-        self.index.insert(key, node);
+        let node = self.slab.alloc(key, ());
         let b = self.bucket_of(freq);
         self.append(node, b);
     }
 
     fn remove(&mut self, key: K) -> Option<u64> {
-        let node = self.index.get(&key)?;
+        let node = self.slab.get(&key)?;
         Some(self.release(node).1)
     }
 
     fn pop_min(&mut self) -> Option<(K, u64)> {
         let b = self.buckets.get(self.lowest as usize)?;
-        Some(self.release(b.head))
+        Some(self.release(b.fifo.head))
     }
 
     fn peek_min(&self) -> Option<(K, u64)> {
         let b = self.buckets.get(self.lowest as usize)?;
-        Some((self.nodes[b.head as usize].key, b.freq))
+        Some((self.slab.key(b.fifo.head), b.freq))
     }
 
     /// Resident keys, lowest frequency first and, within one, least
@@ -180,11 +144,8 @@ impl<K: Copy + Eq, X: PositionIndex<K>> FreqIndex<K, X> {
     fn keys(&self) -> impl Iterator<Item = K> + '_ {
         let from = |first: u32| (first != NIL).then_some(first);
         std::iter::successors(from(self.lowest), move |&b| from(self.buckets[b as usize].higher))
-            .flat_map(move |b| {
-                let head = self.buckets[b as usize].head;
-                std::iter::successors(from(head), move |&n| from(self.nodes[n as usize].next))
-            })
-            .map(move |n| self.nodes[n as usize].key)
+            .flat_map(move |b| self.slab.iter(self.buckets[b as usize].fifo))
+            .map(|(k, ())| k)
     }
 
     /// Moves `node` to the tail of `freq`'s FIFO.
@@ -196,37 +157,30 @@ impl<K: Copy + Eq, X: PositionIndex<K>> FreqIndex<K, X> {
 
     /// Appends the detached `node` to bucket `b`'s FIFO.
     fn append(&mut self, node: u32, b: u32) {
-        let bucket = &mut self.buckets[b as usize];
-        let tail = bucket.tail;
-        bucket.tail = node;
-        match tail {
-            NIL => bucket.head = node,
-            t => {
-                let t = &mut self.nodes[t as usize];
-                debug_assert!(t.bucket == b && t.next == NIL, "FIFO tail out of place");
-                t.next = node;
-            }
-        }
-        let n = &mut self.nodes[node as usize];
-        n.prev = tail;
-        n.next = NIL;
-        n.bucket = b;
+        self.slab.push_back(&mut self.buckets[b as usize].fifo, node, b);
     }
 
-    /// Takes `node` out of its bucket's FIFO, unlinking and recycling the
-    /// bucket if that empties it.
+    /// Takes `node` out of its bucket's FIFO.
     fn detach(&mut self, node: u32) {
-        let Node { prev, next, bucket: b, .. } = self.nodes[node as usize];
-        match prev {
-            NIL => self.buckets[b as usize].head = next,
-            p => self.nodes[p as usize].next = next,
-        }
-        match next {
-            NIL => self.buckets[b as usize].tail = prev,
-            n => self.nodes[n as usize].prev = prev,
-        }
+        let b = self.slab.list(node);
+        self.slab.unlink(&mut self.buckets[b as usize].fifo, node);
+        self.drop_if_empty(b);
+    }
+
+    /// Detaches and vacates `node`, unmapping its key; returns its key
+    /// and frequency.
+    fn release(&mut self, node: u32) -> (K, u64) {
+        let b = self.slab.list(node);
+        let freq = self.buckets[b as usize].freq;
+        let (key, ()) = self.slab.release(&mut self.buckets[b as usize].fifo, node);
+        self.drop_if_empty(b);
+        (key, freq)
+    }
+
+    /// Unlinks and recycles bucket `b` if its FIFO is empty.
+    fn drop_if_empty(&mut self, b: u32) {
         let bucket = &mut self.buckets[b as usize];
-        if bucket.head == NIL {
+        if bucket.fifo.head == NIL {
             let Bucket { lower, higher, .. } = *bucket;
             bucket.higher = self.free_bucket;
             self.free_bucket = b;
@@ -239,18 +193,6 @@ impl<K: Copy + Eq, X: PositionIndex<K>> FreqIndex<K, X> {
                 h => self.buckets[h as usize].lower = lower,
             }
         }
-    }
-
-    /// Detaches and vacates `node`, unmapping its key; returns its key
-    /// and frequency.
-    fn release(&mut self, node: u32) -> (K, u64) {
-        let freq = self.buckets[self.nodes[node as usize].bucket as usize].freq;
-        self.detach(node);
-        let n = &mut self.nodes[node as usize];
-        n.next = self.free_node;
-        self.free_node = node;
-        self.index.remove(&n.key);
-        (n.key, freq)
     }
 
     /// The bucket of `freq`, linked in empty if there is none: walks in
@@ -281,7 +223,7 @@ impl<K: Copy + Eq, X: PositionIndex<K>> FreqIndex<K, X> {
                 && (higher == NIL || freq < self.buckets[higher as usize].freq),
             "bucket linked out of frequency order"
         );
-        let bucket = Bucket { freq, head: NIL, tail: NIL, lower, higher };
+        let bucket = Bucket { freq, fifo: Fifo::EMPTY, lower, higher };
         let b = match self.free_bucket {
             NIL => {
                 self.buckets.push(bucket);
@@ -409,11 +351,7 @@ impl<K: Copy + Eq + Hash, X: PositionIndex<K>> BoundedCache<K> for LfuCache<K, X
         if self.touch(key) {
             return None;
         }
-        let evicted = if self.index.len() >= self.capacity {
-            self.index.pop_min().map(|(k, _)| k)
-        } else {
-            None
-        };
+        let evicted = if self.index.len() >= self.capacity { self.evict() } else { None };
         self.index.insert_new(key, 1);
         evicted
     }
@@ -478,13 +416,9 @@ impl<K: Copy + Eq + Hash> BoundedCache<K> for PerfectLfuCache<K> {
         if self.index.update(key, f) {
             return None;
         }
-        let evicted = if self.index.len() >= self.capacity {
-            self.index.pop_min().map(|(k, _)| k)
-        } else {
-            None
-        };
+        let evicted = if self.index.len() >= self.capacity { self.index.pop_min() } else { None };
         self.index.insert_new(key, f);
-        evicted
+        evicted.map(|(k, _)| k)
     }
 
     fn remove(&mut self, key: K) -> bool {

@@ -1,6 +1,9 @@
 //! Cache replacement policies used throughout the reproduction.
 //!
-//! The paper's caching schemes each pin a replacement policy (§2, §5.1):
+//! The paper's caching schemes each pin a replacement policy (§2, §5.1),
+//! and three of them are list orders: each evicts the oldest entry of
+//! some FIFO, and all their FIFOs live in one slab of linked nodes that a
+//! [`PositionIndex`] maps keys into, where every write is an append.
 //!
 //! * **NC, SC, NC-EC, SC-EC** use **LFU** "to minimize access latency".
 //!   We provide the classic *in-cache* LFU ([`LfuCache`], frequency counted
@@ -8,10 +11,9 @@
 //!   *perfect* LFU ([`PerfectLfuCache`], frequency survives eviction) so
 //!   the difference itself can be measured. Both keep one FIFO per
 //!   resident frequency in a list of buckets sorted by frequency (the O(1)
-//!   LFU of Shah, Mitra & Matani): every write appends to its frequency's
-//!   tail, so the victim is the lowest bucket's head, and a touch, an
-//!   insert at frequency 1 and an eviction are O(1); a write at any other
-//!   frequency walks in from both ends of the bucket list.
+//!   LFU of Shah, Mitra & Matani), so the victim is the lowest bucket's
+//!   head; a touch, an insert at frequency 1 and an eviction are O(1), and
+//!   a write at any other frequency walks in from both ends of the list.
 //! * **FC, FC-EC** use a **cost-benefit** replacement that, "based on the
 //!   assumption of the perfect frequency knowledge to each object,
 //!   minimizes the aggregate average latency of all the clients in the
@@ -27,18 +29,21 @@
 //!   the number of distinct increments, four at a Hier-GD proxy. A
 //!   client cache's few-entry [`LinearScan`] store keeps an O(log n) flat
 //!   heap, whose array order its object hand-offs follow.
-//! * [`LruCache`] is included as the classic baseline the greedy-dual
-//!   literature (Korupolu & Dahlin) compares against.
+//! * [`LruCache`] — one FIFO in last-use order — is included as the
+//!   classic baseline the greedy-dual literature (Korupolu & Dahlin)
+//!   compares against.
 //!
 //! All stores are generic over the key type and assume unit-size objects
 //! (paper §5.1 assumption 1); greedy-dual retains its `cost/size` form via
-//! an explicit size parameter where it matters.
+//! an explicit size parameter where it matters. The [`bytes`] module lifts
+//! that assumption for GreedyDual-Size and a byte-budget LRU.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bytes;
 pub mod credit;
+mod fifo;
 pub mod gd;
 pub mod heap;
 pub mod lfu;

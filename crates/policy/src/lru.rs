@@ -1,23 +1,22 @@
 //! Least-recently-used cache.
 
+use crate::fifo::{Fifo, FifoSlab};
+use crate::heap::HashIndex;
 use crate::BoundedCache;
-use std::collections::BTreeMap;
 use std::hash::Hash;
-use webcache_primitives::FxHashMap;
 
 /// Bounded LRU cache over arbitrary keys.
 ///
-/// O(log n) per operation via a recency index; the greedy-dual literature's
-/// baseline policy and a useful reference point in tests (greedy-dual with
-/// uniform costs must behave LRU-like).
+/// One FIFO in last-use order: a hit or an insert appends the entry at
+/// the tail, so the head is the victim, and every operation is O(1). The
+/// greedy-dual literature's baseline policy and a useful reference point
+/// in tests (greedy-dual with uniform costs must behave LRU-like).
 #[derive(Clone, Debug)]
 pub struct LruCache<K> {
     capacity: usize,
-    /// key -> recency stamp
-    stamps: FxHashMap<K, u64>,
-    /// recency stamp -> key (oldest first)
-    order: BTreeMap<u64, K>,
-    clock: u64,
+    slab: FifoSlab<K, (), HashIndex<K>>,
+    /// Least recently used at the head.
+    order: Fifo,
 }
 
 impl<K: Copy + Eq + Hash> LruCache<K> {
@@ -27,34 +26,23 @@ impl<K: Copy + Eq + Hash> LruCache<K> {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "capacity must be positive");
-        LruCache { capacity, stamps: FxHashMap::default(), order: BTreeMap::new(), clock: 0 }
-    }
-
-    fn bump(&mut self, key: K) {
-        if let Some(old) = self.stamps.get(&key).copied() {
-            self.order.remove(&old);
-        }
-        self.clock += 1;
-        self.stamps.insert(key, self.clock);
-        self.order.insert(self.clock, key);
+        LruCache { capacity, slab: FifoSlab::with_capacity(0), order: Fifo::EMPTY }
     }
 
     /// The least-recently-used key, if any.
     pub fn peek_lru(&self) -> Option<K> {
-        self.order.values().next().copied()
+        self.order.front().map(|n| self.slab.key(n))
     }
 
     /// Evicts and returns the LRU key.
     pub fn evict(&mut self) -> Option<K> {
-        let (&stamp, &key) = self.order.iter().next()?;
-        self.order.remove(&stamp);
-        self.stamps.remove(&key);
-        Some(key)
+        let node = self.order.front()?;
+        Some(self.slab.release(&mut self.order, node).0)
     }
 
     /// Iterates over resident keys in LRU→MRU order.
     pub fn keys_lru_order(&self) -> impl Iterator<Item = K> + '_ {
-        self.order.values().copied()
+        self.slab.iter(self.order).map(|(k, ())| k)
     }
 }
 
@@ -64,38 +52,34 @@ impl<K: Copy + Eq + Hash> BoundedCache<K> for LruCache<K> {
     }
 
     fn len(&self) -> usize {
-        self.stamps.len()
+        self.slab.len()
     }
 
     fn contains(&self, key: K) -> bool {
-        self.stamps.contains_key(&key)
+        self.slab.get(&key).is_some()
     }
 
     fn touch(&mut self, key: K) -> bool {
-        if self.stamps.contains_key(&key) {
-            self.bump(key);
-            true
-        } else {
-            false
-        }
+        let Some(node) = self.slab.get(&key) else { return false };
+        self.slab.unlink(&mut self.order, node);
+        self.slab.push_back(&mut self.order, node, 0);
+        true
     }
 
     fn insert(&mut self, key: K) -> Option<K> {
         if self.touch(key) {
             return None;
         }
-        let evicted = if self.stamps.len() >= self.capacity { self.evict() } else { None };
-        self.bump(key);
+        let evicted = if self.slab.len() >= self.capacity { self.evict() } else { None };
+        let node = self.slab.alloc(key, ());
+        self.slab.push_back(&mut self.order, node, 0);
         evicted
     }
 
     fn remove(&mut self, key: K) -> bool {
-        if let Some(stamp) = self.stamps.remove(&key) {
-            self.order.remove(&stamp);
-            true
-        } else {
-            false
-        }
+        let Some(node) = self.slab.get(&key) else { return false };
+        self.slab.release(&mut self.order, node);
+        true
     }
 }
 
