@@ -160,7 +160,8 @@ impl<K: Copy + Eq, X: PositionIndex<K>> FreqIndex<K, X> {
         self.slab.push_back(&mut self.buckets[b as usize].fifo, node, b);
     }
 
-    /// Takes `node` out of its bucket's FIFO.
+    /// Takes `node` out of its bucket's FIFO, unlinking and recycling the
+    /// bucket if that empties it.
     fn detach(&mut self, node: u32) {
         let b = self.slab.list(node);
         self.slab.unlink(&mut self.buckets[b as usize].fifo, node);

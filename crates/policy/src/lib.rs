@@ -1,9 +1,10 @@
 //! Cache replacement policies used throughout the reproduction.
 //!
-//! The paper's caching schemes each pin a replacement policy (§2, §5.1),
-//! and three of them are list orders: each evicts the oldest entry of
-//! some FIFO, and all their FIFOs live in one slab of linked nodes that a
-//! [`PositionIndex`] maps keys into, where every write is an append.
+//! The paper's caching schemes each pin a replacement policy (§2, §5.1).
+//! Three of them — LFU, greedy-dual and LRU — are list orders: each
+//! evicts the oldest entry of some FIFO, and all their FIFOs live in one
+//! slab of linked nodes that a [`PositionIndex`] maps keys into, where
+//! every write is an append.
 //!
 //! * **NC, SC, NC-EC, SC-EC** use **LFU** "to minimize access latency".
 //!   We provide the classic *in-cache* LFU ([`LfuCache`], frequency counted
