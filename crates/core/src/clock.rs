@@ -1,4 +1,4 @@
-//! The discrete-event clock: a hierarchical time wheel over integer
+//! The discrete-event clock: a priority queue of events over integer
 //! ticks.
 //!
 //! Model time is measured in **ticks**, [`TICKS_PER_UNIT`] per model
@@ -11,16 +11,17 @@
 //! always pops `p0, p1, …` in proxy order — the compat-mode ordering
 //! proof DESIGN.md sketches rests on this invariant.
 //!
-//! The wheel is hierarchical: a 1024-slot level-0 wheel at one tick per
-//! slot, a 256-slot level-1 wheel at 1024 ticks per slot, and a sorted
-//! overflow map for everything farther out (far-future fault events,
-//! pathological stalls). Scheduling and delivery are O(1) for the dense
-//! near-term traffic the simulation generates; cascades touch each event
-//! at most twice. Delivery order is total: ascending tick, FIFO within a
-//! tick, enforced by an always-on monotonicity assertion in [`SimClock::pop`].
+//! Pending events live in one binary min-heap keyed by `(tick, seq)`,
+//! where `seq` is the clock's count of events scheduled before this one.
+//! The key is unique, so delivery order is total: ascending tick, FIFO
+//! within a tick, with an always-on monotonicity assertion in
+//! [`SimClock::pop`]. Scheduling and delivery cost O(log n) in the events
+//! pending — a few per proxy while the proxies keep up with their
+//! arrivals, a backlog that grows with the trace when they do not.
 
 use crate::event::Event;
-use std::collections::{BTreeMap, VecDeque};
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 use std::fmt;
 use std::str::FromStr;
 
@@ -85,46 +86,32 @@ impl FromStr for ClockMode {
     }
 }
 
-/// Level-0 slots: one tick each.
-const L0_SLOTS: usize = 1024;
-/// Level-1 slots: [`L0_SPAN`] ticks each.
-const L1_SLOTS: usize = 256;
-/// Ticks covered by the level-0 window.
-const L0_SPAN: u64 = L0_SLOTS as u64;
-/// Ticks covered by the level-1 window.
-const L1_SPAN: u64 = L0_SPAN * L1_SLOTS as u64;
-
-#[derive(Clone, Debug)]
+/// One scheduled event. Entries order by `(tick, seq)` alone: ascending
+/// tick, then scheduling order. `seq` is unique, so the order is total.
+#[derive(Debug)]
 struct Entry {
     tick: u64,
+    seq: u64,
     event: Event,
 }
 
-/// Occupancy bitmaps: one bit per slot, scanned by word.
-fn set_bit(bits: &mut [u64], i: usize) {
-    bits[i >> 6] |= 1 << (i & 63);
-}
-
-fn clear_bit(bits: &mut [u64], i: usize) {
-    bits[i >> 6] &= !(1 << (i & 63));
-}
-
-/// First set bit at index `start` or later, if any.
-fn scan_from(bits: &[u64], start: usize) -> Option<usize> {
-    let mut w = start >> 6;
-    if w >= bits.len() {
-        return None;
+impl PartialEq for Entry {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
     }
-    let mut word = bits[w] & (!0u64 << (start & 63));
-    loop {
-        if word != 0 {
-            return Some((w << 6) + word.trailing_zeros() as usize);
-        }
-        w += 1;
-        if w == bits.len() {
-            return None;
-        }
-        word = bits[w];
+}
+
+impl Eq for Entry {}
+
+impl PartialOrd for Entry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Entry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (self.tick, self.seq).cmp(&(other.tick, other.seq))
     }
 }
 
@@ -138,16 +125,7 @@ fn scan_from(bits: &[u64], start: usize) -> Option<usize> {
 pub struct SimClock {
     mode: ClockMode,
     now: u64,
-    /// Start of the level-0 window (multiple of [`L0_SPAN`]).
-    w0: u64,
-    /// Start of the level-1 window (multiple of [`L1_SPAN`]).
-    w1: u64,
-    level0: Vec<VecDeque<Entry>>,
-    l0_bits: [u64; L0_SLOTS / 64],
-    level1: Vec<VecDeque<Entry>>,
-    l1_bits: [u64; L1_SLOTS / 64],
-    overflow: BTreeMap<u64, VecDeque<Entry>>,
-    pending: u64,
+    queue: BinaryHeap<Reverse<Entry>>,
     scheduled: u64,
     delivered: u64,
 }
@@ -155,20 +133,7 @@ pub struct SimClock {
 impl SimClock {
     /// A fresh clock at tick 0 in `mode`.
     pub fn new(mode: ClockMode) -> Self {
-        SimClock {
-            mode,
-            now: 0,
-            w0: 0,
-            w1: 0,
-            level0: (0..L0_SLOTS).map(|_| VecDeque::new()).collect(),
-            l0_bits: [0; L0_SLOTS / 64],
-            level1: (0..L1_SLOTS).map(|_| VecDeque::new()).collect(),
-            l1_bits: [0; L1_SLOTS / 64],
-            overflow: BTreeMap::new(),
-            pending: 0,
-            scheduled: 0,
-            delivered: 0,
-        }
+        SimClock { mode, now: 0, queue: BinaryHeap::new(), scheduled: 0, delivered: 0 }
     }
 
     /// A fresh [`ClockMode::Compat`] clock.
@@ -194,7 +159,7 @@ impl SimClock {
 
     /// Events scheduled but not yet delivered.
     pub fn pending(&self) -> u64 {
-        self.pending
+        self.queue.len() as u64
     }
 
     /// Total events ever scheduled on this clock.
@@ -209,7 +174,7 @@ impl SimClock {
 
     /// True when no events remain.
     pub fn is_empty(&self) -> bool {
-        self.pending == 0
+        self.queue.is_empty()
     }
 
     /// Schedules `event` at absolute `tick`.
@@ -218,20 +183,8 @@ impl SimClock {
     /// Panics if `tick` is in the past (`tick < now()`).
     pub fn schedule_at(&mut self, tick: u64, event: Event) {
         assert!(tick >= self.now, "event scheduled in the past: {tick} < {}", self.now);
+        self.queue.push(Reverse(Entry { tick, seq: self.scheduled, event }));
         self.scheduled += 1;
-        self.pending += 1;
-        let entry = Entry { tick, event };
-        if tick < self.w0 + L0_SPAN {
-            let slot = (tick % L0_SPAN) as usize;
-            set_bit(&mut self.l0_bits, slot);
-            self.level0[slot].push_back(entry);
-        } else if tick < self.w1 + L1_SPAN {
-            let slot = ((tick - self.w1) / L0_SPAN) as usize;
-            set_bit(&mut self.l1_bits, slot);
-            self.level1[slot].push_back(entry);
-        } else {
-            self.overflow.entry(tick).or_default().push_back(entry);
-        }
     }
 
     /// Schedules `event` `delay` ticks from now.
@@ -243,67 +196,16 @@ impl SimClock {
     /// back in ascending tick order, FIFO within a tick. Returns `None`
     /// when the schedule is empty.
     pub fn pop(&mut self) -> Option<Event> {
-        if self.pending == 0 {
-            return None;
-        }
-        loop {
-            let start = self.now.saturating_sub(self.w0) as usize;
-            if let Some(slot) = scan_from(&self.l0_bits, start.min(L0_SLOTS)) {
-                let tick = self.w0 + slot as u64;
-                assert!(tick >= self.now, "non-monotone delivery: {tick} < {}", self.now);
-                self.now = tick;
-                let q = &mut self.level0[slot];
-                let entry = q.pop_front().expect("occupancy bit set on empty slot");
-                if q.is_empty() {
-                    clear_bit(&mut self.l0_bits, slot);
-                }
-                self.pending -= 1;
-                self.delivered += 1;
-                return Some(entry.event);
-            }
-            self.advance_window();
-        }
-    }
-
-    /// Advances the level-0 window to the next populated region,
-    /// cascading level-1 slots (and, when level 1 is exhausted, the
-    /// overflow map) down. Only called with `pending > 0` and the
-    /// current level-0 window drained.
-    fn advance_window(&mut self) {
-        loop {
-            // The level-1 slot covering the current (drained) level-0
-            // window has already been cascaded and cleared, so scanning
-            // from it finds strictly later work.
-            let from = ((self.w0 - self.w1) / L0_SPAN) as usize;
-            if let Some(slot) = scan_from(&self.l1_bits, from.min(L1_SLOTS)) {
-                self.w0 = self.w1 + slot as u64 * L0_SPAN;
-                clear_bit(&mut self.l1_bits, slot);
-                let entries = std::mem::take(&mut self.level1[slot]);
-                for entry in entries {
-                    let l0 = (entry.tick % L0_SPAN) as usize;
-                    set_bit(&mut self.l0_bits, l0);
-                    self.level0[l0].push_back(entry);
-                }
-                return;
-            }
-            // Level 1 is empty: jump both windows to the earliest
-            // overflow tick and refill level 1 from the overflow map.
-            let first = *self.overflow.keys().next().expect("pending events must live somewhere");
-            self.w1 = first - first % L1_SPAN;
-            self.w0 = self.w1;
-            let beyond = self.overflow.split_off(&(self.w1 + L1_SPAN));
-            let within = std::mem::replace(&mut self.overflow, beyond);
-            for (tick, entries) in within {
-                let slot = ((tick - self.w1) / L0_SPAN) as usize;
-                set_bit(&mut self.l1_bits, slot);
-                self.level1[slot].extend(entries);
-            }
-        }
+        let Reverse(entry) = self.queue.pop()?;
+        assert!(entry.tick >= self.now, "non-monotone delivery: {} < {}", entry.tick, self.now);
+        self.now = entry.tick;
+        self.delivered += 1;
+        Some(entry.event)
     }
 
     /// Compat-mode bookkeeping: the dense round-robin schedule is
     /// executed without materializing per-request entries (the ordering
-    /// proof in DESIGN.md shows the wheel would deliver exactly that
+    /// proof in DESIGN.md shows the queue would deliver exactly that
     /// order), but the conservation counters still account one
     /// scheduled + delivered pair per virtual event.
     pub(crate) fn account_virtual(&mut self, events: u64) {
@@ -324,14 +226,15 @@ impl SimClock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::{prop_assert_eq, proptest};
 
     fn tag(i: usize) -> Event {
-        Event::Timeout { proxy: i, units: 0 }
+        Event::Fault { index: i }
     }
 
     fn untag(e: Event) -> usize {
         match e {
-            Event::Timeout { proxy, .. } => proxy,
+            Event::Fault { index } => index,
             other => panic!("unexpected event {other:?}"),
         }
     }
@@ -349,9 +252,8 @@ mod tests {
 
     #[test]
     fn delivery_spans_all_levels_in_tick_order() {
-        // Ticks in level 0, level 1, and overflow, scheduled shuffled.
-        let ticks =
-            [3 * L1_SPAN + 17, 5, L0_SPAN + 3, 1, L1_SPAN - 1, 2 * L1_SPAN, L0_SPAN * 9 + 100];
+        // Ticks from 1 to beyond 2^19, scheduled shuffled.
+        let ticks = [786_449, 5, 1_027, 1, 262_143, 524_288, 9_316];
         let mut c = SimClock::event();
         for (i, &t) in ticks.iter().enumerate() {
             c.schedule_at(t, tag(i));
@@ -380,6 +282,18 @@ mod tests {
         c.schedule_at(4, tag(2));
         assert_eq!(untag(c.pop().unwrap()), 1);
         assert_eq!(untag(c.pop().unwrap()), 2);
+        assert!(c.pop().is_none());
+    }
+
+    #[test]
+    fn a_saturated_tick_is_delivered() {
+        let mut c = SimClock::event();
+        c.schedule_at(5, tag(0));
+        // `schedule_in` saturates: the event lands on the last tick.
+        c.schedule_in(u64::MAX, tag(1));
+        assert_eq!(untag(c.pop().unwrap()), 0);
+        assert_eq!(untag(c.pop().unwrap()), 1);
+        assert_eq!(c.now(), u64::MAX);
         assert!(c.pop().is_none());
     }
 
@@ -425,28 +339,76 @@ mod tests {
         assert_eq!(ClockMode::default(), ClockMode::Compat);
     }
 
-    proptest::proptest! {
-        /// Delivery order equals a stable sort by tick for arbitrary
-        /// schedules spanning every wheel level, and the conservation
-        /// counters balance.
+    /// Decodes one lockstep operation: `None` pops, `Some(d)` schedules
+    /// `d` ticks from now. Delays are zero (a same-tick drain), small,
+    /// above 2^18, or within 64 of `u64::MAX` (saturating).
+    fn delay_of(kind: u8, raw: u64) -> Option<u64> {
+        match kind {
+            0 | 1 => None,
+            2 => Some(0),
+            3 => Some(1 + raw % 64),
+            4 => Some((1 << 18) + 1 + raw),
+            _ => Some(u64::MAX - raw % 64),
+        }
+    }
+
+    /// The reference clock: a plain list, popped at its minimum
+    /// `(tick, seq)`.
+    #[derive(Default)]
+    struct Model {
+        entries: Vec<(u64, u64, usize)>,
+        now: u64,
+        scheduled: u64,
+        delivered: u64,
+    }
+
+    impl Model {
+        fn schedule_at(&mut self, tick: u64, tag: usize) {
+            self.entries.push((tick, self.scheduled, tag));
+            self.scheduled += 1;
+        }
+
+        fn pop(&mut self) -> Option<usize> {
+            let (i, _) = self.entries.iter().enumerate().min_by_key(|&(_, &(t, s, _))| (t, s))?;
+            let (tick, _, tag) = self.entries.swap_remove(i);
+            self.now = tick;
+            self.delivered += 1;
+            Some(tag)
+        }
+    }
+
+    proptest! {
+        /// The clock and the list model agree after every operation on the
+        /// popped event and on all four counters, for schedules that mix
+        /// same-tick drains, short and long delays, and saturated ticks.
         #[test]
-        fn wheel_delivers_stable_tick_order(
-            ticks in proptest::collection::vec(0u64..(3 * L1_SPAN), 1..200),
+        fn clock_matches_its_list_model(
+            ops in proptest::collection::vec((0u8..6, 0u64..1 << 20), 1..300),
         ) {
             let mut c = SimClock::event();
-            for (i, &t) in ticks.iter().enumerate() {
-                c.schedule_at(t, tag(i));
+            let mut m = Model::default();
+            for (i, (kind, raw)) in ops.into_iter().enumerate() {
+                match delay_of(kind, raw) {
+                    Some(d) => {
+                        let tick = c.now().saturating_add(d);
+                        c.schedule_at(tick, tag(i));
+                        m.schedule_at(tick, i);
+                    }
+                    None => prop_assert_eq!(c.pop().map(untag), m.pop()),
+                }
+                prop_assert_eq!(c.now(), m.now);
+                prop_assert_eq!(c.pending(), m.entries.len() as u64);
+                prop_assert_eq!(c.scheduled(), m.scheduled);
+                prop_assert_eq!(c.delivered(), m.delivered);
             }
-            let mut expect: Vec<(u64, usize)> =
-                ticks.iter().copied().zip(0..).collect();
-            expect.sort_by_key(|&(t, _)| t);
-            let mut got = Vec::new();
-            while let Some(e) = c.pop() {
-                got.push((c.now(), untag(e)));
+            loop {
+                let popped = c.pop().map(untag);
+                prop_assert_eq!(popped, m.pop());
+                if popped.is_none() {
+                    break;
+                }
             }
-            proptest::prop_assert_eq!(got, expect);
-            proptest::prop_assert_eq!(c.delivered(), ticks.len() as u64);
-            proptest::prop_assert!(c.is_empty());
+            prop_assert_eq!(c.now(), m.now);
         }
     }
 }

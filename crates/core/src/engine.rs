@@ -12,13 +12,14 @@
 //!   old inline driver used — arrivals one round apart, priced
 //!   analytically at admission — and is byte-identical to it (DESIGN.md
 //!   sketches the ordering proof). The schedule is executed directly
-//!   rather than through the wheel: it is statically known, and the hot
-//!   path stays as fast as the pre-event-core driver.
-//! * [`ClockMode::Event`] materializes the schedule on the wheel:
+//!   rather than through the clock's queue: it is statically known, and
+//!   the hot path stays as fast as the pre-event-core driver.
+//! * [`ClockMode::Event`] materializes the schedule on the clock:
 //!   arrivals self-schedule, a request occupies its proxy until its
 //!   completion fires (so overlapping admissions queue behind each
-//!   other), transport stalls become [`Event::Timeout`]s and genuine
-//!   backlog, and latency is measured as wait + service at completion.
+//!   other), transport stalls lengthen the service time and so become
+//!   genuine backlog, and latency is measured as wait + service at
+//!   completion.
 
 use crate::clock::{ticks_of, ClockMode, SimClock, TICKS_PER_ROUND, TICKS_PER_UNIT};
 use crate::event::Event;
@@ -137,6 +138,7 @@ impl<'a, E: SchemeEngine + ?Sized> Engine<'a, E> {
         metrics: &mut RunMetrics,
     ) {
         let mut cursors = vec![0usize; self.traces.len()];
+        // Proxies with requests left after the current round.
         let mut live = self.traces.len();
         let mut round = 0u64;
         while live > 0 {
@@ -164,11 +166,6 @@ impl<'a, E: SchemeEngine + ?Sized> Engine<'a, E> {
                     }
                 }
             }
-            // `live` counts proxies with requests left *after* this round;
-            // the loop above also handles the final request of each trace.
-            if cursors.iter().zip(self.traces).all(|(&c, t)| c >= t.requests.len()) {
-                break;
-            }
         }
         // Arrival + completion per request, accounted in one shot rather
         // than per request — nothing observes the counters mid-run.
@@ -176,7 +173,7 @@ impl<'a, E: SchemeEngine + ?Sized> Engine<'a, E> {
         clock.account_virtual(2 * served as u64);
     }
 
-    /// Event mode: the same schedule materialized on the wheel, with
+    /// Event mode: the same schedule materialized on the clock, with
     /// per-proxy occupancy. Admissions still happen at arrival (cache
     /// dynamics — and therefore hit classes and message ledgers — are
     /// identical to compat mode); latency is measured at completion as
@@ -207,8 +204,7 @@ impl<'a, E: SchemeEngine + ?Sized> Engine<'a, E> {
                     let admission = self.scheme.admit(proxy, req);
                     let price = self.scheme.price(self.model, &admission);
                     let start = clock.now().max(next_free[proxy]);
-                    (next_free[proxy], _) =
-                        complete(clock, self.model, proxy, start, &admission, price);
+                    (next_free[proxy], _) = complete(clock, proxy, start, admission.class, price);
                 }
                 Event::Completion { proxy, class, latency } => {
                     metrics.record(class, latency);
@@ -216,9 +212,6 @@ impl<'a, E: SchemeEngine + ?Sized> Engine<'a, E> {
                         recorder.request(proxy, class, latency);
                     }
                 }
-                // Timeouts mark when stalled retries resolve; the delay
-                // itself is already in the completion's service time.
-                Event::Timeout { .. } => {}
                 // Fault events are scheduled (and handled) only by the
                 // fault driver's loop in `fault/driver.rs`.
                 Event::Fault { .. } => {}
@@ -229,25 +222,19 @@ impl<'a, E: SchemeEngine + ?Sized> Engine<'a, E> {
 
 /// The completion step of the event clock, shared by [`Engine::run`] and
 /// the fault driver: the request admitted at the current tick is served
-/// from `start` for its priced service time. Schedules the
-/// [`Event::Timeout`] that marks when its stalled retries resolve and the
-/// [`Event::Completion`] that records it; returns the tick it is done at
-/// and the latency the client measures (queue wait plus service).
+/// from `start` for its priced service time, stalls included. Schedules
+/// the [`Event::Completion`] that records it; returns the tick it is done
+/// at and the latency the client measures (queue wait plus service).
 pub(crate) fn complete(
     clock: &mut SimClock,
-    model: &dyn LatencyModel,
     proxy: usize,
     start: u64,
-    admission: &Admission,
+    class: HitClass,
     price: f64,
 ) -> (u64, f64) {
     let done = start + ticks_of(price).max(1);
-    if admission.stalls > 0 {
-        let stall = ticks_of(admission.stalls as f64 * model.t_timeout()).max(1);
-        clock.schedule_at(start + stall, Event::Timeout { proxy, units: admission.stalls });
-    }
     let measured = (done - clock.now()) as f64 / TICKS_PER_UNIT as f64;
-    clock.schedule_at(done, Event::Completion { proxy, class: admission.class, latency: measured });
+    clock.schedule_at(done, Event::Completion { proxy, class, latency: measured });
     (done, measured)
 }
 
@@ -269,7 +256,7 @@ impl SchemeEngine for NoCacheEngine {
 mod tests {
     use super::*;
     use crate::net::NetworkModel;
-    use crate::recorder::NoopRecorder;
+    use crate::recorder::{EventLogRecorder, NoopRecorder, SimEventKind};
     use webcache_workload::Request;
 
     fn trace(objects: &[u32]) -> Trace {
@@ -387,7 +374,7 @@ mod tests {
     }
 
     #[test]
-    fn stalled_admissions_price_timeouts_and_schedule_timeout_events() {
+    fn stalled_admissions_price_timeouts_in_both_clocks() {
         /// Every admission reports one stall unit.
         struct Stalled;
         impl SchemeEngine for Stalled {
@@ -408,9 +395,25 @@ mod tests {
         assert!((m.total_latency - expect).abs() < 1e-12);
 
         let mut clock = SimClock::event();
-        let me = Engine::new(&mut Stalled, &traces, &net).run(&mut clock, &NoopRecorder);
+        let log = EventLogRecorder::new(16);
+        let me = Engine::new(&mut Stalled, &traces, &net).run(&mut clock, &log);
         assert_eq!(me.requests, 2);
-        // 2 arrivals + 2 completions + 2 timeout events.
-        assert_eq!(clock.delivered(), 6);
+        // 2 arrivals + 2 completions: the stall is in the service time.
+        assert_eq!(clock.delivered(), 4);
+        // Event-mode latencies are whole ticks: the floor is quantized too.
+        let floor = ticks_of(net.latency(HitClass::LocalProxy) + net.t_timeout) as f64
+            / TICKS_PER_UNIT as f64;
+        let latencies: Vec<f64> = log
+            .events()
+            .iter()
+            .filter_map(|e| match e.kind {
+                SimEventKind::Request { latency, .. } => Some(latency),
+                SimEventKind::P2p(_) => None,
+            })
+            .collect();
+        assert_eq!(latencies.len(), 2);
+        for latency in latencies {
+            assert!(latency >= floor, "stall not priced: {latency} < {floor}");
+        }
     }
 }

@@ -39,48 +39,10 @@ pub enum Event {
         /// End-to-end latency in model units (queue wait + service).
         latency: f64,
     },
-    /// A stalled protocol interaction (lost/duplicated/reordered
-    /// transport messages) resolves after `units` detection-timeout
-    /// periods of silence.
-    Timeout {
-        /// Proxy cluster whose cluster-internal messages stalled.
-        proxy: usize,
-        /// Timeout units the stall consumed (`units × t_timeout` model
-        /// time).
-        units: u64,
-    },
     /// Entry `index` of the fault plan fires (crash / depart / rejoin /
     /// slow / partition / heal). Only the fault driver schedules these.
     Fault {
         /// Index into the plan's event list.
         index: usize,
     },
-}
-
-impl Event {
-    /// Short label for traces and diagnostics.
-    pub fn kind_label(&self) -> &'static str {
-        match self {
-            Event::Arrival { .. } => "arrival",
-            Event::Completion { .. } => "completion",
-            Event::Timeout { .. } => "timeout",
-            Event::Fault { .. } => "fault",
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn labels_are_stable() {
-        assert_eq!(Event::Arrival { proxy: 0, index: 0 }.kind_label(), "arrival");
-        assert_eq!(
-            Event::Completion { proxy: 1, class: HitClass::Server, latency: 1.0 }.kind_label(),
-            "completion"
-        );
-        assert_eq!(Event::Timeout { proxy: 0, units: 2 }.kind_label(), "timeout");
-        assert_eq!(Event::Fault { index: 3 }.kind_label(), "fault");
-    }
 }

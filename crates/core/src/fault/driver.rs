@@ -1,6 +1,6 @@
 //! The drive loop both clocks share: one engine, one trace, one plan.
 //!
-//! Faults are scheduled events on the time wheel, arrivals self-schedule
+//! Faults are scheduled events on the event clock, arrivals self-schedule
 //! one round apart (closer inside a `spike@`), and every scheduled action
 //! is applied to the cluster through
 //! [`HierGdEngine::cluster_mut`] — the `P2PClientCache` operations
@@ -152,7 +152,7 @@ pub(crate) fn drive(
 
     let limit = plan.served(trace.requests.len() as u64) as usize;
 
-    // Faults go on the time wheel up front: a fault at index `n` lands on
+    // Faults go on the clock up front: a fault at index `n` lands on
     // the same tick as arrival `n` but with a lower FIFO rank (it was
     // scheduled first), so it still fires *before* the request it gates —
     // exactly the pre-clock "apply before serving request `at`" order.
@@ -254,7 +254,7 @@ pub(crate) fn drive(
                         // neither waits for the proxy nor occupies it.
                         let start = if shedding { clock.now() } else { clock.now().max(next_free) };
                         let (done, measured) =
-                            complete(&mut clock, &cfg.net, 0, start, &admission, latency);
+                            complete(&mut clock, 0, start, admission.class, latency);
                         if !shedding {
                             next_free = done;
                         }
@@ -346,7 +346,6 @@ pub(crate) fn drive(
                 }
             }
             Event::Completion { class, latency, .. } => out.metrics.record(class, latency),
-            Event::Timeout { .. } => {}
         }
     }
     // A plan may leave the cut open past its last request. Heal before

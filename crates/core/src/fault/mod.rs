@@ -15,7 +15,7 @@
 //! the same report bit for bit (the golden churn test pins this).
 //!
 //! The drill runs through the discrete-event clock in **both** modes:
-//! faults are genuine scheduled events on the time wheel, arrivals
+//! faults are genuine scheduled events on the clock, arrivals
 //! self-schedule one round apart. [`ClockMode::Compat`] prices requests
 //! analytically at arrival (byte-identical to the pre-clock harness);
 //! [`ClockMode::Event`] serializes requests through the proxy's busy

@@ -15,8 +15,8 @@
 //! | module | role |
 //! |---|---|
 //! | [`net`] | the Ts/Tc/Tl/Tp2p latency model (§5.1) + [`LatencyModel`] trait |
-//! | [`clock`] | discrete-event clock: hierarchical time wheel, [`ClockMode`] |
-//! | [`event`] | the event vocabulary (arrival / completion / timeout / fault) |
+//! | [`clock`] | discrete-event clock: one binary heap of events, [`ClockMode`] |
+//! | [`event`] | the event vocabulary (arrival / completion / fault) |
 //! | [`engine`] | the [`Engine`] event loop driving every scheme |
 //! | [`site`] | proxy + unified P2P tier (the §5.1 upper-bound model) |
 //! | [`lfu_schemes`] | NC, NC-EC, SC, SC-EC (LFU replacement) |
