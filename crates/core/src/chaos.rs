@@ -12,7 +12,8 @@
 //!    resident stores, diversion pointers and replica tracking must
 //!    reconcile exactly.
 //! 2. **No duplicate entries** — no object is held as a *primary* copy
-//!    by two machines at once (replica copies are tracked separately).
+//!    by two machines at once ([`duplicate_primaries`]; replica copies
+//!    are tracked separately).
 //! 3. **Replica floor** — with membership-stable plans, every primary
 //!    keeps at least `min(k, live)` copies ([`check_replica_floor`];
 //!    skipped under churn, where lazy repair legitimately lags).
@@ -66,6 +67,7 @@
 //!
 //! [`check_invariants`]: webcache_p2p::P2PClientCache::check_invariants
 //! [`check_replica_floor`]: webcache_p2p::P2PClientCache::check_replica_floor
+//! [`duplicate_primaries`]: webcache_p2p::P2PClientCache::duplicate_primaries
 //! [`directory_divergence`]: webcache_p2p::P2PClientCache::directory_divergence
 //! [`silent_loss_audit`]: webcache_p2p::P2PClientCache::silent_loss_audit
 
@@ -409,39 +411,9 @@ fn run_oracles(
         violations.push(format!("structure: {v}"));
     }
 
-    // Oracle 2: no object held as a primary by two machines at once
-    // (a replica copy is listed as both `store` and `replica` at its
-    // host, so primaries = store − replicas per node block).
-    fn flush<'a>(
-        store: &mut Vec<&'a str>,
-        replicas: &mut std::collections::HashSet<&'a str>,
-        primaries: &mut std::collections::HashMap<&'a str, u32>,
-    ) {
-        for obj in store.drain(..) {
-            if !replicas.contains(obj) {
-                *primaries.entry(obj).or_insert(0) += 1;
-            }
-        }
-        replicas.clear();
-    }
-    let snapshot = p2p.contents_snapshot();
-    let mut primaries: std::collections::HashMap<&str, u32> = std::collections::HashMap::new();
-    let mut store: Vec<&str> = Vec::new();
-    let mut replicas: std::collections::HashSet<&str> = std::collections::HashSet::new();
-    for line in snapshot.lines() {
-        if let Some(obj) = line.strip_prefix("  store ") {
-            store.push(obj);
-        } else if let Some(obj) = line.strip_prefix("  replica ") {
-            replicas.insert(obj);
-        } else {
-            flush(&mut store, &mut replicas, &mut primaries);
-        }
-    }
-    flush(&mut store, &mut replicas, &mut primaries);
-    for (obj, n) in primaries {
-        if n > 1 {
-            violations.push(format!("duplicate: object {obj} is a primary on {n} machines"));
-        }
+    // Oracle 2: no object held as a primary by two machines at once.
+    for (obj, n) in p2p.duplicate_primaries() {
+        violations.push(format!("duplicate: object {obj:032x} is a primary on {n} machines"));
     }
 
     // Oracle 3: replica floor, only meaningful while membership held

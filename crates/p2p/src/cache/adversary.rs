@@ -333,7 +333,6 @@ impl P2PClientCache {
         // Expel through the crash machinery: residents park in limbo
         // with their replica sets and repair lazily, exactly like a
         // detected crash.
-        self.space_hint = None;
         if !self.overlay.is_crashed(from) {
             let _ = self.overlay.fail(from);
         }

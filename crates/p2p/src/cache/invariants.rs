@@ -2,6 +2,7 @@
 //! contents snapshot the oracles diff end states with.
 
 use super::P2PClientCache;
+use std::collections::BTreeMap;
 use webcache_policy::BoundedCache;
 
 impl P2PClientCache {
@@ -84,6 +85,19 @@ impl P2PClientCache {
         }
     }
 
+    /// Objects held as a primary by more than one machine, each with the
+    /// number of machines, in object order. A primary is a store entry
+    /// that is not also one of the same node's replica copies.
+    pub fn duplicate_primaries(&self) -> Vec<(u128, u32)> {
+        let mut holders: BTreeMap<u128, u32> = BTreeMap::new();
+        for node in self.nodes.values() {
+            for obj in node.store.keys().filter(|o| !node.replicas.contains_key(o)) {
+                *holders.entry(obj).or_default() += 1;
+            }
+        }
+        holders.into_iter().filter(|&(_, n)| n > 1).collect()
+    }
+
     /// A canonical, deterministic rendering of the cluster's end state:
     /// every node's resident objects and replica copies, the exact
     /// directory contents, and the limbo set, all sorted. Two caches with
@@ -142,7 +156,6 @@ impl P2PClientCache {
     /// shrinker must minimize. Never called by production paths.
     #[doc(hidden)]
     pub fn debug_plant_ghost_entry(&mut self, object: u128) {
-        self.space_hint = None;
         self.directory.insert(object);
     }
 }

@@ -29,7 +29,6 @@ impl P2PClientCache {
     /// [`crash_node`](Self::crash_node) with an observability sink: emits
     /// one [`P2pEvent::NodeCrashed`].
     pub fn crash_node_tap<S: P2pSink>(&mut self, id: NodeId, sink: &mut S) -> Result<(), P2pError> {
-        self.space_hint = None;
         self.overlay.crash(id)?;
         self.books_changed();
         if S::ENABLED {
@@ -61,7 +60,6 @@ impl P2PClientCache {
         id: NodeId,
         sink: &mut S,
     ) -> Result<(), P2pError> {
-        self.space_hint = None;
         if self.overlay.is_crashed(id) {
             return Err(P2pError::AlreadyCrashed(id));
         }
@@ -310,7 +308,6 @@ impl P2PClientCache {
     /// one [`P2pEvent::NodeJoined`] carrying the migration count, plus
     /// [`P2pEvent::Eviction`]s for objects displaced by the migration.
     pub fn join_node_tap<S: P2pSink>(&mut self, id: NodeId, sink: &mut S) {
-        self.space_hint = None;
         // A rejoining machine can reuse the id of a node that crashed
         // silently and was never detected (same host, rebooted). The
         // reboot announcement *is* the detection: reclaim the corpse's

@@ -39,15 +39,17 @@
 //!
 //! Every request dispatches once on `fault_mode()`. The `ARMED = false`
 //! instantiation is the paper's algorithm and nothing else: a plain
-//! overlay walk, the free-space hint trusted, no liveness, transport,
-//! adversary or limbo check — each of those sits behind `if ARMED` and is
-//! compiled out, so an extension that is not installed is inert by
-//! construction. The `ARMED = true` instantiation is the same source
-//! with those checks on. With everything installed but nothing failing
-//! the two agree to the bit, with one exception by design: at k > 1 a
-//! stale lookup (a Bloom false positive) makes the armed path probe the
-//! root's leaf set for an orphaned replica (`replica_rescue`), which
-//! costs overlay messages the unarmed path never sends.
+//! overlay walk with no liveness, transport, adversary or limbo check —
+//! each of those sits behind `if ARMED` and is compiled out, so an
+//! extension that is not installed is inert by construction. The
+//! `ARMED = true` instantiation is the same source with those checks on.
+//! Both skip the search for free space once the cluster is full
+//! (`space_anywhere`, read off the resident count, nothing cached).
+//! With everything installed but nothing failing the two agree to the
+//! bit, with one exception by design: at k > 1 a stale lookup (a Bloom
+//! false positive) makes the armed path probe the root's leaf set for an
+//! orphaned replica (`replica_rescue`), which costs overlay messages the
+//! unarmed path never sends.
 
 mod adversary;
 mod invariants;
@@ -280,15 +282,6 @@ pub struct P2PClientCache {
     /// accounting: [`note_lost`](Self::note_lost) dedupes through this
     /// set and a fresh genuine copy re-arms it. Empty in fault-free runs.
     lost: BTreeSet<u128>,
-    /// Cached count of nodes with free store space, or `None` when it
-    /// must be recounted. In steady state stores only fill up, so once
-    /// this reaches zero the unarmed destage skips the root free-space
-    /// check and the whole leaf-set diversion scan — the scan can only
-    /// fail. Every membership/fault entry point and every armed request
-    /// invalidates the hint (those paths move objects and nodes
-    /// arbitrarily); the unarmed destage keeps it exact across its own
-    /// inserts.
-    space_hint: Option<usize>,
 }
 
 impl P2PClientCache {
@@ -328,15 +321,7 @@ impl P2PClientCache {
             domains: None,
             repair: None,
             lost: BTreeSet::new(),
-            space_hint: None,
         }
-    }
-
-    /// Recounts the free-space hint from the node stores.
-    fn recount_space(&mut self) -> usize {
-        let n = self.nodes.values().filter(|n| n.has_free_space()).count();
-        self.space_hint = Some(n);
-        n
     }
 
     /// Installs message-level fault state (loss probability, slow nodes).
@@ -425,12 +410,10 @@ impl P2PClientCache {
 
     /// The one dispatch of a request onto an instantiation of the request
     /// path (see the module docs, "The `ARMED` rule"): `true` selects the
-    /// liveness-aware body and drops the free-space hint it cannot keep
-    /// exact; `false` selects the paper's plain body, which relies on
-    /// every member being live, reachable and honest.
-    fn request_is_armed(&mut self) -> bool {
+    /// liveness-aware body; `false` selects the paper's plain body, which
+    /// relies on every member being live, reachable and honest.
+    fn request_is_armed(&self) -> bool {
         if self.fault_mode() {
-            self.space_hint = None;
             return true;
         }
         // Checked against the overlay's own books rather than the flags
@@ -441,6 +424,17 @@ impl P2PClientCache {
             "unarmed request path entered with live fault state"
         );
         false
+    }
+
+    /// True while some node's store has spare capacity. Every store holds
+    /// `node_capacity` objects, so wherever the store layer's invariant
+    /// `resident == Σ store.len()` holds (`check_store_layer` checks it)
+    /// this is exactly `nodes.values().any(has_free_space)`, in O(1). A
+    /// full cluster is the steady state, and there the destage skips the
+    /// root's free-space check and the diversion scan, which could only
+    /// come up empty.
+    fn space_anywhere(&self) -> bool {
+        self.resident < self.nodes.len() * self.cfg.node_capacity
     }
 
     /// Pushes one protocol message through the unreliable transport (a

@@ -101,7 +101,6 @@ impl P2PClientCache {
     /// `false` (and changes nothing) when a cut is already up or fewer
     /// than two live nodes remain.
     pub fn partition_nodes<S: P2pSink>(&mut self, percent_a: u8, sink: &mut S) -> bool {
-        self.space_hint = None;
         if self.split.is_some() {
             return false;
         }
@@ -213,8 +212,9 @@ impl P2PClientCache {
         self.ledger_newly_unrecoverable(sink);
 
         if S::ENABLED {
-            let island_a = self.overlay.island_a_ids().len().min(u32::MAX as usize) as u32;
-            let island_b = self.overlay.island_b_ids().len().min(u32::MAX as usize) as u32;
+            let (a, b) = self.overlay.island_sizes();
+            let (island_a, island_b) =
+                (a.min(u32::MAX as usize) as u32, b.min(u32::MAX as usize) as u32);
             sink.event(P2pEvent::PartitionStarted { island_a, island_b });
         }
         self.split = Some(split);
@@ -231,7 +231,6 @@ impl P2PClientCache {
     /// B queued at the cut drains through the transport's retry/dedup
     /// machinery. Returns `false` when no partition is active.
     pub fn heal_nodes<S: P2pSink>(&mut self, sink: &mut S) -> bool {
-        self.space_hint = None;
         let Some(split) = self.split.take() else { return false };
         let SplitState { b_index: _, b_epochs, pending_cut } = split;
         // Snapshot both islands' placements before the views merge.

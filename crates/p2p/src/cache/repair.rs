@@ -155,7 +155,6 @@ impl P2PClientCache {
             self.ledger.repair_scans += 1;
             self.note_timeout(true, sink);
             self.detect_crash(c, sink);
-            self.space_hint = None;
         }
         // Phase 2: drain limbo, smallest objectId first.
         while budget > 0 {
@@ -304,7 +303,6 @@ impl P2PClientCache {
     /// `copies` fresh replica copies.
     fn proactive_repair<S: P2pSink>(&mut self, out: &mut RepairOutcome, copies: u32, sink: &mut S) {
         out.repaired += 1;
-        self.space_hint = None;
         if S::ENABLED {
             sink.event(P2pEvent::ProactiveRepair { copies });
         }
@@ -347,7 +345,6 @@ impl P2PClientCache {
             self.ledger.repair_scans += 1;
             self.note_timeout(true, sink);
             self.detect_crash(c, sink);
-            self.space_hint = None;
         }
         // Phase 2: drain limbo, smallest objectId first.
         while budget > 0 {

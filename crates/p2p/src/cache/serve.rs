@@ -100,13 +100,6 @@ impl P2PClientCache {
             }
         }
         let (root, hops) = self.route::<ARMED, S>(entry, object, sink);
-        // Unarmed, the cached count of nodes with free space is trusted;
-        // armed, the dispatch dropped it and every space check is live.
-        let free_nodes = match self.space_hint {
-            Some(n) => n,
-            None if ARMED => usize::MAX,
-            None => self.recount_space(),
-        };
 
         // Step 2: already present at the root (or via its diversion
         // pointer)? Refresh the greedy-dual credit instead of storing a
@@ -148,7 +141,7 @@ impl P2PClientCache {
         }
 
         // Step 3: root has free space.
-        if free_nodes > 0 && self.nodes.get(&root.0).expect("root is live").has_free_space() {
+        if self.space_anywhere() && self.nodes[&root.0].has_free_space() {
             return Some(self.store_at::<ARMED, S>(object, cost, root, root, hops, sink));
         }
 
@@ -158,7 +151,7 @@ impl P2PClientCache {
         // leaf-set knowledge can pick a crashed neighbor: the transfer
         // times out, detection repairs, and the root retries with fresher
         // knowledge.
-        while self.cfg.diversion && free_nodes > 0 {
+        while self.cfg.diversion && self.space_anywhere() {
             // Free-riders refuse to host diversions for neighbors; the
             // scan skips them outright (asking would just get a "no
             // space" lie back).
@@ -209,11 +202,6 @@ impl P2PClientCache {
         let had_space = hn.has_free_space();
         let evicted = hn.store.insert_with_cost(object, cost, 1.0);
         debug_assert_eq!(evicted.is_none(), had_space);
-        if !ARMED && had_space && !hn.has_free_space() {
-            // The unarmed path keeps the hint exact across its inserts.
-            let free = self.space_hint.as_mut().expect("counted by destage_on");
-            *free -= 1;
-        }
         if self.link(holder, root, object) {
             self.ledger.diversions += 1;
             self.ledger.overlay_messages += 2; // A→B transfer + ack

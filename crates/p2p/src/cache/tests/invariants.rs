@@ -9,6 +9,30 @@ fn ghost_entry_hook_plants_a_real_violation() {
     assert!(!c.check_invariants().is_empty(), "the sabotage hook must trip the oracle");
 }
 
+#[test]
+fn duplicate_primaries_are_listed_in_object_order() {
+    let mut c = small(6, 4);
+    let ids: Vec<NodeId> = c.node_ids().collect();
+    let mut objs = [oid(1), oid(2), oid(3)];
+    objs.sort_unstable();
+    let mut plant = |n: NodeId, o: u128| {
+        c.nodes.get_mut(&n.0).unwrap().store.insert_with_cost(o, 1.0, 1.0);
+    };
+    // The largest object first, on three machines; then the smallest,
+    // on two.
+    for &n in &ids[..3] {
+        plant(n, objs[2]);
+    }
+    for &n in &ids[3..5] {
+        plant(n, objs[0]);
+    }
+    // A store entry that is also its node's replica copy is no primary.
+    plant(ids[0], objs[1]);
+    plant(ids[1], objs[1]);
+    c.nodes.get_mut(&ids[1].0).unwrap().replicas.insert(objs[1], (1.0, ids[0]));
+    assert_eq!(c.duplicate_primaries(), vec![(objs[0], 2), (objs[2], 3)]);
+}
+
 /// What each layer's check reports, layer by layer, for a cache in which
 /// exactly one layer's books were corrupted.
 fn layer_reports(c: &P2PClientCache) -> [Vec<String>; 4] {

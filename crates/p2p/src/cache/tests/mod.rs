@@ -32,6 +32,13 @@ fn crash_detected(c: &mut P2PClientCache, id: NodeId, sink: &mut impl P2pSink) {
     c.detect_crash(id, sink);
 }
 
+/// The destage's O(1) free-space gate agrees with the scan it stands
+/// for.
+fn check_space_gate(c: &P2PClientCache) {
+    let scan = c.nodes.values().any(ClientCacheNode::has_free_space);
+    assert_eq!(c.space_anywhere(), scan, "free-space gate disagrees with the node stores");
+}
+
 fn oid(i: u64) -> u128 {
     object_id_for_url(&format!("http://origin.example/obj/{i}"))
 }

@@ -165,6 +165,8 @@ fn run_lockstep(c: P2PClientCache, ops: &[(u8, u64, u32)]) -> usize {
         assert_eq!(model.ledger(), fast.ledger(), "after op {i} {op:?}");
         assert_eq!(model.at_risk_gauge(), fast.at_risk_gauge(), "after op {i} {op:?}");
         assert_eq!(model.contents_snapshot(), fast.contents_snapshot(), "after op {i} {op:?}");
+        check_space_gate(&model);
+        check_space_gate(&fast);
         trusted += usize::from(fast.repair_trusted());
     }
     trusted

@@ -525,6 +525,8 @@ proptest::proptest! {
             proptest::prop_assert_eq!(plain.ledger(), armed.ledger(), "after op {} {:?}", i, op);
             proptest::prop_assert_eq!(plain.len(), armed.len());
             proptest::prop_assert_eq!(plain.contents_snapshot(), armed.contents_snapshot());
+            check_space_gate(&plain);
+            check_space_gate(&armed);
         }
         // (A Bloom directory can lose a resident object to a false
         // positive's invalidation, so structure is only checked exact.)

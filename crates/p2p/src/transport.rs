@@ -367,23 +367,23 @@ impl UnreliableTransport {
             .is_some_and(|b| b.open_remaining > 0)
     }
 
-    /// Sends one logical message carrying `payload` (the 128-bit
-    /// objectId stands in for the object body). Returns everything the
-    /// caller needs to account for the send: delivery/quarantine fate,
-    /// latency penalties, and the dedup/checksum observations.
-    ///
-    /// This un-addressed API never consults the overload defenses; use
-    /// [`UnreliableTransport::send_to`] to route a send through the
-    /// per-destination breaker and the retry budget.
-    pub fn send(&mut self, class: MessageClass, payload: u128) -> SendOutcome {
+    /// One logical message carrying `payload` (the 128-bit objectId
+    /// stands in for the object body) through the retry ladder alone, no
+    /// overload defense consulted: [`send_to`](Self::send_to) with the
+    /// defenses disarmed.
+    fn send(&mut self, class: MessageClass, payload: u128) -> SendOutcome {
         self.ladder(class, payload, false)
     }
 
-    /// Sends one logical message addressed to `dest`, applying the armed
-    /// overload defenses (module docs): an open breaker fails fast
-    /// (priced as one detection timeout), a half-open breaker probes
-    /// through the real ladder, and each retransmission spends a retry
-    /// token. Disarmed, this is exactly [`UnreliableTransport::send`].
+    /// Sends one logical message carrying `payload` (the 128-bit
+    /// objectId stands in for the object body) to `dest`. Returns
+    /// everything the caller needs to account for the send:
+    /// delivery/quarantine fate, latency penalties, and the
+    /// dedup/checksum observations. Armed, the overload defenses apply
+    /// (module docs): an open breaker fails fast (priced as one detection
+    /// timeout), a half-open breaker probes through the real ladder, and
+    /// each retransmission spends a retry token. Disarmed, `dest` is not
+    /// read.
     pub fn send_to(&mut self, class: MessageClass, dest: u128, payload: u128) -> SendOutcome {
         if self.defense.is_none() {
             return self.send(class, payload);

@@ -57,6 +57,15 @@ impl NodeId {
         d.min(other.0.wrapping_sub(self.0))
     }
 
+    /// Pastry's placement rule (§4.1): the candidate numerically closest
+    /// to `self`, ties to the smaller id — the minimum of `(distance,
+    /// id)`. That order is total, so the answer does not depend on the
+    /// order of `candidates`. `None` when there are none.
+    #[inline]
+    pub fn nearest(self, candidates: impl IntoIterator<Item = NodeId>) -> Option<NodeId> {
+        candidates.into_iter().min_by_key(|n| (n.distance(self), n.0))
+    }
+
     /// Clockwise (increasing-id, wrapping) distance from `self` to `other`.
     #[inline]
     pub fn clockwise_distance(&self, other: NodeId) -> u128 {

@@ -196,30 +196,13 @@ impl Overlay {
     /// Ground truth: the live node numerically closest to `key` (ties to
     /// the smaller id). This is where the DHT *should* place `key`.
     pub fn owner_of(&self, key: NodeId) -> Option<NodeId> {
-        if self.ring.is_empty() {
-            return None;
-        }
-        let mut best: Option<(u128, NodeId)> = None;
+        let (first, last) = (*self.ring.first()?, *self.ring.last()?);
         // Only the nearest id below and above (with wraparound) can win.
         let i = self.ring.partition_point(|&k| k < key.0);
-        let above = Some(NodeId(if i == self.ring.len() { self.ring[0] } else { self.ring[i] }));
+        let above = self.ring.get(i).copied().unwrap_or(first);
         let j = self.ring.partition_point(|&k| k <= key.0);
-        let below = Some(NodeId(if j == 0 {
-            *self.ring.last().expect("non-empty")
-        } else {
-            self.ring[j - 1]
-        }));
-        for cand in [above, below].into_iter().flatten() {
-            let d = cand.distance(key);
-            let better = match best {
-                None => true,
-                Some((bd, bid)) => d < bd || (d == bd && cand.0 < bid.0),
-            };
-            if better {
-                best = Some((d, cand));
-            }
-        }
-        best.map(|(_, id)| id)
+        let below = if j == 0 { last } else { self.ring[j - 1] };
+        key.nearest([NodeId(above), NodeId(below)])
     }
 
     // ------------------------------------------------------------------
@@ -247,23 +230,11 @@ impl Overlay {
         }
     }
 
-    /// Live ids on the A side of the cut, in id order (every live id
-    /// when no partition is active).
-    pub fn island_a_ids(&self) -> Vec<NodeId> {
-        self.ring
-            .iter()
-            .filter(|k| self.partition.as_ref().is_none_or(|p| p.contains(k)))
-            .map(|&k| NodeId(k))
-            .collect()
-    }
-
-    /// Live ids on the B side of the cut, in id order (empty when no
-    /// partition is active).
-    pub fn island_b_ids(&self) -> Vec<NodeId> {
-        match &self.partition {
-            None => Vec::new(),
-            Some(p) => self.ring.iter().filter(|k| !p.contains(k)).map(|&k| NodeId(k)).collect(),
-        }
+    /// Live members on each side of the cut, `(A, B)`; every live node
+    /// counts as A-side when no partition is active.
+    pub fn island_sizes(&self) -> (usize, usize) {
+        let a = self.node_ids().filter(|n| self.in_island_a(*n)).count();
+        (a, self.ring.len() - a)
     }
 
     /// Ground truth restricted to one side of the cut: the live island
@@ -271,23 +242,7 @@ impl Overlay {
     /// `None` when that island has no live members. A linear scan — this
     /// only runs on partition fault paths, never in steady state.
     pub fn owner_in_island(&self, key: NodeId, island_a: bool) -> Option<NodeId> {
-        let mut best: Option<(u128, NodeId)> = None;
-        for &k in self.ring.iter() {
-            let in_a = self.partition.as_ref().is_none_or(|p| p.contains(&k));
-            if in_a != island_a {
-                continue;
-            }
-            let cand = NodeId(k);
-            let d = cand.distance(key);
-            let better = match best {
-                None => true,
-                Some((bd, bid)) => d < bd || (d == bd && cand.0 < bid.0),
-            };
-            if better {
-                best = Some((d, cand));
-            }
-        }
-        best.map(|(_, id)| id)
+        key.nearest(self.node_ids().filter(|n| self.in_island_a(*n) == island_a))
     }
 
     /// Cuts the overlay into two islands: `island_a` (intersected with
@@ -472,21 +427,12 @@ impl Overlay {
     /// removed, so duplicate failure announcements from a churn driver
     /// are a typed, ignorable error rather than a crash of the simulator.
     pub fn fail(&mut self, id: NodeId) -> Result<(), OverlayError> {
-        let was_live = self.nodes.remove(&id.0).is_some();
-        if was_live {
+        if self.nodes.remove(&id.0).is_some() {
             self.ring_remove(id.0);
-        }
-        let was_crashed = self.crashed.remove(&id.0);
-        if !was_live && !was_crashed {
+        } else if !self.is_crashed(id) {
             return Err(OverlayError::UnknownNode(id));
         }
-        if let Some(p) = &mut self.partition {
-            p.remove(&id.0);
-        }
-        for s in self.nodes.values_mut() {
-            s.purge(id);
-        }
-        self.repair_leaf_sets();
+        self.reclaim(id);
         Ok(())
     }
 
@@ -510,9 +456,9 @@ impl Overlay {
         }
     }
 
-    /// Detection aftermath for one crashed node: forget it everywhere and
-    /// repair leaf sets, exactly as [`fail`](Self::fail) does for an
-    /// announced failure.
+    /// Detection aftermath for one removed or crashed node: forget it
+    /// everywhere and repair leaf sets. [`fail`](Self::fail) runs it
+    /// for an announced failure too, once the node is out of the ring.
     fn reclaim(&mut self, id: NodeId) {
         self.crashed.remove(&id.0);
         if let Some(p) = &mut self.partition {
@@ -590,13 +536,14 @@ impl Overlay {
         visit(current);
         // Once prefix routing dead-ends (empty slot, no prefix-preserving
         // closer node) the route switches permanently to greedy
-        // closest-known-node forwarding, which strictly decreases the
-        // circular distance each hop — with correct leaf sets a strictly
-        // closer known node always exists until the owner is reached, so
-        // greedy mode both terminates and delivers correctly.
+        // closest-known-node forwarding, which strictly decreases
+        // `(distance, id)` each hop — with correct leaf sets a nearer
+        // known node always exists until the owner is reached, so greedy
+        // mode both terminates and delivers correctly.
         let mut greedy_mode = false;
-        // Termination is structural (prefix growth, then strict distance
-        // decrease); the budget is a tripwire for protocol bugs.
+        // Termination is structural (prefix growth, then strict
+        // `(distance, id)` decrease); the budget is a tripwire for
+        // protocol bugs.
         let budget = 4 * self.cfg.digits() + self.cfg.leaf_set_size + 4;
         for _ in 0..budget {
             // Stale references to silently crashed nodes are routed
@@ -651,6 +598,7 @@ impl Overlay {
         // `avoid` is false on every path until a crash is injected, so
         // the liveness filters below fold to no-ops in steady state.
         let avoid = avoid_crashed && !self.crashed.is_empty();
+        let live = |n: &NodeId| !(avoid && self.is_crashed(*n));
         if current == key {
             return Hop::Arrived;
         }
@@ -662,74 +610,37 @@ impl Overlay {
         // nodes with inconsistent partial views (e.g. mid-join).
         if avoid {
             if s.leaf_covers(key) {
-                let mut best = current;
-                let mut best_d = current.distance(key);
-                for n in s.leaf_iter().filter(|n| !self.is_crashed(*n)) {
-                    let d = n.distance(key);
-                    if d < best_d || (d == best_d && n.0 < best.0) {
-                        best = n;
-                        best_d = d;
-                    }
-                }
+                let leaf = std::iter::once(current).chain(s.leaf_iter().filter(live));
+                let best = key.nearest(leaf).expect("current is a candidate");
                 return if best == current { Hop::Arrived } else { Hop::Deliver(best) };
             }
         } else if let Some(closest) = s.leaf_route(key) {
             return if closest == current { Hop::Arrived } else { Hop::Deliver(closest) };
         }
-        let my_d = current.distance(key);
         if !*greedy_mode {
             let row = current.shared_prefix_digits(key, self.cfg.b);
             let col = key.digit(row, self.cfg.b) as usize;
-            if let Some(n) = s.table_entry(row, col).filter(|n| !(avoid && self.is_crashed(*n))) {
+            if let Some(n) = s.table_entry(row, col).filter(live) {
                 return Hop::Forward(n);
             }
-            // Pastry's rare case: any known node strictly closer to the
-            // key sharing at least as long a prefix. The greedy fallback
-            // needs the same walk minus the prefix filter, so one fused
-            // pass tracks both minima (last-wins on distance ties, the
-            // same element `min_by_key` over `known_iter` would return).
-            let mut rare: Option<(u128, NodeId)> = None;
-            let mut any: Option<(u128, NodeId)> = None;
-            for n in s.known_iter() {
-                if avoid && self.is_crashed(n) {
-                    continue;
-                }
-                let d = n.distance(key);
-                if d < my_d {
-                    if n.shared_prefix_digits(key, self.cfg.b) >= row
-                        && rare.is_none_or(|(bd, _)| d <= bd)
-                    {
-                        rare = Some((d, n));
-                    }
-                    if any.is_none_or(|(bd, _)| d <= bd) {
-                        any = Some((d, n));
-                    }
-                }
-            }
-            if let Some((_, n)) = rare {
+            // Pastry's rare case: the nearest known node strictly closer
+            // to the key that shares at least as long a prefix.
+            let my_d = current.distance(key);
+            let rare = s.known_iter().filter(live).filter(|n| {
+                n.distance(key) < my_d && n.shared_prefix_digits(key, self.cfg.b) >= row
+            });
+            if let Some(n) = key.nearest(rare) {
                 return Hop::Forward(n);
             }
             *greedy_mode = true;
-            return match any {
-                Some((_, n)) => Hop::Forward(n),
-                // No known node closer than us: with consistent
-                // leaf sets this means we are the owner.
-                None => Hop::Arrived,
-            };
         }
-        let mut best: Option<(u128, NodeId)> = None;
-        for n in s.known_iter() {
-            if avoid && self.is_crashed(n) {
-                continue;
-            }
-            let d = n.distance(key);
-            if d < my_d && best.is_none_or(|(bd, _)| d <= bd) {
-                best = Some((d, n));
-            }
-        }
-        match best {
-            Some((_, n)) => Hop::Forward(n),
-            None => Hop::Arrived,
+        // Greedy: on to the known node nearest the key by the placement
+        // rule, so a node exactly as close with a smaller id wins the
+        // tie. When no known node is nearer than this one, with
+        // consistent leaf sets this node is the owner.
+        match key.nearest(std::iter::once(current).chain(s.known_iter().filter(live))) {
+            Some(n) if n != current => Hop::Forward(n),
+            _ => Hop::Arrived,
         }
     }
 
@@ -806,12 +717,6 @@ impl Overlay {
                 }
             }
         }
-    }
-
-    /// Routes from `from` and asserts (in tests) nothing: convenience that
-    /// returns the delivering node only.
-    pub fn lookup(&self, from: NodeId, key: NodeId) -> Option<NodeId> {
-        self.route(from, key).map(|r| r.destination)
     }
 
     /// Checks structural invariants against ground truth; returns a list
@@ -905,6 +810,19 @@ mod tests {
         Overlay::with_nodes(PastryConfig::default(), rand_ids(n, seed))
     }
 
+    /// The placement rule written out over every live id: the oracle for
+    /// `NodeId::nearest` wherever ownership is decided.
+    fn owner_scan(o: &Overlay, key: NodeId) -> Option<NodeId> {
+        let mut best: Option<(u128, NodeId)> = None;
+        for n in o.node_ids() {
+            let d = n.distance(key);
+            if best.is_none_or(|(bd, b)| d < bd || (d == bd && n.0 < b.0)) {
+                best = Some((d, n));
+            }
+        }
+        best.map(|(_, n)| n)
+    }
+
     #[test]
     fn empty_and_single() {
         let mut o = Overlay::new(PastryConfig::default());
@@ -947,7 +865,7 @@ mod tests {
             let key = NodeId(rng.random());
             let owner = o.owner_of(key).unwrap();
             for from in o.node_ids().step_by(7) {
-                let got = o.lookup(from, key).unwrap();
+                let got = o.route(from, key).map(|r| r.destination).unwrap();
                 assert_eq!(got, owner, "key {key} from {from}");
             }
         }
@@ -1010,7 +928,7 @@ mod tests {
             let key = NodeId(rng.random());
             let owner = o.owner_of(key).unwrap();
             let from = o.node_ids().next().unwrap();
-            assert_eq!(o.lookup(from, key), Some(owner));
+            assert_eq!(o.route(from, key).map(|r| r.destination), Some(owner));
         }
     }
 
@@ -1027,7 +945,7 @@ mod tests {
         let key = NodeId(12345);
         let owner = o.owner_of(key).unwrap();
         for from in o.node_ids() {
-            assert_eq!(o.lookup(from, key), Some(owner));
+            assert_eq!(o.route(from, key).map(|r| r.destination), Some(owner));
         }
     }
 
@@ -1136,6 +1054,23 @@ mod tests {
     }
 
     #[test]
+    fn crash_avoiding_delivery_breaks_ties_toward_the_smaller_id() {
+        // A key exactly halfway between two planted nodes, and a corpse
+        // on the far side of the ring: every route runs the
+        // crash-avoiding decision, and the tie goes to the smaller id.
+        let key = 0x8000_0000_0000_0000_0000_0000_0000_0000u128;
+        let (low, high) = (NodeId(key - 1_000), NodeId(key + 1_000));
+        let mut ids = rand_ids(40, 77);
+        ids.extend([low, high]);
+        let mut o = Overlay::with_nodes(PastryConfig::default(), ids);
+        let far = o.node_ids().max_by_key(|n| n.distance(NodeId(key))).unwrap();
+        o.crash(far).unwrap();
+        for from in o.node_ids() {
+            assert_eq!(o.route(from, NodeId(key)).unwrap().destination, low, "from {from}");
+        }
+    }
+
+    #[test]
     fn joins_avoid_crashed_nodes() {
         let mut o = build(20, 66);
         let victims: Vec<NodeId> = o.node_ids().step_by(7).collect();
@@ -1213,8 +1148,8 @@ mod tests {
         let island_a: Vec<NodeId> = all[..24].to_vec();
         assert!(o.start_partition(island_a.iter().copied()));
         assert!(o.is_partitioned());
-        assert_eq!(o.island_a_ids(), island_a);
-        assert_eq!(o.island_b_ids(), all[24..].to_vec());
+        assert_eq!(o.island_sizes(), (24, 16));
+        assert!(all.iter().all(|n| o.in_island_a(*n) == island_a.contains(n)));
         // Each island is a self-consistent ring of its own.
         let problems = o.check_invariants();
         assert!(problems.is_empty(), "{problems:?}");
@@ -1228,8 +1163,8 @@ mod tests {
         let a_owner = o.owner_in_island(key, true).unwrap();
         let b_owner = o.owner_in_island(key, false).unwrap();
         assert!(a_set.contains(&a_owner.0) && b_set.contains(&b_owner.0));
-        assert_eq!(o.lookup(island_a[0], key), Some(a_owner));
-        assert_eq!(o.lookup(all[30], key), Some(b_owner));
+        assert_eq!(o.route(island_a[0], key).map(|r| r.destination), Some(a_owner));
+        assert_eq!(o.route(all[30], key).map(|r| r.destination), Some(b_owner));
         // Heal: one view again, fully converged.
         assert!(o.heal_partition());
         assert!(!o.is_partitioned());
@@ -1306,7 +1241,7 @@ mod tests {
                 // Routing stays correct after every membership change.
                 let key = NodeId(rng.random());
                 let from = o.node_ids().next().expect("non-empty");
-                proptest::prop_assert_eq!(o.lookup(from, key), o.owner_of(key));
+                proptest::prop_assert_eq!(o.route(from, key).map(|r| r.destination), o.owner_of(key));
             }
         }
 
@@ -1351,7 +1286,9 @@ mod tests {
                 // While cut, views stay island-closed; reachability never
                 // crosses the partition.
                 if o.is_partitioned() {
-                    let a: BTreeSet<u128> = o.island_a_ids().iter().map(|n| n.0).collect();
+                    let a: BTreeSet<u128> =
+                        o.node_ids().filter(|n| o.in_island_a(*n)).map(|n| n.0).collect();
+                    proptest::prop_assert_eq!(o.island_sizes(), (a.len(), o.len() - a.len()));
                     if let Some(&first) = a.iter().next() {
                         proptest::prop_assert_eq!(o.reachable_set(NodeId(first)), a);
                     }
@@ -1389,7 +1326,52 @@ mod tests {
                 let key = NodeId(rng.random());
                 let owner = o.owner_of(key).unwrap();
                 let from = froms[rng.random_range(0..froms.len())];
-                proptest::prop_assert_eq!(o.lookup(from, key), Some(owner));
+                proptest::prop_assert_eq!(o.route(from, key).map(|r| r.destination), Some(owner));
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+        /// Keys planted exactly halfway between two nodes (some pairs
+        /// straddling the wrap point) are owned by the smaller id in all
+        /// three places ownership is decided: the ring search, the island
+        /// scan and the routing walk (leaf-set delivery, or the greedy
+        /// fallback where the leaf set does not cover the key).
+        #[test]
+        fn ownership_ties_go_to_the_smaller_id(
+            seed in 0u64..500,
+            n in 0usize..24,
+            pairs in proptest::collection::vec(
+                (proptest::prelude::any::<u128>(), 1u128..1 << 20, proptest::prelude::any::<bool>()),
+                1..6,
+            ),
+        ) {
+            let mut ids = rand_ids(n, seed);
+            let mut keys = Vec::new();
+            for &(k, d, wrap) in &pairs {
+                // Half of the keys sit within `d` of zero, so the pair
+                // straddles the wrap point.
+                let k = if wrap { k % d } else { k };
+                keys.push(NodeId(k));
+                for id in [k.wrapping_sub(d), k.wrapping_add(d)] {
+                    if !ids.contains(&NodeId(id)) {
+                        ids.push(NodeId(id));
+                    }
+                }
+            }
+            let o = Overlay::with_nodes(PastryConfig::default(), ids);
+            let mut rng = SmallRng::seed_from_u64(seed ^ 0x7135);
+            keys.extend((0..8).map(|_| NodeId(rng.random())));
+            for key in keys {
+                let expect = owner_scan(&o, key);
+                proptest::prop_assert!(expect.is_some());
+                proptest::prop_assert_eq!(o.owner_of(key), expect, "owner_of {}", key);
+                proptest::prop_assert_eq!(o.owner_in_island(key, true), expect, "island {}", key);
+                for from in o.node_ids() {
+                    let got = o.route(from, key).map(|r| r.destination);
+                    proptest::prop_assert_eq!(got, expect, "route {} from {}", key, from);
+                }
             }
         }
     }

@@ -319,9 +319,8 @@ impl NodeState {
         Some(self.closest_at(kp, key))
     }
 
-    /// The leaf-set member (or self) numerically closest to `key`;
-    /// ties break toward the smaller id, matching
-    /// `Overlay::owner_of`.
+    /// The leaf-set member (or self) numerically closest to `key`, by
+    /// [`NodeId::nearest`], the rule ownership is decided by.
     ///
     /// The cached [`arc`](#structfield.arc) holds self plus every member
     /// in clockwise-position order around the full ring, so this is a
@@ -340,19 +339,11 @@ impl NodeState {
         let arc = &self.arc;
         let len = arc.len();
         let i = arc.partition_point(|e| e.0 < kp);
-        // Circular predecessor and successor of `key`, plus the ends
-        // (wraparound candidates); duplicates are harmless.
-        let mut best = arc[0].1;
-        let mut best_d = best.distance(key);
-        for j in [if i > 0 { i - 1 } else { len - 1 }, if i < len { i } else { 0 }, len - 1] {
-            let n = arc[j].1;
-            let d = n.distance(key);
-            if d < best_d || (d == best_d && n.0 < best.0) {
-                best = n;
-                best_d = d;
-            }
-        }
-        best
+        // `key`'s circular predecessor and successor in the arc: any
+        // other member is strictly farther than the one of the two on
+        // its side of the key.
+        let near = [if i > 0 { i - 1 } else { len - 1 }, if i < len { i } else { 0 }];
+        key.nearest(near.map(|j| arc[j].1)).expect("the arc holds self")
     }
 
     /// Reference implementation of [`leaf_covers`](Self::leaf_covers):

@@ -55,7 +55,7 @@ fn overlay_survives_heavy_churn_at_scale() {
     for _ in 0..500 {
         let key = NodeId(rng.random());
         let from = overlay.node_ids().next().expect("non-empty");
-        assert_eq!(overlay.lookup(from, key), overlay.owner_of(key));
+        assert_eq!(overlay.route(from, key).map(|r| r.destination), overlay.owner_of(key));
     }
 }
 
