@@ -1,7 +1,7 @@
 //! The simulated overlay: membership, join/failure protocols and routing.
 
 use crate::id::NodeId;
-use crate::state::{NodeState, PastryConfig};
+use crate::state::{NodeState, PastryConfig, RoutingState};
 use std::collections::BTreeSet;
 use std::fmt;
 use webcache_primitives::ShaIdMap;
@@ -77,7 +77,8 @@ enum Hop {
 
 /// A deterministic, in-process Pastry overlay.
 ///
-/// The overlay owns every node's [`NodeState`] and simulates the message
+/// The overlay owns every node's state — a [`NodeState`] unless a test
+/// runs it over another [`RoutingState`] — and simulates the message
 /// exchanges of the join/failure/routing protocols directly. Nothing ever
 /// consults global knowledge during *routing* — messages only follow
 /// per-node state, so hop counts and delivery correctness are real
@@ -85,9 +86,9 @@ enum Hop {
 /// would use the physical network (choosing a join seed, enumerating the
 /// nodes that must be notified of a failure they would detect by timeout).
 #[derive(Clone, Debug)]
-pub struct Overlay {
+pub struct Overlay<S = NodeState> {
     cfg: PastryConfig,
-    nodes: ShaIdMap<u128, NodeState>,
+    nodes: ShaIdMap<u128, S>,
     /// Live node ids in ascending order — the hash map's sorted mirror.
     /// Routing does one state lookup per hop, which a hash map serves in
     /// O(1); everything that needs id order or a range scan (ownership,
@@ -113,6 +114,18 @@ impl Overlay {
     /// # Panics
     /// Panics on an invalid [`PastryConfig`].
     pub fn new(cfg: PastryConfig) -> Self {
+        Self::empty(cfg)
+    }
+
+    /// Builds an overlay by joining `ids` one at a time.
+    pub fn with_nodes(cfg: PastryConfig, ids: impl IntoIterator<Item = NodeId>) -> Self {
+        Self::joined(cfg, ids)
+    }
+}
+
+impl<S: RoutingState> Overlay<S> {
+    /// [`Overlay::new`] over any state layout.
+    pub(crate) fn empty(cfg: PastryConfig) -> Self {
         if let Err(e) = cfg.validate() {
             panic!("invalid PastryConfig: {e}");
         }
@@ -125,9 +138,9 @@ impl Overlay {
         }
     }
 
-    /// Builds an overlay by joining `ids` one at a time.
-    pub fn with_nodes(cfg: PastryConfig, ids: impl IntoIterator<Item = NodeId>) -> Self {
-        let mut o = Self::new(cfg);
+    /// [`Overlay::with_nodes`] over any state layout.
+    pub(crate) fn joined(cfg: PastryConfig, ids: impl IntoIterator<Item = NodeId>) -> Self {
+        let mut o = Self::empty(cfg);
         for id in ids {
             o.join(id);
         }
@@ -189,7 +202,7 @@ impl Overlay {
     }
 
     /// Borrows a node's state.
-    pub fn state(&self, id: NodeId) -> Option<&NodeState> {
+    pub fn state(&self, id: NodeId) -> Option<&S> {
         self.nodes.get(&id.0)
     }
 
@@ -360,21 +373,21 @@ impl Overlay {
             p.insert(new_id.0);
         }
         let Some(seed) = seed else {
-            self.nodes.insert(new_id.0, NodeState::new(new_id, self.cfg));
+            self.nodes.insert(new_id.0, S::new(new_id, self.cfg));
             self.ring_insert(new_id.0);
             return 0;
         };
         let route = self.route(seed, new_id).expect("routing in a live overlay");
-        let mut x = NodeState::new(new_id, self.cfg);
+        let mut x = S::new(new_id, self.cfg);
         // Copy state from the path: node i contributes the row matching
         // its shared prefix with the new node (prefixes grow along the
         // path), and every path node is itself a candidate.
         for &p in &route.path {
             let ps = &self.nodes[&p.0];
             let row = new_id.shared_prefix_digits(p, self.cfg.b).min(self.cfg.digits() - 1);
-            for entry in ps.table_row(row).iter().flatten() {
-                if *entry != new_id && !self.is_crashed(*entry) {
-                    x.consider_for_table(*entry);
+            for (_, entry) in ps.table_row(row) {
+                if entry != new_id && !self.is_crashed(entry) {
+                    x.consider_for_table(entry);
                 }
             }
             x.consider_for_table(p);
@@ -589,7 +602,7 @@ impl Overlay {
     /// exactly the stale choice a real node would make.
     fn hop_decision(
         &self,
-        s: &NodeState,
+        s: &S,
         current: NodeId,
         key: NodeId,
         greedy_mode: &mut bool,
@@ -753,31 +766,29 @@ impl Overlay {
                         expect_cw
                     ));
                 }
-                if s.leaf_ccw() != expect_ccw.as_slice() {
+                if !s.leaf_ccw().eq(expect_ccw.iter().copied()) {
                     problems.push(format!(
                         "node {id:032x}: ccw leaf set {:?} != expected {:?}",
-                        s.leaf_ccw(),
+                        s.leaf_ccw().collect::<Vec<_>>(),
                         expect_ccw
                     ));
                 }
                 // Routing-table entries must be live, on this side of any
                 // cut, and in the right slot.
                 for row in 0..self.cfg.digits() {
-                    for (col, e) in s.table_row(row).iter().enumerate() {
-                        if let Some(peer) = e {
-                            if !self.contains(*peer) {
-                                problems.push(format!(
-                                    "node {id:032x}: table[{row}][{col}] references dead {peer}"
-                                ));
-                            } else if !self.same_island(NodeId(id), *peer) {
-                                problems.push(format!(
-                                    "node {id:032x}: table[{row}][{col}] crosses the cut to {peer}"
-                                ));
-                            } else if s.slot_for(*peer) != Some((row, col)) {
-                                problems.push(format!(
-                                    "node {id:032x}: table[{row}][{col}] holds misplaced {peer}"
-                                ));
-                            }
+                    for (col, peer) in s.table_row(row) {
+                        if !self.contains(peer) {
+                            problems.push(format!(
+                                "node {id:032x}: table[{row}][{col}] references dead {peer}"
+                            ));
+                        } else if !self.same_island(NodeId(id), peer) {
+                            problems.push(format!(
+                                "node {id:032x}: table[{row}][{col}] crosses the cut to {peer}"
+                            ));
+                        } else if s.slot_for(peer) != Some((row, col)) {
+                            problems.push(format!(
+                                "node {id:032x}: table[{row}][{col}] holds misplaced {peer}"
+                            ));
                         }
                     }
                 }
@@ -1124,7 +1135,7 @@ mod tests {
         let o = build(1000, 31);
         let populated = |id| {
             let s: &NodeState = o.state(id).expect("live node");
-            (0..32).filter(|&r| s.table_row(r).iter().any(Option::is_some)).count()
+            (0..32).filter(|&r| s.table_row(r).next().is_some()).count()
         };
         let rows: Vec<usize> = o.node_ids().map(populated).collect();
         assert!(rows.iter().sum::<usize>() <= 4 * rows.len(), "mean above 4 populated rows");
@@ -1133,6 +1144,33 @@ mod tests {
             "a node holds {:?} populated rows",
             rows.iter().max()
         );
+    }
+
+    #[test]
+    fn early_joiners_keep_fillable_row_zero_slots_empty() {
+        // ROADMAP item 1(c), "routing tables that never fill": a join
+        // copies rows from its join route and announces itself only to
+        // the nodes it learned of, and no row maintenance runs after it,
+        // so early joiners keep row-0 slots empty that a live node could
+        // fill. Among the first 75 of these 100 joiners, 50 keep 82 such
+        // slots; the count stays 82 as the overlay grows to 1,000. This
+        // pins today's number: Pastry's row maintenance would lower it
+        // and move hops.
+        let ids: Vec<NodeId> = (0..100).map(|i| NodeId::from_url(&format!("node-{i}"))).collect();
+        let o = Overlay::with_nodes(PastryConfig::default(), ids.iter().copied());
+        let empty = |me: NodeId| {
+            let s = o.state(me).expect("live node");
+            (0..16usize)
+                .filter(|&col| col != me.digit(0, 4) as usize)
+                .filter(|&col| ids.iter().any(|n| n.digit(0, 4) as usize == col))
+                .filter(|&col| s.table_entry(0, col).is_none())
+                .count()
+        };
+        let per_node: Vec<usize> = ids.iter().map(|&me| empty(me)).collect();
+        let early = &per_node[..75];
+        assert_eq!(early.iter().sum::<usize>(), 82);
+        assert_eq!(early.iter().filter(|&&e| e > 0).count(), 50);
+        assert_eq!(per_node.iter().sum::<usize>(), 82, "later joiners fill row 0");
     }
 
     #[test]
@@ -1317,7 +1355,7 @@ mod tests {
                     }
                 }
                 proptest::prop_assert_eq!(firsts, s.known_nodes());
-                let by_row: usize = (0..32).map(|r| s.table_row(r).iter().flatten().count()).sum();
+                let by_row: usize = (0..32).map(|r| s.table_row(r).count()).sum();
                 proptest::prop_assert_eq!(s.table_population(), by_row);
             }
             let mut rng = SmallRng::seed_from_u64(seed ^ 0xABCD);

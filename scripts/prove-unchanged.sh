@@ -104,6 +104,11 @@ surfaces() { # $1 = binary, $2 = output directory, $3 = checkout, $4 = its targe
     keep churn_skill_$clock.txt "$bin" churn --requests 20000 --clock $clock \
       --plan 'crash@500,depart@900,mloss=0.05,dup=0.05,reorder=0.05,corrupt=0.02,seed=99' \
       --report-out churn_skill_$clock.json
+    # The paper's largest cluster: 1,000 clients joining, crashing,
+    # departing, rejoining and splitting 70/30 (tests/churn_golden.rs).
+    keep churn_1000_$clock.txt "$bin" churn --clients 1000 --requests 200000 --objects 5000 \
+      --replication 2 --clock $clock --report-out churn_1000_$clock.json \
+      --plan 'crash@20000,depart@50000,rejoin@80000,partition@100000{70|30},crash@120000,heal@150000,crash@170000,seed=7'
     # Repair-heavy: a domain failure under the proactive repair scheduler
     # at the benchmark's shape, on the trace seed that once broke its
     # books, at the benchmark's scan budget and at eight times it.
@@ -135,11 +140,12 @@ surfaces() { # $1 = binary, $2 = output directory, $3 = checkout, $4 = its targe
   keep chaos_sabotage.json "$bin" chaos --plans 40 --seed 42 --sabotage true --json true
 
   # No CLI surface runs LruCache, ByteLruCache, PerfectLfuCache or
-  # GreedyDualSizeCache; these benches, at default scale, are the only
+  # GreedyDualSizeCache, routes on a 1,024-node overlay or serves from a
+  # Bloom directory; these benches, at default scale, are the only
   # outputs that do. Each writes its CSV under its own target directory's
   # figures/, so both sides build with their own CARGO_TARGET_DIR. Stderr
   # names that directory and is kept aside, uncompared.
-  for bench in squirrel_compare ablation_lfu ablation_gds; do
+  for bench in squirrel_compare ablation_lfu ablation_gds pastry_hops ablation_directory; do
     rm -f "$4/figures/$bench.csv"
     local code=0
     (cd "$3" && CARGO_TARGET_DIR="$4" cargo bench --offline -q -p webcache-bench \

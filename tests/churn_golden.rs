@@ -11,7 +11,7 @@
 
 mod common;
 
-use webcache::sim::{run_churn, ChurnConfig, FaultPlan};
+use webcache::sim::{run_churn, ChurnConfig, ClockMode, FaultPlan};
 
 const GOLDEN_PATH: &str = "tests/golden/churn_report.json";
 
@@ -58,4 +58,36 @@ fn churn_report_matches_golden() {
     assert_eq!(rendered, again.to_json());
 
     common::assert_golden(GOLDEN_PATH, &rendered);
+}
+
+/// The fault plan of the 1,000-client drill below.
+const THOUSAND_CLIENT_PLAN: &str = "crash@20000,depart@50000,rejoin@80000,\
+    partition@100000{70|30},crash@120000,heal@150000,crash@170000,seed=7";
+
+/// The drill at the paper's largest cluster, 1,000 clients: silent
+/// crashes, a departure and a rejoin, a 70/30 partition and its heal, in
+/// both clock modes — the only golden whose overlay joins, fails and
+/// splits at that size. The CLI wrote both files:
+///
+/// ```text
+/// webcache churn --clients 1000 --requests 200000 --objects 5000 --replication 2 \
+///   --plan '<THOUSAND_CLIENT_PLAN>' --clock compat|event --report-out <golden>
+/// ```
+#[test]
+fn thousand_client_drill_matches_golden() {
+    for (clock, golden) in [
+        (ClockMode::Compat, "tests/golden/churn_1000_report.json"),
+        (ClockMode::Event, "tests/golden/churn_1000_report_event.json"),
+    ] {
+        let cfg = ChurnConfig {
+            requests: 200_000,
+            distinct_objects: 5_000,
+            clients_per_cluster: 1_000,
+            replication: 2,
+            clock,
+            plan: THOUSAND_CLIENT_PLAN.parse().expect("spec is valid"),
+            ..ChurnConfig::default()
+        };
+        common::assert_golden(golden, &run_churn(&cfg).expect("drill runs").to_json());
+    }
 }
