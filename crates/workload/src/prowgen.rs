@@ -700,7 +700,9 @@ mod tests {
         // before the sum tree and the depth guide (a binary indexed tree,
         // a `partition_point` search and a one-block ChaCha8 refill): the
         // benchmark's two full-scale proxy traces and its fault-drill
-        // trace at seed 2003, and two knob extremes.
+        // trace at seed 2003, and two knob extremes. The sized case was
+        // pinned while each request still carried its own size, so it
+        // holds the bytes that the per-object size table writes.
         use webcache_primitives::seed::{derive, derive_indexed};
         let digest = |cfg: ProWGenConfig| {
             let mut bytes = Vec::new();
@@ -751,6 +753,15 @@ mod tests {
                     ..mid.clone()
                 },
                 0x7b8566eff1ee1fb8,
+            ),
+            (
+                "lognormal-Pareto sizes, popular objects smaller",
+                ProWGenConfig {
+                    size_model: SizeModel::prowgen_default(),
+                    size_pop_correlation: -0.6,
+                    ..mid.clone()
+                },
+                0x294585ebf3bb09f8,
             ),
         ] {
             assert_eq!(digest(cfg), pinned, "{what}");
