@@ -30,12 +30,13 @@ fn run_gds(trace: &Trace, capacity: u64, cost: f64) -> Tally {
     let mut cache = GreedyDualSizeCache::new(capacity);
     let mut t = Tally { hits: 0, byte_hits: 0, bytes_total: 0 };
     for r in &trace.requests {
-        t.bytes_total += u64::from(r.size);
+        let size = trace.size_of(r.object);
+        t.bytes_total += u64::from(size);
         if cache.touch(r.object, cost) {
             t.hits += 1;
-            t.byte_hits += u64::from(r.size);
+            t.byte_hits += u64::from(size);
         } else {
-            cache.insert(r.object, cost, r.size.max(1));
+            cache.insert(r.object, cost, size.max(1));
         }
     }
     t
@@ -45,12 +46,13 @@ fn run_byte_lru(trace: &Trace, capacity: u64) -> Tally {
     let mut cache = ByteLruCache::new(capacity);
     let mut t = Tally { hits: 0, byte_hits: 0, bytes_total: 0 };
     for r in &trace.requests {
-        t.bytes_total += u64::from(r.size);
+        let size = trace.size_of(r.object);
+        t.bytes_total += u64::from(size);
         if cache.touch(r.object) {
             t.hits += 1;
-            t.byte_hits += u64::from(r.size);
+            t.byte_hits += u64::from(size);
         } else {
-            cache.insert(r.object, r.size.max(1));
+            cache.insert(r.object, size.max(1));
         }
     }
     t
@@ -66,7 +68,12 @@ fn main() {
     let total_bytes: u64 = {
         // Sum of distinct objects' sizes: the "infinite byte cache".
         let mut seen = std::collections::HashSet::new();
-        trace.requests.iter().filter(|r| seen.insert(r.object)).map(|r| u64::from(r.size)).sum()
+        trace
+            .requests
+            .iter()
+            .filter(|r| seen.insert(r.object))
+            .map(|r| u64::from(trace.size_of(r.object)))
+            .sum()
     };
     eprintln!("ablation_gds: {} requests, universe {} MiB", trace.len(), total_bytes >> 20);
 

@@ -1617,6 +1617,31 @@ mod tests {
     }
 
     #[test]
+    fn stats_rejects_an_object_with_two_sizes() {
+        // A trace keeps one size per object, so a file that gives object
+        // 7 two sizes is malformed: an I/O error (exit 3) naming the file.
+        let dir = std::env::temp_dir().join("webcache-cli-two-sizes-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("t.bin");
+        let path_s = path.to_str().unwrap().to_string();
+        let mut bytes = Trace::MAGIC.to_vec();
+        for word in [1u32, 8, 2] {
+            bytes.extend_from_slice(&word.to_le_bytes()); // version, objects, clients
+        }
+        bytes.extend_from_slice(&2u64.to_le_bytes());
+        for word in [0u32, 7, 100, 1, 7, 200] {
+            bytes.extend_from_slice(&word.to_le_bytes()); // (client, object, size) ×2
+        }
+        std::fs::write(&path, bytes).unwrap();
+        let stats = Command::parse(&argv(&["stats", &path_s])).unwrap();
+        let err = execute(&stats).unwrap_err();
+        assert_eq!(err.exit_code(), 3);
+        let msg = err.to_string();
+        assert!(msg.contains(&format!("{path_s}: object 7 has sizes 100 and 200")), "{msg}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn explain_and_stats_out_roundtrip() {
         let dir = std::env::temp_dir().join("webcache-cli-explain-test");
         std::fs::create_dir_all(&dir).unwrap();

@@ -380,11 +380,11 @@ mod tests {
         let mut e = CostBenefitEngine::new(2, 10, 0, &net, &ts);
         let obj = 0u32; // most popular object
                         // Serve at proxy 0: first copy placed.
-        e.serve(0, &Request { client: 0, object: obj, size: 1 });
+        e.serve(0, &Request { client: 0, object: obj });
         assert_eq!(e.copies_of(obj), 1);
         // Serve at proxy 1: remote hit, extra copy beneficial for the
         // hottest object.
-        e.serve(1, &Request { client: 0, object: obj, size: 1 });
+        e.serve(1, &Request { client: 0, object: obj });
         assert_eq!(e.copies_of(obj), 2);
         // Both copies now carry the extra-copy value.
         let v0 = e.sites[0].proxy.value(obj).unwrap();

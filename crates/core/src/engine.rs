@@ -260,7 +260,7 @@ mod tests {
     use webcache_workload::Request;
 
     fn trace(objects: &[u32]) -> Trace {
-        Trace::new(objects.iter().map(|&o| Request { client: 0, object: o, size: 1 }).collect())
+        Trace::new(objects.iter().map(|&o| Request { client: 0, object: o }).collect())
     }
 
     fn run_compat<E: SchemeEngine + ?Sized>(

@@ -208,7 +208,7 @@ mod tests {
     #[test]
     fn repeated_object_hits_after_first_fetch() {
         let t = Trace::new(
-            (0..10).map(|_| webcache_workload::Request { client: 0, object: 7, size: 1 }).collect(),
+            (0..10).map(|_| webcache_workload::Request { client: 0, object: 7 }).collect(),
         );
         let m = run(&mut LfuFamilyEngine::nc(1, 4), &[t]);
         assert_eq!(m.count(HitClass::Server), 1);

