@@ -65,16 +65,9 @@ fn main() {
     }
     let trace =
         synthetic_traces(1, scale, |c| c.size_model = SizeModel::prowgen_default()).remove(0);
-    let total_bytes: u64 = {
-        // Sum of distinct objects' sizes: the "infinite byte cache".
-        let mut seen = std::collections::HashSet::new();
-        trace
-            .requests
-            .iter()
-            .filter(|r| seen.insert(r.object))
-            .map(|r| u64::from(trace.size_of(r.object)))
-            .sum()
-    };
+    // Sum of every object's size: the "infinite byte cache" (ProWGen
+    // references each object of its universe at least once).
+    let total_bytes: u64 = (0..trace.num_objects).map(|o| u64::from(trace.size_of(o))).sum();
     eprintln!("ablation_gds: {} requests, universe {} MiB", trace.len(), total_bytes >> 20);
 
     println!("\n=== size-aware single cache: GDS vs byte-LRU ===");
