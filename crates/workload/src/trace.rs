@@ -154,8 +154,7 @@ impl Trace {
         let mut rec = [0u8; 12];
         // The size each object's first record gave; the table grows with
         // the ids actually read, never with the header's bound.
-        const UNSEEN: u64 = u64::MAX;
-        let mut sizes: Vec<u64> = Vec::new();
+        let mut sizes: Vec<Option<u32>> = Vec::new();
         for _ in 0..n {
             buf.read_exact(&mut rec)?;
             let client = u32::from_le_bytes([rec[0], rec[1], rec[2], rec[3]]);
@@ -166,20 +165,21 @@ impl Trace {
             }
             let o = object as usize;
             if o >= sizes.len() {
-                sizes.resize(o + 1, UNSEEN);
+                sizes.resize(o + 1, None);
             }
-            if sizes[o] != u64::from(size) {
-                if sizes[o] != UNSEEN {
+            match sizes[o] {
+                None => sizes[o] = Some(size),
+                Some(first) if first != size => {
                     return Err(Error::new(
                         ErrorKind::InvalidData,
-                        format!("object {object} has sizes {} and {size}", sizes[o]),
+                        format!("object {object} has sizes {first} and {size}"),
                     ));
                 }
-                sizes[o] = u64::from(size);
+                Some(_) => {}
             }
             requests.push(Request { client, object });
         }
-        let sizes = sizes.into_iter().map(|s| if s == UNSEEN { 1 } else { s as u32 }).collect();
+        let sizes = sizes.into_iter().map(|s| s.unwrap_or(1)).collect();
         Ok(Trace::with_sizes(requests, num_objects, num_clients, sizes))
     }
 
