@@ -152,8 +152,8 @@ impl Trace {
         use std::io::Read as _;
         let mut requests = Vec::with_capacity(n.min(1 << 24));
         let mut rec = [0u8; 12];
-        // The size each object's first record gave; the table grows with
-        // the ids actually read, never with the header's bound.
+        // The size each object's first record gave; the table grows to
+        // the largest id read, not to the header's bound up front.
         let mut sizes: Vec<Option<u32>> = Vec::new();
         for _ in 0..n {
             buf.read_exact(&mut rec)?;
