@@ -56,7 +56,7 @@ pub use report::ChurnReport;
 use crate::clock::ClockMode;
 use crate::error::SimError;
 use crate::net::NetworkModel;
-use crate::scenario::Twin;
+use crate::scenario::drive_fault_free;
 
 /// Configuration of one churn drill: topology, workload, and the plan.
 #[derive(Clone, Debug)]
@@ -149,13 +149,16 @@ impl ChurnConfig {
     }
 }
 
-/// Runs the full churn drill: the faulty run, and a fault-free twin on
-/// the same trace and request window for the latency delta.
+/// Runs the full churn drill: a fault-free twin on the same trace and
+/// request window for the latency delta, then the faulty run. Only the
+/// twin's outcome is kept, so its engine is freed before the faulty
+/// drive builds one.
 pub fn run_churn(cfg: &ChurnConfig) -> Result<ChurnReport, SimError> {
     cfg.validate()?;
-    let twin = Twin::new(cfg)?;
-    let (faulty, _) = twin.drive(cfg, &cfg.plan)?;
-    Ok(ChurnReport::new(cfg, &faulty, &twin.baseline))
+    let trace = cfg.trace();
+    let (baseline, _) = drive_fault_free(cfg, &trace)?;
+    let (faulty, _) = drive(cfg, &trace, &cfg.plan)?;
+    Ok(ChurnReport::new(cfg, &faulty, &baseline))
 }
 
 #[cfg(test)]

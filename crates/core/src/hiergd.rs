@@ -163,7 +163,7 @@ impl<R: Recorder> HierGdEngine<R> {
         assert!(num_proxies > 0, "need at least one proxy");
         let object_ids: Vec<u128> =
             (0..num_objects).map(|o| webcache_p2p::object_id_for_url(&Trace::url_of(o))).collect();
-        let mut proxies: Vec<GdProxy> = (0..num_proxies)
+        let proxies: Vec<GdProxy> = (0..num_proxies)
             .map(|p| GdProxy {
                 cache: GreedyDualCache::new(proxy_capacity.max(1)),
                 p2p: P2PClientCache::new(P2PClientCacheConfig {
@@ -177,12 +177,6 @@ impl<R: Recorder> HierGdEngine<R> {
                 }),
             })
             .collect();
-        for proxy in &mut proxies {
-            // ObjectIds are already the dense universe 0..num_objects, so
-            // exact directories can answer the cascade's membership
-            // probes from a bitset.
-            proxy.p2p.enable_dense_directory(&object_ids);
-        }
         HierGdEngine { proxies, object_ids, net, opts, recorder, faults_touched: false }
     }
 
@@ -194,8 +188,7 @@ impl<R: Recorder> HierGdEngine<R> {
     /// greedy-dual cost (§3 via [10]): cheapest available source wins.
     fn refetch_cost(&self, p: usize, object: ObjectId) -> f64 {
         let oid = self.oid(object);
-        let idx = object as usize;
-        if self.proxies[p].p2p.directory_contains_dense(idx, oid) {
+        if self.proxies[p].p2p.directory_contains(oid) {
             return self.net.fetch_cost(HitClass::OwnP2p);
         }
         for (q, proxy) in self.proxies.iter().enumerate() {
@@ -204,7 +197,7 @@ impl<R: Recorder> HierGdEngine<R> {
             }
         }
         for (q, proxy) in self.proxies.iter().enumerate() {
-            if q != p && proxy.p2p.directory_contains_dense(idx, oid) {
+            if q != p && proxy.p2p.directory_contains(oid) {
                 return self.net.fetch_cost(HitClass::CoopP2p);
             }
         }
@@ -283,7 +276,7 @@ impl<R: Recorder> HierGdEngine<R> {
         // Only this serve-path gate is reported as a directory probe;
         // `refetch_cost`'s internal directory reads are pricing queries,
         // not protocol messages.
-        let in_directory = self.proxies[p].p2p.directory_contains_dense(object as usize, oid);
+        let in_directory = self.proxies[p].p2p.directory_contains(oid);
         if R::ENABLED {
             self.recorder.p2p_event(p, P2pEvent::DirectoryProbe { hit: in_directory });
         }
@@ -323,7 +316,7 @@ impl<R: Recorder> HierGdEngine<R> {
         // 4. Cooperating proxies' P2P client caches via push (§4.5).
         let coop_p2p = (0..self.proxies.len())
             .filter(|&q| q != p)
-            .find(|&q| self.proxies[q].p2p.directory_contains_dense(object as usize, oid));
+            .find(|&q| self.proxies[q].p2p.directory_contains(oid));
         if let Some(q) = coop_p2p {
             let cost = self.net.fetch_cost(HitClass::CoopProxy);
             let pushed = self.proxies[q]

@@ -8,9 +8,12 @@
 //! module owns the parts that do not depend on *what* is varied:
 //!
 //! * `ChurnConfig::trace` — the one ProWGen trace every run of a
-//!   configuration replays (`run_churn` builds its trace here too);
+//!   configuration replays;
 //! * `Twin` — that trace plus the fault-free baseline drive every cell
-//!   is measured against;
+//!   is measured against, and the baseline's end state for the sweeps
+//!   that read it. `run_churn` measures one plan, so it calls
+//!   `drive_fault_free` itself and drops the baseline's engine before
+//!   the faulty drive starts;
 //! * `axis` — a swept axis, sorted and deduplicated;
 //! * [`ScenarioReport`] — the report as *data*: ordered `(name, value)`
 //!   rows and one JSON/CSV renderer, so a new scenario adds columns, not
@@ -81,8 +84,7 @@ impl Twin {
     /// requests.
     pub(crate) fn new(base: &ChurnConfig) -> Result<Twin, SimError> {
         let trace = base.trace();
-        let fault_free = FaultPlan { window: base.plan.window, ..FaultPlan::none() };
-        let (baseline, engine) = drive(base, &trace, &fault_free)?;
+        let (baseline, engine) = drive_fault_free(base, &trace)?;
         Ok(Twin { trace, baseline, engine })
     }
 
@@ -94,6 +96,17 @@ impl Twin {
     ) -> Result<(DriveOutcome, DrillEngine), SimError> {
         drive(cfg, &self.trace, plan)
     }
+}
+
+/// Drives `trace` under `base` with no fault armed, over the request
+/// window of `base.plan`: the baseline a faulty run of `base` is
+/// measured against.
+pub(crate) fn drive_fault_free(
+    base: &ChurnConfig,
+    trace: &Trace,
+) -> Result<(DriveOutcome, DrillEngine), SimError> {
+    let fault_free = FaultPlan { window: base.plan.window, ..FaultPlan::none() };
+    drive(base, trace, &fault_free)
 }
 
 /// A swept axis: the configured values sorted ascending, duplicates

@@ -542,21 +542,6 @@ impl P2PClientCache {
         self.directory.contains(object)
     }
 
-    /// Registers the engine's dense object universe with the directory so
-    /// hot membership reads can use a bitset mirror (exact directories
-    /// only; see [`LookupDirectory::enable_dense_mirror`]).
-    pub fn enable_dense_directory(&mut self, universe: &[u128]) {
-        self.directory.enable_dense_mirror(universe);
-    }
-
-    /// [`directory_contains`](Self::directory_contains) for callers that
-    /// also know the object's dense universe index: answered from the
-    /// mirror bitset when available, identical fallback otherwise.
-    #[inline]
-    pub fn directory_contains_dense(&self, idx: usize, object: u128) -> bool {
-        self.directory.contains_dense(idx).unwrap_or_else(|| self.directory.contains(object))
-    }
-
     /// Inert shim: does nothing and does not read `wave`. It used to
     /// pre-resolve a request wave's overlay routes into a route memo;
     /// [`fetch`](Self::fetch) now walks the overlay inline. It remains

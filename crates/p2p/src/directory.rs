@@ -23,7 +23,7 @@
 //! epoch instead of guessing. Entries that never move carry epoch 0 and
 //! occupy no epoch storage, so fault-free runs pay nothing.
 
-use webcache_primitives::{CountingBloomFilter, FxHashMap, ShaIdMap, ShaIdSet};
+use webcache_primitives::{CountingBloomFilter, FxHashMap, ShaIdSet};
 
 /// Which directory representation the proxy uses.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -50,19 +50,6 @@ enum DirectoryRepr {
     Bloom(CountingBloomFilter),
 }
 
-/// Simulator-only acceleration for exact directories: a bitset over a
-/// dense object universe the driving engine already numbers 0..n. Hot
-/// membership reads become one L1 bit test instead of a hash-set probe.
-/// This is *not* part of the modeled deployment (a real proxy doesn't
-/// know the object universe), so it is excluded from `size_bytes`.
-#[derive(Clone, Debug)]
-struct DenseMirror {
-    /// object id -> dense index in `bits`.
-    index: ShaIdMap<u128, u32>,
-    /// One bit per universe object; always equal to exact-set membership.
-    bits: Vec<u64>,
-}
-
 /// A proxy-side lookup directory: a membership structure (exact or
 /// counting-Bloom) plus per-entry epochs for partition reconciliation.
 #[derive(Clone, Debug)]
@@ -73,10 +60,6 @@ pub struct LookupDirectory {
     /// faults and is pruned on remove, so it stays empty in fault-free
     /// runs and bounded by the resident set otherwise.
     epochs: FxHashMap<u128, u64>,
-    /// Dense read accelerator; `Some` only for exact directories whose
-    /// driving engine registered its object universe, and dropped on the
-    /// first mutation involving an id outside that universe.
-    mirror: Option<DenseMirror>,
 }
 
 impl LookupDirectory {
@@ -88,59 +71,24 @@ impl LookupDirectory {
                 CountingBloomFilter::with_capacity(expected_entries, counters_per_key),
             ),
         };
-        LookupDirectory { repr, epochs: FxHashMap::default(), mirror: None }
+        LookupDirectory { repr, epochs: FxHashMap::default() }
     }
 
-    /// Registers the engine's dense object universe, turning exact
-    /// membership reads into bitset tests (see `DenseMirror`). No-op
-    /// for Bloom directories — their probabilistic `contains` must keep
-    /// answering, false positives included.
-    pub fn enable_dense_mirror(&mut self, universe: &[u128]) {
-        let DirectoryRepr::Exact(set) = &self.repr else {
-            return;
-        };
-        let mut index = ShaIdMap::default();
-        for (i, &oid) in universe.iter().enumerate() {
-            index.insert(oid, i as u32);
-        }
-        let mut bits = vec![0u64; universe.len().div_ceil(64)];
-        for &oid in set.iter() {
-            let Some(&i) = index.get(&oid) else {
-                // Resident id outside the declared universe: the mirror
-                // can't represent it, so don't build one.
-                return;
-            };
-            bits[i as usize / 64] |= 1 << (i % 64);
-        }
-        self.mirror = Some(DenseMirror { index, bits });
-    }
+    /// Inert shim: does nothing and does not read `universe`. It used
+    /// to build a dense bitset mirror of an exact directory over the
+    /// driving engine's object universe; every membership read is now
+    /// the [`contains`](Self::contains) probe of the set itself. The
+    /// frozen `benchmark/` crate is its only caller, and it goes once
+    /// that crate times `contains` directly.
+    pub fn enable_dense_mirror(&mut self, _universe: &[u128]) {}
 
-    /// Mirror-accelerated membership: `Some(resident)` when the dense
-    /// mirror can answer for universe index `idx`, `None` when the
-    /// caller must fall back to [`contains`](Self::contains).
+    /// Inert shim: always `None`, so the caller falls back to
+    /// [`contains`](Self::contains). Kept, with
+    /// [`enable_dense_mirror`](Self::enable_dense_mirror), only for the
+    /// frozen `benchmark/` crate.
     #[inline]
-    pub fn contains_dense(&self, idx: usize) -> Option<bool> {
-        let m = self.mirror.as_ref()?;
-        Some(m.bits[idx / 64] & (1 << (idx % 64)) != 0)
-    }
-
-    /// Updates the mirror for a mutation of `object`; ids outside the
-    /// registered universe drop the mirror entirely (permanent fallback
-    /// beats a silently wrong bit).
-    fn mirror_set(&mut self, object: u128, resident: bool) {
-        if let Some(m) = &mut self.mirror {
-            match m.index.get(&object) {
-                Some(&i) => {
-                    let (w, b) = (i as usize / 64, 1u64 << (i % 64));
-                    if resident {
-                        m.bits[w] |= b;
-                    } else {
-                        m.bits[w] &= !b;
-                    }
-                }
-                None => self.mirror = None,
-            }
-        }
+    pub fn contains_dense(&self, _idx: usize) -> Option<bool> {
+        None
     }
 
     /// Records that `object` is now stored in the P2P client cache.
@@ -149,12 +97,8 @@ impl LookupDirectory {
             DirectoryRepr::Exact(s) => {
                 s.insert(object);
             }
-            DirectoryRepr::Bloom(f) => {
-                f.insert(object);
-                return;
-            }
+            DirectoryRepr::Bloom(f) => f.insert(object),
         }
-        self.mirror_set(object, true);
     }
 
     /// Records that `object` left the P2P client cache. The entry's epoch
@@ -164,13 +108,8 @@ impl LookupDirectory {
             DirectoryRepr::Exact(s) => {
                 s.remove(&object);
             }
-            DirectoryRepr::Bloom(f) => {
-                f.remove(object);
-                self.epochs.remove(&object);
-                return;
-            }
+            DirectoryRepr::Bloom(f) => f.remove(object),
         }
-        self.mirror_set(object, false);
         self.epochs.remove(&object);
     }
 
@@ -239,9 +178,6 @@ impl LookupDirectory {
             DirectoryRepr::Exact(s) => s.clear(),
             DirectoryRepr::Bloom(f) => f.clear(),
         }
-        if let Some(m) = &mut self.mirror {
-            m.bits.fill(0);
-        }
         self.epochs.clear();
     }
 
@@ -284,6 +220,38 @@ mod tests {
             d.remove(k);
         }
         assert!(d.is_empty());
+    }
+
+    #[test]
+    fn dense_mirror_shims_are_inert_and_contains_stays_exact() {
+        let universe = ids(64, 0);
+        let mut d = LookupDirectory::new(DirectoryKind::Exact);
+        d.insert(universe[0]);
+        d.enable_dense_mirror(&universe);
+        let answers_only_from_the_set = |d: &LookupDirectory, resident: &[u128]| {
+            for (i, &k) in universe.iter().enumerate() {
+                assert_eq!(d.contains_dense(i), None, "the shim never answers");
+                assert_eq!(d.contains(k), resident.contains(&k), "contains({k:#x})");
+            }
+        };
+        answers_only_from_the_set(&d, &universe[..1]);
+        for &k in &universe[1..32] {
+            d.insert(k);
+        }
+        answers_only_from_the_set(&d, &universe[..32]);
+        for &k in &universe[..16] {
+            d.remove(k);
+        }
+        answers_only_from_the_set(&d, &universe[16..32]);
+        // An id outside the registered universe changes nothing either.
+        let stranger = ids(1, 10_000)[0];
+        d.insert(stranger);
+        assert!(d.contains(stranger));
+        d.remove(stranger);
+        d.clear();
+        answers_only_from_the_set(&d, &[]);
+        d.insert(universe[40]);
+        answers_only_from_the_set(&d, &universe[40..41]);
     }
 
     #[test]
