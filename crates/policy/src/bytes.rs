@@ -14,8 +14,7 @@
 //! Both refuse objects larger than the whole cache (served but never
 //! stored — standard proxy behaviour).
 
-use crate::fifo::{Fifo, FifoSlab};
-use crate::heap::HashIndex;
+use crate::fifo::{Fifo, FifoSlab, HashIndex};
 use std::collections::BTreeSet;
 use std::hash::Hash;
 use webcache_primitives::FxHashMap;

@@ -17,16 +17,16 @@
 //! model's four re-fetch costs at size 1. A debug build re-checks the
 //! sortedness on every append.
 //!
-//! Which structure a cache uses follows its locator ([`CreditIndex`]):
+//! Which structure a cache uses follows its index ([`CreditIndex`]):
 //! every [`PositionIndex`] takes the FIFOs; [`LinearScan`] keeps the flat
-//! heap ([`FlatMinHeap`]), whose array order its
+//! heap ([`MinHeap`]), whose array order its
 //! [`keys`](CreditOrder::keys) yields — the order the P2P membership
 //! paths hand client-cache objects off in.
 
 use std::fmt::Debug;
 
-use crate::fifo::{Fifo, FifoSlab, NIL};
-use crate::heap::{FlatMinHeap, KeyLocator, LinearScan, MinHeap, PositionIndex};
+use crate::fifo::{Fifo, FifoSlab, PositionIndex, NIL};
+use crate::heap::{LinearScan, MinHeap};
 
 /// A resident entry's `(H bits, stamp)`. Every credit is non-negative and
 /// finite, so unsigned order on the raw IEEE-754 bits is numeric order.
@@ -67,7 +67,7 @@ pub trait CreditOrder<K>: Clone + Debug {
 
 /// Names the [`CreditOrder`] a [`GreedyDualCache`](crate::GreedyDualCache)
 /// keeps: any [`PositionIndex`] stands for [`CreditFifos`] over it,
-/// [`LinearScan`] for a [`FlatMinHeap`].
+/// [`LinearScan`] for a flat [`MinHeap`].
 pub trait CreditIndex<K> {
     /// The order behind this choice.
     type Order: CreditOrder<K>;
@@ -78,10 +78,10 @@ impl<K: Copy + Eq + Debug, X: PositionIndex<K> + Debug> CreditIndex<K> for X {
 }
 
 impl<K: Copy + Eq + Debug> CreditIndex<K> for LinearScan {
-    type Order = FlatMinHeap<Credit, K>;
+    type Order = MinHeap<Credit, K>;
 }
 
-impl<K: Copy + Eq + Debug, L: KeyLocator<K> + Debug> CreditOrder<K> for MinHeap<Credit, K, L> {
+impl<K: Copy + Eq + Debug> CreditOrder<K> for MinHeap<Credit, K> {
     fn with_capacity(n: usize) -> Self {
         MinHeap::with_capacity(n)
     }

@@ -1,14 +1,137 @@
-//! FIFOs over one slab of nodes: the order of every list-ordered policy.
+//! FIFOs over one slab of nodes: the order of every list-ordered policy,
+//! and the [`PositionIndex`] the slab finds keys through.
 //!
-//! LRU, LFU and greedy-dual each evict the oldest entry of some FIFO: the
-//! LRU caches keep one, the LFU caches one per resident frequency, an
-//! indexed greedy-dual cache one per credit increment. A policy keeps its
+//! LRU, LFU, the value store and greedy-dual each evict the oldest entry
+//! of some FIFO: the LRU caches keep one, the LFU caches one per resident
+//! frequency, the value store one per resident value, an indexed
+//! greedy-dual cache one per credit increment. A policy keeps its
 //! [`Fifo`]s where it likes (a bucket or class holds its own inline) and
 //! numbers them; its nodes live in one [`FifoSlab`]. Every write appends
 //! at a tail, so a FIFO lists its members in last-write order, with no
 //! stamp clock.
 
-use crate::heap::PositionIndex;
+use std::hash::Hash;
+use webcache_primitives::FxHashMap;
+
+/// Pluggable key → node index for the FIFO node slab under
+/// [`CreditFifos`](crate::CreditFifos), [`LfuCache`](crate::LfuCache),
+/// [`PerfectLfuCache`](crate::PerfectLfuCache),
+/// [`ValueCache`](crate::ValueCache), [`LruCache`](crate::LruCache) and
+/// [`ByteLruCache`](crate::ByteLruCache).
+///
+/// Each consults this at most once per operation; everything else is
+/// flat `Vec` traffic. The default [`HashIndex`] works for any hashable
+/// key; [`DenseIndex`] replaces the hash probe with a direct array load
+/// when keys are small dense integers (the simulator's `ObjectId`s are
+/// `0..num_objects`, so the proxy caches — the hottest structures in the
+/// whole simulator, probed on every request — qualify).
+/// `Default` is a supertrait only so that no crate can make the
+/// non-`Default` [`LinearScan`](crate::LinearScan) a `PositionIndex`,
+/// which lets [`CreditIndex`](crate::CreditIndex) be implemented for
+/// both.
+pub trait PositionIndex<K>: Clone + Default {
+    /// An index with room for `n` keys before growing.
+    fn with_capacity(n: usize) -> Self;
+    /// The node of `key`, if present.
+    fn get(&self, key: &K) -> Option<u32>;
+    /// Maps `key` to `node` (the key must be absent).
+    fn insert(&mut self, key: K, node: u32);
+    /// Unmaps `key` (the key must be present).
+    fn remove(&mut self, key: &K);
+    /// Number of mapped keys.
+    fn len(&self) -> usize;
+    /// True when no keys are present.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+/// The default [`PositionIndex`]: an `FxHashMap` from key to node.
+#[derive(Clone, Debug)]
+pub struct HashIndex<K>(FxHashMap<K, u32>);
+
+impl<K> Default for HashIndex<K> {
+    fn default() -> Self {
+        HashIndex(FxHashMap::default())
+    }
+}
+
+impl<K: Copy + Eq + Hash> PositionIndex<K> for HashIndex<K> {
+    fn with_capacity(n: usize) -> Self {
+        HashIndex(FxHashMap::with_capacity_and_hasher(n, Default::default()))
+    }
+
+    #[inline]
+    fn get(&self, key: &K) -> Option<u32> {
+        self.0.get(key).copied()
+    }
+
+    #[inline]
+    fn insert(&mut self, key: K, node: u32) {
+        let prev = self.0.insert(key, node);
+        debug_assert!(prev.is_none(), "insert of a mapped key");
+    }
+
+    #[inline]
+    fn remove(&mut self, key: &K) {
+        let prev = self.0.remove(key);
+        debug_assert!(prev.is_some(), "remove of an unmapped key");
+    }
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+}
+
+/// A [`PositionIndex`] for dense `u32` keys: `table[key]` holds the
+/// node (`u32::MAX` = absent). One predictable load per probe, no
+/// hashing — but memory is proportional to the largest key ever seen, so
+/// only use it where keys are known to be dense (e.g. trace object ids).
+#[derive(Clone, Debug, Default)]
+pub struct DenseIndex {
+    table: Vec<u32>,
+    len: usize,
+}
+
+/// Sentinel for "key absent" in [`DenseIndex`] (nodes are slab slots,
+/// far below u32::MAX).
+const ABSENT: u32 = u32::MAX;
+
+impl PositionIndex<u32> for DenseIndex {
+    fn with_capacity(n: usize) -> Self {
+        DenseIndex { table: vec![ABSENT; n], len: 0 }
+    }
+
+    #[inline]
+    fn get(&self, key: &u32) -> Option<u32> {
+        match self.table.get(*key as usize) {
+            Some(&h) if h != ABSENT => Some(h),
+            _ => None,
+        }
+    }
+
+    #[inline]
+    fn insert(&mut self, key: u32, node: u32) {
+        let i = key as usize;
+        if i >= self.table.len() {
+            self.table.resize(i + 1, ABSENT);
+        }
+        debug_assert_eq!(self.table[i], ABSENT, "insert of a mapped key");
+        self.table[i] = node;
+        self.len += 1;
+    }
+
+    #[inline]
+    fn remove(&mut self, key: &u32) {
+        debug_assert_ne!(self.table[*key as usize], ABSENT, "remove of an unmapped key");
+        self.table[*key as usize] = ABSENT;
+        self.len -= 1;
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+}
 
 /// "No node": the ends of a FIFO, of the free chain and of the LFU
 /// bucket list.

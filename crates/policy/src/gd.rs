@@ -29,7 +29,7 @@
 //! exactness argument.
 
 use crate::credit::{CreditIndex, CreditOrder};
-use crate::heap::HashIndex;
+use crate::fifo::HashIndex;
 use crate::BoundedCache;
 
 /// Bounded greedy-dual cache.
@@ -501,16 +501,6 @@ mod tests {
         Ok(())
     }
 
-    /// A heap-ordered greedy-dual on a hash index: the order every
-    /// indexed cache kept before the FIFOs, kept here so that the client
-    /// stores' `keys()` order is still held to an indexed heap's.
-    #[derive(Debug)]
-    struct IndexedHeap;
-
-    impl CreditIndex<u128> for IndexedHeap {
-        type Order = crate::IndexedMinHeap<crate::Credit, u128>;
-    }
-
     proptest::proptest! {
         /// The default cache (hash index, FIFOs) must replay the
         /// reference BTreeSet implementation *exactly* under arbitrary
@@ -540,12 +530,10 @@ mod tests {
         }
 
         /// A client cache's store (`LinearScan`) at every capacity a
-        /// client cache is given, against the same ops on an indexed
-        /// heap and on the default FIFOs: each return value, the victim,
-        /// the credits and the inflation must agree after every
-        /// operation, the resident set with the FIFOs, and — what the
-        /// P2P membership paths hand objects off in — the `keys()` order
-        /// with the indexed heap.
+        /// client cache is given, against the same ops on the default
+        /// FIFOs: each return value, the victim, the credits, the
+        /// inflation and the resident set must agree after every
+        /// operation.
         #[test]
         fn linear_scan_matches_hash_index(
             cap in 1usize..65,
@@ -554,7 +542,6 @@ mod tests {
             )
         ) {
             let mut flat: GreedyDualCache<u128, crate::LinearScan> = GreedyDualCache::new(cap);
-            let mut heap: GreedyDualCache<u128, IndexedHeap> = GreedyDualCache::new(cap);
             let mut fifos: GreedyDualCache<u128, HashIndex<u128>> = GreedyDualCache::new(cap);
             let universe = 2 * cap as u64;
             for (op, key, cost, size) in ops {
@@ -562,33 +549,24 @@ mod tests {
                 let key = u128::from(key % universe)
                     .wrapping_mul(0x9E37_79B9_7F4A_7C15_F39C_C060_5CED_C835);
                 let (cost, size) = (f64::from(cost), f64::from(size));
-                let (a, b, c) = match op {
+                let (a, b) = match op {
                     0 => {
                         let a = flat.insert_with_cost(key, cost, size);
-                        let b = heap.insert_with_cost(key, cost, size);
-                        (a, b, fifos.insert_with_cost(key, cost, size))
+                        (a, fifos.insert_with_cost(key, cost, size))
                     }
                     1 => {
                         let a = flat.touch_with_cost(key, cost, size).then_some(key);
-                        let b = heap.touch_with_cost(key, cost, size).then_some(key);
-                        (a, b, fifos.touch_with_cost(key, cost, size).then_some(key))
+                        (a, fifos.touch_with_cost(key, cost, size).then_some(key))
                     }
                     2 => {
                         let a = flat.remove(key).then_some(key);
-                        let b = heap.remove(key).then_some(key);
-                        (a, b, fifos.remove(key).then_some(key))
+                        (a, fifos.remove(key).then_some(key))
                     }
-                    _ => (flat.evict(), heap.evict(), fifos.evict()),
+                    _ => (flat.evict(), fifos.evict()),
                 };
-                proptest::prop_assert_eq!(a, b, "flat and indexed heap diverged");
-                proptest::prop_assert_eq!(a, c, "flat heap and FIFOs diverged");
-                let seen = observe(&flat, key);
-                proptest::prop_assert_eq!(seen, observe(&heap, key));
-                proptest::prop_assert_eq!(seen, observe(&fifos, key));
-                let order: Vec<u128> = flat.keys().collect();
-                let heap_order: Vec<u128> = heap.keys().collect();
-                proptest::prop_assert_eq!(&order, &heap_order, "keys() order diverged");
-                let mut set = order;
+                proptest::prop_assert_eq!(a, b, "flat heap and FIFOs diverged");
+                proptest::prop_assert_eq!(observe(&flat, key), observe(&fifos, key));
+                let mut set: Vec<u128> = flat.keys().collect();
                 set.sort_unstable();
                 let mut fifo_set: Vec<u128> = fifos.keys().collect();
                 fifo_set.sort_unstable();

@@ -14,18 +14,22 @@
 //!
 //! Ties break toward evicting the least-recently-used among the
 //! least-frequent, the common implementation choice.
+//!
+//! The order both keep, one FIFO per resident frequency in a sorted list
+//! of buckets, is generic over the bucket key: the
+//! [`ValueCache`](crate::ValueCache) keeps one FIFO per resident value on
+//! it.
 
-use crate::fifo::{Fifo, FifoSlab, NIL};
-use crate::heap::{HashIndex, PositionIndex};
+use crate::fifo::{Fifo, FifoSlab, HashIndex, PositionIndex, NIL};
 use crate::BoundedCache;
 use std::hash::Hash;
 use webcache_primitives::FxHashMap;
 
-/// The FIFO of one resident frequency, least recently written at its
+/// The FIFO of one resident frequency `F`, least recently written at its
 /// head, in the list of buckets sorted by frequency.
 #[derive(Clone, Debug)]
-struct Bucket {
-    freq: u64,
+struct Bucket<F> {
+    freq: F,
     fifo: Fifo,
     /// The neighbouring buckets, [`NIL`] past either end. A vacated
     /// bucket chains the free list through `higher`.
@@ -35,7 +39,9 @@ struct Bucket {
 
 /// Shared frequency-ordered store: one FIFO per resident frequency (the
 /// O(1) LFU of Shah, Mitra & Matani, 2010), in buckets that form a doubly
-/// linked list in ascending frequency.
+/// linked list in ascending frequency. The frequency `F` is any total
+/// order: a count for the LFUs, a benefit value for
+/// [`ValueCache`](crate::ValueCache).
 ///
 /// Every write appends the entry at its frequency's tail, so a bucket
 /// lists its members in last-write order — the recency tie-break — and
@@ -48,24 +54,26 @@ struct Bucket {
 /// tier transfer, every [`PerfectLfuCache`] write) walks in from both
 /// ends of the bucket list at once: O(resident frequencies) at worst,
 /// about one step on the benchmark's traces (EXPERIMENTS.md, "Throughput
-/// round 9").
+/// round 9"). Every [`ValueCache`](crate::ValueCache) write is one; the
+/// walk lengths are in "Simplification round 12".
 ///
 /// [`insert_with_frequency`]: LfuCache::insert_with_frequency
 #[derive(Clone, Debug)]
-struct FreqIndex<K, X> {
+pub(crate) struct FreqIndex<K, X, F = u64> {
     /// The resident entries; a node's list is its bucket.
     slab: FifoSlab<K, (), X>,
     /// Resident buckets and vacated ones, which `free_bucket` chains.
-    buckets: Vec<Bucket>,
+    buckets: Vec<Bucket<F>>,
     lowest: u32,
     highest: u32,
     free_bucket: u32,
 }
 
-impl<K: Copy + Eq, X: PositionIndex<K>> FreqIndex<K, X> {
-    fn new() -> Self {
+impl<K: Copy + Eq, X: PositionIndex<K>, F: Copy + Ord> FreqIndex<K, X, F> {
+    /// An empty store with room for `n` entries before growing.
+    pub(crate) fn with_capacity(n: usize) -> Self {
         FreqIndex {
-            slab: FifoSlab::with_capacity(0),
+            slab: FifoSlab::with_capacity(n),
             buckets: Vec::new(),
             lowest: NIL,
             highest: NIL,
@@ -73,75 +81,52 @@ impl<K: Copy + Eq, X: PositionIndex<K>> FreqIndex<K, X> {
         }
     }
 
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.slab.len()
     }
 
-    fn contains(&self, key: K) -> bool {
+    pub(crate) fn contains(&self, key: K) -> bool {
         self.slab.get(&key).is_some()
     }
 
-    fn freq(&self, key: K) -> Option<u64> {
+    pub(crate) fn freq(&self, key: K) -> Option<F> {
         self.slab.get(&key).map(|n| self.buckets[self.slab.list(n) as usize].freq)
     }
 
-    /// Adds one to a resident `key`'s frequency, saturating at
-    /// `u64::MAX`; false if absent.
-    fn touch(&mut self, key: K) -> bool {
+    /// Sets a resident `key`'s frequency to `freq(its frequency)` and
+    /// makes it the most recent at that frequency; false if absent.
+    pub(crate) fn update(&mut self, key: K, freq: impl FnOnce(F) -> F) -> bool {
         let Some(node) = self.slab.get(&key) else { return false };
-        let b = self.slab.list(node);
-        let Bucket { freq, fifo, higher, .. } = self.buckets[b as usize];
-        let Some(up) = freq.checked_add(1) else {
-            self.set(node, freq);
-            return true;
-        };
-        if higher != NIL && self.buckets[higher as usize].freq == up {
-            self.detach(node);
-            self.append(node, higher);
-        } else if fifo.head == fifo.tail {
-            // Alone in its bucket, with none at `up`: renumber in place.
-            self.buckets[b as usize].freq = up;
-        } else {
-            let above = self.link_bucket(up, b, higher);
-            self.detach(node);
-            self.append(node, above);
-        }
-        true
-    }
-
-    /// Sets a resident `key`'s frequency to `freq` and makes it the most
-    /// recent at that frequency; false if absent.
-    fn update(&mut self, key: K, freq: u64) -> bool {
-        let Some(node) = self.slab.get(&key) else { return false };
-        self.set(node, freq);
+        let f = freq(self.buckets[self.slab.list(node) as usize].freq);
+        self.set(node, f);
         true
     }
 
     /// Inserts `key`, which the caller knows to be absent, at `freq`.
-    fn insert_new(&mut self, key: K, freq: u64) {
+    pub(crate) fn insert_new(&mut self, key: K, freq: F) {
         let node = self.slab.alloc(key, ());
         let b = self.bucket_of(freq);
         self.append(node, b);
     }
 
-    fn remove(&mut self, key: K) -> Option<u64> {
+    pub(crate) fn remove(&mut self, key: K) -> Option<F> {
         let node = self.slab.get(&key)?;
         Some(self.release(node).1)
     }
 
-    fn pop_min(&mut self) -> Option<(K, u64)> {
+    pub(crate) fn pop_min(&mut self) -> Option<(K, F)> {
         let b = self.buckets.get(self.lowest as usize)?;
         Some(self.release(b.fifo.head))
     }
 
-    fn peek_min(&self) -> Option<(K, u64)> {
+    pub(crate) fn peek_min(&self) -> Option<(K, F)> {
         let b = self.buckets.get(self.lowest as usize)?;
         Some((self.slab.key(b.fifo.head), b.freq))
     }
 
     /// Resident keys, lowest frequency first and, within one, least
     /// recently written first.
-    fn keys(&self) -> impl Iterator<Item = K> + '_ {
+    pub(crate) fn keys(&self) -> impl Iterator<Item = K> + '_ {
         let from = |first: u32| (first != NIL).then_some(first);
         std::iter::successors(from(self.lowest), move |&b| from(self.buckets[b as usize].higher))
             .flat_map(move |b| self.slab.iter(self.buckets[b as usize].fifo))
@@ -149,7 +134,7 @@ impl<K: Copy + Eq, X: PositionIndex<K>> FreqIndex<K, X> {
     }
 
     /// Moves `node` to the tail of `freq`'s FIFO.
-    fn set(&mut self, node: u32, freq: u64) {
+    fn set(&mut self, node: u32, freq: F) {
         self.detach(node);
         let b = self.bucket_of(freq);
         self.append(node, b);
@@ -170,7 +155,7 @@ impl<K: Copy + Eq, X: PositionIndex<K>> FreqIndex<K, X> {
 
     /// Detaches and vacates `node`, unmapping its key; returns its key
     /// and frequency.
-    fn release(&mut self, node: u32) -> (K, u64) {
+    fn release(&mut self, node: u32) -> (K, F) {
         let b = self.slab.list(node);
         let freq = self.buckets[b as usize].freq;
         let (key, ()) = self.slab.release(&mut self.buckets[b as usize].fifo, node);
@@ -198,7 +183,7 @@ impl<K: Copy + Eq, X: PositionIndex<K>> FreqIndex<K, X> {
 
     /// The bucket of `freq`, linked in empty if there is none: walks in
     /// from both ends of the list at once.
-    fn bucket_of(&mut self, freq: u64) -> u32 {
+    fn bucket_of(&mut self, freq: F) -> u32 {
         // Every bucket below `lo` is under `freq`, every one above `hi`
         // over it.
         let (mut lo, mut hi) = (self.lowest, self.highest);
@@ -218,7 +203,7 @@ impl<K: Copy + Eq, X: PositionIndex<K>> FreqIndex<K, X> {
 
     /// Links an empty bucket of `freq` in between the adjacent buckets
     /// `lower` and `higher` (either [`NIL`] past an end).
-    fn link_bucket(&mut self, freq: u64, lower: u32, higher: u32) -> u32 {
+    fn link_bucket(&mut self, freq: F, lower: u32, higher: u32) -> u32 {
         debug_assert!(
             (lower == NIL || self.buckets[lower as usize].freq < freq)
                 && (higher == NIL || freq < self.buckets[higher as usize].freq),
@@ -245,6 +230,32 @@ impl<K: Copy + Eq, X: PositionIndex<K>> FreqIndex<K, X> {
             h => self.buckets[h as usize].lower = b,
         }
         b
+    }
+}
+
+impl<K: Copy + Eq, X: PositionIndex<K>> FreqIndex<K, X> {
+    /// Adds one to a resident `key`'s frequency, saturating at
+    /// `u64::MAX`; false if absent.
+    fn touch(&mut self, key: K) -> bool {
+        let Some(node) = self.slab.get(&key) else { return false };
+        let b = self.slab.list(node);
+        let Bucket { freq, fifo, higher, .. } = self.buckets[b as usize];
+        let Some(up) = freq.checked_add(1) else {
+            self.set(node, freq);
+            return true;
+        };
+        if higher != NIL && self.buckets[higher as usize].freq == up {
+            self.detach(node);
+            self.append(node, higher);
+        } else if fifo.head == fifo.tail {
+            // Alone in its bucket, with none at `up`: renumber in place.
+            self.buckets[b as usize].freq = up;
+        } else {
+            let above = self.link_bucket(up, b, higher);
+            self.detach(node);
+            self.append(node, above);
+        }
+        true
     }
 }
 
@@ -280,7 +291,7 @@ impl<K: Copy + Eq, X: PositionIndex<K>> LfuCache<K, X> {
     /// Panics if `capacity` is zero.
     pub fn with_index(capacity: usize) -> Self {
         assert!(capacity > 0, "capacity must be positive");
-        LfuCache { capacity, index: FreqIndex::new() }
+        LfuCache { capacity, index: FreqIndex::with_capacity(0) }
     }
 
     /// Resident frequency of `key`.
@@ -306,7 +317,7 @@ impl<K: Copy + Eq, X: PositionIndex<K>> LfuCache<K, X> {
     /// tiers "coordinate replacement so that they appear as one unified
     /// cache" (§2), which requires counts to survive tier transfers.
     pub fn insert_with_frequency(&mut self, key: K, freq: u64) -> Option<(K, u64)> {
-        if self.index.update(key, freq) {
+        if self.index.update(key, |_| freq) {
             return None;
         }
         let evicted = if self.index.len() >= self.capacity { self.index.pop_min() } else { None };
@@ -378,7 +389,11 @@ impl<K: Copy + Eq + Hash> PerfectLfuCache<K> {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "capacity must be positive");
-        PerfectLfuCache { capacity, index: FreqIndex::new(), global: FxHashMap::default() }
+        PerfectLfuCache {
+            capacity,
+            index: FreqIndex::with_capacity(0),
+            global: FxHashMap::default(),
+        }
     }
 
     /// All-time frequency of `key` (resident or not).
@@ -409,12 +424,12 @@ impl<K: Copy + Eq + Hash> BoundedCache<K> for PerfectLfuCache<K> {
 
     fn touch(&mut self, key: K) -> bool {
         let f = self.count(key);
-        self.index.update(key, f)
+        self.index.update(key, |_| f)
     }
 
     fn insert(&mut self, key: K) -> Option<K> {
         let f = self.count(key);
-        if self.index.update(key, f) {
+        if self.index.update(key, |_| f) {
             return None;
         }
         let evicted = if self.index.len() >= self.capacity { self.index.pop_min() } else { None };

@@ -1,10 +1,11 @@
 //! Cache replacement policies used throughout the reproduction.
 //!
 //! The paper's caching schemes each pin a replacement policy (§2, §5.1).
-//! Three of them — LFU, greedy-dual and LRU — are list orders: each
-//! evicts the oldest entry of some FIFO, and all their FIFOs live in one
-//! slab of linked nodes that a [`PositionIndex`] maps keys into, where
-//! every write is an append.
+//! All of them — LFU, cost-benefit, greedy-dual and LRU — are list
+//! orders: each evicts the oldest entry of some FIFO, and all their FIFOs
+//! live in one slab of linked nodes that a [`PositionIndex`] maps keys
+//! into, where every write is an append. Only a client cache's few-entry
+//! greedy-dual store keeps a flat heap instead.
 //!
 //! * **NC, SC, NC-EC, SC-EC** use **LFU** "to minimize access latency".
 //!   We provide the classic *in-cache* LFU ([`LfuCache`], frequency counted
@@ -19,7 +20,9 @@
 //!   assumption of the perfect frequency knowledge to each object,
 //!   minimizes the aggregate average latency of all the clients in the
 //!   proxy cluster". The cluster engine computes per-copy benefit values
-//!   and stores them in a [`ValueCache`] (evict the minimum-value copy).
+//!   and stores them in a [`ValueCache`] (evict the minimum-value copy):
+//!   the LFU's sorted buckets with the value as the bucket key, one FIFO
+//!   per resident value.
 //! * **Hier-GD** runs Young's **greedy-dual** ([`GreedyDualCache`]) at the
 //!   proxy and in every client cache, using the "inflation value"
 //!   implementation the paper calls "the efficient implementation". An
@@ -53,11 +56,9 @@ pub mod value;
 
 pub use bytes::{ByteLruCache, GreedyDualSizeCache};
 pub use credit::{Credit, CreditFifos, CreditIndex, CreditOrder};
+pub use fifo::{DenseIndex, HashIndex, PositionIndex};
 pub use gd::GreedyDualCache;
-pub use heap::{
-    DenseIndex, FlatMinHeap, Handles, HashIndex, IndexedMinHeap, KeyLocator, LinearScan, MinHeap,
-    PositionIndex,
-};
+pub use heap::{LinearScan, MinHeap};
 pub use lfu::{LfuCache, PerfectLfuCache};
 pub use lru::LruCache;
 pub use value::{NotBeneficial, ValueCache};

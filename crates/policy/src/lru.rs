@@ -1,7 +1,6 @@
 //! Least-recently-used cache.
 
-use crate::fifo::{Fifo, FifoSlab};
-use crate::heap::HashIndex;
+use crate::fifo::{Fifo, FifoSlab, HashIndex};
 use crate::BoundedCache;
 use std::hash::Hash;
 

@@ -7,8 +7,15 @@
 //! the object's request frequency and of how many other copies exist in the
 //! cluster — and stores the copy in a [`ValueCache`]; replacement evicts
 //! the minimum-value copy when a higher-value copy needs the slot.
+//!
+//! The store is the LFU's sorted FIFO buckets with the value as the bucket
+//! key: one FIFO per resident value, the buckets in ascending value. Every
+//! write appends at the tail of its value's FIFO, so the FIFO position is
+//! the write order and the victim — the lowest bucket's head — is the
+//! minimum `(value, last write)`.
 
-use crate::heap::{HashIndex, IndexedMinHeap, PositionIndex};
+use crate::fifo::{HashIndex, PositionIndex};
+use crate::lfu::FreqIndex;
 use crate::BoundedCache;
 use std::hash::Hash;
 
@@ -26,9 +33,18 @@ impl std::fmt::Display for NotBeneficial {
 
 impl std::error::Error for NotBeneficial {}
 
-/// Total-ordered f64 wrapper (the engine never produces NaN values).
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// Total-ordered f64 bucket key (the engine never produces NaN values).
+/// Equality agrees with the order — both are `total_cmp` — because
+/// equality picks a value's bucket: `-0.0` and `0.0` are two buckets,
+/// `-0.0` the lower.
+#[derive(Clone, Copy, Debug)]
 struct V(f64);
+
+impl PartialEq for V {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
 
 impl Eq for V {}
 
@@ -44,19 +60,16 @@ impl Ord for V {
     }
 }
 
-/// Bounded store that always evicts the minimum-value entry.
+/// Bounded store that always evicts the minimum-value entry, the least
+/// recently written among equal values.
 ///
-/// Values live in an [`IndexedMinHeap`] keyed by `(value, stamp)`; stamps
-/// are unique, so eviction order matches the earlier
-/// `BTreeSet<(value, stamp, key)>` exactly, allocation-free per update.
-/// `X` selects the heap's key → slot index, as for
+/// `X` selects the key → node index, as for
 /// [`LfuCache`](crate::LfuCache); every method probes it at most once.
 #[derive(Clone, Debug)]
 pub struct ValueCache<K: Copy + Eq = u64, X: PositionIndex<K> = HashIndex<K>> {
     capacity: usize,
-    /// key -> (value, stamp); the minimum is the victim.
-    heap: IndexedMinHeap<(V, u64), K, X>,
-    clock: u64,
+    /// One FIFO per resident value; the lowest one's head is the victim.
+    index: FreqIndex<K, X, V>,
 }
 
 impl<K: Copy + Eq + Hash> ValueCache<K> {
@@ -78,45 +91,25 @@ impl<K: Copy + Eq, X: PositionIndex<K>> ValueCache<K, X> {
     /// Panics if `capacity` is zero.
     pub fn with_index(capacity: usize) -> Self {
         assert!(capacity > 0, "capacity must be positive");
-        ValueCache { capacity, heap: IndexedMinHeap::with_capacity(capacity), clock: 0 }
+        ValueCache { capacity, index: FreqIndex::with_capacity(capacity) }
     }
 
     /// Current value of `key`.
     pub fn value(&self, key: K) -> Option<f64> {
-        self.heap.priority(key).map(|(V(v), _)| v)
-    }
-
-    /// Restamps a resident `key` at `f(its value)`; false if absent.
-    fn update(&mut self, key: K, f: impl FnOnce(f64) -> f64) -> bool {
-        let stamp = self.clock + 1;
-        let hit = self.heap.update_with(key, |(V(v), _)| (V(f(v)), stamp)).is_some();
-        // A branch, not `clock += u64::from(hit)`: rustc 1.95 at
-        // opt-level 3 dropped that add when `f` ignored its argument (a
-        // naive-model proptest of the same pattern failed in release
-        // builds with it).
-        if hit {
-            self.clock = stamp;
-        }
-        hit
-    }
-
-    /// Inserts `key`, which the caller knows to be absent, at `value`.
-    fn insert_new(&mut self, key: K, value: f64) {
-        self.clock += 1;
-        self.heap.insert_new(key, (V(value), self.clock));
+        self.index.freq(key).map(|V(v)| v)
     }
 
     /// Sets (or updates) `key`'s value without evicting; returns false if
     /// the store is full and `key` is not resident.
     pub fn set_value(&mut self, key: K, value: f64) -> bool {
         debug_assert!(value.is_finite());
-        if self.update(key, |_| value) {
+        if self.index.update(key, |_| V(value)) {
             return true;
         }
-        if self.heap.len() >= self.capacity {
+        if self.index.len() >= self.capacity {
             return false;
         }
-        self.insert_new(key, value);
+        self.index.insert_new(key, V(value));
         true
     }
 
@@ -125,10 +118,10 @@ impl<K: Copy + Eq, X: PositionIndex<K>> ValueCache<K, X> {
     /// the insert is refused. Returns `Ok(evicted)` on success.
     pub fn insert_if_beneficial(&mut self, key: K, value: f64) -> Result<Option<K>, NotBeneficial> {
         debug_assert!(value.is_finite());
-        if self.update(key, |_| value) {
+        if self.index.update(key, |_| V(value)) {
             return Ok(None);
         }
-        let evicted = if self.heap.len() >= self.capacity {
+        let evicted = if self.index.len() >= self.capacity {
             let (vmin, _) = self.peek_min().expect("full store has a minimum");
             if value <= vmin {
                 return Err(NotBeneficial);
@@ -137,30 +130,30 @@ impl<K: Copy + Eq, X: PositionIndex<K>> ValueCache<K, X> {
         } else {
             None
         };
-        self.insert_new(key, value);
+        self.index.insert_new(key, V(value));
         Ok(evicted)
     }
 
     /// The minimum value and its key.
     pub fn peek_min(&self) -> Option<(f64, K)> {
-        self.heap.peek_min().map(|((V(v), _), k)| (v, k))
+        self.index.peek_min().map(|(k, V(v))| (v, k))
     }
 
     /// Evicts and returns the minimum-value key.
     pub fn evict(&mut self) -> Option<K> {
-        self.heap.pop_min().map(|(_, k)| k)
+        self.index.pop_min().map(|(k, _)| k)
     }
 
-    /// Iterates over resident keys in ascending value order.
-    ///
-    /// Builds a sorted snapshot (O(n log n)) — inspection use only.
-    pub fn keys_by_value(&self) -> impl Iterator<Item = K> {
-        self.heap.sorted_snapshot().into_iter().map(|(_, k)| k)
+    /// Iterates over resident keys in eviction order: ascending value,
+    /// least recently written first among equal values. An O(n) walk of
+    /// the buckets.
+    pub fn keys_by_value(&self) -> impl Iterator<Item = K> + '_ {
+        self.index.keys()
     }
 
     /// True if the store has spare capacity.
     pub fn has_free_space(&self) -> bool {
-        self.heap.len() < self.capacity
+        self.index.len() < self.capacity
     }
 }
 
@@ -170,28 +163,28 @@ impl<K: Copy + Eq + Hash, X: PositionIndex<K>> BoundedCache<K> for ValueCache<K,
     }
 
     fn len(&self) -> usize {
-        self.heap.len()
+        self.index.len()
     }
 
     fn contains(&self, key: K) -> bool {
-        self.heap.contains(key)
+        self.index.contains(key)
     }
 
     fn touch(&mut self, key: K) -> bool {
-        self.update(key, |v| v)
+        self.index.update(key, |v| v)
     }
 
     fn insert(&mut self, key: K) -> Option<K> {
         if self.touch(key) {
             return None;
         }
-        let evicted = if self.heap.len() >= self.capacity { self.evict() } else { None };
-        self.insert_new(key, 1.0);
+        let evicted = if self.index.len() >= self.capacity { self.evict() } else { None };
+        self.index.insert_new(key, V(1.0));
         evicted
     }
 
     fn remove(&mut self, key: K) -> bool {
-        self.heap.remove(key).is_some()
+        self.index.remove(key).is_some()
     }
 }
 
@@ -368,15 +361,89 @@ mod tests {
             ops in proptest::collection::vec((0u64..20, 0u32..100), 1..200)
         ) {
             let mut c = ValueCache::new(5);
+            let contents = |c: &ValueCache| -> Vec<(u64, f64)> {
+                c.keys_by_value().map(|k| (k, c.value(k).unwrap())).collect()
+            };
             for (key, v) in ops {
-                let before: f64 = c.keys_by_value().map(|k| c.value(k).unwrap()).sum();
-                let _ = c.insert_if_beneficial(key, v as f64);
-                let after: f64 = c.keys_by_value().map(|k| c.value(k).unwrap()).sum();
-                // insert_if_beneficial on a *new* key only ever swaps a
-                // lower value for a higher one; resident updates may lower
-                // the value, so only check when the key was absent.
-                let _ = (before, after);
+                let absent = !c.contains(key);
+                let before = contents(&c);
+                let out = c.insert_if_beneficial(key, f64::from(v));
+                let after = contents(&c);
+                if out.is_err() {
+                    proptest::prop_assert_eq!(&after, &before, "a refused insert changed the store");
+                } else if absent {
+                    // A new key only ever joins a store with room or
+                    // displaces a lower value; a resident update may lower
+                    // its own value, so it is not checked.
+                    let total = |c: &[(u64, f64)]| c.iter().map(|e| e.1).sum::<f64>();
+                    proptest::prop_assert!(total(&after) >= total(&before));
+                }
                 proptest::prop_assert!(c.len() <= 5);
+            }
+        }
+
+        /// Signed zeros and equal values side by side: the order is
+        /// `total_cmp` (`-0.0` below `0.0`) with the least recently
+        /// written first among bit-equal values, and each key reads back
+        /// its own zero. Refusal compares numerically (`-0.0 == 0.0`).
+        #[test]
+        fn signed_zeros_and_ties_follow_total_cmp(
+            ops in proptest::collection::vec((0u8..4, 0u64..12, 0usize..4), 1..300)
+        ) {
+            const VALUES: [f64; 4] = [-0.0, 0.0, 1.0, -1.0];
+            const CAP: usize = 5;
+            let mut c = ValueCache::new(CAP);
+            // The model: resident (key, value, stamp), sorted by
+            // (`total_cmp` of the value, stamp) after every operation.
+            let mut model: Vec<(u64, f64, u64)> = Vec::new();
+            for (stamp, (op, key, v)) in ops.into_iter().enumerate() {
+                let (stamp, value) = (stamp as u64, VALUES[v]);
+                let at = model.iter().position(|e| e.0 == key);
+                let full = model.len() >= CAP;
+                match (op, at) {
+                    (0 | 1, Some(i)) => {
+                        model[i] = (key, value, stamp);
+                        if op == 0 {
+                            proptest::prop_assert!(c.set_value(key, value));
+                        } else {
+                            proptest::prop_assert_eq!(c.insert_if_beneficial(key, value), Ok(None));
+                        }
+                    }
+                    (0, None) => {
+                        if !full {
+                            model.push((key, value, stamp));
+                        }
+                        proptest::prop_assert_eq!(c.set_value(key, value), !full);
+                    }
+                    (1, None) => {
+                        let expect = if full && value <= model[0].1 {
+                            Err(NotBeneficial)
+                        } else {
+                            let out = full.then(|| model.remove(0).0);
+                            model.push((key, value, stamp));
+                            Ok(out)
+                        };
+                        proptest::prop_assert_eq!(c.insert_if_beneficial(key, value), expect);
+                    }
+                    (2, _) => {
+                        if let Some(i) = at {
+                            model[i].2 = stamp;
+                        }
+                        proptest::prop_assert_eq!(c.touch(key), at.is_some());
+                    }
+                    _ => {
+                        let out = (!model.is_empty()).then(|| model.remove(0).0);
+                        proptest::prop_assert_eq!(c.evict(), out);
+                    }
+                }
+                model.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.2.cmp(&b.2)));
+                let order: Vec<u64> = model.iter().map(|e| e.0).collect();
+                proptest::prop_assert_eq!(&order, &c.keys_by_value().collect::<Vec<_>>());
+                let min = model.first().map(|e| (e.1.to_bits(), e.0));
+                proptest::prop_assert_eq!(c.peek_min().map(|(v, k)| (v.to_bits(), k)), min);
+                for &(k, v, _) in &model {
+                    proptest::prop_assert_eq!(c.value(k).map(f64::to_bits), Some(v.to_bits()));
+                }
             }
         }
     }

@@ -79,12 +79,17 @@ surfaces() { # $1 = binary, $2 = output directory, $3 = checkout, $4 = its targe
   done
   keep run_full_c1000.txt "$bin" run --scheme hier-gd --cache-frac 0.1 --clients 1000 \
     --stats-out run_full_c1000.json full.bin full7.bin
-  # The LFU family at the benchmark's scale: unified_schemes runs NC,
-  # SC-EC and FC-EC at a tenth of the infinite cache size.
-  for scheme in nc nc-ec sc sc-ec fc-ec; do
+  # The LFU family and the value-ordered FC stores at the benchmark's
+  # scale: unified_schemes runs NC, SC-EC and FC-EC at a tenth of the
+  # infinite cache size.
+  for scheme in nc nc-ec sc sc-ec fc fc-ec; do
     keep run_full_$scheme.txt "$bin" run --scheme $scheme --cache-frac 0.1 \
       --stats-out run_full_$scheme.json full.bin full7.bin
   done
+  # FC and FC-EC up to the whole universe, where their stores hold the
+  # most distinct values and a write walks the furthest.
+  keep sweep_full_fc.txt "$bin" sweep --schemes fc,fc-ec --fracs 0.1,0.3,0.5,0.7,0.9,1.0 \
+    full.bin full7.bin
 
   for clock in compat event; do
     keep explain_$clock.txt "$bin" explain --cache-frac 0.2 --clock $clock \
