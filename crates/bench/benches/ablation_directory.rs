@@ -9,15 +9,13 @@
 
 use std::io::Write as _;
 use std::sync::Arc;
-use webcache_bench::{figures_dir, synthetic_traces, Scale};
+use webcache_bench::{figures_dir, scale_or_full};
 use webcache_p2p::DirectoryKind;
+use webcache_sim::figures::synthetic_traces;
 use webcache_sim::{run_experiment_recorded, ExperimentConfig, SchemeKind, Sizing, StatsRecorder};
 
 fn main() {
-    let mut scale = Scale::from_env();
-    if !scale.full {
-        scale.requests = 100_000;
-    }
+    let scale = scale_or_full(100_000);
     eprintln!("ablation_directory: {} requests/proxy", scale.requests);
     let traces = synthetic_traces(2, scale, |_| {});
     let base = ExperimentConfig::new(SchemeKind::HierGd, 0.2);

@@ -16,8 +16,9 @@
 //! scheme: all of the paper's policies see the same trade-off.
 
 use std::io::Write as _;
-use webcache_bench::{figures_dir, synthetic_traces, Scale};
+use webcache_bench::{figures_dir, scale_or_full};
 use webcache_policy::{ByteLruCache, GreedyDualSizeCache};
+use webcache_sim::figures::synthetic_traces;
 use webcache_workload::{SizeModel, Trace};
 
 struct Tally {
@@ -59,10 +60,7 @@ fn run_byte_lru(trace: &Trace, capacity: u64) -> Tally {
 }
 
 fn main() {
-    let mut scale = Scale::from_env();
-    if !scale.full {
-        scale.requests = 150_000;
-    }
+    let scale = scale_or_full(150_000);
     let trace =
         synthetic_traces(1, scale, |c| c.size_model = SizeModel::prowgen_default()).remove(0);
     // Sum of every object's size: the "infinite byte cache" (ProWGen

@@ -10,14 +10,12 @@
 //!   vs what NC-style LFU at the same sizes achieves.
 
 use std::io::Write as _;
-use webcache_bench::{figures_dir, synthetic_traces, Scale};
+use webcache_bench::{figures_dir, scale_or_full};
+use webcache_sim::figures::synthetic_traces;
 use webcache_sim::{latency_gain_percent, run_experiment, ExperimentConfig, SchemeKind};
 
 fn main() {
-    let mut scale = Scale::from_env();
-    if !scale.full {
-        scale.requests = 100_000;
-    }
+    let scale = scale_or_full(100_000);
     eprintln!("ablation_hiergd: {} requests/proxy", scale.requests);
     let traces = synthetic_traces(2, scale, |_| {});
     let frac = 0.2;

@@ -10,8 +10,9 @@
 //! paper's (see EXPERIMENTS.md).
 
 use std::io::Write as _;
-use webcache_bench::{figures_dir, synthetic_traces, Scale};
+use webcache_bench::{figures_dir, scale_or_full};
 use webcache_policy::{BoundedCache, GreedyDualCache, LfuCache, LruCache, PerfectLfuCache};
+use webcache_sim::figures::synthetic_traces;
 use webcache_workload::Trace;
 
 fn hit_ratio<C: BoundedCache<u32>>(mut cache: C, trace: &Trace) -> f64 {
@@ -27,10 +28,7 @@ fn hit_ratio<C: BoundedCache<u32>>(mut cache: C, trace: &Trace) -> f64 {
 }
 
 fn main() {
-    let mut scale = Scale::from_env();
-    if !scale.full {
-        scale.requests = 150_000;
-    }
+    let scale = scale_or_full(150_000);
     let trace = synthetic_traces(1, scale, |_| {}).remove(0);
     let u = trace.stats().infinite_cache_size;
     eprintln!("ablation_lfu: {} requests, U = {u}", trace.len());

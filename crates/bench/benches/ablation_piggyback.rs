@@ -9,14 +9,12 @@
 
 use std::io::Write as _;
 use std::sync::Arc;
-use webcache_bench::{figures_dir, synthetic_traces, Scale};
+use webcache_bench::{figures_dir, scale_or_full};
+use webcache_sim::figures::synthetic_traces;
 use webcache_sim::{run_experiment_recorded, ExperimentConfig, SchemeKind, StatsRecorder};
 
 fn main() {
-    let mut scale = Scale::from_env();
-    if !scale.full {
-        scale.requests = 100_000;
-    }
+    let scale = scale_or_full(100_000);
     eprintln!("ablation_piggyback: {} requests/proxy", scale.requests);
     let traces = synthetic_traces(2, scale, |_| {});
     let mut results = Vec::new();

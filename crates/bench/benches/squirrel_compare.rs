@@ -8,7 +8,8 @@
 //! advantage only) and two organizations (cross-org sharing on top).
 
 use std::io::Write as _;
-use webcache_bench::{figures_dir, synthetic_traces, Scale};
+use webcache_bench::{figures_dir, scale_or_full};
+use webcache_sim::figures::synthetic_traces;
 use webcache_sim::hiergd::{HierGdEngine, HierGdOptions};
 use webcache_sim::squirrel::SquirrelEngine;
 use webcache_sim::{
@@ -22,10 +23,7 @@ fn run_engine<E: SchemeEngine>(e: &mut E, ts: &[Trace], net: &NetworkModel) -> R
 }
 
 fn main() {
-    let mut scale = Scale::from_env();
-    if !scale.full {
-        scale.requests = 150_000;
-    }
+    let scale = scale_or_full(150_000);
     eprintln!("squirrel_compare: {} requests/org", scale.requests);
     let cfg = ExperimentConfig::new(SchemeKind::HierGd, 0.2);
 

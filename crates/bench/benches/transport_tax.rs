@@ -9,7 +9,7 @@
 
 use std::io::Write as _;
 use std::sync::Arc;
-use webcache_bench::{figures_dir, Scale};
+use webcache_bench::{figures_dir, scale_or_full};
 use webcache_p2p::TransportFaults;
 use webcache_primitives::seed::derive;
 use webcache_sim::hiergd::{HierGdEngine, HierGdOptions};
@@ -17,10 +17,7 @@ use webcache_sim::{Engine, NetworkModel, SimClock, StatsRecorder};
 use webcache_workload::{ProWGen, ProWGenConfig};
 
 fn main() {
-    let mut scale = Scale::from_env();
-    if !scale.full {
-        scale.requests = 60_000;
-    }
+    let scale = scale_or_full(60_000);
     eprintln!("transport_tax: {} requests", scale.requests);
     let trace = ProWGen::new(ProWGenConfig {
         requests: scale.requests,

@@ -12,6 +12,8 @@
 //! * `explain` — run with the stats recorder attached and print the
 //!   per-tier breakdown, P2P protocol counters, and hop histograms;
 //! * `sweep` — run schemes × cache sizes and print a figure panel;
+//! * `figure` — regenerate one of the paper's figures (§5, Figs. 2–5):
+//!   its panels, and a JSON report and CSV of every series × cache size;
 //! * `churn` — drive Hier-GD through a deterministic fault plan (silent
 //!   crashes, departures, rejoins, slow nodes, network partitions with
 //!   their heals, message loss) and report detection latency, stale
@@ -53,13 +55,14 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::str::FromStr;
 use std::sync::Arc;
+use webcache_sim::figures::{self, run_figure, Scale, NAMES};
 use webcache_sim::sweep::{gain_table, sweep};
 use webcache_sim::{
     adversary, durability, latency_gain_percent, overload, run_adversary, run_chaos, run_churn,
     run_durability, run_experiment, run_experiment_recorded, run_overload, AdversaryConfig,
     ChaosConfig, ChurnConfig, ClockMode, DurabilityConfig, EventLogRecorder, ExperimentConfig,
-    FaultAction, FaultPlan, HitClass, NetworkModel, OverloadConfig, ScenarioReport, SchemeKind,
-    SimError, StatsRecorder,
+    FaultAction, FaultPlan, HitClass, NetworkModel, NoopRecorder, OverloadConfig, ScenarioReport,
+    SchemeKind, SimError, StatsRecorder,
 };
 use webcache_workload::{ProWGen, ProWGenConfig, Trace, TraceStats, UcbLike, UcbLikeConfig};
 
@@ -303,6 +306,16 @@ const COMMANDS: &[CommandSpec] = &[
         positional: "FILE...",
         prose: "",
         run: cmd_sweep,
+    },
+    CommandSpec {
+        name: "figure",
+        flags: "full=true stats-out=FILE report-out=FILE csv-out=FILE",
+        positional: "NAME",
+        prose: "NAME is fig2a, fig2b, fig3, fig4 or fig5a-fig5d; one report\n\
+                cell per series x cache size, 250k requests per proxy\n\
+                unless --full true; --stats-out FILE writes the stats\n\
+                snapshot of every run",
+        run: |cmd| cmd_scenario(cmd, figure_from, figures::table),
     },
     CommandSpec {
         name: "churn",
@@ -735,7 +748,28 @@ fn cmd_sweep(cmd: &Command) -> Result<String, CliError> {
     base.clients_per_cluster = cmd.opt("clients", 100)?;
     base.net = net_from(cmd, base.net)?;
     let results = sweep(&schemes, &fracs, &traces, &base)?;
-    Ok(gain_table(&results, &schemes, &fracs))
+    let curves: Vec<(&str, Vec<f64>)> = results
+        .chunks(fracs.len())
+        .map(|c| (c[0].scheme.label(), c.iter().map(|r| r.gain_percent).collect()))
+        .collect();
+    Ok(gain_table(&fracs, &curves))
+}
+
+/// `webcache figure NAME`: every series of one of the paper's figures.
+/// `--stats-out` attaches a stats recorder to every run of it and writes
+/// the snapshot.
+fn figure_from(cmd: &Command) -> Result<ScenarioReport, CliError> {
+    let usage = || UsageError(format!("figure takes one NAME of {}", NAMES.join(", ")));
+    let [name] = cmd.positional.as_slice() else { return Err(usage().into()) };
+    let figure = figures::figure(name).ok_or_else(usage)?;
+    let scale = Scale::new(cmd.opt("full", false)?);
+    let Some(path) = cmd.options.get("stats-out") else {
+        return Ok(run_figure(&figure, scale, NoopRecorder)?);
+    };
+    let stats = Arc::new(StatsRecorder::new());
+    let report = run_figure(&figure, scale, stats.clone())?;
+    std::fs::write(path, stats.snapshot().to_json()).map_err(|e| named_io(path, e))?;
+    Ok(report)
 }
 
 /// Reads the flags `churn` and the scenario sweeps share over `base`
@@ -870,11 +904,11 @@ fn cmd_chaos(cmd: &Command) -> Result<String, CliError> {
     }
 }
 
-/// Runs one scenario sweep (`webcache adversary|overload|durability`):
-/// `run` reads the scenario's flags over its committed-figure defaults
-/// and drives the sweep, `table` renders the terminal summary. `--json
-/// true` prints the JSON report instead; `--report-out` / `--csv-out`
-/// write the `FIGURE_*.json` / `FIGURE_*.csv` artifacts.
+/// Runs one scenario sweep (`webcache adversary|overload|durability|
+/// figure`): `run` reads the scenario's flags over its committed-figure
+/// defaults and drives the sweep, `table` renders the terminal summary.
+/// `--json true` prints the JSON report instead; `--report-out` /
+/// `--csv-out` write the `FIGURE_*.json` / `FIGURE_*.csv` artifacts.
 fn cmd_scenario(
     cmd: &Command,
     run: fn(&Command) -> Result<ScenarioReport, CliError>,
@@ -1571,6 +1605,7 @@ mod tests {
             ("run", 8),
             ("explain", 10),
             ("sweep", 6),
+            ("figure", 4),
             ("churn", 18),
             ("chaos", 22),
             ("adversary", 19),
@@ -1578,6 +1613,18 @@ mod tests {
             ("durability", 15),
         ];
         assert_eq!(counts, expected);
+    }
+
+    #[test]
+    fn figure_names_are_usage_errors_listing_the_eight() {
+        for args in [&["figure"][..], &["figure", "fig6"], &["figure", "fig2a", "fig3"]] {
+            let err = execute(&Command::parse(&argv(args)).unwrap()).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{args:?}");
+            assert_eq!(
+                err.to_string(),
+                "figure takes one NAME of fig2a, fig2b, fig3, fig4, fig5a, fig5b, fig5c, fig5d"
+            );
+        }
     }
 
     #[test]

@@ -31,6 +31,7 @@
 //! | [`overload`] | flash-crowd intensity × defense sweep of the overload stack |
 //! | [`durability`] | correlated burst × replica `k` × placement × repair-pace sweep |
 //! | [`scenario`] | what those three sweeps share: trace, fault-free twin, axes, report |
+//! | [`figures`] | the paper's Figs. 2–5 as one table of series on that report |
 //! | [`error`] | the [`SimError`] type every fallible API returns |
 //! | [`recorder`] | pluggable observability taps (stats, event log) |
 //! | [`sweep`](crate::sweep()) | Rayon-parallel (scheme × size) grids for the figures |
@@ -83,6 +84,7 @@ pub mod engine;
 pub mod error;
 pub mod event;
 pub mod fault;
+pub mod figures;
 pub mod hiergd;
 pub mod lfu_schemes;
 pub mod metrics;
@@ -115,7 +117,7 @@ pub use recorder::{
 pub use scenario::{Field, Row, ScenarioReport};
 pub use site::{SiteTier, TierTraffic, TwoTierLfuSite};
 pub use squirrel::SquirrelEngine;
-pub use sweep::{gain_curve, gain_table, sweep, sweep_recorded, SweepResult, PAPER_CACHE_FRACS};
+pub use sweep::{gain_table, sweep, sweep_recorded, SweepResult, PAPER_CACHE_FRACS};
 pub use webcache_p2p::{
     MessageClass, OverloadDefense, SendOutcome, TransportFaults, UnreliableTransport,
 };

@@ -17,7 +17,8 @@
 //! * `axis` — a swept axis, sorted and deduplicated;
 //! * [`ScenarioReport`] — the report as *data*: ordered `(name, value)`
 //!   rows and one JSON/CSV renderer, so a new scenario adds columns, not
-//!   a serializer.
+//!   a serializer. The paper's own figures ([`crate::figures`]) report
+//!   through it too.
 //!
 //! A scenario module keeps only what is its own: its config and
 //! `validate`, its plan builder, its per-cell measurement, its
@@ -184,6 +185,14 @@ impl Row {
             other => panic!("column '{name}' holds {other:?}, not a flag"),
         }
     }
+
+    /// The label in column `name` (panics like [`Row::u`]).
+    pub fn s(&self, name: &str) -> &'static str {
+        match self.get(name) {
+            Field::S(v) => v,
+            other => panic!("column '{name}' holds {other:?}, not a label"),
+        }
+    }
 }
 
 /// `"name": value`, labels quoted.
@@ -299,6 +308,7 @@ mod tests {
         assert_eq!(r.cells[1].u("x"), 2);
         assert!(r.cells[1].b("on"));
         assert_eq!(r.summary[0].f("factor"), 61.5);
+        assert_eq!(r.header.s("clock"), "event");
     }
 
     #[test]

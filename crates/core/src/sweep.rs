@@ -28,15 +28,12 @@ pub struct SweepResult {
     pub metrics: RunMetrics,
     /// Latency gain vs the NC baseline at the same size, percent.
     pub gain_percent: f64,
-    /// Wall-clock seconds this point's simulation took (NC points report
-    /// their shared baseline run's time). Diagnostic only — noisy across
-    /// machines and thread counts, never part of golden comparisons.
-    pub wall_secs: f64,
 }
 
 /// Runs `schemes` at every size in `fracs` over `traces`, computing gains
 /// against an NC baseline at the same size. `base` supplies everything but
-/// the scheme and size.
+/// the scheme and size. Results come scheme by scheme, each in `fracs`
+/// order.
 pub fn sweep(
     schemes: &[SchemeKind],
     fracs: &[f64],
@@ -76,13 +73,11 @@ pub fn sweep_recorded<R: Recorder + Clone + Send + 'static>(
     }
 
     // NC baselines, one per size (shared by every scheme at that size).
-    let baselines: Vec<(RunMetrics, f64)> = fracs
+    let baselines: Vec<RunMetrics> = fracs
         .par_iter()
         .map(|&f| {
-            let start = std::time::Instant::now();
-            let m = run_experiment_recorded(&base.at(SchemeKind::Nc, f), traces, recorder.clone())
-                .expect("validated above");
-            (m, start.elapsed().as_secs_f64())
+            run_experiment_recorded(&base.at(SchemeKind::Nc, f), traces, recorder.clone())
+                .expect("validated above")
         })
         .collect();
 
@@ -93,51 +88,34 @@ pub fn sweep_recorded<R: Recorder + Clone + Send + 'static>(
         .into_par_iter()
         .map(|(scheme, i)| {
             let cache_frac = fracs[i];
-            let (metrics, wall_secs) = if scheme == SchemeKind::Nc {
+            let metrics = if scheme == SchemeKind::Nc {
                 baselines[i].clone()
             } else {
-                let start = std::time::Instant::now();
-                let m =
-                    run_experiment_recorded(&base.at(scheme, cache_frac), traces, recorder.clone())
-                        .expect("validated above");
-                (m, start.elapsed().as_secs_f64())
+                run_experiment_recorded(&base.at(scheme, cache_frac), traces, recorder.clone())
+                    .expect("validated above")
             };
-            let gain_percent = latency_gain_percent(&baselines[i].0, &metrics);
-            SweepResult { scheme, cache_frac, metrics, gain_percent, wall_secs }
+            let gain_percent = latency_gain_percent(&baselines[i], &metrics);
+            SweepResult { scheme, cache_frac, metrics, gain_percent }
         })
         .collect())
 }
 
-/// Extracts one scheme's gain curve (ordered by cache size) from sweep
-/// results.
-pub fn gain_curve(results: &[SweepResult], scheme: SchemeKind) -> Vec<(f64, f64)> {
-    let mut curve: Vec<(f64, f64)> = results
-        .iter()
-        .filter(|r| r.scheme == scheme)
-        .map(|r| (r.cache_frac, r.gain_percent))
-        .collect();
-    curve.sort_by(|a, b| a.0.total_cmp(&b.0));
-    curve
-}
-
-/// Renders one figure panel as text: a row per size in `fracs` (in the
-/// order given), a column per scheme, cells = latency gain (%) — the
-/// series the paper plots. A grid point missing from `results` prints
-/// as `-`.
-pub fn gain_table(results: &[SweepResult], schemes: &[SchemeKind], fracs: &[f64]) -> String {
+/// Renders one figure panel as text: a row per cache size in `fracs`, a
+/// column per labelled curve of gains (%) in `fracs` order — the series
+/// the paper plots. A column is two wider than its label, at least 10; a
+/// curve shorter than `fracs` prints `-` for the missing sizes.
+pub fn gain_table(fracs: &[f64], curves: &[(&str, Vec<f64>)]) -> String {
+    let widths: Vec<usize> = curves.iter().map(|(label, _)| (label.len() + 2).max(10)).collect();
     let mut out = format!("{:>10}", "cache(%)");
-    for s in schemes {
-        let _ = write!(out, "{:>10}", s.label());
+    for ((label, _), w) in curves.iter().zip(&widths) {
+        let _ = write!(out, "{label:>w$}");
     }
     out.push('\n');
-    for &frac in fracs {
+    for (i, &frac) in fracs.iter().enumerate() {
         let _ = write!(out, "{:>10.0}", frac * 100.0);
-        for &s in schemes {
-            let cell = results
-                .iter()
-                .find(|r| r.scheme == s && (r.cache_frac - frac).abs() < 1e-9)
-                .map_or_else(|| "-".to_string(), |r| format!("{:.1}", r.gain_percent));
-            let _ = write!(out, "{cell:>10}");
+        for ((_, gains), w) in curves.iter().zip(&widths) {
+            let cell = gains.get(i).map_or_else(|| "-".to_string(), |g| format!("{g:.1}"));
+            let _ = write!(out, "{cell:>w$}");
         }
         out.push('\n');
     }
@@ -180,17 +158,6 @@ mod tests {
     }
 
     #[test]
-    fn gain_curve_sorted() {
-        let ts = traces();
-        let mut base = ExperimentConfig::new(SchemeKind::Nc, 0.1);
-        base.clients_per_cluster = 8;
-        let results = sweep(&[SchemeKind::Sc], &[0.5, 0.1, 0.3], &ts, &base).unwrap();
-        let curve = gain_curve(&results, SchemeKind::Sc);
-        assert_eq!(curve.len(), 3);
-        assert!(curve.windows(2).all(|w| w[0].0 < w[1].0));
-    }
-
-    #[test]
     fn recorded_sweep_aggregates_every_point() {
         use crate::recorder::StatsRecorder;
         use std::sync::Arc;
@@ -218,24 +185,12 @@ mod tests {
 
     #[test]
     fn gain_table_pins_the_layout_and_marks_missing_points() {
-        let point = |scheme, cache_frac, gain_percent| SweepResult {
-            scheme,
-            cache_frac,
-            metrics: RunMetrics::default(),
-            gain_percent,
-            wall_secs: 0.0,
-        };
-        let results = [
-            point(SchemeKind::Sc, 0.1, 12.34),
-            point(SchemeKind::HierGd, 0.1, -3.0),
-            point(SchemeKind::Sc, 0.5, 7.0),
-        ];
-        let table = gain_table(&results, &[SchemeKind::Sc, SchemeKind::HierGd], &[0.1, 0.5]);
+        let curves = [("SC", vec![12.34, 7.0]), ("Hier-GD", vec![-3.0]), ("Hier-GD(1000)", vec![])];
         assert_eq!(
-            table,
-            "  cache(%)        SC   Hier-GD\n\
-             \x20       10      12.3      -3.0\n\
-             \x20       50       7.0         -\n"
+            gain_table(&[0.1, 0.5], &curves),
+            "  cache(%)        SC   Hier-GD  Hier-GD(1000)\n\
+             \x20       10      12.3      -3.0              -\n\
+             \x20       50       7.0         -              -\n"
         );
     }
 

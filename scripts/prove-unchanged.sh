@@ -139,6 +139,12 @@ surfaces() { # $1 = binary, $2 = output directory, $3 = checkout, $4 = its targe
     keep $scenario.txt "$bin" $scenario \
       --report-out $scenario.json --csv-out $scenario.csv
   done
+  # The paper's eight figures at their committed scale: every series x
+  # cache size of Figs. 2-5, report and CSV.
+  for fig in fig2a fig2b fig3 fig4 fig5a fig5b fig5c fig5d; do
+    keep figure_$fig.txt "$bin" figure $fig \
+      --report-out figure_$fig.json --csv-out figure_$fig.csv
+  done
   # Off-default durability: k = 3 and a slow scan budget.
   keep durability_k3.txt "$bin" durability --bursts 4,16 --ks 2,3 --repair 2 --clock event \
     --report-out durability_k3.json --csv-out durability_k3.csv
@@ -177,6 +183,7 @@ surfaces() { # $1 = binary, $2 = output directory, $3 = checkout, $4 = its targe
   keep err_chaos_zero_plans.txt "$bin" chaos --plans 0
   keep err_all_one_timers.txt "$bin" gen --out all_one_timers.bin --requests 5000 \
     --objects 400 --one-timers 1
+  keep err_unknown_figure.txt "$bin" figure fig6
   keep err_unknown_subcommand.txt "$bin" frobnicate
   keep err_help.txt "$bin" --help
 }
