@@ -14,6 +14,7 @@
 //! * `sweep` — run schemes × cache sizes and print a figure panel;
 //! * `figure` — regenerate one of the paper's figures (§5, Figs. 2–5):
 //!   its panels, and a JSON report and CSV of every series × cache size;
+//!   or one claim drill or ablation, checked against its gate;
 //! * `churn` — drive Hier-GD through a deterministic fault plan (silent
 //!   crashes, departures, rejoins, slow nodes, network partitions with
 //!   their heals, message loss) and report detection latency, stale
@@ -55,6 +56,7 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::str::FromStr;
 use std::sync::Arc;
+use webcache_sim::figures::drills::{self, DRILLS};
 use webcache_sim::figures::{self, run_figure, Scale, NAMES};
 use webcache_sim::sweep::{gain_table, sweep};
 use webcache_sim::{
@@ -314,7 +316,13 @@ const COMMANDS: &[CommandSpec] = &[
         prose: "NAME is fig2a, fig2b, fig3, fig4 or fig5a-fig5d; one report\n\
                 cell per series x cache size, 250k requests per proxy\n\
                 unless --full true; --stats-out FILE writes the stats\n\
-                snapshot of every run",
+                snapshot of every run. Or NAME is a claim drill or\n\
+                ablation, each at its own scale (the paper's with\n\
+                --full true) and failing unless its gate holds:\n\
+                pastry_hops, ablation_piggyback, ablation_directory,\n\
+                ablation_hiergd, ablation_lfu, ablation_gds,\n\
+                squirrel_compare, churn_drill (one scale only) or\n\
+                transport_tax",
         run: |cmd| cmd_scenario(cmd, figure_from, figures::table),
     },
     CommandSpec {
@@ -492,12 +500,17 @@ queuing delay.",
 }
 
 /// Executes a parsed command, returning the text to print. A flag the
-/// subcommand does not declare is a usage error before any work starts.
+/// subcommand does not declare, or a positional argument given to one
+/// that takes none, is a usage error before any work starts.
 pub fn execute(cmd: &Command) -> Result<String, CliError> {
     let Some(spec) = COMMANDS.iter().find(|spec| spec.name == cmd.name) else {
         return Err(UsageError(format!("unknown subcommand '{}'\n\n{}", cmd.name, usage())).into());
     };
     cmd.reject_unknown(spec)?;
+    if let (true, Some(arg)) = (spec.positional.is_empty(), cmd.positional.first()) {
+        let unexpected = format!("unexpected argument '{arg}' for '{}'", spec.name);
+        return Err(UsageError(format!("{unexpected} (it takes no positional arguments)")).into());
+    }
     (spec.run)(cmd)
 }
 
@@ -755,12 +768,26 @@ fn cmd_sweep(cmd: &Command) -> Result<String, CliError> {
     Ok(gain_table(&fracs, &curves))
 }
 
-/// `webcache figure NAME`: every series of one of the paper's figures.
-/// `--stats-out` attaches a stats recorder to every run of it and writes
-/// the snapshot.
+/// `webcache figure NAME`: every series of one of the paper's figures, or
+/// one drill, an error unless it passes its gate. `--stats-out` attaches
+/// a stats recorder to every run of a paper figure and writes the
+/// snapshot; a drill takes no flag it cannot honour.
 fn figure_from(cmd: &Command) -> Result<ScenarioReport, CliError> {
-    let usage = || UsageError(format!("figure takes one NAME of {}", NAMES.join(", ")));
+    let usage = || {
+        let names: Vec<_> = NAMES.into_iter().chain(DRILLS.iter().map(|d| d.name)).collect();
+        UsageError(format!("figure takes one NAME of {}", names.join(", ")))
+    };
     let [name] = cmd.positional.as_slice() else { return Err(usage().into()) };
+    if let Some(drill) = drills::drill(name) {
+        for flag in ["stats-out", "full"] {
+            if cmd.options.contains_key(flag) && (flag == "stats-out" || !drill.has_full) {
+                return Err(UsageError(format!("figure {name} takes no --{flag}")).into());
+            }
+        }
+        let report = (drill.run)(cmd.opt("full", false)?)?;
+        (drill.gate)(&report).map_err(|e| format!("figure {name} fails its gate: {e}"))?;
+        return Ok(report);
+    }
     let figure = figures::figure(name).ok_or_else(usage)?;
     let scale = Scale::new(cmd.opt("full", false)?);
     let Some(path) = cmd.options.get("stats-out") else {
@@ -1616,15 +1643,50 @@ mod tests {
     }
 
     #[test]
-    fn figure_names_are_usage_errors_listing_the_eight() {
+    fn figure_names_are_usage_errors_listing_every_name() {
         for args in [&["figure"][..], &["figure", "fig6"], &["figure", "fig2a", "fig3"]] {
             let err = execute(&Command::parse(&argv(args)).unwrap()).unwrap_err();
             assert_eq!(err.exit_code(), 2, "{args:?}");
             assert_eq!(
                 err.to_string(),
-                "figure takes one NAME of fig2a, fig2b, fig3, fig4, fig5a, fig5b, fig5c, fig5d"
+                "figure takes one NAME of fig2a, fig2b, fig3, fig4, fig5a, fig5b, fig5c, fig5d, \
+                 pastry_hops, ablation_piggyback, ablation_directory, ablation_hiergd, \
+                 ablation_lfu, ablation_gds, squirrel_compare, churn_drill, transport_tax"
             );
         }
+    }
+
+    #[test]
+    fn drills_reject_the_flags_they_cannot_honour() {
+        for (args, flag) in [
+            (&["figure", "pastry_hops", "--stats-out", "s.json"][..], "stats-out"),
+            (&["figure", "churn_drill", "--full", "false"], "full"),
+        ] {
+            let err = execute(&Command::parse(&argv(args)).unwrap()).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{args:?}");
+            assert_eq!(err.to_string(), format!("figure {} takes no --{flag}", args[1]));
+        }
+    }
+
+    #[test]
+    fn stray_positionals_are_usage_errors_naming_the_argument() {
+        let dir = std::env::temp_dir().join("webcache-cli-stray-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let out = dir.join("x.bin").to_string_lossy().into_owned();
+        let gen = ["gen", "--out", &out, "--requests", "2000", "--objects", "100", "stray.bin"];
+        for (args, arg) in [(&gen[..], "stray.bin"), (&["churn", "3"], "3")] {
+            let err = execute(&Command::parse(&argv(args)).unwrap()).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{args:?}");
+            assert_eq!(
+                err.to_string(),
+                format!(
+                    "unexpected argument '{arg}' for '{}' (it takes no positional arguments)",
+                    args[0]
+                )
+            );
+        }
+        assert!(!dir.join("x.bin").exists(), "gen wrote its trace before rejecting the argument");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

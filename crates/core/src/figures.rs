@@ -13,6 +13,10 @@
 //! paper fixes (one-timer fraction, α, per-client cache = 0.1 % of `U`,
 //! cluster sizes). Only the request count and, for the UCB substitute,
 //! the universe shrink, and a few of the largest clusters are left out.
+//!
+//! What the paper argues without plotting it, and the ablations beyond
+//! its figures, are [`drills`]: more names of `webcache figure`, each
+//! with a scale of its own and a gate.
 
 use crate::config::{ExperimentConfig, SchemeKind};
 use crate::error::SimError;
@@ -24,6 +28,8 @@ use crate::sweep::{gain_table, sweep_recorded, SweepResult, PAPER_CACHE_FRACS};
 use webcache_primitives::seed::derive_indexed;
 use webcache_workload::{ProWGen, ProWGenConfig, Trace, UcbLike, UcbLikeConfig};
 use SchemeKind::{Fc, FcEc, HierGd, NcEc, Sc, ScEc};
+
+pub mod drills;
 
 /// Workload scale of a figure run.
 #[derive(Clone, Copy, Debug)]
@@ -328,11 +334,10 @@ fn describe(s: &Series) -> Row {
     Row(row)
 }
 
-/// Prints the figure's panels, each a gain table with a column per series
-/// the report holds.
+/// Prints a paper figure's panels, each a gain table with a column per
+/// series the report holds, or a drill's cells as columns.
 pub fn table(report: &ScenarioReport) -> String {
-    let name = report.header.s("figure");
-    let fig = figure(name).unwrap_or_else(|| panic!("no figure '{name}'"));
+    let Some(fig) = figure(report.header.s("figure")) else { return report.to_table() };
     let curve = |s: &Series| {
         let cells = report.cells.iter();
         let mine = cells.filter(|c| c.s("series") == s.label && c.s("scheme") == s.scheme.label());

@@ -17,8 +17,8 @@
 //! * `axis` — a swept axis, sorted and deduplicated;
 //! * [`ScenarioReport`] — the report as *data*: ordered `(name, value)`
 //!   rows and one JSON/CSV renderer, so a new scenario adds columns, not
-//!   a serializer. The paper's own figures ([`crate::figures`]) report
-//!   through it too.
+//!   a serializer. The paper's own figures ([`crate::figures`]) and the
+//!   drills beside them report through it too.
 //!
 //! A scenario module keeps only what is its own: its config and
 //! `validate`, its plan builder, its per-cell measurement, its
@@ -243,6 +243,28 @@ impl ScenarioReport {
         s
     }
 
+    /// Renders the header on one line and the cells as right-aligned
+    /// columns under their names, each as wide as its widest entry: the
+    /// terminal view of a report with no table of its own.
+    pub fn to_table(&self) -> String {
+        let header: Vec<String> = self.header.0.iter().map(|(n, v)| format!("{n} {v}")).collect();
+        let mut s = format!("=== {} ===\n", header.join(", "));
+        let Some(first) = self.cells.first() else { return s };
+        let names = first.0.iter().map(|(name, _)| name.to_string()).collect();
+        let rows: Vec<Vec<String>> = std::iter::once(names)
+            .chain(self.cells.iter().map(|c| c.0.iter().map(|(_, v)| v.to_string()).collect()))
+            .collect();
+        let widths: Vec<usize> = (0..rows[0].len())
+            .map(|i| rows.iter().map(|r| r[i].len()).max().unwrap_or(0))
+            .collect();
+        for row in &rows {
+            let padded: Vec<String> =
+                row.iter().zip(&widths).map(|(v, w)| format!("{v:>w$}")).collect();
+            let _ = writeln!(s, "{}", padded.join("  "));
+        }
+        s
+    }
+
     /// Renders the per-cell rows as CSV (the committed figure format),
     /// minus the `csv_omit` columns.
     pub fn to_csv(&self) -> String {
@@ -295,6 +317,18 @@ mod tests {
         r.summary.clear();
         assert!(r.to_json().ends_with("  \"cells\": [\n  ],\n  \"rows\": [\n  ]\n}\n"));
         assert_eq!(r.to_csv(), "");
+    }
+
+    #[test]
+    fn table_is_the_header_line_then_aligned_columns() {
+        let expected = "=== requests 10, clock event, rate 0.5000 ===\n\
+                        x     on  hidden        y\n\
+                        1  false    true   0.3333\n\
+                        2   true   false  -2.0000\n";
+        assert_eq!(report().to_table(), expected);
+        let mut r = report();
+        r.cells.clear();
+        assert_eq!(r.to_table(), "=== requests 10, clock event, rate 0.5000 ===\n");
     }
 
     #[test]

@@ -35,7 +35,7 @@ keep() {
   echo "exit $code" >>"$out"
 }
 
-surfaces() { # $1 = binary, $2 = output directory, $3 = checkout, $4 = its target directory
+surfaces() { # $1 = binary, $2 = output directory
   local bin=$1
   rm -rf "$2" && mkdir -p "$2" && cd "$2"
 
@@ -139,9 +139,11 @@ surfaces() { # $1 = binary, $2 = output directory, $3 = checkout, $4 = its targe
     keep $scenario.txt "$bin" $scenario \
       --report-out $scenario.json --csv-out $scenario.csv
   done
-  # The paper's eight figures at their committed scale: every series x
-  # cache size of Figs. 2-5, report and CSV.
-  for fig in fig2a fig2b fig3 fig4 fig5a fig5b fig5c fig5d; do
+  # The paper's eight figures at their committed scale, every series x
+  # cache size of Figs. 2-5, and the nine drills: report and CSV.
+  for fig in fig2a fig2b fig3 fig4 fig5a fig5b fig5c fig5d \
+    pastry_hops ablation_piggyback ablation_directory ablation_hiergd ablation_lfu \
+    ablation_gds squirrel_compare churn_drill transport_tax; do
     keep figure_$fig.txt "$bin" figure $fig \
       --report-out figure_$fig.json --csv-out figure_$fig.csv
   done
@@ -149,21 +151,6 @@ surfaces() { # $1 = binary, $2 = output directory, $3 = checkout, $4 = its targe
   keep durability_k3.txt "$bin" durability --bursts 4,16 --ks 2,3 --repair 2 --clock event \
     --report-out durability_k3.json --csv-out durability_k3.csv
   keep chaos_sabotage.json "$bin" chaos --plans 40 --seed 42 --sabotage true --json true
-
-  # No CLI surface runs LruCache, ByteLruCache, PerfectLfuCache or
-  # GreedyDualSizeCache, routes on a 1,024-node overlay or serves from a
-  # Bloom directory; these benches, at default scale, are the only
-  # outputs that do. Each writes its CSV under its own target directory's
-  # figures/, so both sides build with their own CARGO_TARGET_DIR. Stderr
-  # names that directory and is kept aside, uncompared.
-  for bench in squirrel_compare ablation_lfu ablation_gds pastry_hops ablation_directory; do
-    rm -f "$4/figures/$bench.csv"
-    local code=0
-    (cd "$3" && CARGO_TARGET_DIR="$4" cargo bench --offline -q -p webcache-bench \
-      --bench $bench) >bench_$bench.txt 2>"$4/bench_$bench.stderr" || code=$?
-    echo "exit $code" >>bench_$bench.txt
-    cp "$4/figures/$bench.csv" bench_$bench.csv 2>/dev/null || echo missing >bench_$bench.csv
-  done
 
   # Error paths: the message and the exit code are what a CLI refactor
   # breaks. Paths are relative so both sides print the same names.
@@ -184,13 +171,14 @@ surfaces() { # $1 = binary, $2 = output directory, $3 = checkout, $4 = its targe
   keep err_all_one_timers.txt "$bin" gen --out all_one_timers.bin --requests 5000 \
     --objects 400 --one-timers 1
   keep err_unknown_figure.txt "$bin" figure fig6
+  keep err_stray_positional.txt "$bin" gen --out stray_out.bin --requests 2000 --objects 100 \
+    stray.bin
   keep err_unknown_subcommand.txt "$bin" frobnicate
   keep err_help.txt "$bin" --help
 }
 
-(surfaces "$scratch/parent-target/release/webcache" "$scratch/out-parent" \
-  "$scratch/parent" "$scratch/parent-target")
-(surfaces "$repo/target/release/webcache" "$scratch/out-change" "$repo" "$repo/target")
+(surfaces "$scratch/parent-target/release/webcache" "$scratch/out-parent")
+(surfaces "$repo/target/release/webcache" "$scratch/out-change")
 if diff -r "$scratch/out-parent" "$scratch/out-change"; then
   echo "unchanged: $(ls "$scratch/out-change" | wc -l) files identical to $parent"
 else
