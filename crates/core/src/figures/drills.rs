@@ -305,8 +305,8 @@ fn ablation_directory(full: bool) -> Result<ScenarioReport, SimError> {
 
 /// The recorder's stale lookups equal the ledger's; the exact directory
 /// has none; each step up in counters per key costs memory and buys
-/// fewer stale lookups. Latency is not gated: it also moves with the
-/// lookups a false positive adds and takes away.
+/// fewer stale lookups and a lower latency; and at 16 counters per key
+/// the Bloom directory's latency is within 0.5 % of the exact one's.
 fn directory_gate(report: &ScenarioReport) -> Result<(), String> {
     for c in &report.cells {
         if c.u("stale_lookups") != c.u("ledger_stale_lookups") {
@@ -316,13 +316,15 @@ fn directory_gate(report: &ScenarioReport) -> Result<(), String> {
             ));
         }
     }
-    if cell(report, "directory", "exact")?.u("stale_lookups") != 0 {
+    let exact = cell(report, "directory", "exact")?;
+    if exact.u("stale_lookups") != 0 {
         return Err("the exact directory served stale lookups".into());
     }
     let bloom = &report.cells[1..];
     for w in bloom.windows(2) {
         if w[1].u("memory_bytes") <= w[0].u("memory_bytes")
             || w[1].u("stale_lookups") >= w[0].u("stale_lookups")
+            || w[1].f("avg_latency") >= w[0].f("avg_latency")
         {
             return Err(format!(
                 "{} trades no better than {}",
@@ -330,6 +332,11 @@ fn directory_gate(report: &ScenarioReport) -> Result<(), String> {
                 w[0].s("directory")
             ));
         }
+    }
+    let (exact, roomy) =
+        (exact.f("avg_latency"), cell(report, "directory", "bloom-16cpk")?.f("avg_latency"));
+    if roomy > exact * 1.005 {
+        return Err(format!("bloom-16cpk latency {roomy} is over 0.5 % above exact {exact}"));
     }
     Ok(())
 }

@@ -9,8 +9,11 @@ impl P2PClientCache {
     /// Verifies internal consistency; returns violations (empty = OK).
     ///
     /// With an exact directory, directory contents must equal the set of
-    /// resident objects; with a Bloom directory only the no-false-negative
-    /// direction can be checked.
+    /// resident objects. A Bloom directory cannot be enumerated, so only
+    /// its no-false-negative direction is checked: every resident object
+    /// reads present. That holds because the filter is decremented only
+    /// for entries it counted (a stale lookup calls
+    /// [`LookupDirectory::invalidate`](crate::LookupDirectory::invalidate)).
     ///
     /// Each layer checks the books it owns and reports only those: the
     /// node stores and diversion pointers of Fig. 1 (here), replica sets

@@ -480,16 +480,17 @@ impl P2PClientCache {
     }
 
     /// The shared stale-lookup tail: the directory approved the fetch but
-    /// nothing could serve it. Charges the ledger, removes the entry
-    /// (negative feedback keeps an exact directory exact), and emits the
-    /// stale [`P2pEvent::Lookup`].
+    /// nothing could serve it. Charges the ledger, invalidates the entry
+    /// (negative feedback keeps an exact directory exact, and leaves a
+    /// Bloom directory's counters to the evictions they counted), and
+    /// emits the stale [`P2pEvent::Lookup`].
     pub(super) fn stale_miss<S: P2pSink>(&mut self, object: u128, hops: usize, sink: &mut S) {
         self.ledger.stale_lookups += 1;
         // The invalidation is metadata: retries priced, always delivered
         // (a dropped one would leave the exact directory permanently
         // oversized).
         self.transport_send(MessageClass::DirectoryInvalidate, PROXY_DEST, object, sink);
-        self.directory.remove(object);
+        self.directory.invalidate(object);
         // A phantom entry dies with the stale fetch that exposed it —
         // the existing negative feedback is the undefended cluster's
         // only (reactive, after-the-damage) cleanup of forged receipts.

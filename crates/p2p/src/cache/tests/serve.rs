@@ -528,9 +528,7 @@ proptest::proptest! {
             check_space_gate(&plain);
             check_space_gate(&armed);
         }
-        // (A Bloom directory can lose a resident object to a false
-        // positive's invalidation, so structure is only checked exact.)
-        proptest::prop_assert!(bloom || armed.check_invariants().is_empty());
+        proptest::prop_assert!(armed.check_invariants().is_empty());
     }
 
     /// k = 2 with a Bloom directory is the one shape where the twins

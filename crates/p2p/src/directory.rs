@@ -101,14 +101,36 @@ impl LookupDirectory {
         }
     }
 
-    /// Records that `object` left the P2P client cache. The entry's epoch
-    /// dies with it: a later re-insertion is a fresh entry at epoch 0.
+    /// Records that `object`, which was inserted, left the P2P client
+    /// cache. The entry's epoch dies with it: a later re-insertion is a
+    /// fresh entry at epoch 0. A Bloom directory decrements the object's
+    /// counters, so every remove must pair with an insert; a lookup that
+    /// found nothing calls [`invalidate`](Self::invalidate) instead.
     pub fn remove(&mut self, object: u128) {
         match &mut self.repr {
             DirectoryRepr::Exact(s) => {
                 s.remove(&object);
             }
             DirectoryRepr::Bloom(f) => f.remove(object),
+        }
+        self.epochs.remove(&object);
+    }
+
+    /// Negative feedback from a stale lookup: the directory said `object`
+    /// was cached and the cluster had no copy. An exact directory drops
+    /// the entry, as [`remove`](Self::remove) does. A Bloom directory
+    /// leaves its counters alone, because a false positive is not an entry
+    /// it counted, and decrementing for it would make the filter forget
+    /// the keys that share those counters. Both clear the epoch.
+    ///
+    /// The one cost: when a counted object really was lost (a fault that
+    /// took its copy without an eviction receipt), a Bloom directory keeps
+    /// answering "present" for it, as a false positive, until a later
+    /// [`clear`](Self::clear). No configuration runs a Bloom directory
+    /// under faults.
+    pub fn invalidate(&mut self, object: u128) {
+        if let DirectoryRepr::Exact(s) = &mut self.repr {
+            s.remove(&object);
         }
         self.epochs.remove(&object);
     }
@@ -304,6 +326,35 @@ mod tests {
         }
         assert_eq!(d.len(), 250);
         assert!(d.exact_entries().is_none(), "bloom directories cannot be enumerated");
+    }
+
+    #[test]
+    fn invalidate_drops_an_exact_entry_and_spares_bloom_counters() {
+        let mut exact = LookupDirectory::new(DirectoryKind::Exact);
+        exact.insert(7);
+        exact.bump_epoch(7);
+        exact.invalidate(7);
+        assert!(!exact.contains(7) && exact.is_empty());
+        assert_eq!(exact.epoch_of(7), 0);
+
+        let kind = DirectoryKind::Bloom { counters_per_key: 2.0, expected_entries: 64 };
+        let mut bloom = LookupDirectory::new(kind);
+        let present = ids(64, 4);
+        for &k in &present {
+            bloom.insert(k);
+        }
+        // Invalidate every false positive among many absent ids: the
+        // counted keys must all survive.
+        let stale: Vec<u128> =
+            ids(5_000, 888_888).into_iter().filter(|&k| bloom.contains(k)).collect();
+        assert!(!stale.is_empty(), "a 2-counter/key filter should false-positive");
+        for &k in &stale {
+            bloom.bump_epoch(k);
+            bloom.invalidate(k);
+            assert_eq!(bloom.epoch_of(k), 0);
+        }
+        assert!(present.iter().all(|&k| bloom.contains(k)), "invalidate made a false negative");
+        assert_eq!(bloom.len(), 64);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!
 //! * [`sha1`] — §4.1 of the paper hashes object URLs with SHA-1 to produce
 //!   the 128-bit `objectId` used for Pastry routing.
-//! * [`bloom`] — §4.2 proposes Bloom filters as one of the two lookup
+//! * [`bloom`] — §4.2 proposes a Bloom filter as one of the two lookup
 //!   directory representations a proxy keeps for its P2P client cache.
 //! * [`sumtree`] — the ProWGen workload model draws each pool reference
 //!   in proportion to the objects' remaining reference counts.
@@ -46,7 +46,7 @@ pub mod stats;
 pub mod sumtree;
 pub mod xxhash;
 
-pub use bloom::{BloomFilter, CountingBloomFilter};
+pub use bloom::CountingBloomFilter;
 pub use fxhash::{
     FxBuildHasher, FxHashMap, FxHashSet, FxHasher, ShaIdBuildHasher, ShaIdMap, ShaIdSet,
 };

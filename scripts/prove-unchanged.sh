@@ -4,15 +4,31 @@
 # whose bytes are a contract, each into its own directory, and diffs the
 # two. Exits non-zero on any difference.
 #
-#   scripts/prove-unchanged.sh <parent-commit> [scratch-dir]
+#   scripts/prove-unchanged.sh [--expect-moved <file>[,<file>...]] \
+#     <parent-commit> [scratch-dir]
 #
 # No network, nothing installed. Failing chaos sweeps are part of the
 # contract (open findings exit 2): exit codes are recorded in the
-# compared files, never acted on. A bug fix lists each file that
-# differs and says why.
+# compared files, never acted on. A bug fix names each surface it moves
+# with --expect-moved (output file names, e.g.
+# figure_ablation_directory.csv) and says why: those may differ, every
+# changed cell of a moved CSV is printed as old -> new, and every other
+# file must still be byte-identical.
 set -euo pipefail
 
-parent=${1:?usage: prove-unchanged.sh <parent-commit> [scratch-dir]}
+moved=""
+args=()
+while [ $# -gt 0 ]; do
+  case $1 in
+    --expect-moved) moved=${2:?--expect-moved needs a comma-separated list}; shift 2 ;;
+    --expect-moved=*) moved=${1#*=}; shift ;;
+    *) args+=("$1"); shift ;;
+  esac
+done
+set -- ${args[@]+"${args[@]}"}
+IFS=, read -r -a moved_files <<<"$moved"
+
+parent=${1:?usage: prove-unchanged.sh [--expect-moved <file>[,<file>...]] <parent-commit> [scratch-dir]}
 scratch=${2:-/root/scratch}
 repo=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
 mkdir -p "$scratch"
@@ -177,11 +193,44 @@ surfaces() { # $1 = binary, $2 = output directory
   keep err_help.txt "$bin" --help
 }
 
+# Prints each cell that differs between two CSVs as old -> new, rows
+# matched by line and named by their first column.
+csv_cells() {
+  awk -F, 'NR == FNR { old[FNR] = $0; rows = FNR; next }
+    { new[FNR] = $0; if (FNR > rows) rows = FNR }
+    END {
+      split(new[1], head, ",")
+      for (r = 1; r <= rows; r++) {
+        if (old[r] == new[r]) continue
+        n = split(old[r], o, ","); m = split(new[r], c, ",")
+        row = r == 1 ? "header" : (m ? c[1] : o[1])
+        for (i = 1; i <= (n > m ? n : m); i++)
+          if (o[i] != c[i]) printf "  %s, %s: %s -> %s\n", row, head[i], o[i], c[i]
+      }
+    }' "$1" "$2"
+}
+
 (surfaces "$scratch/parent-target/release/webcache" "$scratch/out-parent")
 (surfaces "$repo/target/release/webcache" "$scratch/out-change")
-if diff -r "$scratch/out-parent" "$scratch/out-change"; then
-  echo "unchanged: $(ls "$scratch/out-change" | wc -l) files identical to $parent"
+status=0
+excludes=()
+for f in ${moved_files[@]+"${moved_files[@]}"}; do
+  excludes+=(--exclude="$f")
+  old="$scratch/out-parent/$f" new="$scratch/out-change/$f"
+  if [ ! -f "$old" ] || [ ! -f "$new" ]; then
+    echo "expected-moved surface $f is missing on one side" >&2
+    status=1
+  elif cmp -s "$old" "$new"; then
+    echo "expected to move, unchanged: $f"
+  else
+    echo "moved: $f"
+    case $f in *.csv) csv_cells "$old" "$new" ;; esac
+  fi
+done
+if diff -r ${excludes[@]+"${excludes[@]}"} "$scratch/out-parent" "$scratch/out-change"; then
+  echo "unchanged: $(($(ls "$scratch/out-change" | wc -l) - ${#moved_files[@]})) other files identical to $parent"
 else
   echo "DIFFERENT from $parent (see above)" >&2
-  exit 1
+  status=1
 fi
+exit $status

@@ -61,10 +61,18 @@ fn bloom_directory_tradeoff_more_memory_fewer_stale_lookups() {
         };
         let mut e = HierGdEngine::new(1, 150, 40, 4, 3_000, NetworkModel::default(), opts);
         let m = run_engine(&mut e, &ts, &NetworkModel::default());
+        // A stale lookup must not make the filter forget what it counted:
+        // every resident object still reads present at the end.
+        let problems = e.p2p(0).check_invariants();
+        assert!(
+            problems.is_empty(),
+            "{cpk} counters/key: {} violations, first {:?}",
+            problems.len(),
+            problems.first()
+        );
         m.messages.stale_lookups
     };
-    let tight = run_with(1.0);
-    let roomy = run_with(16.0);
+    let [tight, _, _, roomy] = [1.0, 2.0, 8.0, 16.0].map(run_with);
     assert!(
         tight > roomy,
         "1 counter/key stale lookups {tight} should exceed 16 counters/key {roomy}"
