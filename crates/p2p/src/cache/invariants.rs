@@ -46,15 +46,15 @@ impl P2PClientCache {
                     problems.push(format!("object {obj:032x} resident but not in directory"));
                 }
             }
-            for (obj, host) in &node.diverted_to {
+            for (obj, host) in &node.links().diverted_to {
                 match self.nodes.get(&host.0) {
                     Some(hn) if hn.store.contains(*obj) => {}
                     _ => problems.push(format!("diversion pointer {obj:032x} -> {host} dangles")),
                 }
             }
-            for (obj, owner) in &node.hosted_for {
+            for (obj, owner) in &node.links().hosted_for {
                 match self.nodes.get(&owner.0) {
-                    Some(on) if on.diverted_to.get(obj) == Some(&node.id) => {}
+                    Some(on) if on.links().diverted_to.get(obj) == Some(&node.id) => {}
                     _ => problems.push(format!(
                         "hosted object {obj:032x} has no owner pointer from {owner}"
                     )),
@@ -94,7 +94,7 @@ impl P2PClientCache {
     pub fn duplicate_primaries(&self) -> Vec<(u128, u32)> {
         let mut holders: BTreeMap<u128, u32> = BTreeMap::new();
         for node in self.nodes.values() {
-            for obj in node.store.keys().filter(|o| !node.replicas.contains_key(o)) {
+            for obj in node.store.keys().filter(|o| !node.links().replicas.contains_key(o)) {
                 *holders.entry(obj).or_default() += 1;
             }
         }
@@ -121,7 +121,7 @@ impl P2PClientCache {
             for o in objs {
                 let _ = writeln!(out, "  store {o:032x}");
             }
-            let mut reps: Vec<u128> = node.replicas.keys().copied().collect();
+            let mut reps: Vec<u128> = node.links().replicas.keys().copied().collect();
             reps.sort_unstable();
             for o in reps {
                 let _ = writeln!(out, "  replica {o:032x}");

@@ -201,12 +201,16 @@ impl P2PClientCache {
     /// Returns the number of objects lost.
     fn rehome_diverted<S: P2pSink>(&mut self, node: &ClientCacheNode, sink: &mut S) -> u32 {
         let mut objects_lost = 0u32;
-        for (obj, host) in &node.diverted_to {
-            let hosts = node.replicated_to.get(obj).cloned().unwrap_or_default();
+        for (obj, host) in &node.links().diverted_to {
+            let hosts = node.links().replicated_to.get(obj).cloned().unwrap_or_default();
             let host_live = !self.overlay.is_crashed(*host) && self.nodes.contains_key(&host.0);
             if host_live {
                 let nr = self.root_of(*obj).expect("host is live, so the overlay is non-empty");
-                self.nodes.get_mut(&host.0).expect("live").hosted_for.remove(obj);
+                self.nodes
+                    .get_mut(&host.0)
+                    .expect("live")
+                    .links_if_any()
+                    .and_then(|l| l.hosted_for.remove(obj));
                 if self.link(*host, nr, *obj) {
                     self.ledger.overlay_messages += 1; // pointer repair
                 }
@@ -216,19 +220,25 @@ impl P2PClientCache {
                     // each copy.
                     for h in &hosts {
                         if let Some(hn) = self.nodes.get_mut(&h.0) {
-                            if let Some(e) = hn.replicas.get_mut(obj) {
+                            if let Some(e) = hn.links_if_any().and_then(|l| l.replicas.get_mut(obj))
+                            {
                                 e.1 = nr;
                             }
                         }
                     }
-                    self.nodes.get_mut(&nr.0).expect("live").replicated_to.insert(*obj, hosts);
+                    self.nodes
+                        .get_mut(&nr.0)
+                        .expect("live")
+                        .links_mut()
+                        .replicated_to
+                        .insert(*obj, hosts);
                 }
             } else {
                 // The primary died with its (also crashed / gone) host.
                 let had_primary = match self.nodes.get_mut(&host.0) {
                     Some(hn) => {
                         let removed = hn.store.remove(*obj);
-                        hn.hosted_for.remove(obj);
+                        hn.links_if_any().and_then(|l| l.hosted_for.remove(obj));
                         removed
                     }
                     // Host already reclaimed: the object was fully handled

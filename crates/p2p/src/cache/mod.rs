@@ -72,9 +72,10 @@ use partition::SplitState;
 use repair::RepairState;
 use replicas::DomainState;
 use std::collections::BTreeSet;
+use std::mem::size_of;
 use webcache_pastry::{NodeId, Overlay, PastryConfig};
 use webcache_policy::{BoundedCache, GreedyDualCache, LinearScan};
-use webcache_primitives::{FxHashMap, ShaIdMap};
+use webcache_primitives::{map_heap_bytes, FxBuildHasher, FxHashMap, ShaIdBuildHasher, ShaIdMap};
 
 /// Configuration for a [`P2PClientCache`].
 #[derive(Clone, Debug)]
@@ -126,6 +127,18 @@ pub struct ClientCacheNode {
     /// cache size), so the heap finds a key by scanning its entries: one
     /// allocation per node and no index to keep in step.
     store: GreedyDualCache<u128, LinearScan>,
+    /// The node's links to other nodes, allocated by the first insert
+    /// ([`links_mut`](Self::links_mut)) and kept from then on, so each
+    /// map grows and iterates exactly as an inline one would. Most nodes
+    /// never divert, host or replicate anything, and an empty map is 32
+    /// bytes: boxed, the four cost such a node 8.
+    links: Option<Box<Links>>,
+}
+
+/// A client cache's links to other nodes: its diversion pointers and
+/// replica books.
+#[derive(Clone, Debug, Default)]
+struct Links {
     /// Objects this node is the root for but which live at a neighbor:
     /// the diversion table of §4.3 ("enters an entry for d1 in its table
     /// with a pointer to B").
@@ -143,16 +156,46 @@ pub struct ClientCacheNode {
     replicated_to: FxHashMap<u128, Vec<NodeId>>,
 }
 
+/// What a node that never linked anything reads.
+static NO_LINKS: Links = Links {
+    diverted_to: ShaIdMap::with_hasher(ShaIdBuildHasher::new()),
+    hosted_for: FxHashMap::with_hasher(FxBuildHasher::new()),
+    replicas: FxHashMap::with_hasher(FxBuildHasher::new()),
+    replicated_to: FxHashMap::with_hasher(FxBuildHasher::new()),
+};
+
+impl Links {
+    /// Bytes the four maps' tables and the replica sets hold.
+    fn heap_bytes(&self) -> usize {
+        map_heap_bytes(&self.diverted_to)
+            + map_heap_bytes(&self.hosted_for)
+            + map_heap_bytes(&self.replicas)
+            + map_heap_bytes(&self.replicated_to)
+            + self.replicated_to.values().map(|v| v.capacity() * size_of::<NodeId>()).sum::<usize>()
+    }
+}
+
 impl ClientCacheNode {
     fn new(id: NodeId, capacity: usize) -> Self {
-        ClientCacheNode {
-            id,
-            store: GreedyDualCache::new(capacity),
-            diverted_to: ShaIdMap::default(),
-            hosted_for: FxHashMap::default(),
-            replicas: FxHashMap::default(),
-            replicated_to: FxHashMap::default(),
-        }
+        ClientCacheNode { id, store: GreedyDualCache::new(capacity), links: None }
+    }
+
+    /// The node's links, read-only; a node that never linked anything
+    /// reads empty maps.
+    fn links(&self) -> &Links {
+        self.links.as_deref().unwrap_or(&NO_LINKS)
+    }
+
+    /// The node's links, allocated on first use: for inserts.
+    fn links_mut(&mut self) -> &mut Links {
+        self.links.get_or_insert_default()
+    }
+
+    /// The node's links if it ever held one: removals and sweeps, which
+    /// have nothing to do on a node without any, go through this and
+    /// allocate nothing.
+    fn links_if_any(&mut self) -> Option<&mut Links> {
+        self.links.as_deref_mut()
     }
 
     /// The node's cacheId.
@@ -177,7 +220,7 @@ impl ClientCacheNode {
 
     /// Number of live outbound diversion pointers.
     pub fn diversions_out(&self) -> usize {
-        self.diverted_to.len()
+        self.links().diverted_to.len()
     }
 
     /// Objects resident in this node's store (unordered, no allocation).
@@ -187,7 +230,7 @@ impl ClientCacheNode {
 
     /// Replica copies hosted here for other roots (k > 1 only).
     pub fn replica_count(&self) -> usize {
-        self.replicas.len()
+        self.links().replicas.len()
     }
 }
 
@@ -552,6 +595,36 @@ impl P2PClientCache {
     /// Immutable access to the lookup directory (for memory accounting).
     pub fn directory(&self) -> &LookupDirectory {
         &self.directory
+    }
+
+    /// Bytes the cluster's books hold on the heap, counted from
+    /// capacities: the overlay ([`Overlay::heap_bytes`]), the node map,
+    /// each node's store and boxed links, the client → node table and
+    /// the limbo map; the `lost` set counts its entries only. Not
+    /// included: the fault layers' state (transport, partition,
+    /// adversary, failure domains, repair), and the proxy-side lookup
+    /// directory, which reports its own model size
+    /// ([`LookupDirectory::size_bytes`]). A freshly built 1,000-node cluster holds about 0.9 KB
+    /// per node and a full one about 1.5 KB (pinned by the root package's
+    /// `tests/memory_budget.rs`).
+    pub fn heap_bytes(&self) -> usize {
+        let node_books: usize = self
+            .nodes
+            .values()
+            .map(|n| {
+                n.store.heap_bytes()
+                    + n.links.as_ref().map_or(0, |l| size_of::<Links>() + l.heap_bytes())
+            })
+            .sum();
+        let limbo: usize =
+            self.limbo.values().map(|hosts| hosts.capacity() * size_of::<NodeId>()).sum();
+        self.overlay.heap_bytes()
+            + map_heap_bytes(&self.nodes)
+            + node_books
+            + self.node_of_client.capacity() * size_of::<NodeId>()
+            + map_heap_bytes(&self.limbo)
+            + limbo
+            + self.lost.len() * size_of::<u128>()
     }
 
     /// Cumulative message counters.

@@ -55,7 +55,7 @@ impl P2PClientCache {
         let mut out = BTreeMap::new();
         for node in self.nodes.values() {
             for obj in node.store.keys() {
-                let root = node.hosted_for.get(&obj).copied().unwrap_or(node.id);
+                let root = node.links().hosted_for.get(&obj).copied().unwrap_or(node.id);
                 let credit = node.store.h_value(obj).expect("key is resident");
                 out.insert(obj, (node.id, root, credit));
             }
@@ -169,7 +169,7 @@ impl P2PClientCache {
                 // Untouched by the cut: put the tracking back.
                 if !a_hosts.is_empty() {
                     let rn = self.nodes.get_mut(&root.0).expect("root is live");
-                    rn.replicated_to.insert(obj, a_hosts);
+                    rn.links_mut().replicated_to.insert(obj, a_hosts);
                 }
                 continue;
             }
@@ -253,9 +253,9 @@ impl P2PClientCache {
         // wholesale (crash casualties in limbo keep theirs — lazy
         // repair still owns those) and rebuild each floor below.
         let limbo = &self.limbo;
-        for node in self.nodes.values_mut() {
-            node.replicas.retain(|obj, _| limbo.contains_key(obj));
-            node.replicated_to.clear();
+        for links in self.nodes.values_mut().filter_map(super::ClientCacheNode::links_if_any) {
+            links.replicas.retain(|obj, _| limbo.contains_key(obj));
+            links.replicated_to.clear();
         }
 
         let mut reconciled = 0u32;
@@ -283,9 +283,9 @@ impl P2PClientCache {
             // Scrub every stale pointer for the object on both islands;
             // the winner is re-linked below.
             for id in &node_ids {
-                if let Some(n) = self.nodes.get_mut(id) {
-                    n.diverted_to.remove(&obj);
-                    n.hosted_for.remove(&obj);
+                if let Some(links) = self.nodes.get_mut(id).and_then(|n| n.links_if_any()) {
+                    links.diverted_to.remove(&obj);
+                    links.hosted_for.remove(&obj);
                 }
             }
             // The losing split-brain copy gives up its store slot.
@@ -308,7 +308,8 @@ impl P2PClientCache {
             if let Some(l) = loser {
                 // Demoted to a replica when the floor rebuild picked the
                 // loser as a host; garbage-collected outright otherwise.
-                let kept = self.nodes.get(&l.0).is_some_and(|ln| ln.replicas.contains_key(&obj));
+                let kept =
+                    self.nodes.get(&l.0).is_some_and(|ln| ln.links().replicas.contains_key(&obj));
                 demoted += 1;
                 if S::ENABLED {
                     sink.event(P2pEvent::PrimaryDemoted { garbage_collected: !kept });

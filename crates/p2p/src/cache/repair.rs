@@ -260,7 +260,10 @@ impl P2PClientCache {
             // books (and a later eviction) know nothing of; detection
             // re-homes the entry, and a later revolution tops it up.
             let hn = self.nodes.get(&holder.0);
-            if hn.and_then(|hn| hn.hosted_for.get(&obj)).is_some_and(|linked| *linked != root) {
+            if hn
+                .and_then(|hn| hn.links().hosted_for.get(&obj))
+                .is_some_and(|linked| *linked != root)
+            {
                 continue;
             }
             let credit = hn.and_then(|hn| hn.store.h_value(obj)).unwrap_or(1.0);
@@ -290,8 +293,11 @@ impl P2PClientCache {
             return None;
         }
         let floor = self.cfg.replication.min(self.nodes.len());
-        let live_copies =
-            1 + self.nodes.get(&root.0).and_then(|rn| rn.replicated_to.get(&obj)).map_or(0, |hs| {
+        let live_copies = 1 + self
+            .nodes
+            .get(&root.0)
+            .and_then(|rn| rn.links().replicated_to.get(&obj))
+            .map_or(0, |hs| {
                 hs.iter()
                     .filter(|h| !self.overlay.is_crashed(**h) && self.nodes.contains_key(&h.0))
                     .count()
@@ -413,7 +419,7 @@ impl P2PClientCache {
             let live_copies = 1 + self
                 .nodes
                 .get(&root.0)
-                .and_then(|rn| rn.replicated_to.get(&obj))
+                .and_then(|rn| rn.links().replicated_to.get(&obj))
                 .map_or(0, |hs| {
                     hs.iter()
                         .filter(|h| !self.overlay.is_crashed(**h) && self.nodes.contains_key(&h.0))
@@ -430,7 +436,10 @@ impl P2PClientCache {
             // books (and a later eviction) know nothing of; detection
             // re-homes the entry, and a later revolution tops it up.
             let hn = self.nodes.get(&holder.0);
-            if hn.and_then(|hn| hn.hosted_for.get(&obj)).is_some_and(|linked| *linked != root) {
+            if hn
+                .and_then(|hn| hn.links().hosted_for.get(&obj))
+                .is_some_and(|linked| *linked != root)
+            {
                 continue;
             }
             let credit = hn.and_then(|hn| hn.store.h_value(obj)).unwrap_or(1.0);

@@ -102,8 +102,18 @@ impl P2PClientCache {
         if holder == root {
             return false;
         }
-        self.nodes.get_mut(&root.0).expect("root is live").diverted_to.insert(obj, holder);
-        self.nodes.get_mut(&holder.0).expect("holder is live").hosted_for.insert(obj, root);
+        self.nodes
+            .get_mut(&root.0)
+            .expect("root is live")
+            .links_mut()
+            .diverted_to
+            .insert(obj, holder);
+        self.nodes
+            .get_mut(&holder.0)
+            .expect("holder is live")
+            .links_mut()
+            .hosted_for
+            .insert(obj, root);
         true
     }
 
@@ -111,7 +121,12 @@ impl P2PClientCache {
     /// `holder` hosts `obj` for another root and drops that root's
     /// pointer. Returns the root it was hosted for, if any.
     pub(super) fn unlink(&mut self, holder: NodeId, obj: u128) -> Option<NodeId> {
-        let owner = self.nodes.get_mut(&holder.0).expect("live node").hosted_for.remove(&obj)?;
+        let owner = self
+            .nodes
+            .get_mut(&holder.0)
+            .expect("live node")
+            .links_if_any()
+            .and_then(|l| l.hosted_for.remove(&obj))?;
         self.drop_pointer(owner, obj);
         Some(owner)
     }
@@ -120,7 +135,7 @@ impl P2PClientCache {
     /// already be gone).
     fn drop_pointer(&mut self, owner: NodeId, obj: u128) {
         if let Some(on) = self.nodes.get_mut(&owner.0) {
-            on.diverted_to.remove(&obj);
+            on.links_if_any().and_then(|l| l.diverted_to.remove(&obj));
         }
     }
 
@@ -132,7 +147,10 @@ impl P2PClientCache {
             // a no-op at k = 1 — skip the map probe per eviction.
             return Vec::new();
         }
-        self.nodes.get_mut(&root.0).and_then(|rn| rn.replicated_to.remove(&obj)).unwrap_or_default()
+        self.nodes
+            .get_mut(&root.0)
+            .and_then(|rn| rn.links_if_any().and_then(|l| l.replicated_to.remove(&obj)))
+            .unwrap_or_default()
     }
 
     /// Detaches the primary of `obj` stored on the live node `holder`
@@ -157,9 +175,9 @@ impl P2PClientCache {
         node: &ClientCacheNode,
         obj: u128,
     ) -> (Option<NodeId>, Vec<NodeId>) {
-        let owner = node.hosted_for.get(&obj).copied();
+        let owner = node.links().hosted_for.get(&obj).copied();
         let hosts = match owner {
-            None => node.replicated_to.get(&obj).cloned().unwrap_or_default(),
+            None => node.links().replicated_to.get(&obj).cloned().unwrap_or_default(),
             Some(o) => {
                 self.drop_pointer(o, obj);
                 self.take_tracking(o, obj)
@@ -173,7 +191,7 @@ impl P2PClientCache {
     pub(super) fn consume_replicas(&mut self, hosts: &[NodeId], obj: u128) {
         for h in hosts {
             if let Some(hn) = self.nodes.get_mut(&h.0) {
-                hn.replicas.remove(&obj);
+                hn.links_if_any().and_then(|l| l.replicas.remove(&obj));
             }
         }
     }
@@ -181,15 +199,15 @@ impl P2PClientCache {
     /// Unlinks every replica copy hosted by the removed `node` from the
     /// roots that tracked it.
     pub(super) fn unlink_replicas_hosted_by(&mut self, node: &ClientCacheNode) {
-        if !node.replicas.is_empty() {
+        if !node.links().replicas.is_empty() {
             self.books_changed(); // their primaries stay, one copy short
         }
-        for (obj, (_credit, root)) in &node.replicas {
+        for (obj, (_credit, root)) in &node.links().replicas {
             if let Some(rn) = self.nodes.get_mut(&root.0) {
-                if let Some(hs) = rn.replicated_to.get_mut(obj) {
+                if let Some(hs) = rn.links_if_any().and_then(|l| l.replicated_to.get_mut(obj)) {
                     hs.retain(|h| *h != node.id);
                     if hs.is_empty() {
-                        rn.replicated_to.remove(obj);
+                        rn.links_if_any().and_then(|l| l.replicated_to.remove(obj));
                     }
                 }
             }
@@ -229,7 +247,7 @@ impl P2PClientCache {
         want: usize,
         exclude: &[NodeId],
     ) -> Vec<NodeId> {
-        let Some(rs) = self.overlay.state(root) else {
+        let Some(leaf) = self.overlay.leaf_iter(root) else {
             return Vec::new();
         };
         let live = |n: &NodeId| {
@@ -240,7 +258,7 @@ impl P2PClientCache {
         };
         let spread = self.domains.as_ref().filter(|d| d.spread);
         let Some(dom) = spread else {
-            return rs.leaf_iter().filter(live).take(want).collect();
+            return leaf.filter(live).take(want).collect();
         };
         let mut used: Vec<u32> = Vec::new();
         let note = |d: Option<u32>, used: &mut Vec<u32>| {
@@ -256,7 +274,7 @@ impl P2PClientCache {
         }
         let mut targets: Vec<NodeId> = Vec::with_capacity(want);
         let mut deferred: Vec<NodeId> = Vec::new();
-        for n in rs.leaf_iter().filter(live) {
+        for n in leaf.filter(live) {
             if targets.len() >= want {
                 break;
             }
@@ -285,7 +303,7 @@ impl P2PClientCache {
     fn place_copies(&mut self, object: u128, root: NodeId, targets: &[NodeId], credit: f64) -> u32 {
         for t in targets {
             let tn = self.nodes.get_mut(&t.0).expect("target checked live");
-            tn.replicas.insert(object, (credit, root));
+            tn.links_mut().replicas.insert(object, (credit, root));
             self.ledger.overlay_messages += 1; // replica transfer
         }
         targets.len().min(u32::MAX as usize) as u32
@@ -313,7 +331,7 @@ impl P2PClientCache {
         let made = self.place_copies(object, root, &targets, credit);
         if made > 0 {
             let rn = self.nodes.get_mut(&root.0).expect("root is live");
-            let prev = rn.replicated_to.insert(object, targets);
+            let prev = rn.links_mut().replicated_to.insert(object, targets);
             debug_assert!(prev.is_none(), "replica set created twice for the same object");
         }
         made
@@ -336,7 +354,7 @@ impl P2PClientCache {
         let existing: Vec<NodeId> = self
             .nodes
             .get(&root.0)
-            .and_then(|rn| rn.replicated_to.get(&object))
+            .and_then(|rn| rn.links().replicated_to.get(&object))
             .cloned()
             .unwrap_or_default();
         let have = existing.iter().filter(|h| !self.overlay.is_crashed(**h)).count();
@@ -350,10 +368,9 @@ impl P2PClientCache {
             && !self.overlay.is_crashed(root)
             && !existing.contains(&root)
             && !targets.contains(&root)
-            && self
-                .nodes
-                .get(&root.0)
-                .is_some_and(|rn| !rn.store.contains(object) && !rn.replicas.contains_key(&object))
+            && self.nodes.get(&root.0).is_some_and(|rn| {
+                !rn.store.contains(object) && !rn.links().replicas.contains_key(&object)
+            })
         {
             // Tiny-cluster last resort: an object diverted away from its
             // root can only reach the floor if the tracking root itself
@@ -363,7 +380,7 @@ impl P2PClientCache {
         let made = self.place_copies(object, root, &targets, credit);
         if made > 0 {
             let rn = self.nodes.get_mut(&root.0).expect("root is live");
-            rn.replicated_to.entry(object).or_default().extend(targets);
+            rn.links_mut().replicated_to.entry(object).or_default().extend(targets);
         }
         made
     }
@@ -386,7 +403,10 @@ impl P2PClientCache {
         for &h in hosts {
             let crashed = self.overlay.is_crashed(h);
             let Some(hn) = self.nodes.get_mut(&h.0) else { continue };
-            let Some((credit, _root)) = hn.replicas.remove(&obj) else { continue };
+            let Some((credit, _root)) = hn.links_if_any().and_then(|l| l.replicas.remove(&obj))
+            else {
+                continue;
+            };
             if !crashed && chosen.is_none() && (!need_space || hn.store.has_free_space()) {
                 chosen = Some((h, credit));
             }
@@ -511,7 +531,7 @@ impl P2PClientCache {
         if self.cfg.replication <= 1 {
             return None;
         }
-        let members: Vec<NodeId> = self.overlay.state(root)?.leaf_iter().collect();
+        let members: Vec<NodeId> = self.overlay.leaf_iter(root)?.collect();
         for m in members {
             if self.overlay.is_crashed(m) {
                 self.note_timeout(true, sink);
@@ -535,7 +555,7 @@ impl P2PClientCache {
                 self.ledger.overlay_messages += 1;
                 return Some(m);
             }
-            let Some(&(credit, r)) = mn.replicas.get(&object) else { continue };
+            let Some(&(credit, r)) = mn.links().replicas.get(&object) else { continue };
             if self.nodes.contains_key(&r.0) {
                 // The tracking root still has state. It must have crashed
                 // (a live root would have answered the routed lookup);
@@ -554,7 +574,11 @@ impl P2PClientCache {
             // was accounted lost. Promote this copy under `root` — a
             // primary with no replica set.
             self.books_changed();
-            self.nodes.get_mut(&m.0).expect("live").replicas.remove(&object);
+            self.nodes
+                .get_mut(&m.0)
+                .expect("live")
+                .links_if_any()
+                .and_then(|l| l.replicas.remove(&object));
             self.adopt(m, object, credit, sink); // the object is reachable again
             self.link(m, root, object);
             self.readvertise(object);
@@ -604,7 +628,7 @@ impl P2PClientCache {
     fn has_live_replica(&self, obj: u128, hosts: &[NodeId]) -> bool {
         hosts.iter().any(|h| {
             !self.overlay.is_crashed(*h)
-                && self.nodes.get(&h.0).is_some_and(|hn| hn.replicas.contains_key(&obj))
+                && self.nodes.get(&h.0).is_some_and(|hn| hn.links().replicas.contains_key(&obj))
         })
     }
 
@@ -670,7 +694,7 @@ impl P2PClientCache {
     /// limbo entry keeps its stale directory entry and is never resident.
     pub(super) fn check_replica_layer(&self, problems: &mut Vec<String>) {
         for node in self.nodes.values() {
-            for (obj, hosts) in &node.replicated_to {
+            for (obj, hosts) in &node.links().replicated_to {
                 if self.holder_of(node.id, *obj).is_none() {
                     problems.push(format!(
                         "replica set for {obj:032x} tracked at {} but object not resident there",
@@ -679,14 +703,14 @@ impl P2PClientCache {
                 }
                 for h in hosts {
                     match self.nodes.get(&h.0) {
-                        Some(hn) if hn.replicas.contains_key(obj) => {}
+                        Some(hn) if hn.links().replicas.contains_key(obj) => {}
                         _ => problems.push(format!(
                             "replica of {obj:032x} claimed at {h} but host has no copy"
                         )),
                     }
                 }
             }
-            for (obj, (_credit, root)) in &node.replicas {
+            for (obj, (_credit, root)) in &node.links().replicas {
                 if self.limbo.contains_key(obj) {
                     // Orphaned copy of a crash casualty awaiting lazy
                     // repair: its tracking root died with the primary.
@@ -694,7 +718,11 @@ impl P2PClientCache {
                 }
                 match self.nodes.get(&root.0) {
                     Some(rn)
-                        if rn.replicated_to.get(obj).is_some_and(|hs| hs.contains(&node.id)) => {}
+                        if rn
+                            .links()
+                            .replicated_to
+                            .get(obj)
+                            .is_some_and(|hs| hs.contains(&node.id)) => {}
                     _ => problems.push(format!(
                         "replica of {obj:032x} at {} not tracked by root {root}",
                         node.id
@@ -730,14 +758,14 @@ impl P2PClientCache {
         let floor = self.cfg.replication.min(self.nodes.len());
         for node in self.nodes.values() {
             for obj in node.store.keys() {
-                if node.replicas.contains_key(&obj) {
+                if node.links().replicas.contains_key(&obj) {
                     continue; // replica copy, not a primary
                 }
-                let root = node.hosted_for.get(&obj).copied().unwrap_or(node.id);
+                let root = node.links().hosted_for.get(&obj).copied().unwrap_or(node.id);
                 let copies = 1 + self
                     .nodes
                     .get(&root.0)
-                    .and_then(|rn| rn.replicated_to.get(&obj))
+                    .and_then(|rn| rn.links().replicated_to.get(&obj))
                     .map_or(0, Vec::len);
                 if copies < floor {
                     problems.push(format!(

@@ -155,7 +155,7 @@ impl P2PClientCache {
             // Free-riders refuse to host diversions for neighbors; the
             // scan skips them outright (asking would just get a "no
             // space" lie back).
-            let cand = self.overlay.state(root).expect("root is live").leaf_iter().find(|n| {
+            let cand = self.overlay.leaf_iter(root).expect("root is live").find(|n| {
                 self.nodes.get(&n.0).is_some_and(ClientCacheNode::has_free_space)
                     && !(ARMED && self.is_freerider(*n))
             });
@@ -276,7 +276,7 @@ impl P2PClientCache {
         if rn.store.contains(object) {
             return Some(root);
         }
-        rn.diverted_to.get(&object).copied()
+        rn.links().diverted_to.get(&object).copied()
     }
 
     /// The DHT root `object` would route to — the live node numerically

@@ -29,7 +29,7 @@ fn duplicate_primaries_are_listed_in_object_order() {
     // A store entry that is also its node's replica copy is no primary.
     plant(ids[0], objs[1]);
     plant(ids[1], objs[1]);
-    c.nodes.get_mut(&ids[1].0).unwrap().replicas.insert(objs[1], (1.0, ids[0]));
+    c.nodes.get_mut(&ids[1].0).unwrap().links_mut().replicas.insert(objs[1], (1.0, ids[0]));
     assert_eq!(c.duplicate_primaries(), vec![(objs[0], 2), (objs[2], 3)]);
 }
 
@@ -64,10 +64,10 @@ fn each_layer_reports_only_its_own_ghost() {
     type Plant = fn(&mut P2PClientCache, u128, NodeId);
     let plants: [(usize, &str, Plant); 4] = [
         (0, "diversion pointer", |c, g, n| {
-            c.nodes.get_mut(&n.0).unwrap().diverted_to.insert(g, n);
+            c.nodes.get_mut(&n.0).unwrap().links_mut().diverted_to.insert(g, n);
         }),
         (1, "replica of", |c, g, n| {
-            c.nodes.get_mut(&n.0).unwrap().replicas.insert(g, (1.0, n));
+            c.nodes.get_mut(&n.0).unwrap().links_mut().replicas.insert(g, (1.0, n));
         }),
         (2, "islanded object", |c, g, n| {
             c.split.as_mut().unwrap().b_index.insert(g, n);

@@ -114,14 +114,14 @@ proptest::proptest! {
         // ≥ k, graceful degradation otherwise.
         for node in c.nodes.values() {
             for obj in node.store.keys() {
-                if node.replicas.contains_key(&obj) {
+                if node.links().replicas.contains_key(&obj) {
                     continue; // replica copy, not a primary
                 }
-                let root = node.hosted_for.get(&obj).copied().unwrap_or(node.id);
+                let root = node.links().hosted_for.get(&obj).copied().unwrap_or(node.id);
                 let hosts = c
                     .nodes
                     .get(&root.0)
-                    .and_then(|rn| rn.replicated_to.get(&obj))
+                    .and_then(|rn| rn.links().replicated_to.get(&obj))
                     .cloned()
                     .unwrap_or_default();
                 let mut doms: Vec<u32> = Vec::new();
@@ -157,11 +157,11 @@ fn link_writes_no_pointer_when_the_holder_is_the_root() {
     // caller must not be told to charge a pointer message.
     assert!(!c.link(root, root, oid(1)));
     assert_eq!(c.node(root).unwrap().diversions_out(), 0);
-    assert!(c.nodes[&root.0].hosted_for.is_empty());
+    assert!(c.nodes[&root.0].links().hosted_for.is_empty());
     // A diverted object gets both halves, and `unlink` takes both back.
     assert!(c.link(other, root, oid(1)));
-    assert_eq!(c.nodes[&root.0].diverted_to.get(&oid(1)), Some(&other));
-    assert_eq!(c.nodes[&other.0].hosted_for.get(&oid(1)), Some(&root));
+    assert_eq!(c.nodes[&root.0].links().diverted_to.get(&oid(1)), Some(&other));
+    assert_eq!(c.nodes[&other.0].links().hosted_for.get(&oid(1)), Some(&root));
     assert_eq!(c.unlink(other, oid(1)), Some(root));
     assert_eq!(c.node(root).unwrap().diversions_out(), 0);
     assert_eq!(c.unlink(other, oid(1)), None);

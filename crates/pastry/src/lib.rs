@@ -32,4 +32,4 @@ pub mod state;
 
 pub use id::NodeId;
 pub use overlay::{ChurnRoute, Overlay, OverlayError, RouteOutcome};
-pub use state::{NodeState, PastryConfig};
+pub use state::{NodeState, PastryConfig, Slot};

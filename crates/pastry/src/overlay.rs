@@ -1,10 +1,10 @@
 //! The simulated overlay: membership, join/failure protocols and routing.
 
 use crate::id::NodeId;
-use crate::state::{NodeState, PastryConfig, RoutingState};
-use std::collections::BTreeSet;
+use crate::state::{nearest, NodeState, PastryConfig, RoutingState, Slot};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use webcache_primitives::ShaIdMap;
+use webcache_primitives::{map_heap_bytes, ShaIdMap};
 
 /// Result of routing a key from a starting node.
 #[derive(Clone, Debug)]
@@ -70,9 +70,9 @@ enum Hop {
     /// The current node owns the key.
     Arrived,
     /// Final leaf-set hop to the numerically closest member.
-    Deliver(NodeId),
+    Deliver(Slot),
     /// Intermediate prefix/greedy forwarding hop.
-    Forward(NodeId),
+    Forward(Slot),
 }
 
 /// A deterministic, in-process Pastry overlay.
@@ -85,19 +85,37 @@ enum Hop {
 /// measurements; global knowledge is used only where the real protocol
 /// would use the physical network (choosing a join seed, enumerating the
 /// nodes that must be notified of a failure they would detect by timeout).
+///
+/// The states sit in one slab indexed by [`Slot`], and a state names its
+/// peers by slot, so a routing hop indexes the slab instead of probing a
+/// map. A joining node takes the most recently freed slot, or a new one.
+/// A crashed node keeps its slot, and its id in the `ids` column, until
+/// reclaim has purged every reference to it; only then is the slot free.
+/// So a slot names one node for as long as any state names it, and every
+/// decision reads exactly what an id-keyed layout would. At 1,000 nodes
+/// (b = 4, l = 16) the overlay holds about 0.4 KB per node, where the
+/// id-keyed layout held 1,028 B (see [`heap_bytes`](Self::heap_bytes)).
 #[derive(Clone, Debug)]
 pub struct Overlay<S = NodeState> {
     cfg: PastryConfig,
-    nodes: ShaIdMap<u128, S>,
-    /// Live node ids in ascending order — the hash map's sorted mirror.
-    /// Routing does one state lookup per hop, which a hash map serves in
-    /// O(1); everything that needs id order or a range scan (ownership,
-    /// join seeds, deterministic repair sweeps) reads the ring.
+    /// Node states by slot: live nodes' states, and empty states in the
+    /// slots of crashed and free nodes.
+    slab: Vec<S>,
+    /// Node ids by slot: what a peer's slot resolves to.
+    ids: Vec<NodeId>,
+    /// Live node id → slot.
+    live: ShaIdMap<u128, Slot>,
+    /// Slots reclaim has freed, reused last-freed first.
+    free: Vec<Slot>,
+    /// Live node ids in ascending order — the id map's sorted mirror.
+    /// Everything that needs id order or a range scan (ownership, join
+    /// seeds, deterministic repair sweeps) reads the ring.
     ring: Vec<u128>,
-    /// Nodes that crashed *silently*: other nodes' leaf sets and routing
-    /// tables still reference them until a route times out on them and
-    /// triggers lazy repair ([`route_detecting`](Self::route_detecting)).
-    crashed: BTreeSet<u128>,
+    /// Nodes that crashed *silently*, with the slots they keep: other
+    /// nodes' leaf sets and routing tables still reference them until a
+    /// route times out on them and triggers lazy repair
+    /// ([`route_detecting`](Self::route_detecting)).
+    crashed: BTreeMap<u128, Slot>,
     /// Active network partition: the ids on the **A** side of the cut
     /// (the side the proxy stays connected to). `None` means the overlay
     /// is whole. While a partition is active each island runs an
@@ -131,9 +149,12 @@ impl<S: RoutingState> Overlay<S> {
         }
         Overlay {
             cfg,
-            nodes: ShaIdMap::default(),
+            slab: Vec::new(),
+            ids: Vec::new(),
+            live: ShaIdMap::default(),
+            free: Vec::new(),
             ring: Vec::new(),
-            crashed: BTreeSet::new(),
+            crashed: BTreeMap::new(),
             partition: None,
         }
     }
@@ -154,27 +175,27 @@ impl<S: RoutingState> Overlay<S> {
 
     /// Number of live nodes.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.live.len()
     }
 
     /// True if no nodes are live.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.live.is_empty()
     }
 
     /// True if `id` is a live node.
     pub fn contains(&self, id: NodeId) -> bool {
-        self.nodes.contains_key(&id.0)
+        self.live.contains_key(&id.0)
     }
 
     /// True if `id` crashed silently and has not yet been detected.
     pub fn is_crashed(&self, id: NodeId) -> bool {
-        self.crashed.contains(&id.0)
+        self.crashed.contains_key(&id.0)
     }
 
     /// Crashed-but-undetected node ids, in id order.
     pub fn crashed_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.crashed.iter().map(|&k| NodeId(k))
+        self.crashed.keys().map(|&k| NodeId(k))
     }
 
     /// Number of crashed-but-undetected nodes.
@@ -201,9 +222,76 @@ impl<S: RoutingState> Overlay<S> {
         }
     }
 
-    /// Borrows a node's state.
+    /// The id a slot resolves to.
+    pub(crate) fn id_of(&self, slot: Slot) -> NodeId {
+        self.ids[slot as usize]
+    }
+
+    /// The id column: node ids by slot.
+    #[cfg(test)]
+    pub(crate) fn ids(&self) -> &[NodeId] {
+        &self.ids
+    }
+
+    /// The slot a live node sits in.
+    pub(crate) fn slot_of(&self, id: NodeId) -> Option<Slot> {
+        self.live.get(&id.0).copied()
+    }
+
+    /// Takes a slot for `id` (the most recently freed one, or a new one)
+    /// and puts an empty state for it there.
+    fn alloc(&mut self, id: NodeId) -> Slot {
+        match self.free.pop() {
+            Some(slot) => {
+                self.ids[slot as usize] = id;
+                self.slab[slot as usize] = S::new(id, slot, self.cfg);
+                slot
+            }
+            None => {
+                let slot = Slot::try_from(self.slab.len()).expect("fewer than 2^32 slots");
+                self.ids.push(id);
+                self.slab.push(S::new(id, slot, self.cfg));
+                slot
+            }
+        }
+    }
+
+    /// Borrows a node's state. It names its peers by slot;
+    /// [`leaf_iter`](Self::leaf_iter) and
+    /// [`known_nodes`](Self::known_nodes) resolve them to ids.
     pub fn state(&self, id: NodeId) -> Option<&S> {
-        self.nodes.get(&id.0)
+        self.slot_of(id).map(|s| &self.slab[s as usize])
+    }
+
+    /// A live node's distinct leaf-set members, clockwise side first
+    /// (each side nearest first).
+    pub fn leaf_iter(&self, id: NodeId) -> Option<impl Iterator<Item = NodeId> + '_> {
+        Some(self.state(id)?.leaf_iter().map(|n| self.id_of(n)))
+    }
+
+    /// Every peer a live node knows (leaf set, then routing table
+    /// row-major, each once); empty for a node that is not live.
+    pub fn known_nodes(&self, id: NodeId) -> Vec<NodeId> {
+        self.state(id)
+            .map_or_else(Vec::new, |s| s.known_nodes().into_iter().map(|n| self.id_of(n)).collect())
+    }
+
+    /// Bytes the overlay holds on the heap, counted from capacities: the
+    /// slab and each state's blocks, the id column, the id → slot map,
+    /// the free list and the ring; the crashed and partition sets count
+    /// their entries only. At 1,000 nodes (b = 4, l = 16) this is about
+    /// 0.4 KB per node (pinned by the root package's
+    /// `tests/memory_budget.rs`).
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.slab.capacity() * size_of::<S>()
+            + self.slab.iter().map(S::heap_bytes).sum::<usize>()
+            + self.ids.capacity() * size_of::<NodeId>()
+            + map_heap_bytes(&self.live)
+            + self.free.capacity() * size_of::<Slot>()
+            + self.ring.capacity() * size_of::<u128>()
+            + self.crashed.len() * size_of::<(u128, Slot)>()
+            + self.partition.as_ref().map_or(0, |p| p.len() * size_of::<u128>())
     }
 
     /// Ground truth: the live node numerically closest to `key` (ties to
@@ -273,13 +361,16 @@ impl<S: RoutingState> Overlay<S> {
             return false;
         }
         let a: BTreeSet<u128> =
-            island_a.into_iter().map(|n| n.0).filter(|k| self.nodes.contains_key(k)).collect();
-        if a.is_empty() || a.len() == self.nodes.len() {
+            island_a.into_iter().map(|n| n.0).filter(|k| self.live.contains_key(k)).collect();
+        if a.is_empty() || a.len() == self.live.len() {
             return false;
         }
-        for s in self.nodes.values_mut() {
+        // Crashed and free slots hold empty states, which the sweep
+        // leaves as they are.
+        let ids = &self.ids;
+        for s in &mut self.slab {
             let me_in_a = a.contains(&s.id().0);
-            s.purge_where(|peer| a.contains(&peer.0) != me_in_a);
+            s.purge_where(ids, |peer| a.contains(&ids[peer as usize].0) != me_in_a);
         }
         self.partition = Some(a);
         self.rebuild_views();
@@ -298,22 +389,26 @@ impl<S: RoutingState> Overlay<S> {
         true
     }
 
+    /// The live nodes' slots in ring (id) order.
+    fn ring_slots(&self) -> Vec<Slot> {
+        self.ring.iter().map(|k| self.live[k]).collect()
+    }
+
     /// Re-derives every live node's view as the repair-protocol fixpoint
     /// over the peers it can currently reach: each node considers every
     /// same-island live peer for its leaf set and routing table. Runs
     /// after a cut (per island) and after a heal (whole overlay).
     fn rebuild_views(&mut self) {
-        let ids: Vec<u128> = self.ring.clone();
-        for &y in &ids {
-            let me = NodeId(y);
-            let mut st = self.nodes.remove(&y).expect("live node");
-            for &k in &ids {
-                if k != y && self.same_island(me, NodeId(k)) {
-                    st.consider_for_leaf(NodeId(k));
-                    st.consider_for_table(NodeId(k));
+        let slots = self.ring_slots();
+        for &y in &slots {
+            let me = self.id_of(y);
+            for &k in &slots {
+                if k != y && self.same_island(me, self.id_of(k)) {
+                    let st = &mut self.slab[y as usize];
+                    st.consider_for_leaf(k, &self.ids);
+                    st.consider_for_table(k, &self.ids);
                 }
             }
-            self.nodes.insert(y, st);
         }
     }
 
@@ -325,15 +420,16 @@ impl<S: RoutingState> Overlay<S> {
     /// convergence property the partition proptest pins.
     pub fn reachable_set(&self, from: NodeId) -> BTreeSet<u128> {
         let mut seen = BTreeSet::new();
-        if !self.contains(from) {
+        let Some(start) = self.slot_of(from) else {
             return seen;
-        }
+        };
         seen.insert(from.0);
-        let mut stack = vec![from.0];
-        while let Some(k) = stack.pop() {
-            for peer in self.nodes[&k].known_nodes() {
-                if self.nodes.contains_key(&peer.0) && seen.insert(peer.0) {
-                    stack.push(peer.0);
+        let mut stack = vec![start];
+        while let Some(s) = stack.pop() {
+            for peer in self.slab[s as usize].known_nodes() {
+                let id = self.id_of(peer);
+                if self.contains(id) && seen.insert(id.0) {
+                    stack.push(peer);
                 }
             }
         }
@@ -357,8 +453,8 @@ impl<S: RoutingState> Overlay<S> {
     /// Panics if `new_id` is already a *live* member.
     pub fn join(&mut self, new_id: NodeId) -> usize {
         assert!(!self.contains(new_id), "node {new_id} already joined");
-        if self.is_crashed(new_id) {
-            self.reclaim(new_id);
+        if let Some(&corpse) = self.crashed.get(&new_id.0) {
+            self.reclaim(new_id, corpse);
         }
         // Seed: the real protocol uses any nearby live node; we pick the
         // deterministic first node in id order. A mid-partition join
@@ -372,45 +468,49 @@ impl<S: RoutingState> Overlay<S> {
         if let Some(p) = &mut self.partition {
             p.insert(new_id.0);
         }
+        let me = self.alloc(new_id);
         let Some(seed) = seed else {
-            self.nodes.insert(new_id.0, S::new(new_id, self.cfg));
+            self.live.insert(new_id.0, me);
             self.ring_insert(new_id.0);
             return 0;
         };
-        let route = self.route(seed, new_id).expect("routing in a live overlay");
-        let mut x = S::new(new_id, self.cfg);
+        let mut path: Vec<Slot> = Vec::new();
+        let (z, hops) =
+            self.route_steps(seed, new_id, |n| path.push(n)).expect("routing in a live overlay");
+        let mut x = S::new(new_id, me, self.cfg);
+        let ids = &self.ids;
         // Copy state from the path: node i contributes the row matching
         // its shared prefix with the new node (prefixes grow along the
         // path), and every path node is itself a candidate.
-        for &p in &route.path {
-            let ps = &self.nodes[&p.0];
-            let row = new_id.shared_prefix_digits(p, self.cfg.b).min(self.cfg.digits() - 1);
+        for &p in &path {
+            let ps = &self.slab[p as usize];
+            let row = new_id.shared_prefix_digits(ps.id(), self.cfg.b).min(self.cfg.digits() - 1);
             for (_, entry) in ps.table_row(row) {
-                if entry != new_id && !self.is_crashed(entry) {
-                    x.consider_for_table(entry);
+                if entry != me && !self.is_crashed(ids[entry as usize]) {
+                    x.consider_for_table(entry, ids);
                 }
             }
-            x.consider_for_table(p);
-            x.consider_for_leaf(p);
+            x.consider_for_table(p, ids);
+            x.consider_for_leaf(p, ids);
         }
         // The destination is the numerically closest node: copy its leaf
         // set, and exchange routing state with those leaf members (the
         // join-time state exchange of the protocol) to densify tables.
-        let z = route.destination;
-        for m in self.nodes[&z.0].leaf_members() {
-            if m != new_id && !self.is_crashed(m) {
-                x.consider_for_leaf(m);
-                x.consider_for_table(m);
+        for m in self.slab[z as usize].leaf_iter() {
+            if m != me && !self.is_crashed(ids[m as usize]) {
+                x.consider_for_leaf(m, ids);
+                x.consider_for_table(m, ids);
             }
         }
+        // Every member came from the path or from the destination's live
+        // leaf members, so each is live.
         for m in x.leaf_members() {
-            if let Some(ms) = self.nodes.get(&m.0) {
-                // Repeats are harmless: `consider_for_table` is first-wins
-                // and first occurrences come in `known_nodes` order.
-                for peer in ms.known_iter() {
-                    if peer != new_id && !self.is_crashed(peer) {
-                        x.consider_for_table(peer);
-                    }
+            debug_assert!(self.live.get(&ids[m as usize].0) == Some(&m), "leaf member is live");
+            // Repeats are harmless: `consider_for_table` is first-wins
+            // and first occurrences come in `known_nodes` order.
+            for peer in self.slab[m as usize].known_iter() {
+                if peer != me && !self.is_crashed(ids[peer as usize]) {
+                    x.consider_for_table(peer, ids);
                 }
             }
         }
@@ -418,15 +518,16 @@ impl<S: RoutingState> Overlay<S> {
         // it for its own state (this reaches all of X's true ring
         // neighbors, because they are all in Z's leaf set).
         let known = x.known_nodes();
-        self.nodes.insert(new_id.0, x);
+        self.slab[me as usize] = x;
+        self.live.insert(new_id.0, me);
         self.ring_insert(new_id.0);
         for k in known {
-            if let Some(ks) = self.nodes.get_mut(&k.0) {
-                ks.consider_for_leaf(new_id);
-                ks.consider_for_table(new_id);
-            }
+            debug_assert!(self.live.get(&self.id_of(k).0) == Some(&k), "announce to a live node");
+            let ks = &mut self.slab[k as usize];
+            ks.consider_for_leaf(me, &self.ids);
+            ks.consider_for_table(me, &self.ids);
         }
-        route.hops()
+        hops
     }
 
     /// Removes a node as an *announced* failure and runs the leaf-set
@@ -440,12 +541,16 @@ impl<S: RoutingState> Overlay<S> {
     /// removed, so duplicate failure announcements from a churn driver
     /// are a typed, ignorable error rather than a crash of the simulator.
     pub fn fail(&mut self, id: NodeId) -> Result<(), OverlayError> {
-        if self.nodes.remove(&id.0).is_some() {
+        let slot = if let Some(slot) = self.live.remove(&id.0) {
             self.ring_remove(id.0);
-        } else if !self.is_crashed(id) {
+            self.slab[slot as usize] = S::new(id, slot, self.cfg);
+            slot
+        } else if let Some(&slot) = self.crashed.get(&id.0) {
+            slot
+        } else {
             return Err(OverlayError::UnknownNode(id));
-        }
-        self.reclaim(id);
+        };
+        self.reclaim(id, slot);
         Ok(())
     }
 
@@ -455,55 +560,60 @@ impl<S: RoutingState> Overlay<S> {
     /// ([`route_detecting`](Self::route_detecting)), which triggers the
     /// same lazy repair the real protocol runs on failure detection.
     pub fn crash(&mut self, id: NodeId) -> Result<(), OverlayError> {
-        if self.nodes.remove(&id.0).is_some() {
+        if let Some(slot) = self.live.remove(&id.0) {
             self.ring_remove(id.0);
             if let Some(p) = &mut self.partition {
                 p.remove(&id.0);
             }
-            self.crashed.insert(id.0);
+            // The machine's state is gone; its slot stays, so the stale
+            // references still name it.
+            self.slab[slot as usize] = S::new(id, slot, self.cfg);
+            self.crashed.insert(id.0, slot);
             Ok(())
-        } else if self.crashed.contains(&id.0) {
+        } else if self.crashed.contains_key(&id.0) {
             Err(OverlayError::AlreadyCrashed(id))
         } else {
             Err(OverlayError::UnknownNode(id))
         }
     }
 
-    /// Detection aftermath for one removed or crashed node: forget it
-    /// everywhere and repair leaf sets. [`fail`](Self::fail) runs it
-    /// for an announced failure too, once the node is out of the ring.
-    fn reclaim(&mut self, id: NodeId) {
+    /// Detection aftermath for one removed or crashed node at `slot`:
+    /// forget it everywhere, repair leaf sets, then free the slot, which
+    /// nothing names any more. [`fail`](Self::fail) runs it for an
+    /// announced failure too, once the node is out of the ring.
+    fn reclaim(&mut self, id: NodeId, slot: Slot) {
         self.crashed.remove(&id.0);
         if let Some(p) = &mut self.partition {
             p.remove(&id.0);
         }
-        for s in self.nodes.values_mut() {
-            s.purge(id);
+        let ids = &self.ids;
+        for s in &mut self.slab {
+            s.purge(slot, ids);
         }
         self.repair_leaf_sets();
+        self.free.push(slot);
     }
 
     /// Gossip leaf-set repair: each node offers its leaf set to its leaf
     /// members, rounds repeating until nothing changes. This is the steady
     /// state the real lazy repair protocol converges to.
     fn repair_leaf_sets(&mut self) {
+        let slots = self.ring_slots();
+        let mut candidates: Vec<Slot> = Vec::new();
         loop {
             let mut changed = false;
-            let ids: Vec<u128> = self.ring.clone();
-            for &y in &ids {
+            for &y in &slots {
                 // Collect the candidates first (a gossip "pull" from the
-                // node's current leaf members), then apply.
-                let members = self.nodes[&y].leaf_members();
-                let mut candidates: Vec<NodeId> = Vec::new();
-                for m in &members {
-                    if let Some(ms) = self.nodes.get(&m.0) {
-                        candidates.extend(ms.leaf_members());
-                    }
+                // node's current leaf members), then apply. A crashed
+                // member's slot holds an empty state: it offers nothing.
+                candidates.clear();
+                for m in self.slab[y as usize].leaf_iter() {
+                    candidates.extend(self.slab[m as usize].leaf_iter());
                 }
-                let ys = self.nodes.get_mut(&y).expect("live node");
-                for c in candidates {
-                    if c.0 != y {
-                        changed |= ys.consider_for_leaf(c);
+                let ys = &mut self.slab[y as usize];
+                for &c in &candidates {
+                    if c != y {
+                        changed |= ys.consider_for_leaf(c, &self.ids);
                     }
                 }
             }
@@ -519,8 +629,8 @@ impl<S: RoutingState> Overlay<S> {
     /// starts at `from` and ends at the delivering node.
     pub fn route(&self, from: NodeId, key: NodeId) -> Option<RouteOutcome> {
         let mut path = Vec::new();
-        let (destination, _hops) = self.route_steps(from, key, |n| path.push(n))?;
-        Some(RouteOutcome { path, destination })
+        let (destination, _hops) = self.route_steps(from, key, |n| path.push(self.id_of(n)))?;
+        Some(RouteOutcome { path, destination: self.id_of(destination) })
     }
 
     /// Like [`route`](Self::route), but returns only the delivering node
@@ -528,26 +638,24 @@ impl<S: RoutingState> Overlay<S> {
     /// variant for callers that charge hops to a ledger and never inspect
     /// intermediate nodes.
     pub fn route_hops(&self, from: NodeId, key: NodeId) -> Option<(NodeId, usize)> {
-        self.route_steps(from, key, |_| {})
+        self.route_steps(from, key, |_| {}).map(|(n, hops)| (self.id_of(n), hops))
     }
 
-    /// The routing walk shared by [`route`](Self::route) and
-    /// [`route_hops`](Self::route_hops): `visit` sees every node on the
-    /// path (starting node first, destination last); the return value is
-    /// `(destination, hops)` where `hops` counts path transitions.
+    /// The routing walk shared by [`route`](Self::route),
+    /// [`route_hops`](Self::route_hops) and [`join`](Self::join): `visit`
+    /// sees the slot of every node on the path (starting node first,
+    /// destination last); the return value is `(destination, hops)`
+    /// where `hops` counts path transitions.
     fn route_steps(
         &self,
         from: NodeId,
         key: NodeId,
-        mut visit: impl FnMut(NodeId),
-    ) -> Option<(NodeId, usize)> {
-        // One lookup both answers "is `from` live" and yields the state
-        // the first decision reads.
-        let mut state = self.nodes.get(&from.0)?;
-        let mut current = from;
+        mut visit: impl FnMut(Slot),
+    ) -> Option<(Slot, usize)> {
+        let mut state = &self.slab[self.slot_of(from)? as usize];
         let mut hops = 0usize;
-        visit(current);
-        // Once prefix routing dead-ends (empty slot, no prefix-preserving
+        visit(state.slot());
+        // Once prefix routing dead-ends (empty cell, no prefix-preserving
         // closer node) the route switches permanently to greedy
         // closest-known-node forwarding, which strictly decreases
         // `(distance, id)` each hop — with correct leaf sets a nearer
@@ -563,24 +671,25 @@ impl<S: RoutingState> Overlay<S> {
             // *around* here (the join protocol and announced-churn paths
             // must stay correct mid-staleness); only `route_detecting`
             // deliberately walks into them to model timeout detection.
-            match self.hop_decision(state, current, key, &mut greedy_mode, true) {
-                Hop::Arrived => return Some((current, hops)),
+            match self.hop_decision(state, key, &mut greedy_mode, true) {
+                Hop::Arrived => return Some((state.slot(), hops)),
                 Hop::Deliver(n) => {
                     debug_assert!(
-                        self.nodes.contains_key(&n.0),
-                        "routing state references dead node {n}"
+                        self.slot_of(self.id_of(n)) == Some(n),
+                        "routing state references dead node {}",
+                        self.id_of(n)
                     );
                     visit(n);
                     return Some((n, hops + 1));
                 }
                 Hop::Forward(n) => {
                     debug_assert!(
-                        self.nodes.contains_key(&n.0),
-                        "routing state references dead node {n}"
+                        self.slot_of(self.id_of(n)) == Some(n),
+                        "routing state references dead node {}",
+                        self.id_of(n)
                     );
-                    state = &self.nodes[&n.0];
-                    current = n;
-                    visit(current);
+                    state = &self.slab[n as usize];
+                    visit(n);
                     hops += 1;
                 }
             }
@@ -591,7 +700,7 @@ impl<S: RoutingState> Overlay<S> {
         );
     }
 
-    /// One routing decision at `current`, whose state is `s`; shared by
+    /// One routing decision at the node whose state is `s`; shared by
     /// the pure walk ([`route_steps`](Self::route_steps)) and the
     /// liveness-aware walk ([`route_detecting`](Self::route_detecting)).
     ///
@@ -600,19 +709,13 @@ impl<S: RoutingState> Overlay<S> {
     /// appropriate for protocol-internal routes such as joins); without
     /// it the decision is oblivious to liveness, so the caller observes
     /// exactly the stale choice a real node would make.
-    fn hop_decision(
-        &self,
-        s: &S,
-        current: NodeId,
-        key: NodeId,
-        greedy_mode: &mut bool,
-        avoid_crashed: bool,
-    ) -> Hop {
+    fn hop_decision(&self, s: &S, key: NodeId, greedy_mode: &mut bool, avoid_crashed: bool) -> Hop {
+        let (current, here) = (s.slot(), s.id());
         // `avoid` is false on every path until a crash is injected, so
         // the liveness filters below fold to no-ops in steady state.
         let avoid = avoid_crashed && !self.crashed.is_empty();
-        let live = |n: &NodeId| !(avoid && self.is_crashed(*n));
-        if current == key {
+        let live = |n: &Slot| !(avoid && self.is_crashed(self.id_of(*n)));
+        if here == key {
             return Hop::Arrived;
         }
         // Pastry's delivery rule: when the key falls inside the
@@ -624,25 +727,26 @@ impl<S: RoutingState> Overlay<S> {
         if avoid {
             if s.leaf_covers(key) {
                 let leaf = std::iter::once(current).chain(s.leaf_iter().filter(live));
-                let best = key.nearest(leaf).expect("current is a candidate");
+                let best = nearest(key, &self.ids, leaf).expect("current is a candidate");
                 return if best == current { Hop::Arrived } else { Hop::Deliver(best) };
             }
-        } else if let Some(closest) = s.leaf_route(key) {
+        } else if let Some(closest) = s.leaf_route(key, &self.ids) {
             return if closest == current { Hop::Arrived } else { Hop::Deliver(closest) };
         }
         if !*greedy_mode {
-            let row = current.shared_prefix_digits(key, self.cfg.b);
+            let row = here.shared_prefix_digits(key, self.cfg.b);
             let col = key.digit(row, self.cfg.b) as usize;
             if let Some(n) = s.table_entry(row, col).filter(live) {
                 return Hop::Forward(n);
             }
             // Pastry's rare case: the nearest known node strictly closer
             // to the key that shares at least as long a prefix.
-            let my_d = current.distance(key);
-            let rare = s.known_iter().filter(live).filter(|n| {
-                n.distance(key) < my_d && n.shared_prefix_digits(key, self.cfg.b) >= row
+            let my_d = here.distance(key);
+            let rare = s.known_iter().filter(live).filter(|&n| {
+                let id = self.id_of(n);
+                id.distance(key) < my_d && id.shared_prefix_digits(key, self.cfg.b) >= row
             });
-            if let Some(n) = key.nearest(rare) {
+            if let Some(n) = nearest(key, &self.ids, rare) {
                 return Hop::Forward(n);
             }
             *greedy_mode = true;
@@ -651,7 +755,8 @@ impl<S: RoutingState> Overlay<S> {
         // rule, so a node exactly as close with a smaller id wins the
         // tie. When no known node is nearer than this one, with
         // consistent leaf sets this node is the owner.
-        match key.nearest(std::iter::once(current).chain(s.known_iter().filter(live))) {
+        let known = std::iter::once(current).chain(s.known_iter().filter(live));
+        match nearest(key, &self.ids, known) {
             Some(n) if n != current => Hop::Forward(n),
             _ => Hop::Arrived,
         }
@@ -675,10 +780,7 @@ impl<S: RoutingState> Overlay<S> {
         key: NodeId,
         mut lose: impl FnMut() -> bool,
     ) -> Option<ChurnRoute> {
-        if !self.contains(from) {
-            return None;
-        }
-        let mut current = from;
+        let mut current = self.slot_of(from)?;
         let mut hops = 0usize;
         let mut timeouts = 0usize;
         let mut detected = Vec::new();
@@ -695,18 +797,20 @@ impl<S: RoutingState> Overlay<S> {
                  overlay state is inconsistent"
             );
             fuel -= 1;
-            let state = &self.nodes[&current.0];
-            match self.hop_decision(state, current, key, &mut greedy_mode, false) {
+            let state = &self.slab[current as usize];
+            match self.hop_decision(state, key, &mut greedy_mode, false) {
                 Hop::Arrived => {
-                    return Some(ChurnRoute { destination: current, hops, timeouts, detected });
+                    let destination = self.id_of(current);
+                    return Some(ChurnRoute { destination, hops, timeouts, detected });
                 }
-                Hop::Deliver(n) | Hop::Forward(n) if self.is_crashed(n) => {
+                Hop::Deliver(n) | Hop::Forward(n) if self.is_crashed(self.id_of(n)) => {
                     // The message to `n` times out; `current` detects the
                     // crash and the repair protocol runs. Re-decide from
                     // scratch: the repaired state may now deliver.
+                    let dead = self.id_of(n);
                     timeouts += 1;
-                    detected.push(n);
-                    self.reclaim(n);
+                    detected.push(dead);
+                    self.reclaim(dead, n);
                     greedy_mode = false;
                 }
                 Hop::Deliver(n) => {
@@ -717,7 +821,8 @@ impl<S: RoutingState> Overlay<S> {
                         hops += 1;
                         continue;
                     }
-                    return Some(ChurnRoute { destination: n, hops: hops + 1, timeouts, detected });
+                    let destination = self.id_of(n);
+                    return Some(ChurnRoute { destination, hops: hops + 1, timeouts, detected });
                 }
                 Hop::Forward(n) => {
                     if lose() {
@@ -747,36 +852,38 @@ impl<S: RoutingState> Overlay<S> {
             }
         };
         let half = self.cfg.leaf_set_size / 2;
+        let resolve = |v: &mut dyn Iterator<Item = Slot>| -> Vec<NodeId> {
+            v.map(|n| self.id_of(n)).collect()
+        };
         for ids in &islands {
             let n = ids.len();
             if n == 0 {
                 continue;
             }
             for (i, &id) in ids.iter().enumerate() {
-                let s = &self.nodes[&id];
+                let s = &self.slab[self.live[&id] as usize];
                 // Expected ring neighbors from ground truth.
                 let expect_cw: Vec<NodeId> =
                     (1..=half.min(n - 1)).map(|k| NodeId(ids[(i + k) % n])).collect();
                 let expect_ccw: Vec<NodeId> =
                     (1..=half.min(n - 1)).map(|k| NodeId(ids[(i + n - k) % n])).collect();
-                if s.leaf_cw() != expect_cw.as_slice() {
+                let cw = resolve(&mut s.leaf_cw().iter().copied());
+                if cw != expect_cw {
                     problems.push(format!(
-                        "node {id:032x}: cw leaf set {:?} != expected {:?}",
-                        s.leaf_cw(),
-                        expect_cw
+                        "node {id:032x}: cw leaf set {cw:?} != expected {expect_cw:?}"
                     ));
                 }
-                if !s.leaf_ccw().eq(expect_ccw.iter().copied()) {
+                let ccw = resolve(&mut s.leaf_ccw());
+                if ccw != expect_ccw {
                     problems.push(format!(
-                        "node {id:032x}: ccw leaf set {:?} != expected {:?}",
-                        s.leaf_ccw().collect::<Vec<_>>(),
-                        expect_ccw
+                        "node {id:032x}: ccw leaf set {ccw:?} != expected {expect_ccw:?}"
                     ));
                 }
                 // Routing-table entries must be live, on this side of any
-                // cut, and in the right slot.
+                // cut, and in the right cell.
                 for row in 0..self.cfg.digits() {
-                    for (col, peer) in s.table_row(row) {
+                    for (col, entry) in s.table_row(row) {
+                        let peer = self.id_of(entry);
                         if !self.contains(peer) {
                             problems.push(format!(
                                 "node {id:032x}: table[{row}][{col}] references dead {peer}"
@@ -785,7 +892,7 @@ impl<S: RoutingState> Overlay<S> {
                             problems.push(format!(
                                 "node {id:032x}: table[{row}][{col}] crosses the cut to {peer}"
                             ));
-                        } else if s.slot_for(peer) != Some((row, col)) {
+                        } else if s.cell_for(peer) != Some((row, col)) {
                             problems.push(format!(
                                 "node {id:032x}: table[{row}][{col}] holds misplaced {peer}"
                             ));
@@ -1092,8 +1199,7 @@ mod tests {
         // seed the newcomer's state with dead references.
         let newcomer = NodeId(0x1234_5678_9ABC_DEF0);
         o.join(newcomer);
-        let s = o.state(newcomer).unwrap();
-        for n in s.known_nodes() {
+        for n in o.known_nodes(newcomer) {
             assert!(!o.is_crashed(n), "newcomer learned crashed node {n}");
         }
     }
@@ -1173,6 +1279,49 @@ mod tests {
         assert_eq!(per_node.iter().sum::<usize>(), 82, "later joiners fill row 0");
     }
 
+    /// Every slot some live node's leaf set or routing table names.
+    fn named_slots(o: &Overlay) -> BTreeSet<Slot> {
+        o.node_ids().flat_map(|n| o.state(n).expect("live node").known_iter()).collect()
+    }
+
+    #[test]
+    fn reclaimed_slots_are_reused_only_once_nothing_names_them() {
+        let mut o = build(64, 71);
+        let all: Vec<NodeId> = o.node_ids().collect();
+        let (victim, departed) = (all[10], all[40]);
+        let corpse = o.slot_of(victim).expect("live node");
+        o.crash(victim).unwrap();
+        assert!(named_slots(&o).contains(&corpse), "the crash leaves stale references");
+        // While any state names the corpse's slot, joins take new slots.
+        let newcomer = NodeId(0x0F0F_0F0F);
+        o.join(newcomer);
+        assert_eq!(o.slot_of(newcomer), Some(64), "a fresh slot, not the corpse's");
+        assert_eq!(o.id_of(corpse), victim, "the stale references still resolve to the corpse");
+        // Detection purges every reference; only then is the slot free.
+        let r = o.route_detecting(all[0], victim, || false).unwrap();
+        assert_eq!(r.detected, vec![victim]);
+        assert!(!named_slots(&o).contains(&corpse));
+        assert_eq!(o.free, vec![corpse]);
+        // An announced departure frees its slot once purged too, and
+        // joins reuse the most recently freed slot first.
+        let gone = o.slot_of(departed).expect("live node");
+        o.fail(departed).unwrap();
+        assert!(!named_slots(&o).contains(&gone));
+        let (first, second) = (NodeId(0xA1), NodeId(0xA2));
+        o.join(first);
+        o.join(second);
+        assert_eq!((o.slot_of(first), o.slot_of(second)), (Some(gone), Some(corpse)));
+        assert_eq!(o.slab.len(), 65, "no slot was added for the two joins");
+        assert!(o.check_invariants().is_empty());
+        // A rejoin of a crashed id reclaims the corpse first, so the
+        // machine comes back in its own, now unnamed, slot.
+        let again = o.slot_of(all[20]).expect("live node");
+        o.crash(all[20]).unwrap();
+        o.join(all[20]);
+        assert_eq!(o.slot_of(all[20]), Some(again));
+        assert!(o.check_invariants().is_empty());
+    }
+
     #[test]
     fn route_from_unknown_node_is_none() {
         let o = build(4, 12);
@@ -1237,7 +1386,7 @@ mod tests {
         let newcomer = NodeId(0x0123_4567_89AB_CDEF);
         o.join(newcomer);
         assert!(o.in_island_a(newcomer));
-        for known in o.state(newcomer).unwrap().known_nodes() {
+        for known in o.known_nodes(newcomer) {
             assert!(o.in_island_a(known), "newcomer learned B-side node {known}");
         }
         // An announced failure repairs within its island only.
@@ -1348,7 +1497,7 @@ mod tests {
             // The allocation-free walk the join and the routes use sees
             // what the deduplicated list sees, in the same order.
             for s in o.node_ids().map(|id| o.state(id).expect("live node")) {
-                let mut firsts: Vec<NodeId> = Vec::new();
+                let mut firsts: Vec<Slot> = Vec::new();
                 for n in s.known_iter() {
                     if !firsts.contains(&n) {
                         firsts.push(n);

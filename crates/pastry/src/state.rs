@@ -46,89 +46,106 @@ impl PastryConfig {
     }
 }
 
+/// A node's index in its overlay's slab of node states, and the way one
+/// node's routing state names another. A Pastry routing-table entry is
+/// only a reference to a peer, so 4 bytes do where the peer's 128-bit id
+/// took 16; whoever holds the states resolves a slot to its id through
+/// the overlay's `ids` column, passed to the methods that need it.
+pub type Slot = u32;
+
+/// The candidate whose id is nearest `key`, by [`NodeId::nearest`]'s
+/// rule (ties to the smaller id; a repeated candidate is one node).
+#[inline]
+pub(crate) fn nearest(
+    key: NodeId,
+    ids: &[NodeId],
+    candidates: impl IntoIterator<Item = Slot>,
+) -> Option<Slot> {
+    candidates.into_iter().min_by_key(|&n| {
+        let id = ids[n as usize];
+        (id.distance(key), id.0)
+    })
+}
+
 /// What [`Overlay`](crate::Overlay) reads and writes of one node's
 /// routing state. [`NodeState`] is the implementation every overlay
 /// runs; the trait is the seam that lets the crate's lockstep test run
 /// the same overlay over the previous layout and compare the two.
+///
+/// Peers are [`Slot`]s. A method that orders or places peers by id takes
+/// `ids`, the overlay's slot → id column, in which `ids[slot()]` is
+/// [`id`](Self::id).
 pub trait RoutingState: Clone + fmt::Debug {
-    /// Fresh state for node `id`.
-    fn new(id: NodeId, cfg: PastryConfig) -> Self;
+    /// Fresh state for node `id`, which sits at slot `me`.
+    fn new(id: NodeId, me: Slot, cfg: PastryConfig) -> Self;
     /// This node's id.
     fn id(&self) -> NodeId;
-    /// The routing-table slot a peer belongs in; `None` for self.
-    fn slot_for(&self, peer: NodeId) -> Option<(usize, usize)>;
-    /// Records `peer` in its table slot if that slot is empty.
-    fn consider_for_table(&mut self, peer: NodeId) -> bool;
+    /// This node's slot.
+    fn slot(&self) -> Slot;
+    /// The routing-table cell `(row, col)` a peer with id `peer` belongs
+    /// in; `None` for self.
+    fn cell_for(&self, peer: NodeId) -> Option<(usize, usize)>;
+    /// Records `peer` in its table cell if that cell is empty.
+    fn consider_for_table(&mut self, peer: Slot, ids: &[NodeId]) -> bool;
     /// Considers `peer` for both leaf-set sides.
-    fn consider_for_leaf(&mut self, peer: NodeId) -> bool;
+    fn consider_for_leaf(&mut self, peer: Slot, ids: &[NodeId]) -> bool;
     /// Forgets a failed peer (leaf set and table).
-    fn purge(&mut self, dead: NodeId) -> bool;
+    fn purge(&mut self, dead: Slot, ids: &[NodeId]) -> bool;
     /// Forgets every peer matching `pred` (leaf set and table).
-    fn purge_where(&mut self, pred: impl FnMut(NodeId) -> bool) -> bool;
+    fn purge_where(&mut self, ids: &[NodeId], pred: impl FnMut(Slot) -> bool) -> bool;
     /// Clockwise leaf side, nearest first.
-    fn leaf_cw(&self) -> &[NodeId];
+    fn leaf_cw(&self) -> &[Slot];
     /// Counter-clockwise leaf side, nearest first.
-    fn leaf_ccw(&self) -> impl Iterator<Item = NodeId> + '_;
+    fn leaf_ccw(&self) -> impl Iterator<Item = Slot> + '_;
     /// Distinct leaf members: clockwise side, then the rest of the
     /// counter-clockwise side.
-    fn leaf_iter(&self) -> impl Iterator<Item = NodeId> + '_;
+    fn leaf_iter(&self) -> impl Iterator<Item = Slot> + '_;
     /// [`leaf_iter`](Self::leaf_iter), collected.
-    fn leaf_members(&self) -> Vec<NodeId>;
+    fn leaf_members(&self) -> Vec<Slot> {
+        self.leaf_iter().collect()
+    }
     /// True if the leaf set's arc covers `key`.
     fn leaf_covers(&self, key: NodeId) -> bool;
     /// The closest leaf member (or self) when the leaf set covers `key`.
-    fn leaf_route(&self, key: NodeId) -> Option<NodeId>;
+    fn leaf_route(&self, key: NodeId, ids: &[NodeId]) -> Option<Slot>;
     /// Routing-table entry at (`row`, `col`).
-    fn table_entry(&self, row: usize, col: usize) -> Option<NodeId>;
-    /// Row `row`'s populated slots as `(col, peer)`, in column order.
-    fn table_row(&self, row: usize) -> impl Iterator<Item = (usize, NodeId)> + '_;
+    fn table_entry(&self, row: usize, col: usize) -> Option<Slot>;
+    /// Row `row`'s populated cells as `(col, peer)`, in column order.
+    fn table_row(&self, row: usize) -> impl Iterator<Item = (usize, Slot)> + '_;
     /// Every known peer, leaf sides first, then the table row-major; may
     /// repeat a peer.
-    fn known_iter(&self) -> impl Iterator<Item = NodeId> + '_;
+    fn known_iter(&self) -> impl Iterator<Item = Slot> + '_;
     /// [`known_iter`](Self::known_iter)'s first occurrences.
-    fn known_nodes(&self) -> Vec<NodeId>;
+    fn known_nodes(&self) -> Vec<Slot> {
+        let mut v: Vec<Slot> = Vec::new();
+        for n in self.known_iter() {
+            if !v.contains(&n) {
+                v.push(n);
+            }
+        }
+        v
+    }
+    /// Bytes this state holds on the heap, counted from capacities.
+    fn heap_bytes(&self) -> usize;
 }
 
 /// Routing state of a single Pastry node.
 ///
-/// Everything the node knows sits in one exact-size block, `known`, and
-/// the routing table's shape in a bitmap, `slots`. At 1,000 nodes
-/// (b = 4, l = 16) a node holds 16 leaf members and about 32 table
-/// entries: 48 ids, 768 B, plus an 8–16 B bitmap and this 96 B struct,
-/// which sits inline in the overlay's id map. With the map's and the
-/// allocator's overhead that is 1.37 KB per node (the RSS grown by
-/// building a 1,000-node overlay, divided by 1,000). The previous layout
-/// cost 3.77 KB on the same probe: a 176 B struct, one 16-slot vector
-/// of 32 B `Option<NodeId>` per populated row (about 1.6 KB), a sorted
-/// copy of the leaf set with each member's position (32 B per entry, its
-/// capacity doubled to 32 entries: 1 KB) and two leaf vectors.
+/// A node names its peers by [`Slot`], and everything it knows sits in
+/// two exact-size blocks: `leaves` and `table`, the routing table's shape
+/// bitmap followed by its entries. At 1,000 nodes (b = 4, l = 16) a node
+/// holds 16 leaf members and about 32 table entries: 64 B of leaves and
+/// about 136 B of table, plus this 96 B struct in the overlay's slab —
+/// about 0.4 KB per node with the overlay's id column and id → slot map
+/// ([`Overlay::heap_bytes`](crate::Overlay::heap_bytes), pinned by a
+/// test). The previous layout, one block of 16-byte peer ids per state
+/// and the states in an id-keyed map, counted 1,028 B per node; the one
+/// before it,
+/// with a dense `Option<NodeId>` row per populated table row and a sorted
+/// copy of the leaf set, cost 3.77 KB of RSS per node.
 #[derive(Clone, Debug)]
 pub struct NodeState {
     id: NodeId,
-    /// `[clockwise side | counter-clockwise side | table entries]`, a
-    /// boxed slice, so there is never spare capacity. The clockwise side
-    /// runs nearest first and the counter-clockwise side farthest first,
-    /// so whenever the sides do not overlap (more than `l` nodes) the
-    /// leaf region ascends in clockwise position from `id`: it is the
-    /// ring arc around the node, which delivery binary-searches in place.
-    /// The table entries follow in row-major slot order, so
-    /// [`known_iter`](Self::known_iter) walks three contiguous runs.
-    known: Box<[NodeId]>,
-    /// One bit per routing-table slot, bit `row · 2^b + col`, packed in
-    /// words; words past the last occupied slot are not stored. Slot `p`'s
-    /// entry is `known[leaves + rank(p)]`, where `rank` counts the set
-    /// bits below `p`. Only about `log_2^b N` of the `digits()` rows ever
-    /// hold an entry, so this is one or two words where a dense table of
-    /// `Option<NodeId>` would be 16 KB.
-    slots: Box<[u64]>,
-    /// Length of the clockwise side.
-    cw: u32,
-    /// Length of the counter-clockwise side.
-    ccw: u32,
-    /// `l/2`, the most either side holds.
-    half: u32,
-    /// Digit width in bits.
-    b: u8,
     /// [`leaf_covers`](Self::leaf_covers) operands, derived from the two
     /// far ends of the leaf set by `refresh_cover`: `key` is covered iff
     /// `(key − id) + cover_add ≤ cover_rhs` in wrapping arithmetic, and
@@ -136,24 +153,53 @@ pub struct NodeState {
     /// this first; kept here, a hop that forwards reads no leaf member.
     cover_add: u128,
     cover_rhs: u128,
+    /// `[clockwise side | counter-clockwise side]`, a boxed slice, so
+    /// there is never spare capacity. The clockwise side runs nearest
+    /// first and the counter-clockwise side farthest first, so whenever
+    /// the sides do not overlap (more than `l` nodes) the block ascends
+    /// in clockwise position from `id`: it is the ring arc around the
+    /// node, which delivery binary-searches in place.
+    leaves: Box<[Slot]>,
+    /// `[bitmap | entries]`. The first `words` words hold one bit per
+    /// routing-table cell, bit `row · 2^b + col`; words past the last
+    /// occupied cell are not stored. Cell `p`'s entry is
+    /// `entries[rank(p)]`, where `rank` counts the set bits below `p`, so
+    /// the entries run in row-major cell order. Only about `log_2^b N` of
+    /// the `digits()` rows ever hold an entry, so the bitmap is two to
+    /// four words where a dense table of `Option<Slot>` would be 4 KB.
+    table: Box<[u32]>,
+    /// This node's slot.
+    me: Slot,
+    /// Length of the clockwise side.
+    cw: u16,
+    /// Length of the counter-clockwise side.
+    ccw: u16,
+    /// `l/2`, the most either side holds.
+    half: u16,
+    /// Bitmap words at the front of `table`.
+    words: u8,
+    /// Digit width in bits.
+    b: u8,
 }
 
 impl NodeState {
-    /// Fresh state for node `id`.
+    /// Fresh state for node `id` at slot `me`.
     ///
     /// # Panics
-    /// Panics if `b` does not fit in a `u8` or `l/2` in a `u32`.
-    pub fn new(id: NodeId, cfg: PastryConfig) -> Self {
+    /// Panics if `b` does not fit in a `u8` or `l/2` in a `u16`.
+    pub fn new(id: NodeId, me: Slot, cfg: PastryConfig) -> Self {
         NodeState {
             id,
-            known: Box::default(),
-            slots: Box::default(),
-            cw: 0,
-            ccw: 0,
-            half: u32::try_from(cfg.leaf_set_size / 2).expect("l/2 fits in a u32"),
-            b: u8::try_from(cfg.b).expect("b fits in a u8"),
             cover_add: 0,
             cover_rhs: u128::MAX,
+            leaves: Box::default(),
+            table: Box::default(),
+            me,
+            cw: 0,
+            ccw: 0,
+            half: u16::try_from(cfg.leaf_set_size / 2).expect("l/2 fits in a u16"),
+            words: 0,
+            b: u8::try_from(cfg.b).expect("b fits in a u8"),
         }
     }
 
@@ -162,69 +208,73 @@ impl NodeState {
         self.id
     }
 
+    /// This node's slot.
+    pub fn slot(&self) -> Slot {
+        self.me
+    }
+
     /// The configuration.
     pub fn config(&self) -> PastryConfig {
-        PastryConfig { b: u32::from(self.b), leaf_set_size: 2 * self.half as usize }
+        PastryConfig { b: u32::from(self.b), leaf_set_size: 2 * usize::from(self.half) }
     }
 
     /// Number of leaf-set entries, both sides counted.
     fn leaves(&self) -> usize {
-        (self.cw + self.ccw) as usize
+        usize::from(self.cw + self.ccw)
+    }
+
+    /// The occupancy bitmap.
+    fn bitmap(&self) -> &[u32] {
+        &self.table[..usize::from(self.words)]
     }
 
     /// The routing-table entries, row-major.
-    fn table(&self) -> &[NodeId] {
-        &self.known[self.leaves()..]
+    fn entries(&self) -> &[Slot] {
+        &self.table[usize::from(self.words)..]
     }
 
-    /// Bitmap position of slot (`row`, `col`).
-    fn slot_bit(&self, row: usize, col: usize) -> usize {
+    /// Bitmap position of cell (`row`, `col`).
+    fn cell_bit(&self, row: usize, col: usize) -> usize {
         row << self.b | col
     }
 
-    /// True if slot bit `p` is occupied.
+    /// True if cell bit `p` is occupied.
     fn occupied(&self, p: usize) -> bool {
-        self.slots.get(p / 64).is_some_and(|w| w >> (p % 64) & 1 == 1)
+        self.bitmap().get(p / 32).is_some_and(|w| w >> (p % 32) & 1 == 1)
     }
 
-    /// Occupied slots below bit `p`: the table index slot `p`'s entry has
+    /// Occupied cells below bit `p`: the entry index cell `p`'s entry has
     /// or would take.
     fn rank(&self, p: usize) -> usize {
-        let (w, bit) = (p / 64, p % 64);
-        let whole = self.slots.iter().take(w).map(|x| x.count_ones()).sum::<u32>();
-        let part = self.slots.get(w).map_or(0, |x| (x & ((1u64 << bit) - 1)).count_ones());
+        let (words, w, bit) = (self.bitmap(), p / 32, p % 32);
+        let whole = words.iter().take(w).map(|x| x.count_ones()).sum::<u32>();
+        let part = words.get(w).map_or(0, |x| (x & ((1u32 << bit) - 1)).count_ones());
         (whole + part) as usize
-    }
-
-    /// Drops trailing all-empty bitmap words.
-    fn trim_slots(&mut self) {
-        let keep = self.slots.iter().rposition(|&w| w != 0).map_or(0, |i| i + 1);
-        if keep < self.slots.len() {
-            self.slots = self.slots[..keep].into();
-        }
     }
 
     /// Routing-table entry at (`row`, `col`).
     #[inline]
-    pub fn table_entry(&self, row: usize, col: usize) -> Option<NodeId> {
+    pub fn table_entry(&self, row: usize, col: usize) -> Option<Slot> {
         if col >> self.b != 0 {
             return None;
         }
-        let p = self.slot_bit(row, col);
-        let word = *self.slots.get(p / 64)?;
-        let bit = 1u64 << (p % 64);
+        let p = self.cell_bit(row, col);
+        let words = self.bitmap();
+        let word = *words.get(p / 32)?;
+        let bit = 1u32 << (p % 32);
         if word & bit == 0 {
             return None;
         }
         // `rank(p)`, with the word already in hand.
-        let below = self.slots[..p / 64].iter().map(|w| w.count_ones()).sum::<u32>()
+        let below = words[..p / 32].iter().map(|w| w.count_ones()).sum::<u32>()
             + (word & (bit - 1)).count_ones();
-        Some(self.table()[below as usize])
+        Some(self.entries()[below as usize])
     }
 
-    /// The routing-table slot a peer belongs in: row = shared prefix
-    /// digits, col = the peer's first differing digit. `None` for self.
-    pub fn slot_for(&self, peer: NodeId) -> Option<(usize, usize)> {
+    /// The routing-table cell a peer with id `peer` belongs in: row =
+    /// shared prefix digits, col = the peer's first differing digit.
+    /// `None` for self.
+    pub fn cell_for(&self, peer: NodeId) -> Option<(usize, usize)> {
         if peer == self.id {
             return None;
         }
@@ -234,111 +284,120 @@ impl NodeState {
         Some((row, col))
     }
 
-    /// Records `peer` in the routing table if its slot is empty.
-    /// Returns true if the table changed.
-    pub fn consider_for_table(&mut self, peer: NodeId) -> bool {
-        let Some((row, col)) = self.slot_for(peer) else {
+    /// Records `peer` in the routing table if its cell is empty. Returns
+    /// true if the table changed.
+    pub fn consider_for_table(&mut self, peer: Slot, ids: &[NodeId]) -> bool {
+        let Some((row, col)) = self.cell_for(ids[peer as usize]) else {
             return false;
         };
-        let p = self.slot_bit(row, col);
+        let p = self.cell_bit(row, col);
         if self.occupied(p) {
             return false;
         }
-        let at = self.leaves() + self.rank(p);
-        if self.slots.len() <= p / 64 {
-            let mut words = std::mem::take(&mut self.slots).into_vec();
-            words.resize(p / 64 + 1, 0);
-            self.slots = words.into_boxed_slice();
-        }
-        self.slots[p / 64] |= 1 << (p % 64);
-        let mut known = std::mem::take(&mut self.known).into_vec();
-        known.reserve_exact(1);
-        known.insert(at, peer);
-        self.known = known.into_boxed_slice();
+        let at = self.rank(p);
+        let words = usize::from(self.words);
+        let grow = (p / 32 + 1).saturating_sub(words);
+        let mut table = std::mem::take(&mut self.table).into_vec();
+        table.reserve_exact(grow + 1);
+        table.splice(words..words, std::iter::repeat_n(0, grow));
+        self.words = u8::try_from(words + grow).expect("at most 128 bitmap words");
+        table[p / 32] |= 1 << (p % 32);
+        table.insert(usize::from(self.words) + at, peer);
+        self.table = table.into_boxed_slice();
         true
     }
 
     /// Removes `peer` from the routing table (it can only sit in its own
-    /// slot); returns true if it was there.
-    pub fn remove_from_table(&mut self, peer: NodeId) -> bool {
-        let Some((row, col)) = self.slot_for(peer) else {
+    /// cell); returns true if it was there.
+    pub fn remove_from_table(&mut self, peer: Slot, ids: &[NodeId]) -> bool {
+        let Some((row, col)) = self.cell_for(ids[peer as usize]) else {
             return false;
         };
         if self.table_entry(row, col) != Some(peer) {
             return false;
         }
-        let p = self.slot_bit(row, col);
-        let at = self.leaves() + self.rank(p);
-        self.slots[p / 64] &= !(1 << (p % 64));
-        self.trim_slots();
-        let mut known = std::mem::take(&mut self.known).into_vec();
-        known.remove(at);
-        self.known = known.into_boxed_slice();
+        let p = self.cell_bit(row, col);
+        let words = usize::from(self.words);
+        let at = words + self.rank(p);
+        let mut table = std::mem::take(&mut self.table).into_vec();
+        table[p / 32] &= !(1 << (p % 32));
+        table.remove(at);
+        self.table = self.trimmed(table);
         true
+    }
+
+    /// `table` with the bitmap's trailing all-empty words dropped.
+    fn trimmed(&mut self, mut table: Vec<u32>) -> Box<[u32]> {
+        let words = usize::from(self.words);
+        let keep = table[..words].iter().rposition(|&w| w != 0).map_or(0, |i| i + 1);
+        table.drain(keep..words);
+        self.words = keep as u8;
+        table.into_boxed_slice()
     }
 
     /// Considers `peer` for the leaf set, keeping each side at `l/2`
     /// nearest-first. Returns true if the leaf set changed.
-    pub fn consider_for_leaf(&mut self, peer: NodeId) -> bool {
-        if peer == self.id {
+    pub fn consider_for_leaf(&mut self, peer: Slot, ids: &[NodeId]) -> bool {
+        if peer == self.me {
             return false;
         }
         // Leaf sets take the l/2 successors and the l/2 predecessors, so
         // a peer is a candidate for both sides, each judged by its own
         // walking direction; on a ring of at most l nodes the same peer
         // sits on both.
-        let (me, half) = (self.id, self.half as usize);
-        let d = me.clockwise_distance(peer);
+        let (me, half) = (self.id, usize::from(self.half));
+        let pos = |n: &Slot| me.clockwise_distance(ids[*n as usize]);
+        let d = pos(&peer);
         // Nearer members on each side: where the peer would go, counted
         // from the near end.
         let cw_at = (!self.leaf_cw().contains(&peer))
-            .then(|| self.leaf_cw().partition_point(|&n| me.clockwise_distance(n) < d))
+            .then(|| self.leaf_cw().partition_point(|n| pos(n) < d))
             .filter(|&at| at < half);
-        let ccw_far = self.ccw_side().partition_point(|&n| me.clockwise_distance(n) < d);
+        let ccw_far = self.ccw_side().partition_point(|n| pos(n) < d);
         let ccw_at = (!self.ccw_side().contains(&peer))
-            .then(|| self.ccw as usize - ccw_far)
+            .then(|| usize::from(self.ccw) - ccw_far)
             .filter(|&at| at < half);
         if cw_at.is_none() && ccw_at.is_none() {
             return false;
         }
         let grows = [(cw_at, self.cw), (ccw_at, self.ccw)]
             .into_iter()
-            .filter(|&(at, len)| at.is_some() && (len as usize) < half)
+            .filter(|&(at, len)| at.is_some() && usize::from(len) < half)
             .count();
-        let mut known = std::mem::take(&mut self.known).into_vec();
-        known.reserve_exact(grows);
+        let mut leaves = std::mem::take(&mut self.leaves).into_vec();
+        leaves.reserve_exact(grows);
         // The counter-clockwise side first: it sits above the clockwise
         // one, so changing it leaves the clockwise indices valid. Stored
         // farthest first, it drops its farthest member from the front.
         if ccw_at.is_some() {
-            let mut at = self.cw as usize + ccw_far;
-            if self.ccw as usize == half {
-                known.remove(self.cw as usize);
+            let mut at = usize::from(self.cw) + ccw_far;
+            if usize::from(self.ccw) == half {
+                leaves.remove(usize::from(self.cw));
                 at -= 1;
             } else {
                 self.ccw += 1;
             }
-            known.insert(at, peer);
+            leaves.insert(at, peer);
         }
         if let Some(at) = cw_at {
-            if self.cw as usize == half {
-                known.remove(half - 1);
+            if usize::from(self.cw) == half {
+                leaves.remove(half - 1);
             } else {
                 self.cw += 1;
             }
-            known.insert(at, peer);
+            leaves.insert(at, peer);
         }
-        self.known = known.into_boxed_slice();
-        self.refresh_cover();
+        self.leaves = leaves.into_boxed_slice();
+        self.refresh_cover(ids);
         true
     }
 
     /// Forgets a failed peer entirely (leaf set and routing table) — the
     /// per-node half of failure repair. Returns true if any state changed,
     /// which is what decides whether this node would gossip the repair.
-    pub fn purge(&mut self, dead: NodeId) -> bool {
-        let in_leaf = self.remove_from_leaf(dead);
-        let in_table = self.remove_from_table(dead);
+    pub fn purge(&mut self, dead: Slot, ids: &[NodeId]) -> bool {
+        let in_leaf = self.remove_from_leaf(dead, ids);
+        let in_table = self.remove_from_table(dead, ids);
         in_leaf || in_table
     }
 
@@ -348,112 +407,110 @@ impl NodeState {
     /// sweep, exactly as if it had timed out on each of them. Returns
     /// true if any state changed. `pred` sees the clockwise side, the
     /// counter-clockwise side, then the table row-major.
-    pub fn purge_where(&mut self, mut pred: impl FnMut(NodeId) -> bool) -> bool {
-        let leaves = self.leaves();
+    pub fn purge_where(&mut self, ids: &[NodeId], mut pred: impl FnMut(Slot) -> bool) -> bool {
         // `pred` sees the counter-clockwise side nearest first, so that
         // side is walked from its far end of storage backwards.
-        let kept_cw: Vec<NodeId> = self.leaf_cw().iter().copied().filter(|&n| !pred(n)).collect();
-        let mut kept_ccw: Vec<NodeId> = self.leaf_ccw().filter(|&n| !pred(n)).collect();
+        let kept_cw: Vec<Slot> = self.leaf_cw().iter().copied().filter(|&n| !pred(n)).collect();
+        let mut kept_ccw: Vec<Slot> = self.leaf_ccw().filter(|&n| !pred(n)).collect();
         kept_ccw.reverse();
-        let mut kept = Vec::with_capacity(self.known.len());
-        kept.extend_from_slice(&kept_cw);
-        kept.extend_from_slice(&kept_ccw);
-        // Table entries pair with the set bits in ascending order.
-        let mut entries = self.known[leaves..].iter();
-        for word in self.slots.iter_mut() {
-            let mut bits = *word;
+        let mut table = self.bitmap().to_vec();
+        let (words, entries) = (table.len(), self.entries());
+        // Entries pair with the set bits in ascending order.
+        let mut walk = entries.iter();
+        for w in 0..words {
+            let mut bits = table[w];
             while bits != 0 {
                 let bit = bits & bits.wrapping_neg();
                 bits ^= bit;
-                let &n = entries.next().expect("one entry per occupied slot");
+                let &n = walk.next().expect("one entry per occupied cell");
                 if pred(n) {
-                    *word ^= bit;
+                    table[w] ^= bit;
                 } else {
-                    kept.push(n);
+                    table.push(n);
                 }
             }
         }
-        if kept.len() == self.known.len() {
-            return false;
+        let table_changed = table.len() - words != entries.len();
+        let leaf_changed = kept_cw.len() + kept_ccw.len() != self.leaves();
+        if leaf_changed {
+            self.cw = kept_cw.len() as u16;
+            self.ccw = kept_ccw.len() as u16;
+            let mut leaves = kept_cw;
+            leaves.extend_from_slice(&kept_ccw);
+            self.leaves = leaves.into_boxed_slice();
+            self.refresh_cover(ids);
         }
-        self.cw = kept_cw.len() as u32;
-        self.ccw = kept_ccw.len() as u32;
-        self.known = kept.into_boxed_slice();
-        self.refresh_cover();
-        self.trim_slots();
-        true
+        if table_changed {
+            self.table = self.trimmed(table);
+        }
+        leaf_changed || table_changed
     }
 
     /// Removes `peer` from the leaf set; returns true if present.
-    pub fn remove_from_leaf(&mut self, peer: NodeId) -> bool {
+    pub fn remove_from_leaf(&mut self, peer: Slot, ids: &[NodeId]) -> bool {
         let cw_at = self.leaf_cw().iter().position(|&n| n == peer);
         let ccw_at = self.ccw_side().iter().position(|&n| n == peer);
         if cw_at.is_none() && ccw_at.is_none() {
             return false;
         }
-        let mut known = std::mem::take(&mut self.known).into_vec();
+        let mut leaves = std::mem::take(&mut self.leaves).into_vec();
         if let Some(at) = ccw_at {
-            known.remove(self.cw as usize + at);
+            leaves.remove(usize::from(self.cw) + at);
             self.ccw -= 1;
         }
         if let Some(at) = cw_at {
-            known.remove(at);
+            leaves.remove(at);
             self.cw -= 1;
         }
-        self.known = known.into_boxed_slice();
-        self.refresh_cover();
+        self.leaves = leaves.into_boxed_slice();
+        self.refresh_cover(ids);
         true
     }
 
-    /// True if the leaf set (either side) contains `peer`.
-    pub fn leaf_contains(&self, peer: NodeId) -> bool {
-        self.known[..self.leaves()].contains(&peer)
-    }
-
     /// All distinct leaf-set members.
-    pub fn leaf_members(&self) -> Vec<NodeId> {
+    pub fn leaf_members(&self) -> Vec<Slot> {
         self.leaf_iter().collect()
     }
 
     /// All distinct leaf-set members, without allocating: clockwise side
     /// first (nearest first), then counter-clockwise members not already
     /// seen — the same order as [`leaf_members`](Self::leaf_members).
-    pub fn leaf_iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        // Each side holds distinct ids, so deduplication only needs to
+    pub fn leaf_iter(&self) -> impl Iterator<Item = Slot> + '_ {
+        // Each side holds distinct peers, so deduplication only needs to
         // check ccw members against the cw side.
         let cw = self.leaf_cw();
         cw.iter().copied().chain(self.leaf_ccw().filter(|n| !cw.contains(n)))
     }
 
     /// Clockwise side of the leaf set, nearest first.
-    pub fn leaf_cw(&self) -> &[NodeId] {
-        &self.known[..self.cw as usize]
+    pub fn leaf_cw(&self) -> &[Slot] {
+        &self.leaves[..usize::from(self.cw)]
     }
 
     /// Counter-clockwise side of the leaf set, nearest first (it is
     /// stored farthest first, so this walks it backwards).
-    pub fn leaf_ccw(&self) -> impl DoubleEndedIterator<Item = NodeId> + ExactSizeIterator + '_ {
+    pub fn leaf_ccw(&self) -> impl DoubleEndedIterator<Item = Slot> + ExactSizeIterator + '_ {
         self.ccw_side().iter().rev().copied()
     }
 
     /// Counter-clockwise side as stored: farthest first, so ascending in
     /// clockwise position.
-    fn ccw_side(&self) -> &[NodeId] {
-        &self.known[self.cw as usize..self.leaves()]
+    fn ccw_side(&self) -> &[Slot] {
+        &self.leaves[usize::from(self.cw)..]
     }
 
     /// Re-derives `cover_add` and `cover_rhs` after a leaf mutation. With
     /// `from` the farthest counter-clockwise member and `to` the farthest
-    /// clockwise one — neighbours in `known` — they are `from`'s
+    /// clockwise one — neighbours in `leaves` — they are `from`'s
     /// clockwise distance to self and to `to`, so `key` is covered iff
     /// `key.in_arc(from, to)`. A side holding fewer than `l/2` members
     /// (only possible in tiny overlays) covers the whole ring.
-    fn refresh_cover(&mut self) {
+    fn refresh_cover(&mut self, ids: &[NodeId]) {
         (self.cover_add, self.cover_rhs) = if self.cw < self.half || self.ccw < self.half {
             (0, u128::MAX)
         } else {
-            let to = self.known[self.cw as usize - 1];
-            let from = self.known[self.cw as usize];
+            let to = ids[self.leaves[usize::from(self.cw) - 1] as usize];
+            let from = ids[self.leaves[usize::from(self.cw)] as usize];
             (from.clockwise_distance(self.id), from.clockwise_distance(to))
         };
     }
@@ -471,23 +528,23 @@ impl NodeState {
     /// Coverage test and delivery target fused into one probe: returns
     /// the closest leaf member (or self) if the leaf set covers `key`,
     /// `None` otherwise. Equivalent to
-    /// `leaf_covers(key).then(|| closest_in_leaf(key))`, but computes the
-    /// key's clockwise position once for both questions — this is the
-    /// first thing every routing hop asks.
+    /// `leaf_covers(key).then(|| closest_in_leaf(key, ids))`, but
+    /// computes the key's clockwise position once for both questions —
+    /// this is the first thing every routing hop asks.
     #[inline]
-    pub fn leaf_route(&self, key: NodeId) -> Option<NodeId> {
+    pub fn leaf_route(&self, key: NodeId, ids: &[NodeId]) -> Option<Slot> {
         let kp = self.id.clockwise_distance(key);
         if kp.wrapping_add(self.cover_add) > self.cover_rhs {
             return None;
         }
-        Some(self.closest_at(kp, key))
+        Some(self.closest_at(kp, key, ids))
     }
 
     /// The leaf-set member (or self) numerically closest to `key`, by
     /// [`NodeId::nearest`], the rule ownership is decided by. This is the
     /// hottest call in routing: every delivery hop lands here.
-    pub fn closest_in_leaf(&self, key: NodeId) -> NodeId {
-        self.closest_at(self.id.clockwise_distance(key), key)
+    pub fn closest_in_leaf(&self, key: NodeId, ids: &[NodeId]) -> Slot {
+        self.closest_at(self.id.clockwise_distance(key), key, ids)
     }
 
     /// [`closest_in_leaf`](Self::closest_in_leaf) with the key's
@@ -501,117 +558,118 @@ impl NodeState {
     /// its neighbours of `kp`; when the sides do not overlap the whole
     /// leaf region is sorted and one search does.
     #[inline]
-    fn closest_at(&self, kp: u128, key: NodeId) -> NodeId {
+    fn closest_at(&self, kp: u128, key: NodeId, ids: &[NodeId]) -> Slot {
         let me = self.id;
-        let pos = |n: &NodeId| me.clockwise_distance(*n);
+        let pos = |n: &Slot| me.clockwise_distance(ids[*n as usize]);
         let (cw, ccw) = (self.leaf_cw(), self.ccw_side());
-        let leaves = &self.known[..self.leaves()];
         if cw.last().zip(ccw.first()).is_none_or(|(to, from)| pos(to) < pos(from)) {
+            let leaves = &self.leaves[..];
             let i = leaves.partition_point(|n| pos(n) < kp);
-            let pred = if i > 0 { leaves[i - 1] } else { me };
-            let succ = leaves.get(i).copied().unwrap_or(me);
-            return key.nearest([pred, succ]).expect("two candidates");
+            let pred = if i > 0 { leaves[i - 1] } else { self.me };
+            let succ = leaves.get(i).copied().unwrap_or(self.me);
+            return nearest(key, ids, [pred, succ]).expect("two candidates");
         }
         let i = cw.partition_point(|n| pos(n) < kp);
         let j = ccw.partition_point(|n| pos(n) < kp);
         let near = [cw.get(i.wrapping_sub(1)), cw.get(i), ccw.get(j.wrapping_sub(1)), ccw.get(j)];
-        key.nearest(std::iter::once(me).chain(near.into_iter().flatten().copied()))
+        nearest(key, ids, std::iter::once(self.me).chain(near.into_iter().flatten().copied()))
             .expect("self is a candidate")
     }
 
-    /// All nodes this state knows about (leaf set + routing table).
-    pub fn known_nodes(&self) -> Vec<NodeId> {
-        let mut v = self.leaf_members();
-        for e in self.table() {
-            if !v.contains(e) {
-                v.push(*e);
-            }
-        }
-        v
+    /// All peers this state knows about (leaf set + routing table),
+    /// first occurrences in [`known_iter`](Self::known_iter) order.
+    pub fn known_nodes(&self) -> Vec<Slot> {
+        RoutingState::known_nodes(self)
     }
 
-    /// All nodes this state knows about, without allocating: the
+    /// All peers this state knows about, without allocating: the
     /// clockwise side, the counter-clockwise side (each nearest first),
     /// then the table row-major. Unlike
-    /// [`known_nodes`](Self::known_nodes) this may yield a node more than
-    /// once, but each node's *first* occurrence appears in the same
+    /// [`known_nodes`](Self::known_nodes) this may yield a peer more than
+    /// once, but each peer's *first* occurrence appears in the same
     /// relative order, so first-wins reductions (`find`, `min_by_key`)
     /// produce identical results.
-    pub fn known_iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.leaf_cw().iter().copied().chain(self.leaf_ccw()).chain(self.table().iter().copied())
+    pub fn known_iter(&self) -> impl Iterator<Item = Slot> + '_ {
+        self.leaf_cw().iter().copied().chain(self.leaf_ccw()).chain(self.entries().iter().copied())
     }
 
-    /// Routing-table row `row`'s populated slots as `(col, peer)`, in
+    /// Routing-table row `row`'s populated cells as `(col, peer)`, in
     /// column order; a row that never held an entry yields nothing.
-    pub fn table_row(&self, row: usize) -> impl Iterator<Item = (usize, NodeId)> + '_ {
-        let start = self.slot_bit(row, 0);
-        let first = self.rank(start).min(self.table().len());
+    pub fn table_row(&self, row: usize) -> impl Iterator<Item = (usize, Slot)> + '_ {
+        let start = self.cell_bit(row, 0);
+        let entries = self.entries();
+        let first = self.rank(start).min(entries.len());
         (0..1usize << self.b)
             .filter(move |&col| self.occupied(start + col))
-            .zip(self.table()[first..].iter().copied())
+            .zip(entries[first..].iter().copied())
     }
 
     /// Number of populated routing-table entries.
     pub fn table_population(&self) -> usize {
-        self.table().len()
+        self.entries().len()
+    }
+
+    /// Bytes held on the heap: the two blocks, which are exact-size.
+    pub fn heap_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.leaves) + std::mem::size_of_val(&*self.table)
     }
 }
 
 impl RoutingState for NodeState {
-    fn new(id: NodeId, cfg: PastryConfig) -> Self {
-        NodeState::new(id, cfg)
+    fn new(id: NodeId, me: Slot, cfg: PastryConfig) -> Self {
+        NodeState::new(id, me, cfg)
     }
     fn id(&self) -> NodeId {
         self.id
     }
-    fn slot_for(&self, peer: NodeId) -> Option<(usize, usize)> {
-        self.slot_for(peer)
+    fn slot(&self) -> Slot {
+        self.me
     }
-    fn consider_for_table(&mut self, peer: NodeId) -> bool {
-        self.consider_for_table(peer)
+    fn cell_for(&self, peer: NodeId) -> Option<(usize, usize)> {
+        self.cell_for(peer)
     }
-    fn consider_for_leaf(&mut self, peer: NodeId) -> bool {
-        self.consider_for_leaf(peer)
+    fn consider_for_table(&mut self, peer: Slot, ids: &[NodeId]) -> bool {
+        self.consider_for_table(peer, ids)
     }
-    fn purge(&mut self, dead: NodeId) -> bool {
-        self.purge(dead)
+    fn consider_for_leaf(&mut self, peer: Slot, ids: &[NodeId]) -> bool {
+        self.consider_for_leaf(peer, ids)
     }
-    fn purge_where(&mut self, pred: impl FnMut(NodeId) -> bool) -> bool {
-        self.purge_where(pred)
+    fn purge(&mut self, dead: Slot, ids: &[NodeId]) -> bool {
+        self.purge(dead, ids)
     }
-    fn leaf_cw(&self) -> &[NodeId] {
+    fn purge_where(&mut self, ids: &[NodeId], pred: impl FnMut(Slot) -> bool) -> bool {
+        self.purge_where(ids, pred)
+    }
+    fn leaf_cw(&self) -> &[Slot] {
         self.leaf_cw()
     }
-    fn leaf_ccw(&self) -> impl Iterator<Item = NodeId> + '_ {
+    fn leaf_ccw(&self) -> impl Iterator<Item = Slot> + '_ {
         self.leaf_ccw()
     }
-    fn leaf_iter(&self) -> impl Iterator<Item = NodeId> + '_ {
+    fn leaf_iter(&self) -> impl Iterator<Item = Slot> + '_ {
         self.leaf_iter()
-    }
-    fn leaf_members(&self) -> Vec<NodeId> {
-        self.leaf_members()
     }
     #[inline]
     fn leaf_covers(&self, key: NodeId) -> bool {
         self.leaf_covers(key)
     }
     #[inline]
-    fn leaf_route(&self, key: NodeId) -> Option<NodeId> {
-        self.leaf_route(key)
+    fn leaf_route(&self, key: NodeId, ids: &[NodeId]) -> Option<Slot> {
+        self.leaf_route(key, ids)
     }
     #[inline]
-    fn table_entry(&self, row: usize, col: usize) -> Option<NodeId> {
+    fn table_entry(&self, row: usize, col: usize) -> Option<Slot> {
         self.table_entry(row, col)
     }
-    fn table_row(&self, row: usize) -> impl Iterator<Item = (usize, NodeId)> + '_ {
+    fn table_row(&self, row: usize) -> impl Iterator<Item = (usize, Slot)> + '_ {
         self.table_row(row)
     }
     #[inline]
-    fn known_iter(&self) -> impl Iterator<Item = NodeId> + '_ {
+    fn known_iter(&self) -> impl Iterator<Item = Slot> + '_ {
         self.known_iter()
     }
-    fn known_nodes(&self) -> Vec<NodeId> {
-        self.known_nodes()
+    fn heap_bytes(&self) -> usize {
+        self.heap_bytes()
     }
 }
 
@@ -630,15 +688,92 @@ mod tests {
         PastryConfig { b: 4, leaf_set_size: 4 }
     }
 
+    /// A standalone state at slot 0 and the id column its peers resolve
+    /// through: each new peer id takes the next slot. The helpers speak
+    /// ids, so the tests read as they would against an id layout.
+    struct Node {
+        s: NodeState,
+        ids: Vec<NodeId>,
+    }
+
+    impl Node {
+        fn new(me: NodeId, cfg: PastryConfig) -> Self {
+            Node { s: NodeState::new(me, 0, cfg), ids: vec![me] }
+        }
+        fn slot(&mut self, peer: NodeId) -> Slot {
+            match self.ids.iter().position(|&n| n == peer) {
+                Some(i) => i as Slot,
+                None => {
+                    self.ids.push(peer);
+                    (self.ids.len() - 1) as Slot
+                }
+            }
+        }
+        fn id_of(&self, n: Slot) -> NodeId {
+            self.ids[n as usize]
+        }
+        fn table(&mut self, peer: NodeId) -> bool {
+            let p = self.slot(peer);
+            self.s.consider_for_table(p, &self.ids)
+        }
+        fn leaf(&mut self, peer: NodeId) -> bool {
+            let p = self.slot(peer);
+            self.s.consider_for_leaf(p, &self.ids)
+        }
+        fn remove_table(&mut self, peer: NodeId) -> bool {
+            let p = self.slot(peer);
+            self.s.remove_from_table(p, &self.ids)
+        }
+        fn remove_leaf(&mut self, peer: NodeId) -> bool {
+            let p = self.slot(peer);
+            self.s.remove_from_leaf(p, &self.ids)
+        }
+        fn purge(&mut self, peer: NodeId) -> bool {
+            let p = self.slot(peer);
+            self.s.purge(p, &self.ids)
+        }
+        fn purge_where(&mut self, mut pred: impl FnMut(NodeId) -> bool) -> bool {
+            let ids = &self.ids;
+            self.s.purge_where(ids, |n| pred(ids[n as usize]))
+        }
+        fn contains(&self, peer: NodeId) -> bool {
+            self.s.leaf_iter().any(|n| self.id_of(n) == peer)
+        }
+        fn cw(&self) -> Vec<NodeId> {
+            self.s.leaf_cw().iter().map(|&n| self.id_of(n)).collect()
+        }
+        fn ccw(&self) -> Vec<NodeId> {
+            self.s.leaf_ccw().map(|n| self.id_of(n)).collect()
+        }
+        fn members(&self) -> Vec<NodeId> {
+            self.s.leaf_members().into_iter().map(|n| self.id_of(n)).collect()
+        }
+        fn known(&self) -> Vec<NodeId> {
+            self.s.known_nodes().into_iter().map(|n| self.id_of(n)).collect()
+        }
+        fn entry(&self, row: usize, col: usize) -> Option<NodeId> {
+            self.s.table_entry(row, col).map(|n| self.id_of(n))
+        }
+        fn row(&self, row: usize) -> Vec<(usize, NodeId)> {
+            self.s.table_row(row).map(|(c, n)| (c, self.id_of(n))).collect()
+        }
+        fn closest(&self, key: NodeId) -> NodeId {
+            self.id_of(self.s.closest_in_leaf(key, &self.ids))
+        }
+        fn route(&self, key: NodeId) -> Option<NodeId> {
+            self.s.leaf_route(key, &self.ids).map(|n| self.id_of(n))
+        }
+    }
+
     /// The exhaustive scan [`NodeState::closest_in_leaf`]'s binary
     /// searches must agree with.
-    fn closest_in_leaf_scan(s: &NodeState, key: NodeId) -> NodeId {
-        let mut best = s.id();
+    fn closest_in_leaf_scan(n: &Node, key: NodeId) -> NodeId {
+        let mut best = n.s.id();
         let mut best_d = best.distance(key);
-        for n in s.leaf_cw().iter().copied().chain(s.leaf_ccw()) {
-            let d = n.distance(key);
-            if d < best_d || (d == best_d && n.0 < best.0) {
-                best = n;
+        for m in n.cw().into_iter().chain(n.ccw()) {
+            let d = m.distance(key);
+            if d < best_d || (d == best_d && m.0 < best.0) {
+                best = m;
                 best_d = d;
             }
         }
@@ -647,14 +782,13 @@ mod tests {
 
     /// [`NodeState::leaf_covers`] recomputed from the leaf sides with
     /// [`NodeId::in_arc`].
-    fn leaf_covers_scan(s: &NodeState, key: NodeId) -> bool {
-        let half = s.config().leaf_set_size / 2;
-        if s.leaf_cw().len() < half || s.leaf_ccw().len() < half {
+    fn leaf_covers_scan(n: &Node, key: NodeId) -> bool {
+        let half = n.s.config().leaf_set_size / 2;
+        let (cw, ccw) = (n.cw(), n.ccw());
+        if cw.len() < half || ccw.len() < half {
             return true;
         }
-        let from = s.leaf_ccw().last().expect("non-empty side");
-        let to = *s.leaf_cw().last().expect("non-empty side");
-        key.in_arc(from, to)
+        key.in_arc(*ccw.last().expect("non-empty side"), *cw.last().expect("non-empty side"))
     }
 
     #[test]
@@ -669,119 +803,119 @@ mod tests {
     }
 
     #[test]
-    fn table_slots_by_prefix() {
+    fn table_cells_by_prefix() {
         let me = id(0xAB00_0000_0000_0000_0000_0000_0000_0000);
-        let mut s = NodeState::new(me, cfg());
+        let mut s = Node::new(me, cfg());
         let peer = id(0xAC00_0000_0000_0000_0000_0000_0000_0000);
         // Shares 1 digit (0xA), differs at digit 1 with value 0xC.
-        assert_eq!(s.slot_for(peer), Some((1, 0xC)));
-        assert!(s.consider_for_table(peer));
-        assert_eq!(s.table_entry(1, 0xC), Some(peer));
-        // Second candidate for the same slot is not taken.
+        assert_eq!(s.s.cell_for(peer), Some((1, 0xC)));
+        assert!(s.table(peer));
+        assert_eq!(s.entry(1, 0xC), Some(peer));
+        // Second candidate for the same cell is not taken.
         let peer2 = id(0xAC10_0000_0000_0000_0000_0000_0000_0000);
-        assert!(!s.consider_for_table(peer2));
-        assert_eq!(s.table_entry(1, 0xC), Some(peer));
+        assert!(!s.table(peer2));
+        assert_eq!(s.entry(1, 0xC), Some(peer));
         // Self never goes in the table.
-        assert!(!s.consider_for_table(me));
-        assert_eq!(s.table_population(), 1);
-        s.remove_from_table(peer);
-        assert_eq!(s.table_entry(1, 0xC), None);
+        assert!(!s.table(me));
+        assert_eq!(s.s.table_population(), 1);
+        s.remove_table(peer);
+        assert_eq!(s.entry(1, 0xC), None);
     }
 
     #[test]
     fn leaf_set_keeps_nearest_per_side() {
         let me = id(1000);
-        let mut s = NodeState::new(me, cfg()); // half = 2
+        let mut s = Node::new(me, cfg()); // half = 2
         for v in [1010u128, 1020, 1030, 990, 980, 970] {
-            s.consider_for_leaf(id(v));
+            s.leaf(id(v));
         }
-        assert_eq!(s.leaf_cw(), &[id(1010), id(1020)]);
-        assert_eq!(s.leaf_ccw().collect::<Vec<_>>(), [id(990), id(980)]);
+        assert_eq!(s.cw(), [id(1010), id(1020)]);
+        assert_eq!(s.ccw(), [id(990), id(980)]);
         // A closer clockwise node displaces the farther one.
-        assert!(s.consider_for_leaf(id(1005)));
-        assert_eq!(s.leaf_cw(), &[id(1005), id(1010)]);
+        assert!(s.leaf(id(1005)));
+        assert_eq!(s.cw(), [id(1005), id(1010)]);
         // Duplicates are ignored.
-        assert!(!s.consider_for_leaf(id(1005)));
+        assert!(!s.leaf(id(1005)));
     }
 
     #[test]
     fn leaf_set_wraps_around_ring() {
         let me = id(u128::MAX - 10);
-        let mut s = NodeState::new(me, cfg());
-        s.consider_for_leaf(id(5)); // clockwise across the wrap
-        s.consider_for_leaf(id(u128::MAX - 20)); // counter-clockwise
-                                                 // A 3-node ring: both peers appear on both sides, ordered by the
-                                                 // walking distance on that side. Clockwise from MAX-10: 5 (16
-                                                 // steps) then MAX-20 (all the way around).
-        assert_eq!(s.leaf_cw(), &[id(5), id(u128::MAX - 20)]);
-        assert_eq!(s.leaf_ccw().collect::<Vec<_>>(), [id(u128::MAX - 20), id(5)]);
+        let mut s = Node::new(me, cfg());
+        s.leaf(id(5)); // clockwise across the wrap
+        s.leaf(id(u128::MAX - 20)); // counter-clockwise
+                                    // A 3-node ring: both peers appear on both sides, ordered by the
+                                    // walking distance on that side. Clockwise from MAX-10: 5 (16
+                                    // steps) then MAX-20 (all the way around).
+        assert_eq!(s.cw(), [id(5), id(u128::MAX - 20)]);
+        assert_eq!(s.ccw(), [id(u128::MAX - 20), id(5)]);
     }
 
     #[test]
     fn tiny_ring_node_on_both_sides() {
         // With two nodes, the other node is both successor and predecessor.
         let me = id(100);
-        let mut s = NodeState::new(me, cfg());
-        s.consider_for_leaf(id(200));
-        assert!(s.leaf_cw().contains(&id(200)));
-        assert!(s.leaf_ccw().any(|n| n == id(200)));
-        assert_eq!(s.leaf_members(), vec![id(200)]);
+        let mut s = Node::new(me, cfg());
+        s.leaf(id(200));
+        assert!(s.cw().contains(&id(200)));
+        assert!(s.ccw().contains(&id(200)));
+        assert_eq!(s.members(), vec![id(200)]);
     }
 
     #[test]
     fn leaf_covers_and_closest() {
         let me = id(1000);
-        let mut s = NodeState::new(me, cfg());
+        let mut s = Node::new(me, cfg());
         for v in [1010u128, 1020, 990, 980] {
-            s.consider_for_leaf(id(v));
+            s.leaf(id(v));
         }
-        assert!(s.leaf_covers(id(1000)));
-        assert!(s.leaf_covers(id(985)));
-        assert!(s.leaf_covers(id(1020)));
-        assert!(s.leaf_covers(id(980)));
-        assert!(!s.leaf_covers(id(2000)));
-        assert!(!s.leaf_covers(id(100)));
-        assert_eq!(s.closest_in_leaf(id(1001)), id(1000));
-        assert_eq!(s.closest_in_leaf(id(1012)), id(1010));
-        assert_eq!(s.closest_in_leaf(id(984)), id(980));
+        assert!(s.s.leaf_covers(id(1000)));
+        assert!(s.s.leaf_covers(id(985)));
+        assert!(s.s.leaf_covers(id(1020)));
+        assert!(s.s.leaf_covers(id(980)));
+        assert!(!s.s.leaf_covers(id(2000)));
+        assert!(!s.s.leaf_covers(id(100)));
+        assert_eq!(s.closest(id(1001)), id(1000));
+        assert_eq!(s.closest(id(1012)), id(1010));
+        assert_eq!(s.closest(id(984)), id(980));
         // Tie at 985 between 980 and 990: smaller id wins.
-        assert_eq!(s.closest_in_leaf(id(985)), id(980));
+        assert_eq!(s.closest(id(985)), id(980));
     }
 
     #[test]
     fn undersized_leaf_covers_everything() {
         let me = id(1000);
-        let mut s = NodeState::new(me, cfg());
-        s.consider_for_leaf(id(2000));
-        assert!(s.leaf_covers(id(5)));
-        assert!(s.leaf_covers(id(u128::MAX)));
+        let mut s = Node::new(me, cfg());
+        s.leaf(id(2000));
+        assert!(s.s.leaf_covers(id(5)));
+        assert!(s.s.leaf_covers(id(u128::MAX)));
     }
 
     #[test]
     fn remove_from_leaf() {
         let me = id(1000);
-        let mut s = NodeState::new(me, cfg());
-        s.consider_for_leaf(id(1010));
-        assert!(s.leaf_contains(id(1010)));
-        assert!(s.remove_from_leaf(id(1010)));
-        assert!(!s.leaf_contains(id(1010)));
-        assert!(!s.remove_from_leaf(id(1010)));
+        let mut s = Node::new(me, cfg());
+        s.leaf(id(1010));
+        assert!(s.contains(id(1010)));
+        assert!(s.remove_leaf(id(1010)));
+        assert!(!s.contains(id(1010)));
+        assert!(!s.remove_leaf(id(1010)));
     }
 
     #[test]
     fn purge_where_sweeps_leaf_and_table() {
         let me = id(0xAB00_0000_0000_0000_0000_0000_0000_0000);
-        let mut s = NodeState::new(me, cfg());
+        let mut s = Node::new(me, cfg());
         let far = id(0xAC00_0000_0000_0000_0000_0000_0000_0000);
         let near = id(me.0 + 10);
         let keep = id(me.0 + 20);
-        s.consider_for_table(far);
-        s.consider_for_leaf(near);
-        s.consider_for_leaf(keep);
+        s.table(far);
+        s.leaf(near);
+        s.leaf(keep);
         assert!(s.purge_where(|n| n == far || n == near));
-        assert!(!s.leaf_contains(near));
-        assert!(s.leaf_contains(keep));
-        assert_eq!(s.table_population(), 0);
+        assert!(!s.contains(near));
+        assert!(s.contains(keep));
+        assert_eq!(s.s.table_population(), 0);
         assert!(!s.purge_where(|n| n == far), "second sweep finds nothing");
     }
 
@@ -796,29 +930,33 @@ mod tests {
     #[test]
     fn sparse_rows_read_empty_and_survive_insert_remove_purge() {
         let me = id(0xAB00_0000_0000_0000_0000_0000_0000_0000);
-        let mut s = NodeState::new(me, cfg());
+        let mut s = Node::new(me, cfg());
         let (deep, shallow) = (peer_in_row(me, 6, 2, 1), peer_in_row(me, 0, 9, 2));
-        // Nothing allocated yet: every row reads as `cols()` empty slots
+        // Nothing allocated yet: every row reads as `cols()` empty cells
         // and removals find nothing.
-        assert_eq!(s.table_row(31).count(), 0);
+        assert_eq!(s.s.table_row(31).count(), 0);
         assert_eq!(
-            NodeState::new(me, PastryConfig { b: 8, leaf_set_size: 4 }).table_row(15).count(),
+            NodeState::new(me, 0, PastryConfig { b: 8, leaf_set_size: 4 }).table_row(15).count(),
             0
         );
-        assert_eq!((s.table_entry(6, 2), s.table_population()), (None, 0));
-        assert!(!s.remove_from_table(deep) && !s.purge(deep) && !s.purge_where(|_| true));
-        // An insert into row 6 leaves the rows around it unallocated.
-        assert!(s.consider_for_table(deep) && s.consider_for_table(shallow));
-        assert_eq!(s.table_row(6).collect::<Vec<_>>(), vec![(2, deep)]);
-        assert_eq!(s.table_row(3).count(), 0);
-        assert_eq!(s.known_nodes(), vec![shallow, deep], "row-major order");
-        // Only the slot's occupant can be removed, and only once.
+        assert_eq!((s.entry(6, 2), s.s.table_population(), s.s.heap_bytes()), (None, 0, 0));
+        assert!(!s.remove_table(deep) && !s.purge(deep) && !s.purge_where(|_| true));
+        // An insert into row 6 leaves the rows around it unallocated: the
+        // bitmap grows to the word holding cell (6, 2) and no further.
+        assert!(s.table(deep) && s.table(shallow));
+        assert_eq!(s.row(6), vec![(2, deep)]);
+        assert_eq!(s.s.table_row(3).count(), 0);
+        assert_eq!(s.known(), vec![shallow, deep], "row-major order");
+        assert_eq!(s.s.heap_bytes(), 4 * (4 + 2), "four bitmap words, two entries");
+        // Only the cell's occupant can be removed, and only once.
         let rival = peer_in_row(me, 6, 2, 99);
-        assert!(!s.remove_from_table(rival));
-        assert!(s.remove_from_table(deep) && !s.remove_from_table(deep));
-        assert!(s.consider_for_table(rival), "the emptied row takes a new entry");
+        assert!(!s.remove_table(rival));
+        assert!(s.remove_table(deep) && !s.remove_table(deep));
+        assert_eq!(s.s.heap_bytes(), 4 * (1 + 1), "the bitmap shrinks back to row 0's word");
+        assert!(s.table(rival), "the emptied row takes a new entry");
         assert!(s.purge_where(|n| n == rival || n == shallow));
-        assert!(s.table_population() == 0 && !s.purge_where(|_| true));
+        assert!(s.s.table_population() == 0 && !s.purge_where(|_| true));
+        assert_eq!(s.s.heap_bytes(), 0);
     }
 
     proptest::proptest! {
@@ -832,28 +970,28 @@ mod tests {
             me in proptest::prelude::any::<u128>(),
             keys in proptest::collection::vec(proptest::prelude::any::<u128>(), 1..16),
         ) {
-            let mut s = NodeState::new(id(me), cfg());
+            let mut s = Node::new(id(me), cfg());
             for &p in &peers {
-                s.consider_for_leaf(id(p));
+                s.leaf(id(p));
             }
             for &r in &removals {
                 if !peers.is_empty() {
-                    s.remove_from_leaf(id(peers[r % peers.len()]));
+                    s.remove_leaf(id(peers[r % peers.len()]));
                 }
             }
             for &k in &keys {
-                proptest::prop_assert_eq!(s.closest_in_leaf(id(k)), closest_in_leaf_scan(&s, id(k)));
+                proptest::prop_assert_eq!(s.closest(id(k)), closest_in_leaf_scan(&s, id(k)));
                 // The fused probe agrees with the two-call composition,
                 // and the precomputed cover spans agree with recomputing
                 // the arc ends from the leaf sides directly.
-                proptest::prop_assert_eq!(s.leaf_covers(id(k)), leaf_covers_scan(&s, id(k)));
-                let expect = if s.leaf_covers(id(k)) { Some(s.closest_in_leaf(id(k))) } else { None };
-                proptest::prop_assert_eq!(s.leaf_route(id(k)), expect);
+                proptest::prop_assert_eq!(s.s.leaf_covers(id(k)), leaf_covers_scan(&s, id(k)));
+                let expect = if s.s.leaf_covers(id(k)) { Some(s.closest(id(k))) } else { None };
+                proptest::prop_assert_eq!(s.route(id(k)), expect);
             }
         }
 
         /// The sparse table against a dense `digits × cols` model under
-        /// random inserts, removals and sweeps: every slot, every row,
+        /// random inserts, removals and sweeps: every cell, every row,
         /// the population and the row-major walk agree.
         #[test]
         fn sparse_table_matches_a_dense_model(
@@ -866,30 +1004,30 @@ mod tests {
             ),
         ) {
             let me = id(me);
-            let mut s = NodeState::new(me, cfg());
+            let mut s = Node::new(me, cfg());
             let mut dense: Vec<Option<NodeId>> = vec![None; 32 * 16];
             for &p in &leaf {
-                s.consider_for_leaf(id(p));
+                s.leaf(id(p));
             }
             for &(op, row, flip, low) in &ops {
                 let peer = peer_in_row(me, row, flip, low);
-                let (r, c) = s.slot_for(peer).expect("never self");
+                let (r, c) = s.s.cell_for(peer).expect("never self");
                 proptest::prop_assert_eq!(r, row);
-                let slot = &mut dense[r * 16 + c];
+                let cell = &mut dense[r * 16 + c];
                 match op {
                     0..=3 => {
-                        let took = slot.is_none();
+                        let took = cell.is_none();
                         if took {
-                            *slot = Some(peer);
+                            *cell = Some(peer);
                         }
-                        proptest::prop_assert_eq!(s.consider_for_table(peer), took);
+                        proptest::prop_assert_eq!(s.table(peer), took);
                     }
                     4 => {
-                        let held = *slot == Some(peer);
+                        let held = *cell == Some(peer);
                         if held {
-                            *slot = None;
+                            *cell = None;
                         }
-                        proptest::prop_assert_eq!(s.remove_from_table(peer), held);
+                        proptest::prop_assert_eq!(s.remove_table(peer), held);
                     }
                     _ => {
                         // Sweep a third of the id space out of both halves.
@@ -899,7 +1037,7 @@ mod tests {
                             *e = None;
                             hit = true;
                         }
-                        hit |= s.leaf_members().into_iter().any(doomed);
+                        hit |= s.members().into_iter().any(doomed);
                         proptest::prop_assert_eq!(s.purge_where(doomed), hit);
                     }
                 }
@@ -910,14 +1048,15 @@ mod tests {
                     .enumerate()
                     .filter_map(|(c, e)| e.map(|n| (c, n)))
                     .collect();
-                proptest::prop_assert_eq!(s.table_row(r).collect::<Vec<_>>(), row);
+                proptest::prop_assert_eq!(s.row(r), row);
                 for c in 0..16 {
-                    proptest::prop_assert_eq!(s.table_entry(r, c), dense[r * 16 + c]);
+                    proptest::prop_assert_eq!(s.entry(r, c), dense[r * 16 + c]);
                 }
             }
-            proptest::prop_assert_eq!(s.table_population(), dense.iter().flatten().count());
+            proptest::prop_assert_eq!(s.s.table_population(), dense.iter().flatten().count());
             // The row-major walk yields exactly the model's entries.
-            let walked: Vec<NodeId> = s.known_iter().skip(s.leaf_cw().len() + s.leaf_ccw().len()).collect();
+            let leaves = s.s.leaf_cw().len() + s.s.leaf_ccw().len();
+            let walked: Vec<NodeId> = s.s.known_iter().skip(leaves).map(|n| s.id_of(n)).collect();
             proptest::prop_assert_eq!(walked, dense.iter().flatten().copied().collect::<Vec<_>>());
         }
     }
@@ -925,12 +1064,12 @@ mod tests {
     #[test]
     fn known_nodes_union() {
         let me = id(0xAB00_0000_0000_0000_0000_0000_0000_0000);
-        let mut s = NodeState::new(me, cfg());
+        let mut s = Node::new(me, cfg());
         let a = id(0xAC00_0000_0000_0000_0000_0000_0000_0000);
         let b = id(me.0 + 10);
-        s.consider_for_table(a);
-        s.consider_for_leaf(b);
-        let known = s.known_nodes();
+        s.table(a);
+        s.leaf(b);
+        let known = s.known();
         assert!(known.contains(&a));
         assert!(known.contains(&b));
         assert!(!known.contains(&me));

@@ -152,6 +152,14 @@ impl<K: Copy + Eq, X: CreditIndex<K>> GreedyDualCache<K, X> {
     }
 }
 
+impl<K: Copy + Eq + std::fmt::Debug> GreedyDualCache<K, crate::LinearScan> {
+    /// Bytes the store holds on the heap: its one entry array, counted
+    /// from its capacity.
+    pub fn heap_bytes(&self) -> usize {
+        self.order.heap_bytes()
+    }
+}
+
 impl<K: Copy + Eq + std::hash::Hash, X: CreditIndex<K>> BoundedCache<K> for GreedyDualCache<K, X> {
     fn capacity(&self) -> usize {
         self.capacity

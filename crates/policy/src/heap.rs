@@ -54,6 +54,11 @@ impl<P: Ord + Copy, K: Copy + Eq> MinHeap<P, K> {
         self.heap.len()
     }
 
+    /// Bytes the entry array holds on the heap, from its capacity.
+    pub fn heap_bytes(&self) -> usize {
+        self.heap.capacity() * std::mem::size_of::<(P, K)>()
+    }
+
     /// True if no entries are stored.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()

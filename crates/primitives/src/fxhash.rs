@@ -130,6 +130,20 @@ impl Hasher for ShaIdHasher {
     }
 }
 
+/// Bytes `map`'s table holds on the heap, counted from its capacity:
+/// hashbrown allocates a power-of-two number of buckets (capacity + 1
+/// below eight, otherwise capacity × 8/7), each holding one `(K, V)` and
+/// one control byte, plus one 16-byte group of trailing control bytes.
+/// An unallocated map holds nothing.
+pub fn map_heap_bytes<K, V, S>(map: &HashMap<K, V, S>) -> usize {
+    let cap = map.capacity();
+    if cap == 0 {
+        return 0;
+    }
+    let buckets = if cap < 7 { cap + 1 } else { cap / 7 * 8 };
+    buckets * (std::mem::size_of::<(K, V)>() + 1) + 16
+}
+
 /// `BuildHasher` for [`ShaIdHasher`].
 pub type ShaIdBuildHasher = BuildHasherDefault<ShaIdHasher>;
 
@@ -143,6 +157,20 @@ pub type ShaIdSet<T> = HashSet<T, ShaIdBuildHasher>;
 mod tests {
     use super::*;
     use std::hash::{BuildHasher, Hash};
+
+    #[test]
+    fn map_heap_bytes_follows_the_bucket_count() {
+        let mut m: ShaIdMap<u128, u32> = ShaIdMap::default();
+        assert_eq!(map_heap_bytes(&m), 0, "an empty map has not allocated");
+        m.insert(1, 1);
+        assert_eq!((m.capacity(), map_heap_bytes(&m)), (3, 4 * 33 + 16));
+        for k in 0..1000 {
+            m.insert(k, 0);
+        }
+        // 1,000 entries fit 2,048 buckets (capacity 1,792) of 32-byte
+        // slots: a u128 key aligns the pair to 16 bytes.
+        assert_eq!((m.capacity(), map_heap_bytes(&m)), (1792, 2048 * 33 + 16));
+    }
 
     fn hash_of<T: Hash>(v: T) -> u64 {
         FxBuildHasher::default().hash_one(v)

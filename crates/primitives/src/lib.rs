@@ -48,7 +48,8 @@ pub mod xxhash;
 
 pub use bloom::CountingBloomFilter;
 pub use fxhash::{
-    FxBuildHasher, FxHashMap, FxHashSet, FxHasher, ShaIdBuildHasher, ShaIdMap, ShaIdSet,
+    map_heap_bytes, FxBuildHasher, FxHashMap, FxHashSet, FxHasher, ShaIdBuildHasher, ShaIdMap,
+    ShaIdSet,
 };
 pub use seed::Bernoulli;
 pub use sha1::Sha1;

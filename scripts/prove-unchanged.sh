@@ -12,8 +12,9 @@
 # compared files, never acted on. A bug fix names each surface it moves
 # with --expect-moved (output file names, e.g.
 # figure_ablation_directory.csv) and says why: those may differ, every
-# changed cell of a moved CSV is printed as old -> new, and every other
-# file must still be byte-identical.
+# changed cell of a moved CSV and every changed field of a moved JSON
+# file is printed as old -> new, and every other file must still be
+# byte-identical.
 set -euo pipefail
 
 moved=""
@@ -210,6 +211,26 @@ csv_cells() {
     }' "$1" "$2"
 }
 
+# Prints each leaf that differs between two JSON files as path: old ->
+# new, with array indices in the path (runs.0.hit_ratio) and a field
+# present on one side only shown as (absent). jq flattens each file to
+# one "path<TAB>value" line per leaf. jq 1.6 reads numbers as doubles, so
+# an integer above 2^53 prints rounded; a file whose bytes moved with no
+# field differing as jq reads it says so.
+json_fields() {
+  local flat='paths(type != "object" and type != "array") as $p
+    | "\($p | map(tostring) | join("."))\t\(getpath($p) | tojson)"'
+  local fields
+  fields=$(awk -F'\t' 'NR == FNR { old[$1] = $2; keys[++n] = $1; next }
+    { seen[$1] = 1
+      if (!($1 in old)) printf "  %s: (absent) -> %s\n", $1, $2
+      else if (old[$1] != $2) printf "  %s: %s -> %s\n", $1, old[$1], $2 }
+    END { for (i = 1; i <= n; i++)
+      if (!(keys[i] in seen)) printf "  %s: %s -> (absent)\n", keys[i], old[keys[i]] }' \
+    <(jq -r "$flat" "$1") <(jq -r "$flat" "$2"))
+  echo "${fields:-  no field differs as jq reads the numbers: compare the bytes}"
+}
+
 (surfaces "$scratch/parent-target/release/webcache" "$scratch/out-parent")
 (surfaces "$repo/target/release/webcache" "$scratch/out-change")
 status=0
@@ -224,7 +245,10 @@ for f in ${moved_files[@]+"${moved_files[@]}"}; do
     echo "expected to move, unchanged: $f"
   else
     echo "moved: $f"
-    case $f in *.csv) csv_cells "$old" "$new" ;; esac
+    case $f in
+      *.csv) csv_cells "$old" "$new" ;;
+      *.json) json_fields "$old" "$new" ;;
+    esac
   fi
 done
 if diff -r ${excludes[@]+"${excludes[@]}"} "$scratch/out-parent" "$scratch/out-change"; then
