@@ -12,9 +12,12 @@
 //! * `explain` — run with the stats recorder attached and print the
 //!   per-tier breakdown, P2P protocol counters, and hop histograms;
 //! * `sweep` — run schemes × cache sizes and print a figure panel;
-//! * `figure` — regenerate one of the paper's figures (§5, Figs. 2–5):
-//!   its panels, and a JSON report and CSV of every series × cache size;
-//!   or one claim drill or ablation, checked against its gate;
+//! * `figure` — regenerate one committed output: one of the paper's
+//!   figures (§5, Figs. 2–5) — its panels, and a JSON report and CSV of
+//!   every series × cache size — or one claim drill, ablation or
+//!   scenario sweep (attacker fraction × audit rate, flash-crowd
+//!   intensity × defense, correlated burst × replica `k` × placement ×
+//!   repair), checked against its gate;
 //! * `churn` — drive Hier-GD through a deterministic fault plan (silent
 //!   crashes, departures, rejoins, slow nodes, network partitions with
 //!   their heals, message loss) and report detection latency, stale
@@ -24,22 +27,7 @@
 //!   message-level loss/duplication/reordering/corruption and
 //!   partition/heal pairs), audit each end state with invariant oracles,
 //!   and shrink any failing plan to a minimal replayable reproducer spec
-//!   (exit 2 on violations; `--json true` for a machine-readable report);
-//! * `adversary` — sweep attacker fraction × audit rate: receipt forgers
-//!   poison the store-receipt directory while the proxy spot-checks
-//!   receipt senders with possession challenges, and the report compares
-//!   hit-ratio/latency/diversion degradation undefended vs defended
-//!   (JSON report + CSV figure);
-//! * `overload` — sweep flash-crowd intensity × defense config: every
-//!   intensity runs naive and defended over the same trace and spike,
-//!   and the report compares goodput, p99 latency, shed fractions and
-//!   the recovery time back to 95% of baseline goodput (JSON report +
-//!   CSV figure);
-//! * `durability` — sweep correlated burst size × replica `k` ×
-//!   placement × repair pace: one whole failure domain crashes, and the
-//!   report compares objects lost, the at-risk window and the mean time
-//!   to repair, blind + reactive vs spread + proactive (JSON report +
-//!   CSV figure).
+//!   (exit 2 on violations; `--json true` for a machine-readable report).
 //!
 //! Flags are `--key value` pairs; parsing is hand-rolled (the workspace
 //! deliberately keeps its dependency set small — see DESIGN.md). Each
@@ -56,15 +44,12 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::str::FromStr;
 use std::sync::Arc;
-use webcache_sim::figures::drills::{self, DRILLS};
-use webcache_sim::figures::{self, run_figure, Scale, NAMES};
+use webcache_sim::figures::{self, run_figure, Scale, FIGURES};
 use webcache_sim::sweep::{gain_table, sweep};
 use webcache_sim::{
-    adversary, durability, latency_gain_percent, overload, run_adversary, run_chaos, run_churn,
-    run_durability, run_experiment, run_experiment_recorded, run_overload, AdversaryConfig,
-    ChaosConfig, ChurnConfig, ClockMode, DurabilityConfig, EventLogRecorder, ExperimentConfig,
-    FaultAction, FaultPlan, HitClass, NetworkModel, NoopRecorder, OverloadConfig, ScenarioReport,
-    SchemeKind, SimError, StatsRecorder,
+    latency_gain_percent, run_chaos, run_churn, run_experiment, run_experiment_recorded,
+    ChaosConfig, ChurnConfig, ClockMode, EventLogRecorder, ExperimentConfig, FaultAction,
+    FaultPlan, HitClass, NetworkModel, SchemeKind, SimError, StatsRecorder,
 };
 use webcache_workload::{ProWGen, ProWGenConfig, Trace, TraceStats, UcbLike, UcbLikeConfig};
 
@@ -311,19 +296,17 @@ const COMMANDS: &[CommandSpec] = &[
     },
     CommandSpec {
         name: "figure",
-        flags: "full=true stats-out=FILE report-out=FILE csv-out=FILE",
+        flags: "full=true stats-out=FILE report-out=FILE csv-out=FILE list=true",
         positional: "NAME",
-        prose: "NAME is fig2a, fig2b, fig3, fig4 or fig5a-fig5d; one report\n\
-                cell per series x cache size, 250k requests per proxy\n\
-                unless --full true; --stats-out FILE writes the stats\n\
-                snapshot of every run. Or NAME is a claim drill or\n\
-                ablation, each at its own scale (the paper's with\n\
-                --full true) and failing unless its gate holds:\n\
-                pastry_hops, ablation_piggyback, ablation_directory,\n\
-                ablation_hiergd, ablation_lfu, ablation_gds,\n\
-                squirrel_compare, churn_drill (one scale only) or\n\
-                transport_tax",
-        run: |cmd| cmd_scenario(cmd, figure_from, figures::table),
+        prose: "the paper's figures (fig*) report one cell per series x\n\
+                cache size, 250k requests per proxy unless --full true;\n\
+                --stats-out FILE writes the stats snapshot of every\n\
+                run. Every other NAME runs at a scale of its own (the\n\
+                paper's with --full true where it has one) and fails\n\
+                unless its gate holds. --list true prints each NAME\n\
+                and the stem of its committed FIGURE_<stem>.json and\n\
+                .csv. NAME is one of {names}",
+        run: cmd_figure,
     },
     CommandSpec {
         name: "churn",
@@ -384,62 +367,6 @@ const COMMANDS: &[CommandSpec] = &[
                 table",
         run: cmd_chaos,
     },
-    CommandSpec {
-        name: "adversary",
-        flags: "fracs=f1,f2,... audit-rates=r1,r2,... forge-rate=F strikes=K seed=N replication=K \
-                requests=N objects=N clients=N proxy-cap=N node-cap=N trace-seed=N \
-                clock=compat|event \
-                ts-tc=F ts-tl=F tp2p-tl=F \
-                json=true report-out=FILE csv-out=FILE",
-        positional: "",
-        prose: "attacker fraction x audit rate sweep: receipt forgers\n\
-                poison the store-receipt directory, the spot-check\n\
-                defense challenges receipt senders and quarantines\n\
-                repeat offenders; every cell replays the same trace\n\
-                and attack schedule, so undefended and defended rows\n\
-                differ only in the defense",
-        run: |cmd| cmd_scenario(cmd, adversary_from, adversary::table),
-    },
-    CommandSpec {
-        name: "overload",
-        flags: "intensities=t1,t2,... spike-at=N spike-span=N breaker=K budget=F shed-high=N \
-                shed-low=N seed=N replication=K \
-                requests=N objects=N clients=N proxy-cap=N node-cap=N trace-seed=N \
-                clock=compat|event \
-                json=true report-out=FILE csv-out=FILE",
-        positional: "",
-        prose: "flash-crowd intensity x defense sweep: each intensity\n\
-                compresses the arrival schedule by that factor for\n\
-                --spike-span requests starting at --spike-at, once with\n\
-                the defenses off and once with circuit breakers, retry\n\
-                budgets and watermark load shedding armed. The report\n\
-                carries goodput, p99 latency, shed fractions and the\n\
-                recovery time back to 95% of baseline goodput after the\n\
-                spike ends. Defaults to --clock event with the latency\n\
-                model scaled down 16x — the analytic clock has no queue\n\
-                to overload",
-        run: |cmd| cmd_scenario(cmd, overload_from, overload::table),
-    },
-    // No replication=K: k is a swept axis here (ks=).
-    CommandSpec {
-        name: "durability",
-        flags: "bursts=b1,b2,... ks=k1,k2,... burst-at=N repair=N seed=N \
-                requests=N objects=N clients=N proxy-cap=N node-cap=N trace-seed=N \
-                clock=compat|event \
-                json=true report-out=FILE csv-out=FILE",
-        positional: "",
-        prose: "correlated burst size x replica k x placement x repair\n\
-                sweep: the cluster is carved into clients/burst failure\n\
-                domains and one whole domain crashes at --burst-at.\n\
-                Each (burst, k) point runs blind/spread replica\n\
-                placement crossed with reactive/proactive repair over\n\
-                the same trace and failure schedule; the report carries\n\
-                objects lost, the at-risk window area, the mean time to\n\
-                repair, and the naive-vs-defended loss factor. Defaults\n\
-                to --clock event, which prices each entry the --repair\n\
-                scan restores as real proxy work; scanning is free",
-        run: |cmd| cmd_scenario(cmd, durability_from, durability::table),
-    },
 ];
 
 impl CommandSpec {
@@ -448,6 +375,15 @@ impl CommandSpec {
         self.flags
             .split_whitespace()
             .map(|word| word.split_once('=').expect("COMMANDS flags are flag=PLACEHOLDER words"))
+    }
+
+    /// The help prose. A trailing `{names}` is spelled out as every name
+    /// of `webcache figure`, and the whole prose rewrapped.
+    fn prose(&self) -> String {
+        let Some(text) = self.prose.strip_suffix("{names}") else { return self.prose.into() };
+        let names = figure_names();
+        let words = text.split_whitespace().chain(names.split(' ')).map(String::from);
+        wrap(String::new(), words, 56, "")
     }
 
     /// Appends `  webcache NAME --flag VALUE ... FILE...` (optional flags in
@@ -464,17 +400,37 @@ impl CommandSpec {
             }
         });
         let positional = (!self.positional.is_empty()).then(|| self.positional.to_string());
-        let mut line = format!("{:<16}", format!("  webcache {}", self.name));
-        for word in flags.chain(positional) {
-            if line.len() + 1 + word.len() > 78 {
-                let _ = writeln!(out, "{line}");
-                line = " ".repeat(16);
-            }
-            line.push(' ');
-            line.push_str(&word);
-        }
-        let _ = writeln!(out, "{line}");
+        let name = format!("{:<16}", format!("  webcache {}", self.name));
+        let _ = writeln!(out, "{}", wrap(name, flags.chain(positional), 78, &" ".repeat(16)));
     }
+}
+
+/// Every name of `webcache figure`, comma-separated.
+fn figure_names() -> String {
+    FIGURES.iter().map(|e| e.name).collect::<Vec<_>>().join(", ")
+}
+
+/// `line` followed by `words`, one space apart, broken before any word
+/// that would end past column `width`; a continuation line starts with
+/// `indent` (no space after an empty one).
+fn wrap(
+    mut line: String,
+    words: impl Iterator<Item = String>,
+    width: usize,
+    indent: &str,
+) -> String {
+    let mut out = String::new();
+    for word in words {
+        if line.len() + 1 + word.len() > width {
+            let _ = writeln!(out, "{line}");
+            line = indent.to_string();
+        }
+        if !line.is_empty() {
+            line.push(' ');
+        }
+        line.push_str(&word);
+    }
+    out + &line
 }
 
 /// The `webcache --help` text: each subcommand's synopsis, generated from
@@ -485,7 +441,8 @@ pub fn usage() -> String {
     for spec in COMMANDS {
         spec.synopsis(&mut s);
         if !spec.prose.is_empty() {
-            let _ = writeln!(s, "{:17}({})", "", spec.prose.replace('\n', "\n                  "));
+            let _ =
+                writeln!(s, "{:17}({})", "", spec.prose().replace('\n', "\n                  "));
         }
     }
     s.push_str(
@@ -768,54 +725,53 @@ fn cmd_sweep(cmd: &Command) -> Result<String, CliError> {
     Ok(gain_table(&fracs, &curves))
 }
 
-/// `webcache figure NAME`: every series of one of the paper's figures, or
-/// one drill, an error unless it passes its gate. `--stats-out` attaches
-/// a stats recorder to every run of a paper figure and writes the
-/// snapshot; a drill takes no flag it cannot honour.
-fn figure_from(cmd: &Command) -> Result<ScenarioReport, CliError> {
-    let usage = || {
-        let names: Vec<_> = NAMES.into_iter().chain(DRILLS.iter().map(|d| d.name)).collect();
-        UsageError(format!("figure takes one NAME of {}", names.join(", ")))
-    };
-    let [name] = cmd.positional.as_slice() else { return Err(usage().into()) };
-    if let Some(drill) = drills::drill(name) {
-        for flag in ["stats-out", "full"] {
-            if cmd.options.contains_key(flag) && (flag == "stats-out" || !drill.has_full) {
-                return Err(UsageError(format!("figure {name} takes no --{flag}")).into());
-            }
+/// `webcache figure NAME`: one row of [`FIGURES`] — every series of one
+/// of the paper's figures, or a drill or scenario sweep, an error unless
+/// it passes its gate. `--stats-out` attaches a stats recorder to every
+/// run of a paper figure and writes the snapshot; a row takes no flag it
+/// cannot honour. `--report-out` / `--csv-out` write the row's
+/// `FIGURE_<stem>.json` / `.csv`; `--list true` prints every row's name
+/// and stem instead.
+fn cmd_figure(cmd: &Command) -> Result<String, CliError> {
+    if cmd.opt("list", false)? {
+        if let Some(arg) = cmd.positional.first() {
+            return Err(UsageError(format!("figure --list true takes no NAME, got '{arg}'")).into());
         }
-        let report = (drill.run)(cmd.opt("full", false)?)?;
-        (drill.gate)(&report).map_err(|e| format!("figure {name} fails its gate: {e}"))?;
-        return Ok(report);
+        return Ok(FIGURES.iter().map(|e| format!("{} {}\n", e.name, e.stem)).collect());
     }
-    let figure = figures::figure(name).ok_or_else(usage)?;
-    let scale = Scale::new(cmd.opt("full", false)?);
-    let Some(path) = cmd.options.get("stats-out") else {
-        return Ok(run_figure(&figure, scale, NoopRecorder)?);
+    let usage = || UsageError(format!("figure takes one NAME of {}", figure_names()));
+    let [name] = cmd.positional.as_slice() else { return Err(usage().into()) };
+    let entry = figures::entry(name).ok_or_else(usage)?;
+    let paper = figures::figure(name);
+    for (flag, honoured) in [("stats-out", paper.is_some()), ("full", entry.has_full)] {
+        if cmd.options.contains_key(flag) && !honoured {
+            return Err(UsageError(format!("figure {name} takes no --{flag}")).into());
+        }
+    }
+    let full = cmd.opt("full", false)?;
+    let report = match (&paper, cmd.options.get("stats-out")) {
+        (Some(fig), Some(path)) => {
+            let stats = Arc::new(StatsRecorder::new());
+            let report = run_figure(fig, Scale::new(full), stats.clone())?;
+            std::fs::write(path, stats.snapshot().to_json()).map_err(|e| named_io(path, e))?;
+            report
+        }
+        _ => (entry.run)(full)?,
     };
-    let stats = Arc::new(StatsRecorder::new());
-    let report = run_figure(&figure, scale, stats.clone())?;
-    std::fs::write(path, stats.snapshot().to_json()).map_err(|e| named_io(path, e))?;
-    Ok(report)
-}
-
-/// Reads the flags `churn` and the scenario sweeps share over `base`
-/// (the subcommand's own defaults). The latency model and the clock are
-/// replaced only when their flags are given: `overload` and `durability`
-/// default to the event clock on a scaled-down model.
-fn churn_base_from(cmd: &Command, base: ChurnConfig) -> Result<ChurnConfig, CliError> {
-    Ok(ChurnConfig {
-        requests: cmd.opt("requests", base.requests)?,
-        distinct_objects: cmd.opt("objects", base.distinct_objects)?,
-        clients_per_cluster: cmd.opt("clients", base.clients_per_cluster)?,
-        proxy_capacity: cmd.opt("proxy-cap", base.proxy_capacity)?,
-        client_cache_capacity: cmd.opt("node-cap", base.client_cache_capacity)?,
-        replication: cmd.opt("replication", base.replication)?,
-        trace_seed: cmd.opt("trace-seed", base.trace_seed)?,
-        net: net_from(cmd, base.net)?,
-        clock: clock_from(cmd, base.clock)?,
-        ..base
-    })
+    if let Some(gate) = entry.gate {
+        gate(&report).map_err(|e| format!("figure {name} fails its gate: {e}"))?;
+    }
+    let mut out = match &paper {
+        Some(fig) => figures::table(fig, &report),
+        None => report.to_table(),
+    };
+    for (flag, body) in [("report-out", report.to_json()), ("csv-out", report.to_csv())] {
+        if let Some(path) = cmd.options.get(flag) {
+            std::fs::write(path, body).map_err(|e| named_io(path, e))?;
+            let _ = writeln!(out, "wrote {path}");
+        }
+    }
+    Ok(out)
 }
 
 /// Runs a deterministic fault drill (`webcache churn`): a synthetic
@@ -825,8 +781,17 @@ fn churn_base_from(cmd: &Command, base: ChurnConfig) -> Result<ChurnConfig, CliE
 /// through the run, `--loss F` adds message loss, `--seed N` seeds target
 /// selection and the loss stream.
 fn cmd_churn(cmd: &Command) -> Result<String, CliError> {
-    let base = churn_base_from(cmd, ChurnConfig::default())?;
+    let base = ChurnConfig::default();
     let mut cfg = ChurnConfig {
+        requests: cmd.opt("requests", base.requests)?,
+        distinct_objects: cmd.opt("objects", base.distinct_objects)?,
+        clients_per_cluster: cmd.opt("clients", base.clients_per_cluster)?,
+        proxy_capacity: cmd.opt("proxy-cap", base.proxy_capacity)?,
+        client_cache_capacity: cmd.opt("node-cap", base.client_cache_capacity)?,
+        replication: cmd.opt("replication", base.replication)?,
+        trace_seed: cmd.opt("trace-seed", base.trace_seed)?,
+        net: net_from(cmd, base.net)?,
+        clock: clock_from(cmd, base.clock)?,
         audit_rate: cmd.opt("audit-rate", base.audit_rate)?,
         audit_strikes: cmd.opt("strikes", base.audit_strikes)?,
         ..base
@@ -929,83 +894,6 @@ fn cmd_chaos(cmd: &Command) -> Result<String, CliError> {
     } else {
         Err(CliError::Violations(out))
     }
-}
-
-/// Runs one scenario sweep (`webcache adversary|overload|durability|
-/// figure`): `run` reads the scenario's flags over its committed-figure
-/// defaults and drives the sweep, `table` renders the terminal summary.
-/// `--json true` prints the JSON report instead; `--report-out` /
-/// `--csv-out` write the `FIGURE_*.json` / `FIGURE_*.csv` artifacts.
-fn cmd_scenario(
-    cmd: &Command,
-    run: fn(&Command) -> Result<ScenarioReport, CliError>,
-    table: fn(&ScenarioReport) -> String,
-) -> Result<String, CliError> {
-    let json = cmd.opt("json", false)?;
-    let report = run(cmd)?;
-    let mut out = if json { report.to_json() } else { table(&report) };
-    for flag in ["report-out", "csv-out"] {
-        if let Some(path) = cmd.options.get(flag) {
-            let body = if flag == "csv-out" { report.to_csv() } else { report.to_json() };
-            std::fs::write(path, body).map_err(|e| named_io(path, e))?;
-            // In --json mode stdout is the report document itself.
-            if !json {
-                let _ = writeln!(out, "wrote {path}");
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// `webcache adversary`: attacker fraction × audit rate over the same
-/// trace and attack schedule, so the report isolates what the spot-check
-/// receipt-audit defense buys.
-fn adversary_from(cmd: &Command) -> Result<ScenarioReport, CliError> {
-    let d = AdversaryConfig::default();
-    Ok(run_adversary(&AdversaryConfig {
-        base: churn_base_from(cmd, d.base)?,
-        attacker_fracs: cmd.list("fracs", d.attacker_fracs)?,
-        audit_rates: cmd.list("audit-rates", d.audit_rates)?,
-        forge_rate: cmd.opt("forge-rate", d.forge_rate)?,
-        strikes: cmd.opt("strikes", d.strikes)?,
-        seed: cmd.opt("seed", d.seed)?,
-    })?)
-}
-
-/// `webcache overload`: flash-crowd intensity × defense config over the
-/// same trace and spike. Unlike the other subcommands the default clock
-/// is `event` (the analytic clock has no queue to overload) with the
-/// latency model pre-scaled for service headroom; `--clock compat` still
-/// works and stays bit-stable.
-fn overload_from(cmd: &Command) -> Result<ScenarioReport, CliError> {
-    let d = OverloadConfig::default();
-    Ok(run_overload(&OverloadConfig {
-        base: churn_base_from(cmd, d.base)?,
-        intensities: cmd.list("intensities", d.intensities)?,
-        spike_at: cmd.opt("spike-at", d.spike_at)?,
-        spike_span: cmd.opt("spike-span", d.spike_span)?,
-        breaker: cmd.opt("breaker", d.breaker)?,
-        budget: cmd.opt("budget", d.budget)?,
-        shed_high: cmd.opt("shed-high", d.shed_high)?,
-        shed_low: cmd.opt("shed-low", d.shed_low)?,
-        seed: cmd.opt("seed", d.seed)?,
-    })?)
-}
-
-/// `webcache durability`: correlated burst size × replica k × placement
-/// × repair pace over the same trace and failure schedule. Like
-/// `overload`, the default clock is `event`, which prices each entry the
-/// repair scan restores as real proxy work; scanning itself is free.
-fn durability_from(cmd: &Command) -> Result<ScenarioReport, CliError> {
-    let d = DurabilityConfig::default();
-    Ok(run_durability(&DurabilityConfig {
-        base: churn_base_from(cmd, d.base)?,
-        bursts: cmd.list("bursts", d.bursts)?,
-        ks: cmd.list("ks", d.ks)?,
-        burst_at: cmd.opt("burst-at", d.burst_at)?,
-        repair: cmd.opt("repair", d.repair)?,
-        seed: cmd.opt("seed", d.seed)?,
-    })?)
 }
 
 #[cfg(test)]
@@ -1411,138 +1299,6 @@ mod tests {
     }
 
     #[test]
-    fn adversary_sweep_reports_defense_and_writes_artifacts() {
-        let dir = std::env::temp_dir().join("webcache-cli-adversary-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let report_path = dir.join("adversary.json");
-        let csv_path = dir.join("adversary.csv");
-        let cmd = Command::parse(&argv(&[
-            "adversary",
-            "--requests",
-            "6000",
-            "--objects",
-            "400",
-            "--clients",
-            "20",
-            "--node-cap",
-            "2",
-            "--fracs",
-            "0.2",
-            "--audit-rates",
-            "0,1.0",
-            "--forge-rate",
-            "1.0",
-            "--strikes",
-            "2",
-            "--report-out",
-            report_path.to_str().unwrap(),
-            "--csv-out",
-            csv_path.to_str().unwrap(),
-        ]))
-        .unwrap();
-        let out = execute(&cmd).unwrap();
-        assert!(out.contains("adversary sweep:"), "{out}");
-        assert!(out.contains("defense at 20% forgers"), "{out}");
-        let json = std::fs::read_to_string(&report_path).unwrap();
-        assert!(json.contains("\"defense\": ["), "{json}");
-        let csv = std::fs::read_to_string(&csv_path).unwrap();
-        assert!(csv.starts_with("attacker_frac,audit_rate,"), "{csv}");
-        assert_eq!(csv.lines().count(), 3, "header + two cells: {csv}");
-        std::fs::remove_file(&report_path).ok();
-        std::fs::remove_file(&csv_path).ok();
-    }
-
-    #[test]
-    fn overload_sweep_reports_resilience_and_writes_artifacts() {
-        let dir = std::env::temp_dir().join("webcache-cli-overload-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let report_path = dir.join("overload.json");
-        let csv_path = dir.join("overload.csv");
-        let cmd = Command::parse(&argv(&[
-            "overload",
-            "--requests",
-            "8000",
-            "--objects",
-            "400",
-            "--clients",
-            "20",
-            "--node-cap",
-            "2",
-            "--intensities",
-            "8",
-            "--spike-at",
-            "1000",
-            "--spike-span",
-            "3000",
-            "--report-out",
-            report_path.to_str().unwrap(),
-            "--csv-out",
-            csv_path.to_str().unwrap(),
-        ]))
-        .unwrap();
-        let out = execute(&cmd).unwrap();
-        assert!(out.contains("overload sweep:"), "{out}");
-        assert!(out.contains("resilience at"), "{out}");
-        let json = std::fs::read_to_string(&report_path).unwrap();
-        assert!(json.contains("\"resilience\": ["), "{json}");
-        let csv = std::fs::read_to_string(&csv_path).unwrap();
-        assert!(csv.starts_with("intensity,defended,"), "{csv}");
-        assert_eq!(csv.lines().count(), 3, "header + naive + defended: {csv}");
-        std::fs::remove_file(&report_path).ok();
-        std::fs::remove_file(&csv_path).ok();
-    }
-
-    #[test]
-    fn durability_sweep_reports_losses_and_writes_artifacts() {
-        let dir = std::env::temp_dir().join("webcache-cli-durability-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let report_path = dir.join("durability.json");
-        let csv_path = dir.join("durability.csv");
-        let cmd = Command::parse(&argv(&[
-            "durability",
-            "--requests",
-            "8000",
-            "--objects",
-            "400",
-            "--clients",
-            "32",
-            "--bursts",
-            "8",
-            "--ks",
-            "2",
-            "--burst-at",
-            "2000",
-            "--report-out",
-            report_path.to_str().unwrap(),
-            "--csv-out",
-            csv_path.to_str().unwrap(),
-        ]))
-        .unwrap();
-        let out = execute(&cmd).unwrap();
-        assert!(out.contains("durability sweep:"), "{out}");
-        assert!(out.contains("durability at burst"), "{out}");
-        let json = std::fs::read_to_string(&report_path).unwrap();
-        assert!(json.contains("\"rows\": ["), "{json}");
-        let csv = std::fs::read_to_string(&csv_path).unwrap();
-        assert!(csv.starts_with("burst,replication,"), "{csv}");
-        assert_eq!(csv.lines().count(), 5, "header + four placement/repair cells: {csv}");
-        std::fs::remove_file(&report_path).ok();
-        std::fs::remove_file(&csv_path).ok();
-    }
-
-    #[test]
-    fn durability_rejects_bad_grids() {
-        let bad = Command::parse(&argv(&["durability", "--bursts", "8,nope"])).unwrap();
-        let err = execute(&bad).unwrap_err();
-        assert_eq!(err.to_string(), "--bursts: cannot parse 'nope'");
-        assert_eq!(err.exit_code(), 2);
-        let bad = Command::parse(&argv(&["durability", "--bursts", "1"])).unwrap();
-        assert_eq!(execute(&bad).unwrap_err().exit_code(), 2);
-        let bad = Command::parse(&argv(&["durability", "--ks", "1"])).unwrap();
-        assert_eq!(execute(&bad).unwrap_err().exit_code(), 2);
-    }
-
-    #[test]
     fn non_positive_ratios_are_usage_errors_naming_flag_and_value() {
         let dir = std::env::temp_dir().join("webcache-cli-ratio-test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -1558,7 +1314,6 @@ mod tests {
             (&["sweep", trace][..], "tp2p-tl", "0"),
             (&["churn"][..], "ts-tl", "-20"),
             (&["chaos"][..], "tp2p-tl", "NaN"),
-            (&["adversary"][..], "ts-tc", "inf"),
         ] {
             let flag_arg = format!("--{flag}");
             let cmd = Command::parse(&argv(&[args, &[&flag_arg, value]].concat())).unwrap();
@@ -1570,15 +1325,32 @@ mod tests {
     }
 
     #[test]
+    fn malformed_list_elements_and_scalars_are_the_same_usage_error() {
+        let dir = std::env::temp_dir().join("webcache-cli-malformed-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let trace = dir.join("t.bin");
+        let trace = trace.to_str().unwrap();
+        let gen = ["gen", "--out", trace, "--requests", "2000", "--objects", "200"];
+        execute(&Command::parse(&argv(&gen)).unwrap()).unwrap();
+        // Both name the flag and the value, and exit 2.
+        let list = ["sweep", "--fracs", "0.1,nope", trace];
+        let list = execute(&Command::parse(&argv(&list)).unwrap()).unwrap_err();
+        let scalar = execute(&Command::parse(&argv(&["churn", "--loss", "nope"])).unwrap());
+        let scalar = scalar.unwrap_err();
+        assert_eq!(list.to_string(), "--fracs: cannot parse 'nope'");
+        assert_eq!(scalar.to_string(), "--loss: cannot parse 'nope'");
+        assert_eq!((list.exit_code(), scalar.exit_code()), (2, 2));
+        std::fs::remove_file(trace).ok();
+    }
+
+    #[test]
     fn unknown_flags_are_usage_errors_naming_the_flag() {
         for (args, flag) in [
             // A typo must not silently run the default ten crashes.
             (&["churn", "--crahes", "3", "--requests", "4000"][..], "--crahes"),
-            (&["overload", "--intensites", "8"][..], "--intensites"),
-            // overload runs on its own pre-scaled latency model.
-            (&["overload", "--ts-tc", "5"][..], "--ts-tc"),
-            // k is a swept axis (--ks) in the durability sweep.
-            (&["durability", "--replication", "3"][..], "--replication"),
+            // A committed figure runs its committed config: no knob of it is a flag.
+            (&["figure", "overload", "--ts-tc", "5"][..], "--ts-tc"),
+            (&["figure", "durability", "--replication", "3"][..], "--replication"),
             (&["stats", "--verbose", "1", "t.bin"][..], "--verbose"),
         ] {
             let err = execute(&Command::parse(&argv(args)).unwrap()).unwrap_err();
@@ -1588,10 +1360,10 @@ mod tests {
             assert!(msg.contains(&format!("unknown option {flag} for '{}'", args[0])), "{msg}");
         }
         // Several typos are all named, in a stable order.
-        let cmd = Command::parse(&argv(&["adversary", "--zeta", "1", "--alpha", "2"])).unwrap();
+        let cmd = Command::parse(&argv(&["churn", "--zeta", "1", "--alpha", "2"])).unwrap();
         let msg = execute(&cmd).unwrap_err().to_string();
-        assert!(msg.contains("unknown option --alpha, --zeta for 'adversary'"), "{msg}");
-        assert!(msg.contains("--fracs") && msg.contains("--csv-out"), "{msg}");
+        assert!(msg.contains("unknown option --alpha, --zeta for 'churn'"), "{msg}");
+        assert!(msg.contains("--plan") && msg.contains("--report-out"), "{msg}");
     }
 
     #[test]
@@ -1619,8 +1391,8 @@ mod tests {
             assert_eq!(flags_in(&synopsis), accepted, "synopsis of '{}'", spec.name);
 
             // Prose only ever mentions the subcommand's own flags.
-            assert!(help.contains(&spec.prose.replace('\n', "\n                  ")));
-            let foreign: Vec<_> = flags_in(spec.prose).difference(&accepted).cloned().collect();
+            assert!(help.contains(&spec.prose().replace('\n', "\n                  ")));
+            let foreign: Vec<_> = flags_in(&spec.prose()).difference(&accepted).cloned().collect();
             assert!(foreign.is_empty(), "'{}' prose names foreign flags {foreign:?}", spec.name);
             counts.push((spec.name, accepted.len()));
         }
@@ -1632,12 +1404,9 @@ mod tests {
             ("run", 8),
             ("explain", 10),
             ("sweep", 6),
-            ("figure", 4),
+            ("figure", 5),
             ("churn", 18),
             ("chaos", 22),
-            ("adversary", 19),
-            ("overload", 19),
-            ("durability", 15),
         ];
         assert_eq!(counts, expected);
     }
@@ -1651,9 +1420,35 @@ mod tests {
                 err.to_string(),
                 "figure takes one NAME of fig2a, fig2b, fig3, fig4, fig5a, fig5b, fig5c, fig5d, \
                  pastry_hops, ablation_piggyback, ablation_directory, ablation_hiergd, \
-                 ablation_lfu, ablation_gds, squirrel_compare, churn_drill, transport_tax"
+                 ablation_lfu, ablation_gds, squirrel_compare, churn_drill, transport_tax, \
+                 adversary, overload, durability"
             );
         }
+        // The help prose lists the same names, generated from the registry.
+        let figure = COMMANDS.iter().find(|spec| spec.name == "figure").unwrap();
+        let prose = figure.prose().split_whitespace().collect::<Vec<_>>().join(" ");
+        let names = FIGURES.iter().map(|e| e.name).collect::<Vec<_>>().join(", ");
+        assert!(prose.ends_with(&format!("NAME is one of {names}")), "{prose}");
+    }
+
+    #[test]
+    fn figure_list_prints_every_name_and_its_file_stem() {
+        let list = Command::parse(&argv(&["figure", "--list", "true"])).unwrap();
+        assert_eq!(
+            execute(&list).unwrap(),
+            "fig2a paper_fig2a\nfig2b paper_fig2b\nfig3 paper_fig3\nfig4 paper_fig4\n\
+             fig5a paper_fig5a\nfig5b paper_fig5b\nfig5c paper_fig5c\nfig5d paper_fig5d\n\
+             pastry_hops pastry_hops\nablation_piggyback ablation_piggyback\n\
+             ablation_directory ablation_directory\nablation_hiergd ablation_hiergd\n\
+             ablation_lfu ablation_lfu\nablation_gds ablation_gds\n\
+             squirrel_compare squirrel_compare\nchurn_drill churn_drill\n\
+             transport_tax transport_tax\nadversary adversary\noverload overload\n\
+             durability durability\n"
+        );
+        let named = Command::parse(&argv(&["figure", "fig2a", "--list", "true"])).unwrap();
+        let err = execute(&named).unwrap_err();
+        assert_eq!(err.exit_code(), 2);
+        assert_eq!(err.to_string(), "figure --list true takes no NAME, got 'fig2a'");
     }
 
     #[test]
@@ -1661,6 +1456,8 @@ mod tests {
         for (args, flag) in [
             (&["figure", "pastry_hops", "--stats-out", "s.json"][..], "stats-out"),
             (&["figure", "churn_drill", "--full", "false"], "full"),
+            (&["figure", "durability", "--full", "true"], "full"),
+            (&["figure", "adversary", "--stats-out", "s.json"], "stats-out"),
         ] {
             let err = execute(&Command::parse(&argv(args)).unwrap()).unwrap_err();
             assert_eq!(err.exit_code(), 2, "{args:?}");
@@ -1690,29 +1487,6 @@ mod tests {
     }
 
     #[test]
-    fn overload_rejects_bad_grids() {
-        let bad = Command::parse(&argv(&["overload", "--intensities", "nope"])).unwrap();
-        assert_eq!(execute(&bad).unwrap_err().exit_code(), 2);
-        let bad = Command::parse(&argv(&["overload", "--intensities", "1"])).unwrap();
-        assert_eq!(execute(&bad).unwrap_err().exit_code(), 2);
-    }
-
-    #[test]
-    fn adversary_rejects_bad_grids() {
-        // A malformed list element and a malformed scalar are the same
-        // mistake: both name the flag and exit 2.
-        let bad = Command::parse(&argv(&["adversary", "--fracs", "nope"])).unwrap();
-        let list = execute(&bad).unwrap_err();
-        let bad = Command::parse(&argv(&["adversary", "--forge-rate", "nope"])).unwrap();
-        let scalar = execute(&bad).unwrap_err();
-        assert_eq!(list.to_string(), "--fracs: cannot parse 'nope'");
-        assert_eq!(scalar.to_string(), "--forge-rate: cannot parse 'nope'");
-        assert_eq!((list.exit_code(), scalar.exit_code()), (2, 2));
-        let bad = Command::parse(&argv(&["adversary", "--fracs", "1.0"])).unwrap();
-        assert_eq!(execute(&bad).unwrap_err().exit_code(), 2);
-    }
-
-    #[test]
     fn run_rejects_missing_files_and_schemes() {
         let run = Command::parse(&argv(&["run", "--scheme", "sc"])).unwrap();
         assert!(execute(&run).is_err());
@@ -1721,8 +1495,12 @@ mod tests {
             Err(CliError::Sim(SimError::UnknownScheme(name))) => assert_eq!(name, "bogus"),
             other => panic!("expected UnknownScheme, got {other:?}"),
         }
-        let unknown = Command::parse(&argv(&["frobnicate"])).unwrap();
-        assert!(execute(&unknown).unwrap_err().to_string().contains("unknown subcommand"));
+        // The scenario sweeps are names of `figure`, not subcommands.
+        for name in ["frobnicate", "adversary", "overload", "durability"] {
+            let err = execute(&Command::parse(&argv(&[name])).unwrap()).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{name}");
+            assert!(err.to_string().starts_with(&format!("unknown subcommand '{name}'")), "{err}");
+        }
     }
 
     #[test]

@@ -25,7 +25,6 @@ use crate::fault::{ChurnConfig, DriveOutcome, FaultAction, FaultPlan};
 use crate::net::HitClass;
 use crate::scenario::Field::{F, S, U};
 use crate::scenario::{axis, Row, ScenarioReport, Twin};
-use std::fmt::Write as _;
 use webcache_primitives::seed::derive;
 
 /// Configuration of one adversary sweep.
@@ -244,56 +243,6 @@ pub fn gate(report: &ScenarioReport) -> Result<(), String> {
     Ok(())
 }
 
-/// Renders an aligned text summary for terminals.
-pub fn table(report: &ScenarioReport) -> String {
-    let h = &report.header;
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "adversary sweep: {} requests, {} client machines, forge rate {}, {} strikes\n",
-        h.u("requests"),
-        h.u("cluster"),
-        h.f("forge_rate"),
-        h.u("strikes")
-    );
-    let _ = writeln!(
-        s,
-        "baseline: hit ratio {:.2}%, avg latency {:.3}",
-        h.f("baseline_hit_ratio_percent"),
-        h.u("baseline_avg_latency_milli") as f64 / 1000.0
-    );
-    let _ = writeln!(
-        s,
-        "{:>9} {:>6} {:>9} {:>9} {:>9} {:>7} {:>7} {:>6}",
-        "forgers", "audit", "hit%", "deg.pts", "latency", "audits", "caught", "quar"
-    );
-    for c in &report.cells {
-        let _ = writeln!(
-            s,
-            "{:>8.0}% {:>6.2} {:>9.2} {:>9.2} {:>9.3} {:>7} {:>7} {:>6}",
-            c.f("attacker_frac") * 100.0,
-            c.f("audit_rate"),
-            c.f("hit_ratio_percent"),
-            c.f("hit_degradation_pts"),
-            c.u("avg_latency_milli") as f64 / 1000.0,
-            c.u("audits_challenged"),
-            c.u("forged_receipts"),
-            c.u("quarantines"),
-        );
-    }
-    for d in &report.summary {
-        let _ = writeln!(
-            s,
-            "defense at {:>2.0}% forgers: {:.2} pts undefended vs {:.2} defended ({:.1}x)",
-            d.f("attacker_frac") * 100.0,
-            d.f("undefended_degradation_pts"),
-            d.f("defended_degradation_pts"),
-            d.f("factor"),
-        );
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -359,7 +308,7 @@ mod tests {
         let csv = report.to_csv();
         assert!(csv.starts_with("attacker_frac,audit_rate,"));
         assert_eq!(csv.lines().count(), 1 + report.cells.len());
-        assert!(table(&report).contains("defense at"));
+        assert!(report.to_table().contains("\n=== defense ===\n"));
     }
 
     #[test]

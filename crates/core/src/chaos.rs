@@ -512,7 +512,7 @@ fn run_oracles(
         // crash, slow mark or adversary legitimately elevates the tail
         // or keeps the system saturated forever) and a shed defense is
         // armed (an undefended plan has no bounded-recovery contract —
-        // that gap is exactly what `webcache overload` measures).
+        // that gap is exactly what `webcache figure overload` measures).
         let only_spikes = plan.events.iter().all(|e| matches!(e.action, FaultAction::Spike { .. }));
         let first_at = plan
             .events

@@ -43,7 +43,6 @@ use crate::net::NetworkModel;
 use crate::scenario::Field::{B, F, S, U};
 use crate::scenario::{axis, Row, ScenarioReport, Twin};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use webcache_primitives::seed::derive;
 
 /// Configuration of one durability sweep.
@@ -269,76 +268,6 @@ pub fn gate(report: &ScenarioReport) -> Result<(), String> {
     }
 }
 
-/// Renders an aligned text summary for terminals.
-pub fn table(report: &ScenarioReport) -> String {
-    let h = &report.header;
-    let on_off = |flag: bool| if flag { "on" } else { "off" };
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "durability sweep: {} requests, {} client machines, domain failure at {}\n",
-        h.u("requests"),
-        h.u("cluster"),
-        h.u("burst_at")
-    );
-    let _ = writeln!(
-        s,
-        "baseline: avg latency {:.3}, objects lost {}",
-        h.u("baseline_avg_latency_milli") as f64 / 1000.0,
-        h.u("baseline_objects_lost")
-    );
-    let _ = writeln!(
-        s,
-        "{:>6} {:>3} {:>7} {:>9} {:>8} {:>6} {:>9} {:>9} {:>8} {:>8}",
-        "burst",
-        "k",
-        "spread",
-        "proactive",
-        "crashed",
-        "lost",
-        "risk-peak",
-        "risk-area",
-        "mttr",
-        "latency"
-    );
-    for c in &report.cells {
-        let mttr = if c.b("repair_completed") {
-            format!("{:.1}", c.f("mean_time_to_repair"))
-        } else {
-            "never".to_string()
-        };
-        let _ = writeln!(
-            s,
-            "{:>6} {:>3} {:>7} {:>9} {:>8} {:>6} {:>9} {:>9} {:>8} {:>8.3}",
-            c.u("burst"),
-            c.u("replication"),
-            on_off(c.b("spread")),
-            on_off(c.b("proactive")),
-            c.u("machines_lost"),
-            c.u("objects_lost"),
-            c.u("at_risk_peak"),
-            c.u("at_risk_area"),
-            mttr,
-            c.u("avg_latency_milli") as f64 / 1000.0,
-        );
-    }
-    for r in &report.summary {
-        let _ = writeln!(
-            s,
-            "durability at burst {:>2}, k={}: blind+reactive lost {} vs spread+proactive \
-             lost {} ({:.1}x), at-risk area {} vs {}",
-            r.u("burst"),
-            r.u("replication"),
-            r.u("naive_objects_lost"),
-            r.u("defended_objects_lost"),
-            r.f("factor"),
-            r.u("naive_at_risk_area"),
-            r.u("defended_at_risk_area"),
-        );
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -423,7 +352,7 @@ mod tests {
         let csv = report.to_csv();
         assert!(csv.starts_with("burst,replication,"));
         assert_eq!(csv.lines().count(), 1 + report.cells.len());
-        assert!(table(&report).contains("durability at burst"));
+        assert!(report.to_table().contains("\n=== rows ===\n"));
     }
 
     #[test]

@@ -16,20 +16,99 @@
 //!
 //! What the paper argues without plotting it, and the ablations beyond
 //! its figures, are [`drills`]: more names of `webcache figure`, each
-//! with a scale of its own and a gate.
+//! with a scale of its own and a gate. The robustness sweeps
+//! ([`crate::adversary`], [`crate::overload`], [`crate::durability`])
+//! are three more. [`FIGURES`] lists every one of them: what is
+//! committed, under which file stem, and how to regenerate it.
 
 use crate::config::{ExperimentConfig, SchemeKind};
 use crate::error::SimError;
 use crate::net::NetworkModel;
-use crate::recorder::Recorder;
+use crate::recorder::{NoopRecorder, Recorder};
 use crate::scenario::Field::{B, F, S, U};
 use crate::scenario::{Row, ScenarioReport};
 use crate::sweep::{gain_table, sweep_recorded, SweepResult, PAPER_CACHE_FRACS};
+use crate::{adversary, durability, overload, run_adversary, run_durability, run_overload};
 use webcache_primitives::seed::derive_indexed;
 use webcache_workload::{ProWGen, ProWGenConfig, Trace, UcbLike, UcbLikeConfig};
 use SchemeKind::{Fc, FcEc, HierGd, NcEc, Sc, ScEc};
 
 pub mod drills;
+
+/// Runs a row at the reduced scale, or at the paper's when the flag is set.
+pub type Run = fn(bool) -> Result<ScenarioReport, SimError>;
+
+/// The claim a row's report must demonstrate.
+pub type Gate = fn(&ScenarioReport) -> Result<(), String>;
+
+/// One committed output: a name of `webcache figure`, its files, its run
+/// and its gate.
+pub struct Entry {
+    /// Its `webcache figure` name.
+    pub name: &'static str,
+    /// The stem of its committed files, `FIGURE_<stem>.{json,csv}`.
+    pub stem: &'static str,
+    /// Runs it.
+    pub run: Run,
+    /// False for an output of one fixed scale, which takes no `--full`.
+    pub has_full: bool,
+    /// Its gate. The paper's figures have none yet.
+    pub gate: Option<Gate>,
+}
+
+/// The row of the paper's figure `$name`, committed as
+/// `FIGURE_paper_<name>.*`.
+macro_rules! paper {
+    ($name:literal) => {
+        Entry {
+            name: $name,
+            stem: concat!("paper_", $name),
+            run: |full| {
+                let fig = figure($name).expect("a paper row names a figure");
+                run_figure(&fig, Scale::new(full), NoopRecorder)
+            },
+            has_full: true,
+            gate: None,
+        }
+    };
+}
+
+/// A row whose files are named after it, checked against `gate`.
+const fn gated(name: &'static str, run: Run, has_full: bool, gate: Gate) -> Entry {
+    Entry { name, stem: name, run, has_full, gate: Some(gate) }
+}
+
+/// Every committed output, in the order `webcache figure --list true`
+/// prints them: the paper's figures (§5, in the paper's order), the
+/// drills (in the order [`drills`] lists them) and the scenario sweeps,
+/// each at its `*Config::default()`.
+pub const FIGURES: [Entry; 20] = [
+    paper!("fig2a"),
+    paper!("fig2b"),
+    paper!("fig3"),
+    paper!("fig4"),
+    paper!("fig5a"),
+    paper!("fig5b"),
+    paper!("fig5c"),
+    paper!("fig5d"),
+    gated("pastry_hops", drills::pastry_hops, true, drills::hops_gate),
+    gated("ablation_piggyback", drills::ablation_piggyback, true, drills::piggyback_gate),
+    gated("ablation_directory", drills::ablation_directory, true, drills::directory_gate),
+    gated("ablation_hiergd", drills::ablation_hiergd, true, drills::hiergd_gate),
+    gated("ablation_lfu", drills::ablation_lfu, true, drills::lfu_gate),
+    gated("ablation_gds", drills::ablation_gds, true, drills::gds_gate),
+    gated("squirrel_compare", drills::squirrel_compare, true, drills::squirrel_gate),
+    gated("churn_drill", drills::churn_drill, false, drills::churn_gate),
+    gated("transport_tax", drills::transport_tax, true, drills::transport_gate),
+    gated("adversary", |_| run_adversary(&Default::default()), false, adversary::gate),
+    gated("overload", |_| run_overload(&Default::default()), false, overload::gate),
+    gated("durability", |_| run_durability(&Default::default()), false, durability::gate),
+];
+
+/// The row of [`FIGURES`] called `name`.
+pub fn entry(name: &str) -> Option<&'static Entry> {
+    FIGURES.iter().find(|e| e.name == name)
+}
 
 /// Workload scale of a figure run.
 #[derive(Clone, Copy, Debug)]
@@ -167,7 +246,7 @@ pub struct Panel {
 
 /// One figure of the paper: its name and its panels, in print order.
 pub struct Figure {
-    /// One of [`NAMES`].
+    /// The name of its row in [`FIGURES`].
     pub name: &'static str,
     /// The panels.
     pub panels: Vec<Panel>,
@@ -180,14 +259,12 @@ impl Figure {
     }
 }
 
-/// The figures of §5, in the paper's order.
-pub const NAMES: [&str; 8] = ["fig2a", "fig2b", "fig3", "fig4", "fig5a", "fig5b", "fig5c", "fig5d"];
-
-/// The figure called `name`, one of [`NAMES`]. Fig. 2 plots every scheme,
-/// Figs. 3 and 4 one panel per coordinated scheme with a curve per
-/// trace, and Fig. 5 one config knob of Hier-GD.
+/// The paper's figure called `name`, none for a row of [`FIGURES`] that
+/// is not one. Fig. 2 plots every scheme, Figs. 3 and 4 one panel per
+/// coordinated scheme with a curve per trace, and Fig. 5 one config knob
+/// of Hier-GD.
 pub fn figure(name: &str) -> Option<Figure> {
-    let name = *NAMES.iter().find(|n| **n == name)?;
+    let name = entry(name)?.name;
     let one = |title: &str, series| vec![Panel { title: title.into(), series }];
     let schemes = |workload| {
         let all = [Sc, Fc, NcEc, ScEc, FcEc, HierGd];
@@ -255,7 +332,7 @@ pub fn figure(name: &str) -> Option<Figure> {
                 Series { clients: 1000, full_only: true, ..hier("Hier-GD(1000)") },
             ],
         ),
-        _ => one(
+        "fig5d" => one(
             "Figure 5(d): Hier-GD/NC latency gain (%) vs proxy-cluster size",
             vec![
                 hier("2 proxies"),
@@ -263,6 +340,7 @@ pub fn figure(name: &str) -> Option<Figure> {
                 Series { proxies: 10, full_only: true, ..hier("10 proxies") },
             ],
         ),
+        _ => return None,
     };
     Some(Figure { name, panels })
 }
@@ -334,10 +412,9 @@ fn describe(s: &Series) -> Row {
     Row(row)
 }
 
-/// Prints a paper figure's panels, each a gain table with a column per
-/// series the report holds, or a drill's cells as columns.
-pub fn table(report: &ScenarioReport) -> String {
-    let Some(fig) = figure(report.header.s("figure")) else { return report.to_table() };
+/// Prints `fig`'s panels, each a gain table with a column per series
+/// `report` holds.
+pub fn table(fig: &Figure, report: &ScenarioReport) -> String {
     let curve = |s: &Series| {
         let cells = report.cells.iter();
         let mine = cells.filter(|c| c.s("series") == s.label && c.s("scheme") == s.scheme.label());
@@ -353,7 +430,6 @@ pub fn table(report: &ScenarioReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::NoopRecorder;
     use crate::sweep::sweep;
 
     fn tiny() -> Scale {
@@ -426,7 +502,7 @@ mod tests {
 
     #[test]
     fn full_scale_adds_only_the_largest_clusters() {
-        let figures: Vec<Figure> = NAMES.iter().map(|n| figure(n).unwrap()).collect();
+        let figures: Vec<Figure> = FIGURES.iter().filter_map(|e| figure(e.name)).collect();
         let added: Vec<(&str, &str)> = figures
             .iter()
             .flat_map(|f| f.series(true).filter(|s| s.full_only).map(|s| (f.name, s.label)))
@@ -452,7 +528,9 @@ mod tests {
 
     #[test]
     fn every_name_builds_its_figure_of_distinct_series() {
-        for name in NAMES {
+        let papers: Vec<_> = FIGURES.iter().filter(|e| e.stem.starts_with("paper_")).collect();
+        assert_eq!(papers.len(), 8, "the paper's Figs. 2(a)-5(d)");
+        for name in papers.iter().map(|e| e.name) {
             let f = figure(name).unwrap();
             assert_eq!(f.name, name);
             let all: Vec<_> = f.series(true).map(|s| (s.label, s.scheme)).collect();
@@ -461,6 +539,20 @@ mod tests {
             }
         }
         assert!(figure("fig6").is_none());
+        assert!(figure("pastry_hops").is_none(), "a drill is a row, not a figure");
+    }
+
+    #[test]
+    fn every_row_has_its_own_name_and_stem() {
+        for (j, e) in FIGURES.iter().enumerate() {
+            let earlier = &FIGURES[..j];
+            assert!(earlier.iter().all(|o| o.name != e.name && o.stem != e.stem), "{}", e.name);
+            assert_eq!(entry(e.name).map(|found| found.stem), Some(e.stem));
+            let paper = figure(e.name).is_some();
+            assert_eq!(paper, e.gate.is_none(), "{}: only the paper's figures are ungated", e.name);
+            assert_eq!(e.stem == format!("paper_{}", e.name), paper, "{}", e.name);
+        }
+        assert!(entry("fig6").is_none());
     }
 
     #[test]

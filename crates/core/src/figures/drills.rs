@@ -14,9 +14,10 @@
 //! | `churn_drill` | §4.1's resilience: 0/5/10/20 silent crashes plus 1 % loss |
 //! | `transport_tax` | Hier-GD under message loss, duplication and reordering |
 //!
-//! A [`Drill`] reports one cell per row of its table as a
+//! A drill reports one cell per row of its table as a
 //! [`ScenarioReport`], committed as `FIGURE_<name>.{json,csv}`, and its
-//! `gate` is the claim those files demonstrate.
+//! gate is the claim those files demonstrate. Each is a row of
+//! [`super::FIGURES`].
 
 use super::{synthetic_traces, Scale};
 use crate::config::{
@@ -45,46 +46,6 @@ use webcache_policy::{
 };
 use webcache_primitives::seed::derive;
 use webcache_workload::{ProWGen, ProWGenConfig, SizeModel, Trace};
-
-/// One drill: its name, its run and its gate.
-pub struct Drill {
-    /// Its `webcache figure` name and the stem of its committed files.
-    pub name: &'static str,
-    /// Runs it at the reduced scale, or at the paper's when the flag is set.
-    pub run: fn(bool) -> Result<ScenarioReport, SimError>,
-    /// False for a drill of one fixed scale, which takes no `--full`.
-    pub has_full: bool,
-    /// The claim its report must demonstrate.
-    pub gate: fn(&ScenarioReport) -> Result<(), String>,
-}
-
-/// Every drill, in the order the documentation lists them.
-pub const DRILLS: [Drill; 9] = [
-    Drill { name: "pastry_hops", run: pastry_hops, has_full: true, gate: hops_gate },
-    Drill {
-        name: "ablation_piggyback",
-        run: ablation_piggyback,
-        has_full: true,
-        gate: piggyback_gate,
-    },
-    Drill {
-        name: "ablation_directory",
-        run: ablation_directory,
-        has_full: true,
-        gate: directory_gate,
-    },
-    Drill { name: "ablation_hiergd", run: ablation_hiergd, has_full: true, gate: hiergd_gate },
-    Drill { name: "ablation_lfu", run: ablation_lfu, has_full: true, gate: lfu_gate },
-    Drill { name: "ablation_gds", run: ablation_gds, has_full: true, gate: gds_gate },
-    Drill { name: "squirrel_compare", run: squirrel_compare, has_full: true, gate: squirrel_gate },
-    Drill { name: "churn_drill", run: churn_drill, has_full: false, gate: churn_gate },
-    Drill { name: "transport_tax", run: transport_tax, has_full: true, gate: transport_gate },
-];
-
-/// The drill called `name`.
-pub fn drill(name: &str) -> Option<&'static Drill> {
-    DRILLS.iter().find(|d| d.name == name)
-}
 
 /// `requests` per trace over the paper's 10 k objects, or the paper's
 /// scale when `full`.
@@ -131,7 +92,7 @@ fn recorded(
 /// §4.1: "routing and lookup efficiency … is achieved with ⌈log_2b N⌉
 /// hops (e.g., 3 < log16(N = 1024) + 1 < 4)". Random lookups on overlays
 /// of the sizes the paper discusses.
-fn pastry_hops(full: bool) -> Result<ScenarioReport, SimError> {
+pub(super) fn pastry_hops(full: bool) -> Result<ScenarioReport, SimError> {
     let sizes: &[usize] = if full { &[64, 128, 256, 512, 1024] } else { &[64, 256, 1024] };
     let lookups = if full { 20_000 } else { 5_000 };
     let cells = sizes.iter().map(|&n| {
@@ -167,7 +128,7 @@ fn pastry_hops(full: bool) -> Result<ScenarioReport, SimError> {
 /// hop occasionally adds one where log₁₆N is exact. So the 99th
 /// percentile meets the bound at every size and the worst case exceeds
 /// it by at most one hop. The mean is not gated.
-fn hops_gate(report: &ScenarioReport) -> Result<(), String> {
+pub(super) fn hops_gate(report: &ScenarioReport) -> Result<(), String> {
     for c in &report.cells {
         let (n, bound) = (c.u("n"), c.u("bound"));
         if c.u("p99") > bound || c.u("max") > bound + 1 {
@@ -187,7 +148,7 @@ fn hops_gate(report: &ScenarioReport) -> Result<(), String> {
 /// opened for destaging, `new_connections` the ledger's count of all of
 /// them (pushes included); the `ledger_` columns repeat the recorder's
 /// counts from the engine's own message ledger.
-fn ablation_piggyback(full: bool) -> Result<ScenarioReport, SimError> {
+pub(super) fn ablation_piggyback(full: bool) -> Result<ScenarioReport, SimError> {
     let scale = scale(full, 100_000);
     let traces = synthetic_traces(2, scale, |_| {});
     let cells = [("piggyback", true), ("direct", false)]
@@ -217,7 +178,7 @@ fn ablation_piggyback(full: bool) -> Result<ScenarioReport, SimError> {
 /// mechanism moves no object: both runs have the same latency. The
 /// recorder agrees with the ledger in both. How many connections the
 /// pushes open is not gated.
-fn piggyback_gate(report: &ScenarioReport) -> Result<(), String> {
+pub(super) fn piggyback_gate(report: &ScenarioReport) -> Result<(), String> {
     let (pig, direct) =
         (cell(report, "mechanism", "piggyback")?, cell(report, "mechanism", "direct")?);
     for c in [pig, direct] {
@@ -259,7 +220,7 @@ const DIRECTORIES: [(&str, Option<f64>); 5] = [
 /// directory: the memory of one built at the P2P tier's capacity, and the
 /// stale (false-positive-driven) lookups, counted by the recorder and by
 /// the ledger, with the latency they cost.
-fn ablation_directory(full: bool) -> Result<ScenarioReport, SimError> {
+pub(super) fn ablation_directory(full: bool) -> Result<ScenarioReport, SimError> {
     let scale = scale(full, 100_000);
     let traces = synthetic_traces(2, scale, |_| {});
     let base = ExperimentConfig::new(SchemeKind::HierGd, 0.2);
@@ -307,7 +268,7 @@ fn ablation_directory(full: bool) -> Result<ScenarioReport, SimError> {
 /// has none; each step up in counters per key costs memory and buys
 /// fewer stale lookups and a lower latency; and at 16 counters per key
 /// the Bloom directory's latency is within 0.5 % of the exact one's.
-fn directory_gate(report: &ScenarioReport) -> Result<(), String> {
+pub(super) fn directory_gate(report: &ScenarioReport) -> Result<(), String> {
     for c in &report.cells {
         if c.u("stale_lookups") != c.u("ledger_stale_lookups") {
             return Err(format!(
@@ -345,7 +306,7 @@ fn directory_gate(report: &ScenarioReport) -> Result<(), String> {
 /// over NC: object diversion (§4.3) off, P2P hits promoted into the
 /// proxy, and LFU at the proxy in place of greedy-dual (SC-EC, the
 /// LFU-based scheme with cooperation and client caches).
-fn ablation_hiergd(full: bool) -> Result<ScenarioReport, SimError> {
+pub(super) fn ablation_hiergd(full: bool) -> Result<ScenarioReport, SimError> {
     let scale = scale(full, 100_000);
     let traces = synthetic_traces(2, scale, |_| {});
     let nc = run_experiment(&ExperimentConfig::new(SchemeKind::Nc, 0.2), &traces)?;
@@ -376,7 +337,7 @@ fn ablation_hiergd(full: bool) -> Result<ScenarioReport, SimError> {
 
 /// Diversion does not hurt: switching it off gains at most one point. It
 /// is not required to help, nor promotion or greedy-dual to win.
-fn hiergd_gate(report: &ScenarioReport) -> Result<(), String> {
+pub(super) fn hiergd_gate(report: &ScenarioReport) -> Result<(), String> {
     let baseline = cell(report, "variant", "baseline")?.f("gain_pct");
     let no_diversion = cell(report, "variant", "no-diversion")?.f("gain_pct");
     if baseline < no_diversion - 1.0 {
@@ -401,7 +362,7 @@ fn hit_ratio<C: BoundedCache<u32>>(mut cache: C, trace: &Trace) -> f64 {
 /// the reproduction's LFU forgets them, as deployed proxies do. One cache
 /// over the paper's sizes under four policies measures what that choice
 /// costs (deviation D1 in EXPERIMENTS.md).
-fn ablation_lfu(full: bool) -> Result<ScenarioReport, SimError> {
+pub(super) fn ablation_lfu(full: bool) -> Result<ScenarioReport, SimError> {
     let scale = scale(full, 150_000);
     let trace = synthetic_traces(1, scale, |_| {}).remove(0);
     let u = trace.stats().infinite_cache_size;
@@ -421,7 +382,7 @@ fn ablation_lfu(full: bool) -> Result<ScenarioReport, SimError> {
 /// D1's premise: at 5–20 % of `U` in-cache LFU hits less than both
 /// perfect LFU and LRU. Above 20 % the policies converge and in-cache LFU
 /// may pass LRU; nothing is required there, nor of greedy-dual.
-fn lfu_gate(report: &ScenarioReport) -> Result<(), String> {
+pub(super) fn lfu_gate(report: &ScenarioReport) -> Result<(), String> {
     for c in report.cells.iter().filter(|c| c.u("cache_pct") <= 20) {
         if c.f("lfu_incache") >= c.f("lfu_perfect").min(c.f("lru")) {
             return Err(format!(
@@ -453,7 +414,7 @@ fn tally(trace: &Trace, mut access: impl FnMut(u32, u32) -> bool) -> (f64, f64) 
 /// GreedyDual-Size (`H = L + cost/size`) against byte-LRU, reporting the
 /// object hit ratio the latency gain is built from and the byte hit
 /// ratio, at fractions of the summed object sizes.
-fn ablation_gds(full: bool) -> Result<ScenarioReport, SimError> {
+pub(super) fn ablation_gds(full: bool) -> Result<ScenarioReport, SimError> {
     let scale = scale(full, 150_000);
     let trace =
         synthetic_traces(1, scale, |c| c.size_model = SizeModel::prowgen_default()).remove(0);
@@ -489,7 +450,7 @@ fn ablation_gds(full: bool) -> Result<ScenarioReport, SimError> {
 /// GreedyDual-Size hits at least as many objects as byte-LRU at every
 /// size, the trade it makes by preferring small objects. Byte hit ratios
 /// are not gated: GDS gives them up where it wins objects.
-fn gds_gate(report: &ScenarioReport) -> Result<(), String> {
+pub(super) fn gds_gate(report: &ScenarioReport) -> Result<(), String> {
     for c in &report.cells {
         if c.f("gds_obj_hit") < c.f("lru_obj_hit") {
             return Err(format!("at {}% GDS hits fewer objects than byte-LRU", c.u("cache_pct")));
@@ -506,7 +467,7 @@ fn run_engine<E: SchemeEngine>(e: &mut E, traces: &[Trace], net: &NetworkModel) 
 /// browser caches, at equal client-cache budgets. One organization shows
 /// the proxy tier's value; two add the firewall, which keeps Squirrel's
 /// organizations from sharing while proxies cooperate.
-fn squirrel_compare(full: bool) -> Result<ScenarioReport, SimError> {
+pub(super) fn squirrel_compare(full: bool) -> Result<ScenarioReport, SimError> {
     let scale = scale(full, 150_000);
     let cfg = ExperimentConfig::new(SchemeKind::HierGd, 0.2);
     let mut cells = Vec::new();
@@ -554,7 +515,7 @@ fn squirrel_compare(full: bool) -> Result<ScenarioReport, SimError> {
 /// organizations Hier-GD's latency is below Squirrel's. With one
 /// organization only the proxy tier differs, and nothing is required of
 /// the hit ratios or the server share.
-fn squirrel_gate(report: &ScenarioReport) -> Result<(), String> {
+pub(super) fn squirrel_gate(report: &ScenarioReport) -> Result<(), String> {
     let rows = |scheme| report.cells.iter().filter(move |c| c.s("scheme") == scheme);
     if rows("Squirrel").any(|c| c.f("cross_org") != 0.0) {
         return Err("Squirrel served requests across organizations".into());
@@ -572,7 +533,7 @@ fn squirrel_gate(report: &ScenarioReport) -> Result<(), String> {
 /// self-organizing". Hier-GD through `run_churn` with 0/5/10/20 silent
 /// crashes spread evenly over 100 k requests, each plan with 1 % message
 /// loss but the first, against a fault-free twin. One scale only.
-fn churn_drill(_full: bool) -> Result<ScenarioReport, SimError> {
+pub(super) fn churn_drill(_full: bool) -> Result<ScenarioReport, SimError> {
     const REQUESTS: usize = 100_000;
     let cells = [0u64, 5, 10, 20]
         .into_iter()
@@ -603,7 +564,7 @@ fn churn_drill(_full: bool) -> Result<ScenarioReport, SimError> {
 /// Every request is served (100 % availability) and no invariant breaks
 /// at any detection point. The latency cost is not gated, nor that every
 /// stale hit finds a replica.
-fn churn_gate(report: &ScenarioReport) -> Result<(), String> {
+pub(super) fn churn_gate(report: &ScenarioReport) -> Result<(), String> {
     for c in &report.cells {
         if (c.f("availability") - 100.0).abs() >= 1e-9 || c.u("invariant_violations") != 0 {
             return Err(format!(
@@ -624,7 +585,7 @@ const TRANSPORT: [(f64, f64); 6] =
 /// clients, k = 2): the latency surcharge of retries and backoff priced
 /// as timeouts, the retransmission volume, the requests each tier served
 /// and the invariant problems at the end.
-fn transport_tax(full: bool) -> Result<ScenarioReport, SimError> {
+pub(super) fn transport_tax(full: bool) -> Result<ScenarioReport, SimError> {
     let requests = scale(full, 60_000).requests;
     let trace = ProWGen::new(ProWGenConfig {
         requests,
@@ -681,7 +642,7 @@ fn transport_tax(full: bool) -> Result<ScenarioReport, SimError> {
 /// Every request is served and no invariant breaks at any rate, and
 /// duplication and reordering alone move no request to another tier. The
 /// latency surcharge of loss is not gated.
-fn transport_gate(report: &ScenarioReport) -> Result<(), String> {
+pub(super) fn transport_gate(report: &ScenarioReport) -> Result<(), String> {
     let requests = report.header.u("requests");
     let baseline = &report.cells[0];
     for c in &report.cells {

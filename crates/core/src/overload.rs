@@ -35,7 +35,6 @@ use crate::fault::{ChurnConfig, DriveOutcome, FaultAction, FaultPlan, OVERLOAD_W
 use crate::net::NetworkModel;
 use crate::scenario::Field::{B, F, S, U};
 use crate::scenario::{axis, Row, ScenarioReport, Twin};
-use std::fmt::Write as _;
 use webcache_primitives::seed::derive;
 
 /// Configuration of one overload sweep.
@@ -316,62 +315,6 @@ pub fn gate(report: &ScenarioReport) -> Result<(), String> {
     Ok(())
 }
 
-/// Renders an aligned text summary for terminals.
-pub fn table(report: &ScenarioReport) -> String {
-    let h = &report.header;
-    let units = |row: &Row, name: &str| row.u(name) as f64 / 1000.0;
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "overload sweep: {} requests, {} client machines, spike at {} for {} requests\n",
-        h.u("requests"),
-        h.u("cluster"),
-        h.u("spike_at"),
-        h.u("spike_span")
-    );
-    let _ = writeln!(
-        s,
-        "baseline: goodput {:.2}%, avg latency {:.3}, p99 {:.3}",
-        h.f("baseline_goodput_percent"),
-        units(h, "baseline_avg_latency_milli"),
-        units(h, "baseline_p99_latency_milli")
-    );
-    let _ = writeln!(
-        s,
-        "{:>9} {:>9} {:>9} {:>9} {:>9} {:>7} {:>7} {:>9}",
-        "spike", "defense", "goodput%", "latency", "p99", "shed%", "orig%", "recovery"
-    );
-    for c in &report.cells {
-        let censored = if c.b("recovered") { "" } else { ">" };
-        let _ = writeln!(
-            s,
-            "{:>8}x {:>9} {:>9.2} {:>9.3} {:>9.3} {:>7.2} {:>7.2} {:>9}",
-            c.u("intensity"),
-            if c.b("defended") { "on" } else { "off" },
-            c.f("goodput_percent"),
-            units(c, "avg_latency_milli"),
-            units(c, "p99_latency_milli"),
-            c.f("shed_percent"),
-            c.f("degraded_percent"),
-            format!("{censored}{}", c.u("recovery_requests")),
-        );
-    }
-    for r in &report.summary {
-        let _ = writeln!(
-            s,
-            "resilience at {:>2}x: naive {:.2}% vs defended {:.2}% goodput, \
-             recovery {} vs {} requests ({:.1}x)",
-            r.u("intensity"),
-            r.f("naive_goodput_percent"),
-            r.f("defended_goodput_percent"),
-            r.u("naive_recovery_requests"),
-            r.u("defended_recovery_requests"),
-            r.f("factor"),
-        );
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -455,7 +398,7 @@ mod tests {
         let csv = report.to_csv();
         assert!(csv.starts_with("intensity,defended,"));
         assert_eq!(csv.lines().count(), 1 + report.cells.len());
-        assert!(table(&report).contains("resilience at"));
+        assert!(report.to_table().contains("\n=== resilience ===\n"));
     }
 
     #[test]

@@ -22,8 +22,9 @@
 //!
 //! A scenario module keeps only what is its own: its config and
 //! `validate`, its plan builder, its per-cell measurement, its
-//! naive-vs-defended summary row, its figure `gate` and its terminal
-//! `table`. EXPERIMENTS.md ("Adding a scenario") walks through one.
+//! naive-vs-defended summary row and its figure `gate`; its row of
+//! [`crate::figures::FIGURES`] makes it a name of `webcache figure`.
+//! EXPERIMENTS.md ("Adding a scenario") walks through one.
 
 use crate::error::SimError;
 use crate::fault::{drive, ChurnConfig, DriveOutcome, FaultPlan};
@@ -203,6 +204,25 @@ fn json_field((name, value): &(&'static str, Field)) -> String {
     }
 }
 
+/// `rows` as right-aligned columns under the first row's names, each as
+/// wide as its widest entry; empty for no rows.
+fn columns(rows: &[Row]) -> String {
+    let Some(first) = rows.first() else { return String::new() };
+    let names = first.0.iter().map(|(name, _)| name.to_string()).collect();
+    let lines: Vec<Vec<String>> = std::iter::once(names)
+        .chain(rows.iter().map(|r| r.0.iter().map(|(_, v)| v.to_string()).collect()))
+        .collect();
+    let widths: Vec<usize> =
+        (0..lines[0].len()).map(|i| lines.iter().map(|l| l[i].len()).max().unwrap_or(0)).collect();
+    let mut s = String::new();
+    for line in &lines {
+        let padded: Vec<String> =
+            line.iter().zip(&widths).map(|(v, w)| format!("{v:>w$}")).collect();
+        let _ = writeln!(s, "{}", padded.join("  "));
+    }
+    s
+}
+
 /// Everything a scenario sweep measured, as data. Bit-stable for a fixed
 /// config: the golden tests pin the JSON in both clock modes and
 /// `tests/figures.rs` pins the committed `FIGURE_*` files.
@@ -243,24 +263,15 @@ impl ScenarioReport {
         s
     }
 
-    /// Renders the header on one line and the cells as right-aligned
-    /// columns under their names, each as wide as its widest entry: the
-    /// terminal view of a report with no table of its own.
+    /// Renders the header on one line, then the cells and, under a
+    /// `=== <summary_key> ===` line, the summary rows, each as
+    /// right-aligned columns under their names: the terminal view of
+    /// every report but a paper figure's.
     pub fn to_table(&self) -> String {
         let header: Vec<String> = self.header.0.iter().map(|(n, v)| format!("{n} {v}")).collect();
-        let mut s = format!("=== {} ===\n", header.join(", "));
-        let Some(first) = self.cells.first() else { return s };
-        let names = first.0.iter().map(|(name, _)| name.to_string()).collect();
-        let rows: Vec<Vec<String>> = std::iter::once(names)
-            .chain(self.cells.iter().map(|c| c.0.iter().map(|(_, v)| v.to_string()).collect()))
-            .collect();
-        let widths: Vec<usize> = (0..rows[0].len())
-            .map(|i| rows.iter().map(|r| r[i].len()).max().unwrap_or(0))
-            .collect();
-        for row in &rows {
-            let padded: Vec<String> =
-                row.iter().zip(&widths).map(|(v, w)| format!("{v:>w$}")).collect();
-            let _ = writeln!(s, "{}", padded.join("  "));
+        let mut s = format!("=== {} ===\n{}", header.join(", "), columns(&self.cells));
+        if !self.summary.is_empty() {
+            let _ = write!(s, "\n=== {} ===\n{}", self.summary_key, columns(&self.summary));
         }
         s
     }
@@ -325,10 +336,26 @@ mod tests {
                         x     on  hidden        y\n\
                         1  false    true   0.3333\n\
                         2   true   false  -2.0000\n";
-        assert_eq!(report().to_table(), expected);
         let mut r = report();
+        r.summary.clear();
+        assert_eq!(r.to_table(), expected);
         r.cells.clear();
         assert_eq!(r.to_table(), "=== requests 10, clock event, rate 0.5000 ===\n");
+    }
+
+    #[test]
+    fn table_prints_the_summary_rows_under_their_key() {
+        let expected = "\n=== rows ===\n\
+                        x   factor\n\
+                        1  61.5000\n";
+        let table = report().to_table();
+        assert!(table.ends_with(expected), "{table}");
+        let mut r = report();
+        r.cells.clear();
+        assert_eq!(
+            r.to_table(),
+            format!("=== requests 10, clock event, rate 0.5000 ===\n{expected}")
+        );
     }
 
     #[test]

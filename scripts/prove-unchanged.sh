@@ -133,8 +133,8 @@ surfaces() { # $1 = binary, $2 = output directory
       --plan 'crash@20000,depart@50000,rejoin@80000,partition@100000{70|30},crash@120000,heal@150000,crash@170000,seed=7'
     # Repair-heavy: a domain failure under the proactive repair scheduler
     # at the benchmark's shape, on the trace seed that once broke its
-    # books, at the benchmark's scan budget and at eight times it.
-    for pace in 8 64; do
+    # books, at a slow scan budget, the benchmark's and eight times it.
+    for pace in 2 8 64; do
       keep churn_repair${pace}_$clock.txt "$bin" churn \
         --plan "domainfail@50000:3,domains=8,repair=$pace,seed=103" \
         --requests 200000 --objects 5000 --clients 128 --replication 2 \
@@ -152,32 +152,24 @@ surfaces() { # $1 = binary, $2 = output directory
   keep churn_ci_default.txt "$bin" churn --crashes 10 --loss 0.01 --seed 2003 \
     --report-out churn_ci_default.json
 
-  for scenario in adversary overload durability; do
-    keep $scenario.txt "$bin" $scenario \
-      --report-out $scenario.json --csv-out $scenario.csv
-  done
-  # The paper's eight figures at their committed scale, every series x
-  # cache size of Figs. 2-5, and the nine drills: report and CSV.
-  for fig in fig2a fig2b fig3 fig4 fig5a fig5b fig5c fig5d \
-    pastry_hops ablation_piggyback ablation_directory ablation_hiergd ablation_lfu \
-    ablation_gds squirrel_compare churn_drill transport_tax; do
+  # Every committed output at its committed config, report and CSV: the
+  # paper's eight figures, the nine drills and the three scenario sweeps.
+  # Both sides run the working tree's list of names.
+  keep figure_list.txt "$bin" figure --list true
+  for fig in "${figures[@]}"; do
     keep figure_$fig.txt "$bin" figure $fig \
       --report-out figure_$fig.json --csv-out figure_$fig.csv
   done
-  # Off-default durability: k = 3 and a slow scan budget.
-  keep durability_k3.txt "$bin" durability --bursts 4,16 --ks 2,3 --repair 2 --clock event \
-    --report-out durability_k3.json --csv-out durability_k3.csv
   keep chaos_sabotage.json "$bin" chaos --plans 40 --seed 42 --sabotage true --json true
 
   # Error paths: the message and the exit code are what a CLI refactor
   # breaks. Paths are relative so both sides print the same names.
   keep err_unknown_scheme.txt "$bin" run --scheme x t1.bin
   keep err_unknown_flag_churn.txt "$bin" churn --crahes 3
-  keep err_unknown_flag_durability.txt "$bin" durability --replication 3
-  keep err_unknown_flag_overload.txt "$bin" overload --ts-tc 5
-  keep err_two_typos.txt "$bin" adversary --zeta 1 --alpha 2
-  keep err_empty_grid.txt "$bin" adversary --fracs 0
-  keep err_bad_list_element.txt "$bin" durability --bursts nope
+  keep err_unknown_flag_durability.txt "$bin" figure durability --replication 3
+  keep err_unknown_flag_overload.txt "$bin" figure overload --ts-tc 5
+  keep err_two_typos.txt "$bin" churn --zeta 1 --alpha 2
+  keep err_bad_list_element.txt "$bin" sweep --fracs 0.1,nope t1.bin
   keep err_zero_ratio.txt "$bin" run --scheme sc --ts-tc 0 t1.bin
   keep err_missing_value.txt "$bin" sweep --schemes
   keep err_missing_trace.txt "$bin" run --scheme sc missing.bin
@@ -191,6 +183,7 @@ surfaces() { # $1 = binary, $2 = output directory
   keep err_stray_positional.txt "$bin" gen --out stray_out.bin --requests 2000 --objects 100 \
     stray.bin
   keep err_unknown_subcommand.txt "$bin" frobnicate
+  keep err_removed_subcommand.txt "$bin" adversary
   keep err_help.txt "$bin" --help
 }
 
@@ -231,6 +224,9 @@ json_fields() {
   echo "${fields:-  no field differs as jq reads the numbers: compare the bytes}"
 }
 
+# The names of every committed output, from the working tree's registry.
+mapfile -t figures < <("$repo/target/release/webcache" figure --list true | cut -d' ' -f1)
+[ ${#figures[@]} -gt 0 ] || { echo "webcache figure --list true printed no names" >&2; exit 1; }
 (surfaces "$scratch/parent-target/release/webcache" "$scratch/out-parent")
 (surfaces "$repo/target/release/webcache" "$scratch/out-change")
 status=0

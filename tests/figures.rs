@@ -1,62 +1,85 @@
-//! Pins the committed figures: the three scenario sweeps and the nine
-//! drills of `webcache figure` at their default (committed-figure)
-//! configs must reproduce `FIGURE_<name>.{json,csv}` byte for byte, and
-//! each one's `gate` — the threshold the figure is committed to
-//! demonstrate — must pass on the report.
+//! Pins the committed figures, every row of `webcache figure`'s registry
+//! (`FIGURES`): each gated row — the nine drills and the three scenario
+//! sweeps — must reproduce `FIGURE_<stem>.{json,csv}` byte for byte at
+//! its committed config, and its `gate` — the threshold the figure is
+//! committed to demonstrate — must pass on the report. The paper's eight
+//! figures have no gate yet; CI's "Scenario sweeps" step pins their files.
 //!
 //! On a mismatch the fresh files are written under `target/figures/`
 //! (CI uploads them). To adopt an *intentional* change, copy them over
-//! the committed files — or rerun the sweep: `webcache <scenario>
-//! --report-out FIGURE_<scenario>.json --csv-out FIGURE_<scenario>.csv`,
-//! or `webcache figure <drill>` with the same two flags.
+//! the committed files, or rerun the row: `webcache figure <name>
+//! --report-out FIGURE_<stem>.json --csv-out FIGURE_<stem>.csv`
+//! (`webcache figure --list true` prints every name and stem).
 
 use std::path::Path;
-use webcache::sim::figures::drills::DRILLS;
-use webcache::sim::{adversary, durability, overload, ScenarioReport};
-use webcache::sim::{run_adversary, run_durability, run_overload};
+use std::sync::Mutex;
+use webcache::sim::figures::{Entry, FIGURES};
 
-fn check_figure(name: &str, report: &ScenarioReport, gate: Result<(), String>) {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+fn root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+}
+
+/// Runs `row` and returns what is wrong with it: the committed files it
+/// no longer reproduces (fresh copies go to `target/figures/`), or its
+/// gate's complaint.
+fn check(row: &Entry) -> Result<(), String> {
+    let report = (row.run)(false).map_err(|e| format!("{} does not run: {e}", row.name))?;
     let mut moved = Vec::new();
     for (ext, fresh) in [("json", report.to_json()), ("csv", report.to_csv())] {
-        let file = format!("FIGURE_{name}.{ext}");
-        let committed = std::fs::read_to_string(root.join(&file))
-            .unwrap_or_else(|e| panic!("missing committed figure {file}: {e}"));
+        let file = format!("FIGURE_{}.{ext}", row.stem);
+        let committed = std::fs::read_to_string(root().join(&file))
+            .map_err(|e| format!("missing committed figure {file}: {e}"))?;
         if fresh != committed {
-            let dir = root.join("target/figures");
+            let dir = root().join("target/figures");
             std::fs::create_dir_all(&dir).unwrap();
             std::fs::write(dir.join(&file), fresh).unwrap();
             moved.push(file);
         }
     }
-    assert!(moved.is_empty(), "{moved:?} no longer reproduce; fresh copies are in target/figures/");
-    assert_eq!(gate, Ok(()), "the committed {name} figure fails its gate");
+    if !moved.is_empty() {
+        return Err(format!("{moved:?} no longer reproduce; fresh copies are in target/figures/"));
+    }
+    let gate = row.gate.expect("only gated rows are checked here");
+    gate(&report).map_err(|e| format!("the committed {} figure fails its gate: {e}", row.name))
 }
 
-#[test]
-fn adversary_figure_reproduces_and_passes_its_gate() {
-    let report = run_adversary(&Default::default()).expect("the default sweep is valid");
-    check_figure("adversary", &report, adversary::gate(&report));
-}
-
-#[test]
-fn overload_figure_reproduces_and_passes_its_gate() {
-    let report = run_overload(&Default::default()).expect("the default sweep is valid");
-    check_figure("overload", &report, overload::gate(&report));
-}
-
-#[test]
-fn durability_figure_reproduces_and_passes_its_gate() {
-    let report = run_durability(&Default::default()).expect("the default sweep is valid");
-    check_figure("durability", &report, durability::gate(&report));
-}
-
+/// Every gated row of the registry, on one worker per core. The queue
+/// runs the registry backwards, so the slowest row, the durability sweep
+/// (about 19 s of the 48 s in a debug build), starts first and the
+/// rest fill in around it.
 #[test]
 fn drill_figures_reproduce_and_pass_their_gates() {
-    for drill in &DRILLS {
-        let report = (drill.run)(false).expect("the default drill runs");
-        check_figure(drill.name, &report, (drill.gate)(&report));
-    }
+    let queue = Mutex::new(FIGURES.iter().rev().filter(|row| row.gate.is_some()));
+    let next = || queue.lock().unwrap().next();
+    let workers = std::thread::available_parallelism().map_or(2, |n| n.get());
+    let failures: Vec<String> = std::thread::scope(|s| {
+        let work =
+            || std::iter::from_fn(next).filter_map(|row| check(row).err()).collect::<Vec<_>>();
+        let workers: Vec<_> = (0..workers).map(|_| s.spawn(work)).collect();
+        workers.into_iter().flat_map(|w| w.join().expect("a row panicked")).collect()
+    });
+    assert!(failures.is_empty(), "{failures:#?}");
+}
+
+/// The registry and the committed files agree: every `FIGURE_*` file
+/// belongs to a row, and every row has both of its files.
+#[test]
+fn every_committed_figure_is_a_row_of_the_registry() {
+    let mut committed: Vec<String> = std::fs::read_dir(root())
+        .unwrap()
+        .map(|f| f.unwrap().file_name().into_string().unwrap())
+        .filter(|f| f.starts_with("FIGURE_"))
+        .collect();
+    committed.sort();
+    let mut claimed: Vec<String> = FIGURES
+        .iter()
+        .flat_map(|row| ["csv", "json"].map(|ext| format!("FIGURE_{}.{ext}", row.stem)))
+        .collect();
+    claimed.sort();
+    let unclaimed: Vec<_> = committed.iter().filter(|f| !claimed.contains(f)).collect();
+    let missing: Vec<_> = claimed.iter().filter(|f| !committed.contains(f)).collect();
+    assert!(unclaimed.is_empty(), "no row of FIGURES claims {unclaimed:?}");
+    assert!(missing.is_empty(), "rows of FIGURES without their files: {missing:?}");
 }
 
 /// EXPERIMENTS.md's replacement-policy table, the evidence for deviation
