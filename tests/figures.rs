@@ -1,8 +1,9 @@
 //! Pins the committed figures, every row of `webcache figure`'s registry
-//! (`FIGURES`): each gated row — the nine drills and the three scenario
-//! sweeps — must reproduce `FIGURE_<stem>.{json,csv}` byte for byte at
-//! its committed config, and its `gate` — the threshold the figure is
-//! committed to demonstrate — must pass on the report. The paper's eight
+//! (`FIGURES`): each gated row — the nine drills (one test) and the three
+//! scenario sweeps (a test each) — must reproduce
+//! `FIGURE_<stem>.{json,csv}` byte for byte at its committed config, and
+//! its `gate` — the threshold the figure is committed to demonstrate —
+//! must pass on the report. The paper's eight
 //! figures have no gate yet; CI's "Scenario sweeps" step pins their files.
 //!
 //! On a mismatch the fresh files are written under `target/figures/`
@@ -13,7 +14,7 @@
 
 use std::path::Path;
 use std::sync::Mutex;
-use webcache::sim::figures::{Entry, FIGURES};
+use webcache::sim::figures::{entry, Entry, FIGURES};
 
 fn root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -43,13 +44,37 @@ fn check(row: &Entry) -> Result<(), String> {
     gate(&report).map_err(|e| format!("the committed {} figure fails its gate: {e}", row.name))
 }
 
-/// Every gated row of the registry, on one worker per core. The queue
-/// runs the registry backwards, so the slowest row, the durability sweep
-/// (about 19 s of the 48 s in a debug build), starts first and the
-/// rest fill in around it.
+/// The scenario sweeps, each checked by a test of its own below; every
+/// other gated row is a drill.
+const SWEEPS: [&str; 3] = ["adversary", "overload", "durability"];
+
+/// Checks the row of the registry called `name`.
+fn check_row(name: &str) {
+    let row = entry(name).unwrap_or_else(|| panic!("FIGURES has no row {name}"));
+    check(row).unwrap_or_else(|e| panic!("{e}"));
+}
+
+#[test]
+fn adversary_figure_reproduces_and_passes_its_gate() {
+    check_row("adversary");
+}
+
+#[test]
+fn overload_figure_reproduces_and_passes_its_gate() {
+    check_row("overload");
+}
+
+#[test]
+fn durability_figure_reproduces_and_passes_its_gate() {
+    check_row("durability");
+}
+
+/// Every gated row of the registry that is not a sweep, on one worker
+/// per core.
 #[test]
 fn drill_figures_reproduce_and_pass_their_gates() {
-    let queue = Mutex::new(FIGURES.iter().rev().filter(|row| row.gate.is_some()));
+    let drills = FIGURES.iter().filter(|row| row.gate.is_some() && !SWEEPS.contains(&row.name));
+    let queue = Mutex::new(drills);
     let next = || queue.lock().unwrap().next();
     let workers = std::thread::available_parallelism().map_or(2, |n| n.get());
     let failures: Vec<String> = std::thread::scope(|s| {
