@@ -44,12 +44,12 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::str::FromStr;
 use std::sync::Arc;
-use webcache_sim::figures::{self, run_figure, Scale, FIGURES};
+use webcache_sim::figures::{self, run_figure, Report, Scale, FIGURES};
 use webcache_sim::sweep::{gain_table, sweep};
 use webcache_sim::{
     latency_gain_percent, run_chaos, run_churn, run_experiment, run_experiment_recorded,
-    ChaosConfig, ChurnConfig, ClockMode, EventLogRecorder, ExperimentConfig, FaultAction,
-    FaultPlan, HitClass, NetworkModel, SchemeKind, SimError, StatsRecorder,
+    ChaosConfig, ChurnConfig, ClockMode, EventLogRecorder, ExperimentConfig, FaultPlan, HitClass,
+    NetworkModel, SchemeKind, SimError, StatsRecorder,
 };
 use webcache_workload::{ProWGen, ProWGenConfig, Trace, TraceStats, UcbLike, UcbLikeConfig};
 
@@ -303,9 +303,9 @@ const COMMANDS: &[CommandSpec] = &[
                 --stats-out FILE writes the stats snapshot of every\n\
                 run. Every other NAME runs at a scale of its own (the\n\
                 paper's with --full true where it has one) and fails\n\
-                unless its gate holds. --list true prints each NAME\n\
-                and the stem of its committed FIGURE_<stem>.json and\n\
-                .csv. NAME is one of {names}",
+                unless its gate holds; a churn drill writes no\n\
+                --csv-out. --list true prints each NAME and its\n\
+                committed files. NAME is one of {names}",
         run: cmd_figure,
     },
     CommandSpec {
@@ -575,25 +575,25 @@ fn net_from(cmd: &Command, base: NetworkModel) -> Result<NetworkModel, CliError>
 }
 
 /// Builds the experiment config shared by `run` and `explain` from the
-/// command line (proxy count = trace count).
+/// command line, then loads its traces, one per proxy: a malformed flag
+/// is named before any file is read.
 fn config_from(
     cmd: &Command,
     scheme: SchemeKind,
-    traces: &[Trace],
-) -> Result<ExperimentConfig, CliError> {
+) -> Result<(ExperimentConfig, Vec<Trace>), CliError> {
     let mut cfg = ExperimentConfig::new(scheme, cmd.opt("cache-frac", 0.2)?);
-    cfg.num_proxies = traces.len();
     cfg.clients_per_cluster = cmd.opt("clients", 100)?;
     cfg.net = net_from(cmd, cfg.net)?;
     cfg.clock = clock_from(cmd, cfg.clock)?;
+    let traces = load_traces(&cmd.positional)?;
+    cfg.num_proxies = traces.len();
     cfg.validate()?;
-    Ok(cfg)
+    Ok((cfg, traces))
 }
 
 fn cmd_run(cmd: &Command) -> Result<String, CliError> {
     let scheme: SchemeKind = cmd.required("scheme")?.parse()?;
-    let traces = load_traces(&cmd.positional)?;
-    let cfg = config_from(cmd, scheme, &traces)?;
+    let (cfg, traces) = config_from(cmd, scheme)?;
     let stats_out = cmd.options.get("stats-out").cloned();
     let recorder = Arc::new(StatsRecorder::new());
     let metrics = if stats_out.is_some() {
@@ -635,10 +635,10 @@ fn cmd_run(cmd: &Command) -> Result<String, CliError> {
 /// (claim 13) arguments.
 fn cmd_explain(cmd: &Command) -> Result<String, CliError> {
     let scheme: SchemeKind = cmd.options.get("scheme").map_or("hier-gd", String::as_str).parse()?;
-    let traces = load_traces(&cmd.positional)?;
-    let cfg = config_from(cmd, scheme, &traces)?;
+    let capacity = cmd.opt("events", 10_000usize)?;
+    let (cfg, traces) = config_from(cmd, scheme)?;
     let stats = Arc::new(StatsRecorder::new());
-    let events = Arc::new(EventLogRecorder::new(cmd.opt("events", 10_000usize)?));
+    let events = Arc::new(EventLogRecorder::new(capacity));
     let events_out = cmd.options.get("events-out").cloned();
     let metrics = if events_out.is_some() {
         run_experiment_recorded(&cfg, &traces, (stats.clone(), events.clone()))?
@@ -706,7 +706,6 @@ fn cmd_explain(cmd: &Command) -> Result<String, CliError> {
 }
 
 fn cmd_sweep(cmd: &Command) -> Result<String, CliError> {
-    let traces = load_traces(&cmd.positional)?;
     let schemes: Vec<SchemeKind> = cmd
         .opt("schemes", "sc,fc,sc-ec,fc-ec,hier-gd".to_string())?
         .split(',')
@@ -714,9 +713,10 @@ fn cmd_sweep(cmd: &Command) -> Result<String, CliError> {
         .collect::<Result<_, SimError>>()?;
     let fracs: Vec<f64> = cmd.list("fracs", vec![0.1, 0.3, 0.5, 0.7, 0.9])?;
     let mut base = ExperimentConfig::new(SchemeKind::Nc, fracs[0]);
-    base.num_proxies = traces.len();
     base.clients_per_cluster = cmd.opt("clients", 100)?;
     base.net = net_from(cmd, base.net)?;
+    let traces = load_traces(&cmd.positional)?;
+    base.num_proxies = traces.len();
     let results = sweep(&schemes, &fracs, &traces, &base)?;
     let curves: Vec<(&str, Vec<f64>)> = results
         .chunks(fracs.len())
@@ -726,24 +726,27 @@ fn cmd_sweep(cmd: &Command) -> Result<String, CliError> {
 }
 
 /// `webcache figure NAME`: one row of [`FIGURES`] — every series of one
-/// of the paper's figures, or a drill or scenario sweep, an error unless
-/// it passes its gate. `--stats-out` attaches a stats recorder to every
-/// run of a paper figure and writes the snapshot; a row takes no flag it
-/// cannot honour. `--report-out` / `--csv-out` write the row's
-/// `FIGURE_<stem>.json` / `.csv`; `--list true` prints every row's name
-/// and stem instead.
+/// of the paper's figures, or a drill, scenario sweep or smoke config, an
+/// error unless it passes its gate. `--stats-out` attaches a stats
+/// recorder to every run of a paper figure and writes the snapshot; a row
+/// takes no flag it cannot honour. `--report-out` / `--csv-out` write the
+/// row's committed `.json` / `.csv`; `--list true` prints every row's
+/// name and committed files instead.
 fn cmd_figure(cmd: &Command) -> Result<String, CliError> {
     if cmd.opt("list", false)? {
         if let Some(arg) = cmd.positional.first() {
             return Err(UsageError(format!("figure --list true takes no NAME, got '{arg}'")).into());
         }
-        return Ok(FIGURES.iter().map(|e| format!("{} {}\n", e.name, e.stem)).collect());
+        let files = |e: &figures::Entry| format!("{} {}\n", e.name, e.files().join(" "));
+        return Ok(FIGURES.iter().map(files).collect());
     }
     let usage = || UsageError(format!("figure takes one NAME of {}", figure_names()));
     let [name] = cmd.positional.as_slice() else { return Err(usage().into()) };
     let entry = figures::entry(name).ok_or_else(usage)?;
     let paper = figures::figure(name);
-    for (flag, honoured) in [("stats-out", paper.is_some()), ("full", entry.has_full)] {
+    let honours =
+        [("stats-out", paper.is_some()), ("full", entry.has_full), ("csv-out", entry.has_csv())];
+    for (flag, honoured) in honours {
         if cmd.options.contains_key(flag) && !honoured {
             return Err(UsageError(format!("figure {name} takes no --{flag}")).into());
         }
@@ -754,19 +757,18 @@ fn cmd_figure(cmd: &Command) -> Result<String, CliError> {
             let stats = Arc::new(StatsRecorder::new());
             let report = run_figure(fig, Scale::new(full), stats.clone())?;
             std::fs::write(path, stats.snapshot().to_json()).map_err(|e| named_io(path, e))?;
-            report
+            Report::Cells(report)
         }
-        _ => (entry.run)(full)?,
+        _ => entry.report(full)?,
     };
-    if let Some(gate) = entry.gate {
-        gate(&report).map_err(|e| format!("figure {name} fails its gate: {e}"))?;
-    }
-    let mut out = match &paper {
-        Some(fig) => figures::table(fig, &report),
-        None => report.to_table(),
+    entry.check(&report).map_err(|e| format!("figure {name} fails its gate: {e}"))?;
+    let mut out = match (&paper, &report) {
+        (Some(fig), Report::Cells(cells)) => figures::table(fig, cells),
+        (None, Report::Cells(cells)) => cells.to_table(),
+        (_, Report::Churn(drill)) => drill.to_table(),
     };
-    for (flag, body) in [("report-out", report.to_json()), ("csv-out", report.to_csv())] {
-        if let Some(path) = cmd.options.get(flag) {
+    for (flag, body) in [("report-out", Some(report.to_json())), ("csv-out", report.to_csv())] {
+        if let (Some(path), Some(body)) = (cmd.options.get(flag), body) {
             std::fs::write(path, body).map_err(|e| named_io(path, e))?;
             let _ = writeln!(out, "wrote {path}");
         }
@@ -799,14 +801,7 @@ fn cmd_churn(cmd: &Command) -> Result<String, CliError> {
     cfg.plan = match cmd.options.get("plan") {
         Some(spec) => spec.parse()?,
         None => {
-            let crashes: usize = cmd.opt("crashes", 10usize)?;
-            let mut plan = FaultPlan::none();
-            if crashes > 0 {
-                let step = (cfg.requests / (crashes + 1)).max(1) as u64;
-                for c in 1..=crashes as u64 {
-                    plan.push(step * c, FaultAction::Crash);
-                }
-            }
+            let mut plan = FaultPlan::spread_crashes(cmd.opt("crashes", 10)?, cfg.requests as u64);
             plan.loss = cmd.opt("loss", 0.0)?;
             plan.seed = cmd.opt("seed", 0x5EED_2003u64)?;
             plan
@@ -899,6 +894,7 @@ fn cmd_chaos(cmd: &Command) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use webcache_sim::FaultAction;
 
     fn argv(s: &[&str]) -> Vec<String> {
         s.iter().map(|x| x.to_string()).collect()
@@ -1343,6 +1339,21 @@ mod tests {
         std::fs::remove_file(trace).ok();
     }
 
+    /// A malformed flag is named before any trace is read, even when no
+    /// trace is given.
+    #[test]
+    fn flags_are_parsed_before_the_traces_are_loaded() {
+        for (args, flag) in [
+            (&["sweep", "--fracs", "nope"][..], "--fracs"),
+            (&["run", "--scheme", "sc", "--cache-frac", "nope"], "--cache-frac"),
+            (&["explain", "--events", "nope", "missing.bin"], "--events"),
+        ] {
+            let err = execute(&Command::parse(&argv(args)).unwrap()).unwrap_err();
+            assert_eq!(err.to_string(), format!("{flag}: cannot parse 'nope'"), "{args:?}");
+            assert_eq!(err.exit_code(), 2, "{args:?}");
+        }
+    }
+
     #[test]
     fn unknown_flags_are_usage_errors_naming_the_flag() {
         for (args, flag) in [
@@ -1421,7 +1432,9 @@ mod tests {
                 "figure takes one NAME of fig2a, fig2b, fig3, fig4, fig5a, fig5b, fig5c, fig5d, \
                  pastry_hops, ablation_piggyback, ablation_directory, ablation_hiergd, \
                  ablation_lfu, ablation_gds, squirrel_compare, churn_drill, transport_tax, \
-                 adversary, overload, durability"
+                 adversary, overload, durability, adversary_smoke, adversary_smoke_event, \
+                 overload_smoke, overload_smoke_event, durability_smoke, durability_smoke_event, \
+                 churn_plan, churn_crashes_event, churn_1000, churn_1000_event"
             );
         }
         // The help prose lists the same names, generated from the registry.
@@ -1434,16 +1447,41 @@ mod tests {
     #[test]
     fn figure_list_prints_every_name_and_its_file_stem() {
         let list = Command::parse(&argv(&["figure", "--list", "true"])).unwrap();
+        let rows: Vec<String> = execute(&list).unwrap().lines().map(String::from).collect();
         assert_eq!(
-            execute(&list).unwrap(),
-            "fig2a paper_fig2a\nfig2b paper_fig2b\nfig3 paper_fig3\nfig4 paper_fig4\n\
-             fig5a paper_fig5a\nfig5b paper_fig5b\nfig5c paper_fig5c\nfig5d paper_fig5d\n\
-             pastry_hops pastry_hops\nablation_piggyback ablation_piggyback\n\
-             ablation_directory ablation_directory\nablation_hiergd ablation_hiergd\n\
-             ablation_lfu ablation_lfu\nablation_gds ablation_gds\n\
-             squirrel_compare squirrel_compare\nchurn_drill churn_drill\n\
-             transport_tax transport_tax\nadversary adversary\noverload overload\n\
-             durability durability\n"
+            rows,
+            [
+                "fig2a FIGURE_paper_fig2a.json FIGURE_paper_fig2a.csv",
+                "fig2b FIGURE_paper_fig2b.json FIGURE_paper_fig2b.csv",
+                "fig3 FIGURE_paper_fig3.json FIGURE_paper_fig3.csv",
+                "fig4 FIGURE_paper_fig4.json FIGURE_paper_fig4.csv",
+                "fig5a FIGURE_paper_fig5a.json FIGURE_paper_fig5a.csv",
+                "fig5b FIGURE_paper_fig5b.json FIGURE_paper_fig5b.csv",
+                "fig5c FIGURE_paper_fig5c.json FIGURE_paper_fig5c.csv",
+                "fig5d FIGURE_paper_fig5d.json FIGURE_paper_fig5d.csv",
+                "pastry_hops FIGURE_pastry_hops.json FIGURE_pastry_hops.csv",
+                "ablation_piggyback FIGURE_ablation_piggyback.json FIGURE_ablation_piggyback.csv",
+                "ablation_directory FIGURE_ablation_directory.json FIGURE_ablation_directory.csv",
+                "ablation_hiergd FIGURE_ablation_hiergd.json FIGURE_ablation_hiergd.csv",
+                "ablation_lfu FIGURE_ablation_lfu.json FIGURE_ablation_lfu.csv",
+                "ablation_gds FIGURE_ablation_gds.json FIGURE_ablation_gds.csv",
+                "squirrel_compare FIGURE_squirrel_compare.json FIGURE_squirrel_compare.csv",
+                "churn_drill FIGURE_churn_drill.json FIGURE_churn_drill.csv",
+                "transport_tax FIGURE_transport_tax.json FIGURE_transport_tax.csv",
+                "adversary FIGURE_adversary.json FIGURE_adversary.csv",
+                "overload FIGURE_overload.json FIGURE_overload.csv",
+                "durability FIGURE_durability.json FIGURE_durability.csv",
+                "adversary_smoke tests/golden/adversary_report.json tests/golden/adversary_report.csv",
+                "adversary_smoke_event tests/golden/adversary_report_event.json tests/golden/adversary_report_event.csv",
+                "overload_smoke tests/golden/overload_report.json tests/golden/overload_report.csv",
+                "overload_smoke_event tests/golden/overload_report_event.json tests/golden/overload_report_event.csv",
+                "durability_smoke tests/golden/durability_report.json tests/golden/durability_report.csv",
+                "durability_smoke_event tests/golden/durability_report_event.json tests/golden/durability_report_event.csv",
+                "churn_plan tests/golden/churn_report.json",
+                "churn_crashes_event tests/golden/churn_report_event.json",
+                "churn_1000 tests/golden/churn_1000_report.json",
+                "churn_1000_event tests/golden/churn_1000_report_event.json",
+            ]
         );
         let named = Command::parse(&argv(&["figure", "fig2a", "--list", "true"])).unwrap();
         let err = execute(&named).unwrap_err();
@@ -1458,6 +1496,9 @@ mod tests {
             (&["figure", "churn_drill", "--full", "false"], "full"),
             (&["figure", "durability", "--full", "true"], "full"),
             (&["figure", "adversary", "--stats-out", "s.json"], "stats-out"),
+            // A churn drill commits a JSON report only, at one scale.
+            (&["figure", "churn_plan", "--csv-out", "c.csv"], "csv-out"),
+            (&["figure", "churn_1000", "--full", "true"], "full"),
         ] {
             let err = execute(&Command::parse(&argv(args)).unwrap()).unwrap_err();
             assert_eq!(err.exit_code(), 2, "{args:?}");

@@ -594,6 +594,15 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
+    /// `crashes` silent crashes spread evenly over a `requests`-long run,
+    /// one every `requests / (crashes + 1)` requests (at least one apart),
+    /// and nothing else.
+    pub fn spread_crashes(crashes: u64, requests: u64) -> Self {
+        let step = (requests / (crashes + 1)).max(1);
+        let crash = |c| FaultEvent { at: step * c, action: FaultAction::Crash };
+        FaultPlan { events: (1..=crashes).map(crash).collect(), ..FaultPlan::none() }
+    }
+
     /// True if this plan injects nothing.
     pub fn is_none(&self) -> bool {
         self.events.is_empty()
@@ -836,6 +845,16 @@ mod tests {
         assert_eq!(plan.seed, 9);
         let respelled: FaultPlan = plan.to_spec().parse().unwrap();
         assert_eq!(respelled, plan);
+    }
+
+    #[test]
+    fn spread_crashes_are_evenly_spaced_and_at_least_one_apart() {
+        assert_eq!(
+            FaultPlan::spread_crashes(3, 40_000).to_spec(),
+            "crash@10000,crash@20000,crash@30000"
+        );
+        assert_eq!(FaultPlan::spread_crashes(0, 40_000), FaultPlan::none());
+        assert_eq!(FaultPlan::spread_crashes(3, 2).to_spec(), "crash@1,crash@2,crash@3");
     }
 
     #[test]

@@ -18,25 +18,63 @@
 //! its figures, are [`drills`]: more names of `webcache figure`, each
 //! with a scale of its own and a gate. The robustness sweeps
 //! ([`crate::adversary`], [`crate::overload`], [`crate::durability`])
-//! are three more. [`FIGURES`] lists every one of them: what is
-//! committed, under which file stem, and how to regenerate it.
+//! are three more, and the small fixed configs the test suite pins under
+//! `tests/golden/` are the smoke rows (`figures/smoke.rs`). [`FIGURES`]
+//! lists every one of them: what is committed, under which path, and how
+//! to regenerate it.
 
 use crate::config::{ExperimentConfig, SchemeKind};
 use crate::error::SimError;
+use crate::fault::{run_churn, ChurnConfig, ChurnReport};
 use crate::net::NetworkModel;
 use crate::recorder::{NoopRecorder, Recorder};
 use crate::scenario::Field::{B, F, S, U};
 use crate::scenario::{Row, ScenarioReport};
 use crate::sweep::{gain_table, sweep_recorded, SweepResult, PAPER_CACHE_FRACS};
+use crate::ClockMode::{Compat, Event};
 use crate::{adversary, durability, overload, run_adversary, run_durability, run_overload};
 use webcache_primitives::seed::derive_indexed;
 use webcache_workload::{ProWGen, ProWGenConfig, Trace, UcbLike, UcbLikeConfig};
 use SchemeKind::{Fc, FcEc, HierGd, NcEc, Sc, ScEc};
 
 pub mod drills;
+mod smoke;
 
-/// Runs a row at the reduced scale, or at the paper's when the flag is set.
-pub type Run = fn(bool) -> Result<ScenarioReport, SimError>;
+/// How a row runs, which decides the files it commits.
+pub enum Run {
+    /// A report of cells, committed as `<path>.json` and `<path>.csv`;
+    /// the flag asks for the paper's scale.
+    Cells(fn(bool) -> Result<ScenarioReport, SimError>),
+    /// One churn drill of a fixed config, committed as `<path>.json`.
+    Churn(fn() -> ChurnConfig),
+}
+
+/// What a row reports.
+#[derive(Debug)]
+pub enum Report {
+    /// The report of a [`Run::Cells`] row.
+    Cells(ScenarioReport),
+    /// The report of a [`Run::Churn`] row.
+    Churn(Box<ChurnReport>),
+}
+
+impl Report {
+    /// The body of `<path>.json`.
+    pub fn to_json(&self) -> String {
+        match self {
+            Report::Cells(r) => r.to_json(),
+            Report::Churn(r) => r.to_json(),
+        }
+    }
+
+    /// The body of `<path>.csv`, none for a churn drill.
+    pub fn to_csv(&self) -> Option<String> {
+        match self {
+            Report::Cells(r) => Some(r.to_csv()),
+            Report::Churn(_) => None,
+        }
+    }
+}
 
 /// The claim a row's report must demonstrate.
 pub type Gate = fn(&ScenarioReport) -> Result<(), String>;
@@ -46,14 +84,45 @@ pub type Gate = fn(&ScenarioReport) -> Result<(), String>;
 pub struct Entry {
     /// Its `webcache figure` name.
     pub name: &'static str,
-    /// The stem of its committed files, `FIGURE_<stem>.{json,csv}`.
-    pub stem: &'static str,
+    /// Its committed files' path from the repository root, without the
+    /// extension.
+    pub path: &'static str,
     /// Runs it.
     pub run: Run,
     /// False for an output of one fixed scale, which takes no `--full`.
     pub has_full: bool,
-    /// Its gate. The paper's figures have none yet.
+    /// Its gate. The paper's figures and the smoke rows have none.
     pub gate: Option<Gate>,
+}
+
+impl Entry {
+    /// Runs it, at the paper's scale when `full`.
+    pub fn report(&self, full: bool) -> Result<Report, SimError> {
+        match self.run {
+            Run::Cells(run) => run(full).map(Report::Cells),
+            Run::Churn(config) => Ok(Report::Churn(Box::new(run_churn(&config())?))),
+        }
+    }
+
+    /// True when it commits a CSV beside its JSON report.
+    pub fn has_csv(&self) -> bool {
+        matches!(self.run, Run::Cells(_))
+    }
+
+    /// Its committed files, from the repository root: the JSON report,
+    /// then the CSV when it has one.
+    pub fn files(&self) -> Vec<String> {
+        let csv = self.has_csv().then(|| format!("{}.csv", self.path));
+        std::iter::once(format!("{}.json", self.path)).chain(csv).collect()
+    }
+
+    /// Checks `report` against its gate; an ungated row passes.
+    pub fn check(&self, report: &Report) -> Result<(), String> {
+        match (self.gate, report) {
+            (Some(gate), Report::Cells(r)) => gate(r),
+            _ => Ok(()),
+        }
+    }
 }
 
 /// The row of the paper's figure `$name`, committed as
@@ -62,27 +131,48 @@ macro_rules! paper {
     ($name:literal) => {
         Entry {
             name: $name,
-            stem: concat!("paper_", $name),
-            run: |full| {
+            path: concat!("FIGURE_paper_", $name),
+            run: Run::Cells(|full| {
                 let fig = figure($name).expect("a paper row names a figure");
                 run_figure(&fig, Scale::new(full), NoopRecorder)
-            },
+            }),
             has_full: true,
             gate: None,
         }
     };
 }
 
-/// A row whose files are named after it, checked against `gate`.
-const fn gated(name: &'static str, run: Run, has_full: bool, gate: Gate) -> Entry {
-    Entry { name, stem: name, run, has_full, gate: Some(gate) }
+/// A row committed as `FIGURE_<name>.*`, checked against `$gate`.
+macro_rules! gated {
+    ($name:literal, $run:expr, $has_full:expr, $gate:expr) => {
+        Entry {
+            name: $name,
+            path: concat!("FIGURE_", $name),
+            run: Run::Cells($run),
+            has_full: $has_full,
+            gate: Some($gate),
+        }
+    };
+}
+
+/// A smoke row (`figures/smoke.rs`), committed as `tests/golden/<file>.*`.
+macro_rules! smoke {
+    ($name:literal, $file:literal, $run:expr) => {
+        Entry {
+            name: $name,
+            path: concat!("tests/golden/", $file),
+            run: $run,
+            has_full: false,
+            gate: None,
+        }
+    };
 }
 
 /// Every committed output, in the order `webcache figure --list true`
 /// prints them: the paper's figures (§5, in the paper's order), the
-/// drills (in the order [`drills`] lists them) and the scenario sweeps,
-/// each at its `*Config::default()`.
-pub const FIGURES: [Entry; 20] = [
+/// drills (in the order [`drills`] lists them), the scenario sweeps,
+/// each at its `*Config::default()`, and the smoke rows.
+pub const FIGURES: [Entry; 30] = [
     paper!("fig2a"),
     paper!("fig2b"),
     paper!("fig3"),
@@ -91,18 +181,36 @@ pub const FIGURES: [Entry; 20] = [
     paper!("fig5b"),
     paper!("fig5c"),
     paper!("fig5d"),
-    gated("pastry_hops", drills::pastry_hops, true, drills::hops_gate),
-    gated("ablation_piggyback", drills::ablation_piggyback, true, drills::piggyback_gate),
-    gated("ablation_directory", drills::ablation_directory, true, drills::directory_gate),
-    gated("ablation_hiergd", drills::ablation_hiergd, true, drills::hiergd_gate),
-    gated("ablation_lfu", drills::ablation_lfu, true, drills::lfu_gate),
-    gated("ablation_gds", drills::ablation_gds, true, drills::gds_gate),
-    gated("squirrel_compare", drills::squirrel_compare, true, drills::squirrel_gate),
-    gated("churn_drill", drills::churn_drill, false, drills::churn_gate),
-    gated("transport_tax", drills::transport_tax, true, drills::transport_gate),
-    gated("adversary", |_| run_adversary(&Default::default()), false, adversary::gate),
-    gated("overload", |_| run_overload(&Default::default()), false, overload::gate),
-    gated("durability", |_| run_durability(&Default::default()), false, durability::gate),
+    gated!("pastry_hops", drills::pastry_hops, true, drills::hops_gate),
+    gated!("ablation_piggyback", drills::ablation_piggyback, true, drills::piggyback_gate),
+    gated!("ablation_directory", drills::ablation_directory, true, drills::directory_gate),
+    gated!("ablation_hiergd", drills::ablation_hiergd, true, drills::hiergd_gate),
+    gated!("ablation_lfu", drills::ablation_lfu, true, drills::lfu_gate),
+    gated!("ablation_gds", drills::ablation_gds, true, drills::gds_gate),
+    gated!("squirrel_compare", drills::squirrel_compare, true, drills::squirrel_gate),
+    gated!("churn_drill", drills::churn_drill, false, drills::churn_gate),
+    gated!("transport_tax", drills::transport_tax, true, drills::transport_gate),
+    gated!("adversary", |_| run_adversary(&Default::default()), false, adversary::gate),
+    gated!("overload", |_| run_overload(&Default::default()), false, overload::gate),
+    gated!("durability", |_| run_durability(&Default::default()), false, durability::gate),
+    smoke!("adversary_smoke", "adversary_report", Run::Cells(|_| smoke::adversary(Compat))),
+    smoke!(
+        "adversary_smoke_event",
+        "adversary_report_event",
+        Run::Cells(|_| smoke::adversary(Event))
+    ),
+    smoke!("overload_smoke", "overload_report", Run::Cells(|_| smoke::overload(Compat))),
+    smoke!("overload_smoke_event", "overload_report_event", Run::Cells(|_| smoke::overload(Event))),
+    smoke!("durability_smoke", "durability_report", Run::Cells(|_| smoke::durability(Compat))),
+    smoke!(
+        "durability_smoke_event",
+        "durability_report_event",
+        Run::Cells(|_| smoke::durability(Event))
+    ),
+    smoke!("churn_plan", "churn_report", Run::Churn(smoke::churn_plan)),
+    smoke!("churn_crashes_event", "churn_report_event", Run::Churn(smoke::churn_crashes_event)),
+    smoke!("churn_1000", "churn_1000_report", Run::Churn(|| smoke::churn_1000(Compat))),
+    smoke!("churn_1000_event", "churn_1000_report_event", Run::Churn(|| smoke::churn_1000(Event))),
 ];
 
 /// The row of [`FIGURES`] called `name`.
@@ -528,7 +636,8 @@ mod tests {
 
     #[test]
     fn every_name_builds_its_figure_of_distinct_series() {
-        let papers: Vec<_> = FIGURES.iter().filter(|e| e.stem.starts_with("paper_")).collect();
+        let papers: Vec<_> =
+            FIGURES.iter().filter(|e| e.path.starts_with("FIGURE_paper_")).collect();
         assert_eq!(papers.len(), 8, "the paper's Figs. 2(a)-5(d)");
         for name in papers.iter().map(|e| e.name) {
             let f = figure(name).unwrap();
@@ -543,15 +652,25 @@ mod tests {
     }
 
     #[test]
-    fn every_row_has_its_own_name_and_stem() {
+    fn every_row_has_its_own_name_and_path() {
         for (j, e) in FIGURES.iter().enumerate() {
             let earlier = &FIGURES[..j];
-            assert!(earlier.iter().all(|o| o.name != e.name && o.stem != e.stem), "{}", e.name);
-            assert_eq!(entry(e.name).map(|found| found.stem), Some(e.stem));
+            assert!(earlier.iter().all(|o| o.name != e.name && o.path != e.path), "{}", e.name);
+            assert_eq!(entry(e.name).map(|found| found.path), Some(e.path));
             let paper = figure(e.name).is_some();
-            assert_eq!(paper, e.gate.is_none(), "{}: only the paper's figures are ungated", e.name);
-            assert_eq!(e.stem == format!("paper_{}", e.name), paper, "{}", e.name);
+            assert_eq!(e.path == format!("FIGURE_paper_{}", e.name), paper, "{}", e.name);
+            // The figures are committed at the root, the smoke rows as goldens.
+            let gated = e.path == format!("FIGURE_{}", e.name);
+            assert_eq!(gated, e.gate.is_some(), "{}: only the drills and sweeps are gated", e.name);
+            assert!(paper || gated || e.path.starts_with("tests/golden/"), "{}", e.path);
         }
+        let churn: Vec<_> = FIGURES.iter().filter(|e| !e.has_csv()).map(|e| e.name).collect();
+        assert_eq!(churn, ["churn_plan", "churn_crashes_event", "churn_1000", "churn_1000_event"]);
+        assert_eq!(entry("churn_plan").unwrap().files(), ["tests/golden/churn_report.json"]);
+        assert_eq!(
+            entry("fig3").unwrap().files(),
+            ["FIGURE_paper_fig3.json", "FIGURE_paper_fig3.csv"]
+        );
         assert!(entry("fig6").is_none());
     }
 

@@ -25,7 +25,7 @@ use crate::config::{
 };
 use crate::engine::{Engine, SchemeEngine};
 use crate::error::SimError;
-use crate::fault::{run_churn, ChurnConfig, FaultAction, FaultPlan};
+use crate::fault::{run_churn, ChurnConfig, FaultPlan};
 use crate::hiergd::{HierGdEngine, HierGdOptions};
 use crate::metrics::{latency_gain_percent, RunMetrics};
 use crate::net::{HitClass, NetworkModel};
@@ -538,11 +538,7 @@ pub(super) fn churn_drill(_full: bool) -> Result<ScenarioReport, SimError> {
     let cells = [0u64, 5, 10, 20]
         .into_iter()
         .map(|crashes| {
-            let mut plan = FaultPlan::none();
-            let step = (REQUESTS as u64 / (crashes + 1)).max(1);
-            for c in 1..=crashes {
-                plan.push(step * c, FaultAction::Crash);
-            }
+            let mut plan = FaultPlan::spread_crashes(crashes, REQUESTS as u64);
             plan.loss = if crashes == 0 { 0.0 } else { 0.01 };
             plan.seed = 0x5EED_2003;
             let r = run_churn(&ChurnConfig { requests: REQUESTS, plan, ..ChurnConfig::default() })?;

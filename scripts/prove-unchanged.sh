@@ -127,7 +127,8 @@ surfaces() { # $1 = binary, $2 = output directory
       --plan 'crash@500,depart@900,mloss=0.05,dup=0.05,reorder=0.05,corrupt=0.02,seed=99' \
       --report-out churn_skill_$clock.json
     # The paper's largest cluster: 1,000 clients joining, crashing,
-    # departing, rejoining and splitting 70/30 (tests/churn_golden.rs).
+    # departing, rejoining and splitting 70/30 (the registry rows
+    # churn_1000 and churn_1000_event, here through `churn`'s flags).
     keep churn_1000_$clock.txt "$bin" churn --clients 1000 --requests 200000 --objects 5000 \
       --replication 2 --clock $clock --report-out churn_1000_$clock.json \
       --plan 'crash@20000,depart@50000,rejoin@80000,partition@100000{70|30},crash@120000,heal@150000,crash@170000,seed=7'
@@ -152,13 +153,16 @@ surfaces() { # $1 = binary, $2 = output directory
   keep churn_ci_default.txt "$bin" churn --crashes 10 --loss 0.01 --seed 2003 \
     --report-out churn_ci_default.json
 
-  # Every committed output at its committed config, report and CSV: the
-  # paper's eight figures, the nine drills and the three scenario sweeps.
-  # Both sides run the working tree's list of names.
+  # Every committed output at its committed config, its report and its
+  # CSV (a churn drill has none): the paper's eight figures, the nine
+  # drills, the three scenario sweeps and the ten smoke rows. Both sides
+  # run the working tree's list of rows.
   keep figure_list.txt "$bin" figure --list true
-  for fig in "${figures[@]}"; do
-    keep figure_$fig.txt "$bin" figure $fig \
-      --report-out figure_$fig.json --csv-out figure_$fig.csv
+  local row fig csv
+  for row in "${figures[@]}"; do
+    read -r fig _ csv <<<"$row"
+    keep figure_$fig.txt "$bin" figure $fig --report-out figure_$fig.json \
+      ${csv:+--csv-out figure_$fig.csv}
   done
   keep chaos_sabotage.json "$bin" chaos --plans 40 --seed 42 --sabotage true --json true
 
@@ -180,6 +184,8 @@ surfaces() { # $1 = binary, $2 = output directory
   keep err_all_one_timers.txt "$bin" gen --out all_one_timers.bin --requests 5000 \
     --objects 400 --one-timers 1
   keep err_unknown_figure.txt "$bin" figure fig6
+  keep err_churn_row_csv.txt "$bin" figure churn_plan --csv-out churn_plan.csv
+  keep err_flag_before_traces.txt "$bin" sweep --fracs nope
   keep err_stray_positional.txt "$bin" gen --out stray_out.bin --requests 2000 --objects 100 \
     stray.bin
   keep err_unknown_subcommand.txt "$bin" frobnicate
@@ -224,8 +230,9 @@ json_fields() {
   echo "${fields:-  no field differs as jq reads the numbers: compare the bytes}"
 }
 
-# The names of every committed output, from the working tree's registry.
-mapfile -t figures < <("$repo/target/release/webcache" figure --list true | cut -d' ' -f1)
+# Every committed output, one "name json [csv]" line each, from the
+# working tree's registry.
+mapfile -t figures < <("$repo/target/release/webcache" figure --list true)
 [ ${#figures[@]} -gt 0 ] || { echo "webcache figure --list true printed no names" >&2; exit 1; }
 (surfaces "$scratch/parent-target/release/webcache" "$scratch/out-parent")
 (surfaces "$repo/target/release/webcache" "$scratch/out-change")

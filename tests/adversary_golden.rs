@@ -1,61 +1,26 @@
 //! Golden-output and property tests for the adversary sweep harness.
 //!
 //! The sweep report is the committed artifact behind the misbehaving-
-//! participants figure, so it is pinned byte for byte — once per clock
-//! mode, because audit traffic is priced as real messages in compat mode
-//! and as real events in event mode and both pricings must stay stable.
-//!
-//! To regenerate after an *intentional* semantic change:
-//! `UPDATE_GOLDEN=1 cargo test --release --test adversary_golden`.
+//! participants figure, so a small config of it is pinned byte for byte
+//! — once per clock mode, because audit traffic is priced as real
+//! messages in compat mode and as real events in event mode and both
+//! pricings must stay stable. The two configs are rows of the figure
+//! registry, `adversary_smoke` and `adversary_smoke_event`, committed as
+//! `tests/golden/adversary_report{,_event}.{json,csv}`; see
+//! `common::compare` for how to adopt an intentional change.
 
 mod common;
 
-use webcache::sim::{run_adversary, run_churn, AdversaryConfig, ChurnConfig, ClockMode};
-
-const GOLDEN_COMPAT: &str = "tests/golden/adversary_report.json";
-const GOLDEN_EVENT: &str = "tests/golden/adversary_report_event.json";
-
-/// A sweep small enough for the test suite but big enough that forgers
-/// poison a measurable slice of the directory: one fraction, undefended
-/// vs a 25% spot-check rate.
-fn pinned_config(clock: ClockMode) -> AdversaryConfig {
-    AdversaryConfig {
-        base: ChurnConfig {
-            requests: 6_000,
-            distinct_objects: 400,
-            trace_clients: 20,
-            clients_per_cluster: 20,
-            proxy_capacity: 20,
-            client_cache_capacity: 4,
-            clock,
-            ..ChurnConfig::default()
-        },
-        attacker_fracs: vec![0.10],
-        audit_rates: vec![0.0, 0.25],
-        forge_rate: 0.5,
-        strikes: 3,
-        seed: 0x00AD_5E11,
-    }
-}
-
-fn check_golden(clock: ClockMode, golden_path: &str) {
-    let cfg = pinned_config(clock);
-    let report = run_adversary(&cfg).expect("sweep runs");
-    let again = run_adversary(&cfg).expect("sweep runs twice");
-    assert_eq!(report, again, "same config must reproduce the report");
-    let rendered = report.to_json();
-
-    common::assert_golden(golden_path, &rendered);
-}
+use webcache::sim::{run_churn, ChurnConfig};
 
 #[test]
 fn compat_adversary_report_matches_golden() {
-    check_golden(ClockMode::Compat, GOLDEN_COMPAT);
+    common::check_named(&["adversary_smoke"]);
 }
 
 #[test]
 fn event_adversary_report_matches_golden() {
-    check_golden(ClockMode::Event, GOLDEN_EVENT);
+    common::check_named(&["adversary_smoke_event"]);
 }
 
 /// The two pinned reports must agree on everything the clock does not
@@ -63,8 +28,8 @@ fn event_adversary_report_matches_golden() {
 /// forgers in both modes; only the latency columns may differ.
 #[test]
 fn clock_modes_agree_on_attack_and_defense_counts() {
-    let compat = run_adversary(&pinned_config(ClockMode::Compat)).expect("sweep runs");
-    let event = run_adversary(&pinned_config(ClockMode::Event)).expect("sweep runs");
+    let compat = common::cells("adversary_smoke");
+    let event = common::cells("adversary_smoke_event");
     assert_eq!(compat.cells.len(), event.cells.len());
     for (c, e) in compat.cells.iter().zip(&event.cells) {
         for count in [

@@ -2,18 +2,21 @@
 //!
 //! Compat mode's contract is *byte identity*: replaying the analytic
 //! pricing through the event clock must not move a single bit of any
-//! report the repo pins — the fault-free run metrics, the churn report,
-//! and the split-brain drill. Event mode's contract is *conservation*:
+//! report the repo pins — the fault-free run metrics, the churn report
+//! (its registry row, `churn_plan`, names the compat clock), and the
+//! split-brain drill. Event mode's contract is *conservation*:
 //! the cache dynamics are decided at admission time in both modes, so
 //! per-class hit counts (and every recorder counter derived from them)
 //! must agree with compat even though measured latencies differ; and the
 //! clock itself must deliver timestamps monotonically (enforced by an
 //! assert inside `SimClock::pop`, so any violation aborts these tests).
 
+mod common;
+
 use webcache::sim::{
-    run_churn, run_experiment, ChurnConfig, ClockMode, Engine, ExperimentConfig, FaultAction,
-    FaultPlan, HitClass, NetworkModel, NoopRecorder, RunMetrics, SchemeEngine, SchemeKind,
-    SimClock, StatsRecorder,
+    run_churn, run_experiment, ChurnConfig, ClockMode, Engine, ExperimentConfig, FaultPlan,
+    HitClass, NetworkModel, NoopRecorder, RunMetrics, SchemeEngine, SchemeKind, SimClock,
+    StatsRecorder,
 };
 use webcache::workload::{ProWGen, ProWGenConfig, Trace};
 
@@ -85,61 +88,12 @@ fn compat_mode_is_bit_identical_to_the_analytic_reference() {
     }
 }
 
-#[test]
-fn compat_churn_report_matches_the_committed_golden() {
-    // The same drill the churn golden pins, with the clock mode named
-    // explicitly: routing the fault plan through the event clock must
-    // leave the committed bytes untouched.
-    let plan: FaultPlan =
-        "crash@900,crash@2100,depart@3300,crash@4500,rejoin@5400,slow@6300,crash@7200,\
-         loss=0.01,seed=53710"
-            .parse()
-            .expect("spec is valid");
-    let cfg = ChurnConfig {
-        requests: 9_000,
-        distinct_objects: 1_200,
-        trace_clients: 40,
-        clients_per_cluster: 32,
-        trace_seed: 0xBEEF,
-        plan,
-        clock: ClockMode::Compat,
-        ..ChurnConfig::default()
-    };
-    assert_matches_golden(&run_churn(&cfg).expect("drill runs").to_json(), "churn_report.json");
-}
-
 /// The CI drill under the event clock, as `webcache churn --crashes 10
-/// --loss 0.01 --seed 2003 --clock event --report-out F` builds it: ten
-/// crashes spread evenly over the default 40,000-request run.
+/// --loss 0.01 --seed 2003 --clock event --report-out F` builds it: the
+/// registry row `churn_crashes_event`.
 #[test]
 fn event_churn_report_matches_the_committed_golden() {
-    let base = ChurnConfig { clock: ClockMode::Event, ..ChurnConfig::default() };
-    let step = (base.requests / 11) as u64;
-    let mut plan = FaultPlan::none();
-    for c in 1..=10 {
-        plan.push(step * c, FaultAction::Crash);
-    }
-    plan.loss = 0.01;
-    plan.seed = 2003;
-    let cfg = ChurnConfig { plan, ..base };
-    assert_matches_golden(
-        &run_churn(&cfg).expect("drill runs").to_json(),
-        "churn_report_event.json",
-    );
-}
-
-/// Compares `rendered` with `tests/golden/<name>` line by line, so a
-/// divergence names the first field that moved.
-fn assert_matches_golden(rendered: &str, name: &str) {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name);
-    let golden = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden file {} ({e})", path.display()));
-    if rendered != golden {
-        for (r, g) in rendered.lines().zip(golden.lines()) {
-            assert_eq!(r, g, "{name}: churn report diverged from the committed golden");
-        }
-        assert_eq!(rendered.len(), golden.len(), "{name}: golden output length changed");
-    }
+    common::check_named(&["churn_crashes_event"]);
 }
 
 #[test]

@@ -1,105 +1,67 @@
-//! Pins the committed figures, every row of `webcache figure`'s registry
-//! (`FIGURES`): each gated row — the nine drills (one test) and the three
-//! scenario sweeps (a test each) — must reproduce
-//! `FIGURE_<stem>.{json,csv}` byte for byte at its committed config, and
-//! its `gate` — the threshold the figure is committed to demonstrate —
-//! must pass on the report. The paper's eight
-//! figures have no gate yet; CI's "Scenario sweeps" step pins their files.
+//! Pins the committed outputs, every row of `webcache figure`'s registry
+//! (`FIGURES`) but the paper's eight figures: each must reproduce its
+//! committed files byte for byte at its committed config, and a gated
+//! row's `gate` — the threshold the figure is committed to demonstrate —
+//! must pass on the report. The nine drills run here on one worker per
+//! core; the three scenario sweeps have a test each below, and the smoke
+//! rows under `tests/golden/` one in their harness
+//! (`{adversary,overload,durability,churn}_golden.rs`,
+//! `clock_compat_golden.rs`), all through `common::check_rows`. The
+//! paper's figures have no gate yet; CI's "Scenario sweeps" step pins
+//! their files.
 //!
 //! On a mismatch the fresh files are written under `target/figures/`
 //! (CI uploads them). To adopt an *intentional* change, copy them over
-//! the committed files, or rerun the row: `webcache figure <name>
-//! --report-out FIGURE_<stem>.json --csv-out FIGURE_<stem>.csv`
-//! (`webcache figure --list true` prints every name and stem).
+//! the committed files (`cp -r target/figures/. .`), or rerun the row:
+//! `webcache figure <name> --report-out <path>.json --csv-out <path>.csv`
+//! (`webcache figure --list true` prints every name and its files).
+
+mod common;
 
 use std::path::Path;
-use std::sync::Mutex;
-use webcache::sim::figures::{entry, Entry, FIGURES};
-
-fn root() -> &'static Path {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-}
-
-/// Runs `row` and returns what is wrong with it: the committed files it
-/// no longer reproduces (fresh copies go to `target/figures/`), or its
-/// gate's complaint.
-fn check(row: &Entry) -> Result<(), String> {
-    let report = (row.run)(false).map_err(|e| format!("{} does not run: {e}", row.name))?;
-    let mut moved = Vec::new();
-    for (ext, fresh) in [("json", report.to_json()), ("csv", report.to_csv())] {
-        let file = format!("FIGURE_{}.{ext}", row.stem);
-        let committed = std::fs::read_to_string(root().join(&file))
-            .map_err(|e| format!("missing committed figure {file}: {e}"))?;
-        if fresh != committed {
-            let dir = root().join("target/figures");
-            std::fs::create_dir_all(&dir).unwrap();
-            std::fs::write(dir.join(&file), fresh).unwrap();
-            moved.push(file);
-        }
-    }
-    if !moved.is_empty() {
-        return Err(format!("{moved:?} no longer reproduce; fresh copies are in target/figures/"));
-    }
-    let gate = row.gate.expect("only gated rows are checked here");
-    gate(&report).map_err(|e| format!("the committed {} figure fails its gate: {e}", row.name))
-}
+use webcache::sim::figures::FIGURES;
 
 /// The scenario sweeps, each checked by a test of its own below; every
-/// other gated row is a drill.
+/// other gated row is a drill. The smoke rows are ungated.
 const SWEEPS: [&str; 3] = ["adversary", "overload", "durability"];
-
-/// Checks the row of the registry called `name`.
-fn check_row(name: &str) {
-    let row = entry(name).unwrap_or_else(|| panic!("FIGURES has no row {name}"));
-    check(row).unwrap_or_else(|e| panic!("{e}"));
-}
 
 #[test]
 fn adversary_figure_reproduces_and_passes_its_gate() {
-    check_row("adversary");
+    common::check_named(&["adversary"]);
 }
 
 #[test]
 fn overload_figure_reproduces_and_passes_its_gate() {
-    check_row("overload");
+    common::check_named(&["overload"]);
 }
 
 #[test]
 fn durability_figure_reproduces_and_passes_its_gate() {
-    check_row("durability");
+    common::check_named(&["durability"]);
 }
 
 /// Every gated row of the registry that is not a sweep, on one worker
 /// per core.
 #[test]
 fn drill_figures_reproduce_and_pass_their_gates() {
-    let drills = FIGURES.iter().filter(|row| row.gate.is_some() && !SWEEPS.contains(&row.name));
-    let queue = Mutex::new(drills);
-    let next = || queue.lock().unwrap().next();
-    let workers = std::thread::available_parallelism().map_or(2, |n| n.get());
-    let failures: Vec<String> = std::thread::scope(|s| {
-        let work =
-            || std::iter::from_fn(next).filter_map(|row| check(row).err()).collect::<Vec<_>>();
-        let workers: Vec<_> = (0..workers).map(|_| s.spawn(work)).collect();
-        workers.into_iter().flat_map(|w| w.join().expect("a row panicked")).collect()
-    });
-    assert!(failures.is_empty(), "{failures:#?}");
+    common::check_rows(FIGURES.iter().filter(|r| r.gate.is_some() && !SWEEPS.contains(&r.name)));
 }
 
 /// The registry and the committed files agree: every `FIGURE_*` file
-/// belongs to a row, and every row has both of its files.
+/// and every `tests/golden/*_report*` file belongs to a row, and every
+/// row has all of its files.
 #[test]
 fn every_committed_figure_is_a_row_of_the_registry() {
-    let mut committed: Vec<String> = std::fs::read_dir(root())
-        .unwrap()
-        .map(|f| f.unwrap().file_name().into_string().unwrap())
-        .filter(|f| f.starts_with("FIGURE_"))
-        .collect();
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let files = |dir: &str, keep: fn(&str) -> bool| -> Vec<String> {
+        let names = std::fs::read_dir(root.join(dir)).unwrap();
+        let names = names.map(|f| f.unwrap().file_name().into_string().unwrap());
+        names.filter(|f| keep(f)).map(|f| Path::new(dir).join(f).display().to_string()).collect()
+    };
+    let mut committed = files("", |f| f.starts_with("FIGURE_"));
+    committed.extend(files("tests/golden", |f| f.contains("_report")));
     committed.sort();
-    let mut claimed: Vec<String> = FIGURES
-        .iter()
-        .flat_map(|row| ["csv", "json"].map(|ext| format!("FIGURE_{}.{ext}", row.stem)))
-        .collect();
+    let mut claimed: Vec<String> = FIGURES.iter().flat_map(|row| row.files()).collect();
     claimed.sort();
     let unclaimed: Vec<_> = committed.iter().filter(|f| !claimed.contains(f)).collect();
     let missing: Vec<_> = claimed.iter().filter(|f| !committed.contains(f)).collect();

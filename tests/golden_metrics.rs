@@ -6,9 +6,7 @@
 //! routing). Hot-path optimizations must not change a single bit of
 //! simulation output: hit counts per class, the exact total latency
 //! (compared via `f64::to_bits`), and every message-ledger counter.
-//!
-//! To regenerate after an *intentional* semantic change:
-//! `UPDATE_GOLDEN=1 cargo test --release --test golden_metrics`.
+//! See `common::compare` for how to adopt an intentional change.
 
 mod common;
 
@@ -101,6 +99,5 @@ fn render_all() -> String {
 
 #[test]
 fn run_metrics_match_golden() {
-    let rendered = render_all();
-    common::assert_golden(GOLDEN_PATH, &rendered);
+    common::compare(GOLDEN_PATH, &render_all()).unwrap_or_else(|e| panic!("{e}"));
 }

@@ -7,9 +7,8 @@
 //!
 //! The canonical end state is also pinned against a committed golden
 //! file, so a protocol change that silently shifts what the cluster
-//! holds fails here even if both runs shift together. To regenerate
-//! after an *intentional* semantic change:
-//! `UPDATE_GOLDEN=1 cargo test --release --test transport_idempotency`.
+//! holds fails here even if both runs shift together. See
+//! `common::compare` for how to adopt an intentional change.
 
 mod common;
 
@@ -82,7 +81,7 @@ fn duplication_and_reordering_leave_end_state_byte_identical() {
     assert_eq!(clean, faulty, "dup/reorder transport changed the end state");
 
     // Pin the canonical end state against the committed golden bytes.
-    common::assert_golden(GOLDEN_PATH, &clean);
+    common::compare(GOLDEN_PATH, &clean).unwrap_or_else(|e| panic!("{e}"));
 }
 
 #[test]
